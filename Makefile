@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: lint arch-check concurrency-smoke test bench-smoke bench-kernels bench-shards trace-smoke backend-matrix comm-smoke parallel-smoke run-report-smoke shard-smoke socket-smoke
+.PHONY: lint arch-check concurrency-smoke test bench-smoke bench-kernels bench-e2e bench-shards trace-smoke backend-matrix comm-smoke parallel-smoke run-report-smoke shard-smoke socket-smoke
 
 ## Static analysis: AST lint + lock discipline + lock graph + layering +
 ## sanitizer self-check.
@@ -32,6 +32,14 @@ bench-smoke:
 ##   python benchmarks/check_regression.py --update
 bench-kernels:
 	$(PYTHON) benchmarks/check_regression.py
+
+## End-to-end benchmark smoke (~30-50 s): the four BENCHMARK.json workloads
+## at N/10.  Exit code only, no timing gate — what it checks is the
+## benchmark's own correctness: analytic byte oracle, exactly-k frames,
+## lockstep transport == direct bitwise parity, trace.coverage >= 0.90.
+## Full run (~3 min): python benchmarks/e2e/run.py
+bench-e2e:
+	$(PYTHON) benchmarks/e2e/run.py --quick
 
 ## One tiny workload on every registered execution backend; each result
 ## is validated against the unified TrainResult schema and must learn.

@@ -52,7 +52,7 @@ class TestSelectionKernels:
         assert mask.sum() == N // 100
 
     def test_topk_select_fused(self, benchmark, big_layer):
-        """Fused select-and-extract: argpartition straight to SparseTensor."""
+        """Fused select-and-extract: selected indices straight to SparseTensor."""
         ws = KernelWorkspace()
         st = benchmark(topk_select, big_layer, 0.01, ws)
         assert st.nnz == N // 100

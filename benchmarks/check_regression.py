@@ -30,7 +30,7 @@ import time
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent))
 
-from kernel_pairs import GATED, MIN_WINS, N, RATIO, make_pairs  # noqa: E402
+from kernel_pairs import GATED, RECORD_ONLY, MIN_WINS, N, RATIO, make_pairs  # noqa: E402
 
 BASELINE = pathlib.Path(__file__).parent / "BENCH_kernels.json"
 
@@ -70,15 +70,16 @@ def measure() -> "dict[str, dict[str, float]]":
 
 
 def _print_table(rows: "dict[str, dict[str, float]]", baseline=None) -> None:
-    hdr = f"{'kernel':20s} {'ref ms':>10s} {'opt ms':>10s} {'speedup':>8s}"
+    hdr = f"{'kernel':30s} {'ref ms':>10s} {'opt ms':>10s} {'speedup':>8s}"
     if baseline:
         hdr += f" {'baseline':>9s} {'floor':>7s}"
     print(hdr)
     for name, row in rows.items():
-        line = f"{name:20s} {row['ref_ms']:10.3f} {row['opt_ms']:10.3f} {row['speedup']:7.2f}x"
+        line = f"{name:30s} {row['ref_ms']:10.3f} {row['opt_ms']:10.3f} {row['speedup']:7.2f}x"
         if baseline and name in baseline:
             base = baseline[name]["speedup"]
-            line += f" {base:8.2f}x {base / TOLERANCE:6.2f}x"
+            floor = "     --" if name in RECORD_ONLY else f"{base / TOLERANCE:6.2f}x"
+            line += f" {base:8.2f}x {floor}"
         print(line)
 
 
@@ -119,6 +120,8 @@ def cmd_check() -> int:
     _print_table(rows, baseline)
     failures = []
     for name, base in baseline.items():
+        if name in RECORD_ONLY:
+            continue
         if name not in rows:
             failures.append(f"{name}: in baseline but no longer measured")
             continue

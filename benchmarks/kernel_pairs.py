@@ -27,7 +27,7 @@ from repro.compression import (
 )
 from repro.core.arena import LayerArena
 
-__all__ = ["N", "RATIO", "GATED", "make_pairs"]
+__all__ = ["N", "RATIO", "GATED", "RECORD_ONLY", "make_pairs"]
 
 N = 1_000_000
 RATIO = 0.01
@@ -36,6 +36,11 @@ RATIO = 0.01
 #: (acceptance: at least MIN_WINS of these)
 GATED = ("topk_select", "coo_encode", "payload_apply")
 MIN_WINS = 2
+
+#: recorded in the baseline and printed, but never compared against it: the
+#: reference side is the degenerate full-array argpartition, whose time on a
+#: tied array swings 2x run to run
+RECORD_ONLY = ("topk_select_sparse_diff_2pct", "topk_select_sparse_diff_25pct")
 
 
 def _layered_shapes(total: int = N, layers: int = 48) -> "OrderedDict[str, tuple[int, ...]]":
@@ -61,8 +66,10 @@ def make_pairs() -> "OrderedDict[str, tuple]":
 
     # --- top-k select: magnitude top-1% of a 1M vector to a SparseTensor.
     # Reference: boolean mask then flatnonzero-based encode (two O(n)
-    # passes + fresh allocations).  Optimised: fused argpartition ->
-    # sorted-index gather with caller-owned scratch.
+    # passes + fresh allocations).  Optimised: fused select ->
+    # sorted-index gather with caller-owned scratch.  Both sides select
+    # through the same ``_topk_indices`` helper; the ratio measures the
+    # mask/scan/allocation overhead only.
     pairs["topk_select"] = (
         lambda: encode_mask(arr, topk_mask(arr, RATIO)),
         lambda: topk_select(arr, RATIO, ws),
@@ -95,6 +102,27 @@ def make_pairs() -> "OrderedDict[str, tuple]":
         apply_dict,
         lambda: m_arena.add_payload(upd_arena, scale=-1.0),
     )
+
+    # --- top-k select on the server's real traffic (RECORD_ONLY):
+    # ``M - v_k`` is float32 and mostly exact zeros — 2 % nonzero
+    # early in a run, ~25 % after 42 exchanges (docs/performance.md).
+    # Reference: the full-array argpartition every kernel used before the
+    # zero-robust helper, written out here so the comparison survives; it
+    # degenerates on a majority-tied array.
+    def _full_argpartition_select(x: np.ndarray):
+        k = int(np.ceil(x.size * RATIO))
+        sel = np.argpartition(np.abs(x), x.size - k)[x.size - k :]
+        sel.sort()
+        return encode_indices(x, sel, assume_sorted=True)
+
+    for pct in (2, 25):
+        diff = np.zeros(N, dtype=np.float32)
+        live = rng.choice(N, size=N * pct // 100, replace=False)
+        diff[live] = rng.normal(size=live.size)
+        pairs[f"topk_select_sparse_diff_{pct}pct"] = (
+            lambda x=diff: _full_argpartition_select(x),
+            lambda x=diff: topk_select(x, RATIO, ws),
+        )
 
     # --- SAMomentum prepare (informative, not gated): full Algorithm 3
     # step through the dict strategy vs the arena strategy.

@@ -1,8 +1,8 @@
 """Adaptive (sampled) threshold selection.
 
 The paper fixes Top-1% but notes "some more advanced threshold selection
-methods can be used" (§4.1).  An exact per-layer top-k costs an
-``argpartition`` over the full layer every iteration; production systems
+methods can be used" (§4.1).  An exact per-layer top-k costs a selection
+pass over the full layer every iteration; production systems
 (DGC's reference implementation among them) estimate the threshold from a
 *random subsample* instead.  :class:`AdaptiveThresholdSparsifier` does
 that, and additionally smooths the estimate across iterations with an

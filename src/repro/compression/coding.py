@@ -129,7 +129,7 @@ class BitmapTensor:
     """
 
     bitmap: np.ndarray  # packed uint8, ceil(n/8) bytes
-    values: np.ndarray  # (nnz,) float64, in flat index order
+    values: np.ndarray  # (nnz,) float32 from the encoders, in flat index order
     shape: tuple[int, ...]
 
     def __post_init__(self) -> None:
@@ -252,7 +252,7 @@ def encode_indices(
     """COO-encode ``arr`` at the given flat ``indices`` (fused-select extract).
 
     The extract half of ``topk_select``: when a selection kernel already
-    holds the chosen flat indices (e.g. straight out of ``argpartition``),
+    holds the chosen flat indices (e.g. straight out of ``_topk_indices``),
     this builds the wire tensor in O(nnz·log nnz) — no boolean mask, no
     O(n) ``flatnonzero`` scan.  Indices are sorted ascending to match
     :func:`encode_mask` output exactly; pass ``assume_sorted=True`` to

@@ -2,7 +2,18 @@
 
 "worker k calculates the threshold for sparsification, which we chose here
 as Top 1%" (§4.1): per layer, keep the R% entries of largest absolute
-value.  Implemented with ``np.argpartition`` (O(n), not a full sort).
+value.  Every kernel selects through ``_topk_indices``, which is exact and
+equally fast on dense gradients and on the server's ``M − v_k`` (75–99 %
+exact zeros, where a full-array ``argpartition`` degenerates on the ties).
+
+Selection contract (``tests/properties/test_prop_compression.py``):
+exactly k = ⌈ratio·n⌉ entries whose magnitudes are ``np.sort(|x|)[-k:]`` as
+a multiset (NaN sorts largest); where the k-th magnitude is unique the
+selected *set* is determined, and ties at it resolve identically in
+``topk_mask`` and ``topk_select`` (not necessarily as NumPy's introselect
+would); a layer with fewer than k nonzeros is padded with its lowest-index
+zeros; ``topk_select`` indices are strictly increasing, so
+``flatnonzero(topk_mask(x, r)) == topk_select(x, r).indices``.
 
 Two call styles:
 
@@ -12,9 +23,7 @@ Two call styles:
 * the hot path passes a :class:`~repro.compression.workspace.KernelWorkspace`
   to reuse the ``|u|`` magnitude and mask scratch across iterations, and
   uses :func:`topk_select` to produce the wire ``SparseTensor`` directly
-  from the ``argpartition`` output — no boolean mask, no ``flatnonzero``
-  scan over the full layer.  Selection is bitwise-identical either way
-  (same ``argpartition`` over the same magnitudes).
+  from the selected indices — no full-layer boolean mask.
 """
 
 from __future__ import annotations
@@ -42,6 +51,35 @@ def _magnitudes(flat: np.ndarray, workspace: "KernelWorkspace | None") -> np.nda
     return np.abs(flat, out=workspace.scratch("topk.abs", flat.size, flat.dtype))
 
 
+_SAMPLE_STRIDE = 64  # every 64th magnitude forms the sample that bounds the k-th
+
+
+def _above(mag: np.ndarray, lo) -> np.ndarray:
+    """Indices where ``mag > lo`` or ``mag`` is NaN (NaN sorts largest)."""
+    keep = mag <= lo
+    return np.flatnonzero(np.logical_not(keep, out=keep))
+
+
+def _topk_indices(mag: np.ndarray, k: int) -> np.ndarray:
+    """Exactly ``k`` indices, unordered, of the largest of the 1-D magnitudes
+    ``mag`` (``0 < k < mag.size``), per the module docstring's contract.
+
+    ``lo``, the top ~2k/n quantile of a strided sample, almost surely lies
+    below the k-th magnitude, so ``argpartition`` sees only the ~2k entries
+    above it; a sample that over-shoots costs one more compare pass.
+    """
+    sample = mag[::_SAMPLE_STRIDE]
+    ks = math.ceil(2 * k * sample.size / mag.size)
+    lo = np.partition(sample, sample.size - ks)[sample.size - ks] if ks < sample.size else 0
+    cand = _above(mag, lo)
+    if cand.size < k and lo != 0:
+        cand = _above(mag, 0)
+    if cand.size < k:
+        # Pad with the lowest-index zeros; they all sit in the first k entries.
+        cand = np.concatenate([cand, np.flatnonzero(mag[:k] == 0)[: k - cand.size]])
+    return cand[np.argpartition(mag[cand], cand.size - k)[cand.size - k :]]
+
+
 def topk_mask(
     arr: np.ndarray, ratio: float, workspace: "KernelWorkspace | None" = None
 ) -> np.ndarray:
@@ -62,8 +100,7 @@ def topk_mask(
     else:
         mask = workspace.scratch("topk.mask", n, bool)
         mask[:] = False
-    idx = np.argpartition(mag, n - k)[n - k :]
-    mask[idx] = True
+    mask[_topk_indices(mag, k)] = True
     return mask.reshape(arr.shape)
 
 
@@ -73,11 +110,10 @@ def topk_select(
     """Fused select-and-extract: the top-⌈ratio·n⌉ entries as a ``SparseTensor``.
 
     Equivalent to ``encode_mask(arr, topk_mask(arr, ratio))`` — same
-    selected set (one ``argpartition`` call on the same magnitudes), same
-    ascending index order, same float32 wire values — without ever
-    materialising the boolean mask or scanning the layer for nonzeros.
-    The returned tensor owns freshly allocated indices/values (never
-    workspace aliases), so it may outlive the workspace.
+    selected set (one ``_topk_indices`` call on the same magnitudes), same
+    ascending index order, same float32 wire values — without the
+    full-layer mask.  The returned tensor owns freshly allocated
+    indices/values (never workspace aliases), so it may outlive the workspace.
     """
     flat = arr.reshape(-1)
     n = flat.size
@@ -86,8 +122,7 @@ def topk_select(
         return encode_indices(
             arr, np.arange(n, dtype=np.intp), workspace=workspace, assume_sorted=True
         )
-    mag = _magnitudes(flat, workspace)
-    sel = np.argpartition(mag, n - k)[n - k :]
+    sel = _topk_indices(_magnitudes(flat, workspace), k)
     sel.sort()  # flatnonzero yields ascending indices; match it exactly
     return encode_indices(arr, sel, workspace=workspace, assume_sorted=True)
 
@@ -105,14 +140,9 @@ def topk_threshold(
     k = _k_for_ratio(flat.size, ratio)
     if k >= flat.size:
         return -np.inf
-    if workspace is None:
-        mag = np.abs(flat)
-        return float(np.partition(mag, flat.size - k)[flat.size - k])
-    # The magnitude scratch is ours to destroy: partition it in place
-    # instead of letting np.partition copy it first.
     mag = _magnitudes(flat, workspace)
-    mag.partition(flat.size - k)
-    return float(mag[flat.size - k])
+    # The k-th largest with NaN sorting largest: fmin skips NaN unless all are.
+    return float(np.fmin.reduce(mag[_topk_indices(mag, k)]))
 
 
 class TopKSparsifier(Sparsifier):

@@ -1,6 +1,6 @@
 """Reusable scratch buffers for the hot compression kernels.
 
-Every DGS iteration runs, per layer: ``|u|`` → ``argpartition`` top-k →
+Every DGS iteration runs, per layer: ``|u|`` → exact top-k select →
 COO encode.  The reference kernels allocate their ``|u|`` magnitude
 buffer, boolean mask and index arrays fresh on every call — at 1 M
 parameters that is several MB of allocator traffic per iteration per

@@ -84,8 +84,8 @@ class WorkerStrategy(ABC):
     def _select(self, sparsifier: Sparsifier, arr: np.ndarray) -> SparseTensor:
         """Fused select on the arena path; mask+encode reference otherwise.
 
-        Both routes pick the identical entry set (same argpartition over
-        the same magnitudes) — only the allocation behaviour differs.
+        Both routes pick the identical entry set (one ``_topk_indices``
+        helper, see ``compression.topk``) — only the allocations differ.
         """
         st = sparsifier.select(arr, self.workspace)
         if st is None:

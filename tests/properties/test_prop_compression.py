@@ -1,19 +1,25 @@
 """Property-based tests for sparsifiers and wire coding."""
 
+from unittest import mock
+
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays, array_shapes
 
 from repro.compression import (
+    KernelWorkspace,
     TopKSparsifier,
     encode_mask,
     encode_sparse,
     sparsify,
     topk_mask,
+    topk_select,
     topk_threshold,
     unsparsify,
 )
+from repro.compression import topk as topk_module
 
 finite_floats = st.floats(
     min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False, width=64
@@ -54,6 +60,96 @@ class TestTopKProperties:
         mask, sent, kept = sp.split(arr)
         np.testing.assert_allclose(sent + kept, arr)
         assert not np.logical_and(sent != 0, kept != 0).any()
+
+
+STRIDE = topk_module._SAMPLE_STRIDE
+
+
+def _k(n, ratio):
+    return max(1, min(n, int(np.ceil(n * ratio))))
+
+
+@st.composite
+def server_traffic(draw):
+    """Layers shaped like what the kernels really see: the server's
+    ``M − v_k`` (mostly exact zeros, density from none to all), heavy ties,
+    non-finite entries, at sizes around the sample stride and the
+    ``min_sparse_size`` default."""
+    n = draw(
+        st.sampled_from(
+            [2, STRIDE - 1, STRIDE, STRIDE + 1, 2 * STRIDE + 1, 255, 256, 257, 1000, 4097, 20001]
+        )
+    )
+    ratio = draw(st.sampled_from([0.01, 0.02, 0.1, 0.25, 0.6]))
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    k = _k(n, ratio)
+    nnz = draw(
+        st.sampled_from([0, max(0, k - 1), k, int(np.ceil(0.02 * n)), int(np.ceil(0.25 * n)), n])
+    )
+    if draw(st.booleans()):
+        live = rng.integers(1, 4, size=nnz) * rng.choice([-1, 1], size=nnz)  # heavy ties
+    else:
+        live = rng.normal(size=nnz)
+    x = np.zeros(n, dtype=dtype)
+    x[rng.choice(n, size=nnz, replace=False)] = live
+    specials = draw(st.lists(st.sampled_from([np.inf, -np.inf, np.nan]), max_size=k + 2))
+    x[rng.choice(n, size=min(n, len(specials)), replace=False)] = specials[:n]
+    return x, ratio
+
+
+def _assert_selection_contract(x, ratio, workspace=None):
+    n, k = x.size, _k(x.size, ratio)
+    mag = np.abs(x)
+    ranked = np.sort(mag)  # NaN last, i.e. largest
+    sel = topk_select(x, ratio, workspace)
+    idx = sel.indices.astype(np.intp)
+    assert idx.size == k
+    assert (np.diff(idx) > 0).all()
+    np.testing.assert_array_equal(sel.values, x[idx].astype(np.float32))
+    # assert_array_equal treats NaN == NaN
+    np.testing.assert_array_equal(np.sort(mag[idx]), ranked[n - k :])
+    np.testing.assert_array_equal(np.flatnonzero(topk_mask(x, ratio, workspace)), idx)
+    if k == n:
+        return
+    np.testing.assert_array_equal(topk_threshold(x, ratio, workspace), ranked[n - k])
+    # np.nonzero also counts NaN, like the kernel does
+    nonzero = np.flatnonzero(mag)
+    if nonzero.size < k:
+        # short layers are padded with their lowest-index zeros
+        pad = np.flatnonzero(mag == 0)[: k - nonzero.size]
+        np.testing.assert_array_equal(idx, np.sort(np.concatenate([nonzero, pad])))
+    if ranked[n - k] > ranked[n - k - 1]:
+        # unique k-th magnitude: the set is determined, so it is the one
+        # the historical full-array argpartition picked
+        np.testing.assert_array_equal(idx, np.sort(np.argpartition(mag, n - k)[n - k :]))
+
+
+class TestTopKSelectionContract:
+    @given(traffic=server_traffic(), use_workspace=st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_contract_on_server_traffic(self, traffic, use_workspace):
+        x, ratio = traffic
+        _assert_selection_contract(x, ratio, KernelWorkspace() if use_workspace else None)
+
+    @given(traffic=server_traffic())
+    @settings(max_examples=100, deadline=None)
+    def test_sparsifier_mask_and_select_agree(self, traffic):
+        x, ratio = traffic
+        sp = TopKSparsifier(ratio)  # default min_sparse_size: tiny layers go dense
+        np.testing.assert_array_equal(np.flatnonzero(sp.mask(x)), sp.select(x).indices)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_stride_aligned_adversary_stays_exact(self, dtype, rng):
+        """Live columns are exactly the ones the strided sample skips, so
+        the sample reads all-zero: still exact, in one compare pass."""
+        x = rng.normal(size=(768, 1024)).astype(dtype)
+        x[:, ::STRIDE] = 0.0
+        assert not x.reshape(-1)[::STRIDE].any()
+        with mock.patch.object(topk_module, "_above", wraps=topk_module._above) as above:
+            _assert_selection_contract(x.reshape(-1), 0.01)
+        # topk_select, topk_mask, topk_threshold: one compare pass each, at lo = 0
+        assert [call.args[1] for call in above.call_args_list] == [0, 0, 0]
 
 
 class TestCodingProperties:
