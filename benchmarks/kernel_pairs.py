@@ -37,10 +37,17 @@ RATIO = 0.01
 GATED = ("topk_select", "coo_encode", "payload_apply")
 MIN_WINS = 2
 
-#: recorded in the baseline and printed, but never compared against it: the
-#: reference side is the degenerate full-array argpartition, whose time on a
-#: tied array swings 2x run to run
-RECORD_ONLY = ("topk_select_sparse_diff_2pct", "topk_select_sparse_diff_25pct")
+#: recorded in the baseline and printed, but never compared against it.
+#: The sparse-diff pairs' reference side is the degenerate full-array
+#: argpartition, whose time on a tied array swings 2x run to run; the two
+#: ``prepare`` pairs are there for their absolute times on the gradient a
+#: real backward hands over, not for a dict-vs-arena ratio.
+RECORD_ONLY = (
+    "topk_select_sparse_diff_2pct",
+    "topk_select_sparse_diff_25pct",
+    "samomentum_prepare",
+    "dense_prepare_model_grad",
+)
 
 
 def _layered_shapes(total: int = N, layers: int = 48) -> "OrderedDict[str, tuple[int, ...]]":
@@ -54,6 +61,24 @@ def _layered_shapes(total: int = N, layers: int = 48) -> "OrderedDict[str, tuple
         used += size
     shapes["layer_final"] = (total - used,)
     return shapes
+
+
+def _model_gradient() -> np.ndarray:
+    """The (1024, 768) first-layer weight gradient of one real MLP backward.
+
+    Taken from the model, not synthesised, so the ``prepare`` pairs time the
+    layout and dtype their producer emits: fed a 1-D ``(N,)`` array, the old
+    pair never saw that this gradient used to arrive F-ordered and cost the
+    strategies 3-5x (docs/performance.md, "The gradient hand-off").
+    """
+    from repro.autograd import Tensor
+    from repro.nn import MLP, cross_entropy
+
+    rng = np.random.default_rng(0)
+    model = MLP(768, (1024, 128), 10, seed=0)
+    loss = cross_entropy(model(Tensor(rng.normal(size=(32, 768)))), rng.integers(0, 10, size=32))
+    loss.backward()
+    return dict(model.named_parameters())["net.0.weight"].grad
 
 
 def make_pairs() -> "OrderedDict[str, tuple]":
@@ -124,20 +149,25 @@ def make_pairs() -> "OrderedDict[str, tuple]":
             lambda x=diff: topk_select(x, RATIO, ws),
         )
 
-    # --- SAMomentum prepare (informative, not gated): full Algorithm 3
-    # step through the dict strategy vs the arena strategy.
+    # --- strategy prepare on the model's own gradient (RECORD_ONLY): a
+    # full step through the dict strategy vs the arena strategy.
     from repro.compression import TopKSparsifier
-    from repro.core.strategies import SAMomentumStrategy
+    from repro.core.strategies import DenseStrategy, SAMomentumStrategy
 
-    sam_shapes = OrderedDict([("w", (N,))])
-    sam_ref = SAMomentumStrategy(sam_shapes, TopKSparsifier(RATIO, min_sparse_size=0), 0.7)
+    grads = OrderedDict([("w", _model_gradient())])
+    grad_shapes = OrderedDict([("w", grads["w"].shape)])
+    sam_ref = SAMomentumStrategy(grad_shapes, TopKSparsifier(RATIO, min_sparse_size=0), 0.7)
     sam_opt = SAMomentumStrategy(
-        sam_shapes, TopKSparsifier(RATIO, min_sparse_size=0), 0.7, arena=True
+        grad_shapes, TopKSparsifier(RATIO, min_sparse_size=0), 0.7, arena=True
     )
-    grads = OrderedDict([("w", arr)])
     pairs["samomentum_prepare"] = (
         lambda: sam_ref.prepare(grads, 0.1),
         lambda: sam_opt.prepare(grads, 0.1),
+    )
+    dense_ref, dense_opt = DenseStrategy(grad_shapes), DenseStrategy(grad_shapes, arena=True)
+    pairs["dense_prepare_model_grad"] = (
+        lambda: dense_ref.prepare(grads, 0.1),
+        lambda: dense_opt.prepare(grads, 0.1),
     )
 
     return pairs

@@ -1,4 +1,4 @@
-"""Opt-in numeric sanitizer: NaN/Inf and dtype-drift detection at the op level.
+"""Opt-in numeric sanitizer: NaN/Inf, dtype drift and array layout, per op.
 
 Aggressive dual-way sparsification plus SAMomentum's ``1/m`` rescale is
 exactly the kind of numerics that degrades silently — compression bugs show
@@ -8,13 +8,17 @@ the eventual symptom:
 
 * **autograd** — every ``Tensor`` op output and every accumulated gradient;
 * **optim**    — parameters after each optimizer ``step()``;
-* **compression** — sparsifier ``mask()`` inputs and codec
-  ``to_dense()``/``add_into()`` outputs.
+* **compression** — sparsifier ``mask()`` inputs, codec
+  ``to_dense()``/``add_into()`` outputs, and the layout of every gradient
+  entering a worker strategy's ``prepare()``.
 
 Checks: non-finite values (NaN/Inf) always; *dtype drift* — a floating
 array whose dtype differs from the stream's established dtype (float64
 creep / float32 truncation) — once a baseline dtype is known (taken from
-the first array seen, or pinned via ``expected_dtype``).
+the first array seen, or pinned via ``expected_dtype``); *layout* — a
+gradient handed to a strategy that is not C-contiguous (a transposed view
+computes the same numbers several times slower: every pass against the
+strategy's C-ordered state strides by a row).
 
 The context is reentrant-safe per instance and restores every patched
 callable on exit.  ``on_fault='record'`` collects faults instead of
@@ -37,8 +41,14 @@ class NumericFault(RuntimeError):
     def __init__(self, op: str, kind: str, detail: str) -> None:
         super().__init__(f"[{kind}] in {op}: {detail}")
         self.op = op
-        self.kind = kind  #: ``'non-finite'`` or ``'dtype-drift'``
+        self.kind = kind  #: ``'non-finite'``, ``'dtype-drift'`` or ``'layout'``
         self.detail = detail
+
+
+def _subclasses(cls: type):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _subclasses(sub)
 
 
 def _caller_op(depth: int = 2) -> str:
@@ -89,6 +99,15 @@ class Sanitizer:
                 n_inf = int(np.isinf(arr).sum())
                 self._fault(op, "non-finite", f"{n_nan} NaN / {n_inf} Inf of {arr.size} values")
 
+    def check_layout(self, arr: object, op: str) -> None:
+        """Flag an array that is not C-contiguous."""
+        if isinstance(arr, np.ndarray) and not arr.flags.c_contiguous:
+            self._fault(
+                op,
+                "layout",
+                f"array of shape {arr.shape} has strides {arr.strides}, not C-contiguous",
+            )
+
     def _fault(self, op: str, kind: str, detail: str) -> None:
         fault = NumericFault(op, kind, detail)
         self.faults.append(fault)
@@ -112,8 +131,8 @@ class Sanitizer:
             sanitizer.check_array(out.data, _caller_op())
             return out
 
-        def accumulate(self, grad):
-            orig_accumulate(self, grad)
+        def accumulate(self, grad, owned=False):
+            orig_accumulate(self, grad, owned)
             sanitizer.check_array(self.grad, _caller_op())
 
         self._patch(Tensor, "_make", make)
@@ -139,15 +158,23 @@ class Sanitizer:
     def _install_compression(self) -> None:
         from ..compression import coding
         from ..compression.base import Sparsifier
+        from ..core import WorkerStrategy  # the package import registers the extensions
 
         sanitizer = self
 
-        def subclasses(cls):
-            for sub in cls.__subclasses__():
-                yield sub
-                yield from subclasses(sub)
+        for cls in _subclasses(WorkerStrategy):
+            if "prepare" not in cls.__dict__:
+                continue
+            orig_prepare = cls.__dict__["prepare"]
 
-        for cls in subclasses(Sparsifier):
+            def prepare(self, grads, lr, _orig=orig_prepare, _name=cls.__name__):
+                for layer, g in grads.items():
+                    sanitizer.check_layout(g, f"{_name}.prepare[{layer}]")
+                return _orig(self, grads, lr)
+
+            self._patch(cls, "prepare", prepare)
+
+        for cls in _subclasses(Sparsifier):
             if "mask" not in cls.__dict__:
                 continue
             orig_mask = cls.__dict__["mask"]
@@ -276,5 +303,18 @@ def sanitizer_selfcheck() -> "list[str]":
         s.check_array(np.ones(4, dtype=np.float32), "selfcheck.float32-creep")
         if len(s.faults) == before:
             problems.append("dtype-drift check did not fire on a float32 array")
+
+    # 4) a transposed gradient entering a strategy must be flagged, and only that
+    from ..core.strategies import DenseStrategy
+
+    with sanitize(on_fault="record") as s:
+        strategy = DenseStrategy({"w": (3, 2)})
+        strategy.prepare({"w": np.ones((3, 2), dtype=np.float64)}, 0.1)
+        if s.faults:
+            problems.append(f"sanitizer flagged a C-ordered gradient: {s.faults[0]}")
+        before = len(s.faults)
+        strategy.prepare({"w": np.ones((2, 3), dtype=np.float64).T}, 0.1)
+        if [f.kind for f in s.faults[before:]] != ["layout"]:
+            problems.append("layout check did not fire on a transposed gradient")
 
     return problems

@@ -1,8 +1,11 @@
-"""Structured-array autograd ops: convolution and pooling via im2col.
+"""Structured-array autograd ops: the affine map, and convolution and
+pooling via im2col.
 
 These carry hand-written backward passes (rather than being composed from
 primitives) because im2col/col2im is the vectorised formulation — a direct
-loop over output pixels would be orders of magnitude slower in Python.
+loop over output pixels would be orders of magnitude slower in Python —
+and because the composed ``x @ w.T`` hands the weight its gradient as a
+transposed (F-ordered) view (see :func:`linear`).
 """
 
 from __future__ import annotations
@@ -11,7 +14,53 @@ import numpy as np
 
 from .tensor import Tensor, is_grad_enabled
 
-__all__ = ["im2col", "col2im", "conv2d", "max_pool2d", "avg_pool2d", "global_avg_pool2d"]
+__all__ = [
+    "linear",
+    "im2col",
+    "col2im",
+    "conv2d",
+    "max_pool2d",
+    "avg_pool2d",
+    "global_avg_pool2d",
+]
+
+
+def linear(x: Tensor, weight: Tensor, bias: "Tensor | None" = None) -> Tensor:
+    """Affine map over the last axis: x (..., in) · weight (out, in)ᵀ + bias.
+
+    The backward computes the weight gradient as ``gᵀ @ x`` — BLAS writes
+    the (out, in) result C-ordered, in the layout of ``weight.data`` — and
+    hands that fresh array over without a copy.  Composed from primitives
+    (``x @ weight.T``) the same gradient arrives as the transpose of
+    ``xᵀ @ g``: F-ordered, so every consumer downstream (the worker
+    strategies walk it against their C-ordered state) strides by a row.
+    """
+    w = weight.data
+    n_out, n_in = w.shape
+    if x.shape[-1] != n_in:
+        raise ValueError(f"feature mismatch: input has {x.shape[-1]}, weight expects {n_in}")
+    x2 = x.data.reshape(-1, n_in)  # leading axes flattened: one path for every rank
+    out = x2 @ w.T
+    if bias is not None:
+        out += bias.data
+
+    parents = (x, weight) if bias is None else (x, weight, bias)
+    result = Tensor(out.reshape(x.shape[:-1] + (n_out,)))
+    if is_grad_enabled() and any(p.requires_grad for p in parents):
+
+        def backward(g: np.ndarray) -> None:
+            g2 = g.reshape(-1, n_out)
+            if weight.requires_grad:
+                weight._accumulate(g2.T @ x2, owned=True)
+            if bias is not None and bias.requires_grad:
+                bias._accumulate(g2.sum(axis=0), owned=True)
+            if x.requires_grad:
+                x._accumulate((g2 @ w).reshape(x.shape))
+
+        result.requires_grad = True
+        result._parents = parents
+        result._backward = backward
+    return result
 
 
 def _out_size(size: int, kernel: int, stride: int, pad: int) -> int:

@@ -142,13 +142,23 @@ class Tensor:
             out._backward = backward
         return out
 
-    def _accumulate(self, grad: np.ndarray) -> None:
-        if self.grad is None:
+    def _accumulate(self, grad: np.ndarray, owned: bool = False) -> None:
+        """Add ``grad`` into ``self.grad``.
+
+        ``owned=True`` is the caller's promise that ``grad`` is a freshly
+        computed array nothing else references; the first use then adopts
+        it instead of copying (a later use ``+=``-accumulates as always).
+        """
+        if self.grad is not None:
+            self.grad += grad
+        elif owned and grad.dtype == self.data.dtype and grad.flags.c_contiguous:
+            self.grad = grad
+        else:
             # Copy: the incoming buffer may be a read-only broadcast view or
             # shared with another consumer of the same upstream gradient.
-            self.grad = np.array(grad, dtype=self.data.dtype)
-        else:
-            self.grad += grad
+            # order="C": a transposed view would otherwise keep its F-order
+            # and every later pass over the gradient would stride by a row.
+            self.grad = np.array(grad, dtype=self.data.dtype, order="C")
 
     def backward(self, grad: "np.ndarray | Tensor | None" = None) -> None:
         """Backpropagate from this tensor through the recorded tape."""

@@ -17,7 +17,7 @@ whole-state operations collapse to single vectorised in-place ops on
 ========================  =============================================
 dict-of-arrays reference  arena equivalent
 ========================  =============================================
-``add_scaled(d, s)``      ``d.add_(s, scale)`` — one fused axpy
+``d[n] += scale * s[n]``  ``d.add_(s, scale)`` — one fused axpy
 ``clone_layers(x)``       ``x.clone()`` — one memcpy
 ``copy_payload``-style    ``d.copy_(s)`` — one memcpy
 ``add_payload`` loop      ``d.add_payload(p)`` — one op for dense
@@ -167,7 +167,7 @@ class LayerArena(MappingABC):
     def add_(
         self, other: "LayerArena | Mapping[str, np.ndarray]", scale: float = 1.0
     ) -> "LayerArena":
-        """``self += scale * other`` — the arena form of ``add_scaled``."""
+        """``self += scale * other`` over the whole buffer at once."""
         if isinstance(other, LayerArena) and self.same_layout(other):
             _accumulate(self.flat, other.flat, scale)
             return self

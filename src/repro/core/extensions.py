@@ -89,7 +89,8 @@ class DGSTernGradStrategy(SAMomentumStrategy):
     values to {−1,0,+1}·scale (scale = mean |selected value|, the unbiased
     magnitude for a one-level quantiser over a selected set); the
     quantisation error stays in ``u`` so nothing is lost, mirroring how
-    Algorithm 3 keeps unsent mass in ``u``.
+    Algorithm 3 keeps unsent mass in ``u``.  ``u`` is in the parent's
+    stored form (``m·u_paper``).
     """
 
     def __init__(
@@ -109,7 +110,6 @@ class DGSTernGradStrategy(SAMomentumStrategy):
         out: OrderedDict[str, QuantizedSparseTensor] = OrderedDict()
         for name, g in grads.items():
             u = self.u[name]
-            u *= m
             u += lr * g
             mask = self.sparsifier.mask(u)
             flat_idx = np.flatnonzero(mask.reshape(-1))
@@ -124,11 +124,9 @@ class DGSTernGradStrategy(SAMomentumStrategy):
                 signs = np.zeros(len(values), dtype=np.int8)
                 quantized = np.zeros(len(values))
             out[name] = QuantizedSparseTensor(flat_idx, signs, scale, u.shape)
-            # Error feedback: replace the sent coordinates in u by their
-            # quantisation error, then apply the Eq. 15 rescale to the rest.
-            u_flat = u.reshape(-1)
-            u_flat[flat_idx] = values - quantized
-            np.divide(u, m, out=u, where=~mask)
+            # Error feedback: the sent coordinates keep their quantisation
+            # error, decayed like any sent value (u holds m·u_paper).
+            u.reshape(-1)[flat_idx] = m * (values - quantized)
         return out
 
 

@@ -14,6 +14,7 @@ from typing import Mapping
 
 import numpy as np
 
+from ..compression.workspace import KernelWorkspace
 from ..nn.module import Module
 
 __all__ = [
@@ -135,12 +136,32 @@ def scale_payload(payload: Mapping[str, object], factor: float) -> "OrderedDict[
     return out
 
 
+#: elements per pass of :func:`add_scaled`: 128 KiB of float32 scratch, small
+#: enough to stay in L2 between the multiply and the add (measured on the
+#: 786 432-element layer: 0.72 ms at 32 Ki, 0.90 at 8 Ki, 0.94 at 256 Ki)
+_AXPY_CHUNK = 32768
+
+
 def add_scaled(
-    dest: Mapping[str, np.ndarray], src: Mapping[str, np.ndarray], scale: float = 1.0
+    dest: np.ndarray, src: np.ndarray, scale: float, workspace: KernelWorkspace
 ) -> None:
-    """``dest += scale * src`` layerwise, in place."""
-    for name, arr in dest.items():
-        arr += scale * src[name]
+    """``dest += scale * src`` in place, without a ``src``-sized temporary.
+
+    One chunked pass: ``scale * src`` is rounded into a ``dest``-dtype
+    scratch drawn from ``workspace`` and added from there, so a float64
+    gradient folds into float32 state through 128 KiB of scratch instead
+    of a full-layer float64 product.  At equal dtype the result is bitwise
+    ``dest += scale * src``.
+    """
+    if not dest.flags.c_contiguous:  # reshape(-1) would write to a copy
+        raise ValueError("add_scaled needs a C-contiguous dest")
+    d, s = dest.reshape(-1), src.reshape(-1)
+    scratch = workspace.scratch("axpy", min(d.size, _AXPY_CHUNK), d.dtype)
+    for start in range(0, d.size, _AXPY_CHUNK):
+        d_chunk = d[start : start + _AXPY_CHUNK]
+        prod = scratch[: d_chunk.size]
+        np.multiply(s[start : start + _AXPY_CHUNK], scale, out=prod, casting="same_kind")
+        np.add(d_chunk, prod, out=d_chunk)
 
 
 def total_size(layers: Mapping[str, np.ndarray]) -> int:

@@ -33,6 +33,7 @@ from ..compression.topk import TopKSparsifier
 from ..compression.workspace import KernelWorkspace
 from ..optim.clip import clip_by_global_norm
 from .arena import make_layer_buffers
+from .layerops import add_scaled
 
 __all__ = [
     "WorkerStrategy",
@@ -173,7 +174,7 @@ class GradientDroppingStrategy(WorkerStrategy):
         if self.arena:
             for name, g in grads.items():
                 r = self.residual[name]
-                r += lr * g
+                add_scaled(r, g, lr, self.workspace)
                 st = self._select(self.sparsifier, r)
                 out[name] = st
                 # Zero the sent coordinates through the fused tensor's
@@ -278,7 +279,8 @@ class DGCStrategy(WorkerStrategy):
             self.u.flat *= self.momentum
             for name, g in grads.items():
                 u, v = self.u[name], self.v[name]
-                u += lr * g  # momentum correction: velocity, not raw gradient
+                # momentum correction: velocity, not raw gradient
+                add_scaled(u, g, lr, self.workspace)
                 v += u
                 st = self._select(sparsifier, v)
                 out[name] = st
@@ -307,20 +309,30 @@ class DGCStrategy(WorkerStrategy):
 
 
 class SAMomentumStrategy(WorkerStrategy):
-    """The paper's SAMomentum (Algorithm 3, Eq. 14–15).
+    """The paper's SAMomentum (Algorithm 3, Eq. 14–16).
 
     Per iteration and layer::
 
-        u ← m·u + η∇
+        u ← u + η∇                           (u now holds the velocity)
         mask ← |u| in top R%
-        send  u ⊙ mask                       (sent values stay in u)
-        u ← u + (1/m − 1)·(u ⊙ ¬mask)        (unsent values pre-divided by m)
+        send  u ⊙ mask
+        u ← u − (1 − m)·(u ⊙ mask)           (decay only what was sent)
 
-    The 1/m rescale cancels the next iteration's ``m·u`` decay for unsent
-    coordinates, so momentum never "disappears" (Eq. 16); sparsification
-    becomes a per-parameter enlarged batch (Eq. 17).  Note there is **no**
-    separate residual buffer — ``u`` itself carries the unsent mass, which
-    is the memory saving claimed in §5.6.2.
+    Algorithm 3 as printed decays everything (``u ← m·u + η∇``) and divides
+    the unsent remainder by ``m`` so that the next decay cancels (Eq. 15);
+    Eq. 16 is that cancellation, so only the k sent entries ever need the
+    factor — applied here at the end of the step that sent them.
+
+    **Stored form:** ``u`` holds ``m·u_paper`` — unsent coordinates hold the
+    velocity ``η·Σ∇`` since their last send, sent ones hold it pre-decayed.
+    Payloads equal the printed form's up to rounding (``(u/m)·m`` is not
+    bitwise ``u``).  A ``state_dict`` written by code that stored the
+    printed form's ``u`` is not loadable: restore with the code that saved.
+
+    Momentum never "disappears" (Eq. 16); sparsification becomes a
+    per-parameter enlarged batch (Eq. 17).  There is **no** separate
+    residual buffer — ``u`` itself carries the unsent mass, which is the
+    memory saving claimed in §5.6.2.
     """
 
     def __init__(
@@ -342,30 +354,19 @@ class SAMomentumStrategy(WorkerStrategy):
         m = self.momentum
         out: OrderedDict[str, SparseTensor] = OrderedDict()
         if self.arena:
-            ws = self.workspace
             for name, g in grads.items():
                 u = self.u[name]
-                u *= m
-                u += lr * g
+                add_scaled(u, g, lr, self.workspace)
                 st = self._select(self.sparsifier, u)
                 out[name] = st
-                # Eq. 15 rescale without the boolean mask: save the sent
-                # values, divide the whole layer by m, restore the sent
-                # coordinates — bitwise the where=~mask division.
-                flat = u.reshape(-1)
-                sent = ws.scratch("sam.sent", st.nnz, flat.dtype)
-                np.take(flat, st.indices, out=sent)
-                flat /= m
-                flat[st.indices] = sent
+                u.reshape(-1)[st.indices] *= m
             return out
         for name, g in grads.items():
             u = self.u[name]
-            u *= m
             u += lr * g
             mask = self.sparsifier.mask(u)
             out[name] = encode_mask(u, mask)
-            # Rescale the unsent remainder by 1/m (Eq. 15, lower branch).
-            np.divide(u, m, out=u, where=~mask)
+            u[mask] *= m
         return out
 
     def state_bytes(self) -> int:

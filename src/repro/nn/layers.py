@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..autograd import Tensor
+from ..autograd import Tensor, linear
 from . import init
 from .module import Module, Parameter
 
@@ -29,10 +29,7 @@ class Linear(Module):
         self.bias = Parameter(np.zeros(out_features)) if bias else None
 
     def forward(self, x: Tensor) -> Tensor:
-        out = x @ self.weight.T
-        if self.bias is not None:
-            out = out + self.bias
-        return out
+        return linear(x, self.weight, self.bias)
 
     def __repr__(self) -> str:
         return f"Linear({self.in_features}, {self.out_features})"

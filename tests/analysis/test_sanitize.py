@@ -9,6 +9,9 @@ from repro.analysis.sanitize import NumericFault, Sanitizer, sanitize, sanitizer
 from repro.autograd.tensor import Tensor
 from repro.compression.coding import SparseTensor
 from repro.compression.topk import TopKSparsifier
+from repro.core.layerops import gradients_of, layer_shapes
+from repro.core.strategies import DenseStrategy, GradientDroppingStrategy
+from repro.nn import MLP, cross_entropy
 from repro.nn.module import Parameter
 from repro.optim.sgd import SGD
 
@@ -51,6 +54,31 @@ class TestFaultDetection:
             s.check_array(np.ones(4, dtype=np.float32), "test.creep")
         assert [f.kind for f in s.faults] == ["dtype-drift"]
         assert "float32" in s.faults[0].detail
+
+    def test_transposed_gradient_entering_prepare_is_flagged(self):
+        """The property that would have caught the F-ordered hand-off: one
+        finding per non-C-contiguous layer, naming strategy and layer."""
+        shapes = {"w": (4, 3), "v": (4, 3), "b": (4,)}
+        grads = {
+            "w": np.ones((3, 4)).T,  # the layout x @ w.T used to produce
+            "v": np.ones((4, 3)),
+            "b": np.ones(8)[::2],  # strided 1-D view
+        }
+        with sanitize(on_fault="record") as s:
+            GradientDroppingStrategy(shapes, TopKSparsifier(0.5)).prepare(grads, 0.1)
+        assert [(f.kind, f.op) for f in s.faults] == [
+            ("layout", "GradientDroppingStrategy.prepare[w]"),
+            ("layout", "GradientDroppingStrategy.prepare[b]"),
+        ]
+        assert "strides (8, 32)" in s.faults[0].detail
+
+    def test_model_gradients_enter_prepare_clean(self):
+        """A real backward hands every strategy C-ordered gradients."""
+        model = MLP(6, (8,), 3, seed=0)
+        with sanitize(expected_dtype=np.float64) as s:
+            cross_entropy(model(Tensor(np.ones((4, 6)))), np.array([0, 1, 2, 0])).backward()
+            DenseStrategy(layer_shapes(model)).prepare(gradients_of(model), 0.1)
+        assert s.faults == []
 
     def test_integer_arrays_are_ignored(self):
         with sanitize(expected_dtype=np.float64, on_fault="record") as s:

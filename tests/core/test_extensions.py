@@ -84,8 +84,9 @@ class TestDGSTernGrad:
         assert out["w"].nbytes() < sparse_nbytes(6)
 
     def test_error_feedback_keeps_mass(self, rng):
-        """Quantisation error stays in u: m·u + sent == velocity pre-send
-        for the sent coordinates (first iteration, u0=0)."""
+        """Quantisation error stays in u, pre-decayed like any sent value
+        (u holds m·u_paper): u/m + sent == velocity pre-send for the sent
+        coordinates (first iteration, u0=0)."""
         m = 0.7
         st = self.make(m=m)
         g = grads(rng)
@@ -94,7 +95,7 @@ class TestDGSTernGrad:
         idx = out["w"].indices
         sent = out["w"].to_dense().reshape(-1)[idx]
         kept = st.u["w"].reshape(-1)[idx]
-        np.testing.assert_allclose(sent + kept, velocity[idx], atol=1e-12)
+        np.testing.assert_allclose(sent + kept / m, velocity[idx], atol=1e-12)
 
     def test_trains_in_simulation(self, tiny_dataset, tiny_model_factory):
         from repro.sim import ClusterConfig, SimulatedTrainer

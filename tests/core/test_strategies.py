@@ -5,7 +5,8 @@ The decisive invariants:
 * Gradient Dropping conserves mass: Σ(sent) + residual == Σ(η∇) always.
 * SAMomentum telescoping (Eq. 16): over any interval where a coordinate is
   unsent, ``u_{c+T} = m·u_c + η·Σ∇`` — equivalent to an enlarged batch
-  (Eq. 17).
+  (Eq. 17).  The strategy stores ``m·u``, so an unsent coordinate holds
+  ``η·Σ∇`` with no ``m`` factor.
 * SAMomentum at R=100% is *exactly* dense momentum (T=1 case).
 * DGC momentum factor masking zeroes u and v at sent coordinates.
 """
@@ -111,7 +112,8 @@ class TestSAMomentum:
                 np.testing.assert_allclose(out[n].to_dense(), u_ref[n], atol=1e-12)
 
     def test_eq15_rescale(self, rng):
-        """After prepare: sent coords hold m·u+ηg; unsent hold (m·u+ηg)/m."""
+        """Stored form: after prepare, sent coords hold m·(u+ηg) — decayed
+        at the end of the step that sent them — and unsent hold u+ηg."""
         m, lr = 0.5, 1.0
         st = SAMomentumStrategy(SHAPES, TopKSparsifier(0.1, min_sparse_size=0), momentum=m)
         g1 = grads_from(rng)
@@ -120,16 +122,18 @@ class TestSAMomentum:
         g2 = grads_from(rng)
         out2 = st.prepare(g2, lr)
         for n in SHAPES:
-            velocity = m * u_after_1[n] + lr * g2[n]
+            velocity = u_after_1[n] + lr * g2[n]
             mask = np.zeros(SHAPES[n], dtype=bool).reshape(-1)
             mask[out2[n].indices] = True
             mask = mask.reshape(SHAPES[n])
-            np.testing.assert_allclose(st.u[n][mask], velocity[mask], atol=1e-12)
-            np.testing.assert_allclose(st.u[n][~mask], velocity[~mask] / m, atol=1e-12)
+            np.testing.assert_allclose(out2[n].values, velocity[mask], atol=1e-12)
+            np.testing.assert_allclose(st.u[n][mask], m * velocity[mask], atol=1e-12)
+            np.testing.assert_array_equal(st.u[n][~mask], velocity[~mask])
 
     def test_telescoping_eq16(self):
-        """For a never-sent coordinate: u after T steps = u0·m... telescopes to
-        m·u_c + η·Σ∇ when finally multiplied by m (Eq. 16)."""
+        """A never-sent coordinate accumulates η·Σ∇ with no m factor at all:
+        the 1/m rescale and the next decay cancel (Eq. 16), so u holds the
+        enlarged-batch gradient mass directly."""
         m, lr = 0.7, 0.1
         shapes = OrderedDict([("w", (4,))])
         st = SAMomentumStrategy(shapes, TopKSparsifier(0.25, min_sparse_size=0), momentum=m)
@@ -141,8 +145,79 @@ class TestSAMomentum:
             g = OrderedDict([("w", np.array([100.0, 0.01, 0.012, 0.011]))])
             st.prepare(g, lr)
             gsum += lr * g["w"]
-        # For unsent coords, m * u == η Σ∇ (u0 = 0): the paper's identity.
-        np.testing.assert_allclose(m * st.u["w"][1:], gsum[1:], atol=1e-12)
+        np.testing.assert_allclose(st.u["w"][1:], gsum[1:], atol=1e-12)
+
+    def test_no_momentum_disappearance(self):
+        """Eq. 13 vs Eq. 16: when a long-unsent coordinate is finally sent,
+        its payload is the whole η·Σ∇ since the last send — nothing was
+        decayed away while it waited — and the next step carries m of it."""
+        m, lr = 0.7, 1.0
+        shapes = OrderedDict([("w", (4,))])
+        st = SAMomentumStrategy(shapes, TopKSparsifier(0.25, min_sparse_size=0), momentum=m)
+        for _ in range(6):
+            st.prepare(OrderedDict([("w", np.array([10.0, 0.5, 0.0, 0.0]))]), lr)
+        # a gradient that cancels coordinate 0: coordinate 1's accumulated 3.5 wins
+        cancel = -st.u["w"][0]
+        out = st.prepare(OrderedDict([("w", np.array([cancel, 0.5, 0.0, 0.0]))]), lr)
+        assert out["w"].indices.tolist() == [1]
+        np.testing.assert_allclose(out["w"].values, [7 * 0.5], atol=1e-12)
+        np.testing.assert_allclose(st.u["w"][1], m * 3.5, atol=1e-12)
+
+    def test_matches_textbook_algorithm3(self):
+        """The oracle is Algorithm 3 as printed — u ← m·u + ηg; send top-k;
+        u[unsent] /= m — kept written out here.  Fifty float64 steps: same
+        index sets (the k-th magnitude is unique for continuous random
+        gradients), payloads the float32 wire rounding of a velocity within
+        1e-12 relative of the textbook's, and the stored state m times the
+        textbook's."""
+        m, lr, k = 0.7, 0.1, 8
+        rng = np.random.default_rng(3)
+        shapes = OrderedDict([("w", (16, 5))])
+        st = SAMomentumStrategy(shapes, TopKSparsifier(0.1, min_sparse_size=0), momentum=m)
+        u = np.zeros(80)
+        for _ in range(50):
+            g = rng.normal(size=(16, 5))
+            velocity = (st.u["w"] + lr * g).reshape(-1)
+            out = st.prepare(OrderedDict([("w", g)]), lr)["w"]
+            u = m * u + lr * g.reshape(-1)
+            order = np.argsort(np.abs(u))
+            assert np.abs(u[order[-k]]) > np.abs(u[order[-k - 1]])  # unique k-th
+            sent = np.sort(order[-k:])
+            np.testing.assert_array_equal(out.indices, sent)
+            np.testing.assert_allclose(velocity[sent], u[sent], rtol=1e-12, atol=0)
+            np.testing.assert_array_equal(out.values, velocity[sent].astype(np.float32))
+            unsent = np.ones(80, dtype=bool)
+            unsent[sent] = False
+            u[unsent] /= m
+            # atol: 50 steps of float64 rounding at the state's O(1) scale;
+            # small unsent entries are sums that cancel, so not relative
+            np.testing.assert_allclose(st.u["w"].reshape(-1), m * u, rtol=1e-12, atol=1e-14)
+
+    @pytest.mark.parametrize("arena", [False, True])
+    def test_checkpoint_continue_is_bitwise(self, arena, rng):
+        """state_dict() is just u — the sent-only decay carries no extra
+        state — and save → load → continue is bitwise."""
+
+        def make():
+            return SAMomentumStrategy(
+                SHAPES, TopKSparsifier(0.1, min_sparse_size=0), momentum=0.7,
+                arena=arena, dtype=np.float64,
+            )
+
+        a = make()
+        for _ in range(4):
+            a.prepare(grads_from(rng), 0.1)
+        state = a.state_dict()
+        assert sorted(state) == ["u/b", "u/w"]
+        b = make()
+        b.load_state_dict(state)
+        for _ in range(4):
+            g = grads_from(rng)
+            out_a, out_b = a.prepare(g, 0.1), b.prepare(g, 0.1)
+            for n in SHAPES:
+                np.testing.assert_array_equal(out_a[n].indices, out_b[n].indices)
+                np.testing.assert_array_equal(out_a[n].values, out_b[n].values)
+                np.testing.assert_array_equal(a.u[n], b.u[n])
 
     def test_no_residual_buffer(self):
         st = SAMomentumStrategy(SHAPES, TopKSparsifier(0.1), momentum=0.7)

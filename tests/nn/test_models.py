@@ -135,3 +135,26 @@ class TestSmallVGG:
             hyper=Hyper(lr=0.1, momentum=0.7, ratio=0.1), seed=0,
         ).run()
         assert r.final_accuracy > 0.6
+
+
+class TestGradientLayout:
+    """What the worker strategies are handed: every parameter gradient in
+    the layout and dtype of the parameter, as an array of its own."""
+
+    @pytest.mark.parametrize(
+        "model,x_shape",
+        [
+            (lambda: MLP(768, (1024, 128), 10, seed=0), (4, 768)),
+            (lambda: SimpleCNN(3, 4, width=4, seed=0), (4, 3, 8, 8)),
+            (lambda: MicroResNet(3, 4, widths=(4, 8), blocks_per_stage=1, seed=0), (4, 3, 8, 8)),
+        ],
+        ids=["mlp", "cnn", "micro_resnet"],
+    )
+    def test_param_grads_are_c_contiguous_and_owned(self, rng, model, x_shape):
+        m = model()
+        loss = cross_entropy(m(Tensor(rng.normal(size=x_shape))), np.array([0, 1, 2, 3]))
+        loss.backward()
+        for name, p in m.named_parameters():
+            assert p.grad.flags.c_contiguous, name
+            assert p.grad.flags.owndata, name
+            assert p.grad.dtype == p.data.dtype and p.grad.shape == p.data.shape, name
