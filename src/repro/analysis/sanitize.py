@@ -9,8 +9,9 @@ the eventual symptom:
 * **autograd** — every ``Tensor`` op output and every accumulated gradient;
 * **optim**    — parameters after each optimizer ``step()``;
 * **compression** — sparsifier ``mask()`` inputs, codec
-  ``to_dense()``/``add_into()`` outputs, and the layout of every gradient
-  entering a worker strategy's ``prepare()``.
+  ``to_dense()``/``add_into()`` outputs, the layout of every gradient
+  entering a worker strategy's ``prepare()``, and every model-difference
+  layer the server's tracker answers from its dirty-index journal.
 
 Checks: non-finite values (NaN/Inf) always; *dtype drift* — a floating
 array whose dtype differs from the stream's established dtype (float64
@@ -18,7 +19,10 @@ creep / float32 truncation) — once a baseline dtype is known (taken from
 the first array seen, or pinned via ``expected_dtype``); *layout* — a
 gradient handed to a strategy that is not C-contiguous (a transposed view
 computes the same numbers several times slower: every pass against the
-strategy's C-ordered state strides by a row).
+strategy's C-ordered state strides by a row); *journal* — a reply layer
+the tracker derived from its journal that is not, bit for bit, what the
+dense scan of ``M − v_k`` returns (an index the journal lost is a parameter
+a worker never receives: no NaN, no crash, just drift).
 
 The context is reentrant-safe per instance and restores every patched
 callable on exit.  ``on_fault='record'`` collects faults instead of
@@ -41,7 +45,8 @@ class NumericFault(RuntimeError):
     def __init__(self, op: str, kind: str, detail: str) -> None:
         super().__init__(f"[{kind}] in {op}: {detail}")
         self.op = op
-        self.kind = kind  #: ``'non-finite'``, ``'dtype-drift'`` or ``'layout'``
+        #: ``'non-finite'``, ``'dtype-drift'``, ``'layout'`` or ``'journal-mismatch'``
+        self.kind = kind
         self.detail = detail
 
 
@@ -207,6 +212,37 @@ class Sanitizer:
 
                 self._patch(cls, "add_into", add_into)
 
+    def _install_tracker(self) -> None:
+        from ..compression.coding import DenseTensor, encode_best
+        from ..core.tracker import ModelDifferenceTracker
+
+        sanitizer = self
+        orig = ModelDifferenceTracker.__dict__["_layer_difference"]
+
+        def same(got, want) -> bool:
+            if type(got) is not type(want):
+                return False
+            if isinstance(want, DenseTensor):
+                return got.data.tobytes() == want.data.tobytes()
+            return (
+                np.array_equal(got.indices, want.indices)
+                and got.values.tobytes() == want.values.tobytes()
+            )
+
+        def layer_difference(self, name, vk, dirty):
+            want = encode_best(self.M[name] - vk[name])  # before v_k advances
+            got = orig(self, name, vk, dirty)
+            if not same(got, want):
+                sanitizer._fault(
+                    f"ModelDifferenceTracker.model_difference[{name}]",
+                    "journal-mismatch",
+                    f"journal path sent {type(got).__name__} nnz={got.nnz}, "
+                    f"dense scan gives {type(want).__name__} nnz={want.nnz}",
+                )
+            return got
+
+        self._patch(ModelDifferenceTracker, "_layer_difference", layer_difference)
+
     # ------------------------------------------------------------------
     def __enter__(self) -> "Sanitizer":
         if self._patches:
@@ -217,6 +253,7 @@ class Sanitizer:
             self._install_optim()
         if self.check_compression:
             self._install_compression()
+            self._install_tracker()
         return self
 
     def __exit__(self, *exc: object) -> None:
@@ -316,5 +353,25 @@ def sanitizer_selfcheck() -> "list[str]":
         strategy.prepare({"w": np.ones((2, 3), dtype=np.float64).T}, 0.1)
         if [f.kind for f in s.faults[before:]] != ["layout"]:
             problems.append("layout check did not fire on a transposed gradient")
+
+    # 5) a journal that lost an index must be caught by the dense re-derivation
+    from ..core.tracker import ModelDifferenceTracker
+
+    def journal_tracker() -> ModelDifferenceTracker:
+        tracker = ModelDifferenceTracker({"w": (64,)}, 2, arena=True, dtype=np.float64)
+        tracker.apply_update(
+            {"w": SparseTensor(np.array([3, 40]), np.array([1.0, -2.0]), (64,))}
+        )
+        return tracker
+
+    with sanitize(on_fault="record") as s:
+        journal_tracker().model_difference(1)
+        if s.faults:
+            problems.append(f"sanitizer flagged a correct journal reply: {s.faults[0]}")
+        tracker = journal_tracker()
+        tracker._journal[-1]["w"] = np.array([3])
+        tracker.model_difference(1)
+        if [f.kind for f in s.faults] != ["journal-mismatch"]:
+            problems.append("journal check did not fire on a reply missing an index")
 
     return problems

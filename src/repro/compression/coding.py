@@ -9,6 +9,7 @@ whenever density < 50%.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,6 +29,7 @@ __all__ = [
     "encode_mask",
     "encode_indices",
     "encode_best",
+    "cheapest_format",
     "dense_nbytes",
     "sparse_nbytes",
     "bitmap_nbytes",
@@ -65,7 +67,7 @@ class SparseTensor:
 
     @property
     def density(self) -> float:
-        n = int(np.prod(self.shape))
+        n = math.prod(self.shape)
         return self.nnz / n if n else 0.0
 
     def nbytes(self) -> int:
@@ -73,7 +75,7 @@ class SparseTensor:
         return HEADER_BYTES + self.nnz * (VALUE_BYTES + INDEX_BYTES)
 
     def to_dense(self) -> np.ndarray:
-        out = np.zeros(int(np.prod(self.shape)), dtype=np.float64)
+        out = np.zeros(math.prod(self.shape), dtype=np.float64)
         out[self.indices] = self.values
         return out.reshape(self.shape)
 
@@ -126,48 +128,69 @@ class BitmapTensor:
     difference ``G_k`` *densifies* with staleness (it accumulates other
     workers' updates), which is exactly the regime where this matters —
     :func:`encode_best` picks the cheaper of the two per layer.
+
+    The bitmap is a *wire* format only.  In memory this is COO — sorted
+    flat ``indices`` + ``values``, exactly like :class:`SparseTensor` — so
+    applying it is an O(nnz) scatter; the byte codec packs the presence
+    bits when it writes the layer (:meth:`packed_bitmap`) and un-packs them
+    once when it reads one (:meth:`from_packed`).  :meth:`nbytes` prices the
+    wire form.
     """
 
-    bitmap: np.ndarray  # packed uint8, ceil(n/8) bytes
+    indices: np.ndarray  # (nnz,) flat indices, strictly increasing
     values: np.ndarray  # (nnz,) float32 from the encoders, in flat index order
     shape: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        n = int(np.prod(self.shape))
-        if len(self.bitmap) != (n + 7) // 8:
-            raise ValueError("bitmap length does not match shape")
+        if self.indices.ndim != 1 or self.values.ndim != 1:
+            raise ValueError("indices and values must be 1-D")
+        if len(self.indices) != len(self.values):
+            raise ValueError("indices/values length mismatch")
 
     @property
     def nnz(self) -> int:
-        return len(self.values)
+        return len(self.indices)
 
     @property
     def density(self) -> float:
-        n = int(np.prod(self.shape))
+        n = math.prod(self.shape)
         return self.nnz / n if n else 0.0
 
     def nbytes(self) -> int:
-        return bitmap_nbytes(int(np.prod(self.shape)), self.nnz)
-
-    def _flat_indices(self) -> np.ndarray:
-        bits = np.unpackbits(self.bitmap, bitorder="little")
-        return np.flatnonzero(bits[: int(np.prod(self.shape))])
+        return bitmap_nbytes(math.prod(self.shape), self.nnz)
 
     def to_dense(self) -> np.ndarray:
-        out = np.zeros(int(np.prod(self.shape)), dtype=np.float64)
-        out[self._flat_indices()] = self.values
+        out = np.zeros(math.prod(self.shape), dtype=np.float64)
+        out[self.indices] = self.values
         return out.reshape(self.shape)
 
     def add_into(self, dest: np.ndarray) -> None:
         if dest.shape != self.shape:
             raise ValueError(f"shape mismatch: {dest.shape} vs {self.shape}")
-        dest.reshape(-1)[self._flat_indices()] += self.values
+        dest.reshape(-1)[self.indices] += self.values
+
+    def packed_bitmap(self) -> np.ndarray:
+        """The wire bitmap: ``ceil(n/8)`` uint8, bit ``i % 8`` of byte
+        ``i // 8`` set for every flat index ``i`` present."""
+        bits = np.zeros(math.prod(self.shape), dtype=np.uint8)
+        bits[self.indices] = 1
+        return np.packbits(bits, bitorder="little")
+
+    @staticmethod
+    def from_packed(
+        bitmap: np.ndarray, values: np.ndarray, shape: tuple[int, ...]
+    ) -> "BitmapTensor":
+        """Decode-side constructor: un-pack a wire bitmap into indices."""
+        n = math.prod(shape)
+        if len(bitmap) != (n + 7) // 8:
+            raise ValueError("bitmap length does not match shape")
+        bits = np.unpackbits(bitmap, bitorder="little")
+        return BitmapTensor(np.flatnonzero(bits[:n]), values, shape)
 
     @staticmethod
     def from_mask(arr: np.ndarray, mask: np.ndarray) -> "BitmapTensor":
-        flat_mask = mask.reshape(-1)
-        packed = np.packbits(flat_mask.astype(np.uint8), bitorder="little")
-        return BitmapTensor(packed, arr.reshape(-1)[flat_mask].astype(VALUE_DTYPE), arr.shape)
+        idx = np.flatnonzero(mask.reshape(-1))
+        return BitmapTensor(idx, arr.reshape(-1)[idx].astype(VALUE_DTYPE), arr.shape)
 
 
 @dataclass(frozen=True)
@@ -196,7 +219,7 @@ class QuantizedSparseTensor:
         return HEADER_BYTES + VALUE_BYTES + self.nnz * INDEX_BYTES + (2 * self.nnz + 7) // 8
 
     def to_dense(self) -> np.ndarray:
-        out = np.zeros(int(np.prod(self.shape)), dtype=np.float64)
+        out = np.zeros(math.prod(self.shape), dtype=np.float64)
         out[self.indices] = self.signs * self.scale
         return out.reshape(self.shape)
 
@@ -265,14 +288,32 @@ def encode_indices(
     return SparseTensor(idx, _gather_values(flat, idx, workspace), arr.shape)
 
 
+def cheapest_format(n: int, nnz: int) -> type:
+    """The one byte rule: the payload class that ships ``nnz`` nonzeros of
+    an ``n``-element layer in the fewest wire bytes.
+
+    Break-evens are nnz·8 (COO) vs n/8 + nnz·4 (bitmap) vs n·4 (dense);
+    ties go to COO, then bitmap.  Every producer of a model difference
+    (:func:`encode_best`'s dense scan, the tracker's journal path) asks
+    here, so two paths cannot pick different formats for one ``(n, nnz)``.
+    """
+    coo = sparse_nbytes(nnz)
+    bmp = bitmap_nbytes(n, nnz)
+    best = min(coo, bmp, dense_nbytes(n))
+    if best == coo:
+        return SparseTensor
+    if best == bmp:
+        return BitmapTensor
+    return DenseTensor
+
+
 def encode_best(
     arr: np.ndarray, workspace: "KernelWorkspace | None" = None
 ) -> "SparseTensor | BitmapTensor | DenseTensor":
     """Encode with the cheapest of COO / bitmap / dense for this density.
 
     Used for the downstream model difference, whose density grows with
-    staleness; the per-layer break-evens are nnz·8 (COO) vs n/8 + nnz·4
-    (bitmap) vs n·4 (dense).
+    staleness; the format is :func:`cheapest_format`'s choice.
     """
     flat = arr.reshape(-1)
     n = flat.size
@@ -280,17 +321,11 @@ def encode_best(
         mask = flat != 0
     else:
         mask = np.not_equal(flat, 0, out=workspace.scratch("enc.nzmask", n, bool))
-    nnz = int(mask.sum())
-    coo = sparse_nbytes(nnz)
-    bmp = bitmap_nbytes(n, nnz)
-    dense = dense_nbytes(n)
-    best = min(coo, bmp, dense)
-    if best == coo:
-        idx = np.flatnonzero(mask)
-        return SparseTensor(idx, _gather_values(flat, idx, workspace), arr.shape)
-    if best == bmp:
-        return BitmapTensor.from_mask(arr, mask.reshape(arr.shape))
-    return DenseTensor(arr.astype(VALUE_DTYPE))
+    fmt = cheapest_format(n, int(np.count_nonzero(mask)))
+    if fmt is DenseTensor:
+        return DenseTensor(arr.astype(VALUE_DTYPE))
+    idx = np.flatnonzero(mask)
+    return fmt(idx, _gather_values(flat, idx, workspace), arr.shape)
 
 
 def dense_nbytes(shape_or_size) -> int:

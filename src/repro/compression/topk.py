@@ -71,6 +71,8 @@ def _topk_indices(mag: np.ndarray, k: int) -> np.ndarray:
     sample = mag[::_SAMPLE_STRIDE]
     ks = math.ceil(2 * k * sample.size / mag.size)
     lo = np.partition(sample, sample.size - ks)[sample.size - ks] if ks < sample.size else 0
+    if lo != lo:  # a NaN bound admits every index; only NaN lies above inf
+        lo = np.inf
     cand = _above(mag, lo)
     if cand.size < k and lo != 0:
         cand = _above(mag, 0)

@@ -115,10 +115,8 @@ def scale_payload(payload: Mapping[str, object], factor: float) -> "OrderedDict[
 
     out: "OrderedDict[str, object]" = OrderedDict()
     for name, layer in payload.items():
-        if isinstance(layer, SparseTensor):
-            out[name] = SparseTensor(layer.indices, layer.values * factor, layer.shape)
-        elif isinstance(layer, BitmapTensor):
-            out[name] = BitmapTensor(layer.bitmap, layer.values * factor, layer.shape)
+        if isinstance(layer, (SparseTensor, BitmapTensor)):  # COO in memory, both
+            out[name] = type(layer)(layer.indices, layer.values * factor, layer.shape)
         elif isinstance(layer, QuantizedSparseTensor):
             out[name] = QuantizedSparseTensor(
                 layer.indices, layer.signs, layer.scale * factor, layer.shape

@@ -13,6 +13,14 @@ difference* ``G = M − v_k`` (Eq. 3), optionally secondary-compressed
 (Eq. 6a), then advances ``v_k ← v_k + G``.  Without secondary compression
 ``v_k == M`` after every exchange, which makes DGS exactly equivalent to
 download-the-whole-model ASGD (Eq. 5) — the headline invariant of §4.2.1.
+
+That invariant also says where ``G`` can be nonzero: only at indices some
+update applied since ``prev(k)`` wrote.  The arena path without secondary
+compression therefore keeps a bounded *dirty-index journal* of recent
+updates and answers from it in O(staleness·k) instead of scanning all n
+elements; the dense scan stays as the fallback (journal does not reach
+back to ``prev(k)``, or a layer has too many candidates) and is what the
+dict reference path always runs.  Both produce bitwise the same reply.
 """
 
 from __future__ import annotations
@@ -23,11 +31,26 @@ from typing import Mapping
 import numpy as np
 
 from ..compression.base import Sparsifier
-from ..compression.coding import SparseTensor, encode_best, encode_mask
+from ..compression.coding import (
+    VALUE_DTYPE,
+    SparseTensor,
+    cheapest_format,
+    encode_best,
+    encode_mask,
+)
 from ..compression.workspace import KernelWorkspace
 from .arena import LayerArena, make_layer_buffers
 
 __all__ = ["ModelDifferenceTracker"]
+
+#: Candidate indices per layer, as a fraction of the layer's size, above
+#: which the dense scan answers faster than the journal — and, applied to
+#: the whole model, the number of indices the journal retains.  Measured
+#: with the ``diff_reply_eq5_*`` kernel pairs (786 432-element float32
+#: layer, 1 % updates); see docs/performance.md, "The Eq. 5 reply is
+#: O(staleness·k)", for the sweep.
+_JOURNAL_MAX_FRACTION = 1 / 6
+_INT32_MAX = 2**31 - 1
 
 
 class ModelDifferenceTracker:
@@ -78,6 +101,26 @@ class ModelDifferenceTracker:
         self.t = 0
         #: prev(k): server timestamp of worker k's last download (Table 1)
         self.prev = [0] * num_workers
+        #: dirty-index journal: one ``{layer: indices | None}`` per applied
+        #: update, for the ``len(journal)`` most recent ones (entry ``i`` is
+        #: update ``t - len + 1 + i``), so it covers ``(t - len, t]`` and
+        #: clearing it puts that floor at ``t``.  ``None`` = the layer
+        #: arrived without indices, i.e. it is dirty everywhere; a layer the
+        #: update skipped is absent.  The index arrays are *references* to
+        #: the payload's own — safe because payload classes are immutable
+        #: and their producers hand over memory they own (``topk_select``
+        #: allocates fresh indices, the codec's ``_decode_layer`` copies
+        #: them out of the frame with ``.astype``).  Arena path without
+        #: secondary compression only; ``None`` elsewhere.
+        self._journal: "list[dict[str, np.ndarray | None]] | None" = (
+            [] if self.arena and track_differences and secondary is None else None
+        )
+        #: indices the journal holds (a ``None`` layer counts its full size)
+        self._journal_size = 0
+        #: workers whose ``v_k`` was loaded from outside: the journal's
+        #: premise (``v_k == M`` at ``prev(k)``) is not this tracker's doing
+        #: until a dense scan or a bootstrap has made it so
+        self._unsynced: "set[int]" = set()
 
     # ------------------------------------------------------------------
     def apply_update(self, update: "Mapping[str, SparseTensor] | Mapping[str, np.ndarray]") -> int:
@@ -87,6 +130,8 @@ class ModelDifferenceTracker:
             # to_dense fallbacks otherwise — same arithmetic either way.
             self.M.add_payload(update, scale=-1.0)
             self.t += 1
+            if self._journal is not None:
+                self._journal_append(update)
             return self.t
         for name, g in update.items():
             dest = self.M[name]
@@ -109,6 +154,12 @@ class ModelDifferenceTracker:
         vk = self.v[worker]
         out: OrderedDict[str, SparseTensor] = OrderedDict()
         if self.arena:
+            dirty = self._journaled_since(worker)
+            if dirty is not None:
+                for name in self.M:
+                    out[name] = self._layer_difference(name, vk, dirty)
+                self.prev[worker] = self.t
+                return out
             # One fused subtraction for the whole difference, then per-layer
             # encode out of the scratch arena's views.
             diff = self._diff
@@ -125,6 +176,7 @@ class ModelDifferenceTracker:
                 out[name] = sent
             if self.secondary is None:
                 vk.copy_(self.M)  # v_k == M (Eq. 3), one memcpy
+                self._unsynced.discard(worker)
             self.prev[worker] = self.t
             return out
         for name, m_layer in self.M.items():
@@ -148,6 +200,89 @@ class ModelDifferenceTracker:
         """Updates applied at the server since this worker last synced."""
         return self.t - self.prev[worker]
 
+    def mark_synced(self, worker: int) -> None:
+        """``prev(k) ← t`` for a worker that just downloaded the whole
+        model (vanilla ASGD's reply; no ``v_k`` to advance)."""
+        self.prev[worker] = self.t
+
+    # -- dirty-index journal -------------------------------------------
+    def _journal_append(self, update: "Mapping[str, object]") -> None:
+        """Record which indices ``update`` wrote, then enforce the bounds."""
+        entry = {name: getattr(layer, "indices", None) for name, layer in update.items()}
+        journal = self._journal
+        journal.append(entry)
+        self._journal_size += self._entry_size(entry)
+        # Nobody is owed entries at or before min(prev); past the retention
+        # bound the oldest go too and whoever is that stale gets the scan.
+        unneeded = len(journal) - (self.t - min(self.prev))
+        limit = int(self.M.size * _JOURNAL_MAX_FRACTION)
+        drop = 0
+        while drop < len(journal) and (drop < unneeded or self._journal_size > limit):
+            self._journal_size -= self._entry_size(journal[drop])
+            drop += 1
+        del journal[:drop]
+
+    def _entry_size(self, entry: "dict[str, np.ndarray | None]") -> int:
+        return sum(
+            self.M[name].size if idx is None else idx.size for name, idx in entry.items()
+        )
+
+    def _journal_reset(self) -> None:
+        """Forget the journal: state changed other than through
+        :meth:`apply_update`, so every worker's next reply is a dense scan
+        (a loaded ``v_k`` need not equal ``M`` even at ``prev(k) == t`` — a
+        checkpoint written under secondary compression carries a residual)
+        and the journal serves it again once it reaches back to ``prev(k)``."""
+        if self._journal is not None:
+            self._journal.clear()
+            self._journal_size = 0
+            self._unsynced = set(range(len(self.v)))
+
+    def _journaled_since(self, worker: int) -> "list[dict[str, np.ndarray | None]] | None":
+        """The journal entries of updates ``prev(k)+1 … t``, or ``None`` when
+        the journal is off, may not serve this worker yet, or no longer
+        reaches back that far."""
+        journal = self._journal
+        behind = self.t - self.prev[worker]
+        if journal is None or worker in self._unsynced or not 0 <= behind <= len(journal):
+            return None
+        return journal[len(journal) - behind :]
+
+    def _layer_difference(
+        self,
+        name: str,
+        vk: LayerArena,
+        dirty: "list[dict[str, np.ndarray | None]]",
+    ) -> "SparseTensor | BitmapTensor | DenseTensor":
+        """``M − v_k`` of one layer from the indices ``dirty`` names, and
+        ``v_k ← M`` there — bitwise what the dense scan returns.
+
+        Everywhere else ``v_k == M`` already (Eq. 5 held at ``prev(k)``
+        and nothing but the journaled updates has written ``M`` since).
+        """
+        m_layer = self.M[name]
+        m_flat = m_layer.reshape(-1)
+        v_flat = vk[name].reshape(-1)
+        n = m_flat.size
+        parts = [entry[name] for entry in dirty if name in entry]
+        if any(p is None for p in parts) or sum(p.size for p in parts) > int(
+            n * _JOURNAL_MAX_FRACTION
+        ):
+            return self._layer_scan(name, vk)
+        idx = _sorted_union(parts, n)
+        if idx.size and idx[0] < 0:  # hand-built payload with wrap-around indices
+            return self._layer_scan(name, vk)
+        idx, d = _advance_at(m_flat, v_flat, idx)
+        # never DenseTensor: under the candidate limit nnz·8 < n·4
+        return cheapest_format(n, idx.size)(idx, d, m_layer.shape)
+
+    def _layer_scan(self, name: str, vk: LayerArena) -> "SparseTensor | BitmapTensor | DenseTensor":
+        """The dense scan of one layer (the journal path's fallback)."""
+        m_layer = self.M[name]
+        sent = encode_best(np.subtract(m_layer, vk[name], out=self._diff[name]), self.workspace)
+        np.copyto(vk[name], m_layer)
+        return sent
+
     # ------------------------------------------------------------------
     def bootstrap_worker(self, worker: int) -> None:
         """Admit ``worker`` (growing state if it is new): ``v_k ← M_t``,
@@ -170,6 +305,7 @@ class ModelDifferenceTracker:
                 )
             self.prev.extend([0] * (worker + 1 - self.num_workers))
             self.num_workers = worker + 1
+            self._journal_reset()
         if self.track_differences:
             vk = self.v[worker]
             if self.arena:
@@ -177,6 +313,7 @@ class ModelDifferenceTracker:
             else:
                 for name, m_layer in self.M.items():
                     np.copyto(vk[name], m_layer)
+            self._unsynced.discard(worker)
         self.prev[worker] = self.t
 
     def worker_model(self, theta0: Mapping[str, np.ndarray], worker: int) -> "Mapping[str, np.ndarray]":
@@ -232,6 +369,7 @@ class ModelDifferenceTracker:
         for k, vk in enumerate(self.v):
             for name, arr in vk.items():
                 np.copyto(arr, state[f"v{k}/{name}"])
+        self._journal_reset()
 
     # ------------------------------------------------------------------
     def flat_state(self) -> "list[np.ndarray]":
@@ -265,6 +403,16 @@ class ModelDifferenceTracker:
         _load_flat(self.M, buffers[0])
         for vk, buf in zip(self.v, buffers[1:]):
             _load_flat(vk, buf)
+        self._journal_reset()
+
+    def restore(self, t: int, prev: "list[int]", buffers: "list[np.ndarray]") -> None:
+        """Restore a server checkpoint: :meth:`load_flat_state` plus the
+        timestamps.  ``prev`` may be longer than the current worker set (a
+        model-mode checkpoint carries no v_k buffers to grow it by)."""
+        self.load_flat_state(buffers)
+        self.t = int(t)
+        self.prev = [int(x) for x in prev]
+        self.num_workers = max(self.num_workers, len(self.prev))
 
     def server_state_bytes(self) -> int:
         """Memory held by M plus every v_k (the §5.6.2 accounting:
@@ -272,6 +420,37 @@ class ModelDifferenceTracker:
         m_bytes = sum(arr.nbytes for arr in self.M.values())
         v_bytes = sum(sum(arr.nbytes for arr in vk.values()) for vk in self.v)
         return m_bytes + v_bytes
+
+
+def _sorted_union(parts: "list[np.ndarray]", n: int) -> np.ndarray:
+    """Sorted, de-duplicated union of flat-index arrays into an ``n``-element
+    layer, as intp.  Concatenate, sort as int32 (half the memory traffic of
+    intp), drop adjacent repeats: 0.4 ms for 8 × 7 864 indices where
+    ``np.unique`` takes 9–10 ms (NumPy 2.4)."""
+    if not parts:
+        return np.empty(0, dtype=np.intp)
+    dtype = np.int32 if n <= _INT32_MAX else np.intp
+    cand = np.concatenate(parts, dtype=dtype, casting="unsafe")
+    cand.sort()
+    keep = np.empty(cand.size, dtype=bool)
+    keep[:1] = True
+    np.not_equal(cand[1:], cand[:-1], out=keep[1:])
+    return cand[keep].astype(np.intp)
+
+
+def _advance_at(
+    m_flat: np.ndarray, v_flat: np.ndarray, idx: np.ndarray
+) -> "tuple[np.ndarray, np.ndarray]":
+    """``v[idx] ← M[idx]``; returns the indices where that changed ``v`` and
+    the float32 differences there.  Updates that cancelled exactly leave a
+    zero, which must not ship (the dense scan would not see it)."""
+    m = m_flat[idx]
+    d = m - v_flat[idx]
+    v_flat[idx] = m
+    if np.count_nonzero(d) != d.size:
+        live = d != 0
+        idx, d = idx[live], d[live]
+    return idx, d.astype(VALUE_DTYPE, copy=False)
 
 
 def _flatten_buffers(buffers: "LayerArena | Mapping[str, np.ndarray]") -> np.ndarray:

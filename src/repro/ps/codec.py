@@ -21,6 +21,10 @@ Format (version 1)::
     tag 2 (ternary) : ndim u8 | dims u32* | nnz u32 | scale f32 |
                       uint32 idx* | packed 2-bit signs
     tag 3 (bitmap)  : ndim u8 | dims u32* | nnz u32 | bitmap | float32 val*
+
+The bitmap exists only here: a ``BitmapTensor`` holds flat indices in
+memory, packs them into presence bits when tag 3 is written and is rebuilt
+from them (one ``unpackbits``) when tag 3 is read.
 """
 
 from __future__ import annotations
@@ -101,7 +105,7 @@ def _encode_layer(name: str, layer) -> bytes:
         body = (
             _pack_dims(layer.shape)
             + struct.pack("<I", layer.nnz)
-            + layer.bitmap.tobytes()
+            + layer.packed_bitmap().tobytes()
             + layer.values.astype("<f4").tobytes()
         )
         tag = 3
@@ -147,11 +151,11 @@ def _decode_layer(buf: memoryview, off: int):
         (nnz,) = struct.unpack_from("<I", buf, off)
         off += 4
         bm_len = (n + 7) // 8
-        bitmap = np.frombuffer(buf, dtype=np.uint8, count=bm_len, offset=off).copy()
+        bitmap = np.frombuffer(buf, dtype=np.uint8, count=bm_len, offset=off)
         off += bm_len
         vals = np.frombuffer(buf, dtype="<f4", count=nnz, offset=off).astype(np.float64)
         off += 4 * nnz
-        return name, BitmapTensor(bitmap, vals, shape), off
+        return name, BitmapTensor.from_packed(bitmap, vals, shape), off
     raise ValueError(f"unknown layer tag {tag}")
 
 

@@ -8,6 +8,7 @@ consume.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Mapping
 
@@ -40,8 +41,7 @@ def payload_dense_nbytes(payload: Payload) -> int:
     """Bytes the same payload would cost sent dense."""
     total = 0
     for arr in payload.values():
-        n = int(np.prod(arr.shape))
-        total += dense_nbytes(n)
+        total += dense_nbytes(math.prod(arr.shape))
     return total
 
 

@@ -61,21 +61,23 @@ def summarize_staleness(
     fan in over N shards — N snapshot calls per report — pay for the
     percentile math once, on merged data, with no lock held.
     """
-    all_values = [s for values in per_worker_values.values() for s in values]
-    per_worker = {
-        w: {
+    def p50_p99(values: "list[int]") -> "tuple[float, float]":
+        # one list -> array conversion and one percentile call for both
+        p50, p99 = np.percentile(np.asarray(values), [50, 99])
+        return float(p50), float(p99)
+
+    per_worker = {}
+    for w, values in sorted(per_worker_values.items()):
+        p50, p99 = p50_p99(values)
+        per_worker[w] = {
             "count": len(values),
             "mean": float(np.mean(values)),
-            "p50": float(np.percentile(values, 50)),
-            "p99": float(np.percentile(values, 99)),
+            "p50": p50,
+            "p99": p99,
         }
-        for w, values in sorted(per_worker_values.items())
-    }
-    return {
-        "p50": float(np.percentile(all_values, 50)) if all_values else float("nan"),
-        "p99": float(np.percentile(all_values, 99)) if all_values else float("nan"),
-        "per_worker": per_worker,
-    }
+    all_values = [s for values in per_worker_values.values() for s in values]
+    p50, p99 = p50_p99(all_values) if all_values else (float("nan"), float("nan"))
+    return {"p50": p50, "p99": p99, "per_worker": per_worker}
 
 
 class ParameterServer:
@@ -181,7 +183,7 @@ class ParameterServer:
             else:
                 model = self.tracker.global_model(self.theta0)
                 # ASGD still advances prev(k): the worker now holds θ_t.
-                self.tracker.prev[msg.worker_id] = t
+                self.tracker.mark_synced(msg.worker_id)
                 reply = ModelMessage(msg.worker_id, model, t, staleness)
             t_done = time.perf_counter()
             wait = t_acquired - t_request
@@ -306,14 +308,7 @@ class ParameterServer:
     def restore_state(self, state: "Mapping[str, object]") -> None:
         """Restore a :meth:`checkpoint_state` snapshot under the lock."""
         with self._lock:
-            self.tracker.load_flat_state(state["buffers"])
-            self.tracker.t = int(state["t"])
-            self.tracker.prev = [int(x) for x in state["prev"]]
-            # model-mode checkpoints carry no v_k buffers, so growth comes
-            # from the prev list alone.
-            self.tracker.num_workers = max(
-                self.tracker.num_workers, len(self.tracker.prev)
-            )
+            self.tracker.restore(state["t"], state["prev"], state["buffers"])
             self.state_bytes = self.tracker.server_state_bytes() + sum(
                 a.nbytes for a in self.theta0.values()
             )

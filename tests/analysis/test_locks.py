@@ -52,6 +52,21 @@ class TestGoodServer:
         assert "_put_locked" in source
 
 
+class TestJournalOutsideLock:
+    """The tracker's dirty-index journal is mutated by ``apply_update`` and
+    ``model_difference``, which the server only calls under its lock — so
+    the checker infers ``tracker`` is guarded and flags any other reach."""
+
+    def test_exact_finding_counts(self):
+        findings = check_fixture("journal_outside_lock.py")
+        assert Counter(f.rule for f in findings) == {"LCK001": 2}
+        assert all("'tracker'" in f.message for f in findings)
+        assert sorted(f.message.split()[0] for f in findings) == [
+            "JournalServer.forget",
+            "JournalServer.journal_depth",
+        ]
+
+
 class TestBareAcquire:
     """LCK006: bare .acquire()/.release() instead of ``with``."""
 

@@ -80,6 +80,26 @@ class TestFaultDetection:
             DenseStrategy(layer_shapes(model)).prepare(gradients_of(model), 0.1)
         assert s.faults == []
 
+    def test_journal_reply_is_rederived_by_the_dense_scan(self):
+        """Every layer the tracker answers from its dirty-index journal is
+        checked against ``encode_best(M − v_k)``; a journal that lost an
+        index is reported at the layer, not as accuracy drift later."""
+        from repro.core.tracker import ModelDifferenceTracker
+
+        tracker = ModelDifferenceTracker({"w": (64,), "b": (4,)}, 2, arena=True, dtype=np.float64)
+        update = {"w": SparseTensor(np.array([3, 40]), np.array([1.0, -2.0]), (64,))}
+        with sanitize(on_fault="record") as s:
+            tracker.apply_update(update)
+            tracker.model_difference(1)
+            assert s.faults == []
+            tracker.apply_update(update)
+            tracker._journal[-1]["w"] = np.array([3])
+            tracker.model_difference(1)
+        assert [(f.kind, f.op) for f in s.faults] == [
+            ("journal-mismatch", "ModelDifferenceTracker.model_difference[w]")
+        ]
+        assert "nnz=1" in s.faults[0].detail and "nnz=2" in s.faults[0].detail
+
     def test_integer_arrays_are_ignored(self):
         with sanitize(expected_dtype=np.float64, on_fault="record") as s:
             s.check_array(np.arange(4, dtype=np.int64), "test.indices")

@@ -49,7 +49,51 @@ class TestBitmapTensor:
 
     def test_invalid_bitmap_length(self):
         with pytest.raises(ValueError):
-            BitmapTensor(np.zeros(3, dtype=np.uint8), np.zeros(1), (100,))
+            BitmapTensor.from_packed(np.zeros(3, dtype=np.uint8), np.zeros(1), (100,))
+
+    def test_is_coo_in_memory(self, rng):
+        """Sorted flat indices + float32 values; the bitmap is only priced."""
+        arr = with_density(rng, 203, 0.3)  # 203 is not a multiple of 8
+        bt = BitmapTensor.from_mask(arr, arr != 0)
+        np.testing.assert_array_equal(bt.indices, np.flatnonzero(arr))
+        assert bt.values.dtype == np.float32
+        np.testing.assert_array_equal(bt.values, arr[arr != 0].astype(np.float32))
+        assert bt.nbytes() == bitmap_nbytes(203, bt.nnz)
+
+    def test_packed_roundtrip_non_multiple_of_8(self, rng):
+        arr = with_density(rng, 203, 0.3).reshape(7, 29)
+        bt = BitmapTensor.from_mask(arr, arr != 0)
+        packed = bt.packed_bitmap()
+        assert packed.dtype == np.uint8 and packed.size == (203 + 7) // 8
+        # the reference decoding the wire format has always had
+        bits = np.unpackbits(packed, bitorder="little")
+        assert not bits[203:].any()
+        np.testing.assert_array_equal(np.flatnonzero(bits[:203]), bt.indices)
+        back = BitmapTensor.from_packed(packed, bt.values, bt.shape)
+        np.testing.assert_array_equal(back.indices, bt.indices)
+        np.testing.assert_array_equal(back.to_dense(), arr.astype(np.float32))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_add_into_scatters_in_the_destination_dtype(self, rng, dtype):
+        arr = with_density(rng, 203, 0.3).reshape(7, 29)
+        bt = BitmapTensor.from_mask(arr, arr != 0)
+        dest = rng.normal(size=(7, 29)).astype(dtype)
+        want = dest.copy()
+        want.reshape(-1)[np.flatnonzero(arr)] += arr[arr != 0].astype(np.float32)
+        bt.add_into(dest)
+        assert dest.dtype == dtype
+        np.testing.assert_array_equal(dest, want)
+
+    def test_scale_payload_keeps_the_format(self, rng):
+        from repro.core.layerops import scale_payload
+
+        arr = with_density(rng, 64, 0.25)
+        bt = BitmapTensor.from_mask(arr, arr != 0)
+        (scaled,) = scale_payload({"w": bt}, 0.5).values()
+        assert isinstance(scaled, BitmapTensor)
+        np.testing.assert_array_equal(scaled.indices, bt.indices)
+        np.testing.assert_array_equal(scaled.values, bt.values * 0.5)
+        assert scaled.nbytes() == bt.nbytes()
 
 
 class TestDenseTensor:
@@ -61,6 +105,29 @@ class TestDenseTensor:
         dest = np.zeros((4, 4))
         dt.add_into(dest)
         np.testing.assert_array_equal(dest, arr)
+
+
+class TestCheapestFormat:
+    """The one byte rule every producer of a model difference asks."""
+
+    @pytest.mark.parametrize("n", [1, 5, 64, 203, 10_000])
+    def test_is_the_argmin_with_ties_to_coo_then_bitmap(self, n):
+        from repro.compression.coding import cheapest_format
+
+        for nnz in range(0, n + 1, max(1, n // 97)):
+            costs = [
+                (sparse_nbytes(nnz), SparseTensor),
+                (bitmap_nbytes(n, nnz), BitmapTensor),
+                (dense_nbytes(n), DenseTensor),
+            ]
+            assert cheapest_format(n, nnz) is min(costs, key=lambda c: c[0])[1]
+
+    @pytest.mark.parametrize("density", [0.0, 0.001, 0.02, 0.04, 0.1, 0.4, 0.9, 1.0])
+    def test_encode_best_obeys_it(self, rng, density):
+        from repro.compression.coding import cheapest_format
+
+        arr = with_density(rng, 5000, density)
+        assert type(encode_best(arr)) is cheapest_format(5000, int(np.count_nonzero(arr)))
 
 
 class TestEncodeBest:

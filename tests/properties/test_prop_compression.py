@@ -4,7 +4,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays, array_shapes
 
@@ -125,8 +125,18 @@ def _assert_selection_contract(x, ratio, workspace=None):
         np.testing.assert_array_equal(idx, np.sort(np.argpartition(mag, n - k)[n - k :]))
 
 
+def _nan_on_the_sample_grid():
+    """Fewer than k nonzeros with a NaN where the strided sample looks: the
+    sample's quantile is NaN, which must not make every zero a candidate."""
+    x = np.zeros(260, dtype=np.float32)
+    x[[57, 66, 178, 224]] = np.inf
+    x[STRIDE] = np.nan
+    return x, 0.02
+
+
 class TestTopKSelectionContract:
     @given(traffic=server_traffic(), use_workspace=st.booleans())
+    @example(traffic=_nan_on_the_sample_grid(), use_workspace=False)
     @settings(max_examples=300, deadline=None)
     def test_contract_on_server_traffic(self, traffic, use_workspace):
         x, ratio = traffic

@@ -165,3 +165,92 @@ def test_restore_continue_is_bitwise_equal_to_uninterrupted(
     assert list(resumed.loss_vs_step.ys) == list(full.loss_vs_step.ys)[10:]
     assert resumed.final_loss == full.final_loss
     assert resumed.final_accuracy == full.final_accuracy
+
+
+# -- restore with outstanding model differences ---------------------------
+# One worker and ASGD (above) keep v_k == M at every checkpoint, so they
+# cannot see a reply path that forgets what a stale worker is still owed.
+_ORDER = (0, 1, 2, 0, 0, 1, 0, 2, 1, 0, 2, 2, 1, 0)
+
+
+def _dgs_server(arena):
+    # 2 % uploads of 512/32/128/4-element layers: a worker 4 updates behind
+    # is owed 44 of 512 indices, under the tracker's journal limit, so the
+    # arena server answers from its dirty-index journal when it may
+    model = MLP(16, (32,), 4, seed=4)
+    return build_server(
+        get_method("dgs"),
+        parameters_of(model),
+        3,
+        Hyper(lr=0.1, momentum=0.7, ratio=0.02, min_sparse_size=0),
+        secondary_compression=False,
+        arena=arena,
+        arena_dtype=np.float64 if arena else None,
+    )
+
+
+def _sparse_uploads(server, count):
+    from repro.compression import topk_select
+
+    rng = np.random.default_rng(21)
+    return [
+        {
+            name: topk_select(rng.normal(size=np.shape(buf)), 0.02)
+            for name, buf in server.global_model().items()
+        }
+        for _ in range(count)
+    ]
+
+
+def _exchange(server, thetas, uploads, start, stop):
+    """Steps ``start..stop`` of the fixed interleaving; returns the replies."""
+    replies = []
+    for i in range(start, stop):
+        reply = server.handle(GradientMessage(_ORDER[i], uploads[i], i))
+        for name, layer in reply.payload.items():
+            layer.add_into(thetas[_ORDER[i]][name])
+        replies.append(reply)
+    return replies
+
+
+@pytest.mark.parametrize("arena", [False, True], ids=["dict", "arena"])
+def test_restore_with_outstanding_differences_is_bitwise(tmp_path, arena):
+    """3 workers, DGS without secondary compression: checkpoint while two
+    workers are still owed a difference, restore into a fresh server,
+    continue — replies, M, every v_k and every θ_k equal the uninterrupted
+    run's bit for bit."""
+    cut = 5  # after step 4: worker 0 just synced, workers 1 and 2 are stale
+
+    def fresh_thetas(server):
+        return [
+            {n: np.array(a, dtype=np.float64) for n, a in server.global_model().items()}
+            for _ in range(3)
+        ]
+
+    full = _dgs_server(arena)
+    uploads = _sparse_uploads(full, len(_ORDER))
+    full_thetas = fresh_thetas(full)
+    full_replies = _exchange(full, full_thetas, uploads, 0, len(_ORDER))
+
+    first = _dgs_server(arena)
+    thetas = fresh_thetas(first)
+    replies = _exchange(first, thetas, uploads, 0, cut)
+    assert [first.tracker.staleness(k) for k in range(3)] == [0, 3, 2]
+    path = tmp_path / "mid.ckpt"
+    save_checkpoint(first, path)
+
+    resumed = _dgs_server(arena)
+    load_checkpoint(resumed, path)
+    replies += _exchange(resumed, thetas, uploads, cut, len(_ORDER))
+
+    for got, want in zip(replies, full_replies):
+        assert (got.server_timestamp, got.staleness) == (want.server_timestamp, want.staleness)
+        for name, layer in want.payload.items():
+            assert type(got.payload[name]) is type(layer)
+            np.testing.assert_array_equal(got.payload[name].to_dense(), layer.to_dense())
+            assert got.payload[name].nbytes() == layer.nbytes()
+    for got, want in zip(_flat_state(resumed), _flat_state(full)):
+        np.testing.assert_array_equal(got, want)
+    for k in range(3):
+        for name in full_thetas[k]:
+            np.testing.assert_array_equal(thetas[k][name], full_thetas[k][name])

@@ -107,6 +107,56 @@ class TestWireSize:
         assert len(sparse) < len(dense) / 4
 
 
+class TestBitmapWireFormat:
+    """Tag 3 is pinned: these bytes were written by the codec as it was when
+    ``BitmapTensor`` still held the packed bitmap in memory."""
+
+    #: 4×5 layer "w", nonzeros at flat 1, 7, 8, 15, 19
+    LAYER_HEX = (
+        "0100" "03" "77"  # name length, tag 3, "w"
+        "02" "04000000" "05000000"  # ndim, dims
+        "05000000"  # nnz
+        "828108"  # bits 1,7 | 8,15 | 19, LSB first
+        "0000c03f" "000000c0" "0000803e" "00004040" "000000be"  # float32 values
+    )
+    MESSAGE_HEX = "650d01010300000009000000000000000100" + LAYER_HEX
+
+    @staticmethod
+    def layer():
+        from repro.compression import BitmapTensor
+
+        arr = np.zeros((4, 5))
+        arr.reshape(-1)[[1, 7, 8, 15, 19]] = [1.5, -2.0, 0.25, 3.0, -0.125]
+        return BitmapTensor.from_mask(arr, arr != 0)
+
+    def test_encode_emits_the_golden_bytes(self):
+        from repro.ps.codec import _encode_layer
+
+        assert _encode_layer("w", self.layer()).hex() == self.LAYER_HEX
+        msg = DiffMessage(3, OrderedDict([("w", self.layer())]), 9, 2)
+        assert encode_message(msg).hex() == self.MESSAGE_HEX
+
+    def test_decode_returns_the_same_indices_and_values(self):
+        from repro.compression import BitmapTensor
+
+        out = decode_message(bytes.fromhex(self.MESSAGE_HEX))
+        assert (out.worker_id, out.server_timestamp) == (3, 9)
+        got = out.payload["w"]
+        assert isinstance(got, BitmapTensor) and got.shape == (4, 5)
+        np.testing.assert_array_equal(got.indices, [1, 7, 8, 15, 19])
+        np.testing.assert_array_equal(got.values, [1.5, -2.0, 0.25, 3.0, -0.125])
+
+    def test_body_bytes_are_what_nbytes_prices(self):
+        """Wire bytes minus the layer's framing == nbytes() minus the
+        analytic header: ceil(n/8) of bitmap + 4 per value."""
+        from repro.compression.coding import HEADER_BYTES
+        from repro.ps.codec import _encode_layer
+
+        bt = self.layer()
+        framing = 2 + 1 + len("w") + 1 + 4 * len(bt.shape) + 4
+        assert len(_encode_layer("w", bt)) - framing == bt.nbytes() - HEADER_BYTES == 3 + 4 * 5
+
+
 class TestValidation:
     def test_bad_magic(self):
         with pytest.raises(ValueError):
