@@ -14,9 +14,15 @@ model so the payload-apply pair sees realistic per-layer loop overhead.
 
 from __future__ import annotations
 
+import socket
+import struct
+import threading
 from collections import OrderedDict
 
 import numpy as np
+
+from repro.comm.frames import GradientFrame, decode_frame, encode_frame
+from repro.comm.socket import SocketChannel
 
 from repro.compression import (
     KernelWorkspace,
@@ -28,7 +34,9 @@ from repro.compression import (
 )
 from repro.compression.coding import cheapest_format
 from repro.core.arena import LayerArena
+from repro.core.layerops import parameters_of
 from repro.core.tracker import _advance_at, _sorted_union
+from repro.ps.messages import GradientMessage
 
 __all__ = ["N", "RATIO", "GATED", "RECORD_ONLY", "make_pairs"]
 
@@ -56,6 +64,10 @@ RECORD_ONLY = (
     "dense_prepare_model_grad",
     *(f"diff_reply_eq5_{u}upd" for u in JOURNALED_UPDATES),
     "bitmap_apply",
+    "dense_frame_encode",
+    "dense_frame_decode_apply",
+    "socket_echo_dense_frame",
+    "socket_echo_sparse_frame",
 )
 
 
@@ -88,6 +100,68 @@ def _model_gradient() -> np.ndarray:
     loss = cross_entropy(model(Tensor(rng.normal(size=(32, 768)))), rng.integers(0, 10, size=32))
     loss.backward()
     return dict(model.named_parameters())["net.0.weight"].grad
+
+
+# --- the wire path as it was before "one copy per hop" (docs/performance.md),
+# written out so the comparison survives: one bytes object per array, per
+# field, per layer, per message, per frame and per record.
+_LENGTH = struct.Struct("<I")
+
+
+def _concat_encode_dense(frame: GradientFrame) -> bytes:
+    msg = frame.message
+    parts = [struct.pack("<HBBIq H", 0xD65, 1, 0, msg.worker_id, msg.local_iteration, len(msg.payload))]
+    for name, layer in msg.payload.items():
+        name_b = name.encode("utf-8")
+        dims = struct.pack("<B", layer.ndim) + struct.pack(f"<{layer.ndim}I", *layer.shape)
+        body = dims + layer.astype("<f4").tobytes()
+        parts.append(struct.pack("<HB", len(name_b), 0) + name_b + body)
+    return struct.pack("<BBh", 0xDF, 0, frame.shard) + struct.pack("<d", frame.loss) + b"".join(parts)
+
+
+class _CopyingChannel(SocketChannel):
+    """``SocketChannel`` moving bytes the way it used to: ``prefix + raw``
+    into ``sendall``, ``recv()`` chunks joined.  Everything else (closed
+    check, tracer lookup, ``settimeout`` per read, counters) is the live
+    class's, so the pair differs in the copies alone."""
+
+    def _send_record(self, raw) -> None:
+        self._sock.sendall(_LENGTH.pack(len(raw)) + raw)
+
+    def _recv_exactly(self, n: int) -> bytes:
+        self._sock.settimeout(self.read_timeout_s)
+        chunks = []
+        while n:
+            chunk = self._sock.recv(n)
+            if not chunk:
+                raise EOFError("socket closed mid-stream")
+            chunks.append(chunk)
+            n -= len(chunk)
+        return b"".join(chunks)
+
+
+def _echo_round_trip(channel_cls):
+    """A loopback TCP connection of two ``channel_cls`` endpoints whose far
+    end echoes every frame back from a daemon thread; returns
+    ``raw -> echoed raw`` for the near end."""
+    with socket.create_server(("127.0.0.1", 0)) as server:
+        near = channel_cls(socket.create_connection(server.getsockname()))
+        far = channel_cls(server.accept()[0])
+
+    def echo():
+        try:
+            while True:
+                far.send_raw(far.recv_raw())
+        except (EOFError, OSError):
+            pass  # the near end went away with the process
+
+    threading.Thread(target=echo, daemon=True).start()
+
+    def round_trip(raw):
+        near.send_raw(raw)
+        return near.recv_raw()
+
+    return round_trip
 
 
 def make_pairs() -> "OrderedDict[str, tuple]":
@@ -223,5 +297,43 @@ def make_pairs() -> "OrderedDict[str, tuple]":
         theta.reshape(-1)[np.flatnonzero(bits[:n_layer])] += reply.values
 
     pairs["bitmap_apply"] = (unpack_and_apply, lambda: reply.add_into(theta))
+
+    # --- one hop of the dense exchange (RECORD_ONLY): the end-to-end
+    # benchmark's 3.68 MB gradient frame of MLP(768, (1024, 128), 10).
+    # Reference: the concatenating encoder, the float64-widening decode and
+    # the copying channel above.  Optimised: encode_frame into one
+    # buffer, float32 views applied in place, sendmsg / recv_into.
+    from repro.nn import MLP
+
+    params = parameters_of(MLP(768, (1024, 128), 10, seed=0))
+    dense_frame = GradientFrame(GradientMessage(0, params, 0), loss=0.5)
+    dense_raw = encode_frame(dense_frame)
+    assert bytes(dense_raw) == _concat_encode_dense(dense_frame)
+    pairs["dense_frame_encode"] = (
+        lambda: _concat_encode_dense(dense_frame),
+        lambda: encode_frame(dense_frame),
+    )
+
+    model = LayerArena(OrderedDict((k, v.shape) for k, v in params.items()), dtype=np.float32)
+
+    def widen_and_apply():
+        payload = decode_frame(dense_raw).message.payload
+        model.add_payload({k: v.astype(np.float64) for k, v in payload.items()}, scale=-1.0)
+
+    pairs["dense_frame_decode_apply"] = (
+        widen_and_apply,
+        lambda: model.add_payload(decode_frame(dense_raw).message.payload, scale=-1.0),
+    )
+
+    # ... and the DGS upload of the same model (top 1 % per layer, 74.9 kB):
+    # the frame the socket change must not slow down.
+    sparse = OrderedDict((k, topk_select(v, RATIO, ws)) for k, v in params.items())
+    sparse_raw = encode_frame(GradientFrame(GradientMessage(0, sparse, 0), loss=0.5))
+    copying, gathered = _echo_round_trip(_CopyingChannel), _echo_round_trip(SocketChannel)
+    for label, raw in (("dense", dense_raw), ("sparse", sparse_raw)):
+        pairs[f"socket_echo_{label}_frame"] = (
+            lambda raw=bytes(raw): copying(raw),
+            lambda raw=raw: gathered(raw),
+        )
 
     return pairs

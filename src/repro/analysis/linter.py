@@ -50,6 +50,9 @@ PERF_LOOP_ALLOWED = ("core/layerops.py",)
 #: subpackages where payload decodes inside a lock-held region are banned
 DECODE_LOCK_PREFIXES = ("ps/", "comm/")
 
+#: the wire modules: every payload crosses them with one copy (PERF003)
+WIRE_COPY_PATHS = ("ps/codec.py", "comm/frames.py", "comm/socket.py", "comm/pipe.py")
+
 
 @dataclass(frozen=True)
 class LintConfig:
@@ -66,6 +69,7 @@ class LintConfig:
     perf_loop_prefixes: "tuple[str, ...]" = PERF_LOOP_PREFIXES
     perf_loop_allowed: "tuple[str, ...]" = PERF_LOOP_ALLOWED
     decode_lock_prefixes: "tuple[str, ...]" = DECODE_LOCK_PREFIXES
+    wire_copy_paths: "tuple[str, ...]" = WIRE_COPY_PATHS
     #: basenames never linted for export rules (CLI entry points)
     entry_point_names: "tuple[str, ...]" = ("__main__.py",)
 
@@ -99,6 +103,9 @@ class ModuleInfo:
 
     def in_decode_lock_scope(self, config: LintConfig) -> bool:
         return self.relpath.startswith(config.decode_lock_prefixes)
+
+    def in_wire_copy_scope(self, config: LintConfig) -> bool:
+        return self.relpath.startswith(config.wire_copy_paths)
 
     def is_entry_point(self, config: LintConfig) -> bool:
         return Path(self.relpath).name in config.entry_point_names

@@ -11,7 +11,7 @@ from __future__ import annotations
 from ..linter import Rule
 from .comm import WireFramingRule
 from .dtype import MissingDtypeRule
-from .perf import DecodeUnderLockRule, PerLayerLoopRule
+from .perf import DecodeUnderLockRule, PerLayerLoopRule, WireCopyRule
 from .exports import AllConsistencyRule, MissingAllRule, UndefinedExportRule
 from .obs import TelemetryNameRule
 from .pragma import PragmaHygieneRule
@@ -35,6 +35,7 @@ RULE_CLASSES: "tuple[type[Rule], ...]" = (
     TelemetryNameRule,
     PerLayerLoopRule,
     DecodeUnderLockRule,
+    WireCopyRule,
     PragmaHygieneRule,
 )
 

@@ -18,6 +18,18 @@ serialises every other shard lane behind a pure-compute step.  The
 parallel serve loop's whole design is decode-*outside*-lock (lanes decode
 before dispatching under their shard lock); this rule keeps ``ps/`` and
 ``comm/`` from regressing that.
+
+PERF003 — no payload-sized copy on the wire path.  A frame crosses each
+hop of an exchange with one copy: the codec cast-copies every array once
+into one exactly-sized buffer, the socket gathers prefix and frame in one
+``sendmsg`` and receives into one preallocated buffer.  In the wire
+modules (``ps/codec.py``, ``comm/frames.py``, ``comm/socket.py``,
+``comm/pipe.py``) the three spellings that used to add six more copies
+per direction are flagged: ``arr.tobytes()``, ``b"".join(parts)``, and
+``header + raw`` where an operand is an encoded message or frame (a
+``raw`` name, or the result of ``encode_message`` / ``encode_frame``).
+Small fixed headers may still be concatenated — the rule looks at what is
+being added, not at ``+``.
 """
 
 from __future__ import annotations
@@ -28,7 +40,7 @@ from typing import Iterator
 from ..findings import Finding
 from ..linter import LintConfig, ModuleInfo, Rule
 
-__all__ = ["DecodeUnderLockRule", "PerLayerLoopRule"]
+__all__ = ["DecodeUnderLockRule", "PerLayerLoopRule", "WireCopyRule"]
 
 #: whole-model collectors whose results must not be iterated layer-by-layer
 _COLLECTORS = {"parameters_of", "gradients_of"}
@@ -104,15 +116,20 @@ def _lock_like(expr: ast.AST) -> bool:
     )
 
 
-def _decoder_call(node: ast.AST) -> "str | None":
+def _call_name(node: ast.AST) -> "str | None":
+    """``f`` for a call ``f(...)`` or ``x.f(...)``, else ``None``."""
     if not isinstance(node, ast.Call):
         return None
     func = node.func
-    name = None
     if isinstance(func, ast.Name):
-        name = func.id
-    elif isinstance(func, ast.Attribute):
-        name = func.attr
+        return func.id
+    if isinstance(func, ast.Attribute):
+        return func.attr
+    return None
+
+
+def _decoder_call(node: ast.AST) -> "str | None":
+    name = _call_name(node)
     return name if name in _DECODERS else None
 
 
@@ -141,3 +158,85 @@ class DecodeUnderLockRule(Rule):
                             "outside every lock — see docs/comm.md) and "
                             "hand the decoded message in",
                         )
+
+
+#: calls whose result is an encoded message or frame
+_ENCODERS = {"encode_message", "encode_frame"}
+
+
+def _encoded_names(tree: ast.Module) -> "set[str]":
+    """Names that hold an encoded frame: ``raw`` by this repo's convention
+    (``send_raw(raw)``, ``raw = recv_raw()``) plus anything assigned from
+    an encoder call."""
+    names = {"raw"}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and _call_name(node.value) in _ENCODERS:
+            names.update(t.id for t in node.targets if isinstance(t, ast.Name))
+    return names
+
+
+def _add_operands(node: ast.BinOp) -> "Iterator[ast.AST]":
+    """The leaves of a (possibly nested) ``a + b + c`` chain."""
+    for side in (node.left, node.right):
+        if isinstance(side, ast.BinOp) and isinstance(side.op, ast.Add):
+            yield from _add_operands(side)
+        else:
+            yield side
+
+
+def _encoded_operand(operand: ast.AST, encoded: "set[str]") -> "str | None":
+    """How ``operand`` reads if it is an encoded frame, else ``None``."""
+    name = _call_name(operand)
+    if name in _ENCODERS:
+        return f"{name}(...)"
+    if isinstance(operand, ast.Name) and operand.id in encoded:
+        return operand.id
+    return None
+
+
+class WireCopyRule(Rule):
+    id = "PERF003"
+    summary = "payload-sized copy (.tobytes / b\"\".join / header + frame) on the wire path"
+
+    def check(self, module: ModuleInfo, config: LintConfig) -> Iterator[Finding]:
+        if not module.in_wire_copy_scope(config):
+            return
+        encoded = _encoded_names(module.tree)
+        inner: "set[int]" = set()  # '+' nodes below one already looked at
+        for node in ast.walk(module.tree):  # breadth-first: outer '+' comes first
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+                owner = node.func.value
+                if node.func.attr == "tobytes":
+                    yield self.finding(
+                        module,
+                        node,
+                        "'.tobytes()' copies the array into a bytes object that "
+                        "is then copied again into the message; cast-copy it "
+                        "once into the message buffer (np.copyto onto an "
+                        "np.frombuffer view, as encode_message does)",
+                    )
+                elif (
+                    node.func.attr == "join"
+                    and isinstance(owner, ast.Constant)
+                    and isinstance(owner.value, bytes)
+                ):
+                    yield self.finding(
+                        module,
+                        node,
+                        "'b\"\".join(...)' re-copies every part; size the "
+                        "message first and write the parts into one buffer "
+                        "(pack_into / recv_into)",
+                    )
+            elif isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add) and id(node) not in inner:
+                operands = list(_add_operands(node))
+                inner.update(id(n) for n in ast.walk(node))
+                what = next(filter(None, (_encoded_operand(o, encoded) for o in operands)), None)
+                if what is not None:
+                    yield self.finding(
+                        module,
+                        node,
+                        f"'+' copies the encoded frame '{what}' behind its "
+                        "header; reserve the header bytes in the frame's own "
+                        "buffer (encode_message(reserve=...)) or gather both "
+                        "in one sendmsg",
+                    )

@@ -57,7 +57,13 @@ from .pipe import PipeChannel, serve_pipe_channels
 from .protocol import run_worker_loop
 from .service import ServeReport, ServerService, serve_channels
 from .sim import SimChannel, SimTransfer, SimTransport
-from .socket import ChannelTimeout, ShardListenerGroup, SocketChannel, SocketListener
+from .socket import (
+    ChannelProtocolError,
+    ChannelTimeout,
+    ShardListenerGroup,
+    SocketChannel,
+    SocketListener,
+)
 
 __all__ = [
     "channel",
@@ -90,6 +96,7 @@ __all__ = [
     "reply_frame",
     "Channel",
     "ChannelClosed",
+    "ChannelProtocolError",
     "ChannelTimeout",
     "ServerService",
     "InProcChannel",

@@ -296,21 +296,24 @@ def peek_kind(raw: "bytes | memoryview") -> int:
     return kind
 
 
-def encode_frame(frame: Frame) -> bytes:
-    """Serialise any frame to its wire representation."""
+def encode_frame(frame: Frame) -> "bytes | bytearray":
+    """Serialise any frame to its wire representation.
+
+    A payload frame is one ``bytearray``: the codec writes its message
+    behind a reserved prefix and the frame header is packed into that
+    prefix, so the payload is copied once, out of its arrays.
+    """
     if isinstance(frame, GradientFrame):
-        return (
-            _HEADER.pack(FRAME_MAGIC, _KIND_GRADIENT, frame.shard)
-            + _LOSS.pack(frame.loss)
-            + encode_message(frame.message)
-        )
+        raw = encode_message(frame.message, reserve=_HEADER.size + _LOSS.size)
+        _HEADER.pack_into(raw, 0, FRAME_MAGIC, _KIND_GRADIENT, frame.shard)
+        _LOSS.pack_into(raw, _HEADER.size, frame.loss)
+        return raw
     if isinstance(frame, (DiffFrame, ModelFrame)):
         kind = _KIND_DIFF if isinstance(frame, DiffFrame) else _KIND_MODEL
-        return (
-            _HEADER.pack(FRAME_MAGIC, kind, frame.shard)
-            + _STALENESS.pack(frame.message.staleness)
-            + encode_message(frame.message)
-        )
+        raw = encode_message(frame.message, reserve=_HEADER.size + _STALENESS.size)
+        _HEADER.pack_into(raw, 0, FRAME_MAGIC, kind, frame.shard)
+        _STALENESS.pack_into(raw, _HEADER.size, frame.message.staleness)
+        return raw
     if isinstance(frame, TelemetryFrame):
         body = json.dumps(
             {"spans": list(frame.spans), "metrics": list(frame.metrics)},
@@ -338,8 +341,13 @@ def encode_frame(frame: Frame) -> bytes:
     raise TypeError(f"cannot encode {type(frame).__name__}")
 
 
-def decode_frame(raw: "bytes | memoryview") -> Frame:
-    """Inverse of :func:`encode_frame`."""
+def decode_frame(raw: "bytes | bytearray | memoryview") -> Frame:
+    """Inverse of :func:`encode_frame`.
+
+    Dense payload layers come back as read-only float32 views of ``raw``
+    (see :func:`repro.ps.codec.decode_message`): ``raw`` stays alive as
+    long as they do and must not be rewritten.
+    """
     buf = memoryview(raw)
     if len(buf) < _HEADER.size:
         raise ValueError("truncated frame (no header)")

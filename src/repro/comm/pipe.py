@@ -47,18 +47,9 @@ class PipeChannel:
         return self.tracer if self.tracer is not None else current_tracer()
 
     def send(self, frame: Frame) -> None:
-        if self._closed:
-            raise ChannelClosed("pipe channel is closed")
-        raw = encode_frame(frame)
-        tracer = self._tracer()
-        if tracer.enabled:
-            with tracer.span(obs_names.COMM_SEND, cat="comm", bytes=len(raw)):
-                self.connection.send_bytes(raw)
-        else:
-            self.connection.send_bytes(raw)
-        self.wire_bytes_sent += len(raw)
+        self.send_raw(encode_frame(frame))
 
-    def send_raw(self, raw: bytes) -> None:
+    def send_raw(self, raw: "bytes | bytearray") -> None:
         """Ship an already-encoded frame.
 
         The parallel serve loop encodes replies on its shard-executor

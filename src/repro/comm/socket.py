@@ -16,6 +16,10 @@ identically:
 
 * clean EOF mid-stream raises ``EOFError`` — a peer that vanished without
   a close frame is a crash, reported as a partial result;
+* a length prefix above :data:`MAX_FRAME_BYTES` raises
+  :class:`ChannelProtocolError` (an ``OSError``) *before* the receive
+  buffer is allocated, so a hostile or corrupt peer costs its own channel
+  and nothing else;
 * :class:`ChannelTimeout` (an ``OSError``) fires when ``read_timeout_s``
   elapses inside a read — the guard against a half-sent frame wedging the
   server after ``wait()`` reported readability.  On the server side the
@@ -44,7 +48,9 @@ from .channel import ChannelClosed
 from .frames import Frame, decode_frame, encode_frame
 
 __all__ = [
+    "ChannelProtocolError",
     "ChannelTimeout",
+    "MAX_FRAME_BYTES",
     "ShardListenerGroup",
     "SocketChannel",
     "SocketListener",
@@ -53,6 +59,12 @@ __all__ = [
 ]
 
 _LENGTH = struct.Struct("<I")
+
+#: largest frame a peer may announce.  The receive buffer is allocated from
+#: the length prefix, so the prefix is bounded first: 1 GiB is ~290× the
+#: largest frame any model in this repo ships and far below what a u32 can
+#: ask for.
+MAX_FRAME_BYTES = 1 << 30
 
 #: first connect-retry delay; doubles per attempt up to the cap
 DEFAULT_BACKOFF_BASE_S = 0.05
@@ -65,6 +77,15 @@ class ChannelTimeout(OSError):
     Subclasses ``OSError`` deliberately: the serve loop's crash handling
     catches it, so a wedged peer resolves to the same partial-result /
     eviction semantics as a dead one.
+    """
+
+
+class ChannelProtocolError(OSError):
+    """The peer broke the record framing (length prefix out of bounds).
+
+    An ``OSError`` for the same reason :class:`ChannelTimeout` is one: the
+    serve loop drops that channel with crash / partial-result semantics
+    and every other worker carries on.
     """
 
 
@@ -131,34 +152,58 @@ class SocketChannel:
     def _tracer(self):
         return self.tracer if self.tracer is not None else current_tracer()
 
-    def _recv_exactly(self, n: int) -> bytes:
+    def _recv_exactly(self, n: int) -> bytearray:
         """``n`` bytes off the stream, honouring ``read_timeout_s``.
+
+        The kernel copies straight into one preallocated buffer, which is
+        *fresh per call and never reused*: decoded dense layers are views
+        of it, and the serve loop's lanes queue these buffers undecoded.
 
         EOF before ``n`` bytes raises ``EOFError`` (crash semantics — the
         peer vanished without a close frame); a deadline elapsing raises
         :class:`ChannelTimeout`.
         """
         self._sock.settimeout(self.read_timeout_s)
-        chunks: "list[bytes]" = []
-        remaining = n
-        while remaining:
+        buf = bytearray(n)
+        view = memoryview(buf)
+        got = 0
+        while got < n:
             try:
-                chunk = self._sock.recv(remaining)
+                count = self._sock.recv_into(view[got:])
             except _socket.timeout as exc:
                 raise ChannelTimeout(
                     f"no bytes for {self.read_timeout_s:g}s mid-frame"
                 ) from exc
-            if not chunk:
+            if not count:
                 raise EOFError("socket closed mid-stream (no close frame)")
-            chunks.append(chunk)
-            remaining -= len(chunk)
-        return b"".join(chunks)
+            got += count
+        return buf
+
+    def _recv_record(self) -> bytearray:
+        (length,) = _LENGTH.unpack(self._recv_exactly(_LENGTH.size))
+        if length > MAX_FRAME_BYTES:
+            raise ChannelProtocolError(
+                f"peer announced a {length}-byte frame (limit {MAX_FRAME_BYTES})"
+            )
+        return self._recv_exactly(length)
+
+    def _send_record(self, raw: "bytes | bytearray") -> None:
+        """Length prefix and frame in one scatter-gather write, so the
+        frame is never copied behind its prefix; a short write (the frame
+        is larger than the socket buffer) is finished by ``sendall``."""
+        prefix = _LENGTH.pack(len(raw))
+        sent = self._sock.sendmsg([prefix, raw])
+        if sent < len(prefix):
+            self._sock.sendall(prefix[sent:])
+            sent = len(prefix)
+        if sent < len(prefix) + len(raw):
+            self._sock.sendall(memoryview(raw)[sent - len(prefix) :])
 
     def send(self, frame: Frame) -> None:
         self.send_raw(encode_frame(frame))
 
-    def send_raw(self, raw: bytes) -> None:
-        """Ship an already-encoded frame (one length-prefixed sendall, so
+    def send_raw(self, raw: "bytes | bytearray") -> None:
+        """Ship an already-encoded frame (one length-prefixed record, so
         concurrent senders on *different* channels never interleave a
         frame's bytes).  The parallel serve loop encodes replies on its
         shard lanes and hands the bytes to one writer thread."""
@@ -167,12 +212,12 @@ class SocketChannel:
         tracer = self._tracer()
         if tracer.enabled:
             with tracer.span(obs_names.COMM_SEND, cat="comm", bytes=len(raw)):
-                self._sock.sendall(_LENGTH.pack(len(raw)) + raw)
+                self._send_record(raw)
         else:
-            self._sock.sendall(_LENGTH.pack(len(raw)) + raw)
+            self._send_record(raw)
         self.wire_bytes_sent += len(raw)
 
-    def recv_raw(self) -> bytes:
+    def recv_raw(self) -> bytearray:
         """One encoded frame off the stream (the serve loop peeks the shard
         id off these bytes before decoding)."""
         if self._closed:
@@ -180,12 +225,10 @@ class SocketChannel:
         tracer = self._tracer()
         if tracer.enabled:
             with tracer.span(obs_names.COMM_RECV, cat="comm") as span:
-                (length,) = _LENGTH.unpack(self._recv_exactly(_LENGTH.size))
-                raw = self._recv_exactly(length)
+                raw = self._recv_record()
                 span.set(bytes=len(raw))
         else:
-            (length,) = _LENGTH.unpack(self._recv_exactly(_LENGTH.size))
-            raw = self._recv_exactly(length)
+            raw = self._recv_record()
         self.wire_bytes_received += len(raw)
         return raw
 

@@ -216,6 +216,46 @@ class TestDecodeLockFixture:
         assert not [f for f in findings if f.rule == "PERF002"]
 
 
+class TestWireCopyFixture:
+    #: framing allowed so COM001 stays out of the way; the wire-copy scope
+    #: (four named modules by default) widened to the fixture directory
+    WIRE_CONFIG = LintConfig(
+        hot_path_prefixes=(), tensor_mutation_allowed=(),
+        framing_allowed=("",), wire_copy_paths=("",),
+    )
+
+    def lint(self, config=None):
+        return lint_file(
+            FIXTURES / "bad_wire_copy.py", default_rules(),
+            config=config or self.WIRE_CONFIG, root=FIXTURES,
+        )
+
+    def test_exact_finding_counts(self):
+        assert Counter(f.rule for f in self.lint()) == {"PERF003": 7}
+
+    def test_each_spelling_is_named(self):
+        messages = [f.message for f in self.lint()]
+        assert sum("'.tobytes()'" in m for m in messages) == 2
+        assert sum("b\"\".join" in m for m in messages) == 2
+        for what in ("encode_message(...)", "raw", "payload"):
+            assert sum(f"encoded frame '{what}'" in m for m in messages) == 1
+
+    def test_findings_sit_on_the_marked_lines(self):
+        # small-header '+' chains, str.join and the sendmsg gather are clean
+        source = (FIXTURES / "bad_wire_copy.py").read_text().splitlines()
+        for f in self.lint():
+            assert "# PERF003" in source[f.line - 1]
+
+    def test_silent_outside_the_wire_modules(self):
+        cold = LintConfig(hot_path_prefixes=(), tensor_mutation_allowed=(), framing_allowed=("",))
+        assert not [f for f in self.lint(cold) if f.rule == "PERF003"]
+
+    def test_default_scope_is_the_four_wire_modules(self):
+        assert LintConfig().wire_copy_paths == (
+            "ps/codec.py", "comm/frames.py", "comm/socket.py", "comm/pipe.py",
+        )
+
+
 class TestSuppressionSyntax:
     def test_bare_noqa_suppresses_all(self):
         assert suppressed_rules("x = 1  # repro: noqa") == set()
@@ -256,6 +296,7 @@ def test_rule_index_is_complete():
         "OBS001",
         "PERF001",
         "PERF002",
+        "PERF003",
         "NOQ001",
     }
     for rule_id, cls in idx.items():

@@ -49,6 +49,11 @@ CASES = [
         ),
     ),
     (
+        "PERF003",  # perf family: payload-sized copy in a wire module
+        "comm/socket.py",
+        "def send_raw(sock, prefix, raw):\n    sock.sendall(prefix + raw){noqa}\n",
+    ),
+    (
         "DTY001",  # hot-path dtype hygiene
         "ps/mod.py",
         "import numpy as np\nbuf = np.zeros(8){noqa}\n",

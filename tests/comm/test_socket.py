@@ -10,17 +10,24 @@ lets workers start before the server.
 from __future__ import annotations
 
 import socket as raw_socket
+import struct
 import threading
 import time
+import tracemalloc
 
+import numpy as np
 import pytest
 
-from repro.comm import ChannelClosed, CloseFrame
+from repro.comm import ChannelClosed, CloseFrame, GradientFrame, decode_frame, encode_frame
+from repro.comm import socket as socket_module
 from repro.comm.socket import (
+    MAX_FRAME_BYTES,
+    ChannelProtocolError,
     ChannelTimeout,
     SocketChannel,
     SocketListener,
 )
+from repro.ps.messages import GradientMessage
 
 
 def _pair(**channel_kwargs):
@@ -142,6 +149,323 @@ class TestListener:
             client.send(CloseFrame(worker_id=1))
             ready = wait([listener.waitable, server.waitable], timeout=2)
             assert server.waitable in ready
+        finally:
+            client.close()
+            server.close()
+            listener.close()
+
+
+def _raw_peer(listener):
+    """A bare TCP socket connected to ``listener`` plus the accepted channel."""
+    peer = raw_socket.create_connection(listener.address)
+    return peer, listener.accept()
+
+
+def _dense_frame_bytes():
+    """The benchmark's dense exchange: MLP(768, (1024, 128), 10), 3.68 MB."""
+    from repro.core.layerops import parameters_of
+    from repro.nn import MLP
+
+    params = parameters_of(MLP(768, (1024, 128), 10, seed=0))
+    return encode_frame(GradientFrame(GradientMessage(0, params, 0), loss=0.25))
+
+
+class TestFrameBound:
+    """The receive buffer is allocated from the peer's length prefix, so the
+    prefix is bounded before anything is allocated."""
+
+    def test_oversized_prefix_is_refused_before_allocating(self):
+        listener = SocketListener()
+        peer, server = _raw_peer(listener)
+        try:
+            peer.sendall(b"\xff\xff\xff\xff")
+            tracemalloc.start()
+            try:
+                with pytest.raises(ChannelProtocolError, match="4294967295-byte frame"):
+                    server.recv_raw()
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < 1 << 20  # not the 4 GiB the prefix asked for
+            assert server.wire_bytes_received == 0
+        finally:
+            peer.close()
+            server.close()
+            listener.close()
+
+    def test_protocol_error_is_an_oserror(self):
+        # same reasoning as ChannelTimeout: the serve loop's crash handling
+        # catches OSError, so the offending channel is dropped, nothing else
+        assert issubclass(ChannelProtocolError, OSError)
+        assert MAX_FRAME_BYTES == 1 << 30
+
+    def test_bound_is_inclusive(self, monkeypatch):
+        monkeypatch.setattr(socket_module, "MAX_FRAME_BYTES", 64)
+        listener = SocketListener()
+        peer, server = _raw_peer(listener)
+        try:
+            peer.sendall(struct.pack("<I", 64) + bytes(64) + struct.pack("<I", 65))
+            assert server.recv_raw() == bytes(64)
+            with pytest.raises(ChannelProtocolError):
+                server.recv_raw()
+        finally:
+            peer.close()
+            server.close()
+            listener.close()
+
+    def test_hostile_peer_costs_only_its_own_channel(self):
+        """A peer announcing a 4 GiB frame is dropped as a crash; the server
+        survives and the honest worker's replies are bitwise those of a run
+        the bad peer never joined."""
+        from test_service import _grad_for, _make_service, _serve
+
+        def run(with_bad_peer: bool):
+            service, server, _ = _make_service(num_workers=2)
+            listener = SocketListener()
+            host, port = listener.address
+            replies = []
+
+            def honest():
+                from repro.comm import CONTROL_JOIN, ControlFrame
+
+                ch = SocketChannel.connect(host, port)
+                ch.send(ControlFrame(0, CONTROL_JOIN))
+                ch.recv()
+                for step in range(4):
+                    if with_bad_peer and step == 2:
+                        bad = raw_socket.create_connection((host, port))
+                        bad.sendall(b"\xff\xff\xff\xff")
+                        hostile.append(bad)
+                    ch.send(_grad_for(server, 0, scale=0.01 * (step + 1)))
+                    replies.append(ch.recv().message.payload)
+                ch.send(CloseFrame(worker_id=0))
+                ch.close()
+
+            hostile = []
+            t = threading.Thread(target=honest)
+            t.start()
+            try:
+                report = _serve(service, server, listener, 2 if with_bad_peer else 1)
+            finally:
+                listener.close()
+                t.join(timeout=10)
+                for bad in hostile:
+                    bad.close()
+            assert not t.is_alive()
+            return report, replies, server.global_model()
+
+        clean_report, clean_replies, clean_model = run(with_bad_peer=False)
+        report, replies, model = run(with_bad_peer=True)
+        assert clean_report.crashes == 0
+        assert report.crashes == 1 and report.clean_closes == 1
+        assert report.updates == clean_report.updates == 4
+        for name in clean_model:
+            assert model[name].tobytes() == clean_model[name].tobytes()
+        assert len(replies) == len(clean_replies) == 4
+        for got, want in zip(replies, clean_replies):
+            for name in want:
+                assert got[name].tobytes() == want[name].tobytes()
+
+
+class _SocketProxy:
+    """A real socket whose ``sendmsg`` return values are recorded and can be
+    capped, to force the short writes a full socket buffer produces."""
+
+    def __init__(self, sock, cap=None):
+        self._sock = sock
+        self.cap = cap
+        self.sendmsg_returns = []
+
+    def __getattr__(self, name):
+        return getattr(self._sock, name)
+
+    def sendmsg(self, buffers):
+        if self.cap is not None:
+            joined = b"".join(bytes(b) for b in buffers)
+            sent = self._sock.send(joined[: self.cap])
+        else:
+            sent = self._sock.sendmsg(buffers)
+        self.sendmsg_returns.append(sent)
+        return sent
+
+
+class TestSendPath:
+    """``send_raw`` is one scatter-gather ``sendmsg([prefix, frame])``; a
+    short write is finished with ``sendall`` from where it stopped."""
+
+    @pytest.mark.parametrize("cap", [1, 3, 4, 5, 1000])
+    def test_capped_sendmsg_still_delivers_the_record(self, cap):
+        """``sendmsg`` stopping mid-prefix (cap < 4), at the boundary, or
+        mid-frame: the record arrives whole, followed by the next one."""
+        listener = SocketListener()
+        host, port = listener.address
+        proxy = _SocketProxy(raw_socket.create_connection((host, port)), cap=cap)
+        client = SocketChannel(proxy)
+        server = listener.accept()
+        try:
+            frame = bytes(range(256)) * 8
+            client.send_raw(frame)
+            client.send(CloseFrame(worker_id=7))
+            assert server.recv_raw() == frame
+            assert server.recv() == CloseFrame(worker_id=7)
+            assert proxy.sendmsg_returns[0] == cap
+            # the prefix is transport framing: never counted
+            assert client.wire_bytes_sent == server.wire_bytes_received
+            assert client.wire_bytes_sent == len(frame) + len(encode_frame(CloseFrame(worker_id=7)))
+        finally:
+            client.close()
+            server.close()
+            listener.close()
+
+    def test_dense_frame_through_a_tiny_send_buffer_and_a_slow_reader(self):
+        """With a timeout on the socket (the server side has one whenever
+        an eviction budget is set) ``sendmsg`` returns as soon as the kernel took *some* bytes: with
+        ``SO_SNDBUF`` shrunk and a reader that sleeps between 4 KiB reads
+        the 3.68 MB frame goes out in a short write plus ``sendall``, and
+        still arrives intact, in order behind a small frame."""
+        listener = SocketListener()
+        host, port = listener.address
+        sock = raw_socket.socket()
+        sock.setsockopt(raw_socket.SOL_SOCKET, raw_socket.SO_SNDBUF, 4096)
+        sock.connect((host, port))
+        sock.settimeout(30.0)
+        proxy = _SocketProxy(sock)
+        client = SocketChannel(proxy)
+        reader, _ = listener._sock.accept()
+        small = encode_frame(CloseFrame(worker_id=1))
+        big = _dense_frame_bytes()
+        received = bytearray()
+
+        def slow_reader():
+            reads = 0
+            while len(received) < 8 + len(small) + len(big):
+                chunk = reader.recv(4096)
+                if not chunk:
+                    break
+                received.extend(chunk)
+                reads += 1
+                if reads < 40:
+                    time.sleep(0.002)
+
+        t = threading.Thread(target=slow_reader)
+        t.start()
+        try:
+            client.send_raw(small)
+            client.send_raw(big)
+            t.join(timeout=30)
+            assert not t.is_alive()
+            assert proxy.sendmsg_returns[1] < 4 + len(big)  # the write was short
+            expected = struct.pack("<I", len(small)) + small + struct.pack("<I", len(big)) + big
+            assert bytes(received) == expected
+            assert client.wire_bytes_sent == len(small) + len(big)
+        finally:
+            client.close()
+            reader.close()
+            listener.close()
+
+    def test_read_timeout_fires_mid_frame(self):
+        """A peer that stalls after half a frame: ``recv_into`` times out
+        with the frame partly filled, as ``recv`` did."""
+        listener = SocketListener(read_timeout_s=0.2)
+        peer, server = _raw_peer(listener)
+        try:
+            peer.sendall(struct.pack("<I", 1000) + bytes(500))
+            t0 = time.monotonic()
+            with pytest.raises(ChannelTimeout, match="mid-frame"):
+                server.recv_raw()
+            assert time.monotonic() - t0 < 5.0
+            assert server.wire_bytes_received == 0
+        finally:
+            peer.close()
+            server.close()
+            listener.close()
+
+    def test_eof_mid_frame_is_a_crash(self):
+        listener = SocketListener()
+        peer, server = _raw_peer(listener)
+        try:
+            peer.sendall(struct.pack("<I", 1000) + bytes(500))
+            peer.close()
+            with pytest.raises(EOFError, match="no close frame"):
+                server.recv_raw()
+        finally:
+            server.close()
+            listener.close()
+
+
+class TestCopyCounts:
+    """One copy per hop, as counts: receiving the benchmark's dense frame
+    allocates the frame once, sending it allocates nothing payload-sized.
+    The peer in each test is a bare socket working from memory allocated
+    before tracing starts, so the trace sees one side only."""
+
+    def test_receive_allocates_the_frame_once(self):
+        frame = _dense_frame_bytes()
+        record = struct.pack("<I", len(frame)) + frame
+        listener = SocketListener()
+        peer, server = _raw_peer(listener)
+        t = threading.Thread(target=peer.sendall, args=(record,))
+        try:
+            tracemalloc.start()
+            try:
+                t.start()
+                raw = server.recv_raw()
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            t.join(timeout=10)
+            assert raw == frame and isinstance(raw, bytearray)
+            assert peak <= 1.02 * len(frame)  # was 2.00×: recv chunks + join
+        finally:
+            peer.close()
+            server.close()
+            listener.close()
+
+    def test_send_allocates_no_payload(self):
+        frame = _dense_frame_bytes()
+        listener = SocketListener()
+        peer, server = _raw_peer(listener)
+        sink = memoryview(bytearray(4 + len(frame)))
+
+        def drain():
+            got = 0
+            while got < len(sink):
+                got += peer.recv_into(sink[got:])
+
+        t = threading.Thread(target=drain)
+        try:
+            tracemalloc.start()
+            try:
+                t.start()
+                server.send_raw(frame)
+                t.join(timeout=10)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert not t.is_alive()
+            assert sink[4:] == frame
+            assert peak <= 64 * 1024  # was 1.00× the frame: prefix + raw
+        finally:
+            peer.close()
+            server.close()
+            listener.close()
+
+
+class TestBufferLifetime:
+    def test_decoded_layers_survive_the_next_frame_on_the_channel(self):
+        """Receive buffers are never reused: frame A's layers (views of its
+        buffer) are untouched by receiving and decoding frame B."""
+        listener, client, server = _pair()
+        try:
+            a = {"w": np.arange(5000, dtype=np.float64)}
+            b = {"w": -np.arange(5000, dtype=np.float64)}
+            client.send(GradientFrame(GradientMessage(0, a, 0), loss=0.0))
+            layer_a = server.recv().message.payload["w"]
+            client.send(GradientFrame(GradientMessage(0, b, 1), loss=0.0))
+            layer_b = decode_frame(server.recv_raw()).message.payload["w"]
+            assert not np.shares_memory(layer_a, layer_b)
+            np.testing.assert_array_equal(layer_a, a["w"])
+            np.testing.assert_array_equal(layer_b, b["w"])
         finally:
             client.close()
             server.close()

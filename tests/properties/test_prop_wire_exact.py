@@ -1,0 +1,236 @@
+"""The single-buffer codec and the float32 decode views change no bit.
+
+Two written-down proofs of what the one-copy-per-hop wire path claims:
+
+* **bytes** — for random messages over every payload type, array layout
+  and name length, ``encode_frame`` emits exactly what the previous
+  encoder did.  That encoder (per-array ``astype().tobytes()``, ``+`` per
+  field, ``b"".join`` per message) lives on as the oracle in
+  ``tests/ps/test_codec.py``;
+* **arithmetic** — a decoded dense layer used to be widened to float64
+  before it was applied; now the float32 view is applied directly.  For
+  float32 ``M``, ``g``: ``f32(f64(M) − f64(g)) == M ⊖ g`` because float64
+  carries more than 2·24 + 2 bits (double rounding is innocuous), and
+  assigning or adding a float32 into float64 state widens exactly either
+  way — so every state representation ends up with the same bits.
+"""
+
+from __future__ import annotations
+
+import sys
+from collections import OrderedDict
+from pathlib import Path
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
+
+from repro.comm.frames import DiffFrame, GradientFrame, ModelFrame, decode_frame, encode_frame
+from repro.compression import BitmapTensor, QuantizedSparseTensor, SparseTensor
+from repro.compression.coding import DenseTensor
+from repro.compression.terngrad import TernaryTensor
+from repro.core.arena import LayerArena
+from repro.core.layerops import add_payload, copy_payload
+from repro.core.tracker import ModelDifferenceTracker
+from repro.nn.module import Parameter
+from repro.ps.messages import DiffMessage, GradientMessage, ModelMessage
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "ps"))
+from test_codec import reference_encode_frame  # noqa: E402  (the byte oracle)
+
+#: anything a float32 cast handles without an overflow warning, NaN and ±inf included
+wire_floats = st.one_of(
+    st.floats(min_value=-3e38, max_value=3e38), st.sampled_from([np.nan, np.inf, -np.inf])
+)
+f32_floats = st.floats(width=32, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def dense_arrays(draw):
+    """ndarray layers in every layout the encoder's strided copy must handle."""
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    elements = wire_floats if dtype is np.float64 else st.floats(width=32)
+    layout = draw(st.sampled_from(["c", "f", "slice", "0d", "empty"]))
+    if layout == "0d":
+        return np.array(draw(elements), dtype=dtype)
+    if layout == "empty":
+        return np.zeros(draw(st.sampled_from([(0,), (3, 0), (0, 2, 2)])), dtype=dtype)
+    base = draw(arrays(dtype, array_shapes(min_dims=1, max_dims=3, max_side=7), elements=elements))
+    if layout == "f":
+        return np.asfortranarray(base)
+    if layout == "slice":  # non-contiguous: every other element of the last axis, reversed
+        return base[..., ::-2]
+    return base
+
+
+@st.composite
+def sparse_parts(draw):
+    """(shape, sorted flat indices, float64 values) of a sparse layer."""
+    shape = draw(array_shapes(min_dims=1, max_dims=2, max_side=9))
+    n = int(np.prod(shape))
+    idx = np.array(sorted(draw(st.sets(st.integers(0, n - 1), max_size=n))), dtype=np.int64)
+    vals = np.array(
+        draw(st.lists(wire_floats, min_size=idx.size, max_size=idx.size)), dtype=np.float64
+    )
+    return shape, idx, vals
+
+
+@st.composite
+def layers(draw):
+    kind = draw(st.sampled_from(["array", "coo", "bitmap", "quant", "dense", "ternary"]))
+    if kind == "array":
+        return draw(dense_arrays())
+    if kind == "dense":
+        return DenseTensor(draw(dense_arrays()))
+    shape, idx, vals = draw(sparse_parts())
+    if kind == "coo":
+        return SparseTensor(idx, vals, shape)
+    if kind == "bitmap":
+        return BitmapTensor(idx, vals, shape)
+    signs = np.array(
+        draw(st.lists(st.sampled_from([-1, 1]), min_size=idx.size, max_size=idx.size)),
+        dtype=np.int8,
+    )
+    scale = draw(st.floats(0.0, 1e3, width=32))
+    if kind == "quant":
+        return QuantizedSparseTensor(idx, signs, scale, shape)
+    full = np.zeros(int(np.prod(shape)), dtype=np.int8)
+    full[idx] = signs
+    return TernaryTensor(full, scale, shape)
+
+
+@st.composite
+def payloads(draw):
+    """1–4 layers; name lengths drawn so that, summed with the headers
+    before them, array offsets land on all four alignments."""
+    out = OrderedDict()
+    for i in range(draw(st.integers(1, 4))):
+        name = str(i) + "x" * draw(st.integers(0, 6)) + draw(st.sampled_from(["", "é"]))
+        out[name] = draw(layers())
+    return out
+
+
+@st.composite
+def frames(draw):
+    payload = draw(payloads())
+    worker = draw(st.integers(0, 2**31 - 1))
+    stamp = draw(st.integers(0, 2**40))
+    shard = draw(st.integers(-1, 7))
+    kind = draw(st.sampled_from(["gradient", "diff", "model"]))
+    if kind == "gradient":
+        loss = draw(st.floats(allow_nan=False))
+        return GradientFrame(GradientMessage(worker, payload, stamp), loss, shard=shard)
+    staleness = draw(st.integers(0, 2**20))
+    if kind == "diff":
+        return DiffFrame(DiffMessage(worker, payload, stamp, staleness), shard=shard)
+    return ModelFrame(ModelMessage(worker, payload, stamp, staleness), shard=shard)
+
+
+@given(frame=frames())
+@settings(max_examples=300, deadline=None)
+def test_frame_bytes_are_the_previous_encoders(frame):
+    raw = encode_frame(frame)
+    assert bytes(raw) == reference_encode_frame(frame)
+    # and they decode: same layer names, dense layers as float32 views
+    back = decode_frame(raw)
+    assert list(back.message.payload) == list(frame.message.payload)
+    assert back.shard == frame.shard
+
+
+def test_name_lengths_reach_every_alignment():
+    """The strategy above is only as good as its offsets: one dense layer
+    behind names of length 1..4 starts at four different offsets mod 4."""
+    offsets = set()
+    for extra in range(4):
+        name = "0" + "x" * extra
+        frame = GradientFrame(GradientMessage(0, {name: np.ones(3)}, 0), 0.0)
+        raw = encode_frame(frame)
+        layer = decode_frame(raw).message.payload[name]
+        offsets.add(layer.__array_interface__["data"][0] % 4)
+        assert bytes(raw) == reference_encode_frame(frame)
+    assert offsets == {0, 1, 2, 3}
+
+
+# ----------------------------------------------------------------------
+# arithmetic
+
+
+def _wire_view(g32: np.ndarray, pad: int) -> np.ndarray:
+    """``g32`` as the server sees it: a read-only float32 view at an
+    arbitrary byte offset of a received frame."""
+    name = "w" + "x" * pad
+    raw = encode_frame(GradientFrame(GradientMessage(0, {name: g32}, 0), 0.0))
+    return decode_frame(raw).message.payload[name]
+
+
+f32_vectors = arrays(np.float32, st.integers(1, 64), elements=f32_floats)
+
+
+@given(data=st.data(), pad=st.integers(0, 3))
+@settings(max_examples=200, deadline=None)
+def test_applying_the_float32_view_is_bitwise_the_widened_apply(data, pad):
+    m32 = data.draw(f32_vectors)
+    g32 = data.draw(arrays(np.float32, m32.shape, elements=f32_floats))
+    view = _wire_view(g32, pad)
+    assert view.dtype == np.float32 and not view.flags.writeable
+    widened = g32.astype(np.float64)  # what the decoder used to hand over
+    shapes = {"w": m32.shape}
+
+    def arena_after(dtype, update):
+        tracker = ModelDifferenceTracker(shapes, 1, track_differences=False, arena=True, dtype=dtype)
+        np.copyto(tracker.M["w"], m32)
+        tracker.apply_update({"w": update})
+        return tracker.M["w"]
+
+    for dtype in (np.float32, np.float64):  # arena state, both widths
+        got, want = arena_after(dtype, view), arena_after(dtype, widened)
+        assert got.dtype == dtype
+        assert got.tobytes() == want.tobytes()
+
+    def dict_after(update):  # dict-of-float64 state
+        tracker = ModelDifferenceTracker(shapes, 1, track_differences=False, arena=False)
+        np.copyto(tracker.M["w"], m32)
+        tracker.apply_update({"w": update})
+        return tracker.M["w"]
+
+    assert dict_after(view).tobytes() == dict_after(widened).tobytes()
+
+    # the bare statement of the claim, without the tracker around it
+    direct = m32.copy()
+    direct -= view
+    assert direct.tobytes() == (m32.astype(np.float64) - widened).astype(np.float32).tobytes()
+
+
+@given(data=st.data(), pad=st.integers(0, 3))
+@settings(max_examples=100, deadline=None)
+def test_worker_side_copy_and_add_are_bitwise_the_widened_ones(data, pad):
+    theta = data.draw(arrays(np.float64, st.integers(1, 64), elements=st.floats(-1e6, 1e6)))
+    g32 = data.draw(arrays(np.float32, theta.shape, elements=f32_floats))
+    view, widened = _wire_view(g32, pad), g32.astype(np.float64)
+    for op in (copy_payload, add_payload):
+        got, want = Parameter(theta.copy()), Parameter(theta.copy())
+        op({"w": got}, {"w": view})
+        op({"w": want}, {"w": widened})
+        assert got.data.dtype == np.float64
+        assert got.data.tobytes() == want.data.tobytes()
+    arena = LayerArena({"w": theta.shape}, dtype=np.float64)
+    twin = LayerArena({"w": theta.shape}, dtype=np.float64)
+    for a, update in ((arena, view), (twin, widened)):
+        np.copyto(a["w"], theta)
+        a.add_payload({"w": update})
+    assert arena.flat.tobytes() == twin.flat.tobytes()
+
+
+def test_damping_a_wire_layer_is_damping_the_arena_payload_it_was():
+    """The one consumer that builds a *new* array from a decoded layer:
+    staleness damping multiplies in the layer's dtype, so a wire layer is
+    now damped exactly like the float32 arena payload it was before it
+    crossed the wire (simulator ≡ socket) — not like its float64 widening,
+    which is what the widening decoder made of it."""
+    from repro.core.layerops import scale_payload
+
+    g32 = np.random.default_rng(3).normal(size=257).astype(np.float32)
+    damped = scale_payload({"w": _wire_view(g32, 1)}, 1.0 / 3.0)["w"]
+    assert damped.dtype == np.float32 and damped.flags.writeable
+    assert damped.tobytes() == scale_payload({"w": g32}, 1.0 / 3.0)["w"].tobytes()
