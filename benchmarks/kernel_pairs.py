@@ -52,7 +52,9 @@ MIN_WINS = 2
 #: The sparse-diff pairs' reference side is the degenerate full-array
 #: argpartition, whose time on a tied array swings 2x run to run; the two
 #: ``prepare`` pairs are there for their absolute times on the gradient a
-#: real backward hands over, not for a dict-vs-arena ratio; the
+#: real backward hands over (float32 since the model is), not for a
+#: dict-vs-arena ratio; ``mlp_forward_backward`` is the compute dtype's own
+#: pair (a ``Module.astype`` float64 model against the default); the
 #: ``diff_reply_eq5`` sweep *measures* where the tracker's journal stops
 #: beating its dense scan (``_JOURNAL_MAX_FRACTION``), so its last point is
 #: below 1x by design.
@@ -62,6 +64,7 @@ RECORD_ONLY = (
     "topk_select_sparse_diff_25pct",
     "samomentum_prepare",
     "dense_prepare_model_grad",
+    "mlp_forward_backward",
     *(f"diff_reply_eq5_{u}upd" for u in JOURNALED_UPDATES),
     "bitmap_apply",
     "dense_frame_encode",
@@ -84,22 +87,41 @@ def _layered_shapes(total: int = N, layers: int = 48) -> "OrderedDict[str, tuple
     return shapes
 
 
+def _mlp_step(dtype=None):
+    """One forward/backward of the benchmark's MLP on a batch of 32, as a
+    callable; ``dtype`` converts model and batch (``Module.astype``), the
+    default is what the package builds: float32."""
+    from repro.autograd import Tensor
+    from repro.nn import MLP, cross_entropy
+
+    rng = np.random.default_rng(0)
+    model = MLP(768, (1024, 128), 10, seed=0)
+    x = rng.normal(size=(32, 768)).astype(np.float32)
+    y = rng.integers(0, 10, size=32)
+    if dtype is not None:
+        model.astype(dtype)
+        x = x.astype(dtype)
+
+    def step():
+        loss = cross_entropy(model(Tensor(x)), y)
+        model.zero_grad()
+        loss.backward()
+        return model
+
+    return step
+
+
 def _model_gradient() -> np.ndarray:
     """The (1024, 768) first-layer weight gradient of one real MLP backward.
 
     Taken from the model, not synthesised, so the ``prepare`` pairs time the
     layout and dtype their producer emits: fed a 1-D ``(N,)`` array, the old
     pair never saw that this gradient used to arrive F-ordered and cost the
-    strategies 3-5x (docs/performance.md, "The gradient hand-off").
+    strategies 3-5x (docs/performance.md, "The gradient hand-off"), and fed
+    a float64 one it kept timing a cast the float32 model no longer causes
+    ("The compute dtype").
     """
-    from repro.autograd import Tensor
-    from repro.nn import MLP, cross_entropy
-
-    rng = np.random.default_rng(0)
-    model = MLP(768, (1024, 128), 10, seed=0)
-    loss = cross_entropy(model(Tensor(rng.normal(size=(32, 768)))), rng.integers(0, 10, size=32))
-    loss.backward()
-    return dict(model.named_parameters())["net.0.weight"].grad
+    return dict(_mlp_step()().named_parameters())["net.0.weight"].grad
 
 
 # --- the wire path as it was before "one copy per hop" (docs/performance.md),
@@ -252,6 +274,11 @@ def make_pairs() -> "OrderedDict[str, tuple]":
         lambda: dense_ref.prepare(grads, 0.1),
         lambda: dense_opt.prepare(grads, 0.1),
     )
+
+    # --- the worker's largest layer (RECORD_ONLY): one forward/backward of
+    # the benchmark's MLP.  Reference: the float64 model every run computed
+    # with before "The compute dtype" (dgemm); optimised: the default.
+    pairs["mlp_forward_backward"] = (_mlp_step(np.float64), _mlp_step())
 
     # --- the Eq. 5 reply (RECORD_ONLY): worker k is owed ``M − v_k`` after
     # U top-1 % updates of the benchmark model's first layer (786 432

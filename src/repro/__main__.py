@@ -103,6 +103,7 @@ def main(argv: list[str] | None = None) -> int:
     names = list(EXPERIMENTS) if args.experiment == "all" else [args.experiment]
     if args.sanitize:
         from .analysis.sanitize import sanitize
+        from .autograd import DEFAULT_DTYPE
     tracer = None
     obs_scope = contextlib.ExitStack()
     if getattr(args, "backend", None):
@@ -144,7 +145,13 @@ def main(argv: list[str] | None = None) -> int:
             module, desc = EXPERIMENTS[name]
             print(f"== {desc} ==", file=sys.stderr)
             t0 = time.perf_counter()
-            guard = sanitize() if args.sanitize else contextlib.nullcontext()
+            # Pinned, not inferred: models, datasets, arenas and the wire are
+            # all float32, so the first float64 array is the op that widened.
+            guard = (
+                sanitize(expected_dtype=DEFAULT_DTYPE)
+                if args.sanitize
+                else contextlib.nullcontext()
+            )
             with guard:
                 report = module.run(fast=args.fast)
             elapsed = time.perf_counter() - t0

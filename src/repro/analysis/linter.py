@@ -30,7 +30,7 @@ __all__ = [
 ]
 
 #: subpackages where allocation dtype and similar perf-sensitive rules apply
-HOT_PATH_PREFIXES = ("autograd/", "compression/", "ps/", "optim/")
+HOT_PATH_PREFIXES = ("autograd/", "compression/", "ps/", "optim/", "nn/", "data/")
 
 #: subpackages allowed to mutate ``Tensor.data`` in place
 TENSOR_MUTATION_ALLOWED = ("autograd/", "optim/")

@@ -3,7 +3,9 @@
 NumPy's default dtype is float64; one implicit allocation in the compress →
 ship → decompress cycle silently promotes every downstream buffer (dtype
 creep) and doubles wire/RSS accounting.  In the hot subpackages
-(``autograd/``, ``compression/``, ``ps/``, ``optim/``) every
+(``autograd/``, ``compression/``, ``ps/``, ``optim/``, and — since models
+and datasets are float32 — ``nn/`` and ``data/``, where one
+``np.zeros(num_features)`` re-widens every graph the layer joins) every
 ``np.zeros/ones/empty/full/array`` call must pin its dtype.  ``*_like``
 constructors inherit their dtype and are exempt.
 """

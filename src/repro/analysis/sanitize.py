@@ -16,7 +16,9 @@ the eventual symptom:
 Checks: non-finite values (NaN/Inf) always; *dtype drift* — a floating
 array whose dtype differs from the stream's established dtype (float64
 creep / float32 truncation) — once a baseline dtype is known (taken from
-the first array seen, or pinned via ``expected_dtype``); *layout* — a
+the first array seen, or pinned via ``expected_dtype``: ``python -m repro
+run --sanitize`` pins float32, the width of every model, dataset, arena and
+wire value, so the first float64 array is the op that widened); *layout* — a
 gradient handed to a strategy that is not C-contiguous (a transposed view
 computes the same numbers several times slower: every pass against the
 strategy's C-ordered state strides by a row); *journal* — a reply layer
@@ -340,6 +342,19 @@ def sanitizer_selfcheck() -> "list[str]":
         s.check_array(np.ones(4, dtype=np.float32), "selfcheck.float32-creep")
         if len(s.faults) == before:
             problems.append("dtype-drift check did not fire on a float32 array")
+
+    # 3b) float32 weight × Python scalar stays float32 (a scalar wrapped as a
+    # 0-d float64 array is strong in NumPy's promotion and would re-widen
+    # the graph); the same graph meeting a real float64 operand is drift
+    with sanitize(expected_dtype=np.float32, on_fault="record") as s:
+        w = Parameter(np.ones(4, dtype=np.float32))
+        ((w * 2.0 + 1) / 3.0).sum().backward()
+        if s.faults:
+            problems.append(f"float32 weight × Python scalar did not stay float32: {s.faults[0]}")
+        before = len(s.faults)
+        w * Tensor(np.float64(2.0))
+        if [f.kind for f in s.faults[before:]] != ["dtype-drift"]:
+            problems.append("dtype-drift check did not fire on a float64 operand widening a float32 graph")
 
     # 4) a transposed gradient entering a strategy must be flagged, and only that
     from ..core.strategies import DenseStrategy

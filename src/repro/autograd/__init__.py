@@ -2,12 +2,13 @@
 
 from .gradcheck import gradcheck, numerical_gradient
 from .ops import avg_pool2d, conv2d, global_avg_pool2d, im2col, col2im, linear, max_pool2d
-from .tensor import Tensor, no_grad, is_grad_enabled
+from .tensor import DEFAULT_DTYPE, Tensor, no_grad, is_grad_enabled
 
 __all__ = [
     "Tensor",
     "no_grad",
     "is_grad_enabled",
+    "DEFAULT_DTYPE",
     "gradcheck",
     "numerical_gradient",
     "linear",

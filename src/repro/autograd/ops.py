@@ -6,6 +6,11 @@ primitives) because im2col/col2im is the vectorised formulation — a direct
 loop over output pixels would be orders of magnitude slower in Python —
 and because the composed ``x @ w.T`` hands the weight its gradient as a
 transposed (F-ordered) view (see :func:`linear`).
+
+The ops with a weight (:func:`linear`, :func:`conv2d`) compute in the
+weight's dtype: an input of another width is cast once on the way in, so a
+float64 batch fed to a float32 layer costs one cast and an ``sgemm``, never a
+silent ``dgemm``.  Pooling has no weight and keeps its input's dtype.
 """
 
 from __future__ import annotations
@@ -39,7 +44,8 @@ def linear(x: Tensor, weight: Tensor, bias: "Tensor | None" = None) -> Tensor:
     n_out, n_in = w.shape
     if x.shape[-1] != n_in:
         raise ValueError(f"feature mismatch: input has {x.shape[-1]}, weight expects {n_in}")
-    x2 = x.data.reshape(-1, n_in)  # leading axes flattened: one path for every rank
+    # leading axes flattened: one path for every rank
+    x2 = x.data.reshape(-1, n_in).astype(w.dtype, copy=False)
     out = x2 @ w.T
     if bias is not None:
         out += bias.data
@@ -116,7 +122,7 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None, stride: int = 1, pad:
     f, c2, kh, kw = weight.shape
     if c != c2:
         raise ValueError(f"channel mismatch: input has {c}, kernel expects {c2}")
-    cols, oh, ow = im2col(x.data, kh, kw, stride, pad)
+    cols, oh, ow = im2col(x.data.astype(weight.dtype, copy=False), kh, kw, stride, pad)
     wmat = weight.data.reshape(f, -1)  # (F, C*kh*kw)
     out = cols @ wmat.T  # (N*OH*OW, F)
     if bias is not None:

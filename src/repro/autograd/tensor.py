@@ -11,7 +11,13 @@ Design notes (following the HPC-Python guides):
 * every op is vectorised — there are no per-element Python loops;
 * gradients are accumulated **in place** (``+=``) into preallocated buffers;
 * broadcasting is supported through :func:`_unbroadcast`, which sums a
-  gradient back down to the shape of the input it flowed from.
+  gradient back down to the shape of the input it flowed from;
+* **dtype follows the arrays**: a floating ``ndarray`` or NumPy scalar keeps
+  the dtype it arrives with, everything else (Python numbers, lists, int and
+  bool arrays) becomes :data:`DEFAULT_DTYPE`, and a Python scalar operand
+  takes the dtype of the tensor it meets.  Nothing is forced, so a graph is
+  as wide as the arrays it was built from — float32 for every model and
+  dataset this package hands out, float64 where a test builds one.
 """
 
 from __future__ import annotations
@@ -20,7 +26,10 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-__all__ = ["Tensor", "no_grad", "is_grad_enabled"]
+__all__ = ["Tensor", "no_grad", "is_grad_enabled", "DEFAULT_DTYPE"]
+
+#: dtype of data that does not bring a floating dtype of its own
+DEFAULT_DTYPE = np.dtype(np.float32)
 
 _GRAD_ENABLED = True
 
@@ -59,11 +68,12 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return grad.reshape(shape)
 
 
-def _as_array(data: "Tensor | np.ndarray | float | int | list", dtype=np.float64) -> np.ndarray:
+def _as_array(data: "Tensor | np.ndarray | float | int | list") -> np.ndarray:
     if isinstance(data, Tensor):
         return data.data
-    arr = np.asarray(data, dtype=dtype)
-    return arr
+    if isinstance(data, (np.ndarray, np.generic)) and data.dtype.kind == "f":
+        return np.asarray(data)
+    return np.asarray(data, dtype=DEFAULT_DTYPE)
 
 
 class Tensor:
@@ -197,11 +207,24 @@ class Tensor:
                 if node._parents and node is not self:
                     pass  # keep grads: some consumers (grad checks) inspect them
 
+    def _operand(self, other) -> "Tensor":
+        """``other`` as a tensor; a Python scalar takes this tensor's dtype.
+
+        NumPy treats a 0-d array as strong in promotion, so a scalar wrapped
+        at any fixed dtype would silently re-type every graph of another
+        width it touched.
+        """
+        if isinstance(other, Tensor):
+            return other
+        if isinstance(other, (int, float)):  # bool is an int
+            return Tensor(np.asarray(other, dtype=self.data.dtype))
+        return Tensor(other)
+
     # ------------------------------------------------------------------
     # Elementwise arithmetic
     # ------------------------------------------------------------------
     def __add__(self, other) -> "Tensor":
-        other = other if isinstance(other, Tensor) else Tensor(other)
+        other = self._operand(other)
         out_data = self.data + other.data
 
         def backward(g: np.ndarray) -> None:
@@ -222,7 +245,7 @@ class Tensor:
         return self._make(-self.data, (self,), backward)
 
     def __sub__(self, other) -> "Tensor":
-        other = other if isinstance(other, Tensor) else Tensor(other)
+        other = self._operand(other)
         out_data = self.data - other.data
 
         def backward(g: np.ndarray) -> None:
@@ -234,10 +257,10 @@ class Tensor:
         return self._make(out_data, (self, other), backward)
 
     def __rsub__(self, other) -> "Tensor":
-        return Tensor(other) - self
+        return self._operand(other) - self
 
     def __mul__(self, other) -> "Tensor":
-        other = other if isinstance(other, Tensor) else Tensor(other)
+        other = self._operand(other)
         out_data = self.data * other.data
 
         def backward(g: np.ndarray) -> None:
@@ -251,7 +274,7 @@ class Tensor:
     __rmul__ = __mul__
 
     def __truediv__(self, other) -> "Tensor":
-        other = other if isinstance(other, Tensor) else Tensor(other)
+        other = self._operand(other)
         out_data = self.data / other.data
 
         def backward(g: np.ndarray) -> None:
@@ -265,7 +288,7 @@ class Tensor:
         return self._make(out_data, (self, other), backward)
 
     def __rtruediv__(self, other) -> "Tensor":
-        return Tensor(other) / self
+        return self._operand(other) / self
 
     def __pow__(self, exponent: float) -> "Tensor":
         if not np.isscalar(exponent):
@@ -282,7 +305,7 @@ class Tensor:
     # Matrix / reduction ops
     # ------------------------------------------------------------------
     def matmul(self, other: "Tensor") -> "Tensor":
-        other = other if isinstance(other, Tensor) else Tensor(other)
+        other = self._operand(other)
         out_data = self.data @ other.data
 
         def backward(g: np.ndarray) -> None:
@@ -497,6 +520,7 @@ class Tensor:
 
 def _tensor_factory(fn):
     def wrapper(*args, requires_grad: bool = False, **kwargs) -> Tensor:
+        kwargs.setdefault("dtype", DEFAULT_DTYPE)
         return Tensor(fn(*args, **kwargs), requires_grad=requires_grad)
 
     wrapper.__name__ = fn.__name__

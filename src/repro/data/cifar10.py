@@ -8,9 +8,9 @@ Pure NumPy parsing of the binary record format:
 
     <1 byte label><3072 bytes pixels (R, G, B planes, 32×32 row-major)>
 
-Images come out as float64 ``(N, 3, 32, 32)`` normalised to zero mean and
+Images come out as float32 ``(N, 3, 32, 32)`` normalised to zero mean and
 unit variance per channel (the statistics are computed from the training
-batches themselves, so no magic constants).
+batches themselves, accumulated in double, so no magic constants).
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ TEST_FILE = "test_batch.bin"
 
 
 def read_cifar10_batch(path: "str | pathlib.Path") -> tuple[np.ndarray, np.ndarray]:
-    """Parse one binary batch file into ((N,3,32,32) float64, (N,) labels)."""
+    """Parse one binary batch file into ((N,3,32,32) float32, (N,) labels)."""
     raw = np.fromfile(str(path), dtype=np.uint8)
     if raw.size == 0 or raw.size % _RECORD_BYTES != 0:
         raise ValueError(
@@ -45,7 +45,7 @@ def read_cifar10_batch(path: "str | pathlib.Path") -> tuple[np.ndarray, np.ndarr
     labels = records[:, 0].astype(np.int64)
     if labels.max(initial=0) > 9:
         raise ValueError(f"{path}: labels out of range — not a CIFAR-10 batch?")
-    images = records[:, 1:].reshape(-1, 3, 32, 32).astype(np.float64)
+    images = records[:, 1:].reshape(-1, 3, 32, 32).astype(np.float32)
     return images, labels
 
 
@@ -72,15 +72,18 @@ def load_cifar10(
     x_train = np.concatenate(xs)
     y_train = np.concatenate(ys)
 
-    # Per-channel standardisation from the training data.
-    mean = x_train.mean(axis=(0, 2, 3), keepdims=True)
-    std = x_train.std(axis=(0, 2, 3), keepdims=True)
+    # Per-channel standardisation from the training data, in place: the
+    # statistics accumulate in double and are applied at the images' width.
+    mean = x_train.mean(axis=(0, 2, 3), keepdims=True, dtype=float).astype(np.float32)
+    std = x_train.std(axis=(0, 2, 3), keepdims=True, dtype=float).astype(np.float32)
     std[std == 0] = 1.0
-    x_train = (x_train - mean) / std
+    x_train -= mean
+    x_train /= std
 
     if val_from_test and (root / TEST_FILE).exists():
         x_val, y_val = read_cifar10_batch(root / TEST_FILE)
-        x_val = (x_val - mean) / std
+        x_val -= mean
+        x_val /= std
     else:
         rng = np.random.default_rng(seed)
         perm = rng.permutation(len(x_train))

@@ -11,6 +11,11 @@ Generation model for image datasets: each class draws a smooth random
 deformation (shift + channel gain) plus Gaussian pixel noise.  The
 ``difficulty`` knob scales noise relative to template separation so that
 reaching high accuracy requires genuine optimisation, not memorisation.
+
+Inputs come out float32, the width the models compute at, so a batch reaches
+the first layer without a cast.  The generators still draw from the
+``Generator``'s double stream and round once, so every seed names the values
+it always did, to float32 rounding.
 """
 
 from __future__ import annotations
@@ -86,6 +91,10 @@ def _split(
     return x[train], y[train], x[val], y[val]
 
 
+#: rows of ``make_blobs`` generated per pass (1.5 MB of doubles at dim 768)
+_BLOCK_ROWS = 256
+
+
 def make_blobs(
     n_samples: int = 1000,
     num_classes: int = 10,
@@ -99,7 +108,15 @@ def make_blobs(
     rng = np.random.default_rng(seed)
     centers = rng.normal(0.0, sep, size=(num_classes, dim))
     y = rng.integers(0, num_classes, size=n_samples)
-    x = centers[y] + rng.normal(0.0, noise, size=(n_samples, dim))
+    # Row blocks drawn in order consume the stream exactly as one
+    # (n_samples, dim) draw would; each block is summed in double and rounded
+    # as it lands, so the only sample-sized array ever alive is the result.
+    x = np.empty((n_samples, dim), dtype=np.float32)
+    for start in range(0, n_samples, _BLOCK_ROWS):
+        labels = y[start : start + _BLOCK_ROWS]
+        x[start : start + _BLOCK_ROWS] = centers[labels] + rng.normal(
+            0.0, noise, size=(len(labels), dim)
+        )
     xtr, ytr, xv, yv = _split(x, y, val_fraction, rng)
     return Dataset(xtr, ytr, xv, yv, num_classes, name="blobs")
 
@@ -120,6 +137,7 @@ def make_spirals(
     angle = 2 * np.pi * (turns * t + y / num_classes)
     x = np.stack([radius * np.cos(angle), radius * np.sin(angle)], axis=1)
     x += rng.normal(0.0, noise, size=x.shape)
+    x = x.astype(np.float32)
     xtr, ytr, xv, yv = _split(x, y, val_fraction, rng)
     return Dataset(xtr, ytr, xv, yv, num_classes, name="spirals")
 
@@ -154,7 +172,7 @@ def make_image_classes(
     templates = np.stack([_smooth_template(rng, channels, size) for _ in range(num_classes)])
     y = rng.integers(0, num_classes, size=n_samples)
 
-    x = templates[y].copy()
+    x = templates[y]  # fancy indexing: already a fresh array
     # Random spatial shift by up to 1 pixel (np.roll per-sample, vectorised
     # by grouping the nine possible shifts).
     shifts = rng.integers(-1, 2, size=(n_samples, 2))
@@ -165,8 +183,9 @@ def make_image_classes(
                 x[mask] = np.roll(x[mask], shift=(dy, dx), axis=(2, 3))
     # Per-sample channel gain and additive noise.
     gain = 1.0 + 0.1 * rng.normal(size=(n_samples, channels, 1, 1))
-    x = x * gain + rng.normal(0.0, 0.35 * difficulty, size=x.shape)
-    x = x.astype(np.float64)
+    x *= gain
+    x += rng.normal(0.0, 0.35 * difficulty, size=x.shape)
+    x = x.astype(np.float32)
 
     xtr, ytr, xv, yv = _split(x, y, val_fraction, rng)
     return Dataset(xtr, ytr, xv, yv, num_classes, name=name)

@@ -6,6 +6,11 @@ the server (the v_k vectors) — one V100 (16 GB) can host >300 ResNet-18
 *plus* the residual accumulator with a single buffer, saving
 ``ParameterMemOfModel`` per worker; so DGS only *moves* memory from workers
 to the server.
+
+Everything is counted in **model units**: bytes of state over bytes of the
+model, both at the dtype the production path holds them — float32
+parameters, float32 arena state (``arena=True``).  The report's title names
+that dtype; a unit is a count of parameters, not of bytes.
 """
 
 from __future__ import annotations
@@ -27,12 +32,16 @@ def run(fast: bool | None = None, seeds: tuple[int, ...] = (0,)) -> ExperimentRe
     theta0 = parameters_of(model)
     shapes = {n: a.shape for n, a in theta0.items()}
     model_bytes = sum(a.nbytes for a in theta0.values())
+    (dtype,) = {a.dtype for a in theta0.values()}
     hyper = wl.hyper
     num_workers = 8
 
     report = ExperimentReport(
         experiment_id="Sec 5.6.2",
-        title=f"Memory usage accounting ({num_workers} workers; model = {model_bytes / 1024:.1f} KiB)",
+        title=(
+            f"Memory usage accounting ({num_workers} workers; "
+            f"1 model unit = {model_bytes / 1024:.1f} KiB of {dtype})"
+        ),
         headers=(
             "Method",
             "Server state (model units)",
@@ -47,8 +56,10 @@ def run(fast: bool | None = None, seeds: tuple[int, ...] = (0,)) -> ExperimentRe
             num_workers,
             downstream=spec.downstream,
             secondary_ratio=None,
+            arena=True,
+            arena_dtype=dtype,
         )
-        strategy = spec.make_strategy(shapes, hyper)
+        strategy = spec.make_strategy(shapes, hyper, arena=True, arena_dtype=dtype)
         server_units = server.tracker.server_state_bytes() / model_bytes
         worker_units = strategy.state_bytes() / model_bytes
         total_units = server_units + num_workers * worker_units

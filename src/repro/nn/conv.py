@@ -34,7 +34,7 @@ class Conv2d(Module):
         self.weight = Parameter(
             init.kaiming_uniform((out_channels, in_channels, kernel_size, kernel_size), rng)
         )
-        self.bias = Parameter(np.zeros(out_channels)) if bias else None
+        self.bias = Parameter(init.zeros((out_channels,))) if bias else None
 
     def forward(self, x: Tensor) -> Tensor:
         return conv2d(x, self.weight, self.bias, stride=self.stride, pad=self.padding)

@@ -1,10 +1,18 @@
-"""Weight initialisation schemes."""
+"""Weight initialisation schemes.
+
+Every scheme returns :data:`~repro.autograd.DEFAULT_DTYPE` (float32) arrays.
+The random ones draw from the generator's double stream and round, so a seed
+names the same weights at every width (``Module.astype`` widens them back
+exactly).
+"""
 
 from __future__ import annotations
 
 import math
 
 import numpy as np
+
+from ..autograd import DEFAULT_DTYPE
 
 __all__ = ["kaiming_uniform", "kaiming_normal", "xavier_uniform", "zeros", "ones"]
 
@@ -25,24 +33,24 @@ def kaiming_uniform(shape: tuple[int, ...], rng: np.random.Generator, gain: floa
     """He/Kaiming uniform init (the ResNet default)."""
     fan_in, _ = _fan_in_out(shape)
     bound = gain * math.sqrt(3.0 / fan_in)
-    return rng.uniform(-bound, bound, size=shape)
+    return rng.uniform(-bound, bound, size=shape).astype(DEFAULT_DTYPE)
 
 
 def kaiming_normal(shape: tuple[int, ...], rng: np.random.Generator, gain: float = math.sqrt(2.0)) -> np.ndarray:
     fan_in, _ = _fan_in_out(shape)
     std = gain / math.sqrt(fan_in)
-    return rng.normal(0.0, std, size=shape)
+    return rng.normal(0.0, std, size=shape).astype(DEFAULT_DTYPE)
 
 
 def xavier_uniform(shape: tuple[int, ...], rng: np.random.Generator, gain: float = 1.0) -> np.ndarray:
     fan_in, fan_out = _fan_in_out(shape)
     bound = gain * math.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-bound, bound, size=shape)
+    return rng.uniform(-bound, bound, size=shape).astype(DEFAULT_DTYPE)
 
 
 def zeros(shape: tuple[int, ...]) -> np.ndarray:
-    return np.zeros(shape)
+    return np.zeros(shape, dtype=DEFAULT_DTYPE)
 
 
 def ones(shape: tuple[int, ...]) -> np.ndarray:
-    return np.ones(shape)
+    return np.ones(shape, dtype=DEFAULT_DTYPE)

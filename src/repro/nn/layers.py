@@ -26,7 +26,7 @@ class Linear(Module):
         self.in_features = in_features
         self.out_features = out_features
         self.weight = Parameter(init.kaiming_uniform((out_features, in_features), rng))
-        self.bias = Parameter(np.zeros(out_features)) if bias else None
+        self.bias = Parameter(init.zeros((out_features,))) if bias else None
 
     def forward(self, x: Tensor) -> Tensor:
         return linear(x, self.weight, self.bias)
@@ -75,5 +75,7 @@ class Dropout(Module):
     def forward(self, x: Tensor) -> Tensor:
         if not self.training or self.p == 0.0:
             return x
-        mask = (self.rng.random(x.shape) >= self.p) / (1.0 - self.p)
-        return x * Tensor(mask)
+        # bool × a scalar of x's dtype: the mask is born at the activations'
+        # width (bool / float would make it float64 and widen the graph)
+        keep = self.rng.random(x.shape) >= self.p
+        return x * Tensor(keep * x.dtype.type(1.0 / (1.0 - self.p)))

@@ -33,7 +33,9 @@ def cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:
         def backward(g: np.ndarray) -> None:
             probs = np.exp(logp)
             probs[np.arange(n), targets] -= 1.0
-            logits._accumulate(g * probs / n)
+            probs *= g  # g * probs / n in place: stays the logits' dtype
+            probs /= n
+            logits._accumulate(probs, owned=True)
 
         out.requires_grad = True
         out._parents = (logits,)

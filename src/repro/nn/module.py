@@ -100,7 +100,7 @@ class Module:
         for name, p in self.named_parameters():
             state[name] = p.data.copy()
         for name, b in self.named_buffers():
-            state[f"buffer:{name}"] = np.array(b, copy=True)
+            state[f"buffer:{name}"] = b.copy()
         return state
 
     def load_state_dict(self, state: "OrderedDict[str, np.ndarray]") -> None:
@@ -118,7 +118,35 @@ class Module:
         mod: Module = self
         for part in parts[:-1]:
             mod = mod._modules[part]
-        mod.set_buffer(parts[-1], np.array(value, copy=True))
+        # Copy into the registered buffer's dtype, as np.copyto does for the
+        # parameters above: a float64 checkpoint must not re-widen the model.
+        name = parts[-1]
+        registered = mod._buffers[name]  # KeyError: not a registered buffer
+        value = np.asarray(value)
+        if value.shape != registered.shape:
+            raise ValueError(
+                f"buffer {dotted!r} has shape {registered.shape}, checkpoint has {value.shape}"
+            )
+        mod.set_buffer(name, value.astype(registered.dtype))
+
+    # ------------------------------------------------------------------
+    def astype(self, dtype: "np.dtype | type | str") -> "Module":
+        """Convert every parameter and buffer to ``dtype``, in place.
+
+        Models are built float32 (:data:`repro.autograd.DEFAULT_DTYPE`); this
+        is the one way to get another width — the float64 model that
+        ``gradcheck`` and the parity oracles need.  Widening is exact, so
+        ``model.astype(np.float64)`` holds the same θ0 as its float32 twin.
+        Gradients are dropped (they belong to the old arrays); returns
+        ``self`` for chaining.
+        """
+        for module in self.modules():
+            for p in module._parameters.values():
+                p.data = p.data.astype(dtype)  # repro: noqa TEN001 — dtype conversion
+                p.grad = None
+            for name, b in list(module._buffers.items()):
+                module.set_buffer(name, b.astype(dtype))
+        return self
 
 
 class Sequential(Module):

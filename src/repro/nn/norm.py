@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..autograd import Tensor
+from . import init
 from .module import Module, Parameter
 
 __all__ = ["BatchNorm1d", "BatchNorm2d", "LayerNorm", "GroupNorm"]
@@ -20,10 +21,10 @@ class _BatchNorm(Module):
         self.num_features = num_features
         self.eps = eps
         self.momentum = momentum
-        self.weight = Parameter(np.ones(num_features))
-        self.bias = Parameter(np.zeros(num_features))
-        self.register_buffer("running_mean", np.zeros(num_features))
-        self.register_buffer("running_var", np.ones(num_features))
+        self.weight = Parameter(init.ones((num_features,)))
+        self.bias = Parameter(init.zeros((num_features,)))
+        self.register_buffer("running_mean", init.zeros((num_features,)))
+        self.register_buffer("running_var", init.ones((num_features,)))
 
     def _reshape_stats(self, arr: np.ndarray, ndim: int) -> np.ndarray:
         shape = [1] * ndim
@@ -35,14 +36,15 @@ class _BatchNorm(Module):
         if self.training:
             mean = x.mean(axis=axes, keepdims=True)
             var = ((x - mean) ** 2).mean(axis=axes, keepdims=True)
-            # Update running stats (outside the tape).
+            # Update running stats (outside the tape), in the buffers' dtype
+            # whatever width the batch statistics arrived at.
             m = self.momentum
             n = int(np.prod([x.shape[a] for a in axes]))
             unbias = n / max(n - 1, 1)
-            new_mean = (1 - m) * self._buffers["running_mean"] + m * mean.data.reshape(-1)
-            new_var = (1 - m) * self._buffers["running_var"] + m * unbias * var.data.reshape(-1)
-            self.set_buffer("running_mean", new_mean)
-            self.set_buffer("running_var", new_var)
+            for name, batch_stat in (("running_mean", mean.data), ("running_var", unbias * var.data)):
+                running = self._buffers[name]
+                new = (1 - m) * running + m * batch_stat.reshape(-1)
+                self.set_buffer(name, new.astype(running.dtype, copy=False))
             xhat = (x - mean) / (var + self.eps) ** 0.5
         else:
             mean = Tensor(self._reshape_stats(self._buffers["running_mean"], x.ndim))
@@ -89,8 +91,8 @@ class LayerNorm(Module):
         super().__init__()
         self.num_features = num_features
         self.eps = eps
-        self.weight = Parameter(np.ones(num_features))
-        self.bias = Parameter(np.zeros(num_features))
+        self.weight = Parameter(init.ones((num_features,)))
+        self.bias = Parameter(init.zeros((num_features,)))
 
     def forward(self, x: Tensor) -> Tensor:
         if x.shape[-1] != self.num_features:
@@ -113,8 +115,8 @@ class GroupNorm(Module):
         self.num_groups = num_groups
         self.num_channels = num_channels
         self.eps = eps
-        self.weight = Parameter(np.ones(num_channels))
-        self.bias = Parameter(np.zeros(num_channels))
+        self.weight = Parameter(init.ones((num_channels,)))
+        self.bias = Parameter(init.zeros((num_channels,)))
 
     def forward(self, x: Tensor) -> Tensor:
         if x.ndim != 4 or x.shape[1] != self.num_channels:

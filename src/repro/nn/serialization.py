@@ -17,7 +17,7 @@ def save_checkpoint(model: Module, path: "str | pathlib.Path") -> None:
     """Write all parameters and buffers of ``model`` to an .npz file."""
     state = model.state_dict()
     payload = {_sanitize(k): v for k, v in state.items()}
-    payload[_META_KEY] = np.array(list(state.keys()))
+    payload[_META_KEY] = np.array(list(state.keys()), dtype=str)
     np.savez(path, **payload)
 
 

@@ -127,7 +127,7 @@ def _decode_layer(buf: memoryview, off: int):
         off += 4
         idx = np.frombuffer(buf, dtype="<u4", count=nnz, offset=off).astype(np.int64)
         off += 4 * nnz
-        vals = np.frombuffer(buf, dtype="<f4", count=nnz, offset=off).astype(np.float64)
+        vals = np.frombuffer(buf, dtype=_F4, count=nnz, offset=off).astype(np.float32)
         off += 4 * nnz
         return name, SparseTensor(idx, vals, shape), off
     if tag == 2:
@@ -145,7 +145,7 @@ def _decode_layer(buf: memoryview, off: int):
         bm_len = (n + 7) // 8
         bitmap = np.frombuffer(buf, dtype=np.uint8, count=bm_len, offset=off)
         off += bm_len
-        vals = np.frombuffer(buf, dtype="<f4", count=nnz, offset=off).astype(np.float64)
+        vals = np.frombuffer(buf, dtype=_F4, count=nnz, offset=off).astype(np.float32)
         off += 4 * nnz
         return name, BitmapTensor.from_packed(bitmap, vals, shape), off
     raise ValueError(f"unknown layer tag {tag}")

@@ -75,8 +75,9 @@ class TestFaultDetection:
     def test_model_gradients_enter_prepare_clean(self):
         """A real backward hands every strategy C-ordered gradients."""
         model = MLP(6, (8,), 3, seed=0)
-        with sanitize(expected_dtype=np.float64) as s:
-            cross_entropy(model(Tensor(np.ones((4, 6)))), np.array([0, 1, 2, 0])).backward()
+        with sanitize(expected_dtype=np.float32) as s:
+            batch = Tensor(np.ones((4, 6), dtype=np.float32))
+            cross_entropy(model(batch), np.array([0, 1, 2, 0])).backward()
             DenseStrategy(layer_shapes(model)).prepare(gradients_of(model), 0.1)
         assert s.faults == []
 

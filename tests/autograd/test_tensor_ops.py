@@ -20,7 +20,7 @@ class TestArithmetic:
         assert gradcheck(lambda a, b: (a + b).sum(), [a, b])
 
     def test_add_broadcast_scalar_tensor(self, rng):
-        a, b = t(rng, 3, 4), Tensor(2.5, requires_grad=True)
+        a, b = t(rng, 3, 4), Tensor(np.float64(2.5), requires_grad=True)
         assert gradcheck(lambda a, b: (a + b).sum(), [a, b])
 
     def test_add_python_scalar(self, rng):

@@ -22,7 +22,7 @@ class TestEvaluateModel:
         assert model.training
 
     def test_batching_equals_full_pass(self, tiny_dataset, tiny_model_factory):
-        model = tiny_model_factory()
+        model = tiny_model_factory().astype(np.float64)  # the 1e-9 is a double's
         a1 = evaluate_model(model, tiny_dataset.x_val, tiny_dataset.y_val, batch_size=7)
         a2 = evaluate_model(model, tiny_dataset.x_val, tiny_dataset.y_val, batch_size=1000)
         assert a1[0] == pytest.approx(a2[0])

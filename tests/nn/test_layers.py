@@ -9,7 +9,7 @@ from repro.nn import Dropout, Flatten, Identity, Linear, ReLU, Sigmoid, Tanh
 
 class TestLinear:
     def test_forward_values(self, rng):
-        lin = Linear(4, 3, rng=rng)
+        lin = Linear(4, 3, rng=rng).astype(np.float64)
         x = rng.normal(size=(5, 4))
         out = lin(Tensor(x))
         np.testing.assert_allclose(out.data, x @ lin.weight.data.T + lin.bias.data)
@@ -21,7 +21,7 @@ class TestLinear:
         assert lin.weight.grad is not None and lin.bias.grad is not None
 
     def test_gradcheck(self, rng):
-        lin = Linear(3, 2, rng=rng)
+        lin = Linear(3, 2, rng=rng).astype(np.float64)
         x = Tensor(rng.normal(size=(2, 3)), requires_grad=True)
         assert gradcheck(lambda x: (lin(x) ** 2).sum(), [x])
 

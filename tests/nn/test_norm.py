@@ -50,7 +50,7 @@ class TestBatchNorm1d:
             BatchNorm1d(3)(Tensor(rng.normal(size=(2, 3, 4))))
 
     def test_gradcheck(self, rng):
-        bn = BatchNorm1d(3)
+        bn = BatchNorm1d(3).astype(np.float64)
         x = Tensor(rng.normal(size=(6, 3)), requires_grad=True)
         assert gradcheck(lambda x: (bn(x) ** 2).sum(), [x], atol=1e-3)
 
@@ -73,12 +73,12 @@ class TestBatchNorm2d:
             BatchNorm2d(3)(Tensor(rng.normal(size=(2, 3))))
 
     def test_gradcheck(self, rng):
-        bn = BatchNorm2d(2)
+        bn = BatchNorm2d(2).astype(np.float64)
         x = Tensor(rng.normal(size=(3, 2, 3, 3)), requires_grad=True)
         assert gradcheck(lambda x: (bn(x) ** 2).sum(), [x], atol=1e-3)
 
     def test_running_var_unbiased(self, rng):
-        bn = BatchNorm2d(1, momentum=1.0)
+        bn = BatchNorm2d(1, momentum=1.0).astype(np.float64)
         x = rng.normal(0.0, 3.0, size=(16, 1, 8, 8))
         bn(Tensor(x))
         n = 16 * 64
@@ -117,7 +117,7 @@ class TestLayerNorm:
     def test_gradcheck(self, rng):
         from repro.nn import LayerNorm
 
-        ln = LayerNorm(5)
+        ln = LayerNorm(5).astype(np.float64)
         x = Tensor(rng.normal(size=(3, 5)), requires_grad=True)
         assert gradcheck(lambda x: (ln(x) ** 2).sum(), [x], atol=1e-3)
 
@@ -147,7 +147,7 @@ class TestGroupNorm:
     def test_gradcheck(self, rng):
         from repro.nn import GroupNorm
 
-        gn = GroupNorm(2, 4)
+        gn = GroupNorm(2, 4).astype(np.float64)
         x = Tensor(rng.normal(size=(2, 4, 3, 3)), requires_grad=True)
         assert gradcheck(lambda x: (gn(x) ** 2).sum(), [x], atol=1e-3)
 

@@ -12,7 +12,10 @@ Two written-down proofs of what the one-copy-per-hop wire path claims:
   float32 ``M``, ``g``: ``f32(f64(M) − f64(g)) == M ⊖ g`` because float64
   carries more than 2·24 + 2 bits (double rounding is innocuous), and
   assigning or adding a float32 into float64 state widens exactly either
-  way — so every state representation ends up with the same bits.
+  way — so every state representation ends up with the same bits.  The same
+  holds, by the same argument, for the values of a sparse wire layer (COO
+  and bitmap), which used to be widened too and now arrive as owned float32
+  exactly as they do in-process.
 """
 
 from __future__ import annotations
@@ -222,6 +225,55 @@ def test_worker_side_copy_and_add_are_bitwise_the_widened_ones(data, pad):
     assert arena.flat.tobytes() == twin.flat.tobytes()
 
 
+def _sparse_wire_layer(cls, idx: np.ndarray, v32: np.ndarray, shape, pad: int):
+    """A COO/bitmap layer as either side sees it after the wire."""
+    name = "w" + "x" * pad
+    raw = encode_frame(GradientFrame(GradientMessage(0, {name: cls(idx, v32, shape)}, 0), 0.0))
+    return decode_frame(raw).message.payload[name]
+
+
+@given(data=st.data(), pad=st.integers(0, 3), cls=st.sampled_from([SparseTensor, BitmapTensor]))
+@settings(max_examples=150, deadline=None)
+def test_sparse_wire_values_are_owned_float32_and_apply_bitwise_as_widened(data, pad, cls):
+    m32 = data.draw(f32_vectors)
+    n = m32.size
+    idx = np.array(sorted(data.draw(st.sets(st.integers(0, n - 1), max_size=n))), dtype=np.int64)
+    v32 = data.draw(arrays(np.float32, idx.size, elements=f32_floats))
+    layer = _sparse_wire_layer(cls, idx, v32, m32.shape, pad)
+    assert type(layer) is cls
+    assert layer.values.dtype == np.float32  # what the same payload carries in-process
+    assert layer.values.flags.owndata and layer.values.flags.writeable
+    assert layer.values.tobytes() == v32.tobytes()
+    np.testing.assert_array_equal(layer.indices, idx)
+    widened = cls(idx, v32.astype(np.float64), m32.shape)  # what the decoder used to hand over
+    shapes = {"w": m32.shape}
+
+    def server_after(update, **state):
+        tracker = ModelDifferenceTracker(shapes, 1, track_differences=False, **state)
+        np.copyto(tracker.M["w"], m32)
+        tracker.apply_update({"w": update})
+        return tracker.M["w"]
+
+    for state in (
+        dict(arena=True, dtype=np.float32),
+        dict(arena=True, dtype=np.float64),
+        dict(arena=False),  # dict-of-float64
+    ):
+        assert server_after(layer, **state).tobytes() == server_after(widened, **state).tobytes()
+
+    for dtype in (np.float32, np.float64):  # a worker replica of either width
+        got, want = Parameter(m32.astype(dtype)), Parameter(m32.astype(dtype))
+        add_payload({"w": got}, {"w": layer})
+        add_payload({"w": want}, {"w": widened})
+        assert got.data.dtype == dtype and got.data.tobytes() == want.data.tobytes()
+
+    direct = m32.copy()
+    layer.add_into(direct)
+    expect = m32.astype(np.float64)
+    expect[idx] += v32
+    assert direct.tobytes() == expect.astype(np.float32).tobytes()
+
+
 def test_damping_a_wire_layer_is_damping_the_arena_payload_it_was():
     """The one consumer that builds a *new* array from a decoded layer:
     staleness damping multiplies in the layer's dtype, so a wire layer is
@@ -234,3 +286,17 @@ def test_damping_a_wire_layer_is_damping_the_arena_payload_it_was():
     damped = scale_payload({"w": _wire_view(g32, 1)}, 1.0 / 3.0)["w"]
     assert damped.dtype == np.float32 and damped.flags.writeable
     assert damped.tobytes() == scale_payload({"w": g32}, 1.0 / 3.0)["w"].tobytes()
+
+    # ... and so is a sparse wire layer, in both sparse wire formats: its
+    # values come off the wire as the float32 they were, so the damped
+    # payload is the one the simulator builds without a wire.
+    idx = np.arange(0, 257, 3)
+    for cls in (SparseTensor, BitmapTensor):
+        in_process = cls(idx, g32[idx], (257,))
+        wire = _sparse_wire_layer(cls, idx, g32[idx], (257,), 1)
+        damped = scale_payload({"w": wire}, 1.0 / 3.0)["w"]
+        assert type(damped) is cls and damped.values.dtype == np.float32
+        want = scale_payload({"w": in_process}, 1.0 / 3.0)["w"]
+        assert damped.values.tobytes() == want.values.tobytes()
+        widened = (g32[idx].astype(np.float64) * (1.0 / 3.0)).astype(np.float32)
+        assert damped.values.tobytes() != widened.tobytes()  # the visible difference
