@@ -14,10 +14,10 @@ compare against.
 PERF002 — no payload decode inside a lock-held region.  Decoding a frame
 or message (``decode_frame`` / ``decode_message``) is O(payload) numpy
 work; doing it under a server or channel lock stretches the hold time and
-serialises every other shard lane behind a pure-compute step.  The
-parallel serve loop's whole design is decode-*outside*-lock (lanes decode
-before dispatching under their shard lock); this rule keeps ``ps/`` and
-``comm/`` from regressing that.
+makes every other caller of that lock (the threaded backend's workers)
+wait behind a pure-compute step.  The serve loop decodes before it calls
+``handle``/``handle_shard``; this rule keeps ``ps/`` and ``comm/`` from
+regressing that.
 
 PERF003 — no payload-sized copy on the wire path.  A frame crosses each
 hop of an exchange with one copy: the codec cast-copies every array once
@@ -154,9 +154,9 @@ class DecodeUnderLockRule(Rule):
                             call,
                             f"payload decode '{name}(...)' inside a "
                             "lock-held region; decode before acquiring "
-                            "the lock (the parallel serve lanes decode "
-                            "outside every lock — see docs/comm.md) and "
-                            "hand the decoded message in",
+                            "the lock (the serve loop decodes before it "
+                            "calls handle — see docs/comm.md) and hand "
+                            "the decoded message in",
                         )
 
 

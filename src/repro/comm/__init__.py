@@ -17,10 +17,6 @@ The server side is one transport-agnostic loop —
 :class:`~repro.comm.service.ServerService` — with crash-to-partial-result
 semantics, telemetry absorption, elastic membership (join/leave control
 frames), and straggler eviction, identical under pipes and sockets.
-``serve_channels(..., shard_lanes=N)`` upgrades it to the parallel mode:
-per-shard executor lanes decode shard-addressed payloads outside every
-lock while the loop's own thread demuxes raw bytes by the frame header
-(see the "Parallel serve architecture" section of ``docs/comm.md``).
 
 The channel layer owns byte accounting and ``comm.send`` / ``comm.recv``
 obs spans, so ``TrainResult`` byte fields and traces mean the same thing
@@ -60,7 +56,6 @@ from .sim import SimChannel, SimTransfer, SimTransport
 from .socket import (
     ChannelProtocolError,
     ChannelTimeout,
-    ShardListenerGroup,
     SocketChannel,
     SocketListener,
 )
@@ -104,7 +99,6 @@ __all__ = [
     "ServeReport",
     "serve_pipe_channels",
     "serve_channels",
-    "ShardListenerGroup",
     "SocketChannel",
     "SocketListener",
     "SimChannel",

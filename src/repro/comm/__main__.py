@@ -1,25 +1,15 @@
-"""Comm-layer smoke tests: ``python -m repro.comm [parallel-smoke]``.
+"""Comm-layer smoke test: ``python -m repro.comm``.
 
-Default (no subcommand): round-trips one frame of every kind — carrying
-one payload of every codec type the repo produces — through a real OS
-pipe via :class:`~repro.comm.pipe.PipeChannel`, then checks the decoded
-frames reconstruct the same dense tensors (at float32 wire precision)
-and that close-frame accounting survives intact.
-
-``parallel-smoke``: runs the parallel serve loop (per-shard executor
-lanes, ``shard_lanes=N``) end-to-end with every shard lock swapped for
-an instrumented lock — the runtime lock-order recorder plus the dynamic
-race monitor — while fan-out workers interleave control traffic with
-shard-addressed gradients.  Any lock-order inversion, lock cycle, or
-guarded-state access outside the owning lock fails the run.
-
-Both exit non-zero on failure, so ``make comm-smoke`` /
-``make parallel-smoke`` / CI can gate on them.
+Round-trips one frame of every kind — carrying one payload of every codec
+type the repo produces — through a real OS pipe via
+:class:`~repro.comm.pipe.PipeChannel`, then checks the decoded frames
+reconstruct the same dense tensors (at float32 wire precision) and that
+close-frame accounting survives intact.  Exits non-zero on failure, so
+``make comm-smoke`` / CI can gate on it.
 """
 
 from __future__ import annotations
 
-import argparse
 import multiprocessing as mp
 import sys
 
@@ -140,139 +130,5 @@ def main() -> int:
     return 1 if failures else 0
 
 
-def parallel_smoke(num_shards: int = 4, num_workers: int = 3, steps: int = 8) -> int:
-    """Parallel serve loop under lock-order + race instrumentation.
-
-    Every shard lock (and the membership directory's) is enrolled in a
-    :class:`~repro.analysis.concurrency.LockRegistry` and each shard's
-    guarded state is wrapped by the dynamic race monitor; the loop then
-    serves ``num_workers`` fan-out workers with one executor lane per
-    shard.  The lanes' whole safety argument — decode outside every
-    lock, dispatch under exactly one shard lock, reply via one writer —
-    must leave zero inversions, zero cycles, zero race violations.
-    """
-    import threading
-    from collections import OrderedDict
-
-    import numpy as np
-
-    from ..analysis.concurrency import LockRegistry
-    from ..analysis.race import RaceMonitor, instrument_object
-    from ..core.methods import Hyper, get_method
-    from ..exec.common import build_server
-    from ..ps.membership import WorkerDirectory
-    from .frames import CONTROL_JOIN, CONTROL_LEAVE, ControlFrame
-    from .pipe import PipeChannel
-    from .service import ServerService, serve_channels
-
-    rng = np.random.default_rng(5)
-    theta0 = OrderedDict((f"w{i}", rng.normal(size=(16, 16))) for i in range(6))
-    server = build_server(
-        get_method("asgd"),
-        theta0,
-        num_workers,
-        Hyper(lr=0.05, momentum=0.0),
-        num_shards=num_shards,
-    )
-    membership = WorkerDirectory(server)
-    service = ServerService(server, membership=membership)
-
-    registry = LockRegistry()
-    monitor = RaceMonitor()
-    for i, shard in enumerate(server.shards):
-        instrument_object(shard, monitor=monitor, name=f"ps.shard{i}", registry=registry)
-    if hasattr(membership, "register_lock"):
-        membership.register_lock(registry)
-
-    server_ends, worker_ends = [], []
-    for _ in range(num_workers):
-        a, b = mp.Pipe(duplex=True)
-        server_ends.append(PipeChannel(a))
-        worker_ends.append(PipeChannel(b))
-    payload = {k: np.full_like(v, 0.01) for k, v in theta0.items()}
-    parts = server.partition.split(payload)
-    worker_errors: "list[BaseException]" = []
-
-    def worker(worker_id: int, ch: PipeChannel) -> None:
-        try:
-            ch.send(ControlFrame(worker_id, CONTROL_JOIN))
-            ch.recv()
-            # rotate the shard order per worker so the lanes genuinely
-            # interleave instead of convoying through shard 0
-            order = [(worker_id + i) % len(parts) for i in range(len(parts))]
-            for step in range(steps):
-                for s in order:
-                    ch.send(
-                        GradientFrame(
-                            GradientMessage(worker_id, parts[s], step), loss=0.0, shard=s
-                        )
-                    )
-                    ch.recv()
-            ch.send(ControlFrame(worker_id, CONTROL_LEAVE))
-            ch.send(CloseFrame(worker_id=worker_id))
-        except BaseException as exc:  # noqa: BLE001 - reported below
-            worker_errors.append(exc)
-        finally:
-            ch.close()
-
-    threads = [
-        threading.Thread(target=worker, args=(w, ch)) for w, ch in enumerate(worker_ends)
-    ]
-    for t in threads:
-        t.start()
-    report = serve_channels(
-        server_ends, service, expected_closes=num_workers, shard_lanes=num_shards
-    )
-    for t in threads:
-        t.join(timeout=30)
-
-    failures: "list[str]" = []
-    if worker_errors:
-        failures.append(f"worker thread raised: {worker_errors[0]!r}")
-    if report.updates != num_workers * steps:
-        failures.append(f"served {report.updates} steps, expected {num_workers * steps}")
-    if (report.joins, report.leaves) != (num_workers, num_workers):
-        failures.append(f"membership drifted: joins={report.joins} leaves={report.leaves}")
-    expected_names = {f"ps.shard{i}" for i in range(server.num_shards)}
-    if not expected_names <= set(registry.names):
-        failures.append(f"shard locks missing from the registry: {registry.names}")
-    if monitor.violations:
-        failures.append(monitor.report())
-    inversions = registry.inversions()
-    if inversions:
-        failures.append(registry.report())
-    cycles = registry.cycles()
-    if cycles:
-        failures.append(f"lock cycles: {cycles}")
-
-    print(
-        f"parallel serve smoke: {num_workers} workers x {steps} steps over "
-        f"{server.num_shards} lanes ({len(registry.order_edges())} lock-order "
-        f"edge(s), {len(inversions)} inversion(s), "
-        f"{len(monitor.violations)} race violation(s))"
-    )
-    for failure in failures:
-        print(f"  FAIL {failure}")
-    print("parallel serve smoke: OK" if not failures else
-          f"parallel serve smoke: {len(failures)} failure(s)")
-    return 1 if failures else 0
-
-
-def _cli(argv: "list[str] | None" = None) -> int:
-    ap = argparse.ArgumentParser(prog="repro.comm", description=__doc__)
-    sub = ap.add_subparsers(dest="cmd")
-    p = sub.add_parser(
-        "parallel-smoke",
-        help="parallel serve loop under lock-order + race instrumentation",
-    )
-    p.add_argument("--shards", type=int, default=4)
-    p.add_argument("--workers", type=int, default=3)
-    p.add_argument("--steps", type=int, default=8)
-    args = ap.parse_args(argv)
-    if args.cmd == "parallel-smoke":
-        return parallel_smoke(args.shards, args.workers, args.steps)
-    return main()
-
-
 if __name__ == "__main__":
-    sys.exit(_cli())
+    sys.exit(main())

@@ -282,10 +282,9 @@ def peek_shard(raw: "bytes | memoryview") -> int:
 def peek_kind(raw: "bytes | memoryview") -> int:
     """Read the frame kind off the fixed header without decoding the payload.
 
-    Paired with :func:`peek_shard` by demuxing transports: a shard-addressed
-    ``KIND_GRADIENT`` frame can be queued to its shard lane still-encoded,
-    while control-plane kinds (close / control / telemetry) stay on the
-    demux thread.
+    Paired with :func:`peek_shard`: a transport can tell a gradient frame
+    from the control-plane kinds (close / control / telemetry) while the
+    frame is still encoded.
     """
     buf = memoryview(raw)
     if len(buf) < _HEADER.size:
@@ -347,8 +346,18 @@ def decode_frame(raw: "bytes | bytearray | memoryview") -> Frame:
     Dense payload layers come back as read-only float32 views of ``raw``
     (see :func:`repro.ps.codec.decode_message`): ``raw`` stays alive as
     long as they do and must not be rewritten.
+
+    Bytes that are not a well-formed frame raise ``ValueError`` — also
+    when a fixed-size field is cut short — so a serve loop has one
+    exception to treat as "this peer sent garbage".
     """
-    buf = memoryview(raw)
+    try:
+        return _decode_frame(memoryview(raw))
+    except struct.error as exc:
+        raise ValueError(f"truncated frame ({exc})") from None
+
+
+def _decode_frame(buf: memoryview) -> Frame:
     if len(buf) < _HEADER.size:
         raise ValueError("truncated frame (no header)")
     magic, kind, shard = _HEADER.unpack_from(buf, 0)

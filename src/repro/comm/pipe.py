@@ -50,12 +50,7 @@ class PipeChannel:
         self.send_raw(encode_frame(frame))
 
     def send_raw(self, raw: "bytes | bytearray") -> None:
-        """Ship an already-encoded frame.
-
-        The parallel serve loop encodes replies on its shard-executor
-        lanes (outside any lock) and hands the bytes to one writer
-        thread; this entry point lets that thread skip re-encoding.
-        """
+        """Ship an already-encoded frame."""
         if self._closed:
             raise ChannelClosed("pipe channel is closed")
         tracer = self._tracer()
@@ -109,7 +104,7 @@ def serve_pipe_channels(
     the analytic payload byte accounting (upload on every gradient frame,
     download on every reply); ``on_loss`` is called with each gradient
     frame's training loss after the reply is shipped.  Extra keyword
-    arguments (``shard_lanes``, ``on_update``, …) pass straight through
+    arguments (``on_update``, ``listener``, …) pass straight through
     to :func:`~repro.comm.service.serve_channels`.
     """
     return serve_channels(channels, service, stats=stats, on_loss=on_loss, **kwargs)

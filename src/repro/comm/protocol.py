@@ -29,7 +29,6 @@ from .frames import (
 )
 
 if TYPE_CHECKING:
-    from ..core.partition import PartitionMap
     from ..obs.metrics import MetricsRegistry
     from ..ps.worker import WorkerNode
     from .channel import Channel
@@ -47,8 +46,6 @@ def run_worker_loop(
     ship_telemetry: bool = False,
     metrics: "MetricsRegistry | None" = None,
     register: bool = False,
-    shard_fanout: "PartitionMap | None" = None,
-    shard_channels: "list[Channel] | None" = None,
 ) -> None:
     """Drive ``node`` through ``iterations`` exchanges over ``channel``.
 
@@ -71,65 +68,8 @@ def run_worker_loop(
     model, not θ_0 — and a leave frame on the success path before the
     close frame (a crashed worker sends neither; the server's EOF
     handling deregisters it).
-
-    ``shard_fanout`` (a :class:`~repro.core.partition.PartitionMap`)
-    switches each step to shard-addressed sub-frames: the gradient payload
-    is split along the server's partition, one ``GradientFrame`` per shard
-    goes out stamped with its shard id, and the per-shard replies are
-    reassembled — keyed by the reply's shard slot, so out-of-order lane
-    replies land correctly — into one message before ``apply_reply``.  The
-    merged reply takes the most advanced per-shard timestamp/staleness,
-    matching the server-side fan-out semantics, so results are bitwise
-    identical to whole-frame exchange.
-
-    ``shard_channels`` (requires ``shard_fanout``) routes shard ``s``'s
-    sub-frame over ``shard_channels[s]`` instead of multiplexing one
-    channel — the socket backend's per-shard listeners.  Its first element
-    must be ``channel`` itself, which stays the control plane: join/leave,
-    telemetry, and the accounting close frame travel only there, while the
-    extra channels get a bare close frame so their serve loops terminate
-    cleanly.
     """
     tracer = tracer if tracer is not None else current_tracer()
-    if shard_channels is not None:
-        if shard_fanout is None:
-            raise ValueError("shard_channels requires shard_fanout")
-        if not shard_channels or shard_channels[0] is not channel:
-            raise ValueError("shard_channels[0] must be the control channel")
-
-    def _exchange(msg):
-        """One upload/download round trip; returns the reply message."""
-        if shard_fanout is None:
-            channel.send(GradientFrame(msg, node.last_loss))
-            return channel.recv().message
-        parts = shard_fanout.split(msg.payload)
-        if shard_channels is not None and len(shard_channels) != len(parts):
-            raise ValueError(
-                f"{len(shard_channels)} shard channels for {len(parts)} shards"
-            )
-        for s, part in enumerate(parts):
-            sub = type(msg)(msg.worker_id, part, msg.local_iteration)
-            target = channel if shard_channels is None else shard_channels[s]
-            target.send(GradientFrame(sub, node.last_loss, shard=s))
-        replies: "list" = [None] * len(parts)
-        if shard_channels is None:
-            # One multiplexed channel: parallel lanes may reply out of
-            # shard order; the reply's shard slot is the reassembly key.
-            for _ in range(len(parts)):
-                reply = channel.recv()
-                replies[reply.shard] = reply
-        else:
-            for s, ch in enumerate(shard_channels):
-                replies[s] = ch.recv()
-        msgs = [reply.message for reply in replies]
-        merged = shard_fanout.merge([m.payload for m in msgs])
-        return type(msgs[0])(
-            msg.worker_id,
-            merged,
-            max(m.server_timestamp for m in msgs),
-            max(m.staleness for m in msgs),
-        )
-
     error: "str | None" = None
     try:
         if register:
@@ -145,7 +85,8 @@ def run_worker_loop(
             ):
                 with tracer.span(obs_names.WORKER_COMPUTE, cat="worker", worker=node.worker_id):
                     msg = node.compute_step()
-                reply_msg = _exchange(msg)
+                channel.send(GradientFrame(msg, node.last_loss))
+                reply_msg = channel.recv().message
                 with tracer.span(obs_names.WORKER_APPLY, cat="worker", worker=node.worker_id):
                     node.apply_reply(reply_msg)
             if on_step is not None:
@@ -177,14 +118,3 @@ def run_worker_loop(
             pass  # transport already gone: the server side reports the crash
         finally:
             channel.close()
-            if shard_channels is not None:
-                # Bare closes: the per-shard serve loops each need one to
-                # terminate; the accounting close above (channel 0) is the
-                # single source of truth for samples/state/error.
-                for ch in shard_channels[1:]:
-                    try:
-                        ch.send(CloseFrame(worker_id=node.worker_id))
-                    except (OSError, ChannelClosed):
-                        pass
-                    finally:
-                        ch.close()

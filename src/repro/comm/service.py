@@ -23,42 +23,28 @@ target shard off the fixed 4-byte header with
 the peeked id, not the decoded frame attribute, is the routing authority,
 exactly what the frame header exists for.
 
-**Parallel mode** (``shard_lanes=N``): the loop's own thread degrades to a
-pure demux — it never decodes a shard-addressed gradient payload.  Raw
-frame bytes are routed by the peeked header onto per-shard dispatch
-queues; N shard-executor lanes decode the payload *outside* any lock,
-dispatch through ``service`` (which takes only that shard's lock), encode
-the reply outside the lock too, and hand the bytes to a single
-reply-writer thread.  One writer serialises every ``send``, so a frame's
-bytes are never interleaved on a channel and no send ever happens under a
-lock (the lock graph stays exactly as serial mode leaves it).  The
-control plane — close, membership, telemetry, whole-server gradients, EOF
-crash detection, straggler eviction — stays on the demux thread with
-byte-identical serial semantics.
+One thread does recv → decode → handle → encode → send for every channel;
+a sharded server is served by the same loop (whole frames fan out across
+the per-shard locks inside ``handle``, shard-addressed frames go to
+``handle_shard``).  Per-shard serve threads were measured and lost — see
+``docs/performance.md``.
 """
 
 from __future__ import annotations
 
-import queue
-import threading
 import time
 from dataclasses import dataclass, field
 from multiprocessing.connection import wait
 from typing import TYPE_CHECKING, Callable
 
 from ..compression.stats import CompressionStats
-from ..obs import names as obs_names
-from ..obs.tracer import current_tracer
 from .frames import (
-    KIND_GRADIENT,
     CloseFrame,
     ControlFrame,
     Frame,
     GradientFrame,
     TelemetryFrame,
     decode_frame,
-    encode_frame,
-    peek_kind,
     peek_shard,
     reply_frame,
 )
@@ -165,150 +151,6 @@ def _recv_frame(channel) -> "tuple[Frame, int]":
     return frame, getattr(frame, "shard", -1)
 
 
-class _ShardLanes:
-    """Per-shard execution lanes + one reply writer behind a demux loop.
-
-    The demux thread calls :meth:`submit` with *raw* frame bytes and the
-    peeked shard id; nothing here runs on the demux thread again until
-    :meth:`shutdown`.  Division of labour, chosen so no thread ever sends
-    while holding a lock and no payload is ever decoded under one:
-
-    * **lane thread** (one per shard) — ``decode_frame`` outside any
-      lock, dispatch through the service (only that shard's lock is taken
-      inside ``handle_shard``), record byte accounting, ``encode_frame``
-      the reply outside the lock, enqueue the bytes for the writer;
-    * **writer thread** (exactly one) — ``send`` / ``send_raw`` per
-      reply.  A single writer means per-channel frame bytes are never
-      interleaved without any send mutex existing, and it is the only
-      thread that bumps the update accounting for lane traffic;
-    * **demux thread** — retains the entire control plane (close frames,
-      membership, telemetry, EOF crash detection, eviction), so lifecycle
-      accounting has exactly one owner and a reply the writer fails to
-      deliver is simply dropped (the demux will see the EOF).
-
-    Lane threads acquire shard locks through the service, so a lock-order
-    registry attached to the server (``ServerService.register_locks``)
-    records their acquisition stacks like any other thread's.
-
-    Exceptions raised on a lane or the writer are stored and re-raised on
-    the demux thread (:meth:`check`), preserving the serial loop's
-    propagation semantics.
-    """
-
-    def __init__(
-        self,
-        num_lanes: int,
-        service,
-        stats: "CompressionStats | None",
-        worker_ids: "dict[object, int]",
-        account: "Callable[[float, int], None]",
-    ) -> None:
-        self.service = service
-        self.stats = stats
-        self.worker_ids = worker_ids
-        self.account = account
-        self.full_service = isinstance(service, ServerService)
-        self.num_lanes = max(1, int(num_lanes))
-        self._queues: "list[queue.SimpleQueue]" = [
-            queue.SimpleQueue() for _ in range(self.num_lanes)
-        ]
-        self._replies: "queue.SimpleQueue" = queue.SimpleQueue()
-        self._error: "BaseException | None" = None
-        self._down = False
-        self._threads = [
-            threading.Thread(target=self._lane, args=(i,), name=f"shard-lane-{i}", daemon=True)
-            for i in range(self.num_lanes)
-        ]
-        for t in self._threads:
-            t.start()
-        self._writer = threading.Thread(
-            target=self._write_replies, name="shard-reply-writer", daemon=True
-        )
-        self._writer.start()
-
-    # -- demux-thread surface ------------------------------------------
-    def submit(self, channel, raw: bytes, shard: int) -> None:
-        """Queue one still-encoded shard-addressed frame onto its lane."""
-        self._queues[shard % self.num_lanes].put((channel, raw, shard))
-
-    def check(self) -> None:
-        """Re-raise the first lane/writer exception on the demux thread."""
-        if self._error is not None:
-            exc, self._error = self._error, None
-            raise exc
-
-    def shutdown(self) -> None:
-        """Drain every lane, then the writer (sentinel + join, idempotent)."""
-        if self._down:
-            return
-        self._down = True
-        for q in self._queues:
-            q.put(None)
-        for t in self._threads:
-            t.join()
-        self._replies.put(None)
-        self._writer.join()
-
-    # -- lane threads ---------------------------------------------------
-    def _lane(self, idx: int) -> None:
-        q = self._queues[idx]
-        while True:
-            item = q.get()
-            if item is None:
-                return
-            channel, raw, shard = item
-            try:
-                self._process(channel, raw, shard)
-            except BaseException as exc:
-                if self._error is None:
-                    self._error = exc
-
-    def _process(self, channel, raw: bytes, shard: int) -> None:
-        t_start = time.perf_counter()
-        frame = decode_frame(raw)  # payload decode: outside every lock
-        self.worker_ids[channel.waitable] = frame.worker_id
-        if self.stats is not None:
-            self.stats.record_upload(frame.nbytes(), frame.dense_nbytes())
-        # Only this shard's lock is taken inside; the reply comes back
-        # with every lock released.
-        reply = self.service(frame, shard=shard) if self.full_service else self.service(frame)
-        if self.stats is not None:
-            self.stats.record_download(reply.nbytes(), reply.dense_nbytes())
-        raw_reply = encode_frame(reply) if hasattr(channel, "send_raw") else None
-        tracer = current_tracer()
-        if tracer.enabled:
-            tracer.add_span(
-                obs_names.SERVE_LANE,
-                t_start,
-                time.perf_counter(),
-                cat="server",
-                domain="wall",
-                args={"shard": shard, "worker": frame.worker_id},
-            )
-        self._replies.put((channel, reply, raw_reply, shard, frame.loss))
-
-    # -- writer thread --------------------------------------------------
-    def _write_replies(self) -> None:
-        from .channel import ChannelClosed  # runtime import: channel imports service
-
-        while True:
-            item = self._replies.get()
-            if item is None:
-                return
-            channel, reply, raw_reply, shard, loss = item
-            try:
-                if raw_reply is not None:
-                    channel.send_raw(raw_reply)
-                else:
-                    channel.send(reply)
-            except (ChannelClosed, BrokenPipeError, OSError):
-                # Crash detection (and its accounting) belongs to the
-                # demux thread, which will see the EOF on this channel;
-                # an undeliverable reply is dropped, never double-counted.
-                continue
-            self.account(loss, shard)
-
-
 def serve_channels(
     channels: "list",
     service: ServerService,
@@ -318,7 +160,6 @@ def serve_channels(
     listener: "object | None" = None,
     expected_closes: "int | None" = None,
     straggler_timeout_s: "float | None" = None,
-    shard_lanes: "int | None" = None,
 ) -> ServeReport:
     """Serve every channel until ``expected_closes`` workers terminate.
 
@@ -331,8 +172,10 @@ def serve_channels(
       channel; ``stats`` records the analytic byte accounting and
       ``on_loss`` sees each frame's training loss after the reply ships.
     * **close** frames settle a worker's final accounting; a channel that
-      dies *without* one (EOF / EPIPE) is a crash and becomes an error on
-      the report — a graceful partial result, never a hang.
+      dies *without* one (EOF / EPIPE) or delivers bytes that do not
+      decode is a crash of *that* channel and becomes an error on the
+      report — a graceful partial result, never a hang, and never the end
+      of service for the other workers.
     * **telemetry** frames are absorbed onto the report (no reply).
     * **control** frames run the membership handshake via
       :meth:`ServerService.control`; a join's ModelFrame reply ships back
@@ -347,13 +190,17 @@ def serve_channels(
     ``expected_closes`` defaults to ``len(channels)``; pass the total
     worker count when a listener will deliver some of them later.
 
-    ``shard_lanes=N`` turns on parallel mode (module docstring): this
-    thread demuxes shard-addressed gradient frames — still encoded — onto
-    N per-shard lanes and keeps everything else.  Update accounting is
-    then counted on shard-0 sub-frames only, so ``report.updates`` (and
-    the ``on_loss`` / ``on_update`` cadence) means *worker steps* whether
-    a step arrives as one whole-server frame or as N shard sub-frames —
-    the same rule the serial loop applies to shard-addressed traffic.
+    A client may split a step along the server's partition and send it
+    as ``num_shards`` shard-addressed sub-frames, back to back, one per
+    shard; each goes to ``handle_shard`` as it arrives and the replies —
+    stamped with their shard ids — ship together, in arrival order, after
+    the last one.  (A client that waits for a sub-frame's reply before
+    sending the next sub-frame waits forever; send the step, then read.)
+
+    One update == one worker step: ``report.updates`` (and the ``on_loss``
+    / ``on_update`` cadence) counts whole-server frames and, of a split
+    step, only the shard-0 sub-frame (every step touches shard 0 exactly
+    once).
     """
     report = ServeReport()
     # Duck-typed service: plain callables (tests, adapters) lack the
@@ -365,89 +212,30 @@ def serve_channels(
     last_seen = {w: time.monotonic() for w in open_channels}
     expected = len(channels) if expected_closes is None else expected_closes
     terminated = 0
+    #: sub-frames that make one split step, and the replies waiting for the rest
+    step_frames = getattr(getattr(service, "server", None), "num_shards", 1)
+    held: "dict[object, list]" = {}
     poll = None if straggler_timeout_s is None else max(straggler_timeout_s / 4.0, 0.01)
-
-    # One update == one worker step.  A fanned-out step arrives as N
-    # shard sub-frames; its shard-0 sub-frame is the step's single
-    # accounting token (every step touches shard 0 exactly once).  The
-    # mutex makes the counter safe against the reply-writer thread in
-    # parallel mode; serial mode pays one uncontended acquire.
-    account_mu = threading.Lock()
-
-    def _account(loss: float, shard: int) -> None:
-        if shard > 0:
-            return
-        with account_mu:
-            report.updates += 1
-            count = report.updates
-        if on_loss is not None:
-            on_loss(loss)
-        if on_update is not None:
-            on_update(count)
-
-    lanes = (
-        _ShardLanes(shard_lanes, service, stats, worker_ids, _account)
-        if shard_lanes is not None
-        else None
-    )
 
     def _drop(waitable, channel) -> None:
         open_channels.pop(waitable, None)
         last_seen.pop(waitable, None)
+        held.pop(waitable, None)
         try:
             channel.close()
         except OSError:
             pass
 
-    try:
-        terminated = _demux_loop(
-            report,
-            service,
-            stats,
-            _account,
-            listener,
-            straggler_timeout_s,
-            membership,
-            full_service,
-            open_channels,
-            worker_ids,
-            last_seen,
-            expected,
-            poll,
-            lanes,
-            _drop,
-        )
-    finally:
-        if lanes is not None:
-            lanes.shutdown()
-    if lanes is not None:
-        lanes.check()  # errors that surfaced while draining
-    return report
+    def _crash(waitable, channel, what: str, reason: str = "crash") -> None:
+        who = worker_ids.get(waitable)
+        label = f"worker {who}" if who is not None else "worker"
+        report.crashes += 1
+        report.errors.append(f"{label} {what}")
+        if who is not None and membership is not None:
+            membership.deregister(who, reason=reason)
+        _drop(waitable, channel)
 
-
-def _demux_loop(
-    report: ServeReport,
-    service,
-    stats,
-    account: "Callable[[float, int], None]",
-    listener,
-    straggler_timeout_s,
-    membership,
-    full_service: bool,
-    open_channels: dict,
-    worker_ids: dict,
-    last_seen: dict,
-    expected: int,
-    poll: "float | None",
-    lanes: "_ShardLanes | None",
-    drop: "Callable[[object, object], None]",
-) -> int:
-    """The accept/route/reply multiplexing loop shared by both modes."""
-    terminated = 0
-    _drop = drop
     while terminated < expected:
-        if lanes is not None:
-            lanes.check()
         waitables = list(open_channels)
         if listener is not None:
             waitables.append(listener.waitable)
@@ -464,32 +252,15 @@ def _demux_loop(
             channel = open_channels[obj]
             last_seen[obj] = now
             try:
-                recv_raw = getattr(channel, "recv_raw", None)
-                if recv_raw is not None:
-                    raw = recv_raw()
-                    shard = peek_shard(raw)
-                    if (
-                        lanes is not None
-                        and shard >= 0
-                        and peek_kind(raw) == KIND_GRADIENT
-                    ):
-                        # Parallel fast path: route the still-encoded
-                        # frame to its shard lane; this thread never
-                        # touches the payload.
-                        lanes.submit(channel, raw, shard)
-                        continue
-                    frame = decode_frame(raw)
-                else:
-                    frame = channel.recv()
-                    shard = getattr(frame, "shard", -1)
+                frame, shard = _recv_frame(channel)
             except (EOFError, OSError):
-                report.crashes += 1
-                who = worker_ids.get(obj)
-                label = f"worker {who}" if who is not None else "worker"
-                report.errors.append(f"{label} channel closed without a close frame (crash)")
-                if who is not None and membership is not None:
-                    membership.deregister(who, reason="crash")
-                _drop(obj, channel)
+                _crash(obj, channel, "channel closed without a close frame (crash)")
+                terminated += 1
+                continue
+            except ValueError as exc:
+                # Bytes that are not a frame are that peer's failure, not
+                # the server's: drop the channel, keep serving the rest.
+                _crash(obj, channel, f"sent a malformed frame: {exc} (crash)")
                 terminated += 1
                 continue
             if isinstance(frame, CloseFrame):
@@ -537,8 +308,18 @@ def _demux_loop(
             reply = service(frame, shard=shard) if full_service else service(frame)
             if stats is not None:
                 stats.record_download(reply.nbytes(), reply.dense_nbytes())
+            # A step split into sub-frames is answered once its last
+            # sub-frame is handled: both ends write blocking and a sub-frame
+            # outgrows the pipe buffer, so a reply begun while the peer is
+            # still writing the next sub-frame would never finish.
+            replies = held.pop(obj, [])
+            replies.append((reply, shard, frame.loss))
+            if shard >= 0 and len(replies) < step_frames:
+                held[obj] = replies
+                continue
             try:
-                channel.send(reply)
+                for reply, _, _ in replies:
+                    channel.send(reply)
             except (BrokenPipeError, OSError):
                 report.crashes += 1
                 report.errors.append(
@@ -547,20 +328,23 @@ def _demux_loop(
                 _drop(obj, channel)
                 terminated += 1
                 continue
-            account(frame.loss, shard)
+            for _, reply_shard, loss in replies:
+                if reply_shard > 0:
+                    continue  # the step's shard-0 sub-frame is its one accounting token
+                report.updates += 1
+                if on_loss is not None:
+                    on_loss(loss)
+                if on_update is not None:
+                    on_update(report.updates)
         if straggler_timeout_s is not None:
             cutoff = time.monotonic() - straggler_timeout_s
             for obj in [w for w, seen in last_seen.items() if seen < cutoff]:
-                channel = open_channels[obj]
-                who = worker_ids.get(obj)
-                label = f"worker {who}" if who is not None else "worker"
                 report.evictions += 1
-                report.crashes += 1
-                report.errors.append(
-                    f"{label} evicted as straggler (silent > {straggler_timeout_s:g}s)"
+                _crash(
+                    obj,
+                    open_channels[obj],
+                    f"evicted as straggler (silent > {straggler_timeout_s:g}s)",
+                    reason="evicted",
                 )
-                if who is not None and membership is not None:
-                    membership.deregister(who, reason="evicted")
-                _drop(obj, channel)
                 terminated += 1
-    return terminated
+    return report

@@ -51,7 +51,6 @@ __all__ = [
     "ChannelProtocolError",
     "ChannelTimeout",
     "MAX_FRAME_BYTES",
-    "ShardListenerGroup",
     "SocketChannel",
     "SocketListener",
     "DEFAULT_BACKOFF_BASE_S",
@@ -157,7 +156,7 @@ class SocketChannel:
 
         The kernel copies straight into one preallocated buffer, which is
         *fresh per call and never reused*: decoded dense layers are views
-        of it, and the serve loop's lanes queue these buffers undecoded.
+        of it.
 
         EOF before ``n`` bytes raises ``EOFError`` (crash semantics — the
         peer vanished without a close frame); a deadline elapsing raises
@@ -203,10 +202,7 @@ class SocketChannel:
         self.send_raw(encode_frame(frame))
 
     def send_raw(self, raw: "bytes | bytearray") -> None:
-        """Ship an already-encoded frame (one length-prefixed record, so
-        concurrent senders on *different* channels never interleave a
-        frame's bytes).  The parallel serve loop encodes replies on its
-        shard lanes and hands the bytes to one writer thread."""
+        """Ship an already-encoded frame as one length-prefixed record."""
         if self._closed:
             raise ChannelClosed("socket channel is closed")
         tracer = self._tracer()
@@ -291,66 +287,3 @@ class SocketListener:
         if not self._closed:
             self._closed = True
             self._sock.close()
-
-
-class ShardListenerGroup:
-    """One :class:`SocketListener` per shard — parallel TCP ingress.
-
-    The shard-parallel socket backend stops funnelling every worker
-    through one accept/recv loop: shard ``s`` owns ``listeners[s]``, each
-    drained by its own serve loop, so N shards means N independent TCP
-    ingress paths.  ``port=0`` gives every shard its own ephemeral
-    loopback port (the CI default — read the picks off ``addresses``); an
-    explicit ``port`` binds shard ``s`` on ``port + s``, the deterministic
-    layout ``repro.ps worker --shard-parallel`` dials.
-
-    Shard 0's listener doubles as the control plane: workers run the
-    join/leave handshake and send their accounting close frame there
-    (matching the worker loop's ``shard_channels`` contract), so
-    membership lives on exactly one serve loop.
-    """
-
-    def __init__(
-        self,
-        num_shards: int,
-        host: str = "127.0.0.1",
-        port: int = 0,
-        backlog: int = 64,
-        tracer: "object | None" = None,
-        read_timeout_s: "float | None" = None,
-    ) -> None:
-        if num_shards < 1:
-            raise ValueError("num_shards must be >= 1")
-        self.listeners: "list[SocketListener]" = []
-        try:
-            for s in range(num_shards):
-                self.listeners.append(
-                    SocketListener(
-                        host,
-                        0 if port == 0 else port + s,
-                        backlog=backlog,
-                        tracer=tracer,
-                        read_timeout_s=read_timeout_s,
-                    )
-                )
-        except OSError:
-            self.close()
-            raise
-
-    @property
-    def addresses(self) -> "list[tuple[str, int]]":
-        """Per-shard bound (host, port), shard order."""
-        return [listener.address for listener in self.listeners]
-
-    def __len__(self) -> int:
-        return len(self.listeners)
-
-    def __iter__(self):
-        return iter(self.listeners)
-
-    def __getitem__(self, shard: int) -> SocketListener:
-        return self.listeners[shard]
-
-    def close(self) -> None:
-        for listener in self.listeners:
-            listener.close()

@@ -115,7 +115,6 @@ class ProcessBackend(_BackendBase):
             tracer=config.tracer,
             arena=config.arena,
             arena_dtype=config.arena_dtype,
-            shard_parallel=config.shard_parallel,
         )
 
 
@@ -159,7 +158,6 @@ class SocketBackend(_BackendBase):
             tracer=config.tracer,
             arena=config.arena,
             arena_dtype=config.arena_dtype,
-            shard_parallel=config.shard_parallel,
         )
 
 

@@ -50,12 +50,6 @@ class RunConfig:
     #: "Sharding").  1 ⇒ today's single-lock server; no-op under the sync
     #: barrier, which has no parameter server.
     num_shards: int = 1
-    #: parallel shard serving (process/socket backends): the serve loop
-    #: demuxes shard-addressed sub-frames onto per-shard executor lanes
-    #: (process) or per-shard listeners (socket), workers fan each step
-    #: out along the server's partition.  Requires ``num_shards >= 2``;
-    #: see docs/performance.md "Parallel shard serving".
-    shard_parallel: bool = False
     seed: int = 0
     #: virtual-cluster model; used by the simulated/sync backends only
     #: (None ⇒ a symmetric 10 Gb/s default via ``resolved_cluster()``)
@@ -116,8 +110,6 @@ class RunConfig:
             raise ValueError("total_iterations must be >= 1")
         if self.num_shards < 1:
             raise ValueError("num_shards must be >= 1")
-        if self.shard_parallel and self.num_shards < 2:
-            raise ValueError("shard_parallel requires num_shards >= 2")
         if self.checkpoint_every is not None and self.checkpoint_path is None:
             raise ValueError("checkpoint_every requires checkpoint_path")
 
@@ -161,7 +153,6 @@ class RunConfig:
             "secondary_compression": self.secondary_compression,
             "staleness_damping": self.staleness_damping,
             "num_shards": self.num_shards,
-            "shard_parallel": self.shard_parallel,
             "arena": self.arena,
             "arena_dtype": self.arena_dtype,
             "wire_fidelity": self.wire_fidelity,

@@ -31,7 +31,6 @@ __all__ = [
     "METRIC_SERVER_LOCK_WAIT_S",
     "METRIC_SERVER_STALENESS",
     "METRIC_UPLOAD_BYTES",
-    "SERVE_LANE",
     "SERVER_FANOUT",
     "SERVER_HANDLE",
     "SERVER_LOCK_WAIT",
@@ -61,11 +60,6 @@ SERVER_LOCK_WAIT = "server.lock_wait"
 #: the replies (covers split + per-shard handles + merge; the per-shard
 #: work shows up as ``server.handle`` spans on ``shard-<n>`` lanes)
 SERVER_FANOUT = "server.fanout"
-#: one shard-addressed frame's full lane trip on a parallel serve loop:
-#: payload decode (outside any lock) + shard handle + reply encode — the
-#: demux and reply-writer threads are deliberately spanless (they only
-#: move bytes), so lane spans ARE the parallel loop's work profile
-SERVE_LANE = "serve.lane"
 
 # -- metric series names ------------------------------------------------
 #: per-worker staleness distribution at the server (histogram)

@@ -48,10 +48,8 @@ def _parse_endpoint(text: str) -> "tuple[str, int]":
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    import threading
-
     from ..comm.service import ServerService, serve_channels
-    from ..comm.socket import ShardListenerGroup, SocketListener
+    from ..comm.socket import SocketListener
     from ..core.layerops import parameters_of
     from ..exec.common import build_server
     from ..metrics.evaluation import evaluate_params
@@ -69,80 +67,29 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     membership = WorkerDirectory(server)
 
     host, port = args.bind
-    if args.shard_parallel:
-        # Shard s listens on port+s, each drained by its own serve loop;
-        # shard 0's loop keeps the membership/accounting control plane.
-        group = ShardListenerGroup(
-            server.num_shards, host, port, read_timeout_s=args.evict_after
+    listener = SocketListener(host, port, read_timeout_s=args.evict_after)
+    host, port = listener.address
+    print(
+        f"serving {method.name} on {host}:{port} — waiting for {args.workers} worker(s)",
+        file=sys.stderr,
+    )
+
+    def on_update(updates: int) -> None:
+        if args.checkpoint_every and updates % args.checkpoint_every == 0:
+            save_checkpoint(server, args.checkpoint)
+
+    try:
+        report = serve_channels(
+            [],
+            ServerService(server, membership=membership),
+            stats=server.stats,
+            on_update=on_update if args.checkpoint_every else None,
+            listener=listener,
+            expected_closes=args.workers,
+            straggler_timeout_s=args.evict_after,
         )
-        endpoints = ", ".join(f"{h}:{p}" for h, p in group.addresses)
-        print(
-            f"serving {method.name} shard-parallel on {endpoints} — "
-            f"waiting for {args.workers} worker(s)",
-            file=sys.stderr,
-        )
-        thread_errors: "list[BaseException]" = []
-
-        def _serve_shard(s: int) -> None:
-            try:
-                serve_channels(
-                    [],
-                    ServerService(server),
-                    stats=server.stats,
-                    listener=group[s],
-                    expected_closes=args.workers,
-                    straggler_timeout_s=args.evict_after,
-                )
-            except BaseException as exc:
-                thread_errors.append(exc)
-
-        threads = [
-            threading.Thread(
-                target=_serve_shard, args=(s,), name=f"shard-serve-{s}", daemon=True
-            )
-            for s in range(1, len(group))
-        ]
-        try:
-            for thread in threads:
-                thread.start()
-            report = serve_channels(
-                [],
-                ServerService(server, membership=membership),
-                stats=server.stats,
-                listener=group[0],
-                expected_closes=args.workers,
-                straggler_timeout_s=args.evict_after,
-            )
-            for thread in threads:
-                thread.join()
-        finally:
-            group.close()
-        if thread_errors:
-            raise thread_errors[0]
-    else:
-        listener = SocketListener(host, port, read_timeout_s=args.evict_after)
-        host, port = listener.address
-        print(
-            f"serving {method.name} on {host}:{port} — waiting for {args.workers} worker(s)",
-            file=sys.stderr,
-        )
-
-        def on_update(updates: int) -> None:
-            if args.checkpoint_every and updates % args.checkpoint_every == 0:
-                save_checkpoint(server, args.checkpoint)
-
-        try:
-            report = serve_channels(
-                [],
-                ServerService(server, membership=membership),
-                stats=server.stats,
-                on_update=on_update if args.checkpoint_every else None,
-                listener=listener,
-                expected_closes=args.workers,
-                straggler_timeout_s=args.evict_after,
-            )
-        finally:
-            listener.close()
+    finally:
+        listener.close()
     if args.checkpoint_every:
         save_checkpoint(server, args.checkpoint)
         print(f"checkpoint written to {args.checkpoint}", file=sys.stderr)
@@ -164,8 +111,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 def _cmd_worker(args: argparse.Namespace) -> int:
     from ..comm.protocol import run_worker_loop
     from ..comm.socket import SocketChannel
-    from ..core.layerops import parameters_of
-    from ..core.partition import PartitionMap
     from ..data.loader import DataLoader
     from ..exec.common import build_worker
 
@@ -185,37 +130,9 @@ def _cmd_worker(args: argparse.Namespace) -> int:
         theta0=None,
     )
     host, port = args.connect
-    if args.shard_parallel:
-        # Mirror the server's partition from the shared model flags; shard
-        # s lives on port+s per the serve side's --shard-parallel layout.
-        params = parameters_of(model)
-        fanout = PartitionMap(
-            {k: v.shape for k, v in params.items()},
-            args.shards,
-            itemsize=next(iter(params.values())).itemsize,
-        )
-        shard_channels = [
-            SocketChannel.connect(host, port + s, retry_for_s=args.retry_for)
-            for s in range(fanout.num_shards)
-        ]
-        channel = shard_channels[0]
-        print(
-            f"worker {args.id} connected to {host}:{port}"
-            f"..{port + fanout.num_shards - 1} ({fanout.num_shards} shards)",
-            file=sys.stderr,
-        )
-        run_worker_loop(
-            node,
-            channel,
-            args.iterations,
-            register=True,
-            shard_fanout=fanout,
-            shard_channels=shard_channels,
-        )
-    else:
-        channel = SocketChannel.connect(host, port, retry_for_s=args.retry_for)
-        print(f"worker {args.id} connected to {host}:{port}", file=sys.stderr)
-        run_worker_loop(node, channel, args.iterations, register=True)
+    channel = SocketChannel.connect(host, port, retry_for_s=args.retry_for)
+    print(f"worker {args.id} connected to {host}:{port}", file=sys.stderr)
+    run_worker_loop(node, channel, args.iterations, register=True)
     print(
         f"worker {args.id} done: {node.iteration} iterations, "
         f"final loss {node.last_loss:.4f}"
@@ -295,12 +212,6 @@ def main(argv: "list[str] | None" = None) -> int:
     )
     p_serve.add_argument("--shards", type=int, default=1, help="parameter-server shards")
     p_serve.add_argument(
-        "--shard-parallel",
-        action="store_true",
-        help="one listener + serve loop per shard (shard s on PORT+s); "
-        "requires --shards >= 2 and an explicit non-zero port",
-    )
-    p_serve.add_argument(
         "--evict-after",
         type=float,
         default=None,
@@ -332,15 +243,6 @@ def main(argv: "list[str] | None" = None) -> int:
         metavar="SECONDS",
         help="keep retrying the connect with backoff for this long (default 10)",
     )
-    p_worker.add_argument(
-        "--shards", type=int, default=1, help="server shard count (must match serve)"
-    )
-    p_worker.add_argument(
-        "--shard-parallel",
-        action="store_true",
-        help="dial one channel per shard (shard s on PORT+s), matching a "
-        "server started with --shard-parallel",
-    )
     p_worker.set_defaults(fn=_cmd_worker)
 
     p_smoke = sub.add_parser(
@@ -360,14 +262,6 @@ def main(argv: "list[str] | None" = None) -> int:
     args = parser.parse_args(argv)
     if getattr(args, "checkpoint_every", None) and not args.checkpoint:
         parser.error("--checkpoint-every requires --checkpoint")
-    if getattr(args, "shard_parallel", False):
-        if args.shards < 2:
-            parser.error("--shard-parallel requires --shards >= 2")
-        if args.command == "serve":
-            if args.bind[1] == 0:
-                parser.error("--shard-parallel needs an explicit port (shard s binds PORT+s)")
-            if args.checkpoint_every:
-                parser.error("--shard-parallel does not support --checkpoint-every")
     return args.fn(args)
 
 

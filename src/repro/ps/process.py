@@ -39,7 +39,6 @@ from typing import Callable, Mapping
 
 from ..core.layerops import parameters_of
 from ..core.methods import Hyper, MethodSpec
-from ..core.partition import PartitionMap
 from ..data.loader import DataLoader
 from ..data.synthetic import Dataset
 from ..exec.common import (
@@ -83,7 +82,6 @@ def _worker_main(
     arena: bool = False,
     arena_dtype: "object | None" = None,
     trace: bool = False,
-    fanout_shards: int = 0,
 ) -> None:
     from ..comm.pipe import PipeChannel  # lazy: comm imports ps
     from ..comm.protocol import run_worker_loop
@@ -108,17 +106,6 @@ def _worker_main(
             # survive on the EOF it sees when the pipe drops.
             os._exit(_CRASH_EXIT_CODE)
 
-    fanout = None
-    if fanout_shards:
-        # Shard-parallel parent: split each step into shard-addressed
-        # sub-frames over this one pipe.  The map mirrors the server's
-        # (same shapes, same itemsize → same deterministic packing).
-        fanout = PartitionMap(
-            {k: v.shape for k, v in theta0.items()},
-            fanout_shards,
-            itemsize=next(iter(theta0.values())).itemsize,
-        )
-
     if trace:
         # The parent's tracer object is unreachable across the fork (its
         # buffers land in this process's copy), so the child records into
@@ -131,16 +118,9 @@ def _worker_main(
                 iterations,
                 on_iteration=crash_hook,
                 ship_telemetry=True,
-                shard_fanout=fanout,
             )
     else:
-        run_worker_loop(
-            node,
-            PipeChannel(conn),
-            iterations,
-            on_iteration=crash_hook,
-            shard_fanout=fanout,
-        )
+        run_worker_loop(node, PipeChannel(conn), iterations, on_iteration=crash_hook)
 
 
 class ProcessTrainer:
@@ -164,12 +144,7 @@ class ProcessTrainer:
         tracer: "object | None" = None,
         arena: bool = False,
         arena_dtype: "object | None" = None,
-        shard_parallel: bool = False,
     ) -> None:
-        if shard_parallel and num_shards < 2:
-            raise ValueError("shard_parallel requires num_shards >= 2")
-        #: per-shard executor lanes in the serve loop + worker-side fan-out
-        self.shard_parallel = shard_parallel
         self.method = resolve_method(method)
         #: explicit tracer; None ⇒ the ambient repro.obs tracer at run time
         self.tracer = tracer
@@ -231,7 +206,6 @@ class ProcessTrainer:
                     self.arena,
                     self.arena_dtype,
                     trace,
-                    self.server.num_shards if self.shard_parallel else 0,
                 ),
                 daemon=True,
             )
@@ -247,7 +221,6 @@ class ProcessTrainer:
                 ServerService(self.server),
                 stats=self.server.stats,
                 on_loss=lambda loss: loss_curve.add(len(loss_curve) + 1, loss),
-                shard_lanes=self.server.num_shards if self.shard_parallel else None,
             )
         finally:
             for proc in procs:

@@ -35,12 +35,10 @@ from __future__ import annotations
 
 import multiprocessing as mp
 import os
-import threading
 import time
 from typing import Callable, Mapping
 
 from ..core.layerops import parameters_of
-from ..core.partition import PartitionMap
 from ..core.methods import Hyper, MethodSpec
 from ..data.loader import DataLoader
 from ..data.synthetic import Dataset
@@ -85,7 +83,6 @@ def _worker_main(
     arena: bool,
     arena_dtype: "object | None",
     trace: bool,
-    shard_addresses: "list[tuple[str, int]] | None" = None,
 ) -> None:
     from ..comm.protocol import run_worker_loop  # lazy: comm imports ps
     from ..comm.socket import SocketChannel
@@ -121,26 +118,7 @@ def _worker_main(
             # survive on the EOF it sees when the connection drops.
             os._exit(_CRASH_EXIT_CODE)
 
-    fanout = None
-    shard_channels = None
-    if shard_addresses is not None:
-        # Rebuild the server's partition locally: same shapes, same
-        # itemsize, same deterministic packing — no wire negotiation.
-        params = parameters_of(model)
-        fanout = PartitionMap(
-            {k: v.shape for k, v in params.items()},
-            len(shard_addresses),
-            itemsize=next(iter(params.values())).itemsize,
-        )
-        # The map clamps to the layer count exactly as the server's does,
-        # so dial only the listeners that own a non-empty shard.
-        shard_channels = [
-            SocketChannel.connect(h, p)
-            for h, p in shard_addresses[: fanout.num_shards]
-        ]
-        channel = shard_channels[0]  # the control-plane channel
-    else:
-        channel = SocketChannel.connect(host, port)
+    channel = SocketChannel.connect(host, port)
     if trace:
         child_tracer = Tracer()
         with use_tracer(child_tracer):
@@ -151,19 +129,9 @@ def _worker_main(
                 on_iteration=crash_hook,
                 ship_telemetry=True,
                 register=True,
-                shard_fanout=fanout,
-                shard_channels=shard_channels,
             )
     else:
-        run_worker_loop(
-            node,
-            channel,
-            iterations,
-            on_iteration=crash_hook,
-            register=True,
-            shard_fanout=fanout,
-            shard_channels=shard_channels,
-        )
+        run_worker_loop(node, channel, iterations, on_iteration=crash_hook, register=True)
 
 
 class _RecordingListener:
@@ -214,18 +182,9 @@ class SocketTrainer:
         tracer: "object | None" = None,
         arena: bool = False,
         arena_dtype: "object | None" = None,
-        shard_parallel: bool = False,
     ) -> None:
         if checkpoint_every is not None and checkpoint_path is None:
             raise ValueError("checkpoint_every requires checkpoint_path")
-        if shard_parallel and num_shards < 2:
-            raise ValueError("shard_parallel requires num_shards >= 2")
-        if shard_parallel and checkpoint_every is not None:
-            # The checkpoint cadence counts on the shard-0 serve loop while
-            # other shards are mid-step; a snapshot taken there could tear
-            # across shards.  Keep the combination off until checkpoints
-            # quiesce every shard loop.
-            raise ValueError("shard_parallel does not support checkpoint_every")
         self.method = resolve_method(method)
         #: explicit tracer; None ⇒ the ambient repro.obs tracer at run time
         self.tracer = tracer
@@ -248,8 +207,6 @@ class SocketTrainer:
         self.checkpoint_every = checkpoint_every
         self.checkpoint_path = checkpoint_path
         self.restore_from = restore_from
-        #: per-shard listeners + serve loops instead of one accept funnel
-        self.shard_parallel = shard_parallel
         #: (host, port) to bind; None ⇒ loopback-ephemeral (CI default)
         self.bind = bind
 
@@ -271,7 +228,7 @@ class SocketTrainer:
     # ------------------------------------------------------------------
     def run(self) -> TrainResult:
         from ..comm.service import ServerService, serve_channels  # lazy: comm imports ps
-        from ..comm.socket import ShardListenerGroup, SocketListener
+        from ..comm.socket import SocketListener
         from .checkpoint import load_checkpoint, save_checkpoint
 
         fast_forward = {w: 0 for w in range(self.num_workers)}
@@ -284,30 +241,10 @@ class SocketTrainer:
         trace = bool(getattr(tracer, "enabled", False))
         t_start = time.perf_counter()
         host, port = self.bind if self.bind is not None else ("127.0.0.1", 0)
-        if self.shard_parallel:
-            # One listener per shard, each drained by its own serve loop;
-            # shard 0's doubles as the membership/accounting control plane.
-            group = ShardListenerGroup(
-                self.server.num_shards,
-                host,
-                port,
-                tracer=tracer,
-                read_timeout_s=self.evict_after_s,
-            )
-            listeners = [_RecordingListener(shard) for shard in group]
-            shard_addresses = group.addresses
-            host, port = shard_addresses[0]
-        else:
-            listeners = [
-                _RecordingListener(
-                    SocketListener(
-                        host, port, tracer=tracer, read_timeout_s=self.evict_after_s
-                    )
-                )
-            ]
-            shard_addresses = None
-            host, port = listeners[0].listener.address
-        listener = listeners[0]
+        listener = _RecordingListener(
+            SocketListener(host, port, tracer=tracer, read_timeout_s=self.evict_after_s)
+        )
+        host, port = listener.listener.address
 
         ctx = mp.get_context("fork")
         procs: "list[mp.Process]" = []
@@ -333,7 +270,6 @@ class SocketTrainer:
                     self.arena,
                     self.arena_dtype,
                     trace,
-                    shard_addresses,
                 ),
                 daemon=True,
             )
@@ -351,68 +287,18 @@ class SocketTrainer:
 
         service = ServerService(self.server, membership=self.membership)
         try:
-            if self.shard_parallel:
-                # Shard s>0 loops run on their own threads with a bare
-                # service (no membership: shard 0 owns the directory, so a
-                # crash deregisters exactly once) and no loss/update hooks
-                # (their frames are all shard>0, which the accounting rule
-                # skips anyway).  Each loop terminates on its own set of
-                # per-worker close frames; the front-end stats object is
-                # mutex-guarded and per-shard upload bytes sum exactly to
-                # the whole-frame accounting.
-                thread_errors: "list[BaseException]" = []
-
-                def _serve_shard(s: int) -> None:
-                    try:
-                        serve_channels(
-                            [],
-                            ServerService(self.server),
-                            stats=self.server.stats,
-                            listener=listeners[s],
-                            expected_closes=self.num_workers,
-                            straggler_timeout_s=self.evict_after_s,
-                        )
-                    except BaseException as exc:  # surfaced after join
-                        thread_errors.append(exc)
-
-                threads = [
-                    threading.Thread(
-                        target=_serve_shard,
-                        args=(s,),
-                        name=f"shard-serve-{s}",
-                        daemon=True,
-                    )
-                    for s in range(1, len(listeners))
-                ]
-                for thread in threads:
-                    thread.start()
-                report = serve_channels(
-                    [],
-                    service,
-                    stats=self.server.stats,
-                    on_loss=lambda loss: loss_curve.add(len(loss_curve) + 1, loss),
-                    listener=listener,
-                    expected_closes=self.num_workers,
-                    straggler_timeout_s=self.evict_after_s,
-                )
-                for thread in threads:
-                    thread.join()
-                if thread_errors:
-                    raise thread_errors[0]
-            else:
-                report = serve_channels(
-                    [],  # every channel arrives through the listener
-                    service,
-                    stats=self.server.stats,
-                    on_loss=lambda loss: loss_curve.add(len(loss_curve) + 1, loss),
-                    on_update=on_update if self.checkpoint_every is not None else None,
-                    listener=listener,
-                    expected_closes=self.num_workers,
-                    straggler_timeout_s=self.evict_after_s,
-                )
+            report = serve_channels(
+                [],  # every channel arrives through the listener
+                service,
+                stats=self.server.stats,
+                on_loss=lambda loss: loss_curve.add(len(loss_curve) + 1, loss),
+                on_update=on_update if self.checkpoint_every is not None else None,
+                listener=listener,
+                expected_closes=self.num_workers,
+                straggler_timeout_s=self.evict_after_s,
+            )
         finally:
-            for wrapped in listeners:
-                wrapped.close()
+            listener.close()
             for proc in procs:
                 proc.join(timeout=30)
                 if proc.is_alive():
@@ -436,7 +322,7 @@ class SocketTrainer:
         )
         stats = self.server.stats
         staleness = self.server.staleness_summary()
-        channels = [ch for wrapped in listeners for ch in wrapped.accepted]
+        channels = listener.accepted
         return TrainResult(
             method=self.method.name,
             backend="socket",

@@ -1,9 +1,9 @@
 """Deliberately bad module for PERF002: payload decodes under a held lock.
 
 Never imported — parsed only.  Each flagged line pays O(payload) decode
-cost while holding a mutex, which is exactly the hold-time stretch the
-parallel serve lanes were built to avoid; the tests assert exact finding
-counts against this file.
+cost while holding a mutex, so every other caller of that lock waits
+behind pure compute; the tests assert exact finding counts against this
+file.
 """
 
 import threading

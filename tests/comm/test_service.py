@@ -1,13 +1,15 @@
-"""serve_channels semantics over real socket channels.
+"""serve_channels semantics over real socket and pipe channels.
 
 The trainers exercise the happy path end-to-end; these tests drive the
 loop directly from a fake worker thread so each branch is pinned in
 isolation: elastic accept through the listener, the join/leave control
-handshake, crash-on-EOF, straggler eviction, and close accounting.
+handshake, crash-on-EOF, a malformed frame, straggler eviction, close
+accounting, and shard-addressed sub-frames against a sharded server.
 """
 
 from __future__ import annotations
 
+import multiprocessing as mp
 import threading
 
 import numpy as np
@@ -21,10 +23,13 @@ from repro.comm import (
     GradientFrame,
     ModelFrame,
     TelemetryFrame,
+    encode_frame,
     serve_channels,
 )
+from repro.comm.pipe import PipeChannel
 from repro.comm.service import ServerService
 from repro.comm.socket import SocketChannel, SocketListener
+from repro.core.layerops import parameters_of
 from repro.core.methods import Hyper, get_method
 from repro.exec.common import build_server
 from repro.nn import MLP
@@ -32,15 +37,17 @@ from repro.ps.membership import WorkerDirectory
 from repro.ps.messages import GradientMessage
 
 
-def _make_service(num_workers: int = 2, with_membership: bool = True):
-    from repro.core.layerops import parameters_of
+NUM_SHARDS = 4  # MLP(6, (8,), 3) has exactly 4 tensors -> 4 non-empty shards
 
+
+def _make_service(num_workers: int = 2, with_membership: bool = True, num_shards: int = 1):
     model = MLP(6, (8,), 3, seed=2)
     server = build_server(
         get_method("asgd"),
         parameters_of(model),
         num_workers,
         Hyper(lr=0.1, momentum=0.0),
+        num_shards=num_shards,
     )
     membership = WorkerDirectory(server) if with_membership else None
     return ServerService(server, membership=membership), server, membership
@@ -52,6 +59,64 @@ def _grad_for(server, worker_id: int, scale: float = 0.01):
         for name, buf in server.global_model().items()
     }
     return GradientFrame(GradientMessage(worker_id, payload, 0), loss=0.5)
+
+
+def _payload_for(server, worker_id: int, round_no: int):
+    """Deterministic dense gradient, unique per (worker, round)."""
+    scale = 0.01 * (worker_id + 1) + 0.001 * (round_no + 1)
+    return {
+        name: np.full_like(np.asarray(buf), scale, dtype=np.float64)
+        for name, buf in server.global_model().items()
+    }
+
+
+def _whole_step(channel, server, worker_id: int, round_no: int):
+    """One exchange as a single whole-server frame."""
+    payload = _payload_for(server, worker_id, round_no)
+    channel.send(GradientFrame(GradientMessage(worker_id, payload, round_no), loss=0.5))
+    reply = channel.recv()
+    assert reply.shard == -1
+    return reply.message.payload
+
+
+def _fanout_step(channel, server, worker_id: int, round_no: int):
+    """One exchange as shard-addressed sub-frames: send them all, await every
+    reply (keyed by the reply's shard stamp), return the merged payload."""
+    parts = server.partition.split(_payload_for(server, worker_id, round_no))
+    for s, part in enumerate(parts):
+        channel.send(
+            GradientFrame(GradientMessage(worker_id, part, round_no), loss=0.5, shard=s)
+        )
+    replies = [None] * len(parts)
+    for _ in parts:
+        reply = channel.recv()
+        assert reply.shard >= 0, "a shard-addressed reply must carry its shard id"
+        assert replies[reply.shard] is None, "duplicate reply for one shard"
+        replies[reply.shard] = reply
+    return server.partition.merge([r.message.payload for r in replies])
+
+
+def _run_driver(target, serve_fn):
+    """Run ``target`` on a worker thread while ``serve_fn`` blocks; re-raise
+    any driver-side failure so asserts in the thread actually fail the test."""
+    failures: "list[BaseException]" = []
+
+    def wrapped():
+        try:
+            target()
+        except BaseException as exc:  # noqa: BLE001 - surfaced below
+            failures.append(exc)
+
+    t = threading.Thread(target=wrapped)
+    t.start()
+    try:
+        report = serve_fn()
+    finally:
+        t.join(timeout=30)
+    assert not t.is_alive(), "driver thread wedged"
+    if failures:
+        raise failures[0]
+    return report
 
 
 def _serve(service, server, listener, n_workers, **kwargs):
@@ -229,6 +294,191 @@ class TestElasticServe:
             listener.close()
             t.join(timeout=10)
         assert report.joins == 1
+
+
+class TestMalformedFrame:
+    def test_garbage_from_one_worker_does_not_stop_the_server(self):
+        """Bytes that are not a frame crash *that* channel only: the server
+        keeps serving, and the well-behaved worker finishes every step."""
+        service, server, membership = _make_service(num_workers=2)
+        ends = [mp.Pipe(duplex=True) for _ in range(2)]
+        server_ends = [PipeChannel(a) for a, _ in ends]
+        good, bad = (PipeChannel(b) for _, b in ends)
+        steps = 5
+        completed = []
+
+        def driver():
+            for w, ch in ((0, good), (1, bad)):
+                ch.send(ControlFrame(w, CONTROL_JOIN))
+                assert isinstance(ch.recv(), ModelFrame)
+            _whole_step(bad, server, 1, 0)
+            bad.send_raw(b"not a repro.comm frame")
+            for r in range(steps):
+                _whole_step(good, server, 0, r)
+                completed.append(r)
+            good.send(ControlFrame(0, CONTROL_LEAVE))
+            good.send(CloseFrame(worker_id=0, samples_processed=steps))
+            good.close()
+            bad.close()
+
+        report = _run_driver(
+            driver, lambda: serve_channels(server_ends, service, stats=server.stats)
+        )
+        assert len(report.errors) == 1
+        assert "worker 1" in report.errors[0] and "malformed" in report.errors[0]
+        assert report.crashes == 1 and report.clean_closes == 1
+        assert completed == list(range(steps))
+        assert report.updates == steps + 1
+        assert report.samples_processed == steps
+        assert membership.members == {0: "left", 1: "crash"}
+
+    @pytest.mark.parametrize("cut", [2, 8, 40], ids=["header", "loss", "body"])
+    def test_truncated_gradient_frame_is_a_channel_crash(self, cut):
+        service, server, _ = _make_service(num_workers=1, with_membership=False)
+        a, b = mp.Pipe(duplex=True)
+        raw = bytes(encode_frame(_grad_for(server, 0)))
+
+        def driver():
+            ch = PipeChannel(b)
+            ch.send_raw(raw[:cut])
+            ch.close()
+
+        report = _run_driver(driver, lambda: serve_channels([PipeChannel(a)], service))
+        assert report.crashes == 1 and report.updates == 0
+        assert len(report.errors) == 1 and "malformed" in report.errors[0]
+
+
+class TestShardAddressedServe:
+    """Shard-addressed sub-frames on the one serve loop: the loop routes by
+    the peeked header to ``handle_shard`` and stamps the reply, so a client
+    that splits a step along the partition gets the whole-frame result."""
+
+    ROUNDS = 6
+
+    def _run(self, step):
+        service, server, _ = _make_service(num_workers=1, num_shards=NUM_SHARDS)
+        a, b = mp.Pipe(duplex=True)
+        merged = []
+
+        def driver():
+            ch = PipeChannel(b)
+            for r in range(self.ROUNDS):
+                merged.append(step(ch, server, 0, r))
+            ch.send(CloseFrame(worker_id=0))
+            ch.close()
+
+        report = _run_driver(
+            driver, lambda: serve_channels([PipeChannel(a)], service, stats=server.stats)
+        )
+        assert report.errors == []
+        return server, report, merged
+
+    def test_subframes_over_pipe_match_whole_frames_bitwise(self):
+        whole_server, _, whole_replies = self._run(_whole_step)
+        split_server, _, split_replies = self._run(_fanout_step)
+        a, b = whole_server.global_model(), split_server.global_model()
+        assert list(a) == list(b)
+        for name in a:
+            np.testing.assert_array_equal(a[name], b[name])
+        assert whole_server.timestamp == split_server.timestamp
+        for whole, split in zip(whole_replies, split_replies):
+            assert list(whole) == list(split)
+            for name in whole:
+                np.testing.assert_array_equal(whole[name], split[name])
+        assert whole_server.stats.upload_bytes == split_server.stats.upload_bytes
+
+    def test_updates_count_steps_not_subframes(self):
+        # ROUNDS steps x NUM_SHARDS sub-frames: the shard-0 sub-frame is the
+        # step's one accounting token, so `updates` means worker steps
+        _, whole, _ = self._run(_whole_step)
+        _, split, _ = self._run(_fanout_step)
+        assert whole.updates == split.updates == self.ROUNDS
+
+    def test_split_step_outgrowing_the_pipe_buffer(self):
+        """Both ends write blocking: a reply started while the client is
+        still writing its next 1 MiB sub-frame would wedge the pair, so the
+        loop answers a split step only once its last sub-frame is in."""
+        theta0 = {f"w{i}": np.zeros((512, 512), dtype=np.float32) for i in range(NUM_SHARDS)}
+        server = build_server(
+            get_method("asgd"), theta0, 1, Hyper(lr=0.1, momentum=0.0), num_shards=NUM_SHARDS
+        )
+        a, b = mp.Pipe(duplex=True)
+        reports = []
+        serving = threading.Thread(
+            target=lambda: reports.append(
+                serve_channels([PipeChannel(a)], ServerService(server), stats=server.stats)
+            ),
+            daemon=True,
+        )
+        serving.start()
+
+        def client():
+            ch = PipeChannel(b)
+            for r in range(2):
+                _fanout_step(ch, server, 0, r)
+            ch.send(CloseFrame(worker_id=0))
+            ch.close()
+
+        driving = threading.Thread(target=client, daemon=True)
+        driving.start()
+        driving.join(timeout=30)
+        serving.join(timeout=30)
+        assert not driving.is_alive() and not serving.is_alive(), "client and server wedged"
+        assert reports[0].updates == 2 and reports[0].errors == []
+
+    def test_control_plane_interleaved_with_subframes(self):
+        """5 channels x 4 shards with a mid-run join, a crash at a step
+        boundary, telemetry and leaves interleaved; then the membership
+        audit trail."""
+        service, server, membership = _make_service(num_workers=5, num_shards=NUM_SHARDS)
+        listener = SocketListener()
+        host, port = listener.address
+
+        def driver():
+            channels: "dict[int, SocketChannel]" = {}
+
+            def join(worker_id: int):
+                ch = SocketChannel.connect(host, port)
+                ch.send(ControlFrame(worker_id, CONTROL_JOIN))
+                assert isinstance(ch.recv(), ModelFrame)
+                channels[worker_id] = ch
+
+            for w in range(4):
+                join(w)
+            for r in range(self.ROUNDS):
+                if r == 2:
+                    join(4)  # mid-run join, against a moved M_t
+                for w in sorted(channels):
+                    if w == 2 and r == 4:
+                        channels.pop(w).close()  # crash: no leave, no close frame
+                        continue
+                    _fanout_step(channels[w], server, w, r)
+            channels[0].send(
+                TelemetryFrame(
+                    worker_id=0,
+                    spans=({"type": "span", "name": "worker.step", "ts": 0.0, "dur": 1.0},),
+                )
+            )
+            for w in sorted(channels):
+                ch = channels[w]
+                ch.send(ControlFrame(w, CONTROL_LEAVE))
+                ch.send(CloseFrame(worker_id=w, samples_processed=10))
+                ch.close()
+
+        try:
+            report = _run_driver(driver, lambda: _serve(service, server, listener, 5))
+        finally:
+            listener.close()
+        assert membership.members == {0: "left", 1: "left", 2: "crash", 3: "left", 4: "left"}
+        snap = membership.snapshot()
+        assert (snap["joins"], snap["leaves"], snap["crashes"], snap["evictions"]) == (5, 4, 1, 0)
+        assert (report.joins, report.leaves) == (5, 4)
+        assert report.clean_closes == 4 and report.crashes == 1
+        assert any("without a close frame" in e for e in report.errors)
+        assert 0 in report.telemetry
+        assert report.samples_processed == 4 * 10
+        # workers 0,1,3: 6 rounds; worker 2: rounds 0-3; worker 4: rounds 2-5
+        assert report.updates == 3 * 6 + 4 + 4
 
 
 class TestWorkerDirectory:

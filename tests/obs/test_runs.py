@@ -151,6 +151,18 @@ class TestWriteAndLoad:
         with pytest.raises(TypeError):
             write_run_dir(tmp_path, object())
 
+    def test_manifest_with_a_config_key_the_program_dropped_still_loads(self, tmp_path):
+        # runs/ directories outlive RunConfig fields: one written while the
+        # per-shard serve threads existed still reports and compares
+        retired = "shard" + "_parallel"
+        old = write_run_dir(
+            tmp_path, dict(RESULT), run_id="old", config={"seed": 0, retired: True}
+        )
+        manifest = load_manifest(old)
+        assert manifest["config"][retired] is True
+        assert "old" in render_report(manifest)
+        assert "final_loss" in render_compare(manifest, _manifest(tmp_path, run_id="new"))
+
     def test_extra_meta_lands_in_manifest(self, tmp_path):
         run_dir = write_run_dir(tmp_path, dict(RESULT), run_id="r4", extra_meta={"bench": "x"})
         assert load_manifest(run_dir)["bench"] == "x"

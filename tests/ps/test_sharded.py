@@ -172,6 +172,69 @@ class TestShardRoutingAndLocks:
         assert ParameterShard.__guarded_attrs__ == ParameterServer.__guarded_attrs__
 
 
+class TestShardIsolation:
+    """Per-shard scratch and storage: nothing one shard writes is visible
+    through another shard's views."""
+
+    @staticmethod
+    def _arena_server():
+        return ShardedParameterServer(_theta0(), 1, 4, arena=True)
+
+    def test_each_shard_owns_a_distinct_workspace(self):
+        workspaces = [shard.tracker.workspace for shard in self._arena_server().shards]
+        assert all(ws is not None for ws in workspaces)
+        assert len({id(ws) for ws in workspaces}) == len(workspaces)
+
+    def test_shard_arena_views_never_alias(self):
+        shard_layers = [
+            [np.asarray(shard.theta0[name]) for name in shard.tracker.shapes]
+            for shard in self._arena_server().shards
+        ]
+        for i, layers in enumerate(shard_layers):
+            for other in shard_layers[i + 1 :]:
+                for a in layers:
+                    for b in other:
+                        assert not np.shares_memory(a, b)
+
+    def test_subframe_bytes_sum_to_whole_frame_bytes(self):
+        """Splitting adds frame headers, never payload: per-shard sub-frame
+        payload bytes sum exactly to the whole-model payload bytes."""
+        sharded = ShardedParameterServer(_theta0(), 1, 4)
+        payload = _update(np.random.default_rng(0))
+        parts = sharded.partition.split(payload)
+        whole = GradientMessage(0, payload, 0)
+        assert sum(GradientMessage(0, part, 0).nbytes() for part in parts) == whole.nbytes()
+
+
+class TestShardedProcessBackend:
+    def test_sharded_matches_single_shard_bitwise(self, tiny_dataset, tiny_model_factory):
+        """One worker makes the process backend deterministic: whole frames
+        fanned across 4 shard locks by ``handle`` are the same algorithm as
+        the single-lock server."""
+        from repro.core.methods import Hyper
+        from repro.ps.process import ProcessTrainer
+
+        def run(num_shards):
+            return ProcessTrainer(
+                "dgs",
+                tiny_model_factory,
+                tiny_dataset,
+                num_workers=1,
+                batch_size=16,
+                iterations_per_worker=8,
+                hyper=Hyper(lr=0.1, momentum=0.7, ratio=0.1, min_sparse_size=0),
+                seed=0,
+                num_shards=num_shards,
+            ).run()
+
+        single, sharded = run(1), run(4)
+        assert sharded.errors == single.errors == []
+        assert sharded.num_shards == 4
+        assert sharded.final_loss == single.final_loss
+        assert sharded.loss_vs_step.ys == single.loss_vs_step.ys
+        assert sharded.upload_bytes == single.upload_bytes
+
+
 class TestShardedTelemetry:
     def test_shard_spans_land_on_shard_lanes(self):
         tracer = Tracer()
