@@ -17,3 +17,9 @@ def test_memory_usage(run_experiment):
     assert float(rows["DGS"][2]) == 1.0
     assert float(rows["DGC-async"][2]) == 2.0
     assert float(rows["DGS"][3]) == float(rows["GD-async"][3])
+    # This implementation: no v_k without difference tracking, and with it
+    # M + journal + the v_k of workers the journal no longer covers — more
+    # than M, less than the paper's M + K·v_k.
+    assert float(rows["ASGD"][4]) == 1.0
+    for method in ("GD-async", "DGC-async", "DGS"):
+        assert 1.0 < float(rows[method][4]) < float(rows[method][1])

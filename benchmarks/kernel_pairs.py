@@ -35,7 +35,7 @@ from repro.compression import (
 from repro.compression.coding import cheapest_format
 from repro.core.arena import LayerArena
 from repro.core.layerops import parameters_of
-from repro.core.tracker import _advance_at, _sorted_union
+from repro.core.tracker import _difference_at, _oldest_writes
 from repro.ps.messages import GradientMessage
 
 __all__ = ["N", "RATIO", "GATED", "RECORD_ONLY", "make_pairs"]
@@ -282,11 +282,12 @@ def make_pairs() -> "OrderedDict[str, tuple]":
 
     # --- the Eq. 5 reply (RECORD_ONLY): worker k is owed ``M − v_k`` after
     # U top-1 % updates of the benchmark model's first layer (786 432
-    # float32).  Reference: the dense scan (subtract, encode_best, copy).
-    # Optimised: the tracker's journal kernels (sorted union of the U index
-    # sets, gather, scatter).  Both first put ``v_k`` back U updates behind,
-    # so every call does the same work; that shared scatter pulls the ratio
-    # towards 1.
+    # float32).  Reference: the dense scan against a ``v_k`` buffer
+    # (subtract, encode_best, copy), after putting that buffer back U
+    # updates behind.  Optimised: the tracker's value-carrying journal
+    # kernels — one sort of (index, age) keys over the U index sets picks
+    # each index's oldest write, whose pre-update value is ``v_k`` there;
+    # one gather and subtract.  No ``v_k`` exists to reset or advance.
     layer_shape = (1024, 768)
     n_layer = layer_shape[0] * layer_shape[1]
     k_layer = n_layer // 100
@@ -295,7 +296,8 @@ def make_pairs() -> "OrderedDict[str, tuple]":
         m_flat = rng.normal(size=n_layer).astype(np.float32)
         v_flat = m_flat.copy()
         parts = [np.sort(rng.choice(n_layer, size=k_layer, replace=False)) for _ in range(updates)]
-        touched = _sorted_union(parts, n_layer)
+        written = [(idx, (m_flat[idx] + 1.0).astype(np.float32)) for idx in parts]
+        touched = np.unique(np.concatenate(parts))
         behind = (m_flat[touched] + 1.0).astype(np.float32)
         diff = np.empty(layer_shape, dtype=np.float32)
 
@@ -305,9 +307,8 @@ def make_pairs() -> "OrderedDict[str, tuple]":
             np.copyto(v, m)
             return sent
 
-        def journal(m=m_flat, v=v_flat, touched=touched, behind=behind, parts=parts):
-            v[touched] = behind
-            idx, d = _advance_at(m, v, _sorted_union(parts, n_layer))
+        def journal(m=m_flat, written=written):
+            idx, d = _difference_at(m, *_oldest_writes(written))
             return cheapest_format(n_layer, idx.size)(idx, d, layer_shape)
 
         pairs[f"diff_reply_eq5_{updates}upd"] = (scan, journal)

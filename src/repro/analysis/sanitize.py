@@ -23,8 +23,11 @@ gradient handed to a strategy that is not C-contiguous (a transposed view
 computes the same numbers several times slower: every pass against the
 strategy's C-ordered state strides by a row); *journal* — a reply layer
 the tracker derived from its journal that is not, bit for bit, what the
-dense scan of ``M − v_k`` returns (an index the journal lost is a parameter
-a worker never receives: no NaN, no crash, just drift).
+dense scan of ``M − v_k`` returns, with ``v_k`` materialised from ``M`` and
+a shadow journal the sanitizer keeps itself (each update's changed bits of
+``M``, found by a dense before/after comparison): an index the journal
+lost, or a pre-update value it holds wrong, is a parameter a worker never
+receives correctly — no NaN, no crash, just drift.
 
 The context is reentrant-safe per instance and restores every patched
 callable on exit.  ``on_fault='record'`` collects faults instead of
@@ -34,6 +37,7 @@ raising, for harness sweeps where one bad op should not kill the run.
 from __future__ import annotations
 
 import sys
+import weakref
 from typing import Callable
 
 import numpy as np
@@ -219,7 +223,35 @@ class Sanitizer:
         from ..core.tracker import ModelDifferenceTracker
 
         sanitizer = self
+        orig_apply = ModelDifferenceTracker.__dict__["apply_update"]
         orig = ModelDifferenceTracker.__dict__["_layer_difference"]
+        # tracker -> one (flat indices whose bits changed, M there before)
+        # per update applied under this sanitizer, as many as it journals
+        shadows: "weakref.WeakKeyDictionary[ModelDifferenceTracker, list]" = (
+            weakref.WeakKeyDictionary()
+        )
+
+        def apply_update(self, update):
+            if self._journal is None:
+                return orig_apply(self, update)
+            before = self.M.flat.copy()
+            t = orig_apply(self, update)
+            bits = f"u{before.itemsize}"
+            changed = np.flatnonzero(before.view(bits) != self.M.flat.view(bits))
+            shadow = shadows.setdefault(self, [])
+            shadow.append((changed, before[changed]))
+            del shadow[: len(shadow) - len(self._journal)]
+            return t
+
+        def materialised_vk(tracker, name, behind):
+            """Layer ``name`` of ``v_k``: ``M`` rewound through the shadow."""
+            start, stop = tracker.M.span(name)
+            v = tracker.M[name].reshape(-1).copy()
+            shadow = shadows.get(tracker, [])
+            for changed, pre in reversed(shadow[len(shadow) - behind :]):
+                inside = (changed >= start) & (changed < stop)
+                v[changed[inside] - start] = pre[inside]
+            return v.reshape(tracker.M[name].shape)
 
         def same(got, want) -> bool:
             if type(got) is not type(want):
@@ -231,9 +263,11 @@ class Sanitizer:
                 and got.values.tobytes() == want.values.tobytes()
             )
 
-        def layer_difference(self, name, vk, dirty):
-            want = encode_best(self.M[name] - vk[name])  # before v_k advances
-            got = orig(self, name, vk, dirty)
+        def layer_difference(self, name, dirty):
+            got = orig(self, name, dirty)
+            if len(shadows.get(self, ())) < len(dirty):
+                return got  # owed updates applied before the sanitizer was on
+            want = encode_best(self.M[name] - materialised_vk(self, name, len(dirty)))
             if not same(got, want):
                 sanitizer._fault(
                     f"ModelDifferenceTracker.model_difference[{name}]",
@@ -243,6 +277,7 @@ class Sanitizer:
                 )
             return got
 
+        self._patch(ModelDifferenceTracker, "apply_update", apply_update)
         self._patch(ModelDifferenceTracker, "_layer_difference", layer_difference)
 
     # ------------------------------------------------------------------
@@ -369,7 +404,8 @@ def sanitizer_selfcheck() -> "list[str]":
         if [f.kind for f in s.faults[before:]] != ["layout"]:
             problems.append("layout check did not fire on a transposed gradient")
 
-    # 5) a journal that lost an index must be caught by the dense re-derivation
+    # 5) a journal that lost an index, or holds a wrong pre-update value,
+    # must be caught by the dense re-derivation
     from ..core.tracker import ModelDifferenceTracker
 
     def journal_tracker() -> ModelDifferenceTracker:
@@ -379,14 +415,26 @@ def sanitizer_selfcheck() -> "list[str]":
         )
         return tracker
 
+    def lose_index(tracker: ModelDifferenceTracker) -> None:
+        idx, pre = tracker._journal[-1]["w"]
+        tracker._journal[-1]["w"] = (idx[:1], pre[:1])
+
+    def corrupt_pre_value(tracker: ModelDifferenceTracker) -> None:
+        tracker._journal[-1]["w"][1][0] = 7.0
+
     with sanitize(on_fault="record") as s:
         journal_tracker().model_difference(1)
         if s.faults:
             problems.append(f"sanitizer flagged a correct journal reply: {s.faults[0]}")
-        tracker = journal_tracker()
-        tracker._journal[-1]["w"] = np.array([3])
-        tracker.model_difference(1)
+    for corrupt, what in (
+        (lose_index, "a reply missing an index"),
+        (corrupt_pre_value, "a corrupted pre-update value"),
+    ):
+        with sanitize(on_fault="record") as s:
+            tracker = journal_tracker()
+            corrupt(tracker)
+            tracker.model_difference(1)
         if [f.kind for f in s.faults] != ["journal-mismatch"]:
-            problems.append("journal check did not fire on a reply missing an index")
+            problems.append(f"journal check did not fire exactly once on {what}")
 
     return problems

@@ -14,19 +14,26 @@ difference* ``G = M − v_k`` (Eq. 3), optionally secondary-compressed
 ``v_k == M`` after every exchange, which makes DGS exactly equivalent to
 download-the-whole-model ASGD (Eq. 5) — the headline invariant of §4.2.1.
 
-That invariant also says where ``G`` can be nonzero: only at indices some
-update applied since ``prev(k)`` wrote.  The arena path without secondary
-compression therefore keeps a bounded *dirty-index journal* of recent
-updates and answers from it in O(staleness·k) instead of scanning all n
-elements; the dense scan stays as the fallback (journal does not reach
-back to ``prev(k)``, or a layer has too many candidates) and is what the
-dict reference path always runs.  Both produce bitwise the same reply.
+That invariant also says what ``v_k`` is without secondary compression:
+``M`` as it stood at ``prev(k)``.  The arena path therefore keeps no
+per-worker buffer there.  It keeps a bounded *journal* of recent updates —
+the indices each one wrote and the values of ``M`` it overwrote — and
+answers from it in O(staleness·k): ``v_k`` differs from ``M`` only at
+indices an owed update wrote, and there it holds what the oldest of them
+overwrote.  The ``v_k`` of a worker the journal is about to stop
+covering, and one loaded from a checkpoint, is *held* as a materialised
+buffer until that worker's next reply, which is the dense scan against it.  The dict reference path
+keeps the paper's ``M + K·v_k`` and always scans; both produce bitwise the
+same reply.  Secondary compression (Eq. 6) keeps per-worker buffers on
+either path: there ``v_k`` also carries the withheld residual, which no
+journal of ``M`` describes.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Mapping
+from collections.abc import Sequence
+from typing import Iterator, Mapping
 
 import numpy as np
 
@@ -48,21 +55,27 @@ __all__ = ["ModelDifferenceTracker"]
 #: the whole model, the number of indices the journal retains.  Measured
 #: with the ``diff_reply_eq5_*`` kernel pairs (786 432-element float32
 #: layer, 1 % updates); see docs/performance.md, "The Eq. 5 reply is
-#: O(staleness·k)", for the sweep.
+#: O(staleness·k)", for the sweep, and "Server state without ``v_k``" for
+#: the value-carrying kernel, which meets the scan nearer 12 %.
 _JOURNAL_MAX_FRACTION = 1 / 6
 _INT32_MAX = 2**31 - 1
+
+#: One journaled layer: the flat indices an update wrote (``None`` = the
+#: whole layer) and the values of ``M`` there just before it wrote them.
+_Written = tuple[np.ndarray | None, np.ndarray]
 
 
 class ModelDifferenceTracker:
     """Server state for dual-way sparsification (M, per-worker v_k).
 
-    ``arena=True`` stores M and every v_k as
+    ``arena=True`` stores M (and every buffer the tracker keeps) as
     :class:`~repro.core.arena.LayerArena` buffers (float32 unless ``dtype``
-    overrides): applying an update or advancing v_k becomes one fused op
-    over the flat buffer — shortening the server's lock hold — and the
-    model-difference encode draws scratch from a tracker-owned
-    :class:`KernelWorkspace`.  ``arena=False`` is the dict-of-float64
-    reference path, bitwise-identical at equal dtype.
+    overrides): applying an update becomes one fused op over the flat
+    buffer — shortening the server's lock hold — and the model-difference
+    encode draws scratch from a tracker-owned :class:`KernelWorkspace`.
+    Without secondary compression it also replaces the K ``v_k`` buffers
+    with the journal (module docstring).  ``arena=False`` is the
+    dict-of-float64 reference path, bitwise-identical at equal dtype.
     """
 
     def __init__(
@@ -81,19 +94,38 @@ class ModelDifferenceTracker:
         self.secondary = secondary
         self.track_differences = track_differences
         self.arena = bool(arena)
-        #: construction-time dtype request, reused when a late joiner's
-        #: v_k buffer is grown (the new buffer must match the old ones)
+        #: construction-time dtype request, reused when a buffer is
+        #: allocated later (it must match ``M``)
         self.buffer_dtype = dtype
         self.workspace: "KernelWorkspace | None" = KernelWorkspace() if self.arena else None
         self.M = make_layer_buffers(self.shapes, self.arena, dtype)
-        # v_k buffers exist only under difference tracking — vanilla ASGD
-        # downloads the whole model and pays no per-worker server memory.
-        self.v = [
-            make_layer_buffers(self.shapes, self.arena, dtype)
-            for _ in range(num_workers if track_differences else 0)
-        ]
-        # Reused scratch arena for M − v_k (arena mode only; overwritten on
-        # every model_difference call, never escapes the tracker).
+        #: the journal: one ``{layer: (indices | None, M[indices] before)}``
+        #: per applied update, for the ``len(journal)`` most recent ones
+        #: (entry ``i`` is update ``t - len + 1 + i``), so it covers
+        #: ``(t - len, t]`` and clearing it puts that floor at ``t``.  A
+        #: layer the update skipped is absent.  The index arrays are
+        #: *references* to the payload's own — safe because payload classes
+        #: are immutable and their producers hand over memory they own
+        #: (``topk_select`` allocates fresh indices, the codec's
+        #: ``_decode_layer`` copies them out of the frame with ``.astype``).
+        #: Arena path without secondary compression only; ``None`` elsewhere.
+        self._journal: "list[dict[str, _Written]] | None" = (
+            [] if self.arena and track_differences and secondary is None else None
+        )
+        #: indices the journal holds (a whole-layer entry counts its size)
+        self._journal_size = 0
+        # Per-worker v_k buffers.  With a journal a worker's slot is None
+        # (the journal stands in for it) unless its v_k is *held*; without
+        # one every worker has a buffer, and vanilla ASGD — no difference
+        # tracking — pays no per-worker server memory at all.
+        self._buffers: "list[LayerArena | OrderedDict[str, np.ndarray] | None]" = []
+        if track_differences:
+            self._buffers = [
+                None if self._journal is not None else self._fresh_buffer()
+                for _ in range(num_workers)
+            ]
+        # Reused scratch arena for M − v_k and for rewinding M (arena mode
+        # only; overwritten by dense scans, never escapes).
         self._diff: "LayerArena | None" = (
             LayerArena(self.shapes, dtype=self.M.dtype) if self.arena else None
         )
@@ -101,37 +133,42 @@ class ModelDifferenceTracker:
         self.t = 0
         #: prev(k): server timestamp of worker k's last download (Table 1)
         self.prev = [0] * num_workers
-        #: dirty-index journal: one ``{layer: indices | None}`` per applied
-        #: update, for the ``len(journal)`` most recent ones (entry ``i`` is
-        #: update ``t - len + 1 + i``), so it covers ``(t - len, t]`` and
-        #: clearing it puts that floor at ``t``.  ``None`` = the layer
-        #: arrived without indices, i.e. it is dirty everywhere; a layer the
-        #: update skipped is absent.  The index arrays are *references* to
-        #: the payload's own — safe because payload classes are immutable
-        #: and their producers hand over memory they own (``topk_select``
-        #: allocates fresh indices, the codec's ``_decode_layer`` copies
-        #: them out of the frame with ``.astype``).  Arena path without
-        #: secondary compression only; ``None`` elsewhere.
-        self._journal: "list[dict[str, np.ndarray | None]] | None" = (
-            [] if self.arena and track_differences and secondary is None else None
-        )
-        #: indices the journal holds (a ``None`` layer counts its full size)
-        self._journal_size = 0
-        #: workers whose ``v_k`` was loaded from outside: the journal's
-        #: premise (``v_k == M`` at ``prev(k)``) is not this tracker's doing
-        #: until a dense scan or a bootstrap has made it so
-        self._unsynced: "set[int]" = set()
+
+    @property
+    def v(self) -> "_WorkerStates":
+        """``v[k]`` is :meth:`vk` ``(k)`` — the paper's notation."""
+        return _WorkerStates(self)
+
+    def vk(self, worker: int) -> "LayerArena | Mapping[str, np.ndarray]":
+        """``v_k``: everything shipped to ``worker`` so far (Eq. 3/6b).
+
+        The live buffer where the tracker keeps one; on the journal path,
+        ``M`` rewound through the updates the worker is owed — an O(n)
+        copy for checkpoints and inspection, never taken by an exchange.
+        Read-only either way.
+        """
+        if not self.track_differences:
+            raise RuntimeError("vk() requires track_differences=True")
+        held = self._buffers[worker]
+        if held is not None:
+            return held
+        owed = self._journaled_since(worker)
+        vk = self.M.clone()
+        for name in vk:
+            _rewind(vk[name].reshape(-1), _layer_parts(owed, name))
+        return vk
 
     # ------------------------------------------------------------------
     def apply_update(self, update: "Mapping[str, SparseTensor] | Mapping[str, np.ndarray]") -> int:
         """``M ← M − g`` (Eq. 1).  Returns the new server timestamp."""
         if self.arena:
+            entry = None if self._journal is None else self._overwritten_by(update)
             # One fused op for same-layout dense arenas; COO scatter /
             # to_dense fallbacks otherwise — same arithmetic either way.
             self.M.add_payload(update, scale=-1.0)
             self.t += 1
-            if self._journal is not None:
-                self._journal_append(update)
+            if entry is not None:
+                self._journal_append(entry)
             return self.t
         for name, g in update.items():
             dest = self.M[name]
@@ -151,13 +188,13 @@ class ModelDifferenceTracker:
         """
         if not self.track_differences:
             raise RuntimeError("model_difference() requires track_differences=True")
-        vk = self.v[worker]
+        vk = self._buffers[worker]
         out: OrderedDict[str, SparseTensor] = OrderedDict()
         if self.arena:
-            dirty = self._journaled_since(worker)
-            if dirty is not None:
+            if vk is None:
+                dirty = self._journaled_since(worker)
                 for name in self.M:
-                    out[name] = self._layer_difference(name, vk, dirty)
+                    out[name] = self._layer_difference(name, dirty)
                 self.prev[worker] = self.t
                 return out
             # One fused subtraction for the whole difference, then per-layer
@@ -174,9 +211,8 @@ class ModelDifferenceTracker:
                 else:
                     sent = encode_best(d, self.workspace)
                 out[name] = sent
-            if self.secondary is None:
-                vk.copy_(self.M)  # v_k == M (Eq. 3), one memcpy
-                self._unsynced.discard(worker)
+            if self._journal is not None:
+                self._buffers[worker] = None  # v_k == M (Eq. 3): the journal covers it from t
             self.prev[worker] = self.t
             return out
         for name, m_layer in self.M.items():
@@ -205,85 +241,109 @@ class ModelDifferenceTracker:
         model (vanilla ASGD's reply; no ``v_k`` to advance)."""
         self.prev[worker] = self.t
 
-    # -- dirty-index journal -------------------------------------------
-    def _journal_append(self, update: "Mapping[str, object]") -> None:
-        """Record which indices ``update`` wrote, then enforce the bounds."""
-        entry = {name: getattr(layer, "indices", None) for name, layer in update.items()}
+    # -- the journal ---------------------------------------------------
+    def _overwritten_by(self, update: "Mapping[str, object]") -> "dict[str, _Written]":
+        """Where ``update`` is about to write ``M``, and what it overwrites."""
+        entry = {}
+        for name, layer in update.items():
+            idx = getattr(layer, "indices", None)
+            m_flat = self.M[name].reshape(-1)
+            entry[name] = (idx, m_flat.copy() if idx is None else m_flat[idx])
+        return entry
+
+    def _journal_append(self, entry: "dict[str, _Written]") -> None:
+        """Journal one applied update, then enforce the bounds.
+
+        Nobody the journal covers is owed entries at or before their
+        ``min(prev)``; past the retention bound the oldest go too, and a
+        worker still owed one of those has its ``v_k`` materialised first.
+        """
         journal = self._journal
         journal.append(entry)
-        self._journal_size += self._entry_size(entry)
-        # Nobody is owed entries at or before min(prev); past the retention
-        # bound the oldest go too and whoever is that stale gets the scan.
-        unneeded = len(journal) - (self.t - min(self.prev))
+        self._journal_size += _entry_size(entry)
+        covered = [p for p, held in zip(self.prev, self._buffers) if held is None]
+        unneeded = len(journal) - (self.t - min(covered, default=self.t))
         limit = int(self.M.size * _JOURNAL_MAX_FRACTION)
         drop = 0
         while drop < len(journal) and (drop < unneeded or self._journal_size > limit):
-            self._journal_size -= self._entry_size(journal[drop])
+            self._journal_size -= _entry_size(journal[drop])
             drop += 1
+        if drop > unneeded:
+            floor = self.t - len(journal) + drop
+            for k, held in enumerate(self._buffers):
+                if held is None and self.prev[k] < floor:
+                    self._buffers[k] = self.vk(k)
         del journal[:drop]
 
-    def _entry_size(self, entry: "dict[str, np.ndarray | None]") -> int:
-        return sum(
-            self.M[name].size if idx is None else idx.size for name, idx in entry.items()
-        )
-
     def _journal_reset(self) -> None:
-        """Forget the journal: state changed other than through
-        :meth:`apply_update`, so every worker's next reply is a dense scan
-        (a loaded ``v_k`` need not equal ``M`` even at ``prev(k) == t`` — a
-        checkpoint written under secondary compression carries a residual)
-        and the journal serves it again once it reaches back to ``prev(k)``."""
+        """Forget the journal: ``M`` was loaded, not updated, so no entry
+        describes it (every ``v_k`` was loaded with it and is held)."""
         if self._journal is not None:
             self._journal.clear()
             self._journal_size = 0
-            self._unsynced = set(range(len(self.v)))
 
-    def _journaled_since(self, worker: int) -> "list[dict[str, np.ndarray | None]] | None":
+    def _journaled_since(self, worker: int) -> "list[dict[str, _Written]] | None":
         """The journal entries of updates ``prev(k)+1 … t``, or ``None`` when
-        the journal is off, may not serve this worker yet, or no longer
-        reaches back that far."""
+        the journal is off or this worker's ``v_k`` is held."""
         journal = self._journal
-        behind = self.t - self.prev[worker]
-        if journal is None or worker in self._unsynced or not 0 <= behind <= len(journal):
+        if journal is None or self._buffers[worker] is not None:
             return None
+        behind = self.t - self.prev[worker]
+        if not 0 <= behind <= len(journal):
+            raise RuntimeError(f"journal does not reach back to prev({worker})")
         return journal[len(journal) - behind :]
 
     def _layer_difference(
-        self,
-        name: str,
-        vk: LayerArena,
-        dirty: "list[dict[str, np.ndarray | None]]",
+        self, name: str, dirty: "list[dict[str, _Written]]"
     ) -> "SparseTensor | BitmapTensor | DenseTensor":
-        """``M − v_k`` of one layer from the indices ``dirty`` names, and
-        ``v_k ← M`` there — bitwise what the dense scan returns.
+        """``M − v_k`` of one layer from the updates ``dirty`` journals —
+        bitwise what the dense scan against ``v_k`` returns.
 
-        Everywhere else ``v_k == M`` already (Eq. 5 held at ``prev(k)``
-        and nothing but the journaled updates has written ``M`` since).
+        Only indices those updates wrote can differ (Eq. 5 held at
+        ``prev(k)``), and there ``v_k`` is what the oldest of them
+        overwrote (:func:`_oldest_writes`).
         """
         m_layer = self.M[name]
         m_flat = m_layer.reshape(-1)
-        v_flat = vk[name].reshape(-1)
         n = m_flat.size
-        parts = [entry[name] for entry in dirty if name in entry]
-        if any(p is None for p in parts) or sum(p.size for p in parts) > int(
-            n * _JOURNAL_MAX_FRACTION
+        parts = _layer_parts(dirty, name)
+        if (
+            n > _INT32_MAX
+            or any(idx is None for idx, _ in parts)
+            or sum(pre.size for _, pre in parts) > int(n * _JOURNAL_MAX_FRACTION)
         ):
-            return self._layer_scan(name, vk)
-        idx = _sorted_union(parts, n)
+            return self._layer_scan(name, self._rewound(name, parts))
+        idx, vk = _oldest_writes(parts)
         if idx.size and idx[0] < 0:  # hand-built payload with wrap-around indices
-            return self._layer_scan(name, vk)
-        idx, d = _advance_at(m_flat, v_flat, idx)
+            return self._layer_scan(name, self._rewound(name, parts))
+        idx, d = _difference_at(m_flat, idx, vk)
         # never DenseTensor: under the candidate limit nnz·8 < n·4
         return cheapest_format(n, idx.size)(idx, d, m_layer.shape)
 
-    def _layer_scan(self, name: str, vk: LayerArena) -> "SparseTensor | BitmapTensor | DenseTensor":
+    def _rewound(self, name: str, parts: "list[_Written]") -> np.ndarray:
+        """``v_k`` of one layer, in the scratch: ``M`` rewound through ``parts``."""
+        v_layer = self._diff[name]
+        np.copyto(v_layer, self.M[name])
+        _rewind(v_layer.reshape(-1), parts)
+        return v_layer
+
+    def _layer_scan(self, name: str, v_layer: np.ndarray) -> "SparseTensor | BitmapTensor | DenseTensor":
         """The dense scan of one layer (the journal path's fallback)."""
-        m_layer = self.M[name]
-        sent = encode_best(np.subtract(m_layer, vk[name], out=self._diff[name]), self.workspace)
-        np.copyto(vk[name], m_layer)
-        return sent
+        return encode_best(np.subtract(self.M[name], v_layer, out=self._diff[name]), self.workspace)
 
     # ------------------------------------------------------------------
+    def _fresh_buffer(self) -> "LayerArena | OrderedDict[str, np.ndarray]":
+        return make_layer_buffers(self.shapes, self.arena, self.buffer_dtype)
+
+    def _loaded_buffer(self, layers: "Mapping[str, np.ndarray] | np.ndarray") -> LayerArena:
+        """A held ``v_k`` copied from checkpoint state (flat or per layer)."""
+        vk = LayerArena(self.shapes, dtype=self.M.dtype)
+        if isinstance(layers, np.ndarray):
+            _load_flat(vk, layers)
+        else:
+            vk.load_state_dict(layers)
+        return vk
+
     def bootstrap_worker(self, worker: int) -> None:
         """Admit ``worker`` (growing state if it is new): ``v_k ← M_t``,
         ``prev(k) ← t``.
@@ -293,27 +353,29 @@ class ModelDifferenceTracker:
         it — ``v_k == M_t`` is exactly the Eq. 5 invariant at join time).
         Idempotent for existing workers: re-bootstrapping just refreshes
         their ``v_k`` to the current ``M``, which is what a reconnect
-        after a full-model download means.
+        after a full-model download means.  With a journal that is
+        ``prev(k) ← t`` alone: nothing is allocated or copied, and no other
+        worker's journal coverage changes.  Ids skipped over by the growth
+        were never bootstrapped: ``v_k = 0`` at ``prev(k) = 0``, held.
         """
         if worker < 0:
             raise ValueError(f"worker id must be >= 0, got {worker}")
         if worker >= self.num_workers:
+            added = worker + 1 - self.num_workers
             if self.track_differences:
-                self.v.extend(
-                    make_layer_buffers(self.shapes, self.arena, self.buffer_dtype)
-                    for _ in range(worker + 1 - self.num_workers)
-                )
-            self.prev.extend([0] * (worker + 1 - self.num_workers))
+                self._buffers.extend(self._fresh_buffer() for _ in range(added - 1))
+                self._buffers.append(None if self._journal is not None else self._fresh_buffer())
+            self.prev.extend([0] * added)
             self.num_workers = worker + 1
-            self._journal_reset()
         if self.track_differences:
-            vk = self.v[worker]
-            if self.arena:
+            vk = self._buffers[worker]
+            if self._journal is not None:
+                self._buffers[worker] = None
+            elif self.arena:
                 vk.copy_(self.M)
             else:
                 for name, m_layer in self.M.items():
                     np.copyto(vk[name], m_layer)
-            self._unsynced.discard(worker)
         self.prev[worker] = self.t
 
     def worker_model(self, theta0: Mapping[str, np.ndarray], worker: int) -> "Mapping[str, np.ndarray]":
@@ -325,7 +387,7 @@ class ModelDifferenceTracker:
         """
         if not self.track_differences:
             return self.global_model(theta0)
-        vk = self.v[worker]
+        vk = self.vk(worker)
         if (
             self.arena
             and isinstance(theta0, LayerArena)
@@ -366,43 +428,58 @@ class ModelDifferenceTracker:
         self.prev = prev
         for name, arr in self.M.items():
             np.copyto(arr, state[f"M/{name}"])
-        for k, vk in enumerate(self.v):
-            for name, arr in vk.items():
-                np.copyto(arr, state[f"v{k}/{name}"])
+        for k, vk in enumerate(self._buffers):
+            layers = {name: state[f"v{k}/{name}"] for name in self.shapes}
+            if self._journal is not None:
+                self._buffers[k] = self._loaded_buffer(layers)
+            else:
+                for name, arr in vk.items():
+                    np.copyto(arr, layers[name])
         self._journal_reset()
 
     # ------------------------------------------------------------------
-    def flat_state(self) -> "list[np.ndarray]":
-        """``[M, v_0, …, v_{K-1}]``, each as one contiguous 1-D array.
+    def flat_state(self) -> "Iterator[np.ndarray]":
+        """``M, v_0, …, v_{K-1}``, each as one contiguous 1-D array.
 
-        The checkpoint payload: in arena mode these are zero-copy views of
-        the flat backing buffers (the caller copies if it needs isolation);
-        the dict reference path concatenates per layer.  Layer order is
-        ``self.shapes`` order, which both representations share.
+        The checkpoint payload, yielded one at a time so the journal path
+        materialises one ``v_k`` at a time.  Arena buffers come as
+        zero-copy views of their flat backing (the caller copies if it
+        needs isolation); the dict reference path concatenates per layer.
+        Layer order is ``self.shapes`` order, which both representations
+        share.
         """
-        return [_flatten_buffers(self.M)] + [_flatten_buffers(vk) for vk in self.v]
+        yield _flatten_buffers(self.M)
+        for vk in self.v:
+            yield _flatten_buffers(vk)
 
     def load_flat_state(self, buffers: "list[np.ndarray]") -> None:
         """Restore :meth:`flat_state` output (``M`` first, then each v_k).
 
         Grows the worker set if the checkpoint carries more v_k buffers
         than this tracker currently has (a checkpoint taken after elastic
-        joins restores into a tracker built at the original size).
+        joins restores into a tracker built at the original size).  On the
+        journal path every loaded ``v_k`` is held until that worker's next
+        reply: a loaded ``v_k`` need not equal ``M`` even at
+        ``prev(k) == t`` (a checkpoint written under secondary compression
+        carries a residual).
         """
         if not buffers:
             raise ValueError("flat state needs at least the M buffer")
         n_v = len(buffers) - 1
-        if self.track_differences and n_v > len(self.v):
+        if self.track_differences and n_v > len(self._buffers):
             self.bootstrap_worker(n_v - 1)  # grow v/prev to checkpoint size
         elif not self.track_differences and n_v != 0:
             raise ValueError("checkpoint has v_k buffers but tracking is off")
-        elif self.track_differences and n_v < len(self.v):
+        elif self.track_differences and n_v < len(self._buffers):
             raise ValueError(
-                f"checkpoint has {n_v} v_k buffers, tracker has {len(self.v)} workers"
+                f"checkpoint has {n_v} v_k buffers, tracker has {len(self._buffers)} workers"
             )
         _load_flat(self.M, buffers[0])
-        for vk, buf in zip(self.v, buffers[1:]):
-            _load_flat(vk, buf)
+        for k, buf in enumerate(buffers[1:]):
+            if self._journal is not None:
+                self._buffers[k] = self._loaded_buffer(buf)
+            else:
+                _load_flat(self._buffers[k], buf)
         self._journal_reset()
 
     def restore(self, t: int, prev: "list[int]", buffers: "list[np.ndarray]") -> None:
@@ -415,38 +492,88 @@ class ModelDifferenceTracker:
         self.num_workers = max(self.num_workers, len(self.prev))
 
     def server_state_bytes(self) -> int:
-        """Memory held by M plus every v_k (the §5.6.2 accounting:
-        ``NumOfWorkers × ParameterMemOfModel`` for the v's, + one M)."""
-        m_bytes = sum(arr.nbytes for arr in self.M.values())
-        v_bytes = sum(sum(arr.nbytes for arr in vk.values()) for vk in self.v)
-        return m_bytes + v_bytes
+        """Memory the tracker holds: M, every buffer it keeps and the
+        journal.  On the dict path and under secondary compression that is
+        the §5.6.2 accounting, ``M`` + ``NumOfWorkers × ParameterMemOfModel``;
+        on the journal path, ``M`` + journal + held ``v_k`` only."""
+        total = sum(arr.nbytes for arr in self.M.values())
+        for vk in self._buffers:
+            if vk is not None:
+                total += sum(arr.nbytes for arr in vk.values())
+        for entry in self._journal or ():
+            for idx, pre in entry.values():
+                total += pre.nbytes + (0 if idx is None else idx.nbytes)
+        return total
 
 
-def _sorted_union(parts: "list[np.ndarray]", n: int) -> np.ndarray:
-    """Sorted, de-duplicated union of flat-index arrays into an ``n``-element
-    layer, as intp.  Concatenate, sort as int32 (half the memory traffic of
-    intp), drop adjacent repeats: 0.4 ms for 8 × 7 864 indices where
-    ``np.unique`` takes 9–10 ms (NumPy 2.4)."""
+class _WorkerStates(Sequence):
+    """``tracker.v``: each worker's ``v_k`` through :meth:`ModelDifferenceTracker.vk`."""
+
+    __slots__ = ("_tracker",)
+
+    def __init__(self, tracker: ModelDifferenceTracker) -> None:
+        self._tracker = tracker
+
+    def __getitem__(self, worker: int) -> "LayerArena | Mapping[str, np.ndarray]":
+        return self._tracker.vk(worker)
+
+    def __len__(self) -> int:
+        return len(self._tracker._buffers)
+
+    def __iter__(self) -> "Iterator[LayerArena | Mapping[str, np.ndarray]]":
+        return (self._tracker.vk(k) for k in range(len(self)))
+
+
+def _layer_parts(entries: "list[dict[str, _Written]]", name: str) -> "list[_Written]":
+    """What each of ``entries`` wrote to layer ``name``, oldest first."""
+    return [entry[name] for entry in entries if name in entry]
+
+
+def _entry_size(entry: "dict[str, _Written]") -> int:
+    return sum(pre.size for _, pre in entry.values())
+
+
+def _rewind(flat: np.ndarray, parts: "list[_Written]") -> None:
+    """Write each update's pre-values into ``flat``, newest first, so every
+    index one of them wrote ends at the value the *oldest* overwrote."""
+    for idx, pre in reversed(parts):
+        flat[slice(None) if idx is None else idx] = pre
+
+
+def _oldest_writes(parts: "list[_Written]") -> "tuple[np.ndarray, np.ndarray]":
+    """The sorted union of the indices ``parts`` wrote (intp) and, at each,
+    the value the oldest of them overwrote.
+
+    One sort of int64 keys ``index << 32 | position``, positions counted
+    through the parts oldest first, so each index's run starts at its
+    oldest write; drop the rest of every run, then gather the pre-values
+    from their concatenation.  Only arrays of the candidates' size are
+    touched — nothing of the layer's size is written, which is what a
+    scatter into a layer-sized scratch would cost cold (docs/performance.md,
+    "Server state without ``v_k``").  Needs ``n`` below 2**31.
+    """
     if not parts:
-        return np.empty(0, dtype=np.intp)
-    dtype = np.int32 if n <= _INT32_MAX else np.intp
-    cand = np.concatenate(parts, dtype=dtype, casting="unsafe")
-    cand.sort()
-    keep = np.empty(cand.size, dtype=bool)
-    keep[:1] = True
-    np.not_equal(cand[1:], cand[:-1], out=keep[1:])
-    return cand[keep].astype(np.intp)
+        return np.empty(0, dtype=np.intp), np.empty(0, dtype=VALUE_DTYPE)
+    total = sum(pre.size for _, pre in parts)
+    keys = np.concatenate([idx for idx, _ in parts], dtype=np.int64, casting="unsafe")
+    keys <<= 32
+    keys |= np.arange(total, dtype=np.int64)
+    keys.sort()
+    index = keys >> 32
+    first = np.empty(total, dtype=bool)
+    first[:1] = True
+    np.not_equal(index[1:], index[:-1], out=first[1:])
+    pre = np.concatenate([pre for _, pre in parts])
+    return index[first].astype(np.intp, copy=False), pre[keys[first] & 0xFFFFFFFF]
 
 
-def _advance_at(
-    m_flat: np.ndarray, v_flat: np.ndarray, idx: np.ndarray
+def _difference_at(
+    m_flat: np.ndarray, idx: np.ndarray, vk: np.ndarray
 ) -> "tuple[np.ndarray, np.ndarray]":
-    """``v[idx] ← M[idx]``; returns the indices where that changed ``v`` and
-    the float32 differences there.  Updates that cancelled exactly leave a
-    zero, which must not ship (the dense scan would not see it)."""
-    m = m_flat[idx]
-    d = m - v_flat[idx]
-    v_flat[idx] = m
+    """``M[idx] − v_k``: the indices where that is nonzero and the float32
+    differences there.  Updates that cancelled exactly leave a zero, which
+    must not ship (the dense scan would not see it)."""
+    d = m_flat[idx] - vk
     if np.count_nonzero(d) != d.size:
         live = d != 0
         idx, d = idx[live], d[live]

@@ -153,12 +153,6 @@ class ParameterServer:
         #: :class:`~repro.ps.sharded.ShardedParameterServer` (labels the
         #: telemetry series and trace lanes); ``None`` = unsharded.
         self.shard = shard
-        #: server memory (M + all v_k + θ0), fixed at construction — every
-        #: buffer is preallocated above, so this is cached once instead of
-        #: being recomputed under the lock on each report call.
-        self.state_bytes = self.tracker.server_state_bytes() + sum(
-            a.nbytes for a in self.theta0.values()
-        )
         self._lock = threading.Lock()
 
     # ------------------------------------------------------------------
@@ -269,10 +263,6 @@ class ParameterServer:
             self.tracker.bootstrap_worker(worker_id)
             model = self.tracker.global_model(self.theta0)
             t = self.tracker.t
-            # v_k buffers may have grown; refresh the cached memory figure.
-            self.state_bytes = self.tracker.server_state_bytes() + sum(
-                a.nbytes for a in self.theta0.values()
-            )
         return ModelMessage(worker_id, model, t, 0)
 
     def worker_model(self, worker_id: int) -> "Mapping[str, np.ndarray]":
@@ -309,9 +299,6 @@ class ParameterServer:
         """Restore a :meth:`checkpoint_state` snapshot under the lock."""
         with self._lock:
             self.tracker.restore(state["t"], state["prev"], state["buffers"])
-            self.state_bytes = self.tracker.server_state_bytes() + sum(
-                a.nbytes for a in self.theta0.values()
-            )
 
     # ------------------------------------------------------------------
     def raw_staleness(self) -> "dict[int, list[int]]":
@@ -343,15 +330,17 @@ class ParameterServer:
             return self.tracker.t
 
     def server_state_bytes(self) -> int:
-        """Server memory: M + all v_k (+ θ0 kept for evaluation).
+        """Server memory: the tracker's state (M, the v_k buffers it keeps,
+        its journal) + θ0 kept for evaluation.
 
-        Cached, but no longer constant: an elastic join
-        (:meth:`bootstrap_worker`) or a checkpoint restore grows the
-        ``v_k`` set, so the read takes the lock like any other guarded
-        state (it is a report path, not a hot path).
+        Computed on read, under the lock like any other guarded state: the
+        journal and the held ``v_k`` change with every exchange (it is a
+        report path, not a hot path).
         """
         with self._lock:
-            return self.state_bytes
+            return self.tracker.server_state_bytes() + sum(
+                a.nbytes for a in self.theta0.values()
+            )
 
     # ------------------------------------------------------------------
     def register_lock(self, registry, name: str = "ps") -> None:

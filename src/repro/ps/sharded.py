@@ -10,7 +10,7 @@ N ways:
   and secondary compression are per-layer, Eq. 6);
 * each :class:`ParameterShard` is a full :class:`ParameterServer` over
   its layer subset — its own lock, its own sub-arena, its own per-worker
-  ``v_k`` slices — so the Eq. 5 ASGD-equivalence invariant holds *per
+  ``v_k`` slices (or journal) — so the Eq. 5 ASGD-equivalence invariant holds *per
   shard* and, because the shards' layer sets are disjoint and exhaustive,
   composes bitwise into the global invariant;
 * :class:`ShardedParameterServer` is a lock-free front-end that fans one
@@ -117,8 +117,7 @@ class ShardedParameterServer:
     Accounting semantics (see docs/execution.md): per-shard observations
     are *summed* — merged per-worker staleness counts are ``updates ×
     num_shards`` while means/percentiles are unchanged, and
-    ``server_state_bytes`` sums the shards' disjoint slices back to the
-    whole-model figure.
+    ``server_state_bytes`` sums the shards' disjoint states.
     """
 
     def __init__(
@@ -272,7 +271,8 @@ class ShardedParameterServer:
         return max(shard.timestamp for shard in self.shards)
 
     def server_state_bytes(self) -> int:
-        """Sum of the shards' disjoint M/v_k/θ0 slices = whole-model bytes."""
+        """Sum of the shards' disjoint states (M, θ0 and v_k buffers or
+        journal, each over the shard's own layers)."""
         return sum(shard.server_state_bytes() for shard in self.shards)
 
     # ------------------------------------------------------------------

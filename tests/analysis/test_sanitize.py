@@ -81,25 +81,50 @@ class TestFaultDetection:
             DenseStrategy(layer_shapes(model)).prepare(gradients_of(model), 0.1)
         assert s.faults == []
 
-    def test_journal_reply_is_rederived_by_the_dense_scan(self):
-        """Every layer the tracker answers from its dirty-index journal is
-        checked against ``encode_best(M − v_k)``; a journal that lost an
-        index is reported at the layer, not as accuracy drift later."""
+    @staticmethod
+    def _journaled_tracker():
         from repro.core.tracker import ModelDifferenceTracker
 
-        tracker = ModelDifferenceTracker({"w": (64,), "b": (4,)}, 2, arena=True, dtype=np.float64)
+        return ModelDifferenceTracker({"w": (64,), "b": (4,)}, 2, arena=True, dtype=np.float64)
+
+    @staticmethod
+    def _newest_entry(tracker, name):
+        """``(indices, pre-values)`` the newest journal entry holds for ``name``."""
+        return tracker._journal[-1][name]
+
+    def test_journal_reply_is_rederived_by_the_dense_scan(self):
+        """Every layer the tracker answers from its journal is checked
+        against ``encode_best(M − v_k)``, ``v_k`` rewound from ``M`` through
+        the sanitizer's own record of each update; a journal that lost an
+        index is reported at the layer, not as accuracy drift later."""
+        tracker = self._journaled_tracker()
         update = {"w": SparseTensor(np.array([3, 40]), np.array([1.0, -2.0]), (64,))}
         with sanitize(on_fault="record") as s:
             tracker.apply_update(update)
             tracker.model_difference(1)
             assert s.faults == []
             tracker.apply_update(update)
-            tracker._journal[-1]["w"] = np.array([3])
+            idx, pre = self._newest_entry(tracker, "w")
+            tracker._journal[-1]["w"] = (idx[:1], pre[:1])
             tracker.model_difference(1)
         assert [(f.kind, f.op) for f in s.faults] == [
             ("journal-mismatch", "ModelDifferenceTracker.model_difference[w]")
         ]
         assert "nnz=1" in s.faults[0].detail and "nnz=2" in s.faults[0].detail
+
+    def test_corrupted_pre_value_is_caught(self):
+        """The pre-update values are what the reply subtracts: one held
+        wrong ships a wrong value at the right index — one fault."""
+        tracker = self._journaled_tracker()
+        update = {"w": SparseTensor(np.array([3, 40]), np.array([1.0, -2.0]), (64,))}
+        with sanitize(on_fault="record") as s:
+            tracker.apply_update(update)
+            self._newest_entry(tracker, "w")[1][1] = 5.0
+            tracker.model_difference(1)
+        assert [(f.kind, f.op) for f in s.faults] == [
+            ("journal-mismatch", "ModelDifferenceTracker.model_difference[w]")
+        ]
+        assert s.faults[0].detail.count("nnz=2") == 2
 
     def test_integer_arrays_are_ignored(self):
         with sanitize(expected_dtype=np.float64, on_fault="record") as s:

@@ -41,7 +41,7 @@ class TestTrackerCheckpoint:
         assert fresh.t == tr.t and fresh.prev == tr.prev
         for n in SHAPES:
             np.testing.assert_array_equal(fresh.M[n], tr.M[n])
-            np.testing.assert_array_equal(fresh.v[0][n], tr.v[0][n])
+            np.testing.assert_array_equal(fresh.vk(0)[n], tr.vk(0)[n])
 
     def test_restored_tracker_continues_identically(self, rng):
         """Same update stream after restore → identical G as uninterrupted."""

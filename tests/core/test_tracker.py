@@ -45,7 +45,7 @@ class TestEq1to5:
             tr.apply_update(sparse_update(rng))
             tr.model_difference(0)
             for n in SHAPES:
-                np.testing.assert_array_equal(tr.v[0][n], tr.M[n])
+                np.testing.assert_array_equal(tr.vk(0)[n], tr.M[n])
 
     def test_worker_reconstructs_global_model(self, rng):
         """Eq. (5): θ0 + Σ G_k == θ0 + M — DGS ≡ ASGD without secondary."""
@@ -88,7 +88,7 @@ class TestSecondaryCompression:
         tr = ModelDifferenceTracker(SHAPES, 1, secondary=TopKSparsifier(0.1, min_sparse_size=0))
         tr.apply_update(sparse_update(rng))
         G = tr.model_difference(0)
-        pending = tr.M["w"] - tr.v[0]["w"]
+        pending = tr.M["w"] - tr.vk(0)["w"]
         sent_dense = G["w"].to_dense()
         np.testing.assert_allclose(sent_dense + pending, tr.M["w"], atol=1e-12)
         assert np.abs(pending).sum() > 0  # something was withheld

@@ -56,10 +56,10 @@ class TestManyWorkers:
         got0 = np.zeros(30)
         for _ in range(40):
             tr.model_difference(0)["w"].add_into(got0)
-        pending1_before = tr.M["w"] - tr.v[1]["w"]
+        pending1_before = tr.M["w"] - tr.vk(1)["w"]
         np.testing.assert_allclose(got0, tr.M["w"], atol=1e-9)
         # Worker 1's backlog untouched by worker 0's drain:
-        np.testing.assert_array_equal(tr.M["w"] - tr.v[1]["w"], pending1_before)
+        np.testing.assert_array_equal(tr.M["w"] - tr.vk(1)["w"], pending1_before)
 
     def test_interleaved_sparse_updates_commute(self, rng):
         """M depends only on the multiset of updates, not arrival order."""

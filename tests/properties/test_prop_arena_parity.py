@@ -210,5 +210,5 @@ class TestTrackerParity:
         for n in SHAPES:
             np.testing.assert_array_equal(opt.M[n], ref.M[n])
             for w in (0, 1):
-                np.testing.assert_array_equal(opt.v[w][n], ref.v[w][n])
+                np.testing.assert_array_equal(opt.vk(w)[n], ref.vk(w)[n])
         assert opt.t == ref.t and opt.prev == ref.prev

@@ -7,10 +7,14 @@ can reach a server — every payload kind, exact cancellation, staleness
 damping, elastic joins, checkpoint/restore, workers silent past the
 journal's retention bound — must leave the two indistinguishable: same
 reply layer types, same ``indices``, bitwise the same ``values``, the same
-``nbytes()``; ``v_k == M`` after every exchange (Eq. 5); and the journal
-never holds more indices than its documented bound.
+``nbytes()``; a materialised ``v_k`` equals ``M`` after every exchange
+(Eq. 5) and no ``v_k`` buffer is held for that worker; a straggler's
+materialised ``v_k`` is bitwise the dict server's; a join allocates
+nothing; and the tracker never holds more than ``M`` + the journal's
+documented bound + the ``v_k`` it holds.
 """
 
+import tracemalloc
 from collections import OrderedDict
 
 import numpy as np
@@ -70,6 +74,20 @@ def _server(num_workers, damping, arena):
     )
 
 
+def _journaled(tr):
+    """``(layer, indices | None, pre-values)`` for every journaled layer."""
+    return [(name, idx, pre) for entry in tr._journal for name, (idx, pre) in entry.items()]
+
+
+def _held(tr):
+    """Workers whose ``v_k`` the journal tracker holds as a buffer."""
+    return [k for k, buf in enumerate(tr._buffers) if buf is not None]
+
+
+def _retention(tr):
+    return int(tr.M.size * tracker_module._JOURNAL_MAX_FRACTION)
+
+
 def _assert_same_reply(got, want):
     assert (got.server_timestamp, got.staleness) == (want.server_timestamp, want.staleness)
     assert list(got.payload) == list(want.payload)
@@ -100,7 +118,8 @@ class JournalVersusScan(RuleBasedStateMachine):
         got, want = self.journal.handle(msg), self.scan.handle(msg)
         _assert_same_reply(got, want)
         tr = self.journal.tracker
-        assert tr.v[worker].flat.tobytes() == tr.M.flat.tobytes()  # Eq. 5
+        assert tr.vk(worker).flat.tobytes() == tr.M.flat.tobytes()  # Eq. 5
+        assert worker not in _held(tr)  # the journal stands in for v_k again
         for name in SHAPES:
             np.testing.assert_array_equal(tr.M[name], self.scan.tracker.M[name])
 
@@ -156,16 +175,64 @@ class JournalVersusScan(RuleBasedStateMachine):
             fresh.restore_state(state)
             setattr(self, attr, fresh)
 
+    @rule(data=st.data(), step=st.integers(1, 5))
+    def straggler_past_retention(self, data, step):
+        """Another worker runs ahead until the journal drops entries the
+        straggler is owed: its ``v_k`` is materialised (bitwise the dict
+        server's) and its next reply is the scan against that buffer."""
+        tr = self.journal.tracker
+        if tr.num_workers < 2:
+            return
+        straggler = data.draw(st.integers(0, tr.num_workers - 1))
+        runner = (straggler + 1) % tr.num_workers
+        base = data.draw(st.integers(0, SIZES["u"] - 1))
+        for turn in range(2 * _retention(tr)):
+            if straggler in _held(tr):
+                break
+            idx = np.unique((base + turn * step + np.arange(3)) % SIZES["u"])
+            layer = SparseTensor(idx, np.full(idx.size, 0.25), SHAPES["u"])
+            self._exchange(runner, OrderedDict([("u", layer)]))
+        assert straggler in _held(tr)
+        want = np.concatenate([arr.reshape(-1) for arr in self.scan.tracker.vk(straggler).values()])
+        assert tr.vk(straggler).flat.tobytes() == want.tobytes()
+        self._exchange(straggler, OrderedDict())
+
+    @rule()
+    def join_allocates_nothing(self):
+        """A new id mid-run is ``prev(k) ← t``: no buffer, no journal change."""
+        tr = self.journal.tracker
+        worker = tr.num_workers
+        if worker >= MAX_WORKERS:
+            return
+        state_bytes = tr.server_state_bytes()
+        owed = [None if k in _held(tr) else len(tr._journaled_since(k)) for k in range(worker)]
+        tracemalloc.start()
+        try:
+            tr.bootstrap_worker(worker)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < tr.M.nbytes, peak  # a v_k buffer alone is M.nbytes
+        assert tr.server_state_bytes() == state_bytes
+        assert [None if k in _held(tr) else len(tr._journaled_since(k)) for k in range(worker)] == owed
+        assert tr._journaled_since(worker) == []
+        self.scan.bootstrap_worker(worker)
+
     @invariant()
     def journal_is_bounded(self):
         tr = self.journal.tracker
-        held = sum(
-            SIZES[name] if idx is None else idx.size
-            for entry in tr._journal
-            for name, idx in entry.items()
-        )
-        assert held == tr._journal_size
-        assert held <= int(tr.M.size * tracker_module._JOURNAL_MAX_FRACTION)
+        journaled = _journaled(tr)
+        for name, idx, pre in journaled:
+            assert pre.size == (SIZES[name] if idx is None else idx.size)
+        assert sum(pre.size for _, _, pre in journaled) == tr._journal_size
+        assert tr._journal_size <= _retention(tr)
+
+    @invariant()
+    def tracker_bytes_are_M_journal_and_held(self):
+        tr = self.journal.tracker
+        held = sum(tr._buffers[k].nbytes for k in _held(tr))
+        per_index = np.dtype(np.intp).itemsize + tr.M.dtype.itemsize
+        assert tr.server_state_bytes() <= tr.M.nbytes + _retention(tr) * per_index + held
 
 
 TestJournalVersusScan = JournalVersusScan.TestCase
@@ -212,15 +279,34 @@ def test_cancelled_index_is_not_shipped():
 def test_silent_worker_past_retention_gets_the_scan_then_the_journal():
     servers = _pair(2)
     tr = servers[0].tracker
-    limit = int(tr.M.size * tracker_module._JOURNAL_MAX_FRACTION)
+    limit = _retention(tr)
     for step in range(2 * limit):  # worker 0 alone, 2 indices an update
         _both(servers, 0, OrderedDict([("w", _coo("w", [step % 96, (step + 40) % 96], [1.0, 1.0]))]), step)
     assert tr._journal_size <= limit and tr.staleness(1) == 2 * limit
+    assert _held(tr) == [1]  # materialised once, as the journal let go of it
     assert tr._journaled_since(1) is None  # out of reach: the full scan
     _both(servers, 1, OrderedDict())
+    assert _held(tr) == []  # the buffer went with the reply
     _both(servers, 0, OrderedDict([("u", _coo("u", [3], [1.0]))]))
     assert len(tr._journaled_since(1)) == 1  # and covered again
     _both(servers, 1, OrderedDict())
+
+
+def test_join_mid_run_keeps_the_journal(monkeypatch):
+    """A new id costs no memory and demotes nobody to the dense scan."""
+    servers = _pair(2)
+    tr = servers[0].tracker
+    for step, worker in enumerate((0, 1, 0)):
+        _both(servers, worker, OrderedDict([("w", _coo("w", [step, 60 + step], [1.0, 2.0]))]), step)
+    state_bytes = servers[0].server_state_bytes()
+    for server in servers:
+        server.bootstrap_worker(2)
+    assert servers[0].server_state_bytes() == state_bytes
+    scans = []
+    monkeypatch.setattr(tr, "_layer_scan", lambda name, vk: scans.append(name))
+    for step, worker in enumerate((1, 0, 2), start=3):
+        _both(servers, worker, OrderedDict([("w", _coo("w", [step], [1.0]))]), step)
+    assert scans == [] and _held(tr) == []
 
 
 def test_restore_into_a_used_server_forgets_its_journal():

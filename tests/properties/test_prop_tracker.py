@@ -64,5 +64,5 @@ def test_secondary_compression_never_loses_mass(upd, syncs, ratio):
         upd, syncs[: len(upd)], secondary=TopKSparsifier(ratio, min_sparse_size=0)
     )
     for w in (0, 1):
-        pending = tr.M["w"] - tr.v[w]["w"]
+        pending = tr.M["w"] - tr.vk(w)["w"]
         np.testing.assert_allclose(theta[w] + pending, tr.M["w"], atol=1e-9)

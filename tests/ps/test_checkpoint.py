@@ -213,6 +213,23 @@ def _exchange(server, thetas, uploads, start, stop):
     return replies
 
 
+@pytest.mark.parametrize("cut", [5, len(_ORDER)])
+def test_arena_checkpoint_is_byte_identical_to_the_dict_oracle(tmp_path, cut):
+    """The arena server keeps no ``v_k`` (its journal stands in for them),
+    yet writes the dict oracle's ``M + K·v_k`` file byte for byte: each
+    ``v_k`` is materialised from ``M`` and the journal as it is written."""
+    files = []
+    for arena in (False, True):
+        server = _dgs_server(arena)
+        thetas = [{n: np.array(a) for n, a in server.global_model().items()} for _ in range(3)]
+        _exchange(server, thetas, _sparse_uploads(server, len(_ORDER)), 0, cut)
+        if arena:
+            assert all(buf is None for buf in server.tracker._buffers)
+        save_checkpoint(server, tmp_path / f"{arena}.ckpt")
+        files.append((tmp_path / f"{arena}.ckpt").read_bytes())
+    assert files[0] == files[1]
+
+
 @pytest.mark.parametrize("arena", [False, True], ids=["dict", "arena"])
 def test_restore_with_outstanding_differences_is_bitwise(tmp_path, arena):
     """3 workers, DGS without secondary compression: checkpoint while two

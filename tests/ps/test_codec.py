@@ -302,10 +302,11 @@ class TestDecodedViews:
         raw = encode_message(GradientMessage(0, upload, 0))
         tracker.apply_update(decode_message(raw).payload)
         (entry,) = tracker._journal
-        assert not np.shares_memory(entry["w"], np.frombuffer(raw, dtype=np.uint8))
-        kept = entry["w"].copy()
+        indices, _ = entry["w"]  # (indices, M's values there before)
+        assert not np.shares_memory(indices, np.frombuffer(raw, dtype=np.uint8))
+        kept = indices.copy()
         raw[:] = bytes(len(raw))  # what a reused receive buffer would do
-        np.testing.assert_array_equal(entry["w"], kept)
+        np.testing.assert_array_equal(indices, kept)
 
     def test_bytes_and_bytearray_inputs_decode_alike(self, rng):
         """Pipe transport hands over ``bytes`` (``recv_bytes``), the socket a

@@ -45,7 +45,7 @@ def _advance(server, steps=3, rng_seed=9):
 
 
 def _tracker_v(server, worker):
-    vk = server.tracker.v[worker]
+    vk = server.tracker.vk(worker)
     M = server.tracker.M
     if hasattr(M, "flat"):  # arena buffers
         return np.array(vk.flat), np.array(M.flat)
