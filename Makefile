@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: lint arch-check concurrency-smoke test bench-smoke bench-kernels bench-e2e bench-shards trace-smoke backend-matrix comm-smoke run-report-smoke shard-smoke socket-smoke
+.PHONY: lint arch-check concurrency-smoke sanitize-smoke test bench-smoke bench-kernels bench-e2e bench-shards trace-smoke backend-matrix comm-smoke run-report-smoke shard-smoke socket-smoke
 
 ## Static analysis: AST lint + lock discipline + lock graph + layering +
 ## sanitizer self-check.
@@ -17,6 +17,14 @@ arch-check:
 ## statically (LCK004) AND dynamically (LockRegistry order inversion).
 concurrency-smoke:
 	$(PYTHON) -m repro.analysis abba-smoke tests/analysis/fixtures/abba.py
+
+## Numeric sanitizer on real runs (~20 s on 2 cores: memory 0.1 s,
+## table3 18.6 s): the §5.6.2 memory table, then Table 3's --fast sweep,
+## whose 8-worker rows run the simulator with shared per-thread scratch.
+## Any NaN/Inf, float64 drift or non-C-ordered gradient exits non-zero.
+sanitize-smoke:
+	$(PYTHON) -m repro run memory --fast --sanitize > /dev/null
+	$(PYTHON) -m repro run table3 --fast --sanitize > /dev/null
 
 ## Tier-1 test suite.
 test:

@@ -136,10 +136,13 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None, stride: int = 1, pad:
         def backward(g: np.ndarray) -> None:
             gmat = g.transpose(0, 2, 3, 1).reshape(-1, f)  # (N*OH*OW, F)
             if weight.requires_grad:
-                gw = gmat.T @ cols  # (F, C*kh*kw)
-                weight._accumulate(gw.reshape(weight.shape))
+                # The GEMM lands in a weight-shaped array of its own, which
+                # is handed over; (F, C*kh*kw) reshaped would be a view.
+                gw = np.empty(weight.shape, dtype=np.result_type(gmat, cols))
+                np.matmul(gmat.T, cols, out=gw.reshape(f, -1))
+                weight._accumulate(gw, owned=True)
             if bias is not None and bias.requires_grad:
-                bias._accumulate(gmat.sum(axis=0))
+                bias._accumulate(gmat.sum(axis=0), owned=True)
             if x.requires_grad:
                 gcols = gmat @ wmat  # (N*OH*OW, C*kh*kw)
                 x._accumulate(col2im(gcols, (n, c, h, w), kh, kw, stride, pad))

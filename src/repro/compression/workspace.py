@@ -14,8 +14,14 @@ bit-for-bit.
 
 Lifetime / ownership rules (see ``docs/performance.md``):
 
-* A workspace is **single-threaded state**: one per worker strategy, one
-  per server tracker.  Never share one across threads.
+* A workspace is **per-thread state**: :meth:`KernelWorkspace.current`
+  hands each thread its own, and the arena path looks it up at call time
+  rather than holding one per strategy or tracker.  Everything that runs on
+  one thread shares one pool — the simulator's K workers and its server
+  draw from a single scratch sized by the largest layer, and each worker
+  thread of the threaded backend keeps its own (the server's handling,
+  done on that thread under the lock, uses it too).  Never hand one to
+  another thread.
 * A buffer returned by :meth:`scratch` — and any kernel *output that
   aliases workspace memory*, such as the mask from
   ``topk_mask(..., workspace=ws)`` — is valid only until the next kernel
@@ -26,9 +32,14 @@ Lifetime / ownership rules (see ``docs/performance.md``):
 
 from __future__ import annotations
 
+import threading
+
 import numpy as np
 
 __all__ = ["KernelWorkspace"]
+
+
+_per_thread = threading.local()
 
 
 class KernelWorkspace:
@@ -38,6 +49,15 @@ class KernelWorkspace:
 
     def __init__(self) -> None:
         self._buffers: "dict[tuple[str, np.dtype], np.ndarray]" = {}
+
+    @classmethod
+    def current(cls) -> "KernelWorkspace":
+        """The calling thread's workspace, created on its first use and
+        freed with the thread."""
+        ws = getattr(_per_thread, "workspace", None)
+        if ws is None:
+            ws = _per_thread.workspace = cls()
+        return ws
 
     def scratch(self, tag: str, size: int, dtype: "np.dtype | type | str") -> np.ndarray:
         """A reusable uninitialised buffer of ``size`` elements.

@@ -59,8 +59,9 @@ class WorkerStrategy(ABC):
     * ``arena=True`` (the hot path, default via ``RunConfig``): state
       lives in a :class:`~repro.core.arena.LayerArena` (float32 unless
       ``dtype`` overrides) and the selection/encode kernels draw scratch
-      from a per-strategy :class:`KernelWorkspace`.  Selection and
-      arithmetic are bitwise-identical to the reference at equal dtype.
+      from the calling thread's :class:`KernelWorkspace`, looked up per
+      :meth:`prepare`.  Selection and arithmetic are bitwise-identical to
+      the reference at equal dtype.
     """
 
     #: whether :meth:`prepare` returns sparse (COO) or dense layers
@@ -75,22 +76,22 @@ class WorkerStrategy(ABC):
         self.shapes = OrderedDict(shapes)
         self.arena = bool(arena)
         self.dtype = dtype
-        #: single-threaded scratch pool; one per strategy (see workspace.py)
-        self.workspace: "KernelWorkspace | None" = KernelWorkspace() if self.arena else None
 
     def _make_buffers(self):
         """Zeroed per-layer state in this strategy's chosen representation."""
         return make_layer_buffers(self.shapes, self.arena, self.dtype)
 
-    def _select(self, sparsifier: Sparsifier, arr: np.ndarray) -> SparseTensor:
-        """Fused select on the arena path; mask+encode reference otherwise.
+    @staticmethod
+    def _select(sparsifier: Sparsifier, arr: np.ndarray, ws: KernelWorkspace) -> SparseTensor:
+        """The arena path's select: fused where the sparsifier has one,
+        mask+encode otherwise, scratch from ``ws`` either way.
 
         Both routes pick the identical entry set (one ``_topk_indices``
         helper, see ``compression.topk``) — only the allocations differ.
         """
-        st = sparsifier.select(arr, self.workspace)
+        st = sparsifier.select(arr, ws)
         if st is None:
-            st = encode_mask(arr, sparsifier.mask(arr), self.workspace)
+            st = encode_mask(arr, sparsifier.mask(arr), ws)
         return st
 
     @abstractmethod
@@ -172,10 +173,11 @@ class GradientDroppingStrategy(WorkerStrategy):
     def prepare(self, grads: Mapping[str, np.ndarray], lr: float) -> "OrderedDict[str, SparseTensor]":
         out: OrderedDict[str, SparseTensor] = OrderedDict()
         if self.arena:
+            ws = KernelWorkspace.current()
             for name, g in grads.items():
                 r = self.residual[name]
-                add_scaled(r, g, lr, self.workspace)
-                st = self._select(self.sparsifier, r)
+                add_scaled(r, g, lr, ws)
+                st = self._select(self.sparsifier, r, ws)
                 out[name] = st
                 # Zero the sent coordinates through the fused tensor's
                 # indices — the same set r[mask] = 0.0 would clear.
@@ -277,12 +279,13 @@ class DGCStrategy(WorkerStrategy):
             # Fused decay across all layers (layers are independent, so one
             # whole-buffer multiply matches the per-layer u *= m exactly).
             self.u.flat *= self.momentum
+            ws = KernelWorkspace.current()
             for name, g in grads.items():
                 u, v = self.u[name], self.v[name]
                 # momentum correction: velocity, not raw gradient
-                add_scaled(u, g, lr, self.workspace)
+                add_scaled(u, g, lr, ws)
                 v += u
-                st = self._select(sparsifier, v)
+                st = self._select(sparsifier, v, ws)
                 out[name] = st
                 idx = st.indices
                 v.reshape(-1)[idx] = 0.0
@@ -354,10 +357,11 @@ class SAMomentumStrategy(WorkerStrategy):
         m = self.momentum
         out: OrderedDict[str, SparseTensor] = OrderedDict()
         if self.arena:
+            ws = KernelWorkspace.current()
             for name, g in grads.items():
                 u = self.u[name]
-                add_scaled(u, g, lr, self.workspace)
-                st = self._select(self.sparsifier, u)
+                add_scaled(u, g, lr, ws)
+                st = self._select(self.sparsifier, u, ws)
                 out[name] = st
                 u.reshape(-1)[st.indices] *= m
             return out

@@ -72,7 +72,7 @@ class ModelDifferenceTracker:
     :class:`~repro.core.arena.LayerArena` buffers (float32 unless ``dtype``
     overrides): applying an update becomes one fused op over the flat
     buffer — shortening the server's lock hold — and the model-difference
-    encode draws scratch from a tracker-owned :class:`KernelWorkspace`.
+    encode draws scratch from the calling thread's :class:`KernelWorkspace`.
     Without secondary compression it also replaces the K ``v_k`` buffers
     with the journal (module docstring).  ``arena=False`` is the
     dict-of-float64 reference path, bitwise-identical at equal dtype.
@@ -97,7 +97,6 @@ class ModelDifferenceTracker:
         #: construction-time dtype request, reused when a buffer is
         #: allocated later (it must match ``M``)
         self.buffer_dtype = dtype
-        self.workspace: "KernelWorkspace | None" = KernelWorkspace() if self.arena else None
         self.M = make_layer_buffers(self.shapes, self.arena, dtype)
         #: the journal: one ``{layer: (indices | None, M[indices] before)}``
         #: per applied update, for the ``len(journal)`` most recent ones
@@ -201,15 +200,16 @@ class ModelDifferenceTracker:
             # encode out of the scratch arena's views.
             diff = self._diff
             np.subtract(self.M.flat, vk.flat, out=diff.flat)
+            ws = KernelWorkspace.current()
             for name in self.M:
                 d = diff[name]
                 if self.secondary is not None:
-                    sent = self.secondary.select(d, self.workspace)
+                    sent = self.secondary.select(d, ws)
                     if sent is None:
-                        sent = encode_mask(d, self.secondary.mask(d), self.workspace)
+                        sent = encode_mask(d, self.secondary.mask(d), ws)
                     sent.add_into(vk[name])
                 else:
-                    sent = encode_best(d, self.workspace)
+                    sent = encode_best(d, ws)
                 out[name] = sent
             if self._journal is not None:
                 self._buffers[worker] = None  # v_k == M (Eq. 3): the journal covers it from t
@@ -329,7 +329,8 @@ class ModelDifferenceTracker:
 
     def _layer_scan(self, name: str, v_layer: np.ndarray) -> "SparseTensor | BitmapTensor | DenseTensor":
         """The dense scan of one layer (the journal path's fallback)."""
-        return encode_best(np.subtract(self.M[name], v_layer, out=self._diff[name]), self.workspace)
+        d = np.subtract(self.M[name], v_layer, out=self._diff[name])
+        return encode_best(d, KernelWorkspace.current())
 
     # ------------------------------------------------------------------
     def _fresh_buffer(self) -> "LayerArena | OrderedDict[str, np.ndarray]":

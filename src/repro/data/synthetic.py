@@ -66,19 +66,26 @@ class Dataset:
     def shard(self, num_shards: int, shard_id: int) -> "Dataset":
         """Return the ``shard_id``-th of ``num_shards`` disjoint training shards.
 
-        Validation data is shared by all shards (evaluation is global).
+        The shard's training arrays are read-only strided views of this
+        dataset's (rows ``shard_id, shard_id + num_shards, …``), so K
+        shards cost no second copy of the training set.  Validation data
+        is shared by all shards (evaluation is global).
         """
         if not 0 <= shard_id < num_shards:
             raise ValueError(f"shard_id {shard_id} out of range for {num_shards} shards")
-        idx = np.arange(self.n_train)[shard_id::num_shards]
         return Dataset(
-            self.x_train[idx],
-            self.y_train[idx],
+            _read_only(self.x_train[shard_id::num_shards]),
+            _read_only(self.y_train[shard_id::num_shards]),
             self.x_val,
             self.y_val,
             self.num_classes,
             name=f"{self.name}[shard {shard_id}/{num_shards}]",
         )
+
+
+def _read_only(view: np.ndarray) -> np.ndarray:
+    view.flags.writeable = False
+    return view
 
 
 def _split(

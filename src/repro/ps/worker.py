@@ -59,7 +59,13 @@ class WorkerNode:
 
     # ------------------------------------------------------------------
     def compute_step(self) -> GradientMessage:
-        """Run one forward/backward pass and build the upload message."""
+        """Run one forward/backward pass and build the upload message.
+
+        The gradients live only until the strategy has consumed them: a
+        worker between steps holds its replica and its strategy state,
+        nothing model-sized besides (every ``.grad`` is ``None`` on return,
+        and when ``prepare`` raises).
+        """
         x, y = self.batches.next_batch()
         logits = self.model(Tensor(x))
         loss = self.loss_fn(logits, y)
@@ -70,7 +76,10 @@ class WorkerNode:
 
         grads = gradients_of(self.model)
         lr = self.current_lr()
-        payload = self.strategy.prepare(grads, lr)
+        try:
+            payload = self.strategy.prepare(grads, lr)
+        finally:
+            self.model.zero_grad()
         self.strategy.on_iteration()
         msg = GradientMessage(self.worker_id, payload, self.iteration)
         self.iteration += 1

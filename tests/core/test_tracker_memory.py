@@ -14,7 +14,7 @@ from collections import OrderedDict
 import numpy as np
 import pytest
 
-from repro.compression import TopKSparsifier, topk_select
+from repro.compression import KernelWorkspace, TopKSparsifier, topk_select
 from repro.core.tracker import ModelDifferenceTracker
 
 SHAPES = OrderedDict([("w", (200, 100)), ("b", (100,))])
@@ -33,6 +33,7 @@ def _traced(num_workers, secondary=None):
         )
         for _ in range(8)
     ]
+    KernelWorkspace.current().clear()  # the thread's scratch is counted afresh
     tracemalloc.start()
     try:
         tracker = ModelDifferenceTracker(SHAPES, num_workers, secondary=secondary, arena=True)

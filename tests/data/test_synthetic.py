@@ -42,6 +42,22 @@ class TestDataset:
         with pytest.raises(ValueError):
             ds.shard(4, 4)
 
+    @pytest.mark.parametrize("num_shards", [1, 3, 8])
+    def test_shard_is_a_read_only_view_of_the_fancy_index_rows(self, num_shards):
+        """The rows the old ``x_train[arange(n)[id::K]]`` copy held, bitwise,
+        without the copy — and a shard cannot write through to the dataset."""
+        ds = make_blobs(n_samples=103, num_classes=3, dim=5, seed=0)
+        for shard_id in range(num_shards):
+            idx = np.arange(ds.n_train)[shard_id::num_shards]
+            s = ds.shard(num_shards, shard_id)
+            for got, full in ((s.x_train, ds.x_train), (s.y_train, ds.y_train)):
+                np.testing.assert_array_equal(got, full[idx])
+                assert got.dtype == full.dtype
+                assert np.shares_memory(got, full)
+                with pytest.raises(ValueError, match="read-only"):
+                    got[0] = 0
+        assert ds.x_train.flags.writeable  # the dataset itself stays writable
+
 
 class TestBlobs:
     def test_determinism(self):

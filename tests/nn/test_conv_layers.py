@@ -1,5 +1,7 @@
 """Conv/pool layer modules (the op-level math is tested in tests/autograd)."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -28,6 +30,24 @@ class TestConv2dLayer:
 
     def test_repr(self, rng):
         assert "Conv2d(3, 8" in repr(Conv2d(3, 8, 3, rng=rng))
+
+    def test_backward_hands_the_weight_gradient_over_without_a_copy(self, rng):
+        """A weight-heavy layer on a 4×4 input: the backward's traced peak
+        is the weight gradient itself, once.  Reshaping the GEMM's
+        (F, C·k·k) result gave the parameter a view, which was copied —
+        a peak of two weight gradients."""
+        conv = Conv2d(64, 128, 3, padding=1, rng=rng).astype(np.float32)
+        out = conv(Tensor(rng.normal(size=(1, 64, 4, 4)).astype(np.float32)))
+        seed_grad = np.ones(out.shape, dtype=np.float32)
+        weight_bytes = conv.weight.data.nbytes
+        tracemalloc.start()
+        try:
+            out.backward(seed_grad)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert conv.weight.grad.flags.owndata and conv.bias.grad.flags.owndata
+        assert peak < 1.5 * weight_bytes, f"{peak} B traced for a {weight_bytes} B gradient"
 
 
 class TestPoolLayers:

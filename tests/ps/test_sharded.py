@@ -8,6 +8,7 @@ semantics (staleness counts sum across shards, state bytes sum back to
 the whole model).
 """
 
+import threading
 from collections import OrderedDict
 
 import numpy as np
@@ -16,6 +17,8 @@ import pytest
 from repro.analysis.concurrency import LockRegistry
 from repro.comm.channel import ServerService
 from repro.comm.frames import GradientFrame
+from repro.compression import KernelWorkspace, TopKSparsifier
+from repro.core.strategies import SAMomentumStrategy
 from repro.obs import names as obs_names
 from repro.obs.tracer import Tracer, use_tracer
 from repro.ps.messages import GradientMessage
@@ -172,18 +175,105 @@ class TestShardRoutingAndLocks:
         assert ParameterShard.__guarded_attrs__ == ParameterServer.__guarded_attrs__
 
 
+class TestThreadIsolation:
+    """Kernel scratch is per thread (``KernelWorkspace.current``).  On the
+    threaded backend each worker thread runs its strategy's ``prepare`` and
+    then, under the shard locks, the server's handling of its update; both
+    draw from that thread's pool, never from another thread's."""
+
+    STEPS = 8
+
+    @staticmethod
+    def _setup():
+        server = ShardedParameterServer(
+            _theta0(), 2, 4, secondary_ratio=0.25, secondary_min_sparse_size=0, arena=True
+        )
+        strategies = [
+            SAMomentumStrategy(SHAPES, TopKSparsifier(0.25, min_sparse_size=0), 0.7, arena=True)
+            for _ in range(2)
+        ]
+        rng = np.random.default_rng(3)
+        return server, strategies, [_update(rng) for _ in range(TestThreadIsolation.STEPS)]
+
+    @staticmethod
+    def _step(server, strategies, grads, i):
+        w = i % 2
+        return server.handle(GradientMessage(w, strategies[w].prepare(grads[i], 0.1), i))
+
+    def _serial(self):
+        server, strategies, grads = self._setup()
+        return [self._step(server, strategies, grads, i) for i in range(self.STEPS)], server
+
+    def _threaded(self):
+        """Worker ``i % 2`` takes step ``i``, on its own thread; turns are
+        handed over so the update order is the serial run's."""
+        server, strategies, grads = self._setup()
+        turns = [threading.Event() for _ in range(self.STEPS + 1)]
+        replies, errors = [None] * self.STEPS, []
+
+        def worker(w):
+            try:
+                for i in range(w, self.STEPS, 2):
+                    assert turns[i].wait(timeout=30)
+                    replies[i] = self._step(server, strategies, grads, i)
+                    turns[i + 1].set()
+            except BaseException as exc:  # surfaced on the main thread
+                errors.append(exc)
+                for turn in turns:
+                    turn.set()
+
+        threads = [threading.Thread(target=worker, args=(w,)) for w in range(2)]
+        for t in threads:
+            t.start()
+        turns[0].set()
+        for t in threads:
+            t.join()
+        if errors:
+            raise errors[0]
+        return replies, server
+
+    def test_the_same_thread_always_gets_the_same_workspace(self):
+        ws = KernelWorkspace.current()
+        self._serial()
+        assert KernelWorkspace.current() is ws
+        assert ws.nbytes() > 0  # the exchange drew its scratch from it
+
+    def test_worker_threads_never_share_a_workspace(self, monkeypatch):
+        drawn = []  # (thread, workspace) per scratch request
+        scratch = KernelWorkspace.scratch
+
+        def spy(ws, *args):
+            drawn.append((threading.get_ident(), ws))
+            return scratch(ws, *args)
+
+        monkeypatch.setattr(KernelWorkspace, "scratch", spy)
+        self._threaded()
+        by_thread = {}
+        for thread, ws in drawn:
+            by_thread.setdefault(thread, set()).add(id(ws))
+        assert len(by_thread) == 2 and threading.get_ident() not in by_thread
+        pools = list(by_thread.values())
+        assert all(len(pool) == 1 for pool in pools)
+        assert pools[0] != pools[1]
+
+    def test_threaded_replies_are_bitwise_the_serial_run(self):
+        (serial, s_server), (threaded, t_server) = self._serial(), self._threaded()
+        for a, b in zip(serial, threaded):
+            assert a.staleness == b.staleness
+            for name in SHAPES:
+                np.testing.assert_array_equal(a.payload[name].to_dense(), b.payload[name].to_dense())
+        a, b = s_server.global_model(), t_server.global_model()
+        for name in SHAPES:
+            np.testing.assert_array_equal(a[name], b[name])
+
+
 class TestShardIsolation:
-    """Per-shard scratch and storage: nothing one shard writes is visible
-    through another shard's views."""
+    """Per-shard storage: nothing one shard writes is visible through
+    another shard's views."""
 
     @staticmethod
     def _arena_server():
         return ShardedParameterServer(_theta0(), 1, 4, arena=True)
-
-    def test_each_shard_owns_a_distinct_workspace(self):
-        workspaces = [shard.tracker.workspace for shard in self._arena_server().shards]
-        assert all(ws is not None for ws in workspaces)
-        assert len({id(ws) for ws in workspaces}) == len(workspaces)
 
     def test_shard_arena_views_never_alias(self):
         shard_layers = [
