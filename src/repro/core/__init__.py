@@ -8,6 +8,7 @@ from .layerops import (
     flatten_layers,
     gradients_of,
     layer_shapes,
+    parameter_views,
     parameters_of,
     total_nbytes,
     total_size,
@@ -39,6 +40,7 @@ __all__ = [
     "clone_layers",
     "gradients_of",
     "parameters_of",
+    "parameter_views",
     "assign_parameters",
     "add_scaled",
     "total_size",

@@ -24,6 +24,7 @@ __all__ = [
     "clone_layers",
     "gradients_of",
     "parameters_of",
+    "parameter_views",
     "assign_parameters",
     "add_payload",
     "copy_payload",
@@ -60,6 +61,22 @@ def gradients_of(model: Module) -> "OrderedDict[str, np.ndarray]":
 def parameters_of(model: Module) -> "OrderedDict[str, np.ndarray]":
     """Copies of the model's parameter arrays."""
     return OrderedDict((name, p.data.copy()) for name, p in model.named_parameters())
+
+
+def parameter_views(model: Module) -> "OrderedDict[str, np.ndarray]":
+    """Read-only views of the model's parameter arrays.
+
+    θ0 as the engines hand it out: every consumer (the server's θ0 arena,
+    :func:`assign_parameters` on a replica) copies what it keeps, so a
+    snapshot of its own would be a dead copy of the model.  The views see
+    later writes to the model, so take them before training touches it.
+    """
+    views: "OrderedDict[str, np.ndarray]" = OrderedDict()
+    for name, p in model.named_parameters():
+        view = p.data.view()
+        view.flags.writeable = False
+        views[name] = view
+    return views
 
 
 def assign_parameters(model: Module, values: Mapping[str, np.ndarray]) -> None:

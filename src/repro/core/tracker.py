@@ -124,9 +124,12 @@ class ModelDifferenceTracker:
                 for _ in range(num_workers)
             ]
         # Reused scratch arena for M − v_k and for rewinding M (arena mode
-        # only; overwritten by dense scans, never escapes).
+        # with difference tracking only — vanilla ASGD never reads it;
+        # overwritten by dense scans, never escapes).
         self._diff: "LayerArena | None" = (
-            LayerArena(self.shapes, dtype=self.M.dtype) if self.arena else None
+            LayerArena(self.shapes, dtype=self.M.dtype)
+            if self.arena and track_differences
+            else None
         )
         #: server timestamp t — incremented once per applied update (Table 1)
         self.t = 0

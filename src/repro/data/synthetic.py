@@ -91,11 +91,42 @@ def _read_only(view: np.ndarray) -> np.ndarray:
 def _split(
     x: np.ndarray, y: np.ndarray, val_fraction: float, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Shuffle ``x`` in place and cut it: ``(x_train, y_train, x_val, y_val)``.
+
+    The rows land where ``x[perm]`` would put them, so the values are those
+    of the fancy-index split, but ``x_val`` and ``x_train`` are the two
+    contiguous halves of ``x`` itself: the samples are never held twice.
+    """
     n = len(x)
     perm = rng.permutation(n)
     n_val = max(1, int(round(n * val_fraction)))
-    val, train = perm[:n_val], perm[n_val:]
-    return x[train], y[train], x[val], y[val]
+    _permute_rows(x, perm)
+    y = y[perm]  # the labels are small; a copy costs nothing
+    return x[n_val:], y[n_val:], x[:n_val], y[:n_val]
+
+
+def _permute_rows(a: np.ndarray, perm: np.ndarray) -> None:
+    """``a[:] = a[perm]`` in place with one row of scratch.
+
+    Follows each cycle of ``perm``: row ``j`` takes row ``perm[j]``, and the
+    row that opened the cycle, saved first, closes it.
+    """
+    order = perm.tolist()
+    done = bytearray(len(order))
+    saved = np.empty_like(a[:1])
+    for start in range(len(order)):
+        if done[start]:
+            continue
+        saved[0] = a[start]
+        j = start
+        while True:
+            done[j] = 1
+            k = order[j]
+            if k == start:
+                a[j] = saved[0]
+                break
+            a[j] = a[k]
+            j = k
 
 
 #: rows of ``make_blobs`` generated per pass (1.5 MB of doubles at dim 768)
@@ -192,7 +223,9 @@ def make_image_classes(
     gain = 1.0 + 0.1 * rng.normal(size=(n_samples, channels, 1, 1))
     x *= gain
     x += rng.normal(0.0, 0.35 * difficulty, size=x.shape)
-    x = x.astype(np.float32)
+    # C order: the templates' upsampling leaves x strided, and the split
+    # hands out views of this array
+    x = x.astype(np.float32, order="C")
 
     xtr, ytr, xv, yv = _split(x, y, val_fraction, rng)
     return Dataset(xtr, ytr, xv, yv, num_classes, name=name)

@@ -19,7 +19,7 @@ from ..core.layerops import assign_parameters, layer_shapes
 from ..core.methods import Hyper, MethodSpec, get_method
 from ..data.loader import DataLoader
 from ..data.synthetic import Dataset
-from ..metrics.evaluation import evaluate_params
+from ..metrics.evaluation import evaluate_model, evaluate_params
 from ..nn.module import Module
 from ..optim.schedules import ConstantLR, Schedule
 
@@ -36,6 +36,7 @@ __all__ = [
     "build_worker",
     "build_workers",
     "evaluate_global",
+    "evaluate_global_scratch",
 ]
 
 
@@ -151,7 +152,8 @@ def build_workers(
     """Stamp out ``num_workers`` replicas, all starting from θ0.
 
     ``first_model`` lets a caller donate an already-built model as worker
-    0's replica (the simulator reuses its reference model this way).
+    0's replica (the simulator and the threaded trainer donate the
+    reference model ``theta0`` was read from, so it is built once).
     """
     workers: list[WorkerNode] = []
     for w in range(num_workers):
@@ -181,3 +183,13 @@ def evaluate_global(model: Module, server: ParameterServer, dataset: Dataset) ->
     replica (its statistics reflect actual training data).
     """
     return evaluate_params(model, server.global_model(), dataset.x_val, dataset.y_val)
+
+
+def evaluate_global_scratch(
+    model: Module, server: ParameterServer, dataset: Dataset
+) -> "tuple[float, float]":
+    """:func:`evaluate_global` on a model that is scratch: θ0 + M is
+    assigned into ``model`` and left there, so no copy of its parameters
+    is saved to restore them.  Bitwise the same numbers."""
+    assign_parameters(model, server.global_model())
+    return evaluate_model(model, dataset.x_val, dataset.y_val)

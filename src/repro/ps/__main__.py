@@ -50,16 +50,15 @@ def _parse_endpoint(text: str) -> "tuple[str, int]":
 def _cmd_serve(args: argparse.Namespace) -> int:
     from ..comm.service import ServerService, serve_channels
     from ..comm.socket import SocketListener
-    from ..core.layerops import parameters_of
-    from ..exec.common import build_server
-    from ..metrics.evaluation import evaluate_params
+    from ..core.layerops import parameter_views
+    from ..exec.common import build_server, evaluate_global_scratch
     from .checkpoint import load_checkpoint, save_checkpoint
     from .membership import WorkerDirectory
 
     dataset, model_factory, method, hyper, schedule = _workload(args)
     eval_model = model_factory()
     server = build_server(
-        method, parameters_of(eval_model), args.workers, hyper, num_shards=args.shards
+        method, parameter_views(eval_model), args.workers, hyper, num_shards=args.shards
     )
     if args.restore:
         header = load_checkpoint(server, args.restore)
@@ -94,9 +93,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         save_checkpoint(server, args.checkpoint)
         print(f"checkpoint written to {args.checkpoint}", file=sys.stderr)
 
-    acc, loss = evaluate_params(
-        eval_model, server.global_model(), dataset.x_val, dataset.y_val
-    )
+    acc, loss = evaluate_global_scratch(eval_model, server, dataset)
     events = membership.snapshot()
     print(
         f"done: t={server.timestamp} accuracy={acc:.3f} loss={loss:.4f} "

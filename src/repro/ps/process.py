@@ -37,20 +37,20 @@ import os
 import time
 from typing import Callable, Mapping
 
-from ..core.layerops import parameters_of
+from ..core.layerops import parameter_views
 from ..core.methods import Hyper, MethodSpec
 from ..data.loader import DataLoader
 from ..data.synthetic import Dataset
 from ..exec.common import (
     build_server,
     build_worker,
+    evaluate_global_scratch,
     resolve_hyper,
     resolve_method,
     resolve_schedule,
 )
 from ..exec.result import TrainResult
 from ..metrics.curves import Curve
-from ..metrics.evaluation import evaluate_params
 from ..nn.module import Module
 from ..obs.span import relabel_records
 from ..obs.tracer import Tracer, current_tracer, use_tracer
@@ -161,11 +161,12 @@ class ProcessTrainer:
         #: worker id → local iteration at which that worker hard-crashes
         self.fail_at = dict(fail_at) if fail_at else {}
 
+        #: the reference model: θ0 is read from it until the workers have
+        #: forked, and the final evaluation uses it as scratch for θ0 + M
         self.eval_model = model_factory()
-        self.theta0 = parameters_of(self.eval_model)
         self.server = build_server(
             self.method,
-            self.theta0,
+            parameter_views(self.eval_model),
             num_workers,
             self.hyper,
             secondary_compression=secondary_compression,
@@ -182,6 +183,8 @@ class ProcessTrainer:
         tracer = self.tracer if self.tracer is not None else current_tracer()
         trace = bool(getattr(tracer, "enabled", False))
         t_start = time.perf_counter()
+        # still θ0: only the final evaluation writes eval_model
+        theta0 = parameter_views(self.eval_model)
         ctx = mp.get_context("fork")
         channels: "list[PipeChannel]" = []
         procs: "list[mp.Process]" = []
@@ -195,7 +198,7 @@ class ProcessTrainer:
                     self.num_workers,
                     self.model_factory,
                     self.dataset,
-                    self.theta0,
+                    theta0,
                     self.batch_size,
                     self.iterations_per_worker,
                     self.method,
@@ -238,10 +241,7 @@ class ProcessTrainer:
             if trace:
                 tracer.absorb(relabel_records(frame.spans, f"worker-{wid}"))
 
-        global_params = self.server.global_model()
-        acc, loss = evaluate_params(
-            self.eval_model, global_params, self.dataset.x_val, self.dataset.y_val
-        )
+        acc, loss = evaluate_global_scratch(self.eval_model, self.server, self.dataset)
         stats = self.server.stats
         staleness = self.server.staleness_summary()
         return TrainResult(

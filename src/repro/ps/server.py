@@ -62,9 +62,8 @@ def summarize_staleness(
     percentile math once, on merged data, with no lock held.
     """
     def p50_p99(values: "list[int]") -> "tuple[float, float]":
-        # one list -> array conversion and one percentile call for both
-        p50, p99 = np.percentile(np.asarray(values), [50, 99])
-        return float(p50), float(p99)
+        ordered = sorted(values)
+        return _percentile(ordered, 50), _percentile(ordered, 99)
 
     per_worker = {}
     for w, values in sorted(per_worker_values.items()):
@@ -78,6 +77,24 @@ def summarize_staleness(
     all_values = [s for values in per_worker_values.values() for s in values]
     p50, p99 = p50_p99(all_values) if all_values else (float("nan"), float("nan"))
     return {"p50": p50, "p99": p99, "per_worker": per_worker}
+
+
+def _percentile(ordered: "list[int]", q: float) -> float:
+    """``np.percentile(ordered, q)`` for a sorted, non-empty list, bitwise.
+
+    NumPy's default "linear" rule, restated: ``np.percentile`` finds its
+    neighbours through ``np.unique``, which imports ``numpy.ma`` (1–2 MiB
+    of RSS) on first use, and a report path should not pay that.
+    """
+    pos = (len(ordered) - 1) * (q / 100)
+    i = int(pos)
+    if i >= len(ordered) - 1:
+        return float(ordered[-1])
+    a, b = ordered[i], ordered[i + 1]
+    t = pos - i
+    d = b - a
+    # NumPy's _lerp: from whichever neighbour is nearer
+    return a + d * t if t < 0.5 else b - d * (1 - t)
 
 
 class ParameterServer:

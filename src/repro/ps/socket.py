@@ -38,20 +38,20 @@ import os
 import time
 from typing import Callable, Mapping
 
-from ..core.layerops import parameters_of
+from ..core.layerops import parameter_views
 from ..core.methods import Hyper, MethodSpec
 from ..data.loader import DataLoader
 from ..data.synthetic import Dataset
 from ..exec.common import (
     build_server,
     build_worker,
+    evaluate_global_scratch,
     resolve_hyper,
     resolve_method,
     resolve_schedule,
 )
 from ..exec.result import TrainResult
 from ..metrics.curves import Curve
-from ..metrics.evaluation import evaluate_params
 from ..nn.module import Module
 from ..obs.span import relabel_records
 from ..obs.tracer import Tracer, current_tracer, use_tracer
@@ -210,11 +210,12 @@ class SocketTrainer:
         #: (host, port) to bind; None ⇒ loopback-ephemeral (CI default)
         self.bind = bind
 
+        #: the reference model: θ0 is read from it, and the final
+        #: evaluation uses it as scratch for θ0 + M
         self.eval_model = model_factory()
-        self.theta0 = parameters_of(self.eval_model)
         self.server = build_server(
             self.method,
-            self.theta0,
+            parameter_views(self.eval_model),
             num_workers,
             self.hyper,
             secondary_compression=secondary_compression,
@@ -316,10 +317,7 @@ class SocketTrainer:
             if trace:
                 tracer.absorb(relabel_records(frame.spans, f"worker-{wid}"))
 
-        global_params = self.server.global_model()
-        acc, loss = evaluate_params(
-            self.eval_model, global_params, self.dataset.x_val, self.dataset.y_val
-        )
+        acc, loss = evaluate_global_scratch(self.eval_model, self.server, self.dataset)
         stats = self.server.stats
         staleness = self.server.staleness_summary()
         channels = listener.accepted

@@ -17,7 +17,7 @@ import threading
 import time
 from typing import Callable
 
-from ..core.layerops import parameters_of
+from ..core.layerops import parameter_views
 from ..core.methods import Hyper, MethodSpec
 from ..data.loader import DataLoader
 from ..data.synthetic import Dataset
@@ -78,8 +78,8 @@ class ThreadedTrainer:
         self.iterations_per_worker = iterations_per_worker
 
         loader = DataLoader(dataset, batch_size, seed=seed)
-        self.eval_model = model_factory()
-        theta0 = parameters_of(self.eval_model)
+        ref_model = model_factory()
+        theta0 = parameter_views(ref_model)
         self.server = build_server(
             self.method,
             theta0,
@@ -91,6 +91,8 @@ class ThreadedTrainer:
             arena_dtype=arena_dtype,
             num_shards=num_shards,
         )
+        # Worker 0 reuses the reference model, whose replica run() then
+        # evaluates on.
         self.workers: list[WorkerNode] = build_workers(
             num_workers,
             model_factory,
@@ -99,6 +101,7 @@ class ThreadedTrainer:
             self.hyper,
             self.schedule,
             theta0,
+            first_model=ref_model,
             arena=arena,
             arena_dtype=arena_dtype,
         )

@@ -24,7 +24,7 @@ from typing import Callable
 
 import numpy as np
 
-from ..core.layerops import parameters_of
+from ..core.layerops import parameter_views
 from ..core.methods import Hyper, MethodSpec
 from ..data.loader import DataLoader
 from ..data.synthetic import Dataset
@@ -120,7 +120,7 @@ class SimulatedTrainer:
         num_workers = cluster.num_workers
         loader = DataLoader(dataset, batch_size, seed=seed)
         ref_model = model_factory()
-        theta0 = parameters_of(ref_model)
+        theta0 = parameter_views(ref_model)
         self.server = build_server(
             self.method,
             theta0,

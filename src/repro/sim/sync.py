@@ -30,7 +30,7 @@ import numpy as np
 from ..compression.coding import SparseTensor
 from ..compression.stats import CompressionStats
 from ..core.arena import LayerArena
-from ..core.layerops import add_payload, parameters_of
+from ..core.layerops import add_payload, layer_shapes
 from ..core.methods import Hyper, MethodSpec
 from ..data.loader import DataLoader
 from ..data.synthetic import Dataset
@@ -83,8 +83,7 @@ class SynchronousTrainer:
         n = cluster.num_workers
         loader = DataLoader(dataset, batch_size, seed=seed)
         self.model = model_factory()
-        theta0 = parameters_of(self.model)
-        shapes = {k: v.shape for k, v in theta0.items()}
+        shapes = layer_shapes(self.model)
         self.arena = bool(arena)
         # Reused aggregation buffer for the arena path (zeroed per round).
         self._agg_arena = (

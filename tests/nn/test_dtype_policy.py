@@ -9,8 +9,7 @@ import pytest
 
 from repro.autograd import DEFAULT_DTYPE, Tensor, no_grad
 from repro.core.layerops import gradients_of
-from repro.data import make_blobs, make_image_classes, make_spirals
-from repro.data.synthetic import _split
+from repro.data import make_blobs, make_image_classes, make_spirals, synthetic
 from repro.nn import (
     MLP,
     BatchNorm1d,
@@ -219,22 +218,71 @@ class TestDatasetsAreFloat32:
         centers = rng.normal(0.0, 0.5, size=(5, 7))
         y = rng.integers(0, 5, size=n_samples)
         x = centers[y] + rng.normal(0.0, 1.5, size=(n_samples, 7))
-        xtr, ytr, xv, yv = _split(x, y, 0.2, rng)
+        xtr, ytr, xv, yv = _fancy_index_split(x, y, 0.2, rng)
         np.testing.assert_array_equal(got.x_train, xtr.astype(np.float32))
         np.testing.assert_array_equal(got.x_val, xv.astype(np.float32))
         np.testing.assert_array_equal(got.y_train, ytr)
         np.testing.assert_array_equal(got.y_val, yv)
 
-    def test_blobs_peak_memory_is_the_result_and_its_split(self):
+    def test_blobs_peak_memory_is_the_result_alone(self):
         """The benchmark's dataset: 8192 × 768.  The one-shot double formula
         traced 101.7 MB (and was what ``peak_rss_mb`` measured on the
-        real-transport workloads); float32 built block-wise is the array
-        plus the copies ``_split`` makes of it — 2 × 25.2 MB."""
+        real-transport workloads); float32 built block-wise with a
+        fancy-index split traced 51.3 MB, the array plus its copy.  Split in
+        place, the array is all there is, plus 1.5 MB row blocks."""
         tracemalloc.start()
         try:
             ds = make_blobs(8192, dim=768)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert ds.x_train.nbytes + ds.x_val.nbytes == 8192 * 768 * 4
-        assert peak <= 56e6, f"make_blobs traced a peak of {peak / 1e6:.1f} MB"
+        result = ds.x_train.nbytes + ds.x_val.nbytes
+        assert result == 8192 * 768 * 4
+        assert peak <= 1.2 * result, f"make_blobs traced a peak of {peak / 1e6:.1f} MB"
+
+
+def _fancy_index_split(x, y, val_fraction, rng):
+    """The reference split: the same permutation, applied by fancy-index
+    copies (what ``_split`` did before it permuted in place)."""
+    perm = rng.permutation(len(x))
+    n_val = max(1, int(round(len(x) * val_fraction)))
+    val, train = perm[:n_val], perm[n_val:]
+    return x[train], y[train], x[val], y[val]
+
+
+GENERATORS = {
+    "blobs": lambda seed: make_blobs(300, num_classes=4, dim=6, seed=seed),
+    "spirals": lambda seed: make_spirals(250, seed=seed),
+    "images": lambda seed: make_image_classes(120, size=4, seed=seed),
+}
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7])
+@pytest.mark.parametrize("name", GENERATORS)
+class TestSplitInPlace:
+    def test_bitwise_the_fancy_index_split(self, name, seed, monkeypatch):
+        got = GENERATORS[name](seed)
+        monkeypatch.setattr(synthetic, "_split", _fancy_index_split)
+        ref = GENERATORS[name](seed)
+        for field in ("x_train", "y_train", "x_val", "y_val"):
+            a, b = getattr(got, field), getattr(ref, field)
+            assert a.dtype == b.dtype and a.shape == b.shape, field
+            assert a.tobytes() == b.tobytes(), field
+
+    def test_train_and_val_are_disjoint_views_of_one_buffer(self, name, seed):
+        ds = GENERATORS[name](seed)
+        x_train, x_val = ds.x_train, ds.x_val
+        assert x_train.flags.c_contiguous and x_val.flags.c_contiguous
+        assert x_train.base is not None and x_train.base is x_val.base
+        assert not np.shares_memory(x_train, x_val)
+        # x_val is the head of the buffer, x_train the rest of it
+        start = x_val.__array_interface__["data"][0]
+        assert x_train.__array_interface__["data"][0] == start + x_val.nbytes
+        assert x_train.base.nbytes == x_train.nbytes + x_val.nbytes
+
+    def test_shards_of_the_views_stay_read_only(self, name, seed):
+        ds = GENERATORS[name](seed)
+        shard = ds.shard(3, 1)
+        assert not shard.x_train.flags.writeable and not shard.y_train.flags.writeable
+        assert np.shares_memory(shard.x_train, ds.x_train)
+        np.testing.assert_array_equal(shard.x_train, ds.x_train[1::3])

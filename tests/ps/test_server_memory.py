@@ -1,0 +1,272 @@
+"""What the server process holds, counted in units of the model under test.
+
+§5.6.2: a parameter server holds ``M``, θ0 and, for DGS, what stands in
+for the per-worker ``v_k``; for ASGD, ``M`` alone.  The socket and process
+trainers' server side adds exactly one model more, the evaluation scratch
+the reference model doubles as.  Nothing else model-sized may be resident
+after construction: no dead difference scratch for ASGD, no θ0 snapshot
+beside the server's own, no copy saved around the final evaluation.
+
+Also here: the report path (``summarize_staleness``) never imports
+``numpy.ma``, which ``np.percentile`` pulls in through ``np.unique``.
+"""
+
+from __future__ import annotations
+
+import os
+import subprocess
+import sys
+import tracemalloc
+from collections import OrderedDict
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import repro
+from repro.core.arena import LayerArena
+from repro.core.layerops import add_payload, layer_shapes, parameters_of
+from repro.core.methods import Hyper
+from repro.core.tracker import ModelDifferenceTracker
+from repro.data import make_blobs
+from repro.data.loader import DataLoader
+from repro.exec.common import (
+    build_server,
+    build_workers,
+    resolve_method,
+    resolve_schedule,
+)
+from repro.metrics.evaluation import evaluate_model, evaluate_params
+from repro.nn import MLP
+from repro.ps.process import ProcessTrainer
+from repro.ps.server import summarize_staleness
+from repro.ps.socket import SocketTrainer
+from repro.ps.threaded import ThreadedTrainer
+from repro.ps.worker import WorkerNode
+from repro.sim.cluster import ClusterConfig
+from repro.sim.sync import SynchronousTrainer
+
+
+def _factory():
+    return MLP(64, (512, 256), 10, seed=3)  # 167 178 parameters, 669 kB
+
+
+UNIT = sum(p.data.nbytes for _, p in _factory().named_parameters())
+HYPER = Hyper(lr=0.05)
+
+
+@pytest.fixture(scope="module")
+def dataset():
+    return make_blobs(256, num_classes=10, dim=64, seed=1)
+
+
+# -- the tracker's scratch ------------------------------------------------
+class TestDifferenceScratch:
+    shapes = OrderedDict([("w", (64, 32)), ("b", (32,))])
+
+    def test_asgd_tracker_has_no_difference_scratch(self):
+        tracker = ModelDifferenceTracker(self.shapes, 2, track_differences=False, arena=True)
+        assert tracker._diff is None
+        assert tracker.server_state_bytes() == tracker.M.flat.nbytes
+
+    def test_dgs_tracker_keeps_its_scratch(self):
+        tracker = ModelDifferenceTracker(self.shapes, 2, arena=True)
+        assert isinstance(tracker._diff, LayerArena)
+        assert tracker._diff.same_layout(tracker.M)
+
+
+# -- the trainers' server side ---------------------------------------------
+def _trainer(cls, dataset, method="asgd"):
+    return cls(
+        method,
+        _factory,
+        dataset,
+        num_workers=2,
+        batch_size=16,
+        iterations_per_worker=6,
+        hyper=HYPER,
+        seed=0,
+        arena=True,
+    )
+
+
+@pytest.mark.parametrize("cls", [SocketTrainer, ProcessTrainer])
+class TestServerProcessHolds:
+    def _traced(self, cls, dataset):
+        """(trainer, units after construction, units of run()'s peak over
+        that, result); imports are warmed by a first construction."""
+        _trainer(cls, dataset)
+        tracemalloc.start()
+        try:
+            trainer = _trainer(cls, dataset)
+            built = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            result = trainer.run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return trainer, built / UNIT, (peak - built) / UNIT, result
+
+    def test_asgd_server_holds_theta0_m_and_the_evaluation_model(self, cls, dataset):
+        """θ0 arena, ``M`` and ``eval_model``: three models (five before
+        θ0 was read through views and ASGD dropped the difference scratch),
+        plus under 0.2 of one in meters, registries and Python objects.
+        ``run()`` adds at most 4.5 at its peak: the upload frame, θ0 + M
+        and the reply frame of one exchange, or the final θ0 + M."""
+        trainer, built, run_peak, result = self._traced(cls, dataset)
+        assert result.errors == []
+        assert built <= 3.2, f"constructed server side holds {built:.2f} models"
+        assert run_peak <= 4.5, f"run() peaked {run_peak:.2f} models over construction"
+
+    def test_final_loss_is_bitwise_evaluate_params(self, cls, dataset):
+        """Evaluating in the scratch model is what ``evaluate_params`` does
+        minus the save-and-restore: the same numbers, to the bit."""
+        trainer = _trainer(cls, dataset)
+        result = trainer.run()
+        acc, loss = evaluate_params(
+            _factory(), trainer.server.global_model(), dataset.x_val, dataset.y_val
+        )
+        assert result.final_loss == loss and result.final_accuracy == acc
+        for name, p in trainer.eval_model.named_parameters():
+            np.testing.assert_array_equal(p.data, trainer.server.global_model()[name])
+
+
+def test_engines_receive_theta0_as_read_only_views(dataset, monkeypatch):
+    """No engine snapshots θ0: what reaches the server is a read-only view
+    of the reference model, which the server copies into its own arena."""
+    seen = []
+    import repro.exec.common as common
+
+    real = common.build_server
+
+    def spy(method, theta0, *args, **kwargs):
+        seen.append(theta0)
+        return real(method, theta0, *args, **kwargs)
+
+    for module in ("repro.ps.socket", "repro.ps.process", "repro.ps.threaded", "repro.sim.engine"):
+        monkeypatch.setattr(f"{module}.build_server", spy)
+    _trainer(SocketTrainer, dataset)
+    _trainer(ProcessTrainer, dataset)
+    _trainer(ThreadedTrainer, dataset)
+    from repro.sim.engine import SimulatedTrainer
+
+    SimulatedTrainer(
+        "asgd", _factory, dataset, ClusterConfig(num_workers=2), batch_size=16,
+        total_iterations=4, hyper=HYPER, arena=True,
+    )
+    assert len(seen) == 4
+    for theta0 in seen:
+        for arr in theta0.values():
+            assert not arr.flags.writeable and arr.base is not None
+
+
+# -- engines whose results must not move -----------------------------------
+def _sequential_oracle(dataset, iterations):
+    """One worker against the server, built the way the engines did before
+    θ0 became views: θ0 and the evaluation model are separate copies."""
+    method = resolve_method("dgs")
+    server = build_server(method, parameters_of(_factory()), 1, HYPER, arena=True)
+    loader = DataLoader(dataset, 16, seed=5)
+    (node,) = build_workers(
+        1, _factory, loader, method, HYPER, resolve_schedule(None, HYPER),
+        parameters_of(_factory()), arena=True,
+    )
+    losses = []
+    for _ in range(iterations):
+        node.apply_reply(server.handle(node.compute_step()))
+        losses.append(node.last_loss)
+    acc, loss = evaluate_params(_factory(), server.global_model(), dataset.x_val, dataset.y_val)
+    return losses, acc, loss
+
+
+def test_threaded_trainer_is_bitwise_the_sequential_oracle(dataset):
+    """With one worker the threaded engine is deterministic, and donating
+    the reference model as that worker's replica changes nothing."""
+    trainer = ThreadedTrainer(
+        "dgs", _factory, dataset, num_workers=1, batch_size=16,
+        iterations_per_worker=12, hyper=HYPER, seed=5, arena=True,
+    )
+    assert not hasattr(trainer, "eval_model")
+    result = trainer.run()
+    losses, acc, loss = _sequential_oracle(dataset, 12)
+    assert list(result.loss_vs_step.ys) == losses
+    assert (result.final_accuracy, result.final_loss) == (acc, loss)
+
+
+def test_sync_trainer_is_bitwise_the_barrier_oracle(dataset):
+    """SSGD's one model, read for its shapes only, trains exactly as two
+    workers summing their updates into it each round (Eq. 7)."""
+    cluster = ClusterConfig(num_workers=2)
+    result = SynchronousTrainer(
+        "dgs", _factory, dataset, cluster, batch_size=16, rounds=8, hyper=HYPER,
+        seed=5, arena=True,
+    ).run()
+
+    method = resolve_method("dgs", require_distributed=False)
+    model = _factory()
+    shapes = layer_shapes(model)
+    loader = DataLoader(dataset, 16, seed=5)
+    workers = [
+        WorkerNode(
+            w, model, loader.worker_iterator(w, 2),
+            method.make_strategy(shapes, HYPER, arena=True),
+            schedule=resolve_schedule(None, HYPER),
+        )
+        for w in range(2)
+    ]
+    agg = LayerArena(shapes, dtype=np.float32)
+    params = dict(model.named_parameters())
+    for _ in range(8):
+        msgs = [node.compute_step() for node in workers]
+        agg.zero_()
+        for msg in msgs:
+            agg.add_payload(msg.payload)
+        add_payload(params, agg, scale=-1.0)
+    acc, loss = evaluate_model(model, dataset.x_val, dataset.y_val)
+    assert (result.final_accuracy, result.final_loss) == (acc, loss)
+
+
+# -- the report path -------------------------------------------------------
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(min_value=0, max_value=2**40), min_size=1, max_size=400))
+def test_staleness_percentiles_are_bitwise_numpys(values):
+    summary = summarize_staleness({0: values})
+    p50, p99 = np.percentile(np.asarray(values), [50, 99])
+    assert summary["p50"] == float(p50) and summary["p99"] == float(p99)
+    assert summary["per_worker"][0]["p50"] == float(p50)
+    assert summary["per_worker"][0]["p99"] == float(p99)
+
+
+_NO_MA_SCRIPT = """
+import sys
+from repro.core.methods import Hyper
+from repro.data import make_blobs
+from repro.exec import RunConfig, Trainer
+from repro.nn import MLP
+
+dataset = make_blobs(200, num_classes=4, dim=8, seed=1)
+for backend in ("socket", "simulated"):
+    config = RunConfig(
+        method="asgd", model_factory=lambda: MLP(8, (16,), 4, seed=3), dataset=dataset,
+        num_workers=2, batch_size=8, total_iterations=8, hyper=Hyper(lr=0.05), arena=True,
+    )
+    result = Trainer(config, backend=backend).run()
+    assert result.staleness_p99 == result.staleness_p99, backend  # measured, not NaN
+print("numpy.ma" in sys.modules)
+"""
+
+
+def test_a_run_and_its_report_leave_numpy_ma_unimported():
+    """``np.percentile`` → ``np.unique`` → ``import numpy.ma``: +2.2 MiB
+    RSS in a bare interpreter.  A socket run and a simulated run, report
+    included, must not pay it."""
+    src = str(Path(repro.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run(
+        [sys.executable, "-c", _NO_MA_SCRIPT], env=env, capture_output=True, text=True,
+        timeout=120,
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip().splitlines()[-1] == "False"
