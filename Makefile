@@ -87,10 +87,10 @@ shard-smoke:
 
 ## Socket-backend smoke: a 2-shard × 2-worker elastic run over real TCP
 ## loopback (forked workers connect + register through the membership
-## handshake) writes a run dir and passes the health gate; then
-## checkpoint → restore → continue must reproduce the uninterrupted
-## run's loss curve bitwise (`python -m repro.ps smoke` exits non-zero
-## on any float of divergence).
+## handshake) writes a run dir and passes the health gate; then, over
+## pipes and over TCP, checkpoint → restore → continue must reproduce the
+## uninterrupted run's loss curve bitwise (`python -m repro.ps smoke`
+## exits non-zero on any float of divergence).
 socket-smoke:
 	rm -rf .socket-smoke
 	$(PYTHON) -m repro.obs run-smoke --runs-dir .socket-smoke --run-id socket --backend socket --shards 2 --workers 2

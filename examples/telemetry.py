@@ -1,10 +1,11 @@
 #!/usr/bin/env python
 """Observability: stream per-step telemetry to JSONL and render charts.
 
-Attaches a :class:`repro.metrics.RunLogger` to a simulated DGS run, writes
+Attaches a :class:`repro.obs.ObsLogger` to a simulated DGS run, writes
 one JSON record per applied update (step, virtual time, worker, loss,
-staleness, bytes), reloads the log, and renders loss + staleness charts to
-SVG — the offline equivalent of a TensorBoard scalar stream.
+staleness, bytes), reloads the log with :func:`repro.obs.load_jsonl`, and
+renders loss + staleness charts to SVG — the offline equivalent of a
+TensorBoard scalar stream.
 
 Usage:  python examples/telemetry.py [--fast] [--out-dir /tmp]
 """
@@ -15,7 +16,16 @@ from collections import Counter
 
 from repro.exec import RunConfig, train
 from repro.harness import get_workload, paper_cluster
-from repro.metrics import RunLogger, load_runlog, save_svg
+from repro.metrics import Curve, save_svg
+from repro.obs import ObsLogger, load_jsonl
+
+
+def curve(steps, y, x):
+    """A Curve of step-record field ``y`` against field ``x``."""
+    c = Curve(f"{y}_vs_{x}")
+    for r in steps:
+        c.add(float(r[x]), float(r[y]))
+    return c
 
 
 def main() -> None:
@@ -31,7 +41,7 @@ def main() -> None:
     total_iters = max(1, workload.epochs * dataset.n_train // workload.batch_size)
 
     log_path = out / "run.jsonl"
-    with RunLogger(log_path, meta={"method": "dgs", "workers": 4}) as logger:
+    with ObsLogger(log_path, meta={"method": "dgs", "workers": 4}) as logger:
         result = train(
             RunConfig(
                 "dgs", factory, dataset,
@@ -49,11 +59,10 @@ def main() -> None:
     print(f"trained: acc={100 * result.final_accuracy:.2f}%  log: {log_path}")
 
     # Reload (as an analysis script would) and render charts.
-    log = load_runlog(log_path)
-    steps = log.steps()
-    save_svg(out / "loss.svg", {"DGS": log.curve("loss", "time_s")},
+    steps = [r for r in load_jsonl(log_path) if r["type"] == "step"]
+    save_svg(out / "loss.svg", {"DGS": curve(steps, "loss", "time_s")},
              title="training loss vs virtual time", xlabel="s", ylabel="loss", logy=True)
-    save_svg(out / "staleness.svg", {"staleness": log.curve("staleness", "step")},
+    save_svg(out / "staleness.svg", {"staleness": curve(steps, "staleness", "step")},
              title="gradient staleness per update", xlabel="step", ylabel="staleness")
     print(f"charts: {out / 'loss.svg'}, {out / 'staleness.svg'}")
 

@@ -71,8 +71,8 @@ def main(argv: list[str] | None = None) -> int:
         "--checkpoint-every",
         type=int,
         metavar="N",
-        help="write a server checkpoint every N applied updates (threaded "
-        "and socket backends); requires --checkpoint",
+        help="write a server checkpoint every N applied updates (threaded, "
+        "process and socket backends); requires --checkpoint",
     )
     run_p.add_argument(
         "--checkpoint",

@@ -1,12 +1,11 @@
-"""repro.comm — one typed channel layer under all four backends.
+"""repro.comm — one typed channel layer under all five backends.
 
 Every worker↔server exchange in the repo crosses a :class:`Channel`
 speaking the typed frame vocabulary of :mod:`repro.comm.frames`:
 
 * **threaded** — :class:`InProcChannel` (synchronous dispatch; optional
   wire-fidelity mode round-trips bytes through the real codec);
-* **process** — :class:`PipeChannel` + :func:`serve_pipe_channels`
-  (real bytes over OS pipes);
+* **process** — :class:`PipeChannel` (real bytes over OS pipes);
 * **socket** — :class:`SocketChannel` + :class:`SocketListener` (real
   bytes over TCP, loopback-ephemeral by default for CI);
 * **simulated / sync** — :class:`SimChannel` / :class:`SimTransport`
@@ -16,7 +15,8 @@ The server side is one transport-agnostic loop —
 :func:`~repro.comm.service.serve_channels` driving a shared
 :class:`~repro.comm.service.ServerService` — with crash-to-partial-result
 semantics, telemetry absorption, elastic membership (join/leave control
-frames), and straggler eviction, identical under pipes and sockets.
+frames), and straggler eviction, identical under pipes and sockets —
+both are driven by one trainer, :class:`repro.ps.RemoteTrainer`.
 
 The channel layer owns byte accounting and ``comm.send`` / ``comm.recv``
 obs spans, so ``TrainResult`` byte fields and traces mean the same thing
@@ -49,7 +49,7 @@ from .frames import (
     peek_shard,
     reply_frame,
 )
-from .pipe import PipeChannel, serve_pipe_channels
+from .pipe import PipeChannel
 from .protocol import run_worker_loop
 from .service import ServeReport, ServerService, serve_channels
 from .sim import SimChannel, SimTransfer, SimTransport
@@ -97,7 +97,6 @@ __all__ = [
     "InProcChannel",
     "PipeChannel",
     "ServeReport",
-    "serve_pipe_channels",
     "serve_channels",
     "SocketChannel",
     "SocketListener",

@@ -1,10 +1,10 @@
-"""The worker protocol loop shared by the threaded and process backends.
+"""The worker protocol loop shared by the threaded, process and socket backends.
 
 Algorithms 1 and 3 describe one worker loop — compute → upload → download
 → apply — and before this module each backend carried its own copy with
 its own transport welded in.  :func:`run_worker_loop` is that loop written
 once against the :class:`~repro.comm.channel.Channel` contract; the
-backend chooses the channel (in-process dispatch, OS pipe) and the loop
+backend chooses the channel (in-process dispatch, OS pipe, TCP) and the loop
 stays identical, ending with an explicit
 :class:`~repro.comm.frames.CloseFrame` carrying the worker's final local
 accounting — on the success path *and* on the exception path (where the
@@ -58,7 +58,8 @@ def run_worker_loop(
     ``ship_telemetry`` makes the loop send a
     :class:`~repro.comm.frames.TelemetryFrame` (the tracer's spans plus
     ``metrics.snapshot()``) just before the close frame — the process
-    backend sets it so worker spans reach the parent's merged trace.
+    and socket backends set it so worker spans reach the server's merged
+    trace.
     In-process backends share the parent tracer and leave it off.
 
     ``register`` runs the elastic-membership handshake around the loop:

@@ -1,9 +1,6 @@
 """The transport-agnostic server side of every channel.
 
-Before this module the accept/route/reply loop lived twice: once inside
-:class:`InProcChannel` (synchronous dispatch) and once inside
-``serve_pipe_channels`` (pipe multiplexing).  Adding a third transport
-(TCP sockets) would have made it three.  This module owns it once:
+The accept/route/reply loop lives here once, for every transport:
 
 * :class:`ServerService` — apply one frame, build the reply.  Shared by
   every transport; also the home of the optional membership layer (join /

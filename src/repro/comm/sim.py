@@ -12,7 +12,7 @@ the event-driven engine owns the chronology, the channel exposes a single
 :meth:`~SimChannel.exchange` that performs the whole
 upload → server → download round-trip at a given virtual ready-time and
 returns the reply frame plus the :class:`SimTransfer` timing breakdown the
-engine needs for its event heap, trace records and loggers.
+engine needs for its event heap, spans and loggers.
 """
 
 from __future__ import annotations

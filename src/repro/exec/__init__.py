@@ -34,9 +34,8 @@ from .backend import (
 )
 # importing .backends registers the five built-ins
 from .backends import (
-    ProcessBackend,
+    RemoteBackend,
     SimulatedBackend,
-    SocketBackend,
     SyncBackend,
     ThreadedBackend,
 )
@@ -61,8 +60,7 @@ __all__ = [
     "notify_result",
     "validate_result",
     "ThreadedBackend",
-    "ProcessBackend",
-    "SocketBackend",
+    "RemoteBackend",
     "SimulatedBackend",
     "SyncBackend",
 ]

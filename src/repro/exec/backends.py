@@ -2,10 +2,10 @@
 
 Each adapter maps the backend-independent :class:`RunConfig` onto one
 engine's native constructor and declares which optional ``TrainResult``
-fields it guarantees to populate.  The engines themselves live where they
-always did (``repro.ps.threaded``, ``repro.ps.process``,
-``repro.ps.socket``, ``repro.sim.engine``, ``repro.sim.sync``); the
-adapters are the only place that knows their constructor signatures.
+fields it guarantees to populate.  The engines themselves live in
+``repro.ps.threaded``, ``repro.ps.remote`` (both ``"process"`` and
+``"socket"``), ``repro.sim.engine`` and ``repro.sim.sync``; the adapters
+are the only place that knows their constructor signatures.
 """
 
 from __future__ import annotations
@@ -16,8 +16,7 @@ from .result import TrainResult
 
 __all__ = [
     "ThreadedBackend",
-    "ProcessBackend",
-    "SocketBackend",
+    "RemoteBackend",
     "SimulatedBackend",
     "SyncBackend",
 ]
@@ -88,54 +87,28 @@ class ThreadedBackend(_BackendBase):
         )
 
 
-class ProcessBackend(_BackendBase):
-    """Real OS processes exchanging actual bytes over pipes."""
+class RemoteBackend(_BackendBase):
+    """Forked worker processes exchanging frame bytes over ``transport``.
 
-    name = "process"
-    clock = "wall"
-    measures = _PS_MEASURES | {"wire_bytes_up", "wire_bytes_down"}
-
-    def create(self, config: RunConfig):
-        from ..ps.process import ProcessTrainer
-
-        return ProcessTrainer(
-            config.method,
-            config.model_factory,
-            config.dataset,
-            num_workers=config.num_workers,
-            batch_size=config.batch_size,
-            iterations_per_worker=config.iterations_per_worker(),
-            hyper=config.hyper,
-            schedule=config.schedule,
-            secondary_compression=config.secondary_compression,
-            staleness_damping=config.staleness_damping,
-            num_shards=config.num_shards,
-            seed=config.seed,
-            fail_at=config.fail_at,
-            tracer=config.tracer,
-            arena=config.arena,
-            arena_dtype=config.arena_dtype,
-        )
-
-
-class SocketBackend(_BackendBase):
-    """Real TCP connections with elastic workers and checkpoint/restore.
-
-    The deployment-shaped backend: the server binds a listener (loopback-
-    ephemeral unless ``config.bind`` says otherwise), forked workers
-    *connect* and register through the membership handshake, stragglers
-    can be evicted (``evict_after_s``), and the server state checkpoints
-    to one contiguous file (``checkpoint_every``/``restore_from``).
+    Registered twice: ``"process"`` over OS pipes and ``"socket"`` over
+    TCP (the server binds a listener, loopback-ephemeral unless
+    ``config.bind`` says otherwise, and workers connect).  Either way the
+    workers register through the membership handshake, stragglers can be
+    evicted (``evict_after_s``), and the server state checkpoints to one
+    contiguous file (``checkpoint_every``/``restore_from``).
     """
 
-    name = "socket"
     clock = "wall"
     measures = _PS_MEASURES | {"wire_bytes_up", "wire_bytes_down"}
 
-    def create(self, config: RunConfig):
-        from ..ps.socket import SocketTrainer
+    def __init__(self, name: str, transport: str) -> None:
+        self.name = name
+        self.transport = transport
 
-        return SocketTrainer(
+    def create(self, config: RunConfig):
+        from ..ps.remote import RemoteTrainer
+
+        return RemoteTrainer(
             config.method,
             config.model_factory,
             config.dataset,
@@ -148,6 +121,7 @@ class SocketBackend(_BackendBase):
             staleness_damping=config.staleness_damping,
             num_shards=config.num_shards,
             seed=config.seed,
+            transport=self.transport,
             fail_at=config.fail_at,
             join_delay_s=config.join_delay_s,
             evict_after_s=config.evict_after_s,
@@ -189,7 +163,6 @@ class SimulatedBackend(_BackendBase):
             staleness_damping=config.staleness_damping,
             num_shards=config.num_shards,
             fail_at=config.fail_at,
-            record_trace=config.record_trace,
             logger=config.logger,
             tracer=config.tracer,
             seed=config.seed,
@@ -251,7 +224,7 @@ def _checked_cluster(config: RunConfig):
 
 
 register_backend(ThreadedBackend())
-register_backend(ProcessBackend())
-register_backend(SocketBackend())
+register_backend(RemoteBackend("process", "pipe"))
+register_backend(RemoteBackend("socket", "tcp"))
 register_backend(SimulatedBackend())
 register_backend(SyncBackend())

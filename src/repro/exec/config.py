@@ -1,10 +1,10 @@
 """Backend-independent run description.
 
-One :class:`RunConfig` captures everything any of the four execution
+One :class:`RunConfig` captures everything any of the five execution
 backends needs to set up a distributed training run — the union of what
-the ``ThreadedTrainer`` / ``ProcessTrainer`` / ``SimulatedTrainer`` /
-``SynchronousTrainer`` constructors historically took.  Fields a backend
-does not understand are ignored (and documented as such); the conversions
+the ``ThreadedTrainer`` / ``RemoteTrainer`` / ``SimulatedTrainer`` /
+``SynchronousTrainer`` constructors take.  Fields a backend does not
+understand are ignored (and documented as such); the conversions
 between the one global iteration budget and each engine's native knob
 (per-worker iterations, barrier rounds) live here so every backend slices
 the same amount of optimisation work.
@@ -35,8 +35,8 @@ class RunConfig:
     dataset: Dataset
     num_workers: int
     batch_size: int
-    #: global gradient-computation budget, shared across workers.  Threaded
-    #: and process backends run ``iterations_per_worker()`` each; the sync
+    #: global gradient-computation budget, shared across workers.  Threaded,
+    #: process and socket backends run ``iterations_per_worker()`` each; the sync
     #: backend runs ``rounds()`` barriers of ``num_workers`` gradients.
     total_iterations: int
     hyper: "Hyper | None" = None
@@ -56,13 +56,11 @@ class RunConfig:
     cluster: "ClusterConfig | None" = None
     #: periodic accuracy evaluation (simulated backend only)
     eval_every: "int | None" = None
-    #: record the per-exchange virtual timeline (simulated backend only)
-    record_trace: bool = False
     #: crash injection, worker id → local iteration.  Simulated backend:
-    #: the worker silently stops producing updates.  Process backend: the
-    #: worker process hard-exits mid-run (no close frame), exercising the
-    #: comm layer's crash path — the run returns a partial result with the
-    #: crash recorded in ``TrainResult.errors``.
+    #: the worker silently stops producing updates.  Process and socket
+    #: backends: the worker process hard-exits mid-run (no close frame),
+    #: exercising the comm layer's crash path — the run returns a partial
+    #: result with the crash recorded in ``TrainResult.errors``.
     fail_at: "dict[int, int] | None" = None
     #: flat-buffer parameter arenas + allocation-free kernels (the hot
     #: path; see docs/performance.md).  False reruns the dict-of-float64
@@ -73,31 +71,33 @@ class RunConfig:
     #: reference path (used by the parity tests).
     arena_dtype: "str | None" = None
     #: threaded backend only: round-trip every frame through the byte codec
-    #: (float32 wire precision), matching what the process backend ships
-    #: over real pipes — at thread speed
+    #: (float32 wire precision), matching what the process and socket
+    #: backends ship — at thread speed
     wire_fidelity: bool = False
-    #: per-step telemetry sink, e.g. repro.metrics.RunLogger (simulated only)
+    #: per-step telemetry sink, e.g. repro.obs.ObsLogger (simulated only)
     logger: "object | None" = None
     #: repro.obs tracer; None ⇒ the ambient tracer at run time
     tracer: "object | None" = None
     #: run the elastic-membership join/leave handshake around each worker
-    #: loop (threaded backend; the socket backend always registers)
+    #: loop (threaded backend; the process and socket backends always
+    #: register)
     register: bool = False
     #: write a server checkpoint (repro.ps.checkpoint format) every N
-    #: applied updates; requires ``checkpoint_path``.  Threaded and socket
-    #: backends only.
+    #: applied updates; requires ``checkpoint_path``.  Threaded, process
+    #: and socket backends.
     checkpoint_every: "int | None" = None
     checkpoint_path: "str | None" = None
     #: restore server state from this checkpoint before training and
     #: fast-forward each worker's data stream by its recorded update count
     restore_from: "str | None" = None
-    #: socket backend: evict a worker silent for this many seconds
-    #: (straggler timeout + per-channel read deadline)
+    #: process and socket backends: evict a worker silent for this many
+    #: seconds (the serve loop's straggler timeout; on TCP also the
+    #: per-channel read deadline)
     evict_after_s: "float | None" = None
-    #: socket backend: worker id → seconds to delay its connect (mid-run
-    #: elastic joins)
+    #: process and socket backends: worker id → seconds to delay its join
+    #: (mid-run elastic joins)
     join_delay_s: "dict[int, float] | None" = None
-    #: socket backend: (host, port) for the server listener; None ⇒
+    #: socket backend only: (host, port) for the server listener; None ⇒
     #: loopback with an ephemeral port (the CI default)
     bind: "tuple[str, int] | None" = None
 
@@ -115,7 +115,7 @@ class RunConfig:
 
     # ------------------------------------------------------------------
     def iterations_per_worker(self) -> int:
-        """Per-worker share of the global budget (threaded/process backends)."""
+        """Per-worker share of the global budget (threaded/process/socket backends)."""
         return max(1, self.total_iterations // self.num_workers)
 
     def rounds(self) -> int:
@@ -157,7 +157,6 @@ class RunConfig:
             "arena_dtype": self.arena_dtype,
             "wire_fidelity": self.wire_fidelity,
             "eval_every": self.eval_every,
-            "record_trace": self.record_trace,
             "fail_at": dict(self.fail_at) if self.fail_at else None,
             "register": self.register,
             "checkpoint_every": self.checkpoint_every,

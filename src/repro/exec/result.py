@@ -1,10 +1,8 @@
 """The unified result schema of the execution layer.
 
 Every backend — real threads, real processes, the event-driven simulator
-and the synchronous barrier reference — returns one :class:`TrainResult`.
-The schema is the superset of what the four engines historically reported
-(``ThreadedResult`` / ``ProcessResult`` / ``SimResult`` / ``SyncResult``,
-which are now aliases of this class), with explicit *not measured*
+and the synchronous barrier reference — returns one :class:`TrainResult`,
+the superset of what the engines measure, with explicit *not measured*
 semantics:
 
 * ``None`` — the backend cannot measure the quantity at all (e.g. the
@@ -37,7 +35,8 @@ class TrainResult:
 
     #: method registry name ("asgd", "dgs", ...)
     method: str = ""
-    #: backend registry name ("threaded", "process", "simulated", "sync")
+    #: backend registry name ("threaded", "process", "socket",
+    #: "simulated", "sync")
     backend: str = ""
     num_workers: int = 0
     #: parameter-server shards the run actually used (1 = single-lock
@@ -76,7 +75,8 @@ class TrainResult:
     #: dense-equivalent bytes for the same exchanges (compression baseline)
     upload_dense_bytes: "int | None" = None
     download_dense_bytes: "int | None" = None
-    #: bytes that crossed a real OS pipe (process backend only)
+    #: bytes that crossed a real OS pipe or TCP socket (process and
+    #: socket backends only)
     wire_bytes_up: "int | None" = None
     wire_bytes_down: "int | None" = None
     #: fraction of the makespan the modelled links were busy (virtual only)
@@ -97,8 +97,6 @@ class TrainResult:
     #: the server's staleness/lock-contention series plus anything the
     #: run's registry accumulated (None = backend has no registry)
     metrics: "list[dict] | None" = None
-    #: per-exchange timeline (simulated backend with ``record_trace``)
-    trace: "list | None" = None
     #: worker exceptions surfaced without crashing the run
     errors: list = field(default_factory=list)
 
@@ -123,34 +121,20 @@ class TrainResult:
     def to_dict(self) -> "dict[str, object]":
         """JSON-serialisable view of the result (the run-manifest schema).
 
-        Curves become ``[[x, y], ...]`` row lists, the raw ``trace`` (a
-        list of engine-native event objects) is reduced to its length, and
-        derived metrics are materialised so a manifest is self-contained.
+        Curves become ``[[x, y], ...]`` row lists, and derived metrics are
+        materialised so a manifest is self-contained.
         """
         out: dict[str, object] = {}
         for f in fields(self):
             value = getattr(self, f.name)
             if isinstance(value, Curve):
                 value = [[float(x), float(y)] for x, y in value.to_rows()]
-            elif f.name == "trace":
-                value = None if value is None else len(value)
             elif f.name == "worker_staleness" and value is not None:
                 value = {str(w): dict(summary) for w, summary in value.items()}
             out[f.name] = value
         out["throughput"] = self.throughput
         out["compression_ratio"] = self.compression_ratio
         return out
-
-    # -- legacy aliases (pre-unification result field names) ---------------
-    @property
-    def server_timestamp(self) -> int:
-        """Alias of ``total_iterations`` (``ThreadedResult``/``ProcessResult``)."""
-        return self.total_iterations
-
-    @property
-    def loss_curve(self) -> Curve:
-        """Alias of ``loss_vs_step`` (``ThreadedResult``/``ProcessResult``)."""
-        return self.loss_vs_step
 
 
 def validate_result(

@@ -12,7 +12,7 @@ from dataclasses import dataclass, fields, replace
 from typing import Any, Callable, Iterable, Mapping, Sequence
 
 from ..core.methods import Hyper
-from ..sim.engine import SimResult
+from ..exec.result import TrainResult
 from .config import WorkloadSpec
 from .runners import run_distributed
 
@@ -28,7 +28,7 @@ class SweepPoint:
     """One grid point and its simulation result."""
 
     settings: "Mapping[str, Any]"
-    result: SimResult
+    result: TrainResult
 
     def __getitem__(self, key: str) -> Any:
         return self.settings[key]

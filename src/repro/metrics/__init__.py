@@ -3,7 +3,6 @@
 from .curves import Curve, CurveSet
 from .meters import AverageMeter, EMAMeter
 from .plots import ascii_plot
-from .runlog import RunLogger, load_runlog
 from .svg import render_svg, save_svg
 from .tables import format_markdown_table, format_table
 
@@ -13,8 +12,6 @@ __all__ = [
     "Curve",
     "CurveSet",
     "ascii_plot",
-    "RunLogger",
-    "load_runlog",
     "render_svg",
     "save_svg",
     "format_table",

@@ -22,7 +22,6 @@ from .export import (
     render_summary,
     render_top,
     self_times,
-    spans_from_trace_events,
     summarize,
     to_chrome_trace,
     to_prometheus,
@@ -95,7 +94,6 @@ __all__ = [
     "render_summary",
     "render_top",
     "self_times",
-    "spans_from_trace_events",
     "to_chrome_trace",
     "to_prometheus",
     "validate_chrome_trace",

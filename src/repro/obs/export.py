@@ -13,8 +13,6 @@ All exporters consume the JSONL record schema of ``repro.obs.span``:
 * :func:`self_times` / :func:`render_top` — flamegraph-style hot list:
   self time per span name with nesting subtracted per thread lane.
 * :func:`to_prometheus` — text exposition of a metrics snapshot.
-* :func:`spans_from_trace_events` — adapter unifying the simulator's
-  legacy :class:`repro.sim.engine.TraceEvent` into the span schema.
 """
 
 from __future__ import annotations
@@ -32,7 +30,6 @@ __all__ = [
     "render_summary",
     "render_top",
     "self_times",
-    "spans_from_trace_events",
     "summarize",
     "to_chrome_trace",
     "to_prometheus",
@@ -327,73 +324,6 @@ def to_prometheus(snapshot: "Sequence[Mapping[str, Any]]") -> str:
         else:
             lines.append(f"{name}{_prom_labels(labels)} {metric['value']}")
     return "\n".join(lines) + ("\n" if lines else "")
-
-
-# ----------------------------------------------------------------------
-# Legacy TraceEvent adapter
-# ----------------------------------------------------------------------
-def spans_from_trace_events(trace: "Sequence[Any]") -> "list[dict[str, Any]]":
-    """Unify ``SimResult.trace`` (:class:`TraceEvent`) into span records.
-
-    Emits the same names/categories the simulator's live tracer wiring
-    uses, so converted legacy traces and traced runs render identically.
-    The span between upload end and server apply includes server queueing
-    (``TraceEvent`` does not record the queue/serve split).
-    """
-    from .span import span_record
-
-    records: list[dict[str, Any]] = []
-    prev_down: dict[int, float] = {}
-    for event in trace:
-        wid = event.worker
-        lane = f"worker-{wid}"
-        compute_start = prev_down.get(wid, 0.0)
-        records.append(
-            span_record(
-                "worker.compute",
-                compute_start,
-                event.ready_t - compute_start,
-                lane,
-                cat="worker",
-                domain="virtual",
-                args={"worker": wid, "iteration": event.local_iteration},
-            )
-        )
-        records.append(
-            span_record(
-                "comm.send",
-                event.up_start,
-                event.up_end - event.up_start,
-                lane,
-                cat="comm",
-                domain="virtual",
-                args={"worker": wid, "bytes": event.up_bytes},
-            )
-        )
-        records.append(
-            span_record(
-                "server.handle",
-                event.up_end,
-                event.server_t - event.up_end,
-                "server",
-                cat="server",
-                domain="virtual",
-                args={"worker": wid, "staleness": event.staleness},
-            )
-        )
-        records.append(
-            span_record(
-                "comm.recv",
-                event.server_t,
-                event.down_end - event.server_t,
-                lane,
-                cat="comm",
-                domain="virtual",
-                args={"worker": wid, "bytes": event.down_bytes},
-            )
-        )
-        prev_down[wid] = event.down_end
-    return records
 
 
 def check_stream(records: "Sequence[Mapping[str, Any]]") -> "list[str]":

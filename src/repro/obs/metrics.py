@@ -7,10 +7,9 @@ handled, staleness observed).  Every metric is a labeled series —
 produces plain dicts that serialise straight into the same JSONL stream
 as spans (``type: "metric"`` records, see ``repro.obs.span``).
 
-:class:`ObsLogger` is the run-level JSONL sink.  It subsumes
-:class:`repro.metrics.runlog.RunLogger`'s step records (same
-``log_step`` signature, so trainers accept either), adds span/metric
-records, flushes on write, and closes deterministically.
+:class:`ObsLogger` is the run-level JSONL sink: per-update step records
+through the ``log_step`` signature trainers call, plus span/metric
+records; it flushes on write and closes deterministically.
 """
 
 from __future__ import annotations
@@ -218,9 +217,8 @@ class MetricsRegistry:
 class ObsLogger:
     """Run-level JSONL sink: steps, spans, and metric snapshots in one file.
 
-    Drop-in for :class:`repro.metrics.runlog.RunLogger` where trainers
-    accept a ``logger`` (same ``log_step`` signature), with flush-on-write
-    so a crashed run still leaves a readable file.
+    What trainers that accept a ``logger`` call ``log_step`` on, with
+    flush-on-write so a crashed run still leaves a readable file.
     """
 
     def __init__(

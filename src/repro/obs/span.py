@@ -36,7 +36,7 @@ __all__ = [
 DOMAINS = ("wall", "virtual")
 
 #: record types a ``repro.obs`` JSONL stream may contain
-#: ("step" = per-update training telemetry, the RunLogger lineage)
+#: ("step" = per-update training telemetry, ``ObsLogger.log_step``)
 RECORD_TYPES = ("meta", "span", "metric", "step")
 
 #: required keys of a ``type == "span"`` record

@@ -1,27 +1,26 @@
 """Parameter-server substrate: messages, server, workers, trainers.
 
-Three transport-backed trainers share the server/worker core: threaded
-(in-process channels), process (OS pipes), and socket (real TCP with
-elastic membership and checkpoint/restore — see :mod:`repro.ps.socket`,
-:mod:`repro.ps.membership`, :mod:`repro.ps.checkpoint`).
+Two trainers share the server/worker core: :class:`ThreadedTrainer`
+(worker threads over in-process channels) and :class:`RemoteTrainer`
+(worker processes over OS pipes or TCP — one code path with elastic
+membership, crash/straggler handling and checkpoint/restore whatever the
+link; see :mod:`repro.ps.remote`, :mod:`repro.ps.membership`,
+:mod:`repro.ps.checkpoint`).
 """
 
 from .checkpoint import load_checkpoint, save_checkpoint
 from .codec import decode_message, encode_message
 from .membership import WorkerDirectory
 from .messages import DiffMessage, GradientMessage, ModelMessage, payload_dense_nbytes, payload_nbytes
-from .process import ProcessResult, ProcessTrainer
 from .server import ParameterServer
 from .sharded import ParameterShard, ShardedParameterServer
-from .socket import SocketTrainer
-from .threaded import ThreadedResult, ThreadedTrainer
+from .remote import RemoteTrainer
+from .threaded import ThreadedTrainer
 from .worker import WorkerNode
 
 __all__ = [
     "encode_message",
     "decode_message",
-    "ProcessTrainer",
-    "ProcessResult",
     "GradientMessage",
     "DiffMessage",
     "ModelMessage",
@@ -30,11 +29,10 @@ __all__ = [
     "ParameterServer",
     "ParameterShard",
     "ShardedParameterServer",
-    "SocketTrainer",
+    "RemoteTrainer",
     "WorkerDirectory",
     "WorkerNode",
     "ThreadedTrainer",
-    "ThreadedResult",
     "save_checkpoint",
     "load_checkpoint",
 ]

@@ -16,8 +16,9 @@ Workers may start before the server: ``SocketChannel.connect`` retries
 with capped exponential backoff for ``--retry-for`` seconds.  Flags that
 shape the workload (``--method``, ``--iterations``, ``--batch-size``,
 ``--seed``) must match on every side; the demo has no config exchange.
-The programmatic equivalent — forked workers, one process tree — is
-``repro.exec.train(config, backend="socket")``.
+``serve`` is the server half of :class:`repro.ps.RemoteTrainer` with no
+forked workers; the programmatic equivalent — forked workers, one process
+tree — is ``repro.exec.train(config, backend="socket")``.
 """
 
 from __future__ import annotations
@@ -48,61 +49,50 @@ def _parse_endpoint(text: str) -> "tuple[str, int]":
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    from ..comm.service import ServerService, serve_channels
-    from ..comm.socket import SocketListener
-    from ..core.layerops import parameter_views
-    from ..exec.common import build_server, evaluate_global_scratch
-    from .checkpoint import load_checkpoint, save_checkpoint
-    from .membership import WorkerDirectory
+    from .remote import RemoteTrainer
 
     dataset, model_factory, method, hyper, schedule = _workload(args)
-    eval_model = model_factory()
-    server = build_server(
-        method, parameter_views(eval_model), args.workers, hyper, num_shards=args.shards
+    # The server half of the socket backend, with no forked workers: the
+    # workers are whoever connects.
+    trainer = RemoteTrainer(
+        method,
+        model_factory,
+        dataset,
+        args.workers,
+        args.batch_size,
+        args.iterations,
+        hyper=hyper,
+        schedule=schedule,
+        num_shards=args.shards,
+        seed=args.seed,
+        evict_after_s=args.evict_after,
+        checkpoint_every=args.checkpoint_every or None,
+        checkpoint_path=args.checkpoint,
+        restore_from=args.restore,
+        bind=args.bind,
     )
     if args.restore:
-        header = load_checkpoint(server, args.restore)
-        print(f"restored t={header['shards'][0]['t']} from {args.restore}", file=sys.stderr)
-    membership = WorkerDirectory(server)
-
-    host, port = args.bind
-    listener = SocketListener(host, port, read_timeout_s=args.evict_after)
+        print(f"restored t={trainer.server.timestamp} from {args.restore}", file=sys.stderr)
+    listener = trainer.listen()
     host, port = listener.address
     print(
         f"serving {method.name} on {host}:{port} — waiting for {args.workers} worker(s)",
         file=sys.stderr,
     )
-
-    def on_update(updates: int) -> None:
-        if args.checkpoint_every and updates % args.checkpoint_every == 0:
-            save_checkpoint(server, args.checkpoint)
-
-    try:
-        report = serve_channels(
-            [],
-            ServerService(server, membership=membership),
-            stats=server.stats,
-            on_update=on_update if args.checkpoint_every else None,
-            listener=listener,
-            expected_closes=args.workers,
-            straggler_timeout_s=args.evict_after,
-        )
-    finally:
-        listener.close()
+    result = trainer.serve([], listener=listener)
     if args.checkpoint_every:
-        save_checkpoint(server, args.checkpoint)
         print(f"checkpoint written to {args.checkpoint}", file=sys.stderr)
 
-    acc, loss = evaluate_global_scratch(eval_model, server, dataset)
-    events = membership.snapshot()
+    events = trainer.membership.snapshot()
     print(
-        f"done: t={server.timestamp} accuracy={acc:.3f} loss={loss:.4f} "
+        f"done: t={result.total_iterations} accuracy={result.final_accuracy:.3f} "
+        f"loss={result.final_loss:.4f} "
         f"joins={events['joins']} leaves={events['leaves']} "
         f"crashes={events['crashes']} evictions={events['evictions']}"
     )
-    for err in report.errors:
+    for err in result.errors:
         print(f"partial run: {err}", file=sys.stderr)
-    return 1 if report.errors else 0
+    return 1 if result.errors else 0
 
 
 def _cmd_worker(args: argparse.Namespace) -> int:
@@ -138,21 +128,22 @@ def _cmd_worker(args: argparse.Namespace) -> int:
 
 
 def _cmd_smoke(args: argparse.Namespace) -> int:
-    """checkpoint → restore → continue over TCP loopback, asserted bitwise.
+    """checkpoint → restore → continue over each transport, asserted bitwise.
 
     Dense ASGD (momentum 0: no worker-side strategy state, so the server
-    checkpoint is the *whole* training state) — the restored run must
-    reproduce the uninterrupted run's loss curve exactly, float for float.
+    checkpoint is the *whole* training state) — on pipes and on TCP
+    loopback the restored run must reproduce the uninterrupted run's loss
+    curve exactly, float for float.
     """
     from ..core.methods import Hyper
     from ..data.synthetic import make_blobs
     from ..nn.models.mlp import MLP
-    from .socket import SocketTrainer
+    from .remote import RemoteTrainer
 
     dataset = make_blobs(n_samples=400, num_classes=4, dim=12, sep=2.5, noise=0.8, seed=1)
 
-    def run(iterations: int, **kwargs):
-        return SocketTrainer(
+    def run(transport: str, iterations: int, **kwargs):
+        return RemoteTrainer(
             "asgd",
             lambda: MLP(12, (24,), 4, seed=7),
             dataset,
@@ -161,28 +152,30 @@ def _cmd_smoke(args: argparse.Namespace) -> int:
             iterations_per_worker=iterations,
             hyper=Hyper(lr=0.1, momentum=0.0),
             seed=args.seed,
+            transport=transport,
             **kwargs,
         ).run()
 
     half = max(1, args.iterations // 2)
-    full = run(args.iterations)
-    first = run(half, checkpoint_every=half, checkpoint_path=args.checkpoint)
-    resumed = run(args.iterations - half, restore_from=args.checkpoint)
-
-    full_ys = list(full.loss_vs_step.ys)
     failures = []
-    if list(first.loss_vs_step.ys) != full_ys[:half]:
-        failures.append("pre-checkpoint losses diverge from the uninterrupted run")
-    if list(resumed.loss_vs_step.ys) != full_ys[half:]:
-        failures.append("restored continuation diverges from the uninterrupted tail")
-    if resumed.final_loss != full.final_loss:
-        failures.append("final loss differs after restore")
+    for transport in ("pipe", "tcp"):
+        full = run(transport, args.iterations)
+        first = run(transport, half, checkpoint_every=half, checkpoint_path=args.checkpoint)
+        resumed = run(transport, args.iterations - half, restore_from=args.checkpoint)
+
+        full_ys = list(full.loss_vs_step.ys)
+        if list(first.loss_vs_step.ys) != full_ys[:half]:
+            failures.append(f"{transport}: pre-checkpoint losses diverge from the uninterrupted run")
+        if list(resumed.loss_vs_step.ys) != full_ys[half:]:
+            failures.append(f"{transport}: restored continuation diverges from the uninterrupted tail")
+        if resumed.final_loss != full.final_loss:
+            failures.append(f"{transport}: final loss differs after restore")
     for failure in failures:
         print(f"FAIL: {failure}", file=sys.stderr)
     if not failures:
         print(
-            f"socket checkpoint smoke ok: {half}+{args.iterations - half} iterations "
-            f"== {args.iterations} uninterrupted, bitwise"
+            f"checkpoint smoke ok on pipe and tcp: {half}+{args.iterations - half} "
+            f"iterations == {args.iterations} uninterrupted, bitwise"
         )
     return 1 if failures else 0
 
@@ -244,7 +237,7 @@ def main(argv: "list[str] | None" = None) -> int:
 
     p_smoke = sub.add_parser(
         "smoke",
-        help="CI gate: checkpoint → restore → continue over TCP, bitwise",
+        help="CI gate: checkpoint → restore → continue over pipes and TCP, bitwise",
     )
     p_smoke.add_argument("--iterations", type=int, default=20, help="uninterrupted run length")
     p_smoke.add_argument("--seed", type=int, default=0)

@@ -36,10 +36,7 @@ from ..obs.tracer import NullTracer, Tracer, current_tracer
 from ..optim.schedules import Schedule
 from .worker import WorkerNode
 
-__all__ = ["ThreadedTrainer", "ThreadedResult"]
-
-#: deprecated alias — the threaded engine now returns the unified schema
-ThreadedResult = TrainResult
+__all__ = ["ThreadedTrainer"]
 
 
 class ThreadedTrainer:
@@ -114,8 +111,8 @@ class ThreadedTrainer:
         #: round-trip every frame through the byte codec (float32 wire)
         self.wire_fidelity = wire_fidelity
         #: run the elastic-membership join/leave handshake around each
-        #: worker loop (what the socket backend always does — enable it
-        #: here to compare the two backends under identical protocols)
+        #: worker loop (what the process and socket backends always do —
+        #: enable it here to compare backends under identical protocols)
         self.register = register
         self.checkpoint_every = checkpoint_every
         self.checkpoint_path = checkpoint_path

@@ -2,15 +2,14 @@
 
 from .analysis import PerfPrediction, predict
 from .cluster import ClusterConfig, ComputeModel
-from .engine import SimResult, SimulatedTrainer
+from .engine import SimulatedTrainer
 from .network import GBPS, MBPS, LinkModel, SharedLink
-from .sync import SyncResult, SynchronousTrainer
+from .sync import SynchronousTrainer
 
 __all__ = [
     "predict",
     "PerfPrediction",
     "SynchronousTrainer",
-    "SyncResult",
     "LinkModel",
     "SharedLink",
     "GBPS",
@@ -18,5 +17,4 @@ __all__ = [
     "ClusterConfig",
     "ComputeModel",
     "SimulatedTrainer",
-    "SimResult",
 ]

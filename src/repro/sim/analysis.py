@@ -48,7 +48,7 @@ def predict(
 
     ``upload_bytes`` / ``download_bytes`` are the *unscaled* per-message
     sizes (the model applies ``cluster.wire_scale``), e.g. taken from a
-    measured ``SimResult``: ``upload_bytes / total_iterations``.
+    measured ``TrainResult``: ``upload_bytes / total_iterations``.
     """
     if upload_bytes < 0 or download_bytes < 0:
         raise ValueError("message sizes must be non-negative")

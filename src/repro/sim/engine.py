@@ -19,7 +19,6 @@ underlying engine and a thin public adapter.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -47,26 +46,7 @@ from ..ps.worker import WorkerNode
 from .cluster import ClusterConfig
 from .network import SharedLink
 
-__all__ = ["SimulatedTrainer", "SimResult", "TraceEvent"]
-
-#: deprecated alias — the simulator now returns the unified schema
-SimResult = TrainResult
-
-
-@dataclass(frozen=True)
-class TraceEvent:
-    """One worker↔server exchange in the virtual timeline (record_trace)."""
-
-    worker: int
-    local_iteration: int
-    ready_t: float  # gradient finished computing
-    up_start: float  # upload began transmitting
-    up_end: float  # upload fully received
-    server_t: float  # server applied the update
-    down_end: float  # download fully received at the worker
-    staleness: int
-    up_bytes: int  # unscaled message bytes
-    down_bytes: int
+__all__ = ["SimulatedTrainer"]
 
 
 class SimulatedTrainer:
@@ -87,7 +67,6 @@ class SimulatedTrainer:
         staleness_damping: bool = False,
         num_shards: int = 1,
         fail_at: "dict[int, int] | None" = None,
-        record_trace: bool = False,
         logger: "object | None" = None,
         tracer: "Tracer | NullTracer | None" = None,
         seed: int = 0,
@@ -107,13 +86,12 @@ class SimulatedTrainer:
         #: failure injection: worker id -> local iteration at which it
         #: crashes (stops producing updates; its server-side v_k persists).
         self.fail_at = fail_at or {}
-        self.record_trace = record_trace
-        #: optional repro.metrics.runlog.RunLogger for per-step telemetry
+        #: optional per-step telemetry sink (``log_step``), e.g.
+        #: repro.obs.metrics.ObsLogger
         self.logger = logger
         #: explicit repro.obs tracer; None ⇒ the ambient tracer at run time.
         #: Spans are stamped with the *virtual* clock (same schema as the
-        #: threaded trainer's wall-clock spans; TraceEvent is the legacy
-        #: tuple view of the same timeline).
+        #: threaded trainer's wall-clock spans).
         self.tracer = tracer
         self._rng = np.random.default_rng(cluster.seed * 7919 + seed)
 
@@ -171,7 +149,6 @@ class SimulatedTrainer:
 
         makespan = 0.0
         applied = 0
-        trace: "list[TraceEvent] | None" = [] if self.record_trace else None
         tracer = self.tracer if self.tracer is not None else current_tracer()
         emit_spans = tracer.enabled
         # All exchanges route through the comm layer: the transport owns the
@@ -207,21 +184,6 @@ class SimulatedTrainer:
             )
             reply = reply_frame.message
             node.apply_reply(reply)
-            if trace is not None:
-                trace.append(
-                    TraceEvent(
-                        worker=wid,
-                        local_iteration=node.iteration - 1,
-                        ready_t=ready_t,
-                        up_start=transfer.up_start,
-                        up_end=transfer.up_end,
-                        server_t=transfer.server_end,
-                        down_end=transfer.down_end,
-                        staleness=reply.staleness,
-                        up_bytes=transfer.up_bytes,
-                        down_bytes=transfer.down_bytes,
-                    )
-                )
             if emit_spans:
                 tracer.add_span(
                     obs_names.WORKER_COMPUTE,
@@ -290,7 +252,6 @@ class SimulatedTrainer:
             downlink_utilisation=self.downlink.utilisation(makespan),
             server_state_bytes=self.server.server_state_bytes(),
             worker_state_bytes=sum(n.worker_state_bytes() for n in self.workers),
-            trace=trace,
         )
 
     # ------------------------------------------------------------------

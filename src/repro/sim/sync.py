@@ -46,10 +46,7 @@ from ..ps.worker import WorkerNode
 from .cluster import ClusterConfig
 from .network import SharedLink
 
-__all__ = ["SynchronousTrainer", "SyncResult"]
-
-#: deprecated alias — the synchronous engine now returns the unified schema
-SyncResult = TrainResult
+__all__ = ["SynchronousTrainer"]
 
 
 class SynchronousTrainer:

@@ -109,7 +109,7 @@ class TestInstrumentedTrainer:
         monitor = instrument_server(trainer.server)
         result = trainer.run()
         assert monitor.violations == [], monitor.report()
-        assert result.server_timestamp == 4 * 25  # training itself still works
+        assert result.total_iterations == 4 * 25  # training itself still works
         lock = trainer.server._lock
         assert isinstance(lock, CheckedLock) and lock.acquisitions > 0
 

@@ -15,7 +15,7 @@ from repro.comm import (
     InProcChannel,
     PipeChannel,
     run_worker_loop,
-    serve_pipe_channels,
+    serve_channels,
 )
 from repro.compression import SparseTensor
 from repro.compression.stats import CompressionStats
@@ -122,7 +122,7 @@ class TestServePipeChannels:
         worker_ch.send(CloseFrame(worker_id=0, samples_processed=16, worker_state_bytes=32))
         stats = CompressionStats()
         losses = []
-        report = serve_pipe_channels([server_ch], _echo_service, stats=stats, on_loss=losses.append)
+        report = serve_channels([server_ch], _echo_service, stats=stats, on_loss=losses.append)
         assert report.clean_closes == 1 and report.crashes == 0
         assert report.samples_processed == 16 and report.worker_state_bytes == 32
         assert stats.upload_messages == 1 and stats.download_messages == 1
@@ -132,7 +132,7 @@ class TestServePipeChannels:
     def test_close_frame_with_error_counts_as_crash(self):
         server_ch, worker_ch = self._pair()
         worker_ch.send(CloseFrame(worker_id=3, samples_processed=8, error="RuntimeError: boom"))
-        report = serve_pipe_channels([server_ch], _echo_service)
+        report = serve_channels([server_ch], _echo_service)
         assert report.crashes == 1 and report.clean_closes == 0
         assert report.samples_processed == 8  # accounting up to the failure survives
         assert any("worker 3" in e and "boom" in e for e in report.errors)
@@ -140,7 +140,7 @@ class TestServePipeChannels:
     def test_eof_without_close_frame_is_a_crash(self):
         server_ch, worker_ch = self._pair()
         worker_ch.connection.close()  # hard death: no close frame
-        report = serve_pipe_channels([server_ch], _echo_service)
+        report = serve_channels([server_ch], _echo_service)
         assert report.crashes == 1
         assert any("without a close frame" in e for e in report.errors)
 

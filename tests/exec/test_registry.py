@@ -5,7 +5,7 @@ import pytest
 import repro.exec.backend as backend_mod
 from repro.exec import (
     Backend,
-    ProcessBackend,
+    RemoteBackend,
     SimulatedBackend,
     SyncBackend,
     ThreadedBackend,
@@ -27,7 +27,8 @@ class TestRegistry:
         "name,cls,clock",
         [
             ("threaded", ThreadedBackend, "wall"),
-            ("process", ProcessBackend, "wall"),
+            ("process", RemoteBackend, "wall"),
+            ("socket", RemoteBackend, "wall"),
             ("simulated", SimulatedBackend, "virtual"),
             ("sync", SyncBackend, "virtual"),
         ],

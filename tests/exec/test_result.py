@@ -45,7 +45,6 @@ class TestNoneVersusNaN:
             "server_state_bytes",
             "rounds",
             "straggler_time_s",
-            "trace",
         ):
             assert getattr(r, name) is None, name
 
@@ -70,24 +69,6 @@ class TestNoneVersusNaN:
     def test_compression_ratio_measured(self):
         r = _valid(upload_dense_bytes=5000, download_dense_bytes=5000)
         assert r.compression_ratio == 10000 / 2000
-
-
-class TestLegacyAliases:
-    def test_server_timestamp_aliases_total_iterations(self):
-        assert _valid(total_iterations=42).server_timestamp == 42
-
-    def test_loss_curve_aliases_loss_vs_step(self):
-        r = _valid()
-        assert r.loss_curve is r.loss_vs_step
-
-    def test_old_result_names_are_this_class(self):
-        from repro.ps import ProcessResult, ThreadedResult
-        from repro.sim import SimResult, SyncResult
-
-        assert ThreadedResult is TrainResult
-        assert ProcessResult is TrainResult
-        assert SimResult is TrainResult
-        assert SyncResult is TrainResult
 
 
 class TestValidateResult:

@@ -4,7 +4,7 @@ import pytest
 
 from repro.harness import get_workload, run_all_methods, run_distributed, run_msgd
 from repro.harness.local import LocalResult
-from repro.sim import SimResult
+from repro.exec import TrainResult
 
 
 @pytest.fixture(scope="module")
@@ -15,7 +15,7 @@ def wl():
 class TestRunDistributed:
     def test_returns_simresult(self, wl):
         r = run_distributed("dgs", wl, 2, fast=True, epochs=1)
-        assert isinstance(r, SimResult)
+        assert isinstance(r, TrainResult)
         assert r.num_workers == 2
         assert r.total_iterations == wl.dataset(fast=True).n_train // wl.batch_size
 

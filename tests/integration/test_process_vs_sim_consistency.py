@@ -91,15 +91,15 @@ class TestEngineAgreementStatistics:
         assert abs(s.final_accuracy - t.final_accuracy) < 0.2
 
     def test_process_engine_agrees(self, ds, factory):
-        from repro.ps import ProcessTrainer
+        from repro.ps import RemoteTrainer
 
         s = sim(ds, factory, 2, total_iterations=60).run()
-        p = ProcessTrainer(
+        p = RemoteTrainer(
             "dgs", factory, ds, num_workers=2, batch_size=16,
-            iterations_per_worker=30, hyper=HYPER, seed=0,
+            iterations_per_worker=30, hyper=HYPER, seed=0, transport="pipe",
         ).run()
         assert abs(s.final_accuracy - p.final_accuracy) < 0.2
-        assert p.server_timestamp == s.total_iterations
+        assert p.total_iterations == s.total_iterations
 
 
 class TestCrossBackendParity:

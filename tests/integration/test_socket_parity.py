@@ -1,17 +1,18 @@
-"""Socket-backend parity: the transport must not change the math.
+"""Remote-backend parity: the transport must not change the math.
 
 Dense ASGD in float64 is the substrate-independence probe the repo uses
 everywhere (no sparsification ties, no dtype rounding): any loss-curve
 divergence between transports is a transport bug, not noise.
 
-* 1 worker, free-running: no scheduling freedom, so SocketTrainer and
-  ThreadedTrainer (with ``wire_fidelity=True, register=True`` — the same
-  codec round-trips and the same join handshake) must agree bitwise.
+* 1 worker, free-running: no scheduling freedom, so RemoteTrainer over
+  pipes or TCP and ThreadedTrainer (with ``wire_fidelity=True,
+  register=True`` — the same codec round-trips and the same join
+  handshake) must agree bitwise.
 * 2 workers: free-running interleavings are nondeterministic, so the
   2-worker pin drives both workers' channels *lockstep round-robin* from
   the test over each transport — same frame order ⇒ the server state,
   and every loss, must agree bitwise between TCP and in-proc dispatch.
-* checkpoint → restore → continue on the socket backend reproduces the
+* checkpoint → restore → continue over pipes or TCP reproduces the
   uninterrupted run's tail bitwise.
 """
 
@@ -36,14 +37,14 @@ from repro.core.layerops import parameters_of
 from repro.core.methods import Hyper, get_method
 from repro.data.loader import DataLoader
 from repro.exec.common import build_server, build_worker
-from repro.ps.socket import SocketTrainer
+from repro.ps.remote import RemoteTrainer
 from repro.ps.threaded import ThreadedTrainer
 
 DENSE = Hyper(lr=0.1, momentum=0.0)
 
 
-def _socket_run(tiny_dataset, tiny_model_factory, iterations, **kwargs):
-    return SocketTrainer(
+def _remote_run(tiny_dataset, tiny_model_factory, iterations, **kwargs):
+    return RemoteTrainer(
         "asgd",
         tiny_model_factory,
         tiny_dataset,
@@ -56,8 +57,11 @@ def _socket_run(tiny_dataset, tiny_model_factory, iterations, **kwargs):
     ).run()
 
 
-def test_one_worker_socket_bitwise_equal_to_threaded(tiny_dataset, tiny_model_factory):
-    s = _socket_run(tiny_dataset, tiny_model_factory, 25)
+@pytest.mark.parametrize("transport", ["tcp", "pipe"])
+def test_one_worker_remote_bitwise_equal_to_threaded(
+    tiny_dataset, tiny_model_factory, transport
+):
+    s = _remote_run(tiny_dataset, tiny_model_factory, 25, transport=transport)
     t = ThreadedTrainer(
         "asgd",
         tiny_model_factory,
@@ -67,7 +71,7 @@ def test_one_worker_socket_bitwise_equal_to_threaded(tiny_dataset, tiny_model_fa
         iterations_per_worker=25,
         hyper=DENSE,
         seed=0,
-        wire_fidelity=True,  # same codec float32 round-trip as the socket
+        wire_fidelity=True,  # same codec float32 round-trip as the wire
         register=True,  # same join handshake installing wire-rounded θ0
     ).run()
     assert list(s.loss_vs_step.ys) == list(t.loss_vs_step.ys)
@@ -184,16 +188,24 @@ def test_two_worker_lockstep_socket_bitwise_equal_to_inproc(
         np.testing.assert_array_equal(tcp_model[name], inproc_model[name])
 
 
-def test_socket_checkpoint_restore_continue_bitwise(
-    tmp_path, tiny_dataset, tiny_model_factory
+@pytest.mark.parametrize("transport", ["tcp", "pipe"])
+def test_remote_checkpoint_restore_continue_bitwise(
+    tmp_path, tiny_dataset, tiny_model_factory, transport
 ):
-    full = _socket_run(tiny_dataset, tiny_model_factory, 20)
+    full = _remote_run(tiny_dataset, tiny_model_factory, 20, transport=transport)
 
     path = tmp_path / "mid.ckpt"
-    first = _socket_run(
-        tiny_dataset, tiny_model_factory, 10, checkpoint_every=10, checkpoint_path=path
+    first = _remote_run(
+        tiny_dataset,
+        tiny_model_factory,
+        10,
+        transport=transport,
+        checkpoint_every=10,
+        checkpoint_path=path,
     )
-    resumed = _socket_run(tiny_dataset, tiny_model_factory, 10, restore_from=path)
+    resumed = _remote_run(
+        tiny_dataset, tiny_model_factory, 10, transport=transport, restore_from=path
+    )
 
     assert list(first.loss_vs_step.ys) == list(full.loss_vs_step.ys)[:10]
     assert list(resumed.loss_vs_step.ys) == list(full.loss_vs_step.ys)[10:]

@@ -1,4 +1,4 @@
-"""Exporters: Chrome trace validity, summaries, self-time, adapters."""
+"""Exporters: Chrome trace validity, summaries, self-time, stream checks."""
 
 import json
 
@@ -9,7 +9,6 @@ from repro.obs import (
     render_summary,
     render_top,
     self_times,
-    spans_from_trace_events,
     span_record,
     summarize,
     to_chrome_trace,
@@ -130,32 +129,6 @@ class TestSummaries:
 
 
 class TestAdapters:
-    def test_spans_from_trace_events_roundtrip(self):
-        from repro.core.methods import Hyper
-        from repro.data.synthetic import make_blobs
-        from repro.nn.models.mlp import MLP
-        from repro.sim.cluster import ClusterConfig
-        from repro.sim.engine import SimulatedTrainer
-
-        trainer = SimulatedTrainer(
-            "dgs",
-            lambda: MLP(12, (24,), 4, seed=7),
-            make_blobs(n_samples=256, num_classes=4, dim=12, seed=1),
-            ClusterConfig.with_bandwidth(2, 10, compute_mean_s=0.01),
-            batch_size=16,
-            total_iterations=6,
-            hyper=Hyper(ratio=0.1, min_sparse_size=0),
-            record_trace=True,
-            seed=0,
-        )
-        result = trainer.run()
-        records = spans_from_trace_events(result.trace)
-        assert check_stream(records) == []
-        names = {r["name"] for r in records}
-        assert names == {"worker.compute", "comm.send", "server.handle", "comm.recv"}
-        up = sum(r["args"]["bytes"] for r in records if r["name"] == "comm.send")
-        assert up == sum(e.up_bytes for e in result.trace)
-
     def test_check_stream_catches_schema_violation(self):
         assert check_stream([{"type": "span", "name": "x"}]) != []
 

@@ -149,13 +149,26 @@ class TestObsLogger:
             "up_bytes": 99,
         }
 
-    def test_accepts_trainer_logger_duck_type(self):
-        """Trainers call logger.log_step; ObsLogger must be a drop-in."""
-        from repro.metrics.runlog import RunLogger
+    def test_simulated_trainer_logs(self, tiny_dataset, tiny_model_factory, tmp_path):
+        """The simulator's ``logger=`` calls ``log_step`` once per applied
+        update; the stream reloads with ``load_jsonl``."""
+        from repro.core import Hyper
+        from repro.obs import load_jsonl
+        from repro.sim import ClusterConfig, SimulatedTrainer
 
-        assert set(ObsLogger.log_step.__code__.co_varnames[:6]) == set(
-            RunLogger.log_step.__code__.co_varnames[:6]
-        )
+        path = tmp_path / "train.jsonl"
+        with ObsLogger(path, meta={"method": "dgs"}) as logger:
+            SimulatedTrainer(
+                "dgs", tiny_model_factory, tiny_dataset,
+                ClusterConfig.with_bandwidth(2, 10, compute_mean_s=0.02),
+                batch_size=16, total_iterations=30,
+                hyper=Hyper(ratio=0.1, min_sparse_size=0), logger=logger, seed=0,
+            ).run()
+        steps = [r for r in load_jsonl(path) if r["type"] == "step"]
+        assert len(steps) == 30
+        assert {"step", "loss", "time_s", "worker", "staleness", "up_bytes"} <= set(steps[0])
+        times = [s["time_s"] for s in steps]
+        assert times == sorted(times)
 
     def test_flushes_on_every_write(self, tmp_path):
         path = tmp_path / "run.jsonl"

@@ -1,0 +1,194 @@
+"""RemoteTrainer end-to-end: forked worker processes over pipes and TCP.
+
+Each test forks real worker processes that reach the server over an OS
+pipe (``transport="pipe"``, the process backend) or an ephemeral loopback
+listener (``transport="tcp"``, the socket backend); the paper's training
+loop runs unchanged on top — what is under test here is the deployment
+machinery: learning over real bytes, membership accounting, crash →
+partial result, mid-run joins, checkpoint cadence.
+"""
+
+from __future__ import annotations
+
+import sys
+
+import pytest
+
+from repro.core.methods import Hyper
+from repro.ps.remote import RemoteTrainer
+
+pytestmark = pytest.mark.skipif(
+    sys.platform != "linux", reason="fork start method required"
+)
+
+HYPER = Hyper(lr=0.1, momentum=0.7, ratio=0.1, min_sparse_size=0)
+
+
+def _trainer(tiny_dataset, tiny_model_factory, method="dgs", **kwargs):
+    defaults = dict(
+        num_workers=2,
+        batch_size=16,
+        iterations_per_worker=20,
+        hyper=HYPER,
+        seed=0,
+    )
+    defaults.update(kwargs)
+    return RemoteTrainer(method, tiny_model_factory, tiny_dataset, **defaults)
+
+
+# -- pipes (the process backend) -------------------------------------------
+def test_process_training_learns(tiny_dataset, tiny_model_factory):
+    r = _trainer(
+        tiny_dataset, tiny_model_factory, transport="pipe", iterations_per_worker=30
+    ).run()
+    assert r.backend == "process"
+    assert r.total_iterations == 60
+    assert r.final_accuracy > 0.7
+    assert len(r.loss_vs_step) == 60
+    assert r.wire_bytes_up > 0 and r.wire_bytes_down > 0
+
+
+def test_process_asgd_model_download(tiny_dataset, tiny_model_factory):
+    r = _trainer(
+        tiny_dataset, tiny_model_factory, "asgd", transport="pipe", iterations_per_worker=15
+    ).run()
+    assert r.final_accuracy > 0.6
+    # dense downloads dominate the wire
+    assert r.wire_bytes_down > r.wire_bytes_up * 0.5
+
+
+def test_sparse_method_ships_fewer_bytes(tiny_dataset, tiny_model_factory):
+    def run(method):
+        return _trainer(
+            tiny_dataset,
+            tiny_model_factory,
+            method,
+            transport="pipe",
+            iterations_per_worker=10,
+            hyper=Hyper(lr=0.1, momentum=0.7, ratio=0.02, min_sparse_size=0),
+        ).run()
+
+    dense = run("asgd")
+    sparse = run("dgs")
+    assert sparse.wire_bytes_up < dense.wire_bytes_up / 5
+
+
+def test_msgd_rejected(tiny_dataset, tiny_model_factory):
+    with pytest.raises(ValueError):
+        RemoteTrainer("msgd", tiny_model_factory, tiny_dataset, 2, 16, 5, transport="pipe")
+
+
+def test_worker_hard_crash_yields_partial_result(tiny_dataset, tiny_model_factory):
+    """A worker hard-killed mid-run (no close frame) must not hang the run."""
+    result = _trainer(
+        tiny_dataset,
+        tiny_model_factory,
+        transport="pipe",
+        iterations_per_worker=6,
+        hyper=Hyper(lr=0.1, momentum=0.7, ratio=0.2, min_sparse_size=0),
+        fail_at={1: 2},
+    ).run()
+    assert result.errors, "the crash must surface in TrainResult.errors"
+    assert any("without a close frame" in e for e in result.errors)
+    # the survivor finished: more steps than the crashed worker managed,
+    # fewer than a clean two-worker run
+    assert 6 <= result.total_iterations < 12
+    # accounting comes from the surviving worker's close frame only
+    assert result.samples_processed == 6 * 16
+    assert 0.0 <= result.final_accuracy <= 1.0
+
+
+def test_clean_run_reports_no_errors(tiny_dataset, tiny_model_factory):
+    result = _trainer(
+        tiny_dataset,
+        tiny_model_factory,
+        transport="pipe",
+        iterations_per_worker=4,
+        hyper=Hyper(lr=0.1, momentum=0.7, ratio=0.2, min_sparse_size=0),
+    ).run()
+    assert result.errors == []
+    assert result.total_iterations == 2 * 4
+    assert result.samples_processed == 2 * 4 * 16
+
+
+# -- TCP (the socket backend) ------------------------------------------------
+def test_two_workers_learn_over_tcp(tiny_dataset, tiny_model_factory):
+    trainer = _trainer(tiny_dataset, tiny_model_factory, transport="tcp")
+    result = trainer.run()
+    assert result.backend == "socket"
+    assert result.errors == []
+    assert result.final_accuracy > 0.9
+    assert result.total_iterations == 40
+    assert result.samples_processed == 40 * 16
+    # every frame crossed a real socket: transport counters are live
+    assert result.wire_bytes_up > 0 and result.wire_bytes_down > 0
+    snap = trainer.membership.snapshot()
+    assert snap["joins"] == 2 and snap["leaves"] == 2
+    assert snap["crashes"] == 0 and snap["evictions"] == 0
+
+
+def test_checkpoint_cadence_writes_file(tmp_path, tiny_dataset, tiny_model_factory):
+    path = tmp_path / "run.ckpt"
+    result = _trainer(
+        tiny_dataset,
+        tiny_model_factory,
+        transport="tcp",
+        checkpoint_every=10,
+        checkpoint_path=path,
+    ).run()
+    assert result.errors == []
+    assert path.exists()
+    from repro.core.layerops import parameters_of
+    from repro.core.methods import get_method
+    from repro.exec.common import build_server
+    from repro.ps.checkpoint import load_checkpoint
+
+    server = build_server(get_method("dgs"), parameters_of(tiny_model_factory()), 2, HYPER)
+    header = load_checkpoint(server, path)
+    # the final checkpoint covers the whole run's updates
+    assert sum(header["shards"][0]["updates"].values()) == 40
+    assert server.timestamp == 40
+
+
+def test_checkpoint_every_requires_path(tiny_dataset, tiny_model_factory):
+    with pytest.raises(ValueError, match="checkpoint_path"):
+        _trainer(tiny_dataset, tiny_model_factory, checkpoint_every=5)
+
+
+def test_transport_is_pipe_or_tcp_and_bind_is_tcp_only(tiny_dataset, tiny_model_factory):
+    with pytest.raises(ValueError, match="transport"):
+        _trainer(tiny_dataset, tiny_model_factory, transport="udp")
+    with pytest.raises(ValueError, match="bind"):
+        _trainer(tiny_dataset, tiny_model_factory, transport="pipe", bind=("127.0.0.1", 0))
+
+
+# -- either transport ------------------------------------------------------
+@pytest.mark.parametrize("transport", ["tcp", "pipe"])
+def test_worker_crash_yields_partial_result(tiny_dataset, tiny_model_factory, transport):
+    """A hard-killed worker (no close frame) must not hang or fail the run."""
+    trainer = _trainer(tiny_dataset, tiny_model_factory, transport=transport, fail_at={1: 5})
+    result = trainer.run()
+    assert len(result.errors) == 1
+    assert "without a close frame" in result.errors[0]
+    # the survivor finished its full budget; the victim stopped at ~5
+    assert 20 <= result.total_iterations < 40
+    assert trainer.membership.members[1] == "crash"
+    assert trainer.membership.members[0] == "left"
+
+
+@pytest.mark.parametrize("transport", ["tcp", "pipe"])
+def test_mid_run_join_completes_with_correct_accounting(
+    tiny_dataset, tiny_model_factory, transport
+):
+    trainer = _trainer(
+        tiny_dataset, tiny_model_factory, transport=transport, join_delay_s={1: 0.3}
+    )
+    result = trainer.run()
+    assert result.errors == []
+    assert result.total_iterations == 40
+    snap = trainer.membership.snapshot()
+    assert snap["joins"] == 2 and snap["leaves"] == 2
+    # the delayed worker joined against a server that had already moved
+    join_ts = {w: ts for (w, kind, ts) in trainer.membership.events if kind == "join"}
+    assert join_ts[0] == 0
+    assert join_ts[1] > 0

@@ -1,11 +1,12 @@
 """What the server process holds, counted in units of the model under test.
 
 §5.6.2: a parameter server holds ``M``, θ0 and, for DGS, what stands in
-for the per-worker ``v_k``; for ASGD, ``M`` alone.  The socket and process
-trainers' server side adds exactly one model more, the evaluation scratch
-the reference model doubles as.  Nothing else model-sized may be resident
-after construction: no dead difference scratch for ASGD, no θ0 snapshot
-beside the server's own, no copy saved around the final evaluation.
+for the per-worker ``v_k``; for ASGD, ``M`` alone.  The remote trainer's
+server side, over either transport, adds exactly one model more, the
+evaluation scratch the reference model doubles as.  Nothing else
+model-sized may be resident after construction: no dead difference
+scratch for ASGD, no θ0 snapshot beside the server's own, no copy saved
+around the final evaluation.
 
 Also here: the report path (``summarize_staleness``) never imports
 ``numpy.ma``, which ``np.percentile`` pulls in through ``np.unique``.
@@ -40,9 +41,8 @@ from repro.exec.common import (
 )
 from repro.metrics.evaluation import evaluate_model, evaluate_params
 from repro.nn import MLP
-from repro.ps.process import ProcessTrainer
+from repro.ps.remote import RemoteTrainer
 from repro.ps.server import summarize_staleness
-from repro.ps.socket import SocketTrainer
 from repro.ps.threaded import ThreadedTrainer
 from repro.ps.worker import WorkerNode
 from repro.sim.cluster import ClusterConfig
@@ -78,7 +78,7 @@ class TestDifferenceScratch:
 
 
 # -- the trainers' server side ---------------------------------------------
-def _trainer(cls, dataset, method="asgd"):
+def _trainer(cls, dataset, method="asgd", **kwargs):
     return cls(
         method,
         _factory,
@@ -89,18 +89,19 @@ def _trainer(cls, dataset, method="asgd"):
         hyper=HYPER,
         seed=0,
         arena=True,
+        **kwargs,
     )
 
 
-@pytest.mark.parametrize("cls", [SocketTrainer, ProcessTrainer])
+@pytest.mark.parametrize("transport", ["tcp", "pipe"])
 class TestServerProcessHolds:
-    def _traced(self, cls, dataset):
+    def _traced(self, transport, dataset):
         """(trainer, units after construction, units of run()'s peak over
         that, result); imports are warmed by a first construction."""
-        _trainer(cls, dataset)
+        _trainer(RemoteTrainer, dataset, transport=transport)
         tracemalloc.start()
         try:
-            trainer = _trainer(cls, dataset)
+            trainer = _trainer(RemoteTrainer, dataset, transport=transport)
             built = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
             result = trainer.run()
@@ -109,21 +110,21 @@ class TestServerProcessHolds:
             tracemalloc.stop()
         return trainer, built / UNIT, (peak - built) / UNIT, result
 
-    def test_asgd_server_holds_theta0_m_and_the_evaluation_model(self, cls, dataset):
+    def test_asgd_server_holds_theta0_m_and_the_evaluation_model(self, transport, dataset):
         """θ0 arena, ``M`` and ``eval_model``: three models (five before
         θ0 was read through views and ASGD dropped the difference scratch),
         plus under 0.2 of one in meters, registries and Python objects.
         ``run()`` adds at most 4.5 at its peak: the upload frame, θ0 + M
         and the reply frame of one exchange, or the final θ0 + M."""
-        trainer, built, run_peak, result = self._traced(cls, dataset)
+        trainer, built, run_peak, result = self._traced(transport, dataset)
         assert result.errors == []
         assert built <= 3.2, f"constructed server side holds {built:.2f} models"
         assert run_peak <= 4.5, f"run() peaked {run_peak:.2f} models over construction"
 
-    def test_final_loss_is_bitwise_evaluate_params(self, cls, dataset):
+    def test_final_loss_is_bitwise_evaluate_params(self, transport, dataset):
         """Evaluating in the scratch model is what ``evaluate_params`` does
         minus the save-and-restore: the same numbers, to the bit."""
-        trainer = _trainer(cls, dataset)
+        trainer = _trainer(RemoteTrainer, dataset, transport=transport)
         result = trainer.run()
         acc, loss = evaluate_params(
             _factory(), trainer.server.global_model(), dataset.x_val, dataset.y_val
@@ -145,10 +146,10 @@ def test_engines_receive_theta0_as_read_only_views(dataset, monkeypatch):
         seen.append(theta0)
         return real(method, theta0, *args, **kwargs)
 
-    for module in ("repro.ps.socket", "repro.ps.process", "repro.ps.threaded", "repro.sim.engine"):
+    for module in ("repro.ps.remote", "repro.ps.threaded", "repro.sim.engine"):
         monkeypatch.setattr(f"{module}.build_server", spy)
-    _trainer(SocketTrainer, dataset)
-    _trainer(ProcessTrainer, dataset)
+    _trainer(RemoteTrainer, dataset, transport="tcp")
+    _trainer(RemoteTrainer, dataset, transport="pipe")
     _trainer(ThreadedTrainer, dataset)
     from repro.sim.engine import SimulatedTrainer
 

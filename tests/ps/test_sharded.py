@@ -302,10 +302,10 @@ class TestShardedProcessBackend:
         fanned across 4 shard locks by ``handle`` are the same algorithm as
         the single-lock server."""
         from repro.core.methods import Hyper
-        from repro.ps.process import ProcessTrainer
+        from repro.ps.remote import RemoteTrainer
 
         def run(num_shards):
-            return ProcessTrainer(
+            return RemoteTrainer(
                 "dgs",
                 tiny_model_factory,
                 tiny_dataset,
@@ -315,6 +315,7 @@ class TestShardedProcessBackend:
                 hyper=Hyper(lr=0.1, momentum=0.7, ratio=0.1, min_sparse_size=0),
                 seed=0,
                 num_shards=num_shards,
+                transport="pipe",
             ).run()
 
         single, sharded = run(1), run(4)

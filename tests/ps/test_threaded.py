@@ -21,9 +21,9 @@ def test_threaded_training_learns(method, tiny_dataset, tiny_model_factory):
     )
     result = trainer.run()
     assert result.final_accuracy > 0.7  # blobs are easy; random is 0.25
-    assert result.server_timestamp == 3 * 25
+    assert result.total_iterations == 3 * 25
     assert result.upload_bytes > 0 and result.download_bytes > 0
-    assert len(result.loss_curve) == 75
+    assert len(result.loss_vs_step) == 75
 
 
 def test_staleness_is_nonzero_with_multiple_workers(tiny_dataset, tiny_model_factory):

@@ -46,7 +46,7 @@ class TestErrorPropagation:
 class TestCurveBookkeeping:
     def test_loss_curve_monotone_x(self, tiny_dataset, tiny_model_factory):
         r = make(tiny_dataset, tiny_model_factory).run()
-        xs = r.loss_curve.xs
+        xs = r.loss_vs_step.xs
         assert xs == sorted(xs)
         assert len(xs) == 45
 

@@ -1,10 +1,9 @@
-"""SimResult / SyncResult derived-metric math."""
+"""TrainResult derived-metric math on simulator- and barrier-shaped results."""
 
 import pytest
 
+from repro.exec import TrainResult
 from repro.metrics import Curve
-from repro.sim.engine import SimResult
-from repro.sim.sync import SyncResult
 
 
 def make_simresult(**overrides):
@@ -30,7 +29,7 @@ def make_simresult(**overrides):
         worker_state_bytes=0,
     )
     defaults.update(overrides)
-    return SimResult(**defaults)
+    return TrainResult(**defaults)
 
 
 class TestSimResult:
@@ -49,13 +48,10 @@ class TestSimResult:
         )
         assert r.compression_ratio == 1.0
 
-    def test_trace_default_none(self):
-        assert make_simresult().trace is None
-
 
 class TestSyncResult:
     def test_throughput(self):
-        r = SyncResult(
+        r = TrainResult(
             method="asgd", num_workers=2, final_accuracy=0.9, final_loss=0.1,
             loss_vs_step=Curve("a"), loss_vs_time=Curve("b"), makespan_s=4.0,
             rounds=10, samples_processed=400, upload_bytes=1, download_bytes=1,

@@ -1,15 +1,46 @@
-"""Virtual-timeline trace invariants (record_trace=True)."""
+"""Virtual-timeline invariants, read off the simulator's tracer spans."""
 
-import numpy as np
+from typing import NamedTuple
+
 import pytest
 
 from repro.core import Hyper
+from repro.obs import Tracer
 from repro.sim import ClusterConfig, SimulatedTrainer
+
+
+class Exchange(NamedTuple):
+    """One worker↔server exchange, rebuilt from its four virtual spans."""
+
+    worker: int
+    local_iteration: int
+    ready_t: float  # gradient finished computing
+    up_start: float  # upload began transmitting
+    up_end: float  # upload fully received
+    server_t: float  # server applied the update
+    down_end: float  # download fully received at the worker
+    staleness: int
+    up_bytes: int  # unscaled message bytes
+    down_bytes: int
+
+
+class _EmissionOrder(Tracer):
+    """A tracer that also keeps virtual spans in the order they were
+    emitted (``records()`` sorts by start time)."""
+
+    def __init__(self):
+        super().__init__()
+        self.emitted = []
+
+    def add_span(self, name, start, end, tid="", cat="default", domain="virtual", args=None):
+        super().add_span(name, start, end, tid=tid, cat=cat, domain=domain, args=args)
+        self.emitted.append((name, start, end, dict(args or {})))
 
 
 @pytest.fixture(scope="module")
 def trace(tiny_dataset_mod, tiny_factory_mod):
-    trainer = SimulatedTrainer(
+    tracer = _EmissionOrder()
+    SimulatedTrainer(
         "dgs",
         tiny_factory_mod,
         tiny_dataset_mod,
@@ -17,12 +48,36 @@ def trace(tiny_dataset_mod, tiny_factory_mod):
         batch_size=16,
         total_iterations=80,
         hyper=Hyper(lr=0.1, momentum=0.7, ratio=0.1, min_sparse_size=0),
-        record_trace=True,
+        tracer=tracer,
         seed=0,
-    )
-    result = trainer.run()
-    assert result.trace is not None
-    return result.trace
+    ).run()
+    # Each exchange emits send → handle → recv, then the compute span that
+    # produced its gradient, in server-apply order.
+    spans = tracer.emitted
+    assert len(spans) % 4 == 0
+    exchanges = []
+    for i in range(0, len(spans), 4):
+        send, handle, recv, compute = spans[i : i + 4]
+        assert [s[0] for s in spans[i : i + 4]] == [
+            "comm.send", "server.handle", "comm.recv", "worker.compute",
+        ]
+        worker = compute[3]["worker"]
+        assert send[3]["worker"] == handle[3]["worker"] == recv[3]["worker"] == worker
+        exchanges.append(
+            Exchange(
+                worker=worker,
+                local_iteration=compute[3]["iteration"],
+                ready_t=compute[2],
+                up_start=send[1],
+                up_end=send[2],
+                server_t=handle[2],
+                down_end=recv[2],
+                staleness=handle[3]["staleness"],
+                up_bytes=send[3]["bytes"],
+                down_bytes=recv[3]["bytes"],
+            )
+        )
+    return exchanges
 
 
 @pytest.fixture(scope="module")
