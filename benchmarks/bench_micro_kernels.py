@@ -160,17 +160,21 @@ class TestSubstrateKernels:
 @pytest.fixture(scope="module")
 def tiny_setup():
     from repro.data import make_blobs
+    from repro.exec import RunConfig, SimulatedTrainer
     from repro.nn import MLP
-    from repro.sim import ClusterConfig, SimulatedTrainer
+    from repro.sim import ClusterConfig
 
     ds = make_blobs(n_samples=400, num_classes=4, dim=12, seed=1)
-    return SimulatedTrainer(
+    config = RunConfig(
         "dgs",
         lambda: MLP(12, (24,), 4, seed=7),
         ds,
-        ClusterConfig.with_bandwidth(2, 10, compute_mean_s=0.01),
+        num_workers=2,
         batch_size=16,
         total_iterations=10,
         hyper=Hyper(ratio=0.1, min_sparse_size=0),
         seed=0,
+        cluster=ClusterConfig.with_bandwidth(2, 10, compute_mean_s=0.01),
+        arena=False,
     )
+    return SimulatedTrainer(config)

@@ -77,7 +77,7 @@ ALLOWED_DEPS: "Mapping[str, frozenset[str]]" = {
     "core": frozenset({"autograd", "compression", "nn", "optim"}),
     "data": frozenset(),
     "exec": frozenset(
-        {"comm", "core", "data", "metrics", "nn", "obs", "optim", "ps", "sim"}
+        {"comm", "compression", "core", "data", "metrics", "nn", "obs", "optim", "ps", "sim"}
     ),
     "harness": frozenset(
         {
@@ -101,9 +101,7 @@ ALLOWED_DEPS: "Mapping[str, frozenset[str]]" = {
     "ps": frozenset(
         {"autograd", "compression", "core", "data", "metrics", "nn", "obs", "optim"}
     ),
-    "sim": frozenset(
-        {"comm", "compression", "core", "data", "metrics", "nn", "obs", "optim", "ps"}
-    ),
+    "sim": frozenset(),  # the cost models: cluster, network, analysis
 }
 
 

@@ -16,7 +16,7 @@ The server side is one transport-agnostic loop —
 :class:`~repro.comm.service.ServerService` — with crash-to-partial-result
 semantics, telemetry absorption, elastic membership (join/leave control
 frames), and straggler eviction, identical under pipes and sockets —
-both are driven by one trainer, :class:`repro.ps.RemoteTrainer`.
+both are driven by one trainer, :class:`repro.exec.RemoteTrainer`.
 
 The channel layer owns byte accounting and ``comm.send`` / ``comm.recv``
 obs spans, so ``TrainResult`` byte fields and traces mean the same thing

@@ -1,17 +1,22 @@
-"""Unified execution layer: one Trainer front-end over pluggable backends.
+"""Execution layer: the training engines and the one Trainer front-end.
 
 The worker↔server lifecycle of Algorithms 1–3 runs on five substrates —
 real threads, real processes with a binary wire codec, real TCP sockets
 with elastic membership and checkpoint/restore, an event-driven
 virtual-clock simulator, and a barrier-synchronised SSGD reference.  This
-package makes them interchangeable:
+package holds their four engines, each built from one :class:`RunConfig`
+(:class:`ThreadedTrainer`, :class:`RemoteTrainer` over ``"pipe"`` or
+``"tcp"``, :class:`SimulatedTrainer`, :class:`SynchronousTrainer`), on
+top of the server substrate in :mod:`repro.ps`, the channel layer in
+:mod:`repro.comm` and the cost models in :mod:`repro.sim`:
 
 * :class:`RunConfig` — one description of a distributed run;
 * :func:`get_backend` / :func:`register_backend` — the backend registry
   (``"threaded"`` | ``"process"`` | ``"socket"`` | ``"simulated"`` |
-  ``"sync"``);
-* :class:`Trainer` / :func:`train` — the front-end that executes a config
-  on any backend;
+  ``"sync"``): a name, a clock, the measured fields and an engine;
+* :class:`Trainer` / :func:`train` — the one path that builds a
+  backend's engine and runs it, under the CLI's override and result
+  scopes;
 * :class:`TrainResult` — the one result schema every backend returns,
   with explicit ``None``/NaN semantics for unmeasured fields.
 
@@ -32,15 +37,13 @@ from .backend import (
     use_backend,
     use_config_overrides,
 )
-# importing .backends registers the five built-ins
-from .backends import (
-    RemoteBackend,
-    SimulatedBackend,
-    SyncBackend,
-    ThreadedBackend,
-)
+from . import backends  # noqa: F401  (importing it registers the five built-ins)
 from .config import RunConfig
+from .remote import RemoteTrainer
 from .result import TrainResult, validate_result
+from .simulated import SimulatedTrainer
+from .sync import SynchronousTrainer
+from .threaded import ThreadedTrainer
 from .trainer import Trainer, train
 
 __all__ = [
@@ -59,8 +62,8 @@ __all__ = [
     "collect_results",
     "notify_result",
     "validate_result",
-    "ThreadedBackend",
-    "RemoteBackend",
-    "SimulatedBackend",
-    "SyncBackend",
+    "ThreadedTrainer",
+    "RemoteTrainer",
+    "SimulatedTrainer",
+    "SynchronousTrainer",
 ]

@@ -24,6 +24,7 @@ from ..nn.models.mlp import MLP
 from .backend import get_backend, list_backends
 from .config import RunConfig
 from .result import validate_result
+from .trainer import Trainer
 
 
 def main(argv: "list[str] | None" = None) -> int:
@@ -63,7 +64,7 @@ def main(argv: "list[str] | None" = None) -> int:
     for name in [b.strip() for b in args.backends.split(",") if b.strip()]:
         backend = get_backend(name)
         t0 = time.perf_counter()
-        result = backend.run(config)
+        result = Trainer(config, backend).run()
         elapsed = time.perf_counter() - t0
         problems = validate_result(result, measures=backend.measures)
         if result.backend != backend.name:

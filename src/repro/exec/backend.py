@@ -1,18 +1,21 @@
-"""Backend protocol, registry, and the ambient default backend.
+"""Backend registry, the ambient default backend, and the CLI scopes.
 
-A backend turns one :class:`~repro.exec.config.RunConfig` into a
-:class:`~repro.exec.result.TrainResult`.  The five built-ins ("threaded",
-"process", "socket", "simulated", "sync") register themselves on import of
-:mod:`repro.exec`; extensions register their own with
-:func:`register_backend` and immediately work everywhere a backend name is
-accepted — ``Trainer``, ``run_distributed(backend=...)``, ``python -m
-repro run --backend``, and ``make backend-matrix``.
+A backend is a name, a clock, the ``TrainResult`` fields it measures and
+an engine constructor taking one :class:`~repro.exec.config.RunConfig`;
+:class:`~repro.exec.trainer.Trainer` is the one path that builds and runs
+the engine.  The five built-ins ("threaded", "process", "socket",
+"simulated", "sync") register themselves on import of :mod:`repro.exec`;
+extensions register their own with :func:`register_backend` and
+immediately work everywhere a backend name is accepted — ``Trainer``,
+``run_distributed(backend=...)``, ``python -m repro run --backend``, and
+``make backend-matrix``.
 """
 
 from __future__ import annotations
 
 import contextlib
-from typing import Iterator, Protocol, runtime_checkable
+import dataclasses
+from typing import Callable, Iterator
 
 from .config import RunConfig
 from .result import TrainResult
@@ -31,8 +34,8 @@ __all__ = [
 ]
 
 
-@runtime_checkable
-class Backend(Protocol):
+@dataclasses.dataclass(frozen=True)
+class Backend:
     """One way of executing a distributed training run."""
 
     #: registry name, e.g. "threaded"
@@ -41,17 +44,10 @@ class Backend(Protocol):
     clock: str
     #: optional TrainResult fields this backend guarantees to populate
     measures: "frozenset[str]"
-
-    def create(self, config: RunConfig):
-        """Build (but do not run) the underlying engine for ``config``.
-
-        The returned engine exposes ``run() -> TrainResult`` plus whatever
-        pre-run state the engine publishes (e.g. ``.server``/``.workers``)
-        for instrumentation.
-        """
-
-    def run(self, config: RunConfig) -> TrainResult:
-        """Execute ``config`` to completion."""
+    #: builds (but does not run) the engine for a config; the engine
+    #: exposes ``run() -> TrainResult`` plus whatever pre-run state it
+    #: publishes (e.g. ``.server``/``.workers``) for instrumentation
+    engine: "Callable[[RunConfig], object]"
 
 
 _REGISTRY: "dict[str, Backend]" = {}
@@ -97,11 +93,8 @@ _COLLECTORS: "list[list[tuple[RunConfig, TrainResult]]]" = []
 
 
 def notify_result(config: RunConfig, result: TrainResult) -> None:
-    """Report a completed run to every active :func:`collect_results` scope.
-
-    The built-in backends call this from their shared ``run()``; custom
-    backends should too, so CLI-level run manifests see their results.
-    """
+    """Report a completed run to every active :func:`collect_results` scope
+    (``Trainer.run`` calls this for every backend)."""
     for sink in _COLLECTORS:
         sink.append((config, result))
 
@@ -135,11 +128,9 @@ def use_config_overrides(**fields: object) -> "Iterator[dict[str, object]]":
     experiments build their own configs internally, and the CLI layers
     run-level settings (checkpointing, restore) over all of them without
     threading new parameters through every runner signature.  Overrides
-    are applied by :func:`apply_config_overrides` (the built-in backends
-    call it from their shared ``run()``); unknown field names fail fast.
+    are applied by :func:`apply_config_overrides` (``Trainer`` calls it
+    before it builds the engine); unknown field names fail fast.
     """
-    import dataclasses
-
     known = {f.name for f in dataclasses.fields(RunConfig)}
     unknown = set(fields) - known
     if unknown:
@@ -159,8 +150,6 @@ def apply_config_overrides(config: RunConfig) -> RunConfig:
     """
     if not _CONFIG_OVERRIDES:
         return config
-    import dataclasses
-
     merged: "dict[str, object]" = {}
     for scope in _CONFIG_OVERRIDES:
         merged.update(scope)

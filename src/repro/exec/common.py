@@ -1,17 +1,16 @@
-"""Construction and evaluation steps shared by every execution backend.
+"""Construction and evaluation steps shared by the execution engines.
 
-Before the unified execution layer, each of the four trainers carried its
-own copy of the same lifecycle plumbing: resolve the method spec, default
-the hyper-parameters and LR schedule, decide the server-side secondary
-compression, build a :class:`~repro.ps.server.ParameterServer` seeded with
-θ0, stamp out per-worker :class:`~repro.ps.worker.WorkerNode` replicas, and
-evaluate θ0 + M on the validation split.  These helpers are that plumbing,
-written once; the trainers are now thin scheduling loops on top.
+Resolve the method spec, default the hyper-parameters and LR schedule,
+decide the server-side secondary compression, build a
+:class:`~repro.ps.server.ParameterServer` seeded with θ0, stamp out
+per-worker :class:`~repro.ps.worker.WorkerNode` replicas, and evaluate
+θ0 + M on the validation split — written once, so the engines are
+scheduling loops on top.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Mapping
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -22,10 +21,9 @@ from ..data.synthetic import Dataset
 from ..metrics.evaluation import evaluate_model, evaluate_params
 from ..nn.module import Module
 from ..optim.schedules import ConstantLR, Schedule
-
-if TYPE_CHECKING:  # imported lazily at call time: repro.ps imports this module
-    from ..ps.server import ParameterServer
-    from ..ps.worker import WorkerNode
+from ..ps.server import ParameterServer
+from ..ps.sharded import ShardedParameterServer
+from ..ps.worker import WorkerNode
 
 __all__ = [
     "resolve_method",
@@ -83,7 +81,7 @@ def build_server(
     arena: bool = False,
     arena_dtype: "object | None" = None,
     num_shards: int = 1,
-) -> "ParameterServer":
+) -> ParameterServer:
     """A parameter server configured for ``method``'s downstream mode.
 
     ``num_shards=1`` builds the plain single-lock server — the sharded
@@ -92,8 +90,6 @@ def build_server(
     :class:`~repro.ps.sharded.ParameterShard` s behind a
     :class:`~repro.ps.sharded.ShardedParameterServer`.
     """
-    from ..ps.server import ParameterServer
-
     kwargs = dict(
         downstream=method.downstream,
         secondary_ratio=secondary_ratio_for(method, hyper, secondary_compression),
@@ -103,8 +99,6 @@ def build_server(
         arena_dtype=arena_dtype,
     )
     if num_shards > 1:
-        from ..ps.sharded import ShardedParameterServer
-
         return ShardedParameterServer(theta0, num_workers, num_shards, **kwargs)
     return ParameterServer(theta0, num_workers, **kwargs)
 
@@ -120,10 +114,8 @@ def build_worker(
     theta0: "Mapping[str, np.ndarray] | None" = None,
     arena: bool = False,
     arena_dtype: "object | None" = None,
-) -> "WorkerNode":
+) -> WorkerNode:
     """One worker node on ``model``, optionally re-seeded to θ0."""
-    from ..ps.worker import WorkerNode
-
     if theta0 is not None:
         # All replicas start from the same θ0.
         assign_parameters(model, theta0)

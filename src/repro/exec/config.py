@@ -1,13 +1,13 @@
 """Backend-independent run description.
 
-One :class:`RunConfig` captures everything any of the five execution
-backends needs to set up a distributed training run — the union of what
-the ``ThreadedTrainer`` / ``RemoteTrainer`` / ``SimulatedTrainer`` /
-``SynchronousTrainer`` constructors take.  Fields a backend does not
-understand are ignored (and documented as such); the conversions
-between the one global iteration budget and each engine's native knob
-(per-worker iterations, barrier rounds) live here so every backend slices
-the same amount of optimisation work.
+One :class:`RunConfig` describes a distributed training run, and every
+engine is built from one: ``ThreadedTrainer(config)``,
+``RemoteTrainer(config, transport)``, ``SimulatedTrainer(config)``,
+``SynchronousTrainer(config)``.  Fields an engine does not use are
+ignored (and documented as such); the conversions between the one global
+iteration budget and each engine's native knob (per-worker iterations,
+barrier rounds) live here so every backend slices the same amount of
+optimisation work.
 """
 
 from __future__ import annotations
@@ -128,10 +128,20 @@ class RunConfig:
         return max(1, self.total_iterations // self.num_workers)
 
     def resolved_cluster(self) -> ClusterConfig:
-        """The configured cluster, or a symmetric 10 Gb/s default."""
-        if self.cluster is not None:
-            return self.cluster
-        return ClusterConfig.with_bandwidth(self.num_workers, 10.0, seed=self.seed)
+        """The configured cluster, or a symmetric 10 Gb/s default.
+
+        The virtual-clock engines size themselves from the cluster, so a
+        worker count that disagrees with ``num_workers`` would silently
+        drop (or invent) workers: it is rejected."""
+        cluster = self.cluster
+        if cluster is None:
+            cluster = ClusterConfig.with_bandwidth(self.num_workers, 10.0, seed=self.seed)
+        if cluster.num_workers != self.num_workers:
+            raise ValueError(
+                f"RunConfig.num_workers={self.num_workers} disagrees with "
+                f"cluster.num_workers={cluster.num_workers}"
+            )
+        return cluster
 
     def describe(self) -> "dict[str, object]":
         """JSON-serialisable summary of the *resolved* configuration.

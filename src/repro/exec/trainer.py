@@ -1,7 +1,7 @@
 """The one trainer front-end.
 
 ``Trainer(config, backend=...)`` — or the one-shot :func:`train` — is the
-single entry point over the pluggable execution backends.  Any method ×
+single path over the pluggable execution backends.  Any method ×
 backend × workload combination runs through here and comes back as one
 unified :class:`~repro.exec.result.TrainResult`::
 
@@ -11,11 +11,16 @@ unified :class:`~repro.exec.result.TrainResult`::
                     num_workers=4, batch_size=32, total_iterations=400)
     result = Trainer(cfg, backend="threaded").run()   # or "process",
     print(result.final_accuracy, result.throughput)   # "simulated", "sync"
+
+The CLI scopes apply here, whatever the caller: the active
+:func:`~repro.exec.backend.use_config_overrides` fields are laid over
+``config`` before the engine is built, and :meth:`Trainer.run` reports
+the result to every :func:`~repro.exec.backend.collect_results` scope.
 """
 
 from __future__ import annotations
 
-from .backend import Backend, get_backend
+from .backend import Backend, apply_config_overrides, get_backend, notify_result
 from .config import RunConfig
 from .result import TrainResult
 
@@ -26,14 +31,17 @@ class Trainer:
     """Run one :class:`RunConfig` on a named (or ambient default) backend."""
 
     def __init__(self, config: RunConfig, backend: "str | Backend | None" = None) -> None:
-        self.config = config
+        #: ``config`` with the active CLI overrides applied
+        self.config = apply_config_overrides(config)
         self.backend = get_backend(backend)
         #: the underlying engine, built eagerly so callers can instrument
         #: pre-run state (e.g. ``trainer.engine.server``) before ``run()``.
-        self.engine = self.backend.create(config)
+        self.engine = self.backend.engine(self.config)
 
     def run(self) -> TrainResult:
-        return self.engine.run()
+        result = self.engine.run()
+        notify_result(self.config, result)
+        return result
 
 
 def train(config: RunConfig, backend: "str | Backend | None" = None) -> TrainResult:

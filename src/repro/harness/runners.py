@@ -6,7 +6,7 @@ from dataclasses import dataclass, replace
 from typing import Mapping
 
 from ..core.methods import Hyper, get_method
-from ..exec import Backend, RunConfig, TrainResult, get_backend
+from ..exec import Backend, RunConfig, TrainResult, Trainer, get_backend
 from ..harness.local import LocalResult, LocalTrainer
 from ..obs.tracer import NullTracer, Tracer
 from ..sim.cluster import ClusterConfig
@@ -77,7 +77,7 @@ def run_distributed(
         eval_every=eval_every,
         tracer=tracer,
     )
-    return exec_backend.run(config)
+    return Trainer(config, exec_backend).run()
 
 
 def run_msgd(

@@ -1,11 +1,9 @@
-"""Parameter-server substrate: messages, server, workers, trainers.
+"""Parameter-server substrate: messages and their codec, the server
+(single-lock or sharded), worker nodes, checkpoints and membership.
 
-Two trainers share the server/worker core: :class:`ThreadedTrainer`
-(worker threads over in-process channels) and :class:`RemoteTrainer`
-(worker processes over OS pipes or TCP — one code path with elastic
-membership, crash/straggler handling and checkpoint/restore whatever the
-link; see :mod:`repro.ps.remote`, :mod:`repro.ps.membership`,
-:mod:`repro.ps.checkpoint`).
+The engines that drive this substrate — threads, forked processes, the
+simulator — live in :mod:`repro.exec`; ``python -m repro.ps`` is the
+two-terminal deployment CLI over the socket backend's engine.
 """
 
 from .checkpoint import load_checkpoint, save_checkpoint
@@ -14,8 +12,6 @@ from .membership import WorkerDirectory
 from .messages import DiffMessage, GradientMessage, ModelMessage, payload_dense_nbytes, payload_nbytes
 from .server import ParameterServer
 from .sharded import ParameterShard, ShardedParameterServer
-from .remote import RemoteTrainer
-from .threaded import ThreadedTrainer
 from .worker import WorkerNode
 
 __all__ = [
@@ -29,10 +25,8 @@ __all__ = [
     "ParameterServer",
     "ParameterShard",
     "ShardedParameterServer",
-    "RemoteTrainer",
     "WorkerDirectory",
     "WorkerNode",
-    "ThreadedTrainer",
     "save_checkpoint",
     "load_checkpoint",
 ]

@@ -16,9 +16,12 @@ Workers may start before the server: ``SocketChannel.connect`` retries
 with capped exponential backoff for ``--retry-for`` seconds.  Flags that
 shape the workload (``--method``, ``--iterations``, ``--batch-size``,
 ``--seed``) must match on every side; the demo has no config exchange.
-``serve`` is the server half of :class:`repro.ps.RemoteTrainer` with no
-forked workers; the programmatic equivalent — forked workers, one process
-tree — is ``repro.exec.train(config, backend="socket")``.
+``serve`` is the server half of the socket backend's engine
+(:class:`repro.exec.RemoteTrainer`) with no forked workers, and ``worker``
+builds its node the way that engine's forked workers do, so both sides
+hold the same state as ``repro.exec.train(config, backend="socket")``.
+The commands import :mod:`repro.exec` inside their bodies: it is the
+layer above this package, and only this entry point reaches up to it.
 """
 
 from __future__ import annotations
@@ -27,18 +30,25 @@ import argparse
 import sys
 
 
-def _workload(args: argparse.Namespace):
-    """The standard demo workload, derived only from the shared flags."""
+def _config(args: argparse.Namespace, **fields):
+    """The standard demo workload as a ``RunConfig``, derived only from
+    the shared flags (``--iterations`` is per worker)."""
     from ..core.methods import Hyper
     from ..data.synthetic import make_blobs
-    from ..exec.common import resolve_hyper, resolve_method, resolve_schedule
+    from ..exec import RunConfig
     from ..nn.models.mlp import MLP
 
-    dataset = make_blobs(n_samples=400, num_classes=4, dim=12, sep=2.5, noise=0.8, seed=1)
-    method = resolve_method(args.method)
-    hyper = resolve_hyper(Hyper(lr=0.1, momentum=0.7, ratio=0.1, min_sparse_size=0))
-    schedule = resolve_schedule(None, hyper)
-    return dataset, (lambda: MLP(12, (24,), 4, seed=7)), method, hyper, schedule
+    return RunConfig(
+        args.method,
+        lambda: MLP(12, (24,), 4, seed=7),
+        make_blobs(n_samples=400, num_classes=4, dim=12, sep=2.5, noise=0.8, seed=1),
+        num_workers=args.workers,
+        batch_size=args.batch_size,
+        total_iterations=args.iterations * args.workers,
+        hyper=Hyper(lr=0.1, momentum=0.7, ratio=0.1, min_sparse_size=0),
+        seed=args.seed,
+        **fields,
+    )
 
 
 def _parse_endpoint(text: str) -> "tuple[str, int]":
@@ -48,35 +58,31 @@ def _parse_endpoint(text: str) -> "tuple[str, int]":
     return host or "127.0.0.1", int(port)
 
 
-def _cmd_serve(args: argparse.Namespace) -> int:
-    from .remote import RemoteTrainer
+def _serve_trainer(args: argparse.Namespace):
+    """The socket backend's engine for the ``serve`` flags; its workers
+    are whoever connects."""
+    from ..exec import RemoteTrainer
 
-    dataset, model_factory, method, hyper, schedule = _workload(args)
-    # The server half of the socket backend, with no forked workers: the
-    # workers are whoever connects.
-    trainer = RemoteTrainer(
-        method,
-        model_factory,
-        dataset,
-        args.workers,
-        args.batch_size,
-        args.iterations,
-        hyper=hyper,
-        schedule=schedule,
+    config = _config(
+        args,
         num_shards=args.shards,
-        seed=args.seed,
         evict_after_s=args.evict_after,
         checkpoint_every=args.checkpoint_every or None,
         checkpoint_path=args.checkpoint,
         restore_from=args.restore,
         bind=args.bind,
     )
+    return RemoteTrainer(config, "tcp")
+
+
+def _cmd_serve(args: argparse.Namespace) -> int:
+    trainer = _serve_trainer(args)
     if args.restore:
         print(f"restored t={trainer.server.timestamp} from {args.restore}", file=sys.stderr)
     listener = trainer.listen()
     host, port = listener.address
     print(
-        f"serving {method.name} on {host}:{port} — waiting for {args.workers} worker(s)",
+        f"serving {trainer.method.name} on {host}:{port} — waiting for {args.workers} worker(s)",
         file=sys.stderr,
     )
     result = trainer.serve([], listener=listener)
@@ -95,27 +101,20 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     return 1 if result.errors else 0
 
 
+def _worker_node(args: argparse.Namespace):
+    """Worker ``--id`` as the socket backend builds it: the join handshake
+    installs the live θ_t, exactly as a late joiner on any other host
+    would receive it."""
+    from ..exec.remote import build_remote_worker
+
+    return build_remote_worker(_config(args), args.id)
+
+
 def _cmd_worker(args: argparse.Namespace) -> int:
     from ..comm.protocol import run_worker_loop
     from ..comm.socket import SocketChannel
-    from ..data.loader import DataLoader
-    from ..exec.common import build_worker
 
-    dataset, model_factory, method, hyper, schedule = _workload(args)
-    loader = DataLoader(dataset, args.batch_size, seed=args.seed)
-    model = model_factory()
-    # theta0=None: the join handshake installs the live θ_t, exactly as a
-    # late joiner on any other host would receive it.
-    node = build_worker(
-        args.id,
-        args.workers,
-        model,
-        loader,
-        method,
-        hyper,
-        schedule,
-        theta0=None,
-    )
+    node = _worker_node(args)
     host, port = args.connect
     channel = SocketChannel.connect(host, port, retry_for_s=args.retry_for)
     print(f"worker {args.id} connected to {host}:{port}", file=sys.stderr)
@@ -137,39 +136,39 @@ def _cmd_smoke(args: argparse.Namespace) -> int:
     """
     from ..core.methods import Hyper
     from ..data.synthetic import make_blobs
+    from ..exec import RunConfig, train
     from ..nn.models.mlp import MLP
-    from .remote import RemoteTrainer
 
     dataset = make_blobs(n_samples=400, num_classes=4, dim=12, sep=2.5, noise=0.8, seed=1)
 
-    def run(transport: str, iterations: int, **kwargs):
-        return RemoteTrainer(
+    def run(backend: str, iterations: int, **fields):
+        config = RunConfig(
             "asgd",
             lambda: MLP(12, (24,), 4, seed=7),
             dataset,
             num_workers=1,
             batch_size=16,
-            iterations_per_worker=iterations,
+            total_iterations=iterations,
             hyper=Hyper(lr=0.1, momentum=0.0),
             seed=args.seed,
-            transport=transport,
-            **kwargs,
-        ).run()
+            **fields,
+        )
+        return train(config, backend)
 
     half = max(1, args.iterations // 2)
     failures = []
-    for transport in ("pipe", "tcp"):
-        full = run(transport, args.iterations)
-        first = run(transport, half, checkpoint_every=half, checkpoint_path=args.checkpoint)
-        resumed = run(transport, args.iterations - half, restore_from=args.checkpoint)
+    for backend in ("process", "socket"):
+        full = run(backend, args.iterations)
+        first = run(backend, half, checkpoint_every=half, checkpoint_path=args.checkpoint)
+        resumed = run(backend, args.iterations - half, restore_from=args.checkpoint)
 
         full_ys = list(full.loss_vs_step.ys)
         if list(first.loss_vs_step.ys) != full_ys[:half]:
-            failures.append(f"{transport}: pre-checkpoint losses diverge from the uninterrupted run")
+            failures.append(f"{backend}: pre-checkpoint losses diverge from the uninterrupted run")
         if list(resumed.loss_vs_step.ys) != full_ys[half:]:
-            failures.append(f"{transport}: restored continuation diverges from the uninterrupted tail")
+            failures.append(f"{backend}: restored continuation diverges from the uninterrupted tail")
         if resumed.final_loss != full.final_loss:
-            failures.append(f"{transport}: final loss differs after restore")
+            failures.append(f"{backend}: final loss differs after restore")
     for failure in failures:
         print(f"FAIL: {failure}", file=sys.stderr)
     if not failures:
@@ -180,7 +179,7 @@ def _cmd_smoke(args: argparse.Namespace) -> int:
     return 1 if failures else 0
 
 
-def main(argv: "list[str] | None" = None) -> int:
+def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="python -m repro.ps", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -248,7 +247,11 @@ def main(argv: "list[str] | None" = None) -> int:
         help="where the mid-run checkpoint is written (default .socket-smoke.ckpt)",
     )
     p_smoke.set_defaults(fn=_cmd_smoke)
+    return parser
 
+
+def main(argv: "list[str] | None" = None) -> int:
+    parser = _parser()
     args = parser.parse_args(argv)
     if getattr(args, "checkpoint_every", None) and not args.checkpoint:
         parser.error("--checkpoint-every requires --checkpoint")

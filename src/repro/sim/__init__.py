@@ -1,20 +1,21 @@
-"""Event-driven cluster simulator (virtual clock + network model)."""
+"""Cost models of the virtual cluster: compute times, links, and the
+closed-form throughput prediction.
+
+The event-driven engines that run on them live in :mod:`repro.exec`
+(``SimulatedTrainer``, ``SynchronousTrainer``).
+"""
 
 from .analysis import PerfPrediction, predict
 from .cluster import ClusterConfig, ComputeModel
-from .engine import SimulatedTrainer
 from .network import GBPS, MBPS, LinkModel, SharedLink
-from .sync import SynchronousTrainer
 
 __all__ = [
     "predict",
     "PerfPrediction",
-    "SynchronousTrainer",
     "LinkModel",
     "SharedLink",
     "GBPS",
     "MBPS",
     "ClusterConfig",
     "ComputeModel",
-    "SimulatedTrainer",
 ]

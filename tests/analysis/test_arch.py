@@ -37,6 +37,7 @@ class TestMatrix:
         assert ALLOWED_DEPS["autograd"] == frozenset()
         assert "exec" not in ALLOWED_DEPS["ps"]
         assert "exec" not in ALLOWED_DEPS["comm"]
+        assert "exec" not in ALLOWED_DEPS["sim"]
 
 
 class TestBaseline:
@@ -56,7 +57,7 @@ class TestBaseline:
 
     def test_grandfathered_debt_is_exactly_the_known_edges(self):
         payload = json.loads(baseline_path().read_text())
-        assert payload["grandfathered"] == ["ps -> exec", "sim -> exec"]
+        assert payload["grandfathered"] == []
 
 
 class TestViolationDetection:

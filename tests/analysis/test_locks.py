@@ -104,9 +104,9 @@ class TestDiscovery:
         assert "ParameterServer" in names
 
     def test_narrow_locks_do_not_enroll(self):
-        # ThreadedTrainer's _loss_lock guards one curve, not the object;
-        # the `_lock` naming convention keeps it out of the checker.
-        module = load_module(SRC / "ps" / "threaded.py", root=SRC)
+        # ThreadedTrainer's _step_lock guards its per-step bookkeeping, not
+        # the object; the `_lock` naming convention keeps it out of the checker.
+        module = load_module(SRC / "exec" / "threaded.py", root=SRC)
         assert find_lock_classes(module.tree) == []
 
 

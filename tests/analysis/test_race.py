@@ -14,7 +14,7 @@ from repro.analysis.race import (
     instrument_server,
 )
 from repro.core import Hyper
-from repro.ps import ThreadedTrainer
+from repro.exec import RunConfig, ThreadedTrainer
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -29,16 +29,18 @@ def load_racy_server_class():
 
 
 def make_trainer(dataset, model_factory, workers=4, iters=50):
-    return ThreadedTrainer(
+    config = RunConfig(
         "dgs",
         model_factory,
         dataset,
         num_workers=workers,
         batch_size=16,
-        iterations_per_worker=iters,
+        total_iterations=iters * workers,
         hyper=HYPER,
         seed=0,
+        arena=False,
     )
+    return ThreadedTrainer(config)
 
 
 class TestCheckedLock:

@@ -98,29 +98,34 @@ class TestDGSTernGrad:
         np.testing.assert_allclose(sent + kept / m, velocity[idx], atol=1e-12)
 
     def test_trains_in_simulation(self, tiny_dataset, tiny_model_factory):
-        from repro.sim import ClusterConfig, SimulatedTrainer
+        from repro.exec import RunConfig, SimulatedTrainer
+        from repro.sim import ClusterConfig
 
         trainer = SimulatedTrainer(
-            "dgs_terngrad", tiny_model_factory, tiny_dataset,
-            ClusterConfig.with_bandwidth(3, 10, compute_mean_s=0.02),
-            batch_size=16, total_iterations=200,
-            hyper=Hyper(lr=0.1, momentum=0.7, ratio=0.2, min_sparse_size=0),
-            seed=0,
+            RunConfig(
+                "dgs_terngrad", tiny_model_factory, tiny_dataset, num_workers=3,
+                batch_size=16, total_iterations=200,
+                hyper=Hyper(lr=0.1, momentum=0.7, ratio=0.2, min_sparse_size=0),
+                seed=0, cluster=ClusterConfig.with_bandwidth(3, 10, compute_mean_s=0.02),
+                arena=False,
+            )
         )
         r = trainer.run()
         assert r.final_accuracy > 0.7
 
     def test_upload_cheaper_than_dgs(self, tiny_dataset, tiny_model_factory):
-        from repro.sim import ClusterConfig, SimulatedTrainer
+        from repro.exec import RunConfig, SimulatedTrainer
+        from repro.sim import ClusterConfig
 
         def run(method):
-            return SimulatedTrainer(
-                method, tiny_model_factory, tiny_dataset,
-                ClusterConfig.with_bandwidth(2, 10, compute_mean_s=0.02),
+            config = RunConfig(
+                method, tiny_model_factory, tiny_dataset, num_workers=2,
                 batch_size=16, total_iterations=40,
                 hyper=Hyper(lr=0.1, momentum=0.7, ratio=0.2, min_sparse_size=0),
-                seed=0,
-            ).run()
+                seed=0, cluster=ClusterConfig.with_bandwidth(2, 10, compute_mean_s=0.02),
+                arena=False,
+            )
+            return SimulatedTrainer(config).run()
 
         assert run("dgs_terngrad").upload_bytes < run("dgs").upload_bytes
 

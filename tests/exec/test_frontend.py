@@ -3,7 +3,15 @@
 import pytest
 
 from repro.core import Hyper
-from repro.exec import RunConfig, Trainer, get_backend, train, validate_result
+from repro.exec import (
+    RunConfig,
+    Trainer,
+    collect_results,
+    get_backend,
+    train,
+    use_config_overrides,
+    validate_result,
+)
 from repro.sim import ClusterConfig
 
 HYPER = Hyper(lr=0.1, momentum=0.7, ratio=0.1, min_sparse_size=0)
@@ -54,7 +62,7 @@ class TestRunConfig:
         )
         for name in ("simulated", "sync"):
             with pytest.raises(ValueError, match="disagrees"):
-                get_backend(name).create(config)
+                Trainer(config, backend=name)
 
 
 class TestTrainerFrontend:
@@ -108,6 +116,24 @@ class TestTrainerFrontend:
         config.method = "msgd"
         result = train(config, backend="sync")
         assert result.method == "msgd"
+
+
+class TestCliScopes:
+    """``train()`` is the one run path, so the CLI's scopes reach it."""
+
+    def test_train_reports_to_collect_results(self, tiny_dataset, tiny_model_factory):
+        config = tiny_config(tiny_dataset, tiny_model_factory)
+        with collect_results() as runs:
+            result = train(config, backend="threaded")
+        assert len(runs) == 1
+        assert runs[0][1] is result
+
+    def test_train_applies_config_overrides(self, tmp_path, tiny_dataset, tiny_model_factory):
+        path = tmp_path / "scoped.ckpt"
+        config = tiny_config(tiny_dataset, tiny_model_factory)
+        with use_config_overrides(checkpoint_every=2, checkpoint_path=str(path)):
+            train(config, backend="threaded")
+        assert path.exists()
 
 
 class TestRunDistributedBackendParam:

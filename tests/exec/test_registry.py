@@ -1,14 +1,19 @@
-"""Backend protocol, registry lookup, and the ambient default."""
+"""Backend shape, registry lookup, and the ambient default."""
+
+import dataclasses
 
 import pytest
 
 import repro.exec.backend as backend_mod
+from repro.core import Hyper
 from repro.exec import (
     Backend,
-    RemoteBackend,
-    SimulatedBackend,
-    SyncBackend,
-    ThreadedBackend,
+    RemoteTrainer,
+    RunConfig,
+    SimulatedTrainer,
+    SynchronousTrainer,
+    ThreadedTrainer,
+    Trainer,
     default_backend,
     get_backend,
     list_backends,
@@ -19,25 +24,38 @@ from repro.exec import (
 BUILTINS = ("threaded", "process", "simulated", "sync")
 
 
+def _config(tiny_dataset, tiny_model_factory):
+    return RunConfig(
+        "dgs", tiny_model_factory, tiny_dataset, num_workers=2, batch_size=16,
+        total_iterations=4, hyper=Hyper(lr=0.1),
+    )
+
+
 class TestRegistry:
     def test_builtins_registered(self):
         assert set(BUILTINS) <= set(list_backends())
 
     @pytest.mark.parametrize(
-        "name,cls,clock",
+        "name,engine,clock",
         [
-            ("threaded", ThreadedBackend, "wall"),
-            ("process", RemoteBackend, "wall"),
-            ("socket", RemoteBackend, "wall"),
-            ("simulated", SimulatedBackend, "virtual"),
-            ("sync", SyncBackend, "virtual"),
+            ("threaded", ThreadedTrainer, "wall"),
+            ("process", RemoteTrainer, "wall"),
+            ("socket", RemoteTrainer, "wall"),
+            ("simulated", SimulatedTrainer, "virtual"),
+            ("sync", SynchronousTrainer, "virtual"),
         ],
     )
-    def test_get_backend_resolves(self, name, cls, clock):
+    def test_get_backend_resolves(self, name, engine, clock, tiny_dataset, tiny_model_factory):
         backend = get_backend(name)
-        assert isinstance(backend, cls)
         assert backend.name == name
         assert backend.clock == clock
+        config = _config(tiny_dataset, tiny_model_factory)
+        assert isinstance(Trainer(config, backend=name).engine, engine)
+
+    def test_remote_backends_differ_only_in_transport(self, tiny_dataset, tiny_model_factory):
+        config = _config(tiny_dataset, tiny_model_factory)
+        assert Trainer(config, backend="process").engine.transport == "pipe"
+        assert Trainer(config, backend="socket").engine.transport == "tcp"
 
     def test_builtins_satisfy_protocol(self):
         for name in BUILTINS:
@@ -54,21 +72,18 @@ class TestRegistry:
     def test_duplicate_registration_rejected(self, monkeypatch):
         monkeypatch.setattr(backend_mod, "_REGISTRY", dict(backend_mod._REGISTRY))
         with pytest.raises(ValueError, match="already registered"):
-            register_backend(ThreadedBackend())
+            register_backend(dataclasses.replace(get_backend("threaded")))
 
     def test_replace_registration(self, monkeypatch):
         monkeypatch.setattr(backend_mod, "_REGISTRY", dict(backend_mod._REGISTRY))
-        replacement = ThreadedBackend()
+        replacement = dataclasses.replace(get_backend("threaded"))
         assert register_backend(replacement, replace=True) is replacement
         assert get_backend("threaded") is replacement
 
     def test_custom_backend_immediately_resolvable(self, monkeypatch):
         monkeypatch.setattr(backend_mod, "_REGISTRY", dict(backend_mod._REGISTRY))
 
-        class Custom(ThreadedBackend):
-            name = "custom"
-
-        register_backend(Custom())
+        register_backend(dataclasses.replace(get_backend("threaded"), name="custom"))
         assert "custom" in list_backends()
         assert get_backend("custom").clock == "wall"
 

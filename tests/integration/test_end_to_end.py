@@ -5,10 +5,11 @@ import pytest
 
 from repro.core import Hyper
 from repro.data import make_blobs
+from repro.exec import RunConfig, SimulatedTrainer
 from repro.harness.local import LocalTrainer
 from repro.nn import MLP
 from repro.optim import StepDecay
-from repro.sim import ClusterConfig, SimulatedTrainer
+from repro.sim import ClusterConfig
 
 
 @pytest.fixture(scope="module")
@@ -21,10 +22,18 @@ def setup():
 HYPER = Hyper(lr=0.1, momentum=0.7, ratio=0.1, secondary_ratio=0.1, min_sparse_size=0)
 
 
+def simulated(method, factory, ds, cluster, **fields):
+    config = RunConfig(
+        method, factory, ds, num_workers=cluster.num_workers, cluster=cluster, arena=False,
+        **fields,
+    )
+    return SimulatedTrainer(config)
+
+
 @pytest.mark.parametrize("method", ["asgd", "gd_async", "dgc_async", "dgs"])
 def test_method_learns_in_simulation(setup, method):
     ds, factory = setup
-    trainer = SimulatedTrainer(
+    trainer = simulated(
         method, factory, ds,
         ClusterConfig.with_bandwidth(4, 10, compute_mean_s=0.02),
         batch_size=32, total_iterations=250, hyper=HYPER, seed=0,
@@ -42,7 +51,7 @@ def test_msgd_baseline_learns(setup):
 
 def test_dgs_secondary_compression_still_learns(setup):
     ds, factory = setup
-    trainer = SimulatedTrainer(
+    trainer = simulated(
         "dgs", factory, ds,
         ClusterConfig.with_bandwidth(4, 10, compute_mean_s=0.02),
         batch_size=32, total_iterations=250, hyper=HYPER,
@@ -54,7 +63,7 @@ def test_dgs_secondary_compression_still_learns(setup):
 
 def test_loss_decreases_over_training(setup):
     ds, factory = setup
-    trainer = SimulatedTrainer(
+    trainer = simulated(
         "dgs", factory, ds,
         ClusterConfig.with_bandwidth(4, 10, compute_mean_s=0.02),
         batch_size=32, total_iterations=250, hyper=HYPER, seed=0,
@@ -69,7 +78,7 @@ def test_staleness_grows_with_workers(setup):
     ds, factory = setup
 
     def staleness(n):
-        trainer = SimulatedTrainer(
+        trainer = simulated(
             "asgd", factory, ds,
             ClusterConfig.with_bandwidth(n, 10, compute_mean_s=0.02),
             batch_size=32, total_iterations=40 * n, hyper=HYPER, seed=0,

@@ -10,10 +10,19 @@ import pytest
 
 from repro.core import Hyper
 from repro.data import make_blobs
+from repro.exec import RunConfig, SimulatedTrainer
 from repro.nn import MLP
-from repro.sim import ClusterConfig, SimulatedTrainer
+from repro.sim import ClusterConfig
 
 HYPER = Hyper(lr=0.1, momentum=0.7, ratio=0.05, secondary_ratio=0.05, min_sparse_size=0)
+
+
+def simulated(method, factory, ds, cluster, **fields):
+    config = RunConfig(
+        method, factory, ds, num_workers=cluster.num_workers, cluster=cluster, arena=False,
+        **fields,
+    )
+    return SimulatedTrainer(config)
 
 
 @pytest.fixture(scope="module")
@@ -27,7 +36,7 @@ def factory():
 
 
 def run(ds, factory, method, gbps=10.0, n=4, secondary=None, iters=160):
-    return SimulatedTrainer(
+    return simulated(
         method, factory, ds,
         ClusterConfig.with_bandwidth(n, gbps, compute_mean_s=0.05),
         batch_size=16, total_iterations=iters, hyper=HYPER,
@@ -68,12 +77,12 @@ class TestSection4Claims:
         """Eq. (5): 'DGS without sparsification is equivalent to ASGD' —
         R=100% upload through difference tracking equals dense ASGD."""
         dense_hyper = Hyper(lr=0.1, momentum=0.7, ratio=1.0, min_sparse_size=0)
-        gd_full = SimulatedTrainer(
+        gd_full = simulated(
             "gd_async", factory, ds,
             ClusterConfig.with_bandwidth(3, 10, compute_mean_s=0.05),
             batch_size=16, total_iterations=90, hyper=dense_hyper, seed=0,
         ).run()
-        asgd = SimulatedTrainer(
+        asgd = simulated(
             "asgd", factory, ds,
             ClusterConfig.with_bandwidth(3, 10, compute_mean_s=0.05),
             batch_size=16, total_iterations=90, hyper=dense_hyper, seed=0,
@@ -102,7 +111,7 @@ class TestSection5Claims:
         cluster1.wire_scale = 3000
 
         def time_of(method, cl, secondary=None):
-            return SimulatedTrainer(
+            return simulated(
                 method, factory, ds, cl, batch_size=16, total_iterations=80,
                 hyper=HYPER, secondary_compression=secondary, seed=0,
             ).run().makespan_s

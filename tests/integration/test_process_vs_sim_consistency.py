@@ -10,9 +10,19 @@ import pytest
 
 from repro.core import Hyper
 from repro.data import DataLoader, make_blobs
-from repro.exec import RunConfig, Trainer, get_backend, list_backends, train, validate_result
+from repro.exec import (
+    RemoteTrainer,
+    RunConfig,
+    SimulatedTrainer,
+    ThreadedTrainer,
+    Trainer,
+    get_backend,
+    list_backends,
+    train,
+    validate_result,
+)
 from repro.nn import MLP
-from repro.sim import ClusterConfig, SimulatedTrainer
+from repro.sim import ClusterConfig
 
 HYPER = Hyper(lr=0.1, momentum=0.7, ratio=0.1, min_sparse_size=0)
 #: dense ASGD — no sparsification, so 1-worker runs are scheduling-free
@@ -36,9 +46,10 @@ def sim(ds, factory, n_workers, **kw):
         total_iterations=40 * n_workers,
         hyper=HYPER,
         seed=0,
+        arena=False,
     )
     defaults.update(kw)
-    return SimulatedTrainer("dgs", factory, ds, **defaults)
+    return SimulatedTrainer(RunConfig("dgs", factory, ds, num_workers=n_workers, **defaults))
 
 
 class TestSingleWorkerDeterminism:
@@ -81,22 +92,23 @@ class TestSingleWorkerDeterminism:
 class TestEngineAgreementStatistics:
     def test_threaded_and_sim_reach_similar_accuracy(self, ds, factory):
         """Different interleavings, same algorithm — final quality agrees."""
-        from repro.ps import ThreadedTrainer
-
         s = sim(ds, factory, 3, total_iterations=120).run()
         t = ThreadedTrainer(
-            "dgs", factory, ds, num_workers=3, batch_size=16,
-            iterations_per_worker=40, hyper=HYPER, seed=0,
+            RunConfig(
+                "dgs", factory, ds, num_workers=3, batch_size=16,
+                total_iterations=3 * 40, hyper=HYPER, seed=0, arena=False,
+            )
         ).run()
         assert abs(s.final_accuracy - t.final_accuracy) < 0.2
 
     def test_process_engine_agrees(self, ds, factory):
-        from repro.ps import RemoteTrainer
-
         s = sim(ds, factory, 2, total_iterations=60).run()
         p = RemoteTrainer(
-            "dgs", factory, ds, num_workers=2, batch_size=16,
-            iterations_per_worker=30, hyper=HYPER, seed=0, transport="pipe",
+            RunConfig(
+                "dgs", factory, ds, num_workers=2, batch_size=16,
+                total_iterations=2 * 30, hyper=HYPER, seed=0, arena=False,
+            ),
+            "pipe",
         ).run()
         assert abs(s.final_accuracy - p.final_accuracy) < 0.2
         assert p.total_iterations == s.total_iterations

@@ -36,25 +36,30 @@ from repro.comm.socket import SocketChannel, SocketListener
 from repro.core.layerops import parameters_of
 from repro.core.methods import Hyper, get_method
 from repro.data.loader import DataLoader
+from repro.exec import RemoteTrainer, RunConfig, ThreadedTrainer
 from repro.exec.common import build_server, build_worker
-from repro.ps.remote import RemoteTrainer
-from repro.ps.threaded import ThreadedTrainer
 
 DENSE = Hyper(lr=0.1, momentum=0.0)
 
 
-def _remote_run(tiny_dataset, tiny_model_factory, iterations, **kwargs):
-    return RemoteTrainer(
+def _config(tiny_dataset, tiny_model_factory, iterations, **fields):
+    return RunConfig(
         "asgd",
         tiny_model_factory,
         tiny_dataset,
         num_workers=1,
         batch_size=16,
-        iterations_per_worker=iterations,
+        total_iterations=iterations,
         hyper=DENSE,
         seed=0,
-        **kwargs,
-    ).run()
+        arena=False,
+        **fields,
+    )
+
+
+def _remote_run(tiny_dataset, tiny_model_factory, iterations, transport, **fields):
+    config = _config(tiny_dataset, tiny_model_factory, iterations, **fields)
+    return RemoteTrainer(config, transport).run()
 
 
 @pytest.mark.parametrize("transport", ["tcp", "pipe"])
@@ -63,16 +68,13 @@ def test_one_worker_remote_bitwise_equal_to_threaded(
 ):
     s = _remote_run(tiny_dataset, tiny_model_factory, 25, transport=transport)
     t = ThreadedTrainer(
-        "asgd",
-        tiny_model_factory,
-        tiny_dataset,
-        num_workers=1,
-        batch_size=16,
-        iterations_per_worker=25,
-        hyper=DENSE,
-        seed=0,
-        wire_fidelity=True,  # same codec float32 round-trip as the wire
-        register=True,  # same join handshake installing wire-rounded θ0
+        _config(
+            tiny_dataset,
+            tiny_model_factory,
+            25,
+            wire_fidelity=True,  # same codec float32 round-trip as the wire
+            register=True,  # same join handshake installing wire-rounded θ0
+        )
     ).run()
     assert list(s.loss_vs_step.ys) == list(t.loss_vs_step.ys)
     assert s.final_loss == t.final_loss

@@ -6,8 +6,9 @@ import pytest
 from repro.core import Hyper
 from repro.data import make_blobs
 from repro.nn import MLP
+from repro.exec import RunConfig, SimulatedTrainer
 from repro.optim import StepDecay
-from repro.sim import ClusterConfig, SimulatedTrainer
+from repro.sim import ClusterConfig
 
 
 @pytest.fixture(scope="module")
@@ -20,6 +21,14 @@ def factory():
     return lambda: MLP(16, (32,), 5, seed=3)
 
 
+def simulated(method, factory, ds, cluster, **fields):
+    config = RunConfig(
+        method, factory, ds, num_workers=cluster.num_workers, cluster=cluster, arena=False,
+        **fields,
+    )
+    return SimulatedTrainer(config)
+
+
 def run(ds, factory, method="dgs", **kw):
     defaults = dict(
         cluster=ClusterConfig.with_bandwidth(4, 10, compute_mean_s=0.02),
@@ -29,7 +38,7 @@ def run(ds, factory, method="dgs", **kw):
         seed=0,
     )
     defaults.update(kw)
-    return SimulatedTrainer(method, factory, ds, **defaults).run()
+    return simulated(method, factory, ds, **defaults).run()
 
 
 class TestLRSchedule:
@@ -82,7 +91,7 @@ class TestVirtualTime:
 
 class TestWorkerEquity:
     def test_homogeneous_workers_share_iterations(self, ds, factory):
-        trainer = SimulatedTrainer(
+        trainer = simulated(
             "dgs", factory, ds,
             ClusterConfig.with_bandwidth(4, 10, compute_mean_s=0.05),
             batch_size=32, total_iterations=200,
@@ -102,7 +111,7 @@ class TestWorkerEquity:
             downlink=LinkModel.gbps(10),
             seed=0,
         )
-        trainer = SimulatedTrainer(
+        trainer = simulated(
             "asgd", factory, ds, cluster, batch_size=32, total_iterations=200,
             hyper=Hyper(lr=0.1), seed=0,
         )

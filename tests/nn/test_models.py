@@ -125,15 +125,17 @@ class TestSmallVGG:
         from repro.core import Hyper
         from repro.data import make_image_classes
         from repro.nn import SmallVGG
-        from repro.sim import ClusterConfig, SimulatedTrainer
+        from repro.exec import RunConfig, SimulatedTrainer
+        from repro.sim import ClusterConfig
 
         ds = make_image_classes(n_samples=240, num_classes=4, size=8, difficulty=1.0, seed=0)
-        r = SimulatedTrainer(
-            "dgs", lambda: SmallVGG(3, 4, widths=(4, 8), seed=0), ds,
-            ClusterConfig.with_bandwidth(2, 10, compute_mean_s=0.02),
+        config = RunConfig(
+            "dgs", lambda: SmallVGG(3, 4, widths=(4, 8), seed=0), ds, num_workers=2,
             batch_size=16, total_iterations=60,
             hyper=Hyper(lr=0.1, momentum=0.7, ratio=0.1), seed=0,
-        ).run()
+            cluster=ClusterConfig.with_bandwidth(2, 10, compute_mean_s=0.02), arena=False,
+        )
+        r = SimulatedTrainer(config).run()
         assert r.final_accuracy > 0.6
 
 

@@ -154,16 +154,18 @@ class TestObsLogger:
         update; the stream reloads with ``load_jsonl``."""
         from repro.core import Hyper
         from repro.obs import load_jsonl
-        from repro.sim import ClusterConfig, SimulatedTrainer
+        from repro.exec import RunConfig, SimulatedTrainer
+        from repro.sim import ClusterConfig
 
         path = tmp_path / "train.jsonl"
         with ObsLogger(path, meta={"method": "dgs"}) as logger:
-            SimulatedTrainer(
-                "dgs", tiny_model_factory, tiny_dataset,
-                ClusterConfig.with_bandwidth(2, 10, compute_mean_s=0.02),
+            config = RunConfig(
+                "dgs", tiny_model_factory, tiny_dataset, num_workers=2,
                 batch_size=16, total_iterations=30,
                 hyper=Hyper(ratio=0.1, min_sparse_size=0), logger=logger, seed=0,
-            ).run()
+                cluster=ClusterConfig.with_bandwidth(2, 10, compute_mean_s=0.02), arena=False,
+            )
+            SimulatedTrainer(config).run()
         steps = [r for r in load_jsonl(path) if r["type"] == "step"]
         assert len(steps) == 30
         assert {"step", "loss", "time_s", "worker", "staleness", "up_bytes"} <= set(steps[0])

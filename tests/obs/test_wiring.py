@@ -16,9 +16,10 @@ from repro.obs import (
     use_tracer,
     validate_chrome_trace,
 )
-from repro.ps.threaded import ThreadedTrainer
+from repro.exec import RunConfig
+from repro.exec.simulated import SimulatedTrainer
+from repro.exec.threaded import ThreadedTrainer
 from repro.sim.cluster import ClusterConfig
-from repro.sim.engine import SimulatedTrainer
 
 
 @pytest.fixture(scope="module")
@@ -37,17 +38,19 @@ def _model():
 def threaded_run(dataset):
     """One traced 2-worker threaded run shared by the assertions below."""
     tracer = Tracer()
-    trainer = ThreadedTrainer(
+    config = RunConfig(
         "dgs",
         _model,
         dataset,
         num_workers=2,
         batch_size=16,
-        iterations_per_worker=4,
+        total_iterations=2 * 4,
         hyper=HYPER,
         seed=0,
         tracer=tracer,
+        arena=False,
     )
+    trainer = ThreadedTrainer(config)
     with use_tracer(tracer), profile_hot_paths():
         result = trainer.run()
     return tracer, trainer, result
@@ -56,17 +59,20 @@ def threaded_run(dataset):
 @pytest.fixture(scope="module")
 def sim_run(dataset):
     tracer = Tracer()
-    trainer = SimulatedTrainer(
+    config = RunConfig(
         "dgs",
         _model,
         dataset,
-        ClusterConfig.with_bandwidth(2, 10, compute_mean_s=0.01),
+        num_workers=2,
         batch_size=16,
         total_iterations=8,
         hyper=HYPER,
         tracer=tracer,
         seed=0,
+        cluster=ClusterConfig.with_bandwidth(2, 10, compute_mean_s=0.01),
+        arena=False,
     )
+    trainer = SimulatedTrainer(config)
     with use_tracer(tracer), profile_hot_paths():
         result = trainer.run()
     return tracer, trainer, result

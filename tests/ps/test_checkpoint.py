@@ -17,8 +17,9 @@ from repro.core.methods import Hyper, get_method
 from repro.exec.common import build_server
 from repro.nn import MLP
 from repro.ps.checkpoint import CHECKPOINT_MAGIC, load_checkpoint, save_checkpoint
+from repro.exec import RunConfig
+from repro.exec.threaded import ThreadedTrainer
 from repro.ps.messages import GradientMessage
-from repro.ps.threaded import ThreadedTrainer
 
 
 def _server(num_workers=2, arena=False, num_shards=1, method="dgs"):
@@ -134,18 +135,20 @@ class TestValidation:
         assert [p.name for p in tmp_path.iterdir()] == ["c.ckpt"]
 
 
-def _trainer(tiny_dataset, tiny_model_factory, iterations, **kwargs):
-    return ThreadedTrainer(
+def _trainer(tiny_dataset, tiny_model_factory, iterations, num_workers=1, **fields):
+    config = RunConfig(
         "asgd",  # momentum=0: worker optimiser state is not checkpointed
         tiny_model_factory,
         tiny_dataset,
-        num_workers=1,
+        num_workers=num_workers,
         batch_size=16,
-        iterations_per_worker=iterations,
+        total_iterations=iterations * num_workers,
         hyper=Hyper(lr=0.1, momentum=0.0),
         seed=0,
-        **kwargs,
+        arena=False,
+        **fields,
     )
+    return ThreadedTrainer(config)
 
 
 def test_restore_continue_is_bitwise_equal_to_uninterrupted(
@@ -165,6 +168,29 @@ def test_restore_continue_is_bitwise_equal_to_uninterrupted(
     assert list(resumed.loss_vs_step.ys) == list(full.loss_vs_step.ys)[10:]
     assert resumed.final_loss == full.final_loss
     assert resumed.final_accuracy == full.final_accuracy
+
+
+def test_concurrent_checkpoints_complete_and_restore_the_final_state(
+    tmp_path, tiny_dataset, tiny_model_factory
+):
+    """Four workers crossing a cadence boundary on every update: the
+    checkpoint writes must not overlap (they share one ``.tmp`` file), and
+    the file left on disk is the finished server's state."""
+    path = tmp_path / "every.ckpt"
+    trainer = _trainer(
+        tiny_dataset, tiny_model_factory, 10, num_workers=4, checkpoint_every=1, checkpoint_path=path
+    )
+    result = trainer.run()
+    assert result.total_iterations == 40
+    assert [p.name for p in tmp_path.iterdir()] == ["every.ckpt"]
+
+    restored = build_server(
+        get_method("asgd"), parameters_of(tiny_model_factory()), 4, Hyper(lr=0.1, momentum=0.0)
+    )
+    load_checkpoint(restored, path)
+    assert restored.timestamp == trainer.server.timestamp == 40
+    for got, want in zip(_flat_state(restored), _flat_state(trainer.server)):
+        np.testing.assert_array_equal(got, want)
 
 
 # -- restore with outstanding model differences ---------------------------

@@ -15,7 +15,8 @@ import sys
 import pytest
 
 from repro.core.methods import Hyper
-from repro.ps.remote import RemoteTrainer
+from repro.exec import RunConfig
+from repro.exec.remote import RemoteTrainer
 
 pytestmark = pytest.mark.skipif(
     sys.platform != "linux", reason="fork start method required"
@@ -24,16 +25,24 @@ pytestmark = pytest.mark.skipif(
 HYPER = Hyper(lr=0.1, momentum=0.7, ratio=0.1, min_sparse_size=0)
 
 
-def _trainer(tiny_dataset, tiny_model_factory, method="dgs", **kwargs):
-    defaults = dict(
-        num_workers=2,
-        batch_size=16,
-        iterations_per_worker=20,
-        hyper=HYPER,
-        seed=0,
+def _trainer(
+    tiny_dataset,
+    tiny_model_factory,
+    method="dgs",
+    transport="tcp",
+    iterations_per_worker=20,
+    **fields,
+):
+    defaults = dict(num_workers=2, batch_size=16, hyper=HYPER, seed=0, arena=False)
+    defaults.update(fields)
+    config = RunConfig(
+        method,
+        tiny_model_factory,
+        tiny_dataset,
+        total_iterations=iterations_per_worker * defaults["num_workers"],
+        **defaults,
     )
-    defaults.update(kwargs)
-    return RemoteTrainer(method, tiny_model_factory, tiny_dataset, **defaults)
+    return RemoteTrainer(config, transport)
 
 
 # -- pipes (the process backend) -------------------------------------------
@@ -75,7 +84,7 @@ def test_sparse_method_ships_fewer_bytes(tiny_dataset, tiny_model_factory):
 
 def test_msgd_rejected(tiny_dataset, tiny_model_factory):
     with pytest.raises(ValueError):
-        RemoteTrainer("msgd", tiny_model_factory, tiny_dataset, 2, 16, 5, transport="pipe")
+        RemoteTrainer(RunConfig("msgd", tiny_model_factory, tiny_dataset, 2, 16, 10), "pipe")
 
 
 def test_worker_hard_crash_yields_partial_result(tiny_dataset, tiny_model_factory):
@@ -192,3 +201,18 @@ def test_mid_run_join_completes_with_correct_accounting(
     join_ts = {w: ts for (w, kind, ts) in trainer.membership.events if kind == "join"}
     assert join_ts[0] == 0
     assert join_ts[1] > 0
+
+
+# -- the deployment CLI (python -m repro.ps) ----------------------------------
+def test_deployment_cli_builds_the_socket_backends_state():
+    """``serve`` and ``worker`` build their state the way the socket
+    backend does, so they get ``RunConfig``'s defaults: arena state."""
+    from repro.ps.__main__ import _parser, _serve_trainer, _worker_node
+
+    trainer = _serve_trainer(_parser().parse_args(["serve", "--bind", "127.0.0.1:0"]))
+    assert trainer.transport == "tcp"
+    assert trainer.server.tracker.arena
+
+    node = _worker_node(_parser().parse_args(["worker", "--id", "1"]))
+    assert node.worker_id == 1
+    assert node.strategy.arena

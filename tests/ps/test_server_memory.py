@@ -33,6 +33,7 @@ from repro.core.methods import Hyper
 from repro.core.tracker import ModelDifferenceTracker
 from repro.data import make_blobs
 from repro.data.loader import DataLoader
+from repro.exec import RunConfig
 from repro.exec.common import (
     build_server,
     build_workers,
@@ -41,12 +42,13 @@ from repro.exec.common import (
 )
 from repro.metrics.evaluation import evaluate_model, evaluate_params
 from repro.nn import MLP
-from repro.ps.remote import RemoteTrainer
+from repro.exec.remote import RemoteTrainer
+from repro.exec.simulated import SimulatedTrainer
+from repro.exec.sync import SynchronousTrainer
+from repro.exec.threaded import ThreadedTrainer
 from repro.ps.server import summarize_staleness
-from repro.ps.threaded import ThreadedTrainer
 from repro.ps.worker import WorkerNode
 from repro.sim.cluster import ClusterConfig
-from repro.sim.sync import SynchronousTrainer
 
 
 def _factory():
@@ -78,18 +80,18 @@ class TestDifferenceScratch:
 
 
 # -- the trainers' server side ---------------------------------------------
-def _trainer(cls, dataset, method="asgd", **kwargs):
-    return cls(
+def _config(dataset, method="asgd", **fields):
+    return RunConfig(
         method,
         _factory,
         dataset,
         num_workers=2,
         batch_size=16,
-        iterations_per_worker=6,
+        total_iterations=2 * 6,
         hyper=HYPER,
         seed=0,
         arena=True,
-        **kwargs,
+        **fields,
     )
 
 
@@ -98,10 +100,10 @@ class TestServerProcessHolds:
     def _traced(self, transport, dataset):
         """(trainer, units after construction, units of run()'s peak over
         that, result); imports are warmed by a first construction."""
-        _trainer(RemoteTrainer, dataset, transport=transport)
+        RemoteTrainer(_config(dataset), transport)
         tracemalloc.start()
         try:
-            trainer = _trainer(RemoteTrainer, dataset, transport=transport)
+            trainer = RemoteTrainer(_config(dataset), transport)
             built = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
             result = trainer.run()
@@ -124,7 +126,7 @@ class TestServerProcessHolds:
     def test_final_loss_is_bitwise_evaluate_params(self, transport, dataset):
         """Evaluating in the scratch model is what ``evaluate_params`` does
         minus the save-and-restore: the same numbers, to the bit."""
-        trainer = _trainer(RemoteTrainer, dataset, transport=transport)
+        trainer = RemoteTrainer(_config(dataset), transport)
         result = trainer.run()
         acc, loss = evaluate_params(
             _factory(), trainer.server.global_model(), dataset.x_val, dataset.y_val
@@ -146,16 +148,16 @@ def test_engines_receive_theta0_as_read_only_views(dataset, monkeypatch):
         seen.append(theta0)
         return real(method, theta0, *args, **kwargs)
 
-    for module in ("repro.ps.remote", "repro.ps.threaded", "repro.sim.engine"):
+    for module in ("repro.exec.remote", "repro.exec.threaded", "repro.exec.simulated"):
         monkeypatch.setattr(f"{module}.build_server", spy)
-    _trainer(RemoteTrainer, dataset, transport="tcp")
-    _trainer(RemoteTrainer, dataset, transport="pipe")
-    _trainer(ThreadedTrainer, dataset)
-    from repro.sim.engine import SimulatedTrainer
-
+    RemoteTrainer(_config(dataset), "tcp")
+    RemoteTrainer(_config(dataset), "pipe")
+    ThreadedTrainer(_config(dataset))
     SimulatedTrainer(
-        "asgd", _factory, dataset, ClusterConfig(num_workers=2), batch_size=16,
-        total_iterations=4, hyper=HYPER, arena=True,
+        RunConfig(
+            "asgd", _factory, dataset, num_workers=2, batch_size=16, total_iterations=4,
+            hyper=HYPER, cluster=ClusterConfig(num_workers=2), arena=True,
+        )
     )
     assert len(seen) == 4
     for theta0 in seen:
@@ -186,8 +188,10 @@ def test_threaded_trainer_is_bitwise_the_sequential_oracle(dataset):
     """With one worker the threaded engine is deterministic, and donating
     the reference model as that worker's replica changes nothing."""
     trainer = ThreadedTrainer(
-        "dgs", _factory, dataset, num_workers=1, batch_size=16,
-        iterations_per_worker=12, hyper=HYPER, seed=5, arena=True,
+        RunConfig(
+            "dgs", _factory, dataset, num_workers=1, batch_size=16, total_iterations=12,
+            hyper=HYPER, seed=5, arena=True,
+        )
     )
     assert not hasattr(trainer, "eval_model")
     result = trainer.run()
@@ -201,8 +205,10 @@ def test_sync_trainer_is_bitwise_the_barrier_oracle(dataset):
     workers summing their updates into it each round (Eq. 7)."""
     cluster = ClusterConfig(num_workers=2)
     result = SynchronousTrainer(
-        "dgs", _factory, dataset, cluster, batch_size=16, rounds=8, hyper=HYPER,
-        seed=5, arena=True,
+        RunConfig(
+            "dgs", _factory, dataset, num_workers=2, batch_size=16, total_iterations=8 * 2,
+            hyper=HYPER, seed=5, cluster=cluster, arena=True,
+        )
     ).run()
 
     method = resolve_method("dgs", require_distributed=False)

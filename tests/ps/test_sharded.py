@@ -302,21 +302,23 @@ class TestShardedProcessBackend:
         fanned across 4 shard locks by ``handle`` are the same algorithm as
         the single-lock server."""
         from repro.core.methods import Hyper
-        from repro.ps.remote import RemoteTrainer
+        from repro.exec import RunConfig
+        from repro.exec.remote import RemoteTrainer
 
         def run(num_shards):
-            return RemoteTrainer(
+            config = RunConfig(
                 "dgs",
                 tiny_model_factory,
                 tiny_dataset,
                 num_workers=1,
                 batch_size=16,
-                iterations_per_worker=8,
+                total_iterations=8,
                 hyper=Hyper(lr=0.1, momentum=0.7, ratio=0.1, min_sparse_size=0),
                 seed=0,
                 num_shards=num_shards,
-                transport="pipe",
-            ).run()
+                arena=False,
+            )
+            return RemoteTrainer(config, "pipe").run()
 
         single, sharded = run(1), run(4)
         assert sharded.errors == single.errors == []

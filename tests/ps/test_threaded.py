@@ -4,20 +4,34 @@ import numpy as np
 import pytest
 
 from repro.core import Hyper
-from repro.ps import ThreadedTrainer
+from repro.exec import RunConfig
+from repro.exec.threaded import ThreadedTrainer
+
+
+def _trainer(method, tiny_dataset, tiny_model_factory, num_workers, iterations_per_worker, **fields):
+    config = RunConfig(
+        method,
+        tiny_model_factory,
+        tiny_dataset,
+        num_workers=num_workers,
+        batch_size=16,
+        total_iterations=iterations_per_worker * num_workers,
+        seed=0,
+        arena=False,
+        **fields,
+    )
+    return ThreadedTrainer(config)
 
 
 @pytest.mark.parametrize("method", ["asgd", "gd_async", "dgc_async", "dgs"])
 def test_threaded_training_learns(method, tiny_dataset, tiny_model_factory):
-    trainer = ThreadedTrainer(
+    trainer = _trainer(
         method,
-        tiny_model_factory,
         tiny_dataset,
+        tiny_model_factory,
         num_workers=3,
-        batch_size=16,
         iterations_per_worker=25,
         hyper=Hyper(lr=0.1, momentum=0.7, ratio=0.1, min_sparse_size=0),
-        seed=0,
     )
     result = trainer.run()
     assert result.final_accuracy > 0.7  # blobs are easy; random is 0.25
@@ -27,18 +41,16 @@ def test_threaded_training_learns(method, tiny_dataset, tiny_model_factory):
 
 
 def test_staleness_is_nonzero_with_multiple_workers(tiny_dataset, tiny_model_factory):
-    trainer = ThreadedTrainer(
-        "asgd", tiny_model_factory, tiny_dataset,
-        num_workers=4, batch_size=16, iterations_per_worker=15, seed=0,
+    trainer = _trainer(
+        "asgd", tiny_dataset, tiny_model_factory, num_workers=4, iterations_per_worker=15
     )
     result = trainer.run()
     assert result.mean_staleness > 0
 
 
 def test_single_worker_has_zero_staleness(tiny_dataset, tiny_model_factory):
-    trainer = ThreadedTrainer(
-        "asgd", tiny_model_factory, tiny_dataset,
-        num_workers=1, batch_size=16, iterations_per_worker=10, seed=0,
+    trainer = _trainer(
+        "asgd", tiny_dataset, tiny_model_factory, num_workers=1, iterations_per_worker=10
     )
     result = trainer.run()
     assert result.mean_staleness == 0
@@ -46,15 +58,15 @@ def test_single_worker_has_zero_staleness(tiny_dataset, tiny_model_factory):
 
 def test_msgd_rejected(tiny_dataset, tiny_model_factory):
     with pytest.raises(ValueError):
-        ThreadedTrainer("msgd", tiny_model_factory, tiny_dataset, 2, 16, 5)
+        _trainer("msgd", tiny_dataset, tiny_model_factory, num_workers=2, iterations_per_worker=5)
 
 
 def test_sparse_methods_upload_fewer_bytes(tiny_dataset, tiny_model_factory):
     def run(method):
-        return ThreadedTrainer(
-            method, tiny_model_factory, tiny_dataset,
-            num_workers=2, batch_size=16, iterations_per_worker=10,
-            hyper=Hyper(ratio=0.02, min_sparse_size=0), seed=0,
+        return _trainer(
+            method, tiny_dataset, tiny_model_factory,
+            num_workers=2, iterations_per_worker=10,
+            hyper=Hyper(ratio=0.02, min_sparse_size=0),
         ).run()
 
     dense = run("asgd")

@@ -4,17 +4,18 @@ import numpy as np
 import pytest
 
 from repro.core import Hyper
-from repro.ps import ThreadedTrainer
+from repro.exec import RunConfig
+from repro.exec.threaded import ThreadedTrainer
 
 HYPER = Hyper(lr=0.1, momentum=0.7, ratio=0.1, secondary_ratio=0.1, min_sparse_size=0)
 
 
 def make(tiny_dataset, tiny_model_factory, **kw):
     defaults = dict(
-        num_workers=3, batch_size=16, iterations_per_worker=15, hyper=HYPER, seed=0
+        num_workers=3, batch_size=16, total_iterations=3 * 15, hyper=HYPER, seed=0, arena=False
     )
     defaults.update(kw)
-    return ThreadedTrainer("dgs", tiny_model_factory, tiny_dataset, **defaults)
+    return ThreadedTrainer(RunConfig("dgs", tiny_model_factory, tiny_dataset, **defaults))
 
 
 class TestSecondaryCompression:

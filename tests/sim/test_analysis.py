@@ -5,8 +5,9 @@ import pytest
 
 from repro.core import Hyper
 from repro.data import make_blobs
+from repro.exec import RunConfig, SimulatedTrainer
 from repro.nn import MLP
-from repro.sim import ClusterConfig, ComputeModel, LinkModel, SimulatedTrainer
+from repro.sim import ClusterConfig, ComputeModel, LinkModel
 from repro.sim.analysis import predict
 
 
@@ -33,10 +34,12 @@ def cluster(n, gbps, mean=0.05, duplex="half", wire_scale=1.0):
 
 
 def simulate(ds, factory, cl, method="asgd", iters=200):
-    r = SimulatedTrainer(
-        method, factory, ds, cl, batch_size=16, total_iterations=iters,
-        hyper=Hyper(lr=0.1, momentum=0.7, ratio=0.1, min_sparse_size=0), seed=0,
-    ).run()
+    config = RunConfig(
+        method, factory, ds, num_workers=cl.num_workers, batch_size=16, total_iterations=iters,
+        hyper=Hyper(lr=0.1, momentum=0.7, ratio=0.1, min_sparse_size=0), seed=0, cluster=cl,
+        arena=False,
+    )
+    r = SimulatedTrainer(config).run()
     per_up = r.upload_bytes / r.total_iterations
     per_down = r.download_bytes / r.total_iterations
     measured_rate = r.total_iterations / r.makespan_s

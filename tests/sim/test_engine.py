@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from repro.core import Hyper
-from repro.sim import ClusterConfig, ComputeModel, LinkModel, SimulatedTrainer
+from repro.exec import RunConfig, SimulatedTrainer
+from repro.sim import ClusterConfig, ComputeModel, LinkModel
 
 
 def make_trainer(tiny_dataset, tiny_model_factory, method="dgs", **kw):
@@ -14,9 +15,13 @@ def make_trainer(tiny_dataset, tiny_model_factory, method="dgs", **kw):
         total_iterations=60,
         hyper=Hyper(lr=0.1, momentum=0.7, ratio=0.1, min_sparse_size=0),
         seed=0,
+        arena=False,
     )
     defaults.update(kw)
-    return SimulatedTrainer(method, tiny_model_factory, tiny_dataset, **defaults)
+    num_workers = defaults["cluster"].num_workers
+    return SimulatedTrainer(
+        RunConfig(method, tiny_model_factory, tiny_dataset, num_workers=num_workers, **defaults)
+    )
 
 
 class TestRunBasics:

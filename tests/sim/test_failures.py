@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from repro.core import Hyper
-from repro.sim import ClusterConfig, SimulatedTrainer
+from repro.exec import RunConfig, SimulatedTrainer
+from repro.sim import ClusterConfig
 
 HYPER = Hyper(lr=0.1, momentum=0.7, ratio=0.1, min_sparse_size=0)
 
@@ -16,9 +17,12 @@ def make(tiny_dataset, tiny_model_factory, **kw):
         total_iterations=120,
         hyper=HYPER,
         seed=0,
+        arena=False,
     )
     defaults.update(kw)
-    return SimulatedTrainer("dgs", tiny_model_factory, tiny_dataset, **defaults)
+    return SimulatedTrainer(
+        RunConfig("dgs", tiny_model_factory, tiny_dataset, num_workers=4, **defaults)
+    )
 
 
 class TestFailureInjection:

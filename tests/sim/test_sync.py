@@ -4,19 +4,25 @@ import numpy as np
 import pytest
 
 from repro.core import Hyper
-from repro.sim import ClusterConfig, ComputeModel, LinkModel, SynchronousTrainer
+from repro.exec import RunConfig, SimulatedTrainer, SynchronousTrainer
+from repro.sim import ClusterConfig, ComputeModel, LinkModel
 
 
-def make(tiny_dataset, tiny_model_factory, method="asgd", **kw):
+def make(tiny_dataset, tiny_model_factory, method="asgd", rounds=40, **kw):
     defaults = dict(
         cluster=ClusterConfig.with_bandwidth(3, 10, compute_mean_s=0.05),
         batch_size=16,
-        rounds=40,
         hyper=Hyper(lr=0.1, momentum=0.7, ratio=0.1, min_sparse_size=0),
         seed=0,
+        arena=False,
     )
     defaults.update(kw)
-    return SynchronousTrainer(method, tiny_model_factory, tiny_dataset, **defaults)
+    n = defaults["cluster"].num_workers
+    config = RunConfig(
+        method, tiny_model_factory, tiny_dataset, num_workers=n, total_iterations=rounds * n,
+        **defaults,
+    )
+    return SynchronousTrainer(config)
 
 
 class TestSyncBasics:
@@ -70,8 +76,6 @@ class TestBarrierEffects:
 
     def test_async_beats_sync_with_stragglers(self, tiny_dataset, tiny_model_factory):
         """The paper's §1 motivation: worker lag hurts SSGD throughput."""
-        from repro.sim import SimulatedTrainer
-
         cluster = ClusterConfig(
             num_workers=4,
             compute=ComputeModel(mean_s=0.05, jitter=0.1, heterogeneity=0.6),
@@ -81,9 +85,12 @@ class TestBarrierEffects:
         )
         sync = make(tiny_dataset, tiny_model_factory, cluster=cluster, rounds=20).run()
         async_tr = SimulatedTrainer(
-            "asgd", tiny_model_factory, tiny_dataset, cluster,
-            batch_size=16, total_iterations=80,
-            hyper=Hyper(lr=0.1, momentum=0.7, ratio=0.1, min_sparse_size=0), seed=0,
+            RunConfig(
+                "asgd", tiny_model_factory, tiny_dataset, num_workers=4,
+                batch_size=16, total_iterations=80,
+                hyper=Hyper(lr=0.1, momentum=0.7, ratio=0.1, min_sparse_size=0), seed=0,
+                cluster=cluster, arena=False,
+            )
         ).run()
         # Equal sample budgets: async should push samples faster.
         assert async_tr.throughput > sync.throughput

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from repro.core import Hyper
-from repro.sim import ClusterConfig, ComputeModel, LinkModel, SynchronousTrainer
+from repro.exec import RunConfig, SynchronousTrainer
+from repro.sim import ClusterConfig, ComputeModel, LinkModel
 
 
 def cluster(n=2, gbps=10, mean=0.05, het=0.0):
@@ -19,15 +20,20 @@ def cluster(n=2, gbps=10, mean=0.05, het=0.0):
     )
 
 
+def sync(method, tiny_dataset, tiny_model_factory, cl, rounds, hyper):
+    config = RunConfig(
+        method, tiny_model_factory, tiny_dataset, num_workers=cl.num_workers, batch_size=16,
+        total_iterations=rounds * cl.num_workers, hyper=hyper, seed=0, cluster=cl, arena=False,
+    )
+    return SynchronousTrainer(config)
+
+
 class TestEq7Semantics:
     def test_one_round_applies_sum_of_updates(self, tiny_dataset, tiny_model_factory):
         """θ₁ = θ₀ − Σ_k η∇_k exactly (dense ASGD strategy, Eq. 7)."""
         from repro.core.layerops import parameters_of
 
-        trainer = SynchronousTrainer(
-            "asgd", tiny_model_factory, tiny_dataset, cluster(n=2),
-            batch_size=16, rounds=1, hyper=Hyper(lr=0.1), seed=0,
-        )
+        trainer = sync("asgd", tiny_dataset, tiny_model_factory, cluster(n=2), 1, Hyper(lr=0.1))
         theta0 = parameters_of(trainer.model)
 
         # Capture what each worker would send by replaying their loaders.
@@ -58,34 +64,25 @@ class TestEq7Semantics:
 
 class TestSyncWire:
     def test_upload_download_accounting(self, tiny_dataset, tiny_model_factory):
-        trainer = SynchronousTrainer(
-            "asgd", tiny_model_factory, tiny_dataset, cluster(n=3),
-            batch_size=16, rounds=5, hyper=Hyper(lr=0.1), seed=0,
-        )
+        trainer = sync("asgd", tiny_dataset, tiny_model_factory, cluster(n=3), 5, Hyper(lr=0.1))
         r = trainer.run()
         assert r.upload_bytes > 0
         # broadcast: one dense aggregate per worker per round
         assert r.download_bytes >= r.upload_bytes
 
     def test_low_bandwidth_slows_rounds(self, tiny_dataset, tiny_model_factory):
-        fast = SynchronousTrainer(
-            "asgd", tiny_model_factory, tiny_dataset, cluster(gbps=10, mean=0.01),
-            batch_size=16, rounds=5, hyper=Hyper(lr=0.1), seed=0,
+        fast = sync(
+            "asgd", tiny_dataset, tiny_model_factory, cluster(gbps=10, mean=0.01), 5,
+            Hyper(lr=0.1),
         ).run()
-        slow = SynchronousTrainer(
-            "asgd", tiny_model_factory, tiny_dataset, cluster(gbps=0.0001, mean=0.01),
-            batch_size=16, rounds=5, hyper=Hyper(lr=0.1), seed=0,
+        slow = sync(
+            "asgd", tiny_dataset, tiny_model_factory, cluster(gbps=0.0001, mean=0.01), 5,
+            Hyper(lr=0.1),
         ).run()
         assert slow.makespan_s > fast.makespan_s
 
     def test_sparse_strategy_cheaper_upload(self, tiny_dataset, tiny_model_factory):
         h = Hyper(lr=0.1, momentum=0.7, ratio=0.02, min_sparse_size=0)
-        dense = SynchronousTrainer(
-            "asgd", tiny_model_factory, tiny_dataset, cluster(),
-            batch_size=16, rounds=5, hyper=h, seed=0,
-        ).run()
-        sparse = SynchronousTrainer(
-            "gd_async", tiny_model_factory, tiny_dataset, cluster(),
-            batch_size=16, rounds=5, hyper=h, seed=0,
-        ).run()
+        dense = sync("asgd", tiny_dataset, tiny_model_factory, cluster(), 5, h).run()
+        sparse = sync("gd_async", tiny_dataset, tiny_model_factory, cluster(), 5, h).run()
         assert sparse.upload_bytes < dense.upload_bytes / 5

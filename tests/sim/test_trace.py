@@ -5,8 +5,9 @@ from typing import NamedTuple
 import pytest
 
 from repro.core import Hyper
+from repro.exec import RunConfig, SimulatedTrainer
 from repro.obs import Tracer
-from repro.sim import ClusterConfig, SimulatedTrainer
+from repro.sim import ClusterConfig
 
 
 class Exchange(NamedTuple):
@@ -40,17 +41,20 @@ class _EmissionOrder(Tracer):
 @pytest.fixture(scope="module")
 def trace(tiny_dataset_mod, tiny_factory_mod):
     tracer = _EmissionOrder()
-    SimulatedTrainer(
+    config = RunConfig(
         "dgs",
         tiny_factory_mod,
         tiny_dataset_mod,
-        ClusterConfig.with_bandwidth(4, 0.01, compute_mean_s=0.03),
+        num_workers=4,
         batch_size=16,
         total_iterations=80,
         hyper=Hyper(lr=0.1, momentum=0.7, ratio=0.1, min_sparse_size=0),
         tracer=tracer,
         seed=0,
-    ).run()
+        cluster=ClusterConfig.with_bandwidth(4, 0.01, compute_mean_s=0.03),
+        arena=False,
+    )
+    SimulatedTrainer(config).run()
     # Each exchange emits send → handle → recv, then the compute span that
     # produced its gradient, in server-apply order.
     spans = tracer.emitted

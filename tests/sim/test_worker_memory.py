@@ -22,7 +22,8 @@ from repro.data import BatchIterator, make_blobs
 from repro.nn import MLP
 from repro.optim import ConstantLR
 from repro.ps.worker import WorkerNode
-from repro.sim import ClusterConfig, SimulatedTrainer
+from repro.exec import RunConfig, SimulatedTrainer
+from repro.sim import ClusterConfig
 
 DIM, HIDDEN, CLASSES = 256, (256,), 10
 #: 0.2 % of each layer per update keeps staleness · k under the journal's
@@ -44,16 +45,18 @@ def _held(dataset, num_workers):
     KernelWorkspace.current().clear()  # the thread's scratch is counted afresh
     tracemalloc.start()
     try:
-        trainer = SimulatedTrainer(
+        config = RunConfig(
             "dgs",
             _model,
             dataset,
-            ClusterConfig.with_bandwidth(num_workers, 10, compute_mean_s=0.05),
+            num_workers=num_workers,
             batch_size=16,
             total_iterations=3 * num_workers,
             hyper=HYPER,
+            cluster=ClusterConfig.with_bandwidth(num_workers, 10, compute_mean_s=0.05),
             arena=True,
         )
+        trainer = SimulatedTrainer(config)
         trainer.run()
         held, _ = tracemalloc.get_traced_memory()
     finally:
