@@ -18,13 +18,16 @@ arch-check:
 concurrency-smoke:
 	$(PYTHON) -m repro.analysis abba-smoke tests/analysis/fixtures/abba.py
 
-## Numeric sanitizer on real runs (~20 s on 2 cores: memory 0.1 s,
-## table3 18.6 s): the §5.6.2 memory table, then Table 3's --fast sweep,
-## whose 8-worker rows run the simulator with shared per-thread scratch.
+## Numeric sanitizer on real runs (~30 s on 2 cores: memory 0.1 s,
+## table3 18.6 s, ablation-combination ~10 s): the §5.6.2 memory table,
+## Table 3's --fast sweep, whose 8-worker rows run the simulator with
+## shared per-thread scratch, and the §6 combinations, whose quantised
+## payloads are materialised at the arena's dtype.
 ## Any NaN/Inf, float64 drift or non-C-ordered gradient exits non-zero.
 sanitize-smoke:
 	$(PYTHON) -m repro run memory --fast --sanitize > /dev/null
 	$(PYTHON) -m repro run table3 --fast --sanitize > /dev/null
+	$(PYTHON) -m repro run ablation-combination --fast --sanitize > /dev/null
 
 ## Tier-1 test suite.
 test:

@@ -4,7 +4,8 @@ These are the per-iteration costs every experiment pays: top-k selection
 (exact vs the sampled adaptive variant), COO encoding, SAMomentum's
 prepare step, conv2d forward+backward, and one simulator exchange.  Each
 selection/encode/strategy kernel appears twice — the dict-of-float64
-reference path and the arena/workspace path — mirroring the pairs that
+parity oracle (``repro.core.reference``) and the production arena/workspace
+path — mirroring the pairs that
 ``check_regression.py`` gates against ``BENCH_kernels.json``.
 """
 
@@ -25,6 +26,7 @@ from repro.compression import (
 )
 from repro.core import Hyper
 from repro.core.arena import LayerArena
+from repro.core.reference import ReferenceSAMomentumStrategy, ReferenceTracker
 from repro.core.strategies import SAMomentumStrategy
 
 N = 1_000_000  # ~ one large conv layer of ResNet-18
@@ -73,23 +75,22 @@ class TestSelectionKernels:
 class TestStrategyKernels:
     def test_samomentum_prepare(self, benchmark, big_layer):
         shapes = OrderedDict([("w", (N,))])
-        strat = SAMomentumStrategy(shapes, TopKSparsifier(0.01, min_sparse_size=0), 0.7)
+        strat = ReferenceSAMomentumStrategy(shapes, TopKSparsifier(0.01, min_sparse_size=0), 0.7)
         grads = OrderedDict([("w", big_layer)])
         out = benchmark(strat.prepare, grads, 0.1)
         assert out["w"].nnz == N // 100
 
     def test_samomentum_prepare_arena(self, benchmark, big_layer):
         shapes = OrderedDict([("w", (N,))])
-        strat = SAMomentumStrategy(
-            shapes, TopKSparsifier(0.01, min_sparse_size=0), 0.7, arena=True
-        )
+        strat = SAMomentumStrategy(shapes, TopKSparsifier(0.01, min_sparse_size=0), 0.7)
         grads = OrderedDict([("w", big_layer)])
         out = benchmark(strat.prepare, grads, 0.1)
         assert out["w"].nnz == N // 100
 
 
 class TestArenaKernels:
-    """Server-side payload application: dict loop vs one fused flat op."""
+    """Server-side payload application: the oracle's dict loop vs one
+    fused flat op."""
 
     LAYERS = 48
 
@@ -106,14 +107,9 @@ class TestArenaKernels:
     def test_payload_apply_dict(self, benchmark):
         rng = np.random.default_rng(0)
         shapes = self._shapes()
-        m = OrderedDict((name, np.zeros(s)) for name, s in shapes.items())
+        tracker = ReferenceTracker(shapes, 1, track_differences=False)
         upd = OrderedDict((name, rng.normal(size=s)) for name, s in shapes.items())
-
-        def apply_dict():
-            for name, g in upd.items():
-                m[name] -= g
-
-        benchmark(apply_dict)
+        benchmark(tracker.apply_update, upd)
 
     def test_payload_apply_arena(self, benchmark):
         rng = np.random.default_rng(0)
@@ -175,6 +171,5 @@ def tiny_setup():
         hyper=Hyper(ratio=0.1, min_sparse_size=0),
         seed=0,
         cluster=ClusterConfig.with_bandwidth(2, 10, compute_mean_s=0.01),
-        arena=False,
     )
     return SimulatedTrainer(config)

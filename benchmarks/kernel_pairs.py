@@ -1,7 +1,8 @@
 """Reference/optimised pairs for the hot-path kernel regression gate.
 
-Each pair runs the *same logical work* twice — once through the historical
-dict-of-float64 reference path and once through the arena/workspace path —
+Each pair runs the *same logical work* twice — once through the
+dict-of-float64 parity oracle (``repro.core.reference``) or a historical
+kernel, and once through the production arena/workspace path —
 so the speedup ratio (ref time / opt time) is meaningful on any machine.
 ``benchmarks/check_regression.py`` times these pairs and compares ratios
 against the committed ``benchmarks/BENCH_kernels.json`` baseline;
@@ -35,6 +36,11 @@ from repro.compression import (
 from repro.compression.coding import cheapest_format
 from repro.core.arena import LayerArena
 from repro.core.layerops import parameters_of
+from repro.core.reference import (
+    ReferenceDenseStrategy,
+    ReferenceSAMomentumStrategy,
+    ReferenceTracker,
+)
 from repro.core.tracker import _difference_at, _oldest_writes
 from repro.ps.messages import GradientMessage
 
@@ -216,20 +222,16 @@ def make_pairs() -> "OrderedDict[str, tuple]":
     )
 
     # --- payload apply: server-side M <- M - g for a dense per-layer
-    # update.  Reference: the dict path's per-layer Python loop.
+    # update.  Reference: the oracle tracker's per-layer Python loop.
     # Optimised: one fused op over the arena's flat buffer.
     shapes = _layered_shapes()
-    m_dict = OrderedDict((name, np.zeros(s)) for name, s in shapes.items())
+    ref_tracker = ReferenceTracker(shapes, 1, track_differences=False)
     upd_dict = OrderedDict((name, rng.normal(size=s)) for name, s in shapes.items())
     m_arena = LayerArena(shapes, dtype=np.float32)
     upd_arena = LayerArena.from_layers(upd_dict, dtype=np.float32)
 
-    def apply_dict():
-        for name, g in upd_dict.items():
-            m_dict[name] -= g
-
     pairs["payload_apply"] = (
-        apply_dict,
+        lambda: ref_tracker.apply_update(upd_dict),
         lambda: m_arena.add_payload(upd_arena, scale=-1.0),
     )
 
@@ -255,21 +257,21 @@ def make_pairs() -> "OrderedDict[str, tuple]":
         )
 
     # --- strategy prepare on the model's own gradient (RECORD_ONLY): a
-    # full step through the dict strategy vs the arena strategy.
+    # full step through the oracle's strategy vs the production one.
     from repro.compression import TopKSparsifier
     from repro.core.strategies import DenseStrategy, SAMomentumStrategy
 
     grads = OrderedDict([("w", _model_gradient())])
     grad_shapes = OrderedDict([("w", grads["w"].shape)])
-    sam_ref = SAMomentumStrategy(grad_shapes, TopKSparsifier(RATIO, min_sparse_size=0), 0.7)
-    sam_opt = SAMomentumStrategy(
-        grad_shapes, TopKSparsifier(RATIO, min_sparse_size=0), 0.7, arena=True
+    sam_ref = ReferenceSAMomentumStrategy(
+        grad_shapes, TopKSparsifier(RATIO, min_sparse_size=0), 0.7
     )
+    sam_opt = SAMomentumStrategy(grad_shapes, TopKSparsifier(RATIO, min_sparse_size=0), 0.7)
     pairs["samomentum_prepare"] = (
         lambda: sam_ref.prepare(grads, 0.1),
         lambda: sam_opt.prepare(grads, 0.1),
     )
-    dense_ref, dense_opt = DenseStrategy(grad_shapes), DenseStrategy(grad_shapes, arena=True)
+    dense_ref, dense_opt = ReferenceDenseStrategy(grad_shapes), DenseStrategy(grad_shapes)
     pairs["dense_prepare_model_grad"] = (
         lambda: dense_ref.prepare(grads, 0.1),
         lambda: dense_opt.prepare(grads, 0.1),

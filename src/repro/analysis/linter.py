@@ -44,7 +44,7 @@ TELEMETRY_NAME_ALLOWED = ("obs/",)
 #: subpackages where per-layer Python loops over whole-model state are banned
 PERF_LOOP_PREFIXES = ("core/", "ps/", "exec/")
 
-#: the dict-of-float64 reference path — allowed to stay naive (PERF001)
+#: per-layer helpers over a model's parameters — allowed to loop (PERF001)
 PERF_LOOP_ALLOWED = ("core/layerops.py",)
 
 #: subpackages where payload decodes inside a lock-held region are banned

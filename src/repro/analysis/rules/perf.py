@@ -6,10 +6,9 @@ whole-state operations — apply an update, decay momentum, compute
 M − v_k — are one fused vectorised op over a flat buffer.  A ``for`` loop
 over ``parameters_of(...)`` / ``gradients_of(...)`` in ``core/``, ``ps/``
 or ``exec/`` re-introduces the per-layer interpreter overhead the arena
-was built to remove (and stretches the server's lock hold).  The dict-of-
-float64 reference path in ``core/layerops.py`` is exempt: it exists
-precisely to stay naive so the parity tests have something exact to
-compare against.
+was built to remove (and stretches the server's lock hold).  The
+per-layer helpers in ``core/layerops.py`` are exempt: they act on a
+model's parameters, which are separate arrays by nature.
 
 PERF002 — no payload decode inside a lock-held region.  Decoding a frame
 or message (``decode_frame`` / ``decode_message``) is O(payload) numpy

@@ -203,8 +203,8 @@ class Sanitizer:
             if "to_dense" in cls.__dict__:
                 orig_td = cls.__dict__["to_dense"]
 
-                def to_dense(self, _orig=orig_td, _name=codec_name):
-                    out = _orig(self)
+                def to_dense(self, *args, _orig=orig_td, _name=codec_name, **kwargs):
+                    out = _orig(self, *args, **kwargs)
                     sanitizer.check_array(out, f"{_name}.to_dense")
                     return out
 
@@ -409,7 +409,7 @@ def sanitizer_selfcheck() -> "list[str]":
     from ..core.tracker import ModelDifferenceTracker
 
     def journal_tracker() -> ModelDifferenceTracker:
-        tracker = ModelDifferenceTracker({"w": (64,)}, 2, arena=True, dtype=np.float64)
+        tracker = ModelDifferenceTracker({"w": (64,)}, 2, dtype=np.float64)
         tracker.apply_update(
             {"w": SparseTensor(np.array([3, 40]), np.array([1.0, -2.0]), (64,))}
         )

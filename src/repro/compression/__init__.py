@@ -23,7 +23,6 @@ from .qsgd import QSGDQuantizer, QSGDTensor
 from .randomk import RandomKSparsifier
 from .stats import CompressionStats
 from .terngrad import TernaryTensor, TernGradQuantizer
-from .threshold import ThresholdSparsifier
 from .topk import TopKSparsifier, topk_mask, topk_select, topk_threshold
 from .workspace import KernelWorkspace
 
@@ -36,7 +35,6 @@ __all__ = [
     "topk_select",
     "topk_threshold",
     "KernelWorkspace",
-    "ThresholdSparsifier",
     "AdaptiveThresholdSparsifier",
     "RandomKSparsifier",
     "TernGradQuantizer",

@@ -74,8 +74,8 @@ class SparseTensor:
         """Bytes on the wire for this layer (COO payload + header)."""
         return HEADER_BYTES + self.nnz * (VALUE_BYTES + INDEX_BYTES)
 
-    def to_dense(self) -> np.ndarray:
-        out = np.zeros(math.prod(self.shape), dtype=np.float64)
+    def to_dense(self, dtype: "np.dtype | type | str" = np.float64) -> np.ndarray:
+        out = np.zeros(math.prod(self.shape), dtype=dtype)
         out[self.indices] = self.values
         return out.reshape(self.shape)
 
@@ -110,8 +110,8 @@ class DenseTensor:
     def nbytes(self) -> int:
         return dense_nbytes(self.data.size)
 
-    def to_dense(self) -> np.ndarray:
-        return self.data.copy()
+    def to_dense(self, dtype: "np.dtype | type | str | None" = None) -> np.ndarray:
+        return np.array(self.data, dtype=dtype)  # None keeps the data's dtype
 
     def add_into(self, dest: np.ndarray) -> None:
         if dest.shape != self.data.shape:
@@ -159,8 +159,8 @@ class BitmapTensor:
     def nbytes(self) -> int:
         return bitmap_nbytes(math.prod(self.shape), self.nnz)
 
-    def to_dense(self) -> np.ndarray:
-        out = np.zeros(math.prod(self.shape), dtype=np.float64)
+    def to_dense(self, dtype: "np.dtype | type | str" = np.float64) -> np.ndarray:
+        out = np.zeros(math.prod(self.shape), dtype=dtype)
         out[self.indices] = self.values
         return out.reshape(self.shape)
 
@@ -218,8 +218,8 @@ class QuantizedSparseTensor:
     def nbytes(self) -> int:
         return HEADER_BYTES + VALUE_BYTES + self.nnz * INDEX_BYTES + (2 * self.nnz + 7) // 8
 
-    def to_dense(self) -> np.ndarray:
-        out = np.zeros(math.prod(self.shape), dtype=np.float64)
+    def to_dense(self, dtype: "np.dtype | type | str" = np.float64) -> np.ndarray:
+        out = np.zeros(math.prod(self.shape), dtype=dtype)
         out[self.indices] = self.signs * self.scale
         return out.reshape(self.shape)
 

@@ -31,8 +31,9 @@ class QSGDTensor:
     s: int
     shape: tuple[int, ...]
 
-    def to_dense(self) -> np.ndarray:
-        return (self.levels.astype(np.float64) * (self.norm / self.s)).reshape(self.shape)
+    def to_dense(self, dtype: "np.dtype | type | str" = np.float64) -> np.ndarray:
+        dense = self.levels.astype(np.float64) * (self.norm / self.s)
+        return dense.astype(dtype, copy=False).reshape(self.shape)
 
     def nbytes(self) -> int:
         n = int(np.prod(self.shape))

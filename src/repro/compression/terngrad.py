@@ -24,8 +24,8 @@ class TernaryTensor:
     scale: float
     shape: tuple[int, ...]
 
-    def to_dense(self) -> np.ndarray:
-        return (self.signs * self.scale).astype(np.float64).reshape(self.shape)
+    def to_dense(self, dtype: "np.dtype | type | str" = np.float64) -> np.ndarray:
+        return (self.signs * self.scale).astype(dtype).reshape(self.shape)
 
     def nbytes(self) -> int:
         """2 bits/element packed, plus the scale and header."""

@@ -15,8 +15,8 @@ bit-for-bit.
 Lifetime / ownership rules (see ``docs/performance.md``):
 
 * A workspace is **per-thread state**: :meth:`KernelWorkspace.current`
-  hands each thread its own, and the arena path looks it up at call time
-  rather than holding one per strategy or tracker.  Everything that runs on
+  hands each thread its own, and the strategies and the tracker look it up
+  at call time rather than holding one each.  Everything that runs on
   one thread shares one pool — the simulator's K workers and its server
   draw from a single scratch sized by the largest layer, and each worker
   thread of the threaded backend keeps its own (the server's handling,

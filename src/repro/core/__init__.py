@@ -1,6 +1,6 @@
 """The paper's contribution: DGS worker strategies + model-difference server."""
 
-from .arena import LayerArena, make_layer_buffers
+from .arena import LayerArena
 from .layerops import (
     add_scaled,
     assign_parameters,
@@ -34,7 +34,6 @@ from .extensions import (
 
 __all__ = [
     "LayerArena",
-    "make_layer_buffers",
     "layer_shapes",
     "zeros_like_layers",
     "clone_layers",

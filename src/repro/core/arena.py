@@ -2,20 +2,16 @@
 
 All distributed state in this reproduction (the server's ``M`` and ``v_k``,
 worker residuals/momenta, dense update payloads) is a mapping ``layer name
--> ndarray``.  The reference representation is a dict of independently
-allocated arrays, which makes every whole-state operation — apply an
-update, advance ``v_k``, compute a model difference — a per-layer Python
-loop that re-allocates temporaries, on the server *under the lock*.
-
-:class:`LayerArena` stores the same state as **one contiguous buffer with
-named per-layer views**.  It implements the ``Mapping[str, np.ndarray]``
-protocol, so everything that walks layers (checkpointing, byte accounting,
-the reference per-layer code paths) keeps working unchanged — but the
-whole-state operations collapse to single vectorised in-place ops on
-``flat``:
+-> ndarray``, and production holds every one of them as a
+:class:`LayerArena`: **one contiguous buffer with named per-layer views**.
+It implements the ``Mapping[str, np.ndarray]`` protocol, so everything
+that walks layers (checkpointing, byte accounting, the codec) reads it
+like a dict — but the whole-state operations collapse to single
+vectorised in-place ops on ``flat``, which on the server run *under the
+lock*:
 
 ========================  =============================================
-dict-of-arrays reference  arena equivalent
+per-layer loop            arena equivalent
 ========================  =============================================
 ``d[n] += scale * s[n]``  ``d.add_(s, scale)`` — one fused axpy
 ``clone_layers(x)``       ``x.clone()`` — one memcpy
@@ -27,13 +23,15 @@ dict-of-arrays reference  arena equivalent
 
 Because elementwise IEEE arithmetic does not depend on how the operands
 are batched, every arena op is **bitwise-identical** to the corresponding
-per-layer reference loop at equal dtype (pinned by the property tests in
-``tests/properties/test_prop_arena_parity.py``).
+per-layer loop at equal dtype.  The per-layer loops themselves live in
+:mod:`repro.core.reference`, the dict-of-float64 parity oracle; the
+property tests in ``tests/properties/test_prop_arena_parity.py`` pin the
+two against each other.
 
 Dtype: the arena defaults to float32 — the wire dtype (``VALUE_BYTES = 4``)
 and the dtype real deployments hold end-to-end — halving the memory
-traffic of every whole-state op.  Pass ``dtype=np.float64`` to reproduce
-the reference path bit-for-bit (that is what the parity tests and
+traffic of every whole-state op.  Pass ``dtype=np.float64`` to compare
+against the oracle bit for bit (that is what the parity tests and
 ``RunConfig(arena_dtype="float64")`` do).
 
 Ownership rules are documented in ``docs/performance.md``: an arena
@@ -51,7 +49,7 @@ from typing import Mapping
 
 import numpy as np
 
-__all__ = ["LayerArena", "make_layer_buffers"]
+__all__ = ["LayerArena"]
 
 
 class LayerArena(MappingABC):
@@ -137,10 +135,12 @@ class LayerArena(MappingABC):
         """``(start, end)`` of ``name``'s slice inside :attr:`flat`."""
         return self._spans[name]
 
-    def same_layout(self, other: "LayerArena") -> bool:
-        """True when both arenas map the same names to the same shapes in
-        the same order — the precondition for flat-level fused ops."""
-        return self.shapes == other.shapes  # OrderedDict ==: order-sensitive
+    def same_layout(self, other: object) -> bool:
+        """True when ``other`` is an arena mapping the same names to the
+        same shapes in the same order — the precondition for flat-level
+        fused ops."""
+        # OrderedDict ==: order-sensitive
+        return isinstance(other, LayerArena) and self.shapes == other.shapes
 
     # -- vectorised whole-state ops ------------------------------------
     def zero_(self) -> "LayerArena":
@@ -151,13 +151,9 @@ class LayerArena(MappingABC):
         """Deep copy (the arena counterpart of ``clone_layers``)."""
         return LayerArena(self.shapes, dtype=self.dtype, _flat=self.flat.copy())
 
-    def as_dict(self) -> "OrderedDict[str, np.ndarray]":
-        """Materialise an independent dict-of-arrays copy (reference form)."""
-        return OrderedDict((name, view.copy()) for name, view in self._views.items())
-
     def copy_(self, other: "LayerArena | Mapping[str, np.ndarray]") -> "LayerArena":
         """Overwrite this arena from ``other`` (one memcpy when fused)."""
-        if isinstance(other, LayerArena) and self.same_layout(other):
+        if self.same_layout(other):
             np.copyto(self.flat, other.flat)
             return self
         for name, view in self._views.items():
@@ -168,7 +164,7 @@ class LayerArena(MappingABC):
         self, other: "LayerArena | Mapping[str, np.ndarray]", scale: float = 1.0
     ) -> "LayerArena":
         """``self += scale * other`` over the whole buffer at once."""
-        if isinstance(other, LayerArena) and self.same_layout(other):
+        if self.same_layout(other):
             _accumulate(self.flat, other.flat, scale)
             return self
         for name, view in self._views.items():
@@ -187,20 +183,20 @@ class LayerArena(MappingABC):
         plain dicts of arrays) falls back to per-layer application with the
         same arithmetic as :func:`repro.core.layerops.add_payload`.
         """
-        if isinstance(payload, LayerArena) and self.same_layout(payload):
+        if self.same_layout(payload):
             _accumulate(self.flat, payload.flat, scale)
             return self
         for name, layer in payload.items():
             dest = self._views[name]
             if isinstance(layer, np.ndarray):
                 _accumulate(dest, layer, scale)
-            elif scale == 1.0:
+            elif scale == 1.0 and hasattr(layer, "add_into"):
                 layer.add_into(dest)
             elif scale == -1.0 and hasattr(layer, "indices") and hasattr(layer, "values"):
                 # COO fast path: scatter-subtract, no dense materialisation.
                 dest.reshape(-1)[layer.indices] -= layer.values
             else:
-                dest += scale * layer.to_dense()
+                dest += scale * layer.to_dense(dest.dtype)
         return self
 
     # -- checkpointing --------------------------------------------------
@@ -240,21 +236,3 @@ def _accumulate(dest: np.ndarray, src: np.ndarray, scale: float) -> None:
 
 def _rebuild_arena(shapes, dtype, flat) -> LayerArena:
     return LayerArena(OrderedDict(shapes), dtype=dtype, _flat=flat)
-
-
-def make_layer_buffers(
-    shapes: Mapping[str, tuple[int, ...]],
-    arena: bool,
-    dtype: "np.dtype | type | str | None" = None,
-) -> "LayerArena | OrderedDict[str, np.ndarray]":
-    """Zeroed per-layer state: an arena, or the dict-of-arrays reference.
-
-    The single switch point every strategy and the tracker build their
-    buffers through — ``arena=False`` reproduces the historical
-    ``zeros_like_layers`` allocation exactly (float64 unless overridden).
-    """
-    if arena:
-        return LayerArena(shapes, dtype=np.float32 if dtype is None else dtype)
-    if dtype is None:
-        return OrderedDict((name, np.zeros(shape)) for name, shape in shapes.items())
-    return OrderedDict((name, np.zeros(shape, dtype=dtype)) for name, shape in shapes.items())

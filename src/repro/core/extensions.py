@@ -93,18 +93,6 @@ class DGSTernGradStrategy(SAMomentumStrategy):
     stored form (``m·u_paper``).
     """
 
-    def __init__(
-        self,
-        shapes: Mapping[str, tuple[int, ...]],
-        sparsifier: TopKSparsifier,
-        momentum: float,
-        seed: int = 0,
-        arena: bool = False,
-        dtype: "np.dtype | type | str | None" = None,
-    ) -> None:
-        super().__init__(shapes, sparsifier, momentum, arena=arena, dtype=dtype)
-        self._rng = np.random.default_rng(seed)
-
     def prepare(self, grads: Mapping[str, np.ndarray], lr: float):
         m = self.momentum
         out: OrderedDict[str, QuantizedSparseTensor] = OrderedDict()
@@ -181,8 +169,7 @@ def build_extension_strategy(
     kind: str,
     shapes: Mapping[str, tuple[int, ...]],
     hyper: Hyper,
-    arena: bool = False,
-    arena_dtype: "object | None" = None,
+    dtype: "object | None" = None,
 ) -> WorkerStrategy | None:
     """Factory hook consulted by :func:`repro.core.methods.build_strategy`."""
     if kind == "terngrad":
@@ -196,8 +183,7 @@ def build_extension_strategy(
             shapes,
             TopKSparsifier(hyper.ratio, min_sparse_size=hyper.min_sparse_size),
             hyper.momentum,
-            arena=arena,
-            dtype=arena_dtype,
+            dtype=dtype,
         )
     if kind == "dgs_adaptive":
         from ..compression.adaptive import AdaptiveThresholdSparsifier
@@ -206,8 +192,7 @@ def build_extension_strategy(
             shapes,
             AdaptiveThresholdSparsifier(hyper.ratio, min_sparse_size=hyper.min_sparse_size),
             hyper.momentum,
-            arena=arena,
-            dtype=arena_dtype,
+            dtype=dtype,
         )
     return None
 

@@ -42,8 +42,8 @@ def layer_shapes(model: Module) -> "OrderedDict[str, tuple[int, ...]]":
     return OrderedDict((name, p.shape) for name, p in model.named_parameters())
 
 
-def zeros_like_layers(shapes: Mapping[str, tuple[int, ...]]) -> "OrderedDict[str, np.ndarray]":
-    return OrderedDict((name, np.zeros(shape)) for name, shape in shapes.items())
+def zeros_like_layers(shapes: Mapping[str, tuple[int, ...]], dtype=None) -> "OrderedDict[str, np.ndarray]":
+    return OrderedDict((name, np.zeros(shape, dtype=dtype)) for name, shape in shapes.items())
 
 
 def clone_layers(layers: Mapping[str, np.ndarray]) -> "OrderedDict[str, np.ndarray]":
@@ -193,16 +193,12 @@ def flatten_layers(
     """Concatenate all layers into one flat vector (for norms/metrics).
 
     A :class:`~repro.core.arena.LayerArena` already *is* this vector —
-    ``arena.flat`` returns it zero-copy, so prefer that on the hot path.
-    ``dtype`` only determines the result for an **empty** mapping (the
-    historical code returned float64 ``np.empty(0)`` while every non-empty
-    result followed the layers' dtype — an inconsistency callers could
-    trip over when reducing over zero layers).
+    ``arena.flat`` returns it zero-copy.  ``dtype`` only determines the
+    result for an **empty** mapping (the historical code returned float64
+    ``np.empty(0)`` while every non-empty result followed the layers' dtype
+    — an inconsistency callers could trip over when reducing over zero
+    layers).
     """
-    from .arena import LayerArena  # local: layerops is imported by arena's peers
-
-    if isinstance(layers, LayerArena):
-        return layers.flat
     if not layers:
         return np.empty(0, dtype=dtype)
     return np.concatenate([arr.reshape(-1) for arr in layers.values()])

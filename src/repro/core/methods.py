@@ -60,32 +60,26 @@ class MethodSpec:
         self,
         shapes: Mapping[str, tuple[int, ...]],
         hyper: Hyper,
-        arena: bool = False,
-        arena_dtype: "object | None" = None,
+        dtype: "object | None" = None,
     ) -> WorkerStrategy:
-        return build_strategy(self.strategy, shapes, hyper, arena=arena, arena_dtype=arena_dtype)
+        return build_strategy(self.strategy, shapes, hyper, dtype=dtype)
 
 
 def build_strategy(
     kind: str,
     shapes: Mapping[str, tuple[int, ...]],
     hyper: Hyper,
-    arena: bool = False,
-    arena_dtype: "object | None" = None,
+    dtype: "object | None" = None,
 ) -> WorkerStrategy:
-    """Instantiate the worker-side strategy named ``kind``.
-
-    ``arena=True`` selects the flat-buffer/workspace hot path (see
-    :mod:`repro.core.arena`); the default is the dict-of-float64 reference.
-    """
+    """Instantiate the worker-side strategy named ``kind``, its state a
+    :class:`~repro.core.arena.LayerArena` of ``dtype`` (float32 by default)."""
     if kind == "dense":
-        return DenseStrategy(shapes, arena=arena, dtype=arena_dtype)
+        return DenseStrategy(shapes, dtype=dtype)
     if kind == "dropping":
         return GradientDroppingStrategy(
             shapes,
             TopKSparsifier(hyper.ratio, min_sparse_size=hyper.min_sparse_size),
-            arena=arena,
-            dtype=arena_dtype,
+            dtype=dtype,
         )
     if kind == "dgc":
         ramp = SparsityRamp(
@@ -100,21 +94,19 @@ def build_strategy(
             ramp=ramp,
             clip_norm=hyper.clip_norm,
             min_sparse_size=hyper.min_sparse_size,
-            arena=arena,
-            dtype=arena_dtype,
+            dtype=dtype,
         )
     if kind == "samomentum":
         return SAMomentumStrategy(
             shapes,
             TopKSparsifier(hyper.ratio, min_sparse_size=hyper.min_sparse_size),
             hyper.momentum,
-            arena=arena,
-            dtype=arena_dtype,
+            dtype=dtype,
         )
     # Extension strategies (§6 future-work combinations) register here.
     from .extensions import build_extension_strategy  # late import: avoids cycle
 
-    strategy = build_extension_strategy(kind, shapes, hyper, arena=arena, arena_dtype=arena_dtype)
+    strategy = build_extension_strategy(kind, shapes, hyper, dtype=dtype)
     if strategy is not None:
         return strategy
     raise ValueError(f"unknown strategy kind {kind!r}")

@@ -88,10 +88,6 @@ class PartitionMap:
         """Layer names owned by ``shard``, in original model order."""
         return self._layers[shard]
 
-    def shard_shapes(self, shard: int) -> "OrderedDict[str, tuple[int, ...]]":
-        """The shape map of one shard (sub-arena construction input)."""
-        return OrderedDict((name, self.shapes[name]) for name in self._layers[shard])
-
     def shard_bytes(self, shard: int) -> int:
         """Greedy load of ``shard`` at :attr:`itemsize` bytes per element."""
         return self._bytes[shard]

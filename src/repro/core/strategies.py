@@ -17,6 +17,12 @@ Implemented strategies map onto the paper's Table 5 rows:
                + gradient clipping.
 ``samomentum`` The paper's SAMomentum (Algorithm 3, Eq. 14–15).
 =============  ============================================================
+
+State lives in :class:`~repro.core.arena.LayerArena` s and selection draws
+scratch from the calling thread's :class:`KernelWorkspace`.  The paper's
+per-layer arithmetic on dict-of-float64 state is
+:mod:`repro.core.reference`, the parity oracle these strategies are
+bitwise equal to at equal dtype.
 """
 
 from __future__ import annotations
@@ -32,7 +38,7 @@ from ..compression.coding import SparseTensor, encode_mask
 from ..compression.topk import TopKSparsifier
 from ..compression.workspace import KernelWorkspace
 from ..optim.clip import clip_by_global_norm
-from .arena import make_layer_buffers
+from .arena import LayerArena
 from .layerops import add_scaled
 
 __all__ = [
@@ -44,24 +50,14 @@ __all__ = [
     "SparsityRamp",
 ]
 
-UpdateMap = "OrderedDict[str, SparseTensor] | OrderedDict[str, np.ndarray]"
-
 
 class WorkerStrategy(ABC):
     """Transforms local gradients into the update message sent upstream.
 
-    Every strategy runs in one of two modes:
-
-    * ``arena=False`` (reference, the default for direct construction):
-      state buffers are a dict of independent float64 arrays and the
-      kernels allocate per call — the historical behaviour, kept as the
-      baseline the property tests compare against;
-    * ``arena=True`` (the hot path, default via ``RunConfig``): state
-      lives in a :class:`~repro.core.arena.LayerArena` (float32 unless
-      ``dtype`` overrides) and the selection/encode kernels draw scratch
-      from the calling thread's :class:`KernelWorkspace`, looked up per
-      :meth:`prepare`.  Selection and arithmetic are bitwise-identical to
-      the reference at equal dtype.
+    State buffers are :class:`~repro.core.arena.LayerArena` s of ``dtype``
+    (float32 unless overridden); the selection/encode kernels draw scratch
+    from the calling thread's :class:`KernelWorkspace`, looked up per
+    :meth:`prepare`.
     """
 
     #: whether :meth:`prepare` returns sparse (COO) or dense layers
@@ -70,21 +66,19 @@ class WorkerStrategy(ABC):
     def __init__(
         self,
         shapes: Mapping[str, tuple[int, ...]],
-        arena: bool = False,
         dtype: "np.dtype | type | str | None" = None,
     ) -> None:
         self.shapes = OrderedDict(shapes)
-        self.arena = bool(arena)
         self.dtype = dtype
 
-    def _make_buffers(self):
-        """Zeroed per-layer state in this strategy's chosen representation."""
-        return make_layer_buffers(self.shapes, self.arena, self.dtype)
+    def _make_buffers(self) -> LayerArena:
+        """Zeroed per-layer state."""
+        return LayerArena(self.shapes, dtype=np.float32 if self.dtype is None else self.dtype)
 
     @staticmethod
     def _select(sparsifier: Sparsifier, arr: np.ndarray, ws: KernelWorkspace) -> SparseTensor:
-        """The arena path's select: fused where the sparsifier has one,
-        mask+encode otherwise, scratch from ``ws`` either way.
+        """Select: fused where the sparsifier has one, mask+encode
+        otherwise, scratch from ``ws`` either way.
 
         Both routes pick the identical entry set (one ``_topk_indices``
         helper, see ``compression.topk``) — only the allocations differ.
@@ -135,17 +129,14 @@ class DenseStrategy(WorkerStrategy):
     def __init__(
         self,
         shapes: Mapping[str, tuple[int, ...]],
-        arena: bool = False,
         dtype: "np.dtype | type | str | None" = None,
     ) -> None:
-        super().__init__(shapes, arena=arena, dtype=dtype)
-        # Arena mode reuses one output arena across iterations (valid until
-        # the next prepare(); safe under the strict request→reply cycle).
-        self._out = self._make_buffers() if self.arena else None
+        super().__init__(shapes, dtype=dtype)
+        # One output arena reused across iterations (valid until the next
+        # prepare(); safe under the strict request→reply cycle).
+        self._out = self._make_buffers()
 
-    def prepare(self, grads: Mapping[str, np.ndarray], lr: float) -> "OrderedDict[str, np.ndarray]":
-        if self._out is None:
-            return OrderedDict((name, lr * g) for name, g in grads.items())
+    def prepare(self, grads: Mapping[str, np.ndarray], lr: float) -> LayerArena:
         for name, g in grads.items():
             np.multiply(g, lr, out=self._out[name])
         return self._out
@@ -163,32 +154,23 @@ class GradientDroppingStrategy(WorkerStrategy):
         self,
         shapes: Mapping[str, tuple[int, ...]],
         sparsifier: Sparsifier,
-        arena: bool = False,
         dtype: "np.dtype | type | str | None" = None,
     ) -> None:
-        super().__init__(shapes, arena=arena, dtype=dtype)
+        super().__init__(shapes, dtype=dtype)
         self.sparsifier = sparsifier
         self.residual = self._make_buffers()
 
     def prepare(self, grads: Mapping[str, np.ndarray], lr: float) -> "OrderedDict[str, SparseTensor]":
         out: OrderedDict[str, SparseTensor] = OrderedDict()
-        if self.arena:
-            ws = KernelWorkspace.current()
-            for name, g in grads.items():
-                r = self.residual[name]
-                add_scaled(r, g, lr, ws)
-                st = self._select(self.sparsifier, r, ws)
-                out[name] = st
-                # Zero the sent coordinates through the fused tensor's
-                # indices — the same set r[mask] = 0.0 would clear.
-                r.reshape(-1)[st.indices] = 0.0
-            return out
+        ws = KernelWorkspace.current()
         for name, g in grads.items():
             r = self.residual[name]
-            r += lr * g
-            mask = self.sparsifier.mask(r)
-            out[name] = encode_mask(r, mask)
-            r[mask] = 0.0
+            add_scaled(r, g, lr, ws)
+            st = self._select(self.sparsifier, r, ws)
+            out[name] = st
+            # Zero the sent coordinates through the fused tensor's
+            # indices — the same set r[mask] = 0.0 would clear.
+            r.reshape(-1)[st.indices] = 0.0
         return out
 
     def state_bytes(self) -> int:
@@ -250,10 +232,9 @@ class DGCStrategy(WorkerStrategy):
         ramp: SparsityRamp | None = None,
         clip_norm: float | None = None,
         min_sparse_size: int = 256,
-        arena: bool = False,
         dtype: "np.dtype | type | str | None" = None,
     ) -> None:
-        super().__init__(shapes, arena=arena, dtype=dtype)
+        super().__init__(shapes, dtype=dtype)
         if not 0.0 <= momentum < 1.0:
             raise ValueError(f"momentum must be in [0, 1), got {momentum}")
         self.ratio = ratio
@@ -275,32 +256,20 @@ class DGCStrategy(WorkerStrategy):
             clip_by_global_norm(list(grads.values()), self.clip_norm)
         sparsifier = self._current_sparsifier()
         out: OrderedDict[str, SparseTensor] = OrderedDict()
-        if self.arena:
-            # Fused decay across all layers (layers are independent, so one
-            # whole-buffer multiply matches the per-layer u *= m exactly).
-            self.u.flat *= self.momentum
-            ws = KernelWorkspace.current()
-            for name, g in grads.items():
-                u, v = self.u[name], self.v[name]
-                # momentum correction: velocity, not raw gradient
-                add_scaled(u, g, lr, ws)
-                v += u
-                st = self._select(sparsifier, v, ws)
-                out[name] = st
-                idx = st.indices
-                v.reshape(-1)[idx] = 0.0
-                u.reshape(-1)[idx] = 0.0  # momentum factor masking
-            self.iteration += 1
-            return out
+        # Fused decay across all layers (layers are independent, so one
+        # whole-buffer multiply matches the per-layer u *= m exactly).
+        self.u.flat *= self.momentum
+        ws = KernelWorkspace.current()
         for name, g in grads.items():
             u, v = self.u[name], self.v[name]
-            u *= self.momentum
-            u += lr * g  # momentum correction: velocity, not raw gradient
+            # momentum correction: velocity, not raw gradient
+            add_scaled(u, g, lr, ws)
             v += u
-            mask = sparsifier.mask(v)
-            out[name] = encode_mask(v, mask)
-            v[mask] = 0.0
-            u[mask] = 0.0  # momentum factor masking
+            st = self._select(sparsifier, v, ws)
+            out[name] = st
+            idx = st.indices
+            v.reshape(-1)[idx] = 0.0
+            u.reshape(-1)[idx] = 0.0  # momentum factor masking
         self.iteration += 1
         return out
 
@@ -343,10 +312,9 @@ class SAMomentumStrategy(WorkerStrategy):
         shapes: Mapping[str, tuple[int, ...]],
         sparsifier: Sparsifier,
         momentum: float,
-        arena: bool = False,
         dtype: "np.dtype | type | str | None" = None,
     ) -> None:
-        super().__init__(shapes, arena=arena, dtype=dtype)
+        super().__init__(shapes, dtype=dtype)
         if not 0.0 < momentum < 1.0:
             raise ValueError(f"SAMomentum requires momentum in (0, 1), got {momentum}")
         self.sparsifier = sparsifier
@@ -356,21 +324,13 @@ class SAMomentumStrategy(WorkerStrategy):
     def prepare(self, grads: Mapping[str, np.ndarray], lr: float) -> "OrderedDict[str, SparseTensor]":
         m = self.momentum
         out: OrderedDict[str, SparseTensor] = OrderedDict()
-        if self.arena:
-            ws = KernelWorkspace.current()
-            for name, g in grads.items():
-                u = self.u[name]
-                add_scaled(u, g, lr, ws)
-                st = self._select(self.sparsifier, u, ws)
-                out[name] = st
-                u.reshape(-1)[st.indices] *= m
-            return out
+        ws = KernelWorkspace.current()
         for name, g in grads.items():
             u = self.u[name]
-            u += lr * g
-            mask = self.sparsifier.mask(u)
-            out[name] = encode_mask(u, mask)
-            u[mask] *= m
+            add_scaled(u, g, lr, ws)
+            st = self._select(self.sparsifier, u, ws)
+            out[name] = st
+            u.reshape(-1)[st.indices] *= m
         return out
 
     def state_bytes(self) -> int:

@@ -15,18 +15,20 @@ difference* ``G = M − v_k`` (Eq. 3), optionally secondary-compressed
 download-the-whole-model ASGD (Eq. 5) — the headline invariant of §4.2.1.
 
 That invariant also says what ``v_k`` is without secondary compression:
-``M`` as it stood at ``prev(k)``.  The arena path therefore keeps no
+``M`` as it stood at ``prev(k)``.  The tracker therefore keeps no
 per-worker buffer there.  It keeps a bounded *journal* of recent updates —
 the indices each one wrote and the values of ``M`` it overwrote — and
 answers from it in O(staleness·k): ``v_k`` differs from ``M`` only at
 indices an owed update wrote, and there it holds what the oldest of them
 overwrote.  The ``v_k`` of a worker the journal is about to stop
 covering, and one loaded from a checkpoint, is *held* as a materialised
-buffer until that worker's next reply, which is the dense scan against it.  The dict reference path
-keeps the paper's ``M + K·v_k`` and always scans; both produce bitwise the
-same reply.  Secondary compression (Eq. 6) keeps per-worker buffers on
-either path: there ``v_k`` also carries the withheld residual, which no
-journal of ``M`` describes.
+buffer until that worker's next reply, which is the dense scan against it.
+Secondary compression (Eq. 6) keeps per-worker buffers: there ``v_k`` also
+carries the withheld residual, which no journal of ``M`` describes.
+
+The paper's literal ``M + K·v_k`` state, always scanned, is
+:class:`repro.core.reference.ReferenceTracker` — the parity oracle this
+tracker's replies are bitwise equal to at equal dtype.
 """
 
 from __future__ import annotations
@@ -46,7 +48,7 @@ from ..compression.coding import (
     encode_mask,
 )
 from ..compression.workspace import KernelWorkspace
-from .arena import LayerArena, make_layer_buffers
+from .arena import LayerArena
 
 __all__ = ["ModelDifferenceTracker"]
 
@@ -68,14 +70,13 @@ _Written = tuple[np.ndarray | None, np.ndarray]
 class ModelDifferenceTracker:
     """Server state for dual-way sparsification (M, per-worker v_k).
 
-    ``arena=True`` stores M (and every buffer the tracker keeps) as
-    :class:`~repro.core.arena.LayerArena` buffers (float32 unless ``dtype``
-    overrides): applying an update becomes one fused op over the flat
-    buffer — shortening the server's lock hold — and the model-difference
-    encode draws scratch from the calling thread's :class:`KernelWorkspace`.
-    Without secondary compression it also replaces the K ``v_k`` buffers
-    with the journal (module docstring).  ``arena=False`` is the
-    dict-of-float64 reference path, bitwise-identical at equal dtype.
+    ``M`` and every buffer the tracker keeps are
+    :class:`~repro.core.arena.LayerArena` s of ``dtype`` (float32 unless
+    overridden): applying an update is one fused op over the flat buffer
+    — shortening the server's lock hold — and the model-difference encode
+    draws scratch from the calling thread's :class:`KernelWorkspace`.
+    Without secondary compression the journal stands in for the K ``v_k``
+    buffers (module docstring).
     """
 
     def __init__(
@@ -84,7 +85,6 @@ class ModelDifferenceTracker:
         num_workers: int,
         secondary: Sparsifier | None = None,
         track_differences: bool = True,
-        arena: bool = False,
         dtype: "np.dtype | type | str | None" = None,
     ) -> None:
         if num_workers < 1:
@@ -93,11 +93,9 @@ class ModelDifferenceTracker:
         self.num_workers = num_workers
         self.secondary = secondary
         self.track_differences = track_differences
-        self.arena = bool(arena)
-        #: construction-time dtype request, reused when a buffer is
-        #: allocated later (it must match ``M``)
-        self.buffer_dtype = dtype
-        self.M = make_layer_buffers(self.shapes, self.arena, dtype)
+        #: the state's dtype (``None`` ⇒ float32), for every buffer allocated
+        self.dtype = dtype
+        self.M = self._make_buffers()
         #: the journal: one ``{layer: (indices | None, M[indices] before)}``
         #: per applied update, for the ``len(journal)`` most recent ones
         #: (entry ``i`` is update ``t - len + 1 + i``), so it covers
@@ -107,9 +105,9 @@ class ModelDifferenceTracker:
         #: are immutable and their producers hand over memory they own
         #: (``topk_select`` allocates fresh indices, the codec's
         #: ``_decode_layer`` copies them out of the frame with ``.astype``).
-        #: Arena path without secondary compression only; ``None`` elsewhere.
+        #: Without secondary compression only; ``None`` with it.
         self._journal: "list[dict[str, _Written]] | None" = (
-            [] if self.arena and track_differences and secondary is None else None
+            [] if track_differences and secondary is None else None
         )
         #: indices the journal holds (a whole-layer entry counts its size)
         self._journal_size = 0
@@ -117,19 +115,17 @@ class ModelDifferenceTracker:
         # (the journal stands in for it) unless its v_k is *held*; without
         # one every worker has a buffer, and vanilla ASGD — no difference
         # tracking — pays no per-worker server memory at all.
-        self._buffers: "list[LayerArena | OrderedDict[str, np.ndarray] | None]" = []
+        self._buffers: "list[LayerArena | None]" = []
         if track_differences:
             self._buffers = [
-                None if self._journal is not None else self._fresh_buffer()
+                None if self._journal is not None else self._make_buffers()
                 for _ in range(num_workers)
             ]
-        # Reused scratch arena for M − v_k and for rewinding M (arena mode
-        # with difference tracking only — vanilla ASGD never reads it;
-        # overwritten by dense scans, never escapes).
+        # Reused scratch arena for M − v_k and for rewinding M (difference
+        # tracking only — vanilla ASGD never reads it; overwritten by dense
+        # scans, never escapes).
         self._diff: "LayerArena | None" = (
-            LayerArena(self.shapes, dtype=self.M.dtype)
-            if self.arena and track_differences
-            else None
+            self._make_buffers() if track_differences else None
         )
         #: server timestamp t — incremented once per applied update (Table 1)
         self.t = 0
@@ -141,7 +137,7 @@ class ModelDifferenceTracker:
         """``v[k]`` is :meth:`vk` ``(k)`` — the paper's notation."""
         return _WorkerStates(self)
 
-    def vk(self, worker: int) -> "LayerArena | Mapping[str, np.ndarray]":
+    def vk(self, worker: int) -> LayerArena:
         """``v_k``: everything shipped to ``worker`` so far (Eq. 3/6b).
 
         The live buffer where the tracker keeps one; on the journal path,
@@ -163,24 +159,13 @@ class ModelDifferenceTracker:
     # ------------------------------------------------------------------
     def apply_update(self, update: "Mapping[str, SparseTensor] | Mapping[str, np.ndarray]") -> int:
         """``M ← M − g`` (Eq. 1).  Returns the new server timestamp."""
-        if self.arena:
-            entry = None if self._journal is None else self._overwritten_by(update)
-            # One fused op for same-layout dense arenas; COO scatter /
-            # to_dense fallbacks otherwise — same arithmetic either way.
-            self.M.add_payload(update, scale=-1.0)
-            self.t += 1
-            if entry is not None:
-                self._journal_append(entry)
-            return self.t
-        for name, g in update.items():
-            dest = self.M[name]
-            if isinstance(g, SparseTensor):
-                dest.reshape(-1)[g.indices] -= g.values
-            elif hasattr(g, "to_dense"):  # quantised payloads (extensions)
-                dest -= g.to_dense()
-            else:
-                dest -= g
+        entry = None if self._journal is None else self._overwritten_by(update)
+        # One fused op for same-layout dense arenas; COO scatter /
+        # to_dense fallbacks otherwise — same arithmetic either way.
+        self.M.add_payload(update, scale=-1.0)
         self.t += 1
+        if entry is not None:
+            self._journal_append(entry)
         return self.t
 
     def model_difference(self, worker: int) -> "OrderedDict[str, SparseTensor]":
@@ -192,46 +177,30 @@ class ModelDifferenceTracker:
             raise RuntimeError("model_difference() requires track_differences=True")
         vk = self._buffers[worker]
         out: OrderedDict[str, SparseTensor] = OrderedDict()
-        if self.arena:
-            if vk is None:
-                dirty = self._journaled_since(worker)
-                for name in self.M:
-                    out[name] = self._layer_difference(name, dirty)
-                self.prev[worker] = self.t
-                return out
-            # One fused subtraction for the whole difference, then per-layer
-            # encode out of the scratch arena's views.
-            diff = self._diff
-            np.subtract(self.M.flat, vk.flat, out=diff.flat)
-            ws = KernelWorkspace.current()
+        if vk is None:
+            dirty = self._journaled_since(worker)
             for name in self.M:
-                d = diff[name]
-                if self.secondary is not None:
-                    sent = self.secondary.select(d, ws)
-                    if sent is None:
-                        sent = encode_mask(d, self.secondary.mask(d), ws)
-                    sent.add_into(vk[name])
-                else:
-                    sent = encode_best(d, ws)
-                out[name] = sent
-            if self._journal is not None:
-                self._buffers[worker] = None  # v_k == M (Eq. 3): the journal covers it from t
+                out[name] = self._layer_difference(name, dirty)
             self.prev[worker] = self.t
             return out
-        for name, m_layer in self.M.items():
-            diff = m_layer - vk[name]
+        # One fused subtraction for the whole difference, then per-layer
+        # encode out of the scratch arena's views.
+        diff = self._diff
+        np.subtract(self.M.flat, vk.flat, out=diff.flat)
+        ws = KernelWorkspace.current()
+        for name in self.M:
+            d = diff[name]
             if self.secondary is not None:
-                mask = self.secondary.mask(diff)
-                sent = encode_mask(diff, mask)
-                # v_k advances only by what was actually sent (Eq. 6b) —
-                # the remainder is implicitly accumulated for later.
+                sent = self.secondary.select(d, ws)
+                if sent is None:
+                    sent = encode_mask(d, self.secondary.mask(d), ws)
+                # v_k advances only by what was actually sent (Eq. 6b)
                 sent.add_into(vk[name])
             else:
-                # G densifies with staleness; pick the cheapest wire format
-                # per layer (COO / bitmap / dense — see encode_best).
-                sent = encode_best(diff)
-                np.copyto(vk[name], m_layer)  # v_k == M (Eq. 3)
+                sent = encode_best(d, ws)
             out[name] = sent
+        if self._journal is not None:
+            self._buffers[worker] = None  # v_k == M (Eq. 3): the journal covers it from t
         self.prev[worker] = self.t
         return out
 
@@ -336,16 +305,18 @@ class ModelDifferenceTracker:
         return encode_best(d, KernelWorkspace.current())
 
     # ------------------------------------------------------------------
-    def _fresh_buffer(self) -> "LayerArena | OrderedDict[str, np.ndarray]":
-        return make_layer_buffers(self.shapes, self.arena, self.buffer_dtype)
+    def _make_buffers(self) -> LayerArena:
+        return LayerArena(self.shapes, dtype=np.float32 if self.dtype is None else self.dtype)
 
     def _loaded_buffer(self, layers: "Mapping[str, np.ndarray] | np.ndarray") -> LayerArena:
-        """A held ``v_k`` copied from checkpoint state (flat or per layer)."""
-        vk = LayerArena(self.shapes, dtype=self.M.dtype)
+        """A ``v_k`` copied from checkpoint state (flat or per layer); on the
+        journal path it is *held* until that worker's next reply."""
+        vk = self._make_buffers()
         if isinstance(layers, np.ndarray):
             _load_flat(vk, layers)
         else:
-            vk.load_state_dict(layers)
+            for name, arr in vk.items():
+                np.copyto(arr, layers[name])
         return vk
 
     def bootstrap_worker(self, worker: int) -> None:
@@ -367,16 +338,14 @@ class ModelDifferenceTracker:
         if worker >= self.num_workers:
             added = worker + 1 - self.num_workers
             if self.track_differences:
-                self._buffers.extend(self._fresh_buffer() for _ in range(added - 1))
-                self._buffers.append(None if self._journal is not None else self._fresh_buffer())
+                self._buffers.extend(self._make_buffers() for _ in range(added - 1))
+                self._buffers.append(None if self._journal is not None else self._make_buffers())
             self.prev.extend([0] * added)
             self.num_workers = worker + 1
         if self.track_differences:
             vk = self._buffers[worker]
             if self._journal is not None:
                 self._buffers[worker] = None
-            elif self.arena:
-                vk.copy_(self.M)
             else:
                 for name, m_layer in self.M.items():
                     np.copyto(vk[name], m_layer)
@@ -392,22 +361,14 @@ class ModelDifferenceTracker:
         if not self.track_differences:
             return self.global_model(theta0)
         vk = self.vk(worker)
-        if (
-            self.arena
-            and isinstance(theta0, LayerArena)
-            and theta0.same_layout(vk)
-        ):
+        if isinstance(theta0, LayerArena) and theta0.same_layout(vk):
             return theta0.clone().add_(vk)
         return OrderedDict((name, theta0[name] + vk[name]) for name in self.M)
 
     # ------------------------------------------------------------------
     def global_model(self, theta0: Mapping[str, np.ndarray]) -> "Mapping[str, np.ndarray]":
         """Materialise θ_t = θ_0 + M_t (Eq. 2) — used for evaluation."""
-        if (
-            self.arena
-            and isinstance(theta0, LayerArena)
-            and theta0.same_layout(self.M)
-        ):
+        if isinstance(theta0, LayerArena) and theta0.same_layout(self.M):
             return theta0.clone().add_(self.M)  # one fused θ0 + M
         return OrderedDict((name, theta0[name] + self.M[name]) for name in self.M)
 
@@ -432,13 +393,9 @@ class ModelDifferenceTracker:
         self.prev = prev
         for name, arr in self.M.items():
             np.copyto(arr, state[f"M/{name}"])
-        for k, vk in enumerate(self._buffers):
+        for k in range(len(self._buffers)):
             layers = {name: state[f"v{k}/{name}"] for name in self.shapes}
-            if self._journal is not None:
-                self._buffers[k] = self._loaded_buffer(layers)
-            else:
-                for name, arr in vk.items():
-                    np.copyto(arr, layers[name])
+            self._buffers[k] = self._loaded_buffer(layers)
         self._journal_reset()
 
     # ------------------------------------------------------------------
@@ -446,15 +403,13 @@ class ModelDifferenceTracker:
         """``M, v_0, …, v_{K-1}``, each as one contiguous 1-D array.
 
         The checkpoint payload, yielded one at a time so the journal path
-        materialises one ``v_k`` at a time.  Arena buffers come as
-        zero-copy views of their flat backing (the caller copies if it
-        needs isolation); the dict reference path concatenates per layer.
-        Layer order is ``self.shapes`` order, which both representations
-        share.
+        materialises one ``v_k`` at a time.  Each is a zero-copy view of an
+        arena's flat backing (the caller copies if it needs isolation), in
+        ``self.shapes`` layer order.
         """
-        yield _flatten_buffers(self.M)
+        yield self.M.flat
         for vk in self.v:
-            yield _flatten_buffers(vk)
+            yield vk.flat
 
     def load_flat_state(self, buffers: "list[np.ndarray]") -> None:
         """Restore :meth:`flat_state` output (``M`` first, then each v_k).
@@ -465,10 +420,18 @@ class ModelDifferenceTracker:
         journal path every loaded ``v_k`` is held until that worker's next
         reply: a loaded ``v_k`` need not equal ``M`` even at
         ``prev(k) == t`` (a checkpoint written under secondary compression
-        carries a residual).
+        carries a residual).  Buffers of another dtype than the tracker's
+        are refused before anything is touched: loading them would round
+        the state silently.
         """
         if not buffers:
             raise ValueError("flat state needs at least the M buffer")
+        held = next(iter(self.M.values())).dtype
+        for buf in buffers:
+            if buf.dtype != held:
+                raise ValueError(
+                    f"checkpoint state is {buf.dtype}, the tracker holds {held}"
+                )
         n_v = len(buffers) - 1
         if self.track_differences and n_v > len(self._buffers):
             self.bootstrap_worker(n_v - 1)  # grow v/prev to checkpoint size
@@ -480,10 +443,7 @@ class ModelDifferenceTracker:
             )
         _load_flat(self.M, buffers[0])
         for k, buf in enumerate(buffers[1:]):
-            if self._journal is not None:
-                self._buffers[k] = self._loaded_buffer(buf)
-            else:
-                _load_flat(self._buffers[k], buf)
+            self._buffers[k] = self._loaded_buffer(buf)
         self._journal_reset()
 
     def restore(self, t: int, prev: "list[int]", buffers: "list[np.ndarray]") -> None:
@@ -497,8 +457,8 @@ class ModelDifferenceTracker:
 
     def server_state_bytes(self) -> int:
         """Memory the tracker holds: M, every buffer it keeps and the
-        journal.  On the dict path and under secondary compression that is
-        the §5.6.2 accounting, ``M`` + ``NumOfWorkers × ParameterMemOfModel``;
+        journal.  Under secondary compression that is the §5.6.2
+        accounting, ``M`` + ``NumOfWorkers × ParameterMemOfModel``;
         on the journal path, ``M`` + journal + held ``v_k`` only."""
         total = sum(arr.nbytes for arr in self.M.values())
         for vk in self._buffers:
@@ -518,13 +478,13 @@ class _WorkerStates(Sequence):
     def __init__(self, tracker: ModelDifferenceTracker) -> None:
         self._tracker = tracker
 
-    def __getitem__(self, worker: int) -> "LayerArena | Mapping[str, np.ndarray]":
+    def __getitem__(self, worker: int) -> LayerArena:
         return self._tracker.vk(worker)
 
     def __len__(self) -> int:
         return len(self._tracker._buffers)
 
-    def __iter__(self) -> "Iterator[LayerArena | Mapping[str, np.ndarray]]":
+    def __iter__(self) -> "Iterator[LayerArena]":
         return (self._tracker.vk(k) for k in range(len(self)))
 
 
@@ -584,25 +544,12 @@ def _difference_at(
     return idx, d.astype(VALUE_DTYPE, copy=False)
 
 
-def _flatten_buffers(buffers: "LayerArena | Mapping[str, np.ndarray]") -> np.ndarray:
-    """One contiguous 1-D view/copy of a layer buffer set (shapes order)."""
-    if isinstance(buffers, LayerArena):
-        return buffers.flat  # already one contiguous buffer: zero copy
-    return np.concatenate([arr.reshape(-1) for arr in buffers.values()])
-
-
-def _load_flat(buffers: "LayerArena | Mapping[str, np.ndarray]", flat: np.ndarray) -> None:
+def _load_flat(buffers: "Mapping[str, np.ndarray]", flat: np.ndarray) -> None:
     """Scatter one contiguous 1-D array back into a layer buffer set."""
-    if isinstance(buffers, LayerArena):
-        if flat.size != buffers.flat.size:
-            raise ValueError(
-                f"flat buffer has {flat.size} elements, arena holds {buffers.flat.size}"
-            )
-        np.copyto(buffers.flat, flat)
-        return
+    held = sum(arr.size for arr in buffers.values())
+    if held != flat.size:
+        raise ValueError(f"flat buffer has {flat.size} elements, layers hold {held}")
     offset = 0
     for arr in buffers.values():
         np.copyto(arr, flat[offset : offset + arr.size].reshape(arr.shape))
         offset += arr.size
-    if offset != flat.size:
-        raise ValueError(f"flat buffer has {flat.size} elements, layers hold {offset}")

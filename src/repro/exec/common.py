@@ -5,7 +5,8 @@ decide the server-side secondary compression, build a
 :class:`~repro.ps.server.ParameterServer` seeded with θ0, stamp out
 per-worker :class:`~repro.ps.worker.WorkerNode` replicas, and evaluate
 θ0 + M on the validation split — written once, so the engines are
-scheduling loops on top.
+scheduling loops on top.  It is also the one place that picks the parity
+oracle: ``arena=False`` installs :mod:`repro.core.reference`.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import numpy as np
 
 from ..core.layerops import assign_parameters, layer_shapes
 from ..core.methods import Hyper, MethodSpec, get_method
+from ..core.reference import install_reference_server, reference_strategy
 from ..data.loader import DataLoader
 from ..data.synthetic import Dataset
 from ..metrics.evaluation import evaluate_model, evaluate_params
@@ -78,7 +80,7 @@ def build_server(
     hyper: Hyper,
     secondary_compression: "bool | None" = None,
     staleness_damping: bool = False,
-    arena: bool = False,
+    arena: bool = True,
     arena_dtype: "object | None" = None,
     num_shards: int = 1,
 ) -> ParameterServer:
@@ -88,19 +90,21 @@ def build_server(
     front-end never sits between one lock and its callers — while
     ``num_shards>1`` partitions the layers across independently locked
     :class:`~repro.ps.sharded.ParameterShard` s behind a
-    :class:`~repro.ps.sharded.ShardedParameterServer`.
+    :class:`~repro.ps.sharded.ShardedParameterServer`.  ``arena=False``
+    gives it the parity oracle's state instead of arenas of ``arena_dtype``.
     """
     kwargs = dict(
         downstream=method.downstream,
         secondary_ratio=secondary_ratio_for(method, hyper, secondary_compression),
         secondary_min_sparse_size=hyper.min_sparse_size,
         staleness_damping=staleness_damping,
-        arena=arena,
-        arena_dtype=arena_dtype,
+        dtype=arena_dtype,
     )
     if num_shards > 1:
-        return ShardedParameterServer(theta0, num_workers, num_shards, **kwargs)
-    return ParameterServer(theta0, num_workers, **kwargs)
+        server = ShardedParameterServer(theta0, num_workers, num_shards, **kwargs)
+    else:
+        server = ParameterServer(theta0, num_workers, **kwargs)
+    return server if arena else install_reference_server(server, theta0)
 
 
 def build_worker(
@@ -112,19 +116,21 @@ def build_worker(
     hyper: Hyper,
     schedule: Schedule,
     theta0: "Mapping[str, np.ndarray] | None" = None,
-    arena: bool = False,
+    arena: bool = True,
     arena_dtype: "object | None" = None,
 ) -> WorkerNode:
-    """One worker node on ``model``, optionally re-seeded to θ0."""
+    """One worker node on ``model``, optionally re-seeded to θ0; its
+    strategy holds arenas of ``arena_dtype``, or is the parity oracle's
+    twin when ``arena=False``."""
     if theta0 is not None:
         # All replicas start from the same θ0.
         assign_parameters(model, theta0)
-    shapes = layer_shapes(model)
+    strategy = method.make_strategy(layer_shapes(model), hyper, dtype=arena_dtype)
     return WorkerNode(
         worker_id,
         model,
         loader.worker_iterator(worker_id, num_workers),
-        method.make_strategy(shapes, hyper, arena=arena, arena_dtype=arena_dtype),
+        strategy if arena else reference_strategy(strategy),
         schedule=schedule,
     )
 
@@ -138,7 +144,7 @@ def build_workers(
     schedule: Schedule,
     theta0: "Mapping[str, np.ndarray]",
     first_model: "Module | None" = None,
-    arena: bool = False,
+    arena: bool = True,
     arena_dtype: "object | None" = None,
 ) -> "list[WorkerNode]":
     """Stamp out ``num_workers`` replicas, all starting from θ0.
@@ -147,24 +153,21 @@ def build_workers(
     0's replica (the simulator and the threaded trainer donate the
     reference model ``theta0`` was read from, so it is built once).
     """
-    workers: list[WorkerNode] = []
-    for w in range(num_workers):
-        model = first_model if (w == 0 and first_model is not None) else model_factory()
-        workers.append(
-            build_worker(
-                w,
-                num_workers,
-                model,
-                loader,
-                method,
-                hyper,
-                schedule,
-                theta0=theta0,
-                arena=arena,
-                arena_dtype=arena_dtype,
-            )
+    return [
+        build_worker(
+            w,
+            num_workers,
+            first_model if (w == 0 and first_model is not None) else model_factory(),
+            loader,
+            method,
+            hyper,
+            schedule,
+            theta0=theta0,
+            arena=arena,
+            arena_dtype=arena_dtype,
         )
-    return workers
+        for w in range(num_workers)
+    ]
 
 
 def evaluate_global(model: Module, server: ParameterServer, dataset: Dataset) -> "tuple[float, float]":

@@ -62,13 +62,13 @@ class RunConfig:
     #: exercising the comm layer's crash path — the run returns a partial
     #: result with the crash recorded in ``TrainResult.errors``.
     fail_at: "dict[int, int] | None" = None
-    #: flat-buffer parameter arenas + allocation-free kernels (the hot
-    #: path; see docs/performance.md).  False reruns the dict-of-float64
-    #: reference implementation the property tests compare against.
+    #: False selects the parity oracle: the server and the strategies run
+    #: on :mod:`repro.core.reference`'s dict-of-float64 state instead of
+    #: flat-buffer arenas (see docs/performance.md).  For the parity tests.
     arena: bool = True
     #: arena buffer dtype; None ⇒ float32 (the wire dtype).  Pass
-    #: ``"float64"`` to make the arena path bitwise-identical to the
-    #: reference path (used by the parity tests).
+    #: ``"float64"`` to make the run bitwise-identical to the parity
+    #: oracle (used by the parity tests).
     arena_dtype: "str | None" = None
     #: threaded backend only: round-trip every frame through the byte codec
     #: (float32 wire precision), matching what the process and socket

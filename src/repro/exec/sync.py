@@ -18,14 +18,10 @@ shared link model.
 
 from __future__ import annotations
 
-from collections import OrderedDict
-from typing import Mapping
-
 import numpy as np
 
 from ..comm.frames import GradientFrame, ModelFrame
 from ..comm.sim import SimTransport
-from ..compression.coding import SparseTensor
 from ..compression.stats import CompressionStats
 from ..core.arena import LayerArena
 from ..core.layerops import add_payload, layer_shapes
@@ -34,9 +30,8 @@ from ..metrics.curves import Curve
 from ..metrics.evaluation import evaluate_model
 from ..metrics.meters import EMAMeter
 from ..ps.messages import ModelMessage
-from ..ps.worker import WorkerNode
 from ..sim.network import SharedLink
-from .common import resolve_hyper, resolve_method, resolve_schedule
+from .common import build_worker, resolve_hyper, resolve_method, resolve_schedule
 from .config import RunConfig
 from .result import TrainResult
 
@@ -58,24 +53,22 @@ class SynchronousTrainer:
         n = cluster.num_workers
         loader = DataLoader(config.dataset, config.batch_size, seed=config.seed)
         self.model = config.model_factory()
-        shapes = layer_shapes(self.model)
-        # Reused aggregation buffer for the arena path (zeroed per round).
-        self._agg_arena = (
-            LayerArena(
-                shapes, dtype=np.float32 if config.arena_dtype is None else config.arena_dtype
-            )
-            if config.arena
-            else None
+        # Reused aggregation buffer (zeroed per round).
+        self._agg = LayerArena(
+            layer_shapes(self.model),
+            dtype=np.float32 if config.arena_dtype is None else config.arena_dtype,
         )
         self.workers = [
-            WorkerNode(
+            build_worker(
                 w,
+                n,
                 self.model,  # all workers share the single global model
-                loader.worker_iterator(w, n),
-                self.method.make_strategy(
-                    shapes, self.hyper, arena=config.arena, arena_dtype=config.arena_dtype
-                ),
-                schedule=self.schedule,
+                loader,
+                self.method,
+                self.hyper,
+                self.schedule,
+                arena=config.arena,
+                arena_dtype=config.arena_dtype,
             )
             for w in range(n)
         ]
@@ -132,22 +125,9 @@ class SynchronousTrainer:
             # the optimisation work of N sequential steps, which is what
             # makes the barrier comparison against N async updates fair.
             mean_loss = float(np.mean([node.last_loss for node in self.workers]))
-            if self._agg_arena is not None:
-                agg: "Mapping[str, np.ndarray]" = self._agg_arena.zero_()
-                for msg in msgs:
-                    self._agg_arena.add_payload(msg.payload)
-            else:
-                agg = OrderedDict()
-                for name, p in self._params.items():
-                    agg[name] = np.zeros_like(p.data)
-                for msg in msgs:
-                    for name, layer in msg.payload.items():
-                        if isinstance(layer, SparseTensor):
-                            layer.add_into(agg[name])
-                        elif hasattr(layer, "to_dense"):
-                            agg[name] += layer.to_dense()
-                        else:
-                            agg[name] += layer
+            agg = self._agg.zero_()
+            for msg in msgs:
+                agg.add_payload(msg.payload)
             add_payload(self._params, agg, scale=-1.0)
 
             # 5) Broadcast the dense aggregated update, one transfer/worker.

@@ -8,9 +8,9 @@ the server (the v_k vectors) — one V100 (16 GB) can host >300 ResNet-18
 to the server.
 
 Two server columns.  *Paper* is that accounting, ``M + K·v_k``, read off
-the dict reference tracker, which keeps exactly those buffers.  *This
-implementation* is what the production server holds after a few rounds of
-real uploads: without secondary compression the arena tracker keeps ``M``
+the parity oracle's tracker (``repro.core.reference``), which keeps exactly
+those buffers.  *This implementation* is what the production server holds
+after a few rounds of real uploads: without secondary compression it keeps ``M``
 plus a bounded journal of recent updates instead of the ``v_k`` (see
 ``repro.core.tracker``), and holds a ``v_k`` only for a worker the journal
 no longer covers.
@@ -23,13 +23,15 @@ unit is a count of parameters, not of bytes.
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 
 from ...core.layerops import parameters_of
 from ...core.methods import get_method
 from ...core.tracker import _JOURNAL_MAX_FRACTION
+from ...exec.common import build_server
 from ...ps.messages import GradientMessage
-from ...ps.server import ParameterServer
 from ..config import RESNET18_WIRE_BYTES, get_workload
 from ..report import ExperimentReport
 from .common import METHOD_LABELS, resolve_fast
@@ -68,23 +70,12 @@ def run(fast: bool | None = None, seeds: tuple[int, ...] = (0,)) -> ExperimentRe
     )
     for name in ("asgd", "gd_async", "dgc_async", "dgs"):
         spec = get_method(name)
-
-        def server(arena: bool) -> ParameterServer:
-            return ParameterServer(
-                theta0,
-                num_workers,
-                downstream=spec.downstream,
-                secondary_ratio=None,
-                arena=arena,
-                arena_dtype=dtype,
-            )
-
-        strategies = [
-            spec.make_strategy(shapes, hyper, arena=True, arena_dtype=dtype)
-            for _ in range(num_workers)
-        ]
-        paper_units = server(False).tracker.server_state_bytes() / model_bytes
-        production = server(True)
+        server = partial(
+            build_server, spec, theta0, num_workers, hyper, secondary_compression=False, arena_dtype=dtype
+        )
+        strategies = [spec.make_strategy(shapes, hyper, dtype=dtype) for _ in range(num_workers)]
+        paper_units = server(arena=False).tracker.server_state_bytes() / model_bytes
+        production = server()
         rng = np.random.default_rng(seeds[0])
         for step in range(ROUNDS * num_workers):
             worker = step % num_workers

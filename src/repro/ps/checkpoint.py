@@ -12,7 +12,7 @@ File format (little-endian)::
 
 The body is exactly the concatenation of each shard's
 :meth:`~repro.core.tracker.ModelDifferenceTracker.flat_state` buffers —
-in arena mode these *are* the flat backing vectors, so a checkpoint is a
+these *are* the arenas' flat backing vectors, so a checkpoint is a
 handful of contiguous ``tobytes()``/``frombuffer`` calls, not a per-layer
 walk.  Snapshots are taken under the server/shard locks
 (:meth:`~repro.ps.server.ParameterServer.checkpoint_state` copies out);
@@ -87,8 +87,9 @@ def save_checkpoint(server, path: "str | os.PathLike") -> "dict[str, object]":
 def load_checkpoint(server, path: "str | os.PathLike") -> "dict[str, object]":
     """Restore ``path`` into ``server``; returns the checkpoint header.
 
-    The server must have been built over the same model (buffer element
-    counts are validated shard by shard before any state is touched).
+    The server must have been built over the same model and hold the
+    checkpoint's dtype (element counts and dtype are validated shard by
+    shard before any state is touched; a mismatch raises ``ValueError``).
     The header's per-shard ``updates`` maps (worker id → handled updates)
     are what trainers fast-forward by; shard 0's map is authoritative
     (every shard sees every update).

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import threading
 import time
-from collections import OrderedDict
 from typing import Mapping
 
 import numpy as np
@@ -23,6 +22,7 @@ import numpy as np
 from ..compression.base import Sparsifier
 from ..compression.stats import CompressionStats
 from ..compression.topk import TopKSparsifier
+from ..core.arena import LayerArena
 from ..core.layerops import scale_payload
 from ..core.tracker import ModelDifferenceTracker
 from ..metrics.meters import AverageMeter
@@ -115,22 +115,13 @@ class ParameterServer:
         secondary_ratio: float | None = None,
         secondary_min_sparse_size: int = 256,
         staleness_damping: bool = False,
-        arena: bool = False,
-        arena_dtype: "np.dtype | type | str | None" = None,
+        dtype: "np.dtype | type | str | None" = None,
         shard: int | None = None,
     ) -> None:
         if downstream not in ("difference", "model"):
             raise ValueError(f"downstream must be 'difference' or 'model', got {downstream!r}")
-        if arena:
-            # θ0 as an arena too, so global_model() is one fused θ0 + M.
-            from ..core.arena import LayerArena
-
-            self.theta0 = LayerArena.from_layers(
-                theta0, dtype=np.float32 if arena_dtype is None else arena_dtype
-            )
-        else:
-            self.theta0 = OrderedDict((k, v.copy()) for k, v in theta0.items())
-        shapes = OrderedDict((k, v.shape) for k, v in theta0.items())
+        # θ0 as an arena too, so global_model() is one fused θ0 + M.
+        self.theta0 = LayerArena.from_layers(theta0, dtype=np.float32 if dtype is None else dtype)
         secondary: Sparsifier | None = (
             TopKSparsifier(secondary_ratio, min_sparse_size=secondary_min_sparse_size)
             if secondary_ratio is not None
@@ -138,12 +129,11 @@ class ParameterServer:
         )
         self.downstream = downstream
         self.tracker = ModelDifferenceTracker(
-            shapes,
+            self.theta0.shapes,
             num_workers,
             secondary=secondary,
             track_differences=(downstream == "difference"),
-            arena=arena,
-            dtype=arena_dtype,
+            dtype=dtype,
         )
         #: byte-accounting sink — *recorded into by the comm channel layer*
         #: (the server applies updates; what they cost on the wire is the
@@ -336,7 +326,7 @@ class ParameterServer:
         """
         return summarize_staleness(self.raw_staleness())
 
-    def global_model(self) -> "OrderedDict[str, np.ndarray]":
+    def global_model(self) -> "Mapping[str, np.ndarray]":
         """Materialise θ_t = θ_0 + M_t for evaluation (thread-safe)."""
         with self._lock:
             return self.tracker.global_model(self.theta0)

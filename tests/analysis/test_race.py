@@ -38,7 +38,6 @@ def make_trainer(dataset, model_factory, workers=4, iters=50):
         total_iterations=iters * workers,
         hyper=HYPER,
         seed=0,
-        arena=False,
     )
     return ThreadedTrainer(config)
 

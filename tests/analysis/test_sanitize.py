@@ -49,6 +49,22 @@ class TestFaultDetection:
         assert exc.value.op == "SparseTensor.to_dense"
         assert "Inf" in str(exc.value)
 
+    def test_quantised_payload_applies_without_widening_a_float32_arena(self):
+        """The server's Eq. 1 apply of a DGS+TernGrad upload materialises
+        it at the arena's dtype: no float64 array appears in a float32
+        stream (the sanitizer's wrapper forwards ``to_dense``'s dtype)."""
+        from repro.compression import QuantizedSparseTensor
+        from repro.core.tracker import ModelDifferenceTracker
+
+        tracker = ModelDifferenceTracker({"w": (8,)}, 1)
+        upload = QuantizedSparseTensor(
+            np.array([2, 5]), np.array([1, -1], dtype=np.int8), 0.5, (8,)
+        )
+        with sanitize(expected_dtype=np.float32, on_fault="record") as s:
+            tracker.apply_update({"w": upload})
+        assert s.faults == []
+        np.testing.assert_array_equal(tracker.M["w"], [0, 0, -0.5, 0, 0, 0.5, 0, 0])
+
     def test_dtype_drift_detected_against_pinned_dtype(self):
         with sanitize(expected_dtype=np.float64, on_fault="record") as s:
             s.check_array(np.ones(4, dtype=np.float32), "test.creep")
@@ -85,7 +101,7 @@ class TestFaultDetection:
     def _journaled_tracker():
         from repro.core.tracker import ModelDifferenceTracker
 
-        return ModelDifferenceTracker({"w": (64,), "b": (4,)}, 2, arena=True, dtype=np.float64)
+        return ModelDifferenceTracker({"w": (64,), "b": (4,)}, 2, dtype=np.float64)
 
     @staticmethod
     def _newest_entry(tracker, name):

@@ -100,3 +100,42 @@ class TestByteAccounting:
     def test_tensor_nbytes(self):
         st = SparseTensor(np.arange(5), np.ones(5), (100,))
         assert st.nbytes() == sparse_nbytes(5)
+
+
+class TestToDenseDtype:
+    """Every codec materialises at the dtype it is asked for, so applying
+    a payload never widens a float32 destination (float64 by default)."""
+
+    @staticmethod
+    def _payloads():
+        from repro.compression import (
+            BitmapTensor,
+            DenseTensor,
+            QSGDQuantizer,
+            QuantizedSparseTensor,
+            TernGradQuantizer,
+        )
+
+        idx = np.array([1, 4], dtype=np.int64)
+        values = np.array([0.5, -2.0], dtype=np.float32)
+        arr = np.linspace(-1.0, 1.0, 6)
+        return [
+            SparseTensor(idx, values, (6,)),
+            BitmapTensor(idx, values, (6,)),
+            DenseTensor(arr.astype(np.float32)),
+            QuantizedSparseTensor(idx, np.array([1, -1], dtype=np.int8), 0.25, (6,)),
+            TernGradQuantizer(seed=0).quantize(arr),
+            QSGDQuantizer(seed=0).quantize(arr),
+        ]
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_requested_dtype_same_values(self, dtype):
+        for payload in self._payloads():
+            dense = payload.to_dense(dtype)
+            assert dense.dtype == dtype, type(payload).__name__
+            np.testing.assert_array_equal(dense, payload.to_dense().astype(dtype))
+
+    def test_default_is_float64_except_dense_keeps_its_own(self):
+        for payload in self._payloads():
+            want = np.float32 if hasattr(payload, "data") else np.float64
+            assert payload.to_dense().dtype == want, type(payload).__name__

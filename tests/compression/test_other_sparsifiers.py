@@ -1,30 +1,13 @@
-"""Threshold and random-k sparsifiers, sparsify/unsparsify helpers."""
+"""Random-k sparsifier, sparsify/unsparsify helpers."""
 
 import numpy as np
 import pytest
 
 from repro.compression import (
     RandomKSparsifier,
-    ThresholdSparsifier,
     sparsify,
     unsparsify,
 )
-
-
-class TestThresholdSparsifier:
-    def test_fixed_threshold(self):
-        sp = ThresholdSparsifier(1.0)
-        arr = np.array([0.5, -1.5, 2.0, 0.9])
-        np.testing.assert_array_equal(sp.mask(arr), [False, True, True, False])
-
-    def test_negative_threshold_rejected(self):
-        with pytest.raises(ValueError):
-            ThresholdSparsifier(-1.0)
-
-    def test_zero_threshold_sends_nonzeros(self):
-        sp = ThresholdSparsifier(0.0)
-        arr = np.array([0.0, 0.1, -0.1])
-        np.testing.assert_array_equal(sp.mask(arr), [False, True, True])
 
 
 class TestRandomK:

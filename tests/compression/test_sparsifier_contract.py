@@ -6,13 +6,11 @@ import pytest
 from repro.compression import (
     AdaptiveThresholdSparsifier,
     RandomKSparsifier,
-    ThresholdSparsifier,
     TopKSparsifier,
 )
 
 SPARSIFIERS = [
     pytest.param(lambda: TopKSparsifier(0.1, min_sparse_size=0), id="topk"),
-    pytest.param(lambda: ThresholdSparsifier(0.5), id="threshold"),
     pytest.param(lambda: RandomKSparsifier(0.1, seed=0), id="randomk"),
     pytest.param(
         lambda: AdaptiveThresholdSparsifier(0.1, min_sparse_size=0), id="adaptive"

@@ -1,4 +1,4 @@
-"""LayerArena: layout, aliasing, fused ops, pickling, the buffer switch."""
+"""LayerArena: layout, aliasing, fused ops, pickling."""
 
 import pickle
 from collections import OrderedDict
@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from repro.compression import SparseTensor, encode_sparse
-from repro.core.arena import LayerArena, make_layer_buffers
+from repro.core.arena import LayerArena
 
 SHAPES = OrderedDict([("w", (3, 4)), ("b", (4,)), ("head", (5,))])
 
@@ -49,6 +49,7 @@ class TestLayout:
     def test_same_layout_is_order_sensitive(self):
         a = LayerArena(SHAPES)
         assert a.same_layout(LayerArena(SHAPES))
+        assert not a.same_layout(OrderedDict((n, np.zeros(s)) for n, s in SHAPES.items()))
         reordered = OrderedDict(reversed(list(SHAPES.items())))
         assert not a.same_layout(LayerArena(reordered))
 
@@ -125,19 +126,3 @@ class TestOps:
         s, _ = b.span("w")
         assert b.flat[s] == 42.0
 
-
-class TestMakeLayerBuffers:
-    def test_arena_mode(self):
-        buf = make_layer_buffers(SHAPES, arena=True)
-        assert isinstance(buf, LayerArena)
-        assert buf.dtype == np.float32
-
-    def test_reference_mode_matches_historical_allocation(self):
-        buf = make_layer_buffers(SHAPES, arena=False)
-        assert isinstance(buf, OrderedDict)
-        assert all(v.dtype == np.float64 and (v == 0).all() for v in buf.values())
-
-    def test_dtype_override(self):
-        assert make_layer_buffers(SHAPES, arena=True, dtype=np.float64).dtype == np.float64
-        ref = make_layer_buffers(SHAPES, arena=False, dtype=np.float32)
-        assert all(v.dtype == np.float32 for v in ref.values())

@@ -107,7 +107,6 @@ class TestDGSTernGrad:
                 batch_size=16, total_iterations=200,
                 hyper=Hyper(lr=0.1, momentum=0.7, ratio=0.2, min_sparse_size=0),
                 seed=0, cluster=ClusterConfig.with_bandwidth(3, 10, compute_mean_s=0.02),
-                arena=False,
             )
         )
         r = trainer.run()
@@ -123,7 +122,6 @@ class TestDGSTernGrad:
                 batch_size=16, total_iterations=40,
                 hyper=Hyper(lr=0.1, momentum=0.7, ratio=0.2, min_sparse_size=0),
                 seed=0, cluster=ClusterConfig.with_bandwidth(2, 10, compute_mean_s=0.02),
-                arena=False,
             )
             return SimulatedTrainer(config).run()
 

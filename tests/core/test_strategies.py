@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 from repro.compression import SparseTensor, TopKSparsifier
+from repro.core.reference import ReferenceSAMomentumStrategy
 from repro.core.strategies import (
     DenseStrategy,
     DGCStrategy,
@@ -26,6 +27,8 @@ from repro.core.strategies import (
 )
 
 SHAPES = OrderedDict([("w", (40,)), ("b", (10,))])
+#: bytes per state element: strategies hold float32 unless given a dtype
+F32 = np.dtype(np.float32).itemsize
 
 
 def grads_from(rng):
@@ -95,14 +98,16 @@ class TestGradientDropping:
 
     def test_state_bytes(self):
         st = self.make()
-        assert st.state_bytes() == (40 + 10) * 8
+        assert st.state_bytes() == (40 + 10) * F32
 
 
 class TestSAMomentum:
     def test_dense_ratio_equals_vanilla_momentum(self, rng):
         """R=100% ⇒ SAMomentum sends exactly the dense velocity (Eq. 16, T=1)."""
         m, lr = 0.7, 0.1
-        st = SAMomentumStrategy(SHAPES, TopKSparsifier(1.0, min_sparse_size=0), momentum=m)
+        st = SAMomentumStrategy(
+            SHAPES, TopKSparsifier(1.0, min_sparse_size=0), momentum=m, dtype=np.float64
+        )
         u_ref = OrderedDict((n, np.zeros(s)) for n, s in SHAPES.items())
         for _ in range(10):
             g = grads_from(rng)
@@ -115,7 +120,9 @@ class TestSAMomentum:
         """Stored form: after prepare, sent coords hold m·(u+ηg) — decayed
         at the end of the step that sent them — and unsent hold u+ηg."""
         m, lr = 0.5, 1.0
-        st = SAMomentumStrategy(SHAPES, TopKSparsifier(0.1, min_sparse_size=0), momentum=m)
+        st = SAMomentumStrategy(
+            SHAPES, TopKSparsifier(0.1, min_sparse_size=0), momentum=m, dtype=np.float64
+        )
         g1 = grads_from(rng)
         st.prepare(g1, lr)
         u_after_1 = {n: st.u[n].copy() for n in SHAPES}
@@ -173,7 +180,9 @@ class TestSAMomentum:
         m, lr, k = 0.7, 0.1, 8
         rng = np.random.default_rng(3)
         shapes = OrderedDict([("w", (16, 5))])
-        st = SAMomentumStrategy(shapes, TopKSparsifier(0.1, min_sparse_size=0), momentum=m)
+        st = SAMomentumStrategy(
+            shapes, TopKSparsifier(0.1, min_sparse_size=0), momentum=m, dtype=np.float64
+        )
         u = np.zeros(80)
         for _ in range(50):
             g = rng.normal(size=(16, 5))
@@ -196,12 +205,13 @@ class TestSAMomentum:
     @pytest.mark.parametrize("arena", [False, True])
     def test_checkpoint_continue_is_bitwise(self, arena, rng):
         """state_dict() is just u — the sent-only decay carries no extra
-        state — and save → load → continue is bitwise."""
+        state — and save → load → continue is bitwise, for production and
+        for the parity oracle (what ``arena=False`` selects)."""
+        cls = SAMomentumStrategy if arena else ReferenceSAMomentumStrategy
 
         def make():
-            return SAMomentumStrategy(
-                SHAPES, TopKSparsifier(0.1, min_sparse_size=0), momentum=0.7,
-                arena=arena, dtype=np.float64,
+            return cls(
+                SHAPES, TopKSparsifier(0.1, min_sparse_size=0), momentum=0.7, dtype=np.float64
             )
 
         a = make()
@@ -222,7 +232,7 @@ class TestSAMomentum:
     def test_no_residual_buffer(self):
         st = SAMomentumStrategy(SHAPES, TopKSparsifier(0.1), momentum=0.7)
         # single buffer u only: memory == one model copy (§5.6.2)
-        assert st.state_bytes() == (40 + 10) * 8
+        assert st.state_bytes() == (40 + 10) * F32
 
     def test_momentum_validation(self):
         with pytest.raises(ValueError):
@@ -271,7 +281,7 @@ class TestDGC:
 
     def test_momentum_correction_accumulates_velocity(self, rng):
         """v accumulates u (velocity), not raw gradient."""
-        st = self.make(momentum=0.5)
+        st = self.make(momentum=0.5, dtype=np.float64)
         g = OrderedDict([("w", np.full(40, 0.001)), ("b", np.zeros(10))])
         # tiny gradients: nothing sent from w beyond top-k picks; check v
         st.prepare(g, lr=1.0)
@@ -306,7 +316,7 @@ class TestDGC:
 
     def test_state_bytes_two_buffers(self):
         st = self.make()
-        assert st.state_bytes() == 2 * (40 + 10) * 8
+        assert st.state_bytes() == 2 * (40 + 10) * F32
 
     def test_momentum_validation(self):
         with pytest.raises(ValueError):

@@ -116,13 +116,14 @@ class TestBookkeeping:
         np.testing.assert_allclose(model["w"], theta0["w"] - upd["w"].to_dense())
 
     def test_server_state_bytes(self):
-        tr = ModelDifferenceTracker(SHAPES, 3)
-        per_model = (20 + 5) * 8
+        # secondary compression keeps every v_k: the §5.6.2 M + K·v_k
+        tr = ModelDifferenceTracker(SHAPES, 3, secondary=TopKSparsifier(0.5))
+        per_model = (20 + 5) * np.dtype(np.float32).itemsize
         assert tr.server_state_bytes() == per_model * (1 + 3)
 
     def test_no_difference_tracking_mode(self):
         tr = ModelDifferenceTracker(SHAPES, 3, track_differences=False)
-        assert tr.server_state_bytes() == (20 + 5) * 8  # M only
+        assert tr.server_state_bytes() == (20 + 5) * np.dtype(np.float32).itemsize  # M only
         with pytest.raises(RuntimeError):
             tr.model_difference(0)
 

@@ -36,7 +36,7 @@ def _traced(num_workers, secondary=None):
     KernelWorkspace.current().clear()  # the thread's scratch is counted afresh
     tracemalloc.start()
     try:
-        tracker = ModelDifferenceTracker(SHAPES, num_workers, secondary=secondary, arena=True)
+        tracker = ModelDifferenceTracker(SHAPES, num_workers, secondary=secondary)
         for step in range(3 * num_workers):
             tracker.apply_update(updates[step % len(updates)])
             tracker.model_difference(step % num_workers)

@@ -64,8 +64,8 @@ class TestManyWorkers:
     def test_interleaved_sparse_updates_commute(self, rng):
         """M depends only on the multiset of updates, not arrival order."""
         updates = [upd(np.random.default_rng(i)) for i in range(12)]
-        a = ModelDifferenceTracker(SHAPES, 1)
-        b = ModelDifferenceTracker(SHAPES, 1)
+        a = ModelDifferenceTracker(SHAPES, 1, dtype=np.float64)
+        b = ModelDifferenceTracker(SHAPES, 1, dtype=np.float64)
         for u in updates:
             a.apply_update(u)
         for u in reversed(updates):

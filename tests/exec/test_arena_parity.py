@@ -1,9 +1,10 @@
-"""Exec-level arena parity: RunConfig(arena=...) flips the hot path only.
+"""Exec-level parity: production against the oracle ``RunConfig(arena=False)``
+installs (``repro.core.reference``).
 
-With ``arena_dtype="float64"`` the arena path must reproduce the dict
-reference run *bitwise* — identical loss curves, not just close — on a
-deterministic backend.  With the float32 default it must still train to
-an equivalent result (wire values were already float32 on both paths).
+With ``arena_dtype="float64"`` production must reproduce the oracle's run
+*bitwise* — identical loss curves, not just close — on a deterministic
+backend.  With the float32 default it must still train to an equivalent
+result (wire values were already float32 on both sides).
 """
 
 import numpy as np
@@ -39,7 +40,7 @@ def _run(ds, backend="simulated", **kwargs):
 
 class TestFloat64Parity:
     def test_dense_asgd_identical_loss_curve(self, ds):
-        """The headline gate: arena f64 == reference, bit for bit."""
+        """The headline gate: production f64 == the oracle, bit for bit."""
         opt = _run(ds, arena=True, arena_dtype="float64")
         ref = _run(ds, arena=False)
         assert opt.final_loss == ref.final_loss

@@ -24,7 +24,7 @@ HYPER = Hyper(lr=0.1, momentum=0.7, ratio=0.1, secondary_ratio=0.1, min_sparse_s
 
 def simulated(method, factory, ds, cluster, **fields):
     config = RunConfig(
-        method, factory, ds, num_workers=cluster.num_workers, cluster=cluster, arena=False,
+        method, factory, ds, num_workers=cluster.num_workers, cluster=cluster,
         **fields,
     )
     return SimulatedTrainer(config)

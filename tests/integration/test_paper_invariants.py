@@ -19,7 +19,7 @@ HYPER = Hyper(lr=0.1, momentum=0.7, ratio=0.05, secondary_ratio=0.05, min_sparse
 
 def simulated(method, factory, ds, cluster, **fields):
     config = RunConfig(
-        method, factory, ds, num_workers=cluster.num_workers, cluster=cluster, arena=False,
+        method, factory, ds, num_workers=cluster.num_workers, cluster=cluster,
         **fields,
     )
     return SimulatedTrainer(config)

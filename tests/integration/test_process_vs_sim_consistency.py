@@ -46,7 +46,6 @@ def sim(ds, factory, n_workers, **kw):
         total_iterations=40 * n_workers,
         hyper=HYPER,
         seed=0,
-        arena=False,
     )
     defaults.update(kw)
     return SimulatedTrainer(RunConfig("dgs", factory, ds, num_workers=n_workers, **defaults))
@@ -96,7 +95,7 @@ class TestEngineAgreementStatistics:
         t = ThreadedTrainer(
             RunConfig(
                 "dgs", factory, ds, num_workers=3, batch_size=16,
-                total_iterations=3 * 40, hyper=HYPER, seed=0, arena=False,
+                total_iterations=3 * 40, hyper=HYPER, seed=0,
             )
         ).run()
         assert abs(s.final_accuracy - t.final_accuracy) < 0.2
@@ -106,7 +105,7 @@ class TestEngineAgreementStatistics:
         p = RemoteTrainer(
             RunConfig(
                 "dgs", factory, ds, num_workers=2, batch_size=16,
-                total_iterations=2 * 30, hyper=HYPER, seed=0, arena=False,
+                total_iterations=2 * 30, hyper=HYPER, seed=0,
             ),
             "pipe",
         ).run()
@@ -203,7 +202,6 @@ class TestCrossBackendParity:
                 hyper=DENSE_HYPER,
                 seed=0,
                 num_shards=shards,
-                arena=True,
                 arena_dtype="float64",
             )
             trainer = Trainer(config, backend=backend)

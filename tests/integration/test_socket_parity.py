@@ -52,7 +52,6 @@ def _config(tiny_dataset, tiny_model_factory, iterations, **fields):
         total_iterations=iterations,
         hyper=DENSE,
         seed=0,
-        arena=False,
         **fields,
     )
 

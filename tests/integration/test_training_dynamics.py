@@ -23,7 +23,7 @@ def factory():
 
 def simulated(method, factory, ds, cluster, **fields):
     config = RunConfig(
-        method, factory, ds, num_workers=cluster.num_workers, cluster=cluster, arena=False,
+        method, factory, ds, num_workers=cluster.num_workers, cluster=cluster,
         **fields,
     )
     return SimulatedTrainer(config)

@@ -133,7 +133,7 @@ class TestSmallVGG:
             "dgs", lambda: SmallVGG(3, 4, widths=(4, 8), seed=0), ds, num_workers=2,
             batch_size=16, total_iterations=60,
             hyper=Hyper(lr=0.1, momentum=0.7, ratio=0.1), seed=0,
-            cluster=ClusterConfig.with_bandwidth(2, 10, compute_mean_s=0.02), arena=False,
+            cluster=ClusterConfig.with_bandwidth(2, 10, compute_mean_s=0.02),
         )
         r = SimulatedTrainer(config).run()
         assert r.final_accuracy > 0.6

@@ -163,7 +163,7 @@ class TestObsLogger:
                 "dgs", tiny_model_factory, tiny_dataset, num_workers=2,
                 batch_size=16, total_iterations=30,
                 hyper=Hyper(ratio=0.1, min_sparse_size=0), logger=logger, seed=0,
-                cluster=ClusterConfig.with_bandwidth(2, 10, compute_mean_s=0.02), arena=False,
+                cluster=ClusterConfig.with_bandwidth(2, 10, compute_mean_s=0.02),
             )
             SimulatedTrainer(config).run()
         steps = [r for r in load_jsonl(path) if r["type"] == "step"]

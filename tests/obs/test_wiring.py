@@ -48,7 +48,6 @@ def threaded_run(dataset):
         hyper=HYPER,
         seed=0,
         tracer=tracer,
-        arena=False,
     )
     trainer = ThreadedTrainer(config)
     with use_tracer(tracer), profile_hot_paths():
@@ -70,7 +69,6 @@ def sim_run(dataset):
         tracer=tracer,
         seed=0,
         cluster=ClusterConfig.with_bandwidth(2, 10, compute_mean_s=0.01),
-        arena=False,
     )
     trainer = SimulatedTrainer(config)
     with use_tracer(tracer), profile_hot_paths():

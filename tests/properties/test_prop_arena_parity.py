@@ -1,11 +1,12 @@
-"""Arena path ≡ dict reference path, bitwise, at equal dtype.
+"""Production (arena) state ≡ the parity oracle, bitwise, at equal dtype.
 
 The arena's whole claim (``repro.core.arena``) is that fusing per-layer
 loops into flat-buffer ops changes *nothing* about the arithmetic:
 elementwise IEEE operations do not depend on how the operands are
 batched.  These tests pin that — every payload type through
-``add_payload``, and every worker strategy / the server tracker end to
-end — with ``assert_array_equal`` (no tolerance) at float64.
+``add_payload`` against the per-layer loop, and every worker strategy /
+the server tracker end to end against ``repro.core.reference`` — with
+``assert_array_equal`` (no tolerance) at float64.
 """
 
 from collections import OrderedDict
@@ -20,6 +21,13 @@ from repro.compression import (
     encode_sparse,
 )
 from repro.core.arena import LayerArena
+from repro.core.reference import (
+    ReferenceDenseStrategy,
+    ReferenceDGCStrategy,
+    ReferenceGradientDroppingStrategy,
+    ReferenceSAMomentumStrategy,
+    ReferenceTracker,
+)
 from repro.core.strategies import (
     DenseStrategy,
     DGCStrategy,
@@ -134,22 +142,22 @@ class TestAddPayloadParity:
 
 
 class TestStrategyParity:
-    """arena=True (float64) strategies == reference strategies, bitwise."""
+    """Production strategies (float64) == the oracle's, bitwise."""
 
     @given(seq=grad_seqs, lr=lrs)
     @settings(max_examples=40, deadline=None)
     def test_dense(self, seq, lr):
-        ref = DenseStrategy(SHAPES)
-        opt = DenseStrategy(SHAPES, arena=True, dtype=np.float64)
+        ref = ReferenceDenseStrategy(SHAPES)
+        opt = DenseStrategy(SHAPES, dtype=np.float64)
         for pair in seq:
             _assert_payload_equal(opt.prepare(_grads(pair), lr), ref.prepare(_grads(pair), lr))
 
     @given(seq=grad_seqs, ratio=ratios, lr=lrs)
     @settings(max_examples=40, deadline=None)
     def test_gradient_dropping(self, seq, ratio, lr):
-        ref = GradientDroppingStrategy(SHAPES, TopKSparsifier(ratio, min_sparse_size=0))
+        ref = ReferenceGradientDroppingStrategy(SHAPES, TopKSparsifier(ratio, min_sparse_size=0))
         opt = GradientDroppingStrategy(
-            SHAPES, TopKSparsifier(ratio, min_sparse_size=0), arena=True, dtype=np.float64
+            SHAPES, TopKSparsifier(ratio, min_sparse_size=0), dtype=np.float64
         )
         for pair in seq:
             _assert_payload_equal(opt.prepare(_grads(pair), lr), ref.prepare(_grads(pair), lr))
@@ -159,10 +167,8 @@ class TestStrategyParity:
     @given(seq=grad_seqs, ratio=ratios, lr=lrs, m=momenta)
     @settings(max_examples=40, deadline=None)
     def test_dgc(self, seq, ratio, lr, m):
-        ref = DGCStrategy(SHAPES, ratio, momentum=m, min_sparse_size=0)
-        opt = DGCStrategy(
-            SHAPES, ratio, momentum=m, min_sparse_size=0, arena=True, dtype=np.float64
-        )
+        ref = ReferenceDGCStrategy(SHAPES, ratio, momentum=m, min_sparse_size=0)
+        opt = DGCStrategy(SHAPES, ratio, momentum=m, min_sparse_size=0, dtype=np.float64)
         for pair in seq:
             _assert_payload_equal(opt.prepare(_grads(pair), lr), ref.prepare(_grads(pair), lr))
         for n in SHAPES:
@@ -172,9 +178,9 @@ class TestStrategyParity:
     @given(seq=grad_seqs, ratio=ratios, lr=lrs, m=momenta)
     @settings(max_examples=40, deadline=None)
     def test_samomentum(self, seq, ratio, lr, m):
-        ref = SAMomentumStrategy(SHAPES, TopKSparsifier(ratio, min_sparse_size=0), m)
+        ref = ReferenceSAMomentumStrategy(SHAPES, TopKSparsifier(ratio, min_sparse_size=0), m)
         opt = SAMomentumStrategy(
-            SHAPES, TopKSparsifier(ratio, min_sparse_size=0), m, arena=True, dtype=np.float64
+            SHAPES, TopKSparsifier(ratio, min_sparse_size=0), m, dtype=np.float64
         )
         for pair in seq:
             _assert_payload_equal(opt.prepare(_grads(pair), lr), ref.prepare(_grads(pair), lr))
@@ -183,7 +189,7 @@ class TestStrategyParity:
 
 
 class TestTrackerParity:
-    """Server-side M / v_k / model differences, arena vs dict, bitwise."""
+    """Server-side M / v_k / model differences, production vs oracle, bitwise."""
 
     @given(
         seq=st.lists(st.tuples(vec, small_vec), min_size=1, max_size=10),
@@ -193,14 +199,14 @@ class TestTrackerParity:
     )
     @settings(max_examples=40, deadline=None)
     def test_full_exchange_schedule(self, seq, syncs, ratio, secondary):
-        def make(arena):
-            return ModelDifferenceTracker(
+        def make(cls, **dtype):
+            return cls(
                 SHAPES, 2,
                 secondary=TopKSparsifier(ratio, min_sparse_size=0) if secondary else None,
-                arena=arena, dtype=np.float64 if arena else None,
+                **dtype,
             )
 
-        ref, opt = make(False), make(True)
+        ref, opt = make(ReferenceTracker), make(ModelDifferenceTracker, dtype=np.float64)
         for pair, sync in zip(seq, syncs):
             upd = OrderedDict((n, encode_sparse(v)) for n, v in _grads(pair).items())
             ref.apply_update(upd)

@@ -1,8 +1,8 @@
 """Journal path ≡ dense scan, as a property.
 
-The arena tracker without secondary compression answers ``M − v_k`` from
-its dirty-index journal when it can (``repro.core.tracker``); the dict
-reference tracker always scans.  Random interleavings of everything that
+The tracker without secondary compression answers ``M − v_k`` from its
+dirty-index journal when it can (``repro.core.tracker``); the parity
+oracle's tracker (``repro.core.reference``) always scans.  Random interleavings of everything that
 can reach a server — every payload kind, exact cancellation, staleness
 damping, elastic joins, checkpoint/restore, workers silent past the
 journal's retention bound — must leave the two indistinguishable: same
@@ -24,6 +24,7 @@ from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, ru
 
 from repro.compression import DenseTensor, QuantizedSparseTensor, SparseTensor
 from repro.core import tracker as tracker_module
+from repro.core.reference import install_reference_server
 from repro.ps.messages import GradientMessage
 from repro.ps.server import ParameterServer
 
@@ -63,15 +64,10 @@ def uploads(draw):
     return OrderedDict((name, draw(layer_payloads(name))) for name in SHAPES if name in names)
 
 
-def _server(num_workers, damping, arena):
+def _server(num_workers, damping, oracle=False):
     theta0 = OrderedDict((name, np.zeros(shape)) for name, shape in SHAPES.items())
-    return ParameterServer(
-        theta0,
-        num_workers,
-        staleness_damping=damping,
-        arena=arena,
-        arena_dtype=np.float64 if arena else None,
-    )
+    server = ParameterServer(theta0, num_workers, staleness_damping=damping, dtype=np.float64)
+    return install_reference_server(server, theta0) if oracle else server
 
 
 def _journaled(tr):
@@ -107,8 +103,8 @@ class JournalVersusScan(RuleBasedStateMachine):
     @initialize(num_workers=st.integers(1, 5), damping=st.booleans())
     def build(self, num_workers, damping):
         self.damping = damping
-        self.journal = _server(num_workers, damping, arena=True)
-        self.scan = _server(num_workers, damping, arena=False)
+        self.journal = _server(num_workers, damping)
+        self.scan = _server(num_workers, damping, oracle=True)
         self.sent = 0
 
     # -- the one operation both servers must agree on ------------------
@@ -169,9 +165,9 @@ class JournalVersusScan(RuleBasedStateMachine):
 
     @rule()
     def checkpoint_and_restore(self):
-        for attr, arena in (("journal", True), ("scan", False)):
+        for attr, oracle in (("journal", False), ("scan", True)):
             state = getattr(self, attr).checkpoint_state()
-            fresh = _server(1, self.damping, arena)
+            fresh = _server(1, self.damping, oracle)
             fresh.restore_state(state)
             setattr(self, attr, fresh)
 
@@ -247,7 +243,7 @@ def _coo(name, indices, values):
 
 
 def _pair(num_workers):
-    return _server(num_workers, False, arena=True), _server(num_workers, False, arena=False)
+    return _server(num_workers, False), _server(num_workers, False, oracle=True)
 
 
 def _both(servers, worker, payload, step=0):
@@ -331,6 +327,7 @@ def test_restored_residual_is_shipped_before_the_journal_serves():
         2,
         secondary_ratio=0.05,
         secondary_min_sparse_size=0,
+        dtype=np.float64,
     )
     update = OrderedDict([("w", _coo("w", range(0, 96, 3), np.arange(1.0, 33.0)))])
     source.handle(GradientMessage(0, update, 0))  # ships 5 of 32, keeps 27 back

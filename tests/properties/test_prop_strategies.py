@@ -45,7 +45,9 @@ def test_gradient_dropping_mass_conservation(grads, ratio, lr):
 def test_samomentum_dense_equals_vanilla(grads, lr, m):
     """R=100%: SAMomentum sends exactly the dense velocity every step."""
     shapes = OrderedDict([("w", (N,))])
-    strat = SAMomentumStrategy(shapes, TopKSparsifier(1.0, min_sparse_size=0), momentum=m)
+    strat = SAMomentumStrategy(
+        shapes, TopKSparsifier(1.0, min_sparse_size=0), momentum=m, dtype=np.float64
+    )
     u = np.zeros(N)
     for g in grads:
         g = np.asarray(g)
@@ -61,7 +63,9 @@ def test_samomentum_invariant_m_times_u_tracks_gradient_mass(grads, ratio, lr, m
     for a coordinate never selected so far, m·u_paper == η Σ∇ — and
     m·u_paper is what the strategy stores, so no m factor appears."""
     shapes = OrderedDict([("w", (N,))])
-    strat = SAMomentumStrategy(shapes, TopKSparsifier(ratio, min_sparse_size=0), momentum=m)
+    strat = SAMomentumStrategy(
+        shapes, TopKSparsifier(ratio, min_sparse_size=0), momentum=m, dtype=np.float64
+    )
     gsum = np.zeros(N)
     ever_sent = np.zeros(N, dtype=bool)
     for g in grads:

@@ -17,7 +17,7 @@ N = 12  # single layer of 12 params
 def _apply_random_schedule(draw_updates, sync_schedule, secondary=None):
     """Run a tracker against a list of (values, sync_worker|None) events."""
     shapes = OrderedDict([("w", (N,))])
-    tr = ModelDifferenceTracker(shapes, 2, secondary=secondary)
+    tr = ModelDifferenceTracker(shapes, 2, secondary=secondary, dtype=np.float64)
     worker_theta = [np.zeros(N), np.zeros(N)]
     for values, sync in zip(draw_updates, sync_schedule):
         tr.apply_update(OrderedDict([("w", encode_sparse(np.asarray(values)))]))

@@ -35,6 +35,7 @@ from repro.compression.coding import DenseTensor
 from repro.compression.terngrad import TernaryTensor
 from repro.core.arena import LayerArena
 from repro.core.layerops import add_payload, copy_payload
+from repro.core.reference import ReferenceTracker
 from repro.core.tracker import ModelDifferenceTracker
 from repro.nn.module import Parameter
 from repro.ps.messages import DiffMessage, GradientMessage, ModelMessage
@@ -181,7 +182,7 @@ def test_applying_the_float32_view_is_bitwise_the_widened_apply(data, pad):
     shapes = {"w": m32.shape}
 
     def arena_after(dtype, update):
-        tracker = ModelDifferenceTracker(shapes, 1, track_differences=False, arena=True, dtype=dtype)
+        tracker = ModelDifferenceTracker(shapes, 1, track_differences=False, dtype=dtype)
         np.copyto(tracker.M["w"], m32)
         tracker.apply_update({"w": update})
         return tracker.M["w"]
@@ -191,8 +192,8 @@ def test_applying_the_float32_view_is_bitwise_the_widened_apply(data, pad):
         assert got.dtype == dtype
         assert got.tobytes() == want.tobytes()
 
-    def dict_after(update):  # dict-of-float64 state
-        tracker = ModelDifferenceTracker(shapes, 1, track_differences=False, arena=False)
+    def dict_after(update):  # the parity oracle's dict-of-float64 state
+        tracker = ReferenceTracker(shapes, 1, track_differences=False)
         np.copyto(tracker.M["w"], m32)
         tracker.apply_update({"w": update})
         return tracker.M["w"]
@@ -248,16 +249,16 @@ def test_sparse_wire_values_are_owned_float32_and_apply_bitwise_as_widened(data,
     widened = cls(idx, v32.astype(np.float64), m32.shape)  # what the decoder used to hand over
     shapes = {"w": m32.shape}
 
-    def server_after(update, **state):
-        tracker = ModelDifferenceTracker(shapes, 1, track_differences=False, **state)
+    def server_after(update, cls=ModelDifferenceTracker, **state):
+        tracker = cls(shapes, 1, track_differences=False, **state)
         np.copyto(tracker.M["w"], m32)
         tracker.apply_update({"w": update})
         return tracker.M["w"]
 
     for state in (
-        dict(arena=True, dtype=np.float32),
-        dict(arena=True, dtype=np.float64),
-        dict(arena=False),  # dict-of-float64
+        dict(dtype=np.float32),
+        dict(dtype=np.float64),
+        dict(cls=ReferenceTracker),  # the parity oracle's dict-of-float64
     ):
         assert server_after(layer, **state).tobytes() == server_after(widened, **state).tobytes()
 

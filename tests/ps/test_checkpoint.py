@@ -22,7 +22,7 @@ from repro.exec.threaded import ThreadedTrainer
 from repro.ps.messages import GradientMessage
 
 
-def _server(num_workers=2, arena=False, num_shards=1, method="dgs"):
+def _server(num_workers=2, arena=True, num_shards=1, method="dgs", dtype=None):
     model = MLP(8, (12,), 3, seed=4)
     return build_server(
         get_method(method),
@@ -30,6 +30,7 @@ def _server(num_workers=2, arena=False, num_shards=1, method="dgs"):
         num_workers,
         Hyper(lr=0.1, momentum=0.7, ratio=0.25, min_sparse_size=0),
         arena=arena,
+        arena_dtype=dtype,
         num_shards=num_shards,
     )
 
@@ -129,6 +130,28 @@ class TestValidation:
         with pytest.raises(ValueError):
             load_checkpoint(other, path)
 
+    @pytest.mark.parametrize(
+        "saved,loaded", [("float64", None), (None, "float64")], ids=["f64-into-f32", "f32-into-f64"]
+    )
+    @pytest.mark.parametrize("num_shards", [1, 2])
+    def test_dtype_mismatch_rejected_before_any_state_is_touched(
+        self, tmp_path, saved, loaded, num_shards
+    ):
+        """Restoring float64 state into a float32 server would round ``M``
+        silently (and the reverse would pass float32 off as float64)."""
+        path = tmp_path / "c.ckpt"
+        source = _server(num_shards=num_shards, dtype=saved)
+        _advance(source, steps=3)
+        save_checkpoint(source, path)
+        target = _server(num_shards=num_shards, dtype=loaded)
+        _advance(target, steps=1)
+        before = _flat_state(target)
+        with pytest.raises(ValueError, match=r"float(32|64).*float(32|64)"):
+            load_checkpoint(target, path)
+        assert target.timestamp == 1
+        for got, want in zip(_flat_state(target), before, strict=True):
+            np.testing.assert_array_equal(got, want)
+
     def test_no_tmp_file_left_behind(self, tmp_path):
         path = tmp_path / "c.ckpt"
         save_checkpoint(_server(), path)
@@ -145,7 +168,6 @@ def _trainer(tiny_dataset, tiny_model_factory, iterations, num_workers=1, **fiel
         total_iterations=iterations * num_workers,
         hyper=Hyper(lr=0.1, momentum=0.0),
         seed=0,
-        arena=False,
         **fields,
     )
     return ThreadedTrainer(config)

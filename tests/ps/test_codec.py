@@ -296,7 +296,7 @@ class TestDecodedViews:
         later exchanges: they must survive the frame they arrived in."""
         from repro.core.tracker import ModelDifferenceTracker
 
-        tracker = ModelDifferenceTracker({"w": (40, 50)}, num_workers=1, arena=True)
+        tracker = ModelDifferenceTracker({"w": (40, 50)}, num_workers=1)
         arr = rng.normal(size=(40, 50))
         upload = OrderedDict([("w", encode_sparse(np.where(np.abs(arr) > 2.0, arr, 0.0)))])
         raw = encode_message(GradientMessage(0, upload, 0))

@@ -21,7 +21,7 @@ from repro.ps.membership import WorkerDirectory
 from repro.ps.messages import GradientMessage
 
 
-def _server(num_workers=2, arena=False, num_shards=1, method="dgs"):
+def _server(num_workers=2, arena=True, num_shards=1, method="dgs"):
     model = MLP(8, (12,), 3, seed=4)
     return build_server(
         get_method(method),

@@ -33,7 +33,7 @@ def _trainer(
     iterations_per_worker=20,
     **fields,
 ):
-    defaults = dict(num_workers=2, batch_size=16, hyper=HYPER, seed=0, arena=False)
+    defaults = dict(num_workers=2, batch_size=16, hyper=HYPER, seed=0)
     defaults.update(fields)
     config = RunConfig(
         method,
@@ -206,13 +206,18 @@ def test_mid_run_join_completes_with_correct_accounting(
 # -- the deployment CLI (python -m repro.ps) ----------------------------------
 def test_deployment_cli_builds_the_socket_backends_state():
     """``serve`` and ``worker`` build their state the way the socket
-    backend does, so they get ``RunConfig``'s defaults: arena state."""
+    backend does, so they get ``RunConfig``'s defaults: production state,
+    not the parity oracle."""
+    from repro.core.arena import LayerArena
+    from repro.core.reference import ReferenceSAMomentumStrategy, ReferenceTracker
     from repro.ps.__main__ import _parser, _serve_trainer, _worker_node
 
     trainer = _serve_trainer(_parser().parse_args(["serve", "--bind", "127.0.0.1:0"]))
     assert trainer.transport == "tcp"
-    assert trainer.server.tracker.arena
+    assert not isinstance(trainer.server.tracker, ReferenceTracker)
+    assert isinstance(trainer.server.tracker.M, LayerArena)
 
     node = _worker_node(_parser().parse_args(["worker", "--id", "1"]))
     assert node.worker_id == 1
-    assert node.strategy.arena
+    assert not isinstance(node.strategy, ReferenceSAMomentumStrategy)
+    assert isinstance(node.strategy.u, LayerArena)

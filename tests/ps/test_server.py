@@ -87,7 +87,7 @@ class TestDifferenceMode:
 class TestModelMode:
     def test_reply_is_full_model(self, rng):
         t0 = theta0(rng)
-        srv = ParameterServer(t0, 1, downstream="model")
+        srv = ParameterServer(t0, 1, downstream="model", dtype=np.float64)
         msg = grad_msg(rng)
         reply = srv.handle(msg)
         assert isinstance(reply, ModelMessage)
@@ -108,7 +108,7 @@ class TestModelMode:
 class TestGlobalModel:
     def test_matches_theta0_plus_M(self, rng):
         t0 = theta0(rng)
-        srv = ParameterServer(t0, 1, downstream="difference")
+        srv = ParameterServer(t0, 1, downstream="difference", dtype=np.float64)
         msg = grad_msg(rng)
         srv.handle(msg)
         model = srv.global_model()
@@ -125,7 +125,7 @@ class TestThreadSafety:
     def test_concurrent_handles_consistent(self, rng):
         """Total M must equal the sum of all applied updates regardless of
         thread interleaving."""
-        srv = ParameterServer(theta0(rng), 4, downstream="difference")
+        srv = ParameterServer(theta0(rng), 4, downstream="difference", dtype=np.float64)
         msgs = [grad_msg(np.random.default_rng(i), worker=i % 4) for i in range(40)]
         expected = np.zeros(SHAPES["w"])
         for m in msgs:

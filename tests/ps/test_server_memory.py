@@ -69,12 +69,12 @@ class TestDifferenceScratch:
     shapes = OrderedDict([("w", (64, 32)), ("b", (32,))])
 
     def test_asgd_tracker_has_no_difference_scratch(self):
-        tracker = ModelDifferenceTracker(self.shapes, 2, track_differences=False, arena=True)
+        tracker = ModelDifferenceTracker(self.shapes, 2, track_differences=False)
         assert tracker._diff is None
         assert tracker.server_state_bytes() == tracker.M.flat.nbytes
 
     def test_dgs_tracker_keeps_its_scratch(self):
-        tracker = ModelDifferenceTracker(self.shapes, 2, arena=True)
+        tracker = ModelDifferenceTracker(self.shapes, 2)
         assert isinstance(tracker._diff, LayerArena)
         assert tracker._diff.same_layout(tracker.M)
 
@@ -90,7 +90,6 @@ def _config(dataset, method="asgd", **fields):
         total_iterations=2 * 6,
         hyper=HYPER,
         seed=0,
-        arena=True,
         **fields,
     )
 
@@ -156,7 +155,7 @@ def test_engines_receive_theta0_as_read_only_views(dataset, monkeypatch):
     SimulatedTrainer(
         RunConfig(
             "asgd", _factory, dataset, num_workers=2, batch_size=16, total_iterations=4,
-            hyper=HYPER, cluster=ClusterConfig(num_workers=2), arena=True,
+            hyper=HYPER, cluster=ClusterConfig(num_workers=2),
         )
     )
     assert len(seen) == 4
@@ -170,11 +169,11 @@ def _sequential_oracle(dataset, iterations):
     """One worker against the server, built the way the engines did before
     θ0 became views: θ0 and the evaluation model are separate copies."""
     method = resolve_method("dgs")
-    server = build_server(method, parameters_of(_factory()), 1, HYPER, arena=True)
+    server = build_server(method, parameters_of(_factory()), 1, HYPER)
     loader = DataLoader(dataset, 16, seed=5)
     (node,) = build_workers(
         1, _factory, loader, method, HYPER, resolve_schedule(None, HYPER),
-        parameters_of(_factory()), arena=True,
+        parameters_of(_factory()),
     )
     losses = []
     for _ in range(iterations):
@@ -190,7 +189,7 @@ def test_threaded_trainer_is_bitwise_the_sequential_oracle(dataset):
     trainer = ThreadedTrainer(
         RunConfig(
             "dgs", _factory, dataset, num_workers=1, batch_size=16, total_iterations=12,
-            hyper=HYPER, seed=5, arena=True,
+            hyper=HYPER, seed=5,
         )
     )
     assert not hasattr(trainer, "eval_model")
@@ -207,7 +206,7 @@ def test_sync_trainer_is_bitwise_the_barrier_oracle(dataset):
     result = SynchronousTrainer(
         RunConfig(
             "dgs", _factory, dataset, num_workers=2, batch_size=16, total_iterations=8 * 2,
-            hyper=HYPER, seed=5, cluster=cluster, arena=True,
+            hyper=HYPER, seed=5, cluster=cluster,
         )
     ).run()
 
@@ -218,7 +217,7 @@ def test_sync_trainer_is_bitwise_the_barrier_oracle(dataset):
     workers = [
         WorkerNode(
             w, model, loader.worker_iterator(w, 2),
-            method.make_strategy(shapes, HYPER, arena=True),
+            method.make_strategy(shapes, HYPER),
             schedule=resolve_schedule(None, HYPER),
         )
         for w in range(2)
@@ -257,7 +256,7 @@ dataset = make_blobs(200, num_classes=4, dim=8, seed=1)
 for backend in ("socket", "simulated"):
     config = RunConfig(
         method="asgd", model_factory=lambda: MLP(8, (16,), 4, seed=3), dataset=dataset,
-        num_workers=2, batch_size=8, total_iterations=8, hyper=Hyper(lr=0.05), arena=True,
+        num_workers=2, batch_size=8, total_iterations=8, hyper=Hyper(lr=0.05),
     )
     result = Trainer(config, backend=backend).run()
     assert result.staleness_p99 == result.staleness_p99, backend  # measured, not NaN

@@ -129,8 +129,9 @@ class TestShardedAccounting:
             assert "shard" not in record["labels"]
 
     def test_state_bytes_cached_and_partitioned(self):
-        plain = ParameterServer(_theta0(), 2)
-        sharded = ShardedParameterServer(_theta0(), 2, 3)
+        # secondary compression keeps every v_k, so the state's size is fixed
+        plain = ParameterServer(_theta0(), 2, secondary_ratio=0.5)
+        sharded = ShardedParameterServer(_theta0(), 2, 3, secondary_ratio=0.5)
         before = sharded.server_state_bytes()
         _drive(sharded)
         assert sharded.server_state_bytes() == before == plain.server_state_bytes()
@@ -186,10 +187,10 @@ class TestThreadIsolation:
     @staticmethod
     def _setup():
         server = ShardedParameterServer(
-            _theta0(), 2, 4, secondary_ratio=0.25, secondary_min_sparse_size=0, arena=True
+            _theta0(), 2, 4, secondary_ratio=0.25, secondary_min_sparse_size=0
         )
         strategies = [
-            SAMomentumStrategy(SHAPES, TopKSparsifier(0.25, min_sparse_size=0), 0.7, arena=True)
+            SAMomentumStrategy(SHAPES, TopKSparsifier(0.25, min_sparse_size=0), 0.7)
             for _ in range(2)
         ]
         rng = np.random.default_rng(3)
@@ -273,7 +274,7 @@ class TestShardIsolation:
 
     @staticmethod
     def _arena_server():
-        return ShardedParameterServer(_theta0(), 1, 4, arena=True)
+        return ShardedParameterServer(_theta0(), 1, 4)
 
     def test_shard_arena_views_never_alias(self):
         shard_layers = [
@@ -316,7 +317,6 @@ class TestShardedProcessBackend:
                 hyper=Hyper(lr=0.1, momentum=0.7, ratio=0.1, min_sparse_size=0),
                 seed=0,
                 num_shards=num_shards,
-                arena=False,
             )
             return RemoteTrainer(config, "pipe").run()
 

@@ -17,7 +17,6 @@ def _trainer(method, tiny_dataset, tiny_model_factory, num_workers, iterations_p
         batch_size=16,
         total_iterations=iterations_per_worker * num_workers,
         seed=0,
-        arena=False,
         **fields,
     )
     return ThreadedTrainer(config)

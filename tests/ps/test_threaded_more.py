@@ -12,7 +12,7 @@ HYPER = Hyper(lr=0.1, momentum=0.7, ratio=0.1, secondary_ratio=0.1, min_sparse_s
 
 def make(tiny_dataset, tiny_model_factory, **kw):
     defaults = dict(
-        num_workers=3, batch_size=16, total_iterations=3 * 15, hyper=HYPER, seed=0, arena=False
+        num_workers=3, batch_size=16, total_iterations=3 * 15, hyper=HYPER, seed=0
     )
     defaults.update(kw)
     return ThreadedTrainer(RunConfig("dgs", tiny_model_factory, tiny_dataset, **defaults))

@@ -83,7 +83,7 @@ class TestState:
         sam = SAMomentumStrategy(shapes, TopKSparsifier(0.1), 0.7)
         node2 = WorkerNode(1, node.model, node.batches, sam)
         assert node2.worker_state_bytes() == sum(
-            int(np.prod(s)) * 8 for s in shapes.values()
+            int(np.prod(s)) * np.dtype(np.float32).itemsize for s in shapes.values()
         )
 
     def test_lr_follows_schedule(self, node):

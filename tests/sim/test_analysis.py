@@ -37,7 +37,6 @@ def simulate(ds, factory, cl, method="asgd", iters=200):
     config = RunConfig(
         method, factory, ds, num_workers=cl.num_workers, batch_size=16, total_iterations=iters,
         hyper=Hyper(lr=0.1, momentum=0.7, ratio=0.1, min_sparse_size=0), seed=0, cluster=cl,
-        arena=False,
     )
     r = SimulatedTrainer(config).run()
     per_up = r.upload_bytes / r.total_iterations

@@ -15,7 +15,6 @@ def make_trainer(tiny_dataset, tiny_model_factory, method="dgs", **kw):
         total_iterations=60,
         hyper=Hyper(lr=0.1, momentum=0.7, ratio=0.1, min_sparse_size=0),
         seed=0,
-        arena=False,
     )
     defaults.update(kw)
     num_workers = defaults["cluster"].num_workers

@@ -17,7 +17,6 @@ def make(tiny_dataset, tiny_model_factory, **kw):
         total_iterations=120,
         hyper=HYPER,
         seed=0,
-        arena=False,
     )
     defaults.update(kw)
     return SimulatedTrainer(

@@ -14,7 +14,6 @@ def make(tiny_dataset, tiny_model_factory, method="asgd", rounds=40, **kw):
         batch_size=16,
         hyper=Hyper(lr=0.1, momentum=0.7, ratio=0.1, min_sparse_size=0),
         seed=0,
-        arena=False,
     )
     defaults.update(kw)
     n = defaults["cluster"].num_workers
@@ -39,6 +38,13 @@ class TestSyncBasics:
     def test_invalid_rounds(self, tiny_dataset, tiny_model_factory):
         with pytest.raises(ValueError):
             make(tiny_dataset, tiny_model_factory, rounds=0)
+
+    @pytest.mark.parametrize("method", ["terngrad", "qsgd"])
+    def test_quantised_uploads_are_aggregated(self, tiny_dataset, tiny_model_factory, method):
+        """Payloads without ``add_into`` (TernGrad, QSGD) are summed into the
+        aggregation arena through ``to_dense`` at its dtype."""
+        r = make(tiny_dataset, tiny_model_factory, method=method, rounds=5).run()
+        assert r.rounds == 5 and np.isfinite(r.final_loss)
 
     def test_sparse_ssgd_gradient_dropping(self, tiny_dataset, tiny_model_factory):
         """GD was originally a synchronous method (§2) — it must train here."""
@@ -89,7 +95,7 @@ class TestBarrierEffects:
                 "asgd", tiny_model_factory, tiny_dataset, num_workers=4,
                 batch_size=16, total_iterations=80,
                 hyper=Hyper(lr=0.1, momentum=0.7, ratio=0.1, min_sparse_size=0), seed=0,
-                cluster=cluster, arena=False,
+                cluster=cluster,
             )
         ).run()
         # Equal sample budgets: async should push samples faster.

@@ -23,7 +23,7 @@ def cluster(n=2, gbps=10, mean=0.05, het=0.0):
 def sync(method, tiny_dataset, tiny_model_factory, cl, rounds, hyper):
     config = RunConfig(
         method, tiny_model_factory, tiny_dataset, num_workers=cl.num_workers, batch_size=16,
-        total_iterations=rounds * cl.num_workers, hyper=hyper, seed=0, cluster=cl, arena=False,
+        total_iterations=rounds * cl.num_workers, hyper=hyper, seed=0, cluster=cl,
     )
     return SynchronousTrainer(config)
 

@@ -52,7 +52,6 @@ def trace(tiny_dataset_mod, tiny_factory_mod):
         tracer=tracer,
         seed=0,
         cluster=ClusterConfig.with_bandwidth(4, 0.01, compute_mean_s=0.03),
-        arena=False,
     )
     SimulatedTrainer(config).run()
     # Each exchange emits send → handle → recv, then the compute span that

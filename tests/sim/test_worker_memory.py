@@ -54,7 +54,6 @@ def _held(dataset, num_workers):
             total_iterations=3 * num_workers,
             hyper=HYPER,
             cluster=ClusterConfig.with_bandwidth(num_workers, 10, compute_mean_s=0.05),
-            arena=True,
         )
         trainer = SimulatedTrainer(config)
         trainer.run()
@@ -85,7 +84,7 @@ def _node(method):
     model = MLP(8, (12,), 3, seed=1)
     batches = BatchIterator(ds.x_train, ds.y_train, 16, seed=0)
     hyper = Hyper(ratio=0.1, min_sparse_size=0)
-    strategy = get_method(method).make_strategy(layer_shapes(model), hyper, arena=True)
+    strategy = get_method(method).make_strategy(layer_shapes(model), hyper)
     return WorkerNode(0, model, batches, strategy, schedule=ConstantLR(0.1))
 
 
