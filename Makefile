@@ -33,9 +33,15 @@ sanitize-smoke:
 test:
 	$(PYTHON) -m pytest -x -q
 
-## Quarter-scale pass over every paper table/figure (~2 min).
+## Numerics tripwire (~90 s on 2 cores): every paper table/figure at
+## --fast, each markdown report byte-compared with the sha256 recorded in
+## benchmarks/results/FAST_DIGESTS.json.  Re-record an intended change with:
+##   python benchmarks/check_fast_digests.py .bench-smoke --update
 bench-smoke:
-	REPRO_SCALE=fast $(PYTHON) -m pytest benchmarks/ --benchmark-only -q
+	rm -rf .bench-smoke
+	$(PYTHON) -m repro run all --fast --out .bench-smoke > /dev/null
+	$(PYTHON) benchmarks/check_fast_digests.py .bench-smoke
+	rm -rf .bench-smoke
 
 ## Hot-path kernel regression gate: measured speedup ratios must stay
 ## within 1.3x of the committed benchmarks/BENCH_kernels.json baseline.

@@ -1,17 +1,25 @@
-"""Command-line interface: regenerate any paper table/figure.
+"""Command-line interface: regenerate any paper table/figure and check
+the paper's claims on it.
 
 Usage::
 
-    python -m repro list                      # show available experiments
-    python -m repro run table2 [--fast]       # regenerate Table 2
-    python -m repro run fig6 --out report.md  # save markdown
-    python -m repro run all --fast            # everything (smoke scale)
+    python -m repro list                       # show available experiments
+    python -m repro run table2 [--fast]        # regenerate Table 2
+    python -m repro run fig6 --out results/    # also write fig6_speedup.md/.txt/_speedup.svg
+    python -m repro run all --out benchmarks/results   # the committed result set
+    python -m repro run all --fast             # everything (smoke scale)
+
+Each experiment prints its report, then one ``PASS``/``FAIL`` line per
+claim of the paper it checks.  Claims are evaluated at every scale, but
+only a full-scale run exits 1 on a ``FAIL``: ``--fast`` runs too little
+training for the paper's shapes to hold.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import pathlib
 import sys
 import time
 
@@ -46,7 +54,12 @@ def main(argv: list[str] | None = None) -> int:
     run_p = sub.add_parser("run", help="run one experiment (or 'all')")
     run_p.add_argument("experiment", choices=[*EXPERIMENTS, "all"])
     run_p.add_argument("--fast", action="store_true", help="quarter-scale smoke run")
-    run_p.add_argument("--out", help="also write the markdown report to this file")
+    run_p.add_argument(
+        "--out",
+        metavar="DIR",
+        help="also write each experiment's <module>.md, <module>.txt and "
+        "<module>_<figure>.svg files into DIR",
+    )
     run_p.add_argument(
         "--sanitize",
         action="store_true",
@@ -156,7 +169,11 @@ def main(argv: list[str] | None = None) -> int:
                 report = module.run(fast=args.fast)
             elapsed = time.perf_counter() - t0
             print(report.render())
+            for text, holds in report.claims:
+                print(f"{'PASS' if holds else 'FAIL'}  {name}: {text}")
             print(f"[{name}: {elapsed:.1f}s]\n", file=sys.stderr)
+            if args.out:
+                _write_report(args.out, module, report)
             reports.append(report)
     wall_elapsed = time.perf_counter() - wall_t0
 
@@ -200,10 +217,23 @@ def main(argv: list[str] | None = None) -> int:
             )
 
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write("\n\n".join(r.markdown() for r in reports) + "\n")
-        print(f"wrote {args.out}", file=sys.stderr)
-    return 0
+        print(f"wrote {len(reports)} report(s) to {args.out}", file=sys.stderr)
+    failed = sum(not holds for report in reports for _, holds in report.claims)
+    if failed:
+        scale = "smoke scale, not gating" if args.fast else "full scale"
+        print(f"{failed} claim(s) FAIL ({scale})", file=sys.stderr)
+    return 1 if failed and not args.fast else 0
+
+
+def _write_report(out_dir: str, module, report) -> None:
+    """``<module>.md``, ``<module>.txt`` and one SVG per figure, in ``out_dir``."""
+    out = pathlib.Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    stem = module.__name__.rsplit(".", 1)[1]
+    (out / f"{stem}.md").write_text(report.markdown() + "\n")
+    (out / f"{stem}.txt").write_text(report.render() + "\n")
+    for figure, svg in report.svgs.items():
+        (out / f"{stem}_{figure}.svg").write_text(svg)
 
 
 if __name__ == "__main__":

@@ -37,9 +37,8 @@ from .frames import (
     decode_frame,
     encode_frame,
 )
-from .service import ServerService  # the server side lives in comm.service now
 
-__all__ = ["Channel", "ChannelClosed", "ServerService", "InProcChannel"]
+__all__ = ["Channel", "ChannelClosed", "InProcChannel"]
 
 
 class ChannelClosed(RuntimeError):
@@ -83,8 +82,6 @@ class InProcChannel:
         self.tracer = tracer
         #: the worker's final close frame (accounting source for trainers)
         self.close_frame: "CloseFrame | None" = None
-        #: telemetry shipped before close (unused in-process; kept for parity)
-        self.telemetry_frame: "TelemetryFrame | None" = None
         self._pending: "Frame | None" = None
         self._closed = False
 
@@ -101,8 +98,7 @@ class InProcChannel:
             self.close_frame = frame
             return
         if isinstance(frame, TelemetryFrame):
-            self.telemetry_frame = frame
-            return
+            return  # diagnostic side channel: nothing to dispatch in-process
         if isinstance(frame, ControlFrame):
             # Membership handshake, synchronous like everything in-process:
             # a join's ModelFrame reply becomes the pending recv.

@@ -109,13 +109,6 @@ KIND_CLOSE = 3
 KIND_TELEMETRY = 4
 KIND_CONTROL = 5
 
-_KIND_GRADIENT = KIND_GRADIENT
-_KIND_DIFF = KIND_DIFF
-_KIND_MODEL = KIND_MODEL
-_KIND_CLOSE = KIND_CLOSE
-_KIND_TELEMETRY = KIND_TELEMETRY
-_KIND_CONTROL = KIND_CONTROL
-
 _TELEMETRY = struct.Struct("<iI")  # worker_id, body length
 _CONTROL = struct.Struct("<iB")  # worker_id, op
 
@@ -304,11 +297,11 @@ def encode_frame(frame: Frame) -> "bytes | bytearray":
     """
     if isinstance(frame, GradientFrame):
         raw = encode_message(frame.message, reserve=_HEADER.size + _LOSS.size)
-        _HEADER.pack_into(raw, 0, FRAME_MAGIC, _KIND_GRADIENT, frame.shard)
+        _HEADER.pack_into(raw, 0, FRAME_MAGIC, KIND_GRADIENT, frame.shard)
         _LOSS.pack_into(raw, _HEADER.size, frame.loss)
         return raw
     if isinstance(frame, (DiffFrame, ModelFrame)):
-        kind = _KIND_DIFF if isinstance(frame, DiffFrame) else _KIND_MODEL
+        kind = KIND_DIFF if isinstance(frame, DiffFrame) else KIND_MODEL
         raw = encode_message(frame.message, reserve=_HEADER.size + _STALENESS.size)
         _HEADER.pack_into(raw, 0, FRAME_MAGIC, kind, frame.shard)
         _STALENESS.pack_into(raw, _HEADER.size, frame.message.staleness)
@@ -319,12 +312,12 @@ def encode_frame(frame: Frame) -> "bytes | bytearray":
             ensure_ascii=False,
         ).encode("utf-8")
         return (
-            _HEADER.pack(FRAME_MAGIC, _KIND_TELEMETRY, -1)
+            _HEADER.pack(FRAME_MAGIC, KIND_TELEMETRY, -1)
             + _TELEMETRY.pack(frame.worker_id, len(body))
             + body
         )
     if isinstance(frame, ControlFrame):
-        return _HEADER.pack(FRAME_MAGIC, _KIND_CONTROL, -1) + _CONTROL.pack(
+        return _HEADER.pack(FRAME_MAGIC, KIND_CONTROL, -1) + _CONTROL.pack(
             frame.worker_id, _CONTROL_OPS.index(frame.op)
         )
     if isinstance(frame, CloseFrame):
@@ -332,7 +325,7 @@ def encode_frame(frame: Frame) -> "bytes | bytearray":
         samples = -1 if frame.samples_processed is None else frame.samples_processed
         state = -1 if frame.worker_state_bytes is None else frame.worker_state_bytes
         return (
-            _HEADER.pack(FRAME_MAGIC, _KIND_CLOSE, -1)
+            _HEADER.pack(FRAME_MAGIC, KIND_CLOSE, -1)
             + _CLOSE.pack(frame.worker_id, samples, state)
             + _ERR_LEN.pack(len(err))
             + err
@@ -364,21 +357,21 @@ def _decode_frame(buf: memoryview) -> Frame:
     if magic != FRAME_MAGIC:
         raise ValueError("bad magic: not a repro.comm frame")
     off = _HEADER.size
-    if kind == _KIND_GRADIENT:
+    if kind == KIND_GRADIENT:
         (loss,) = _LOSS.unpack_from(buf, off)
         msg = decode_message(buf[off + _LOSS.size :])
         if not isinstance(msg, GradientMessage):
             raise ValueError("gradient frame wraps a non-gradient message")
         return GradientFrame(msg, loss, shard=shard)
-    if kind in (_KIND_DIFF, _KIND_MODEL):
+    if kind in (KIND_DIFF, KIND_MODEL):
         (staleness,) = _STALENESS.unpack_from(buf, off)
         msg = decode_message(buf[off + _STALENESS.size :])
-        expected = DiffMessage if kind == _KIND_DIFF else ModelMessage
+        expected = DiffMessage if kind == KIND_DIFF else ModelMessage
         if not isinstance(msg, expected):
             raise ValueError(f"frame kind {kind} wraps a {type(msg).__name__}")
         msg.staleness = staleness  # the codec header has no staleness slot
         return reply_frame(msg, shard=shard)
-    if kind == _KIND_CLOSE:
+    if kind == KIND_CLOSE:
         worker, samples, state = _CLOSE.unpack_from(buf, off)
         off += _CLOSE.size
         (err_len,) = _ERR_LEN.unpack_from(buf, off)
@@ -390,7 +383,7 @@ def _decode_frame(buf: memoryview) -> Frame:
             worker_state_bytes=state if state >= 0 else None,
             error=error,
         )
-    if kind == _KIND_TELEMETRY:
+    if kind == KIND_TELEMETRY:
         worker, body_len = _TELEMETRY.unpack_from(buf, off)
         off += _TELEMETRY.size
         if len(buf) < off + body_len:
@@ -401,7 +394,7 @@ def _decode_frame(buf: memoryview) -> Frame:
             spans=tuple(body.get("spans", [])),
             metrics=tuple(body.get("metrics", [])),
         )
-    if kind == _KIND_CONTROL:
+    if kind == KIND_CONTROL:
         worker, op = _CONTROL.unpack_from(buf, off)
         if op >= len(_CONTROL_OPS):
             raise ValueError(f"unknown control op byte {op}")

@@ -29,10 +29,11 @@ the per-shard locks inside ``handle``, shard-addressed frames go to
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 from multiprocessing.connection import wait
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING, Callable, Mapping
 
 from ..compression.stats import CompressionStats
 from .frames import (
@@ -69,11 +70,47 @@ class ServerService:
     def __init__(self, server: "ParameterServer", membership: "object | None" = None) -> None:
         self.server = server
         self.membership = membership
+        nodes = getattr(server, "shards", None)
+        #: layer name → shape a whole-server frame may carry, and the same
+        #: per shard ([] unsharded); read off θ0, which needs no lock
+        self.layers = dict(server.partition.shapes) if nodes else _shapes(server.theta0)
+        self.shard_layers = [_shapes(node.theta0) for node in nodes or ()]
+        #: shard-addressed sub-frames that make one split step
+        self.num_shards = max(1, len(self.shard_layers))
+
+    def check(self, payload: "Mapping[str, object]", shard: int = -1) -> None:
+        """Raise ``ValueError`` unless ``payload`` fits the server's layers.
+
+        A decodable frame can still name a layer the server does not hold,
+        carry a layer of the wrong shape, or index past a layer's end; each
+        would fail half-way through an update.  Checked before any state
+        changes, so a bad frame costs only the channel that sent it.
+        """
+        if shard >= 0:
+            if shard >= len(self.shard_layers):
+                raise ValueError(f"shard {shard} out of range for {len(self.shard_layers)} shards")
+            layers = self.shard_layers[shard]
+        else:
+            layers = self.layers
+        for name, layer in payload.items():
+            shape = layers.get(name)
+            if shape is None:
+                raise ValueError(f"unknown layer {name!r}")
+            if tuple(layer.shape) != shape:
+                raise ValueError(f"layer {name!r} has shape {tuple(layer.shape)}, server holds {shape}")
+            indices = getattr(layer, "indices", None)
+            if indices is not None and len(indices) and not (
+                0 <= indices.min() and indices.max() < math.prod(shape)
+            ):
+                raise ValueError(f"layer {name!r} indexes outside its {math.prod(shape)} elements")
 
     def __call__(self, frame: GradientFrame, shard: "int | None" = None):
         """Dispatch one gradient frame; ``shard`` overrides the frame's own
-        shard slot when a byte transport already peeked it off the header."""
+        shard slot when a byte transport already peeked it off the header.
+        A payload that does not fit the server's layers raises ``ValueError``
+        (see :meth:`check`) and changes nothing."""
         shard = getattr(frame, "shard", -1) if shard is None else shard
+        self.check(frame.message.payload, shard)
         if shard >= 0:
             # Shard-addressed frame (routed off the header by the
             # transport): dispatch straight to that shard and stamp the
@@ -109,6 +146,10 @@ class ServerService:
         self.server.register_lock(registry)
         if self.membership is not None and hasattr(self.membership, "register_lock"):
             self.membership.register_lock(registry)
+
+
+def _shapes(theta0: "Mapping[str, object]") -> "dict[str, tuple]":
+    return {name: theta0[name].shape for name in theta0}
 
 
 @dataclass
@@ -169,9 +210,10 @@ def serve_channels(
       channel; ``stats`` records the analytic byte accounting and
       ``on_loss`` sees each frame's training loss after the reply ships.
     * **close** frames settle a worker's final accounting; a channel that
-      dies *without* one (EOF / EPIPE) or delivers bytes that do not
-      decode is a crash of *that* channel and becomes an error on the
-      report — a graceful partial result, never a hang, and never the end
+      dies *without* one (EOF / EPIPE), delivers bytes that do not
+      decode, or sends a frame that does not fit the server's layers
+      (:meth:`ServerService.check`) is a crash of *that* channel and
+      becomes an error on the report — a graceful partial result, never a hang, and never the end
       of service for the other workers.
     * **telemetry** frames are absorbed onto the report (no reply).
     * **control** frames run the membership handshake via
@@ -200,17 +242,13 @@ def serve_channels(
     once).
     """
     report = ServeReport()
-    # Duck-typed service: plain callables (tests, adapters) lack the
-    # membership/control surface and take no shard keyword.
-    membership = getattr(service, "membership", None)
-    full_service = isinstance(service, ServerService)
+    membership = service.membership
     open_channels = {ch.waitable: ch for ch in channels}
     worker_ids: "dict[object, int]" = {}  # waitable → last known worker id
     last_seen = {w: time.monotonic() for w in open_channels}
     expected = len(channels) if expected_closes is None else expected_closes
     terminated = 0
-    #: sub-frames that make one split step, and the replies waiting for the rest
-    step_frames = getattr(getattr(service, "server", None), "num_shards", 1)
+    #: replies to a split step's sub-frames, waiting for the rest of the step
     held: "dict[object, list]" = {}
     poll = None if straggler_timeout_s is None else max(straggler_timeout_s / 4.0, 0.01)
 
@@ -300,10 +338,16 @@ def serve_channels(
                 terminated += 1
                 continue
             worker_ids[obj] = frame.worker_id
+            try:
+                reply = service(frame, shard=shard)
+            except ValueError as exc:
+                # A frame that does not fit the server's layers is, like
+                # undecodable bytes, that peer's failure: nothing was applied.
+                _crash(obj, channel, f"sent a frame the server cannot apply: {exc} (crash)")
+                terminated += 1
+                continue
             if stats is not None:
                 stats.record_upload(frame.nbytes(), frame.dense_nbytes())
-            reply = service(frame, shard=shard) if full_service else service(frame)
-            if stats is not None:
                 stats.record_download(reply.nbytes(), reply.dense_nbytes())
             # A step split into sub-frames is answered once its last
             # sub-frame is handled: both ends write blocking and a sub-frame
@@ -311,7 +355,7 @@ def serve_channels(
             # still writing the next sub-frame would never finish.
             replies = held.pop(obj, [])
             replies.append((reply, shard, frame.loss))
-            if shard >= 0 and len(replies) < step_frames:
+            if shard >= 0 and len(replies) < service.num_shards:
                 held[obj] = replies
                 continue
             try:

@@ -23,8 +23,8 @@ from typing import TYPE_CHECKING
 from ..compression.stats import CompressionStats
 from ..obs import names as obs_names
 from ..obs.tracer import current_tracer
-from .channel import ServerService
 from .frames import DiffFrame, GradientFrame, ModelFrame
+from .service import ServerService
 
 if TYPE_CHECKING:
     from ..sim.network import SharedLink

@@ -18,8 +18,8 @@ import heapq
 
 import numpy as np
 
-from ..comm.channel import ServerService
 from ..comm.frames import GradientFrame
+from ..comm.service import ServerService
 from ..comm.sim import SimChannel, SimTransport
 from ..core.layerops import parameter_views
 from ..data.loader import DataLoader

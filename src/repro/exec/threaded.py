@@ -12,8 +12,9 @@ from __future__ import annotations
 import threading
 import time
 
-from ..comm.channel import InProcChannel, ServerService
+from ..comm.channel import InProcChannel
 from ..comm.protocol import run_worker_loop
+from ..comm.service import ServerService
 from ..core.layerops import assign_parameters, parameter_views
 from ..data.loader import DataLoader
 from ..metrics.curves import Curve

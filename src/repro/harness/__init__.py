@@ -5,7 +5,6 @@ from .config import (
     WORKLOADS,
     WorkloadSpec,
     get_workload,
-    is_fast_mode,
     paper_cluster,
 )
 from .local import LocalResult, LocalTrainer
@@ -18,7 +17,6 @@ __all__ = [
     "get_workload",
     "paper_cluster",
     "RESNET18_WIRE_BYTES",
-    "is_fast_mode",
     "LocalTrainer",
     "LocalResult",
     "run_distributed",

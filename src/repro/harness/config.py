@@ -14,7 +14,6 @@ the deployment even though the compute model is micro-sized.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -32,16 +31,10 @@ __all__ = [
     "get_workload",
     "paper_cluster",
     "RESNET18_WIRE_BYTES",
-    "is_fast_mode",
 ]
 
 #: dense wire size of ResNet-18 (46 MB, §5.6.2 footnote)
 RESNET18_WIRE_BYTES = 46 * 1024 * 1024
-
-
-def is_fast_mode() -> bool:
-    """Small problem sizes for CI/tests (set REPRO_SCALE=fast)."""
-    return os.environ.get("REPRO_SCALE", "").lower() == "fast"
 
 
 @dataclass(frozen=True)
@@ -55,8 +48,7 @@ class WorkloadSpec:
     epochs: int
     hyper: Hyper
 
-    def dataset(self, fast: bool | None = None) -> Dataset:
-        fast = is_fast_mode() if fast is None else fast
+    def dataset(self, fast: bool = False) -> Dataset:
         return self.make_dataset(4 if fast else 1)
 
     def model_factory(self, seed: int = 0) -> Callable[[], Module]:
@@ -68,7 +60,7 @@ class WorkloadSpec:
         base = self.hyper.lr if lr is None else lr
         return StepDecay(base, milestones=(0.6 * total, 0.8 * total), factor=0.1)
 
-    def total_iterations(self, num_workers: int, epochs: int | None = None, fast: bool | None = None) -> int:
+    def total_iterations(self, num_workers: int, epochs: int | None = None, fast: bool = False) -> int:
         """Global iteration count covering ``epochs`` passes over the data."""
         ds = self.dataset(fast)
         total = self.epochs if epochs is None else epochs

@@ -1,7 +1,11 @@
 """One runner module per paper table/figure (see DESIGN.md §4).
 
 Each module exposes ``run(fast: bool = False, seeds: tuple[int, ...] = ...)``
-returning an :class:`~repro.harness.report.ExperimentReport`.
+returning an :class:`~repro.harness.report.ExperimentReport`.  The default
+seeds are the ones the committed ``benchmarks/results`` files used, and the
+report records the paper's shape claims (``report.claim``), evaluated on the
+run's own numbers; ``python -m repro run`` prints them and, at full scale,
+exits 1 on a failed one.
 """
 
 from . import (

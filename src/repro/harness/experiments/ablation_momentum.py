@@ -13,15 +13,14 @@ from dataclasses import replace
 
 from ..config import get_workload
 from ..report import ExperimentReport
-from .common import mean_accuracy, resolve_fast, scaled_batch
+from .common import mean_accuracy, scaled_batch
 
 __all__ = ["run"]
 
 MOMENTA = (0.3, 0.45, 0.6, 0.7)
 
 
-def run(fast: bool | None = None, seeds: tuple[int, ...] = (0, 1)) -> ExperimentReport:
-    fast = resolve_fast(fast)
+def run(fast: bool = False, seeds: tuple[int, ...] = (0,)) -> ExperimentReport:
     num_workers = 4 if fast else 16
     if fast:
         seeds = seeds[:1]
@@ -33,10 +32,14 @@ def run(fast: bool | None = None, seeds: tuple[int, ...] = (0, 1)) -> Experiment
         title=f"DGS accuracy vs momentum at {num_workers} workers",
         headers=("Momentum", "Top-1 Accuracy"),
     )
+    accs = {}
     for m in MOMENTA:
         hyper = replace(wl.hyper, momentum=m)
         acc, std = mean_accuracy("dgs", wl, num_workers, seeds, fast, batch_size=bs, hyper=hyper)
         report.add_row(f"{m:.2f}", f"{100 * acc:.2f}% ± {100 * std:.2f}")
+        accs[m] = 100 * acc
+    best_low = max(acc for m, acc in accs.items() if m <= 0.45)
+    report.claim("the best momentum ≤ 0.45 ≥ momentum 0.7 − 0.5 pt", best_low >= accs[0.7] - 0.5)
     report.add_note(
         "Expected shape: accuracy degrades as momentum grows past ~0.45 at high worker "
         "counts (asynchrony adds implicit momentum — Mitliagkas et al., cited as [19])."

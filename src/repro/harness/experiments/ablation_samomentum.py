@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from ..config import get_workload
 from ..report import ExperimentReport
-from .common import METHOD_LABELS, mean_accuracy, resolve_fast
+from .common import METHOD_LABELS, mean_accuracy
 
 __all__ = ["run"]
 
@@ -21,8 +21,7 @@ COMPARISONS = (
 )
 
 
-def run(fast: bool | None = None, seeds: tuple[int, ...] = (0, 1, 2)) -> ExperimentReport:
-    fast = resolve_fast(fast)
+def run(fast: bool = False, seeds: tuple[int, ...] = (0, 1)) -> ExperimentReport:
     if fast:
         seeds = seeds[:1]
     wl = get_workload("cifar10")
@@ -43,6 +42,8 @@ def run(fast: bool | None = None, seeds: tuple[int, ...] = (0, 1, 2)) -> Experim
         report.add_row(
             f"{METHOD_LABELS[treat]} − {METHOD_LABELS[base]}", f"{delta:+.2f} pts", what
         )
+    # DGS = GD-async + SAMomentum, so this isolates SAMomentum.
+    report.claim("DGS > GD-async − 0.25 pt", 100 * accs["dgs"] > 100 * accs["gd_async"] - 0.25)
     report.add_note(
         "Expected shape: SAMomentum is the dominant accuracy contribution; dual-way "
         "sparsification alone roughly preserves ASGD-level convergence."

@@ -3,12 +3,12 @@
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from ...core.methods import Hyper, get_method
-from ..config import WorkloadSpec, get_workload, is_fast_mode
+from ...core.methods import Hyper
+from ..config import WorkloadSpec
 from ..runners import run_distributed, run_msgd
 
 __all__ = [
@@ -16,7 +16,6 @@ __all__ = [
     "scaled_batch",
     "mean_accuracy",
     "METHOD_LABELS",
-    "resolve_fast",
 ]
 
 METHOD_LABELS = {
@@ -26,10 +25,6 @@ METHOD_LABELS = {
     "dgc_async": "DGC-async",
     "dgs": "DGS",
 }
-
-
-def resolve_fast(fast: bool | None) -> bool:
-    return is_fast_mode() if fast is None else fast
 
 
 def scaled_batch(num_workers: int, base: int = 128, floor: int = 8) -> int:

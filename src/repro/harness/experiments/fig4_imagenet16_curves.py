@@ -6,17 +6,16 @@ Momentum 0.45 per the paper's §5.1 setting for 16 workers.
 from __future__ import annotations
 
 from ..config import get_workload
-from .common import resolve_fast, scaling_hyper
+from .common import scaling_hyper
 from .fig2_cifar_curves import build_report
 
 __all__ = ["run"]
 
 
-def run(fast: bool | None = None, seeds: tuple[int, ...] = (0,)):
-    fast = resolve_fast(fast)
+def run(fast: bool = False, seeds: tuple[int, ...] = (0,)):
     num_workers = 4 if fast else 16
     wl = get_workload("imagenet")
-    return build_report(
+    report, finals = build_report(
         "Figure 4",
         f"Learning curve of ResNet-18 stand-in on synthetic ImageNet with {num_workers} workers",
         "imagenet",
@@ -26,3 +25,6 @@ def run(fast: bool | None = None, seeds: tuple[int, ...] = (0,)):
         # paper's Table 4 keeps the global batch constant across scales
         batch_size=max(8, (wl.batch_size * 4) // num_workers),
     )
+    # The 16-worker micro-scale band is tight (EXPERIMENTS.md deviation note).
+    report.claim("DGS ≥ ASGD − 2.5 pt", finals["DGS"] >= finals["ASGD"] - 2.5)
+    return report

@@ -14,7 +14,6 @@ from ...metrics.svg import render_svg
 from ..config import get_workload
 from ..report import ExperimentReport
 from ..runners import run_distributed
-from .common import resolve_fast
 
 __all__ = [
     "run",
@@ -22,8 +21,7 @@ __all__ = [
 ]
 
 
-def run(fast: bool | None = None, seeds: tuple[int, ...] = (0,)) -> ExperimentReport:
-    fast = resolve_fast(fast)
+def run(fast: bool = False, seeds: tuple[int, ...] = (0,)) -> ExperimentReport:
     num_workers = 4 if fast else 8
     wl = get_workload("cifar10")
     seed = seeds[0]
@@ -59,6 +57,8 @@ def run(fast: bool | None = None, seeds: tuple[int, ...] = (0,)) -> ExperimentRe
         report.add_row(*rows[-1])
     speedup = asgd.makespan_s / dgs.makespan_s
     report.add_note(f"DGS wall-clock speedup over ASGD at equal iterations: {speedup:.1f}× (paper: 5.7×).")
+    # The exact factor depends on the compute:comm ratio.
+    report.claim("DGS finishes the same iterations > 2.5× sooner than ASGD", speedup > 2.5)
     report.figures.append(
         ascii_plot(
             {"ASGD": r_curve(asgd), "DGS": r_curve(dgs)},

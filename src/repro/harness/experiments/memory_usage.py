@@ -34,7 +34,7 @@ from ...exec.common import build_server
 from ...ps.messages import GradientMessage
 from ..config import RESNET18_WIRE_BYTES, get_workload
 from ..report import ExperimentReport
-from .common import METHOD_LABELS, resolve_fast
+from .common import METHOD_LABELS
 
 __all__ = ["run"]
 
@@ -42,8 +42,7 @@ __all__ = ["run"]
 ROUNDS = 4
 
 
-def run(fast: bool | None = None, seeds: tuple[int, ...] = (0,)) -> ExperimentReport:
-    fast = resolve_fast(fast)
+def run(fast: bool = False, seeds: tuple[int, ...] = (0,)) -> ExperimentReport:
     wl = get_workload("cifar10")
     model = wl.model_factory(0)()
     theta0 = parameters_of(model)
@@ -68,6 +67,7 @@ def run(fast: bool | None = None, seeds: tuple[int, ...] = (0,)) -> ExperimentRe
             "Total: this implementation (model units)",
         ),
     )
+    paper, per_worker, ours = {}, {}, {}  # method -> model units
     for name in ("asgd", "gd_async", "dgc_async", "dgs"):
         spec = get_method(name)
         server = partial(
@@ -84,6 +84,7 @@ def run(fast: bool | None = None, seeds: tuple[int, ...] = (0,)) -> ExperimentRe
             production.handle(GradientMessage(worker, payload, step))
         ours_units = production.tracker.server_state_bytes() / model_bytes
         worker_units = strategies[0].state_bytes() / model_bytes
+        paper[name], per_worker[name], ours[name] = paper_units, worker_units, ours_units
         report.add_row(
             METHOD_LABELS[name],
             f"{paper_units:.1f}",
@@ -92,6 +93,22 @@ def run(fast: bool | None = None, seeds: tuple[int, ...] = (0,)) -> ExperimentRe
             f"{ours_units:.1f}",
             f"{ours_units + num_workers * worker_units:.1f}",
         )
+    report.claim("ASGD server holds 1 model unit", paper["asgd"] == 1.0)
+    report.claim(
+        "difference tracking adds server state: DGS = GD-async > 1 unit",
+        paper["dgs"] == paper["gd_async"] > 1.0,
+    )
+    report.claim(
+        "DGS worker holds 1 buffer, DGC-async 2",
+        per_worker["dgs"] == 1.0 and per_worker["dgc_async"] == 2.0,
+    )
+    total = {name: paper[name] + num_workers * per_worker[name] for name in paper}
+    report.claim("DGS moves memory rather than adding it: total equals GD-async's", total["dgs"] == total["gd_async"])
+    report.claim("this implementation: ASGD server holds 1 model unit", ours["asgd"] == 1.0)
+    report.claim(
+        "this implementation: difference-tracking servers hold more than M, less than M + K·v_k",
+        all(1.0 < ours[name] < paper[name] for name in ("gd_async", "dgc_async", "dgs")),
+    )
     # Paper's headline number: how many 46 MB ResNet-18 workers fit in 16 GB?
     v100 = 16 * 1024**3
     supported = v100 // RESNET18_WIRE_BYTES

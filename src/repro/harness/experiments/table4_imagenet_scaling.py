@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from ..config import get_workload
 from ..report import ExperimentReport
-from .common import METHOD_LABELS, mean_accuracy, resolve_fast, scaling_hyper
+from .common import METHOD_LABELS, mean_accuracy, scaling_hyper
 
 __all__ = ["run"]
 
@@ -21,8 +21,7 @@ PAPER_ROWS = [
 ]
 
 
-def run(fast: bool | None = None, seeds: tuple[int, ...] = (0, 1)) -> ExperimentReport:
-    fast = resolve_fast(fast)
+def run(fast: bool = False, seeds: tuple[int, ...] = (0,)) -> ExperimentReport:
     worker_counts = (4,) if fast else (4, 16)
     if fast:
         seeds = seeds[:1]
@@ -40,10 +39,16 @@ def run(fast: bool | None = None, seeds: tuple[int, ...] = (0, 1)) -> Experiment
         # "Batchsize per iteration 256" is constant across worker counts in
         # the paper's Table 4: per-worker batch shrinks as workers grow.
         bs = max(8, (wl.batch_size * 4) // n)
+        accs = {}
         for method in ("asgd", "gd_async", "dgc_async", "dgs"):
             acc, _ = mean_accuracy(method, wl, n, seeds, fast, hyper=hyper, batch_size=bs)
             delta = 100 * (acc - msgd_acc)
             report.add_row(n, METHOD_LABELS[method], f"{100 * acc:.2f}%", f"{delta:+.2f}%")
+            accs[method] = 100 * acc
+        # DGS ahead of ASGD at 4 workers; at 16 the micro-scale methods
+        # compress into a ~1-pt band (see the note), so the bound is looser.
+        margin = 0.5 if n == 4 else 2.5
+        report.claim(f"{n} workers: DGS > ASGD − {margin:g} pt", accs["dgs"] > accs["asgd"] - margin)
     report.add_note(
         "Expected shape: DGS closest to MSGD at 4 workers; at 16 workers the "
         "sparsified methods and ASGD compress into a ~1-pt band at this micro "

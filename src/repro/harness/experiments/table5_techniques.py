@@ -25,7 +25,7 @@ PAPER_ROWS = [
 ]
 
 
-def run(fast: bool | None = None, seeds: tuple[int, ...] = ()) -> ExperimentReport:
+def run(fast: bool = False, seeds: tuple[int, ...] = ()) -> ExperimentReport:
     report = ExperimentReport(
         experiment_id="Table 5",
         title="Techniques in DGS (derived from the method registry)",
@@ -47,5 +47,16 @@ def run(fast: bool | None = None, seeds: tuple[int, ...] = ()) -> ExperimentRepo
             "Y" if spec.momentum_correction else "N",
             "Y" if spec.residual_accumulation else "N",
         )
+    dgs, dgc, asgd = METHODS["dgs"], METHODS["dgc_async"], METHODS["asgd"]
+    report.claim("DGS uses SAMomentum", dgs.momentum == "SAMomentum")
+    report.claim(
+        "DGS needs neither momentum correction nor residual accumulation",
+        not dgs.momentum_correction and not dgs.residual_accumulation,
+    )
+    report.claim(
+        "DGC-async needs both momentum correction and residual accumulation",
+        dgc.momentum_correction and dgc.residual_accumulation,
+    )
+    report.claim("ASGD sends dense gradients", asgd.sparsification == "N")
     report.add_note("Matrix is generated from repro.core.methods.METHODS — the registry that configures the trainers.")
     return report

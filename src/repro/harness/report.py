@@ -19,17 +19,24 @@ class ExperimentReport:
     headers: Sequence[str]
     rows: list[Sequence] = field(default_factory=list)
     figures: list[str] = field(default_factory=list)  # ASCII-rendered charts
-    #: name -> standalone SVG document (written next to the .md by benches)
+    #: name -> standalone SVG document (written next to the .md by ``--out``)
     svgs: "dict[str, str]" = field(default_factory=dict)
     notes: list[str] = field(default_factory=list)
     #: the paper's own numbers for side-by-side comparison, same headers
     paper_rows: list[Sequence] = field(default_factory=list)
+    #: (statement, held on this run) — the paper's shape claims; kept out
+    #: of the markdown and the text rendering, printed by the CLI
+    claims: "list[tuple[str, bool]]" = field(default_factory=list)
 
     def add_row(self, *cells) -> None:
         self.rows.append(tuple(cells))
 
     def add_note(self, note: str) -> None:
         self.notes.append(note)
+
+    def claim(self, text: str, holds) -> None:
+        """Record whether one of the paper's claims holds on this run."""
+        self.claims.append((text, bool(holds)))
 
     def table(self) -> str:
         return format_table(self.headers, self.rows, title=f"{self.experiment_id}: {self.title}")

@@ -30,7 +30,7 @@ def run_distributed(
     cluster: ClusterConfig | None = None,
     eval_every: int | None = None,
     staleness_damping: bool = False,
-    fast: bool | None = None,
+    fast: bool = False,
     tracer: "Tracer | NullTracer | None" = None,
     backend: "str | Backend | None" = None,
     seed: int = 0,
@@ -85,7 +85,7 @@ def run_msgd(
     epochs: int | None = None,
     batch_size: int | None = None,
     eval_every: int | None = None,
-    fast: bool | None = None,
+    fast: bool = False,
     seed: int = 0,
 ) -> LocalResult:
     """Single-node momentum-SGD baseline on ``workload``."""
@@ -122,7 +122,7 @@ def run_all_methods(
             epochs=kwargs.get("epochs"),
             batch_size=kwargs.get("batch_size"),
             eval_every=kwargs.get("eval_every"),
-            fast=kwargs.get("fast"),
+            fast=kwargs.get("fast", False),
             seed=kwargs.get("seed", 0),
         )
     for m in methods:

@@ -38,7 +38,7 @@ def sweep(
     workload: WorkloadSpec,
     axes: "Mapping[str, Sequence[Any]]",
     base: "Mapping[str, Any] | None" = None,
-    fast: bool | None = None,
+    fast: bool = False,
     on_point: "Callable[[SweepPoint], None] | None" = None,
 ) -> list[SweepPoint]:
     """Run the full cartesian grid of ``axes`` over ``workload``.

@@ -55,18 +55,6 @@ class Span:
     domain: str = "wall"
     args: "Mapping[str, Any]" = field(default_factory=dict)
 
-    @staticmethod
-    def from_record(record: "Mapping[str, Any]") -> "Span":
-        return Span(
-            name=record["name"],
-            cat=record["cat"],
-            ts=float(record["ts"]),
-            dur=float(record["dur"]),
-            tid=str(record["tid"]),
-            domain=record.get("domain", "wall"),
-            args=record.get("args", {}),
-        )
-
 
 def span_record(
     name: str,

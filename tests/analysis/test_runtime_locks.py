@@ -190,7 +190,7 @@ class TestRegistrationHooks:
         assert isinstance(server._lock, RegisteredLock)
 
     def test_server_service_register_locks(self):
-        from repro.comm.channel import ServerService
+        from repro.comm.service import ServerService
 
         service = ServerService(self.make_server())
         registry = LockRegistry()

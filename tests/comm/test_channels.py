@@ -14,12 +14,14 @@ from repro.comm import (
     GradientFrame,
     InProcChannel,
     PipeChannel,
+    ServerService,
     run_worker_loop,
     serve_channels,
 )
 from repro.compression import SparseTensor
 from repro.compression.stats import CompressionStats
 from repro.ps.messages import DiffMessage, GradientMessage
+from repro.ps.server import ParameterServer
 
 
 def _gradient(worker_id=0, value=1.5, iteration=0):
@@ -111,6 +113,11 @@ class TestPipeChannel:
         right.close()
 
 
+def _service(num_workers=1):
+    """A real service over a server holding the one layer ``_gradient`` feeds."""
+    return ServerService(ParameterServer({"w": np.zeros(4, dtype=np.float32)}, num_workers))
+
+
 class TestServePipeChannels:
     def _pair(self):
         parent, child = mp.Pipe(duplex=True)
@@ -122,7 +129,7 @@ class TestServePipeChannels:
         worker_ch.send(CloseFrame(worker_id=0, samples_processed=16, worker_state_bytes=32))
         stats = CompressionStats()
         losses = []
-        report = serve_channels([server_ch], _echo_service, stats=stats, on_loss=losses.append)
+        report = serve_channels([server_ch], _service(), stats=stats, on_loss=losses.append)
         assert report.clean_closes == 1 and report.crashes == 0
         assert report.samples_processed == 16 and report.worker_state_bytes == 32
         assert stats.upload_messages == 1 and stats.download_messages == 1
@@ -132,7 +139,7 @@ class TestServePipeChannels:
     def test_close_frame_with_error_counts_as_crash(self):
         server_ch, worker_ch = self._pair()
         worker_ch.send(CloseFrame(worker_id=3, samples_processed=8, error="RuntimeError: boom"))
-        report = serve_channels([server_ch], _echo_service)
+        report = serve_channels([server_ch], _service())
         assert report.crashes == 1 and report.clean_closes == 0
         assert report.samples_processed == 8  # accounting up to the failure survives
         assert any("worker 3" in e and "boom" in e for e in report.errors)
@@ -140,9 +147,31 @@ class TestServePipeChannels:
     def test_eof_without_close_frame_is_a_crash(self):
         server_ch, worker_ch = self._pair()
         worker_ch.connection.close()  # hard death: no close frame
-        report = serve_channels([server_ch], _echo_service)
+        report = serve_channels([server_ch], _service())
         assert report.crashes == 1
         assert any("without a close frame" in e for e in report.errors)
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {"nope": SparseTensor(np.array([1]), np.array([1.0], dtype=np.float32), (4,))},
+            {"w": np.ones(3, dtype=np.float32)},
+            {"w": SparseTensor(np.array([4]), np.array([1.0], dtype=np.float32), (4,))},
+        ],
+        ids=["unknown-layer", "wrong-shape", "index-out-of-range"],
+    )
+    def test_frame_that_does_not_fit_the_server_crashes_only_its_channel(self, payload):
+        service = _service(num_workers=2)
+        bad_server, bad_worker = self._pair()
+        honest_server, honest_worker = self._pair()
+        bad_worker.send(GradientFrame(GradientMessage(0, payload, 0), loss=0.5))
+        honest_worker.send(_gradient(worker_id=1))
+        honest_worker.send(CloseFrame(worker_id=1, samples_processed=16))
+        report = serve_channels([bad_server, honest_server], service)
+        assert report.crashes == 1 and report.clean_closes == 1
+        assert any(e.startswith("worker 0 ") and "cannot apply" in e for e in report.errors)
+        assert service.server.timestamp == 1  # only the honest update applied
+        assert isinstance(honest_worker.recv(), DiffFrame)
 
 
 class _FakeNode:

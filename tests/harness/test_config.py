@@ -3,7 +3,6 @@
 import pytest
 
 from repro.harness import RESNET18_WIRE_BYTES, WORKLOADS, get_workload, paper_cluster
-from repro.harness.config import is_fast_mode
 
 
 class TestWorkloads:
@@ -59,10 +58,3 @@ class TestPaperCluster:
         assert cluster.duplex == "half"
         assert cluster.uplink.bandwidth_bytes_per_s == pytest.approx(1e9 / 8)
 
-
-class TestFastMode:
-    def test_env_toggle(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SCALE", "fast")
-        assert is_fast_mode()
-        monkeypatch.delenv("REPRO_SCALE")
-        assert not is_fast_mode()

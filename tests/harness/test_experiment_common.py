@@ -5,7 +5,6 @@ import pytest
 from repro.harness import get_workload
 from repro.harness.experiments.common import (
     METHOD_LABELS,
-    resolve_fast,
     scaled_batch,
     scaling_hyper,
 )
@@ -48,10 +47,3 @@ class TestScalingHyper:
 class TestMisc:
     def test_labels_cover_paper_methods(self):
         assert set(METHOD_LABELS) == {"msgd", "asgd", "gd_async", "dgc_async", "dgs"}
-
-    def test_resolve_fast_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SCALE", "fast")
-        assert resolve_fast(None) is True
-        assert resolve_fast(False) is False
-        monkeypatch.delenv("REPRO_SCALE")
-        assert resolve_fast(None) is False

@@ -21,6 +21,11 @@ def report():
 
 
 class TestReport:
+    def test_claims_stay_out_of_the_renderings(self, report):
+        report.claim("a claim", 1 > 2)
+        assert report.claims == [("a claim", False)]
+        assert "a claim" not in report.markdown() and "a claim" not in report.render()
+
     def test_table_contains_id_and_rows(self, report):
         out = report.table()
         assert "Table X" in out and "r1" in out

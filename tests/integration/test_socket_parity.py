@@ -30,8 +30,8 @@ from repro.comm import (
     ControlFrame,
     GradientFrame,
 )
-from repro.comm.channel import InProcChannel, ServerService
-from repro.comm.service import serve_channels
+from repro.comm.channel import InProcChannel
+from repro.comm.service import ServerService, serve_channels
 from repro.comm.socket import SocketChannel, SocketListener
 from repro.core.layerops import parameters_of
 from repro.core.methods import Hyper, get_method

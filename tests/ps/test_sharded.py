@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from repro.analysis.concurrency import LockRegistry
-from repro.comm.channel import ServerService
+from repro.comm.service import ServerService
 from repro.comm.frames import GradientFrame
 from repro.compression import KernelWorkspace, TopKSparsifier
 from repro.core.strategies import SAMomentumStrategy
