@@ -65,10 +65,10 @@ def register() -> None:
 
     original = extensions.build_extension_strategy
 
-    def patched(kind, shapes, hyper):
+    def patched(kind, shapes, hyper, dtype=None):
         if kind == "signsgd":
             return SignSGDStrategy(shapes)
-        return original(kind, shapes, hyper)
+        return original(kind, shapes, hyper, dtype=dtype)
 
     extensions.build_extension_strategy = patched
 

@@ -1,7 +1,7 @@
 """repro — reproduction of "Dual-Way Gradient Sparsification for
 Asynchronous Distributed Deep Learning" (Yan et al., ICPP 2020).
 
-Public surface:
+Importing ``repro`` loads no subpackage; import the one you need:
 
 * ``repro.core`` — DGS: SAMomentum, model-difference tracking, baselines
 * ``repro.exec`` — unified Trainer front-end over pluggable execution backends
@@ -15,39 +15,6 @@ Public surface:
 * ``repro.obs`` — unified tracing + metrics (spans, Chrome trace, profiling)
 """
 
-from . import (
-    analysis,
-    autograd,
-    comm,
-    compression,
-    core,
-    data,
-    exec,
-    harness,
-    metrics,
-    nn,
-    obs,
-    optim,
-    ps,
-    sim,
-)
-
 __version__ = "1.0.0"
 
-__all__ = [
-    "analysis",
-    "obs",
-    "autograd",
-    "nn",
-    "data",
-    "optim",
-    "compression",
-    "core",
-    "exec",
-    "comm",
-    "ps",
-    "sim",
-    "metrics",
-    "harness",
-    "__version__",
-]
+__all__ = ["__version__"]

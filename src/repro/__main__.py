@@ -85,7 +85,8 @@ def main(argv: list[str] | None = None) -> int:
         type=int,
         metavar="N",
         help="write a server checkpoint every N applied updates (threaded, "
-        "process and socket backends); requires --checkpoint",
+        "process and socket backends; the others refuse it); requires "
+        "--checkpoint",
     )
     run_p.add_argument(
         "--checkpoint",
@@ -97,7 +98,8 @@ def main(argv: list[str] | None = None) -> int:
         "--restore",
         metavar="PATH",
         help="restore server state from this checkpoint before training and "
-        "fast-forward each worker's data stream by its recorded update count",
+        "fast-forward each worker's data stream by its recorded update count "
+        "(the same backends as --checkpoint-every)",
     )
     run_p.add_argument(
         "--run-dir",
@@ -151,6 +153,8 @@ def main(argv: list[str] | None = None) -> int:
         from .exec import collect_results
 
         collected = obs_scope.enter_context(collect_results())
+    from .exec.common import UnsupportedSetting
+
     reports = []
     wall_t0 = time.perf_counter()
     with obs_scope:
@@ -165,8 +169,12 @@ def main(argv: list[str] | None = None) -> int:
                 if args.sanitize
                 else contextlib.nullcontext()
             )
-            with guard:
-                report = module.run(fast=args.fast)
+            try:
+                with guard:
+                    report = module.run(fast=args.fast)
+            except UnsupportedSetting as exc:
+                print(f"error: {exc}", file=sys.stderr)
+                return 2
             elapsed = time.perf_counter() - t0
             print(report.render())
             for text, holds in report.claims:

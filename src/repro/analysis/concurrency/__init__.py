@@ -30,7 +30,7 @@ from .arch import (
     write_baseline,
 )
 from .lockgraph import LockEdge, LockGraph, build_lock_graph, check_lock_graph
-from .registry import LOCK_CLASS_REGISTRY, LockClassEntry, guarded_attrs_of, registry_entry
+from .registry import LOCK_CLASS_REGISTRY, LockClassEntry, guarded_attrs_of
 from .runtime import LockOrderEdge, LockOrderInversion, LockRegistry, RegisteredLock
 
 __all__ = [
@@ -54,6 +54,5 @@ __all__ = [
     "load_baseline",
     "matrix_is_acyclic",
     "package_edges",
-    "registry_entry",
     "write_baseline",
 ]

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-__all__ = ["LockClassEntry", "LOCK_CLASS_REGISTRY", "guarded_attrs_of", "registry_entry"]
+__all__ = ["LockClassEntry", "LOCK_CLASS_REGISTRY", "guarded_attrs_of"]
 
 
 @dataclass(frozen=True)
@@ -47,14 +47,6 @@ LOCK_CLASS_REGISTRY: "tuple[LockClassEntry, ...]" = (
     # server lock — see repro/ps/membership.py's lock discipline note)
     LockClassEntry("ps.membership", "WorkerDirectory", "_members_mu"),
 )
-
-
-def registry_entry(module: str, cls: str) -> "LockClassEntry | None":
-    """The registry entry for ``(module, cls)``, if one exists."""
-    for entry in LOCK_CLASS_REGISTRY:
-        if entry.module == module and entry.cls == cls:
-            return entry
-    return None
 
 
 def guarded_attrs_of(cls: type) -> "tuple[str, ...] | None":

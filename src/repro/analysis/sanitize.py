@@ -150,21 +150,17 @@ class Sanitizer:
         self._patch(Tensor, "_accumulate", accumulate)
 
     def _install_optim(self) -> None:
-        from .. import optim
+        from ..optim import SGD
 
         sanitizer = self
-        for cls_name in ("SGD", "LARS"):
-            cls = getattr(optim, cls_name, None)
-            if cls is None or "step" not in cls.__dict__:
-                continue
-            orig_step = cls.__dict__["step"]
+        orig_step = SGD.step
 
-            def step(self, _orig=orig_step, _name=cls_name):
-                _orig(self)
-                for p in self.params:
-                    sanitizer.check_array(p.data, f"{_name}.step")
+        def step(self):
+            orig_step(self)
+            for p in self.params:
+                sanitizer.check_array(p.data, "SGD.step")
 
-            self._patch(cls, "step", step)
+        self._patch(SGD, "step", step)
 
     def _install_compression(self) -> None:
         from ..compression import coding

@@ -25,7 +25,6 @@ __all__ = [
     "col2im",
     "conv2d",
     "max_pool2d",
-    "avg_pool2d",
     "global_avg_pool2d",
 ]
 
@@ -170,30 +169,6 @@ def max_pool2d(x: Tensor, kernel: int, stride: int | None = None) -> Tensor:
             gflat = g.transpose(0, 2, 3, 1).reshape(n * oh * ow, c)
             gcols = np.zeros((n * oh * ow, c, kernel * kernel), dtype=g.dtype)
             np.put_along_axis(gcols, argmax[:, :, None], gflat[:, :, None], axis=2)
-            gcols = gcols.reshape(n * oh * ow, c * kernel * kernel)
-            x._accumulate(col2im(gcols, (n, c, h, w), kernel, kernel, stride, 0))
-
-        result.requires_grad = True
-        result._parents = (x,)
-        result._backward = backward
-    return result
-
-
-def avg_pool2d(x: Tensor, kernel: int, stride: int | None = None) -> Tensor:
-    """Average pooling over (kernel × kernel) windows."""
-    stride = stride or kernel
-    n, c, h, w = x.shape
-    cols, oh, ow = im2col(x.data, kernel, kernel, stride, 0)
-    cols = cols.reshape(n * oh * ow, c, kernel * kernel)
-    out = cols.mean(axis=2)
-    out_data = out.reshape(n, oh, ow, c).transpose(0, 3, 1, 2)
-
-    result = Tensor(out_data)
-    if is_grad_enabled() and x.requires_grad:
-
-        def backward(g: np.ndarray) -> None:
-            gflat = g.transpose(0, 2, 3, 1).reshape(n * oh * ow, c)
-            gcols = np.repeat(gflat[:, :, None] / (kernel * kernel), kernel * kernel, axis=2)
             gcols = gcols.reshape(n * oh * ow, c * kernel * kernel)
             x._accumulate(col2im(gcols, (n, c, h, w), kernel, kernel, stride, 0))
 

@@ -401,24 +401,6 @@ class Tensor:
 
         return self._make(out_data, (self,), backward)
 
-    def tanh(self) -> "Tensor":
-        out_data = np.tanh(self.data)
-
-        def backward(g: np.ndarray) -> None:
-            if self.requires_grad:
-                self._accumulate(g * (1.0 - out_data * out_data))
-
-        return self._make(out_data, (self,), backward)
-
-    def sigmoid(self) -> "Tensor":
-        out_data = 1.0 / (1.0 + np.exp(-self.data))
-
-        def backward(g: np.ndarray) -> None:
-            if self.requires_grad:
-                self._accumulate(g * out_data * (1.0 - out_data))
-
-        return self._make(out_data, (self,), backward)
-
     def sqrt(self) -> "Tensor":
         return self**0.5
 
@@ -466,43 +448,8 @@ class Tensor:
 
         return self._make(out_data, (self,), backward)
 
-    def pad2d(self, pad: int) -> "Tensor":
-        """Zero-pad the last two axes symmetrically by ``pad``."""
-        if pad == 0:
-            return self
-        width = [(0, 0)] * (self.ndim - 2) + [(pad, pad), (pad, pad)]
-        out_data = np.pad(self.data, width)
-        sl = tuple([slice(None)] * (self.ndim - 2) + [slice(pad, -pad), slice(pad, -pad)])
-
-        def backward(g: np.ndarray) -> None:
-            if self.requires_grad:
-                self._accumulate(g[sl])
-
-        return self._make(out_data, (self,), backward)
-
-    @staticmethod
-    def concat(tensors: Sequence["Tensor"], axis: int = 0) -> "Tensor":
-        arrays = [t.data for t in tensors]
-        out_data = np.concatenate(arrays, axis=axis)
-        sizes = [a.shape[axis] for a in arrays]
-        offsets = np.cumsum([0] + sizes)
-
-        def backward(g: np.ndarray) -> None:
-            for t, start, stop in zip(tensors, offsets[:-1], offsets[1:]):
-                if t.requires_grad:
-                    sl = [slice(None)] * g.ndim
-                    sl[axis] = slice(int(start), int(stop))
-                    t._accumulate(g[tuple(sl)])
-
-        out = Tensor(out_data)
-        if _GRAD_ENABLED and any(t.requires_grad for t in tensors):
-            out.requires_grad = True
-            out._parents = tuple(tensors)
-            out._backward = backward
-        return out
-
     # ------------------------------------------------------------------
-    # Composite helpers used by the NN layer library
+    # Composite helpers
     # ------------------------------------------------------------------
     def logsumexp(self, axis: int = -1, keepdims: bool = False) -> "Tensor":
         m = self.max(axis=axis, keepdims=True).detach()
@@ -511,11 +458,6 @@ class Tensor:
         if not keepdims:
             lse = lse.reshape(tuple(s for i, s in enumerate(lse.shape) if i != axis % self.ndim))
         return lse
-
-    def softmax(self, axis: int = -1) -> "Tensor":
-        m = self.max(axis=axis, keepdims=True).detach()
-        e = (self - m).exp()
-        return e / e.sum(axis=axis, keepdims=True)
 
 
 def _tensor_factory(fn):

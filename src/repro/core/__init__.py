@@ -4,17 +4,13 @@ from .arena import LayerArena
 from .layerops import (
     add_scaled,
     assign_parameters,
-    clone_layers,
-    flatten_layers,
     gradients_of,
     layer_shapes,
     parameter_views,
     parameters_of,
-    total_nbytes,
-    total_size,
     zeros_like_layers,
 )
-from .methods import METHODS, Hyper, MethodSpec, build_strategy, get_method, method_names
+from .methods import METHODS, Hyper, MethodSpec, build_strategy, get_method
 from .partition import PartitionMap
 from .strategies import (
     DenseStrategy,
@@ -36,15 +32,11 @@ __all__ = [
     "LayerArena",
     "layer_shapes",
     "zeros_like_layers",
-    "clone_layers",
     "gradients_of",
     "parameters_of",
     "parameter_views",
     "assign_parameters",
     "add_scaled",
-    "total_size",
-    "total_nbytes",
-    "flatten_layers",
     "WorkerStrategy",
     "DenseStrategy",
     "GradientDroppingStrategy",
@@ -61,6 +53,5 @@ __all__ = [
     "Hyper",
     "METHODS",
     "build_strategy",
-    "method_names",
     "get_method",
 ]

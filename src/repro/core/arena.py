@@ -14,11 +14,11 @@ lock*:
 per-layer loop            arena equivalent
 ========================  =============================================
 ``d[n] += scale * s[n]``  ``d.add_(s, scale)`` — one fused axpy
-``clone_layers(x)``       ``x.clone()`` — one memcpy
+``{n: x[n].copy()}``      ``x.clone()`` — one memcpy
 ``copy_payload``-style    ``d.copy_(s)`` — one memcpy
 ``add_payload`` loop      ``d.add_payload(p)`` — one op for dense
                           arena payloads, per-layer scatter otherwise
-``flatten_layers(x)``     ``x.flat`` — zero-copy view
+``np.concatenate`` of x   ``x.flat`` — zero-copy view
 ========================  =============================================
 
 Because elementwise IEEE arithmetic does not depend on how the operands
@@ -148,7 +148,7 @@ class LayerArena(MappingABC):
         return self
 
     def clone(self) -> "LayerArena":
-        """Deep copy (the arena counterpart of ``clone_layers``)."""
+        """Deep copy (one memcpy of ``flat``)."""
         return LayerArena(self.shapes, dtype=self.dtype, _flat=self.flat.copy())
 
     def copy_(self, other: "LayerArena | Mapping[str, np.ndarray]") -> "LayerArena":

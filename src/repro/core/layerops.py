@@ -21,7 +21,6 @@ __all__ = [
     "LayerMap",
     "layer_shapes",
     "zeros_like_layers",
-    "clone_layers",
     "gradients_of",
     "parameters_of",
     "parameter_views",
@@ -30,9 +29,6 @@ __all__ = [
     "copy_payload",
     "scale_payload",
     "add_scaled",
-    "total_size",
-    "total_nbytes",
-    "flatten_layers",
 ]
 
 LayerMap = "OrderedDict[str, np.ndarray]"
@@ -44,10 +40,6 @@ def layer_shapes(model: Module) -> "OrderedDict[str, tuple[int, ...]]":
 
 def zeros_like_layers(shapes: Mapping[str, tuple[int, ...]], dtype=None) -> "OrderedDict[str, np.ndarray]":
     return OrderedDict((name, np.zeros(shape, dtype=dtype)) for name, shape in shapes.items())
-
-
-def clone_layers(layers: Mapping[str, np.ndarray]) -> "OrderedDict[str, np.ndarray]":
-    return OrderedDict((name, arr.copy()) for name, arr in layers.items())
 
 
 def gradients_of(model: Module) -> "OrderedDict[str, np.ndarray]":
@@ -177,28 +169,3 @@ def add_scaled(
         prod = scratch[: d_chunk.size]
         np.multiply(s[start : start + _AXPY_CHUNK], scale, out=prod, casting="same_kind")
         np.add(d_chunk, prod, out=d_chunk)
-
-
-def total_size(layers: Mapping[str, np.ndarray]) -> int:
-    return sum(arr.size for arr in layers.values())
-
-
-def total_nbytes(layers: Mapping[str, np.ndarray]) -> int:
-    return sum(arr.nbytes for arr in layers.values())
-
-
-def flatten_layers(
-    layers: Mapping[str, np.ndarray], dtype: "np.dtype | type | str" = np.float32
-) -> np.ndarray:
-    """Concatenate all layers into one flat vector (for norms/metrics).
-
-    A :class:`~repro.core.arena.LayerArena` already *is* this vector —
-    ``arena.flat`` returns it zero-copy.  ``dtype`` only determines the
-    result for an **empty** mapping (the historical code returned float64
-    ``np.empty(0)`` while every non-empty result followed the layers' dtype
-    — an inconsistency callers could trip over when reducing over zero
-    layers).
-    """
-    if not layers:
-        return np.empty(0, dtype=dtype)
-    return np.concatenate([arr.reshape(-1) for arr in layers.values()])

@@ -22,7 +22,7 @@ from .strategies import (
     WorkerStrategy,
 )
 
-__all__ = ["MethodSpec", "Hyper", "build_strategy", "METHODS", "method_names", "get_method"]
+__all__ = ["MethodSpec", "Hyper", "build_strategy", "METHODS", "get_method"]
 
 
 @dataclass(frozen=True)
@@ -162,10 +162,6 @@ METHODS: dict[str, MethodSpec] = {
         residual_accumulation=False,
     ),
 }
-
-
-def method_names(distributed_only: bool = False) -> list[str]:
-    return [n for n, s in METHODS.items() if s.distributed or not distributed_only]
 
 
 def get_method(name: str) -> MethodSpec:

@@ -1,13 +1,10 @@
 """Synthetic datasets and sharded loading (CIFAR/ImageNet substitutes)."""
 
-from .augment import Augmenter, random_flip, random_shift
-from .cifar10 import CIFAR10_LABELS, load_cifar10, read_cifar10_batch
 from .loader import BatchIterator, DataLoader
 from .synthetic import (
     Dataset,
     make_blobs,
     make_image_classes,
-    make_spirals,
     synthetic_cifar10,
     synthetic_imagenet,
 )
@@ -15,16 +12,9 @@ from .synthetic import (
 __all__ = [
     "Dataset",
     "make_blobs",
-    "make_spirals",
     "make_image_classes",
     "synthetic_cifar10",
     "synthetic_imagenet",
     "BatchIterator",
     "DataLoader",
-    "Augmenter",
-    "random_flip",
-    "random_shift",
-    "load_cifar10",
-    "read_cifar10_batch",
-    "CIFAR10_LABELS",
 ]

@@ -8,7 +8,7 @@ do not share epoch boundaries.
 
 from __future__ import annotations
 
-from typing import Callable, Iterator
+from typing import Iterator
 
 import numpy as np
 
@@ -18,12 +18,7 @@ __all__ = ["BatchIterator", "DataLoader"]
 
 
 class BatchIterator:
-    """Infinite shuffled mini-batch stream over (x, y) arrays.
-
-    ``transform`` (e.g. :class:`repro.data.Augmenter`) is applied to each
-    input batch after sampling — the augmentation hook of a standard
-    training pipeline.
-    """
+    """Infinite shuffled mini-batch stream over (x, y) arrays."""
 
     def __init__(
         self,
@@ -32,7 +27,6 @@ class BatchIterator:
         batch_size: int,
         seed: int = 0,
         drop_last: bool = True,
-        transform: "Callable[[np.ndarray], np.ndarray] | None" = None,
     ) -> None:
         if len(x) != len(y):
             raise ValueError("x and y length mismatch")
@@ -42,7 +36,6 @@ class BatchIterator:
         self.y = y
         self.batch_size = min(batch_size, len(x))
         self.drop_last = drop_last
-        self.transform = transform
         self._rng = np.random.default_rng(seed)
         self._order = self._rng.permutation(len(x))
         self._pos = 0
@@ -62,18 +55,12 @@ class BatchIterator:
                 idx = self._order[self._pos :]
                 self._reshuffle()
                 self.batches_served += 1
-                return self._emit(idx)
+                return self.x[idx], self.y[idx]
             self._reshuffle()
         idx = self._order[self._pos : self._pos + self.batch_size]
         self._pos += self.batch_size
         self.batches_served += 1
-        return self._emit(idx)
-
-    def _emit(self, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        xb = self.x[idx]
-        if self.transform is not None:
-            xb = self.transform(xb)
-        return xb, self.y[idx]
+        return self.x[idx], self.y[idx]
 
     def _reshuffle(self) -> None:
         self._order = self._rng.permutation(len(self.x))
@@ -86,26 +73,12 @@ class BatchIterator:
 
 
 class DataLoader:
-    """Builds per-worker batch iterators over a :class:`Dataset`.
+    """Builds per-worker batch iterators over a :class:`Dataset`."""
 
-    ``make_transform`` (optional) builds a fresh per-iterator transform —
-    each worker gets its own augmentation RNG stream.
-    """
-
-    def __init__(
-        self,
-        dataset: Dataset,
-        batch_size: int,
-        seed: int = 0,
-        make_transform: "Callable[[int], Callable[[np.ndarray], np.ndarray]] | None" = None,
-    ) -> None:
+    def __init__(self, dataset: Dataset, batch_size: int, seed: int = 0) -> None:
         self.dataset = dataset
         self.batch_size = batch_size
         self.seed = seed
-        self.make_transform = make_transform
-
-    def _transform_for(self, stream_id: int):
-        return self.make_transform(stream_id) if self.make_transform is not None else None
 
     def worker_iterator(self, worker_id: int, num_workers: int) -> BatchIterator:
         """Shard the training set and return worker ``worker_id``'s stream."""
@@ -115,22 +88,4 @@ class DataLoader:
             shard.y_train,
             self.batch_size,
             seed=self.seed * 1000 + worker_id,
-            transform=self._transform_for(worker_id),
         )
-
-    def full_iterator(self) -> BatchIterator:
-        """Single-node stream over the whole training set (MSGD baseline)."""
-        return BatchIterator(
-            self.dataset.x_train,
-            self.dataset.y_train,
-            self.batch_size,
-            seed=self.seed,
-            transform=self._transform_for(-1),
-        )
-
-    def val_batches(self, batch_size: int | None = None) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-        """Deterministic pass over the validation split."""
-        bs = batch_size or max(self.batch_size, 256)
-        x, y = self.dataset.x_val, self.dataset.y_val
-        for start in range(0, len(x), bs):
-            yield x[start : start + bs], y[start : start + bs]

@@ -27,7 +27,6 @@ import numpy as np
 __all__ = [
     "Dataset",
     "make_blobs",
-    "make_spirals",
     "make_image_classes",
     "synthetic_cifar10",
     "synthetic_imagenet",
@@ -157,27 +156,6 @@ def make_blobs(
         )
     xtr, ytr, xv, yv = _split(x, y, val_fraction, rng)
     return Dataset(xtr, ytr, xv, yv, num_classes, name="blobs")
-
-
-def make_spirals(
-    n_samples: int = 1000,
-    num_classes: int = 3,
-    noise: float = 0.1,
-    turns: float = 1.5,
-    val_fraction: float = 0.2,
-    seed: int = 0,
-) -> Dataset:
-    """Interleaved 2-D spirals — a nonlinearly separable benchmark."""
-    rng = np.random.default_rng(seed)
-    y = rng.integers(0, num_classes, size=n_samples)
-    t = rng.random(n_samples)
-    radius = 0.2 + 0.8 * t
-    angle = 2 * np.pi * (turns * t + y / num_classes)
-    x = np.stack([radius * np.cos(angle), radius * np.sin(angle)], axis=1)
-    x += rng.normal(0.0, noise, size=x.shape)
-    x = x.astype(np.float32)
-    xtr, ytr, xv, yv = _split(x, y, val_fraction, rng)
-    return Dataset(xtr, ytr, xv, yv, num_classes, name="spirals")
 
 
 def _smooth_template(

@@ -29,7 +29,6 @@ from .backend import (
     Backend,
     apply_config_overrides,
     collect_results,
-    default_backend,
     get_backend,
     list_backends,
     notify_result,
@@ -55,7 +54,6 @@ __all__ = [
     "get_backend",
     "register_backend",
     "list_backends",
-    "default_backend",
     "use_backend",
     "use_config_overrides",
     "apply_config_overrides",

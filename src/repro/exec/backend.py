@@ -25,7 +25,6 @@ __all__ = [
     "register_backend",
     "get_backend",
     "list_backends",
-    "default_backend",
     "use_backend",
     "use_config_overrides",
     "apply_config_overrides",
@@ -81,11 +80,6 @@ def get_backend(name: "str | Backend | None" = None) -> Backend:
 def list_backends() -> "tuple[str, ...]":
     """Registered backend names, in registration order."""
     return tuple(_REGISTRY)
-
-
-def default_backend() -> str:
-    """The backend name used when callers pass ``backend=None``."""
-    return _DEFAULT
 
 
 #: active result sinks — every completed backend run is appended to each

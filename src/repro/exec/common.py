@@ -26,8 +26,11 @@ from ..optim.schedules import ConstantLR, Schedule
 from ..ps.server import ParameterServer
 from ..ps.sharded import ShardedParameterServer
 from ..ps.worker import WorkerNode
+from .config import RunConfig
 
 __all__ = [
+    "UnsupportedSetting",
+    "refuse_checkpointing",
     "resolve_method",
     "resolve_hyper",
     "resolve_schedule",
@@ -38,6 +41,21 @@ __all__ = [
     "evaluate_global",
     "evaluate_global_scratch",
 ]
+
+
+class UnsupportedSetting(ValueError):
+    """A :class:`RunConfig` field the chosen backend does not honour."""
+
+
+def refuse_checkpointing(config: RunConfig, backend: str) -> None:
+    """Raise, rather than silently ignore, checkpoint settings on an engine
+    that neither writes nor reads checkpoints (the virtual-clock ones)."""
+    for field in ("checkpoint_every", "restore_from"):
+        if getattr(config, field) is not None:
+            raise UnsupportedSetting(
+                f"{field} is not supported by the {backend} backend; "
+                "only the threaded, process and socket backends honour it"
+            )
 
 
 def resolve_method(method: "MethodSpec | str", require_distributed: bool = True) -> MethodSpec:

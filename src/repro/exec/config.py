@@ -84,11 +84,12 @@ class RunConfig:
     register: bool = False
     #: write a server checkpoint (repro.ps.checkpoint format) every N
     #: applied updates; requires ``checkpoint_path``.  Threaded, process
-    #: and socket backends.
+    #: and socket backends; the simulated and sync engines refuse it.
     checkpoint_every: "int | None" = None
     checkpoint_path: "str | None" = None
     #: restore server state from this checkpoint before training and
     #: fast-forward each worker's data stream by its recorded update count
+    #: (the same backends as ``checkpoint_every``)
     restore_from: "str | None" = None
     #: process and socket backends: evict a worker silent for this many
     #: seconds (the serve loop's straggler timeout; on TCP also the

@@ -33,6 +33,7 @@ from .common import (
     build_server,
     build_workers,
     evaluate_global,
+    refuse_checkpointing,
     resolve_hyper,
     resolve_method,
     resolve_schedule,
@@ -47,6 +48,7 @@ class SimulatedTrainer:
     """Simulate one asynchronous training run of ``config`` on its virtual cluster."""
 
     def __init__(self, config: RunConfig) -> None:
+        refuse_checkpointing(config, "simulated")
         self.config = config
         self.method = resolve_method(config.method)
         self.hyper = resolve_hyper(config.hyper)

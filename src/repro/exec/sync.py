@@ -31,7 +31,13 @@ from ..metrics.evaluation import evaluate_model
 from ..metrics.meters import EMAMeter
 from ..ps.messages import ModelMessage
 from ..sim.network import SharedLink
-from .common import build_worker, resolve_hyper, resolve_method, resolve_schedule
+from .common import (
+    build_worker,
+    refuse_checkpointing,
+    resolve_hyper,
+    resolve_method,
+    resolve_schedule,
+)
 from .config import RunConfig
 from .result import TrainResult
 
@@ -42,6 +48,7 @@ class SynchronousTrainer:
     """Barrier-synchronised data-parallel training on the virtual cluster."""
 
     def __init__(self, config: RunConfig) -> None:
+        refuse_checkpointing(config, "sync")
         self.config = config
         # SSGD has no server, so single-node methods (e.g. msgd) are allowed.
         self.method = resolve_method(config.method, require_distributed=False)

@@ -8,8 +8,7 @@ from .config import (
     paper_cluster,
 )
 from .local import LocalResult, LocalTrainer
-from .runners import DISTRIBUTED_METHODS, run_all_methods, run_distributed, run_msgd
-from .sweep import SweepPoint, sweep
+from .runners import run_distributed, run_msgd
 
 __all__ = [
     "WorkloadSpec",
@@ -21,8 +20,4 @@ __all__ = [
     "LocalResult",
     "run_distributed",
     "run_msgd",
-    "run_all_methods",
-    "DISTRIBUTED_METHODS",
-    "sweep",
-    "SweepPoint",
 ]

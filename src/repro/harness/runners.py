@@ -2,19 +2,16 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Mapping
+from dataclasses import replace
 
-from ..core.methods import Hyper, get_method
+from ..core.methods import Hyper
 from ..exec import Backend, RunConfig, TrainResult, Trainer, get_backend
 from ..harness.local import LocalResult, LocalTrainer
 from ..obs.tracer import NullTracer, Tracer
 from ..sim.cluster import ClusterConfig
 from .config import WorkloadSpec, paper_cluster
 
-__all__ = ["run_distributed", "run_msgd", "run_all_methods", "DISTRIBUTED_METHODS"]
-
-DISTRIBUTED_METHODS = ("asgd", "gd_async", "dgc_async", "dgs")
+__all__ = ["run_distributed", "run_msgd"]
 
 
 def run_distributed(
@@ -105,26 +102,3 @@ def run_msgd(
         seed=seed,
     )
     return trainer.run()
-
-
-def run_all_methods(
-    workload: WorkloadSpec,
-    num_workers: int,
-    methods: tuple[str, ...] = DISTRIBUTED_METHODS,
-    include_msgd: bool = True,
-    **kwargs,
-) -> "dict[str, TrainResult | LocalResult]":
-    """Run every requested method on identical data/model/cluster settings."""
-    results: dict[str, TrainResult | LocalResult] = {}
-    if include_msgd:
-        results["msgd"] = run_msgd(
-            workload,
-            epochs=kwargs.get("epochs"),
-            batch_size=kwargs.get("batch_size"),
-            eval_every=kwargs.get("eval_every"),
-            fast=kwargs.get("fast", False),
-            seed=kwargs.get("seed", 0),
-        )
-    for m in methods:
-        results[m] = run_distributed(m, workload, num_workers, **kwargs)
-    return results

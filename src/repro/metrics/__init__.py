@@ -1,6 +1,6 @@
 """Meters, curves, tables, and ASCII figure rendering."""
 
-from .curves import Curve, CurveSet
+from .curves import Curve
 from .meters import AverageMeter, EMAMeter
 from .plots import ascii_plot
 from .svg import render_svg, save_svg
@@ -10,7 +10,6 @@ __all__ = [
     "AverageMeter",
     "EMAMeter",
     "Curve",
-    "CurveSet",
     "ascii_plot",
     "render_svg",
     "save_svg",

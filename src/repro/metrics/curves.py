@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = ["Curve", "CurveSet"]
+__all__ = ["Curve"]
 
 
 @dataclass
@@ -53,13 +53,3 @@ class Curve:
 
     def to_rows(self) -> list[tuple[float, float]]:
         return list(zip(self.xs, self.ys))
-
-
-@dataclass
-class CurveSet:
-    """Curves from one training run (loss/accuracy vs steps and time)."""
-
-    loss_vs_step: Curve = field(default_factory=lambda: Curve("loss_vs_step"))
-    loss_vs_time: Curve = field(default_factory=lambda: Curve("loss_vs_time"))
-    acc_vs_step: Curve = field(default_factory=lambda: Curve("acc_vs_step"))
-    acc_vs_epoch: Curve = field(default_factory=lambda: Curve("acc_vs_epoch"))

@@ -1,12 +1,11 @@
 """From-scratch neural-network library (PyTorch substitute — see DESIGN.md)."""
 
-from .conv import AvgPool2d, Conv2d, GlobalAvgPool2d, MaxPool2d
-from .layers import Dropout, Flatten, Identity, Linear, ReLU, Sigmoid, Tanh
-from .loss import CrossEntropyLoss, MSELoss, accuracy, cross_entropy
+from .conv import Conv2d, GlobalAvgPool2d, MaxPool2d
+from .layers import Identity, Linear, ReLU
+from .loss import accuracy, cross_entropy
 from .module import Module, Parameter, Sequential
-from .norm import BatchNorm1d, BatchNorm2d, GroupNorm, LayerNorm
-from .serialization import load_checkpoint, save_checkpoint
-from .models import MLP, BasicBlock, MicroResNet, SimpleCNN, SmallVGG, micro_resnet18, micro_resnet_imagenet
+from .norm import BatchNorm2d
+from .models import MLP, BasicBlock, MicroResNet, SimpleCNN
 
 __all__ = [
     "Module",
@@ -14,30 +13,15 @@ __all__ = [
     "Sequential",
     "Linear",
     "ReLU",
-    "Tanh",
-    "Sigmoid",
     "Identity",
-    "Flatten",
-    "Dropout",
     "Conv2d",
     "MaxPool2d",
-    "AvgPool2d",
     "GlobalAvgPool2d",
-    "BatchNorm1d",
     "BatchNorm2d",
-    "LayerNorm",
-    "GroupNorm",
-    "save_checkpoint",
-    "load_checkpoint",
-    "CrossEntropyLoss",
-    "MSELoss",
     "cross_entropy",
     "accuracy",
     "MLP",
     "SimpleCNN",
-    "SmallVGG",
     "BasicBlock",
     "MicroResNet",
-    "micro_resnet18",
-    "micro_resnet_imagenet",
 ]

@@ -4,11 +4,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..autograd import Tensor, avg_pool2d, conv2d, global_avg_pool2d, max_pool2d
+from ..autograd import Tensor, conv2d, global_avg_pool2d, max_pool2d
 from . import init
 from .module import Module, Parameter
 
-__all__ = ["Conv2d", "MaxPool2d", "AvgPool2d", "GlobalAvgPool2d"]
+__all__ = ["Conv2d", "MaxPool2d", "GlobalAvgPool2d"]
 
 
 class Conv2d(Module):
@@ -54,16 +54,6 @@ class MaxPool2d(Module):
 
     def forward(self, x: Tensor) -> Tensor:
         return max_pool2d(x, self.kernel_size, self.stride)
-
-
-class AvgPool2d(Module):
-    def __init__(self, kernel_size: int, stride: int | None = None) -> None:
-        super().__init__()
-        self.kernel_size = kernel_size
-        self.stride = stride or kernel_size
-
-    def forward(self, x: Tensor) -> Tensor:
-        return avg_pool2d(x, self.kernel_size, self.stride)
 
 
 class GlobalAvgPool2d(Module):

@@ -14,7 +14,7 @@ import numpy as np
 
 from ..autograd import DEFAULT_DTYPE
 
-__all__ = ["kaiming_uniform", "kaiming_normal", "xavier_uniform", "zeros", "ones"]
+__all__ = ["kaiming_uniform", "zeros", "ones"]
 
 
 def _fan_in_out(shape: tuple[int, ...]) -> tuple[int, int]:
@@ -33,18 +33,6 @@ def kaiming_uniform(shape: tuple[int, ...], rng: np.random.Generator, gain: floa
     """He/Kaiming uniform init (the ResNet default)."""
     fan_in, _ = _fan_in_out(shape)
     bound = gain * math.sqrt(3.0 / fan_in)
-    return rng.uniform(-bound, bound, size=shape).astype(DEFAULT_DTYPE)
-
-
-def kaiming_normal(shape: tuple[int, ...], rng: np.random.Generator, gain: float = math.sqrt(2.0)) -> np.ndarray:
-    fan_in, _ = _fan_in_out(shape)
-    std = gain / math.sqrt(fan_in)
-    return rng.normal(0.0, std, size=shape).astype(DEFAULT_DTYPE)
-
-
-def xavier_uniform(shape: tuple[int, ...], rng: np.random.Generator, gain: float = 1.0) -> np.ndarray:
-    fan_in, fan_out = _fan_in_out(shape)
-    bound = gain * math.sqrt(6.0 / (fan_in + fan_out))
     return rng.uniform(-bound, bound, size=shape).astype(DEFAULT_DTYPE)
 
 

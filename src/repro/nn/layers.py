@@ -1,4 +1,4 @@
-"""Dense, activation, and structural layers."""
+"""Dense and activation layers."""
 
 from __future__ import annotations
 
@@ -8,7 +8,7 @@ from ..autograd import Tensor, linear
 from . import init
 from .module import Module, Parameter
 
-__all__ = ["Linear", "ReLU", "Tanh", "Sigmoid", "Flatten", "Dropout", "Identity"]
+__all__ = ["Linear", "ReLU", "Identity"]
 
 
 class Linear(Module):
@@ -40,42 +40,6 @@ class ReLU(Module):
         return x.relu()
 
 
-class Tanh(Module):
-    def forward(self, x: Tensor) -> Tensor:
-        return x.tanh()
-
-
-class Sigmoid(Module):
-    def forward(self, x: Tensor) -> Tensor:
-        return x.sigmoid()
-
-
 class Identity(Module):
     def forward(self, x: Tensor) -> Tensor:
         return x
-
-
-class Flatten(Module):
-    """Collapse all axes but the batch axis."""
-
-    def forward(self, x: Tensor) -> Tensor:
-        return x.reshape(x.shape[0], -1)
-
-
-class Dropout(Module):
-    """Inverted dropout; identity in eval mode."""
-
-    def __init__(self, p: float = 0.5, rng: np.random.Generator | None = None) -> None:
-        super().__init__()
-        if not 0.0 <= p < 1.0:
-            raise ValueError(f"dropout probability must be in [0, 1), got {p}")
-        self.p = p
-        self.rng = rng if rng is not None else np.random.default_rng()
-
-    def forward(self, x: Tensor) -> Tensor:
-        if not self.training or self.p == 0.0:
-            return x
-        # bool × a scalar of x's dtype: the mask is born at the activations'
-        # width (bool / float would make it float64 and widen the graph)
-        keep = self.rng.random(x.shape) >= self.p
-        return x * Tensor(keep * x.dtype.type(1.0 / (1.0 - self.p)))

@@ -5,9 +5,8 @@ from __future__ import annotations
 import numpy as np
 
 from ..autograd import Tensor, is_grad_enabled
-from .module import Module
 
-__all__ = ["CrossEntropyLoss", "MSELoss", "cross_entropy", "accuracy"]
+__all__ = ["cross_entropy", "accuracy"]
 
 
 def cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:
@@ -41,22 +40,6 @@ def cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:
         out._parents = (logits,)
         out._backward = backward
     return out
-
-
-class CrossEntropyLoss(Module):
-    """Softmax cross-entropy over logits (N, C) and integer targets (N,)."""
-
-    def forward(self, logits: Tensor, targets: np.ndarray) -> Tensor:
-        return cross_entropy(logits, targets)
-
-
-class MSELoss(Module):
-    """Mean squared error."""
-
-    def forward(self, pred: Tensor, target: "Tensor | np.ndarray") -> Tensor:
-        target = target if isinstance(target, Tensor) else Tensor(target)
-        diff = pred - target
-        return (diff * diff).mean()
 
 
 def accuracy(logits: "Tensor | np.ndarray", targets: np.ndarray) -> float:

@@ -2,15 +2,11 @@
 
 from .mlp import MLP
 from .cnn import SimpleCNN
-from .resnet import BasicBlock, MicroResNet, micro_resnet18, micro_resnet_imagenet
-from .vgg import SmallVGG
+from .resnet import BasicBlock, MicroResNet
 
 __all__ = [
     "MLP",
     "SimpleCNN",
-    "SmallVGG",
     "BasicBlock",
     "MicroResNet",
-    "micro_resnet18",
-    "micro_resnet_imagenet",
 ]

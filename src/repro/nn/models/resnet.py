@@ -17,7 +17,7 @@ from ..layers import Identity, Linear, ReLU
 from ..module import Module, Sequential
 from ..norm import BatchNorm2d
 
-__all__ = ["BasicBlock", "MicroResNet", "micro_resnet18", "micro_resnet_imagenet"]
+__all__ = ["BasicBlock", "MicroResNet"]
 
 
 class BasicBlock(Module):
@@ -55,9 +55,7 @@ class BasicBlock(Module):
 class MicroResNet(Module):
     """Configurable residual network.
 
-    ``blocks_per_stage`` and ``widths`` control depth/width;
-    ``micro_resnet18`` mirrors ResNet-18's 4-stage ×2-block layout at reduced
-    width for CIFAR-like inputs.
+    ``blocks_per_stage`` and ``widths`` control depth/width.
     """
 
     def __init__(
@@ -89,25 +87,3 @@ class MicroResNet(Module):
         x = self.relu(self.stem_bn(self.stem(x)))
         x = self.stages(x)
         return self.fc(self.gap(x))
-
-
-def micro_resnet18(num_classes: int = 10, in_channels: int = 3, seed: int | None = None) -> MicroResNet:
-    """ResNet-18-shaped network (4 stages × 2 blocks) at micro width."""
-    return MicroResNet(
-        in_channels=in_channels,
-        num_classes=num_classes,
-        widths=(8, 16, 32, 64),
-        blocks_per_stage=2,
-        seed=seed,
-    )
-
-
-def micro_resnet_imagenet(num_classes: int = 100, in_channels: int = 3, seed: int | None = None) -> MicroResNet:
-    """Wider variant for the synthetic-ImageNet experiments."""
-    return MicroResNet(
-        in_channels=in_channels,
-        num_classes=num_classes,
-        widths=(16, 32, 64),
-        blocks_per_stage=2,
-        seed=seed,
-    )

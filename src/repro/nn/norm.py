@@ -1,4 +1,4 @@
-"""Batch normalisation (1-D and 2-D) with running statistics."""
+"""Batch normalisation of (N, C, H, W) activations with running statistics."""
 
 from __future__ import annotations
 
@@ -8,13 +8,13 @@ from ..autograd import Tensor
 from . import init
 from .module import Module, Parameter
 
-__all__ = ["BatchNorm1d", "BatchNorm2d", "LayerNorm", "GroupNorm"]
+__all__ = ["BatchNorm2d"]
 
 
-class _BatchNorm(Module):
-    """Shared batchnorm core; subclasses define the reduction axes."""
+class BatchNorm2d(Module):
+    """Normalise (N, C, H, W) activations over batch and spatial axes."""
 
-    _axes: tuple[int, ...] = (0,)
+    _axes = (0, 2, 3)
 
     def __init__(self, num_features: int, eps: float = 1e-5, momentum: float = 0.1) -> None:
         super().__init__()
@@ -32,6 +32,8 @@ class _BatchNorm(Module):
         return arr.reshape(shape)
 
     def forward(self, x: Tensor) -> Tensor:
+        if x.ndim != 4:
+            raise ValueError(f"BatchNorm2d expects (N, C, H, W), got shape {x.shape}")
         axes = self._axes
         if self.training:
             mean = x.mean(axis=axes, keepdims=True)
@@ -55,78 +57,3 @@ class _BatchNorm(Module):
         w = self.weight.reshape(*stat_shape)
         b = self.bias.reshape(*stat_shape)
         return xhat * w + b
-
-
-class BatchNorm1d(_BatchNorm):
-    """Normalise (N, C) activations over the batch axis."""
-
-    _axes = (0,)
-
-    def forward(self, x: Tensor) -> Tensor:
-        if x.ndim != 2:
-            raise ValueError(f"BatchNorm1d expects (N, C), got shape {x.shape}")
-        return super().forward(x)
-
-
-class BatchNorm2d(_BatchNorm):
-    """Normalise (N, C, H, W) activations over batch and spatial axes."""
-
-    _axes = (0, 2, 3)
-
-    def forward(self, x: Tensor) -> Tensor:
-        if x.ndim != 4:
-            raise ValueError(f"BatchNorm2d expects (N, C, H, W), got shape {x.shape}")
-        return super().forward(x)
-
-
-class LayerNorm(Module):
-    """Normalise over the trailing feature axis — batch-size independent.
-
-    Unlike BatchNorm it carries no running statistics, so it behaves
-    identically in train and eval mode and is robust to the tiny per-worker
-    batches of high-worker-count experiments.
-    """
-
-    def __init__(self, num_features: int, eps: float = 1e-5) -> None:
-        super().__init__()
-        self.num_features = num_features
-        self.eps = eps
-        self.weight = Parameter(init.ones((num_features,)))
-        self.bias = Parameter(init.zeros((num_features,)))
-
-    def forward(self, x: Tensor) -> Tensor:
-        if x.shape[-1] != self.num_features:
-            raise ValueError(
-                f"LayerNorm({self.num_features}) got trailing dim {x.shape[-1]}"
-            )
-        mean = x.mean(axis=-1, keepdims=True)
-        var = ((x - mean) ** 2).mean(axis=-1, keepdims=True)
-        xhat = (x - mean) / (var + self.eps) ** 0.5
-        return xhat * self.weight + self.bias
-
-
-class GroupNorm(Module):
-    """Normalise (N, C, H, W) within channel groups (Wu & He 2018)."""
-
-    def __init__(self, num_groups: int, num_channels: int, eps: float = 1e-5) -> None:
-        super().__init__()
-        if num_channels % num_groups != 0:
-            raise ValueError(f"{num_channels} channels not divisible by {num_groups} groups")
-        self.num_groups = num_groups
-        self.num_channels = num_channels
-        self.eps = eps
-        self.weight = Parameter(init.ones((num_channels,)))
-        self.bias = Parameter(init.zeros((num_channels,)))
-
-    def forward(self, x: Tensor) -> Tensor:
-        if x.ndim != 4 or x.shape[1] != self.num_channels:
-            raise ValueError(
-                f"GroupNorm expects (N, {self.num_channels}, H, W), got {x.shape}"
-            )
-        n, c, h, w = x.shape
-        g = self.num_groups
-        grouped = x.reshape(n, g, (c // g) * h * w)
-        mean = grouped.mean(axis=2, keepdims=True)
-        var = ((grouped - mean) ** 2).mean(axis=2, keepdims=True)
-        xhat = ((grouped - mean) / (var + self.eps) ** 0.5).reshape(n, c, h, w)
-        return xhat * self.weight.reshape(1, c, 1, 1) + self.bias.reshape(1, c, 1, 1)

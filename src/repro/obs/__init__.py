@@ -51,12 +51,11 @@ from .runs import (
     worker_skew_s,
     write_run_dir,
 )
-from .span import Span, relabel_records, span_record, validate_record, validate_records
+from .span import relabel_records, span_record, validate_record, validate_records
 from .tracer import NullTracer, Tracer, current_tracer, set_tracer, use_tracer
 from . import names
 
 __all__ = [
-    "Span",
     "span_record",
     "relabel_records",
     "validate_record",

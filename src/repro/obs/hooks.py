@@ -74,7 +74,7 @@ def _patch_autograd(patches: _PatchSet) -> None:
     from ..autograd.tensor import Tensor
     from ..nn import conv as nn_conv
 
-    for fname in ("conv2d", "max_pool2d", "avg_pool2d", "global_avg_pool2d"):
+    for fname in ("conv2d", "max_pool2d", "global_avg_pool2d"):
         patches.patch_everywhere([ag_ops, ag_pkg, nn_conv], fname, f"autograd.{fname}", "autograd")
     patches.patch_everywhere([Tensor], "backward", "autograd.backward", "autograd")
     original_matmul = Tensor.matmul

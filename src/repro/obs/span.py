@@ -18,14 +18,12 @@ enforces.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Any, Iterable, Mapping
 
 __all__ = [
     "DOMAINS",
     "RECORD_TYPES",
     "SPAN_KEYS",
-    "Span",
     "relabel_records",
     "span_record",
     "validate_record",
@@ -41,19 +39,6 @@ RECORD_TYPES = ("meta", "span", "metric", "step")
 
 #: required keys of a ``type == "span"`` record
 SPAN_KEYS = ("name", "cat", "ts", "dur", "tid", "domain")
-
-
-@dataclass(frozen=True)
-class Span:
-    """Typed view of one span record (exporters mostly use raw dicts)."""
-
-    name: str
-    cat: str
-    ts: float  #: start time in seconds (domain clock)
-    dur: float  #: duration in seconds
-    tid: str  #: logical thread/lane (thread name, ``worker-3``, ``server``)
-    domain: str = "wall"
-    args: "Mapping[str, Any]" = field(default_factory=dict)
 
 
 def span_record(

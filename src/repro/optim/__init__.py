@@ -1,18 +1,14 @@
 """Optimisers, LR schedules, and gradient clipping."""
 
 from .clip import clip_by_global_norm, global_norm
-from .schedules import ConstantLR, CosineDecay, Schedule, StepDecay, WarmupWrapper
-from .lars import LARS
+from .schedules import ConstantLR, Schedule, StepDecay
 from .sgd import SGD
 
 __all__ = [
     "SGD",
-    "LARS",
     "Schedule",
     "ConstantLR",
     "StepDecay",
-    "CosineDecay",
-    "WarmupWrapper",
     "global_norm",
     "clip_by_global_norm",
 ]

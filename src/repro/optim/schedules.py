@@ -1,15 +1,12 @@
 """Learning-rate schedules.
 
 The paper decays the LR ×0.1 at fixed epochs (30/40 of 50 on CIFAR,
-30/60 of 90 on ImageNet) and cites warmup [Goyal et al.] as the standard
-large-batch trick (DGC uses it during the sparsity ramp).
+30/60 of 90 on ImageNet).
 """
 
 from __future__ import annotations
 
-import math
-
-__all__ = ["Schedule", "ConstantLR", "StepDecay", "CosineDecay", "WarmupWrapper"]
+__all__ = ["Schedule", "ConstantLR", "StepDecay"]
 
 
 class Schedule:
@@ -48,35 +45,3 @@ class StepDecay(Schedule):
     def lr_at(self, epoch: float) -> float:
         drops = sum(1 for m in self.milestones if epoch >= m)
         return self.base_lr * self.factor**drops
-
-
-class CosineDecay(Schedule):
-    """Cosine annealing from ``base_lr`` to ``min_lr`` over ``total_epochs``."""
-
-    def __init__(self, base_lr: float, total_epochs: float, min_lr: float = 1e-5) -> None:
-        self.base_lr = base_lr
-        self.total_epochs = total_epochs
-        self.min_lr = min_lr
-
-    def lr_at(self, epoch: float) -> float:
-        t = min(max(epoch / self.total_epochs, 0.0), 1.0)
-        return self.min_lr + 0.5 * (self.base_lr - self.min_lr) * (1 + math.cos(math.pi * t))
-
-
-class WarmupWrapper(Schedule):
-    """Linear warmup from ``warmup_factor``·lr to the inner schedule's lr."""
-
-    def __init__(self, inner: Schedule, warmup_epochs: float, warmup_factor: float = 0.1) -> None:
-        if warmup_epochs < 0:
-            raise ValueError("warmup_epochs must be non-negative")
-        self.inner = inner
-        self.warmup_epochs = warmup_epochs
-        self.warmup_factor = warmup_factor
-
-    def lr_at(self, epoch: float) -> float:
-        base = self.inner.lr_at(epoch)
-        if self.warmup_epochs == 0 or epoch >= self.warmup_epochs:
-            return base
-        alpha = epoch / self.warmup_epochs
-        scale = self.warmup_factor + (1.0 - self.warmup_factor) * alpha
-        return base * scale

@@ -5,7 +5,6 @@ import pytest
 
 from repro.autograd import (
     Tensor,
-    avg_pool2d,
     col2im,
     conv2d,
     global_avg_pool2d,
@@ -116,15 +115,6 @@ class TestPooling:
     def test_max_pool_gradcheck(self, rng):
         x = Tensor(rng.normal(size=(2, 2, 4, 4)) * 5, requires_grad=True)
         assert gradcheck(lambda x: (max_pool2d(x, 2) ** 2).sum(), [x], atol=1e-4)
-
-    def test_avg_pool_values(self):
-        x = Tensor(np.arange(16.0).reshape(1, 1, 4, 4), requires_grad=True)
-        out = avg_pool2d(x, 2)
-        np.testing.assert_allclose(out.data[0, 0], [[2.5, 4.5], [10.5, 12.5]])
-
-    def test_avg_pool_gradcheck(self, rng):
-        x = t(rng, 1, 3, 4, 4)
-        assert gradcheck(lambda x: (avg_pool2d(x, 2) ** 2).sum(), [x])
 
     def test_global_avg_pool(self, rng):
         x = t(rng, 2, 3, 4, 4)

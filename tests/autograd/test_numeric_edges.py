@@ -54,9 +54,3 @@ class TestTensorEdges:
         out.backward(np.ones(1))
         assert np.isfinite(out.data).all()
         assert np.isfinite(a.grad).all()
-
-    def test_softmax_one_hot_limit(self):
-        a = Tensor(np.array([[100.0, 0.0, 0.0]]))
-        s = a.softmax(axis=1).data
-        assert s[0, 0] == pytest.approx(1.0)
-        np.testing.assert_allclose(s.sum(), 1.0)

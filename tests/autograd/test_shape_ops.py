@@ -67,33 +67,3 @@ class TestIndexing:
         a = t(rng, 6)
         idx = np.array([1, 3, 3, 5])
         assert gradcheck(lambda a: (a[idx] ** 2).sum(), [a])
-
-
-class TestPadConcat:
-    def test_pad2d_shape(self, rng):
-        a = t(rng, 2, 3, 4, 4)
-        assert a.pad2d(1).shape == (2, 3, 6, 6)
-
-    def test_pad2d_zero_is_identity(self, rng):
-        a = t(rng, 1, 1, 3, 3)
-        assert a.pad2d(0) is a
-
-    def test_pad2d_grad(self, rng):
-        a = t(rng, 1, 2, 3, 3)
-        assert gradcheck(lambda a: (a.pad2d(2) ** 2).sum(), [a])
-
-    def test_concat_values(self, rng):
-        a, b = t(rng, 2, 3), t(rng, 4, 3)
-        out = Tensor.concat([a, b], axis=0)
-        np.testing.assert_allclose(out.data, np.concatenate([a.data, b.data]))
-
-    def test_concat_grad_splits(self, rng):
-        a, b = t(rng, 2, 3), t(rng, 2, 3)
-        out = Tensor.concat([a, b], axis=1)
-        out.backward(np.arange(12.0).reshape(2, 6))
-        np.testing.assert_allclose(a.grad, np.arange(12.0).reshape(2, 6)[:, :3])
-        np.testing.assert_allclose(b.grad, np.arange(12.0).reshape(2, 6)[:, 3:])
-
-    def test_concat_gradcheck(self, rng):
-        a, b = t(rng, 2, 2), t(rng, 3, 2)
-        assert gradcheck(lambda a, b: (Tensor.concat([a, b], axis=0) ** 2).sum(), [a, b])

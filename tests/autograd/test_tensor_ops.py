@@ -117,24 +117,6 @@ class TestNonlinearities:
         a = Tensor(rng.uniform(0.5, 3.0, size=(3, 3)), requires_grad=True)
         assert gradcheck(lambda a: a.log().sum(), [a])
 
-    def test_tanh(self, rng):
-        a = t(rng, 5)
-        assert gradcheck(lambda a: a.tanh().sum(), [a])
-
-    def test_sigmoid(self, rng):
-        a = t(rng, 5)
-        assert gradcheck(lambda a: a.sigmoid().sum(), [a])
-
-    def test_softmax_rows_sum_to_one(self, rng):
-        a = t(rng, 4, 7)
-        s = a.softmax(axis=1)
-        np.testing.assert_allclose(s.data.sum(axis=1), np.ones(4), atol=1e-12)
-
-    def test_softmax_grad(self, rng):
-        a = t(rng, 3, 5)
-        w = Tensor(rng.normal(size=(3, 5)))
-        assert gradcheck(lambda a: (a.softmax(axis=1) * w).sum(), [a], atol=1e-4)
-
 
 class TestGraph:
     def test_reused_tensor_accumulates_grad(self, rng):

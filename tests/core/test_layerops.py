@@ -6,13 +6,9 @@ import pytest
 from repro.core.layerops import (
     add_scaled,
     assign_parameters,
-    clone_layers,
-    flatten_layers,
     gradients_of,
     layer_shapes,
     parameters_of,
-    total_nbytes,
-    total_size,
     zeros_like_layers,
 )
 from repro.compression.workspace import KernelWorkspace
@@ -87,22 +83,3 @@ class TestLayerOps:
         add_scaled(dest, src, 0.3, ws)
         np.testing.assert_array_equal(dest, want)
         assert dest.dtype == np.float32 and ws.nbytes() == 2000 * 4
-
-    def test_totals(self, model):
-        params = parameters_of(model)
-        assert total_size(params) == model.num_parameters()
-        assert total_nbytes(params) == model.num_parameters() * 4  # float32 models
-
-    def test_flatten(self):
-        flat = flatten_layers({"a": np.ones((2, 2)), "b": np.zeros(3)})
-        assert flat.shape == (7,)
-        np.testing.assert_allclose(flat, [1, 1, 1, 1, 0, 0, 0])
-
-    def test_flatten_empty(self):
-        assert flatten_layers({}).shape == (0,)
-
-    def test_clone_is_deep(self):
-        src = {"a": np.ones(2)}
-        dst = clone_layers(src)
-        dst["a"][0] = 5
-        assert src["a"][0] == 1

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core import METHODS, Hyper, build_strategy, get_method, method_names
+from repro.core import METHODS, Hyper, build_strategy, get_method
 from repro.core.strategies import (
     DenseStrategy,
     DGCStrategy,
@@ -25,10 +25,6 @@ class TestRegistry:
     def test_unknown_method(self):
         with pytest.raises(KeyError):
             get_method("nope")
-
-    def test_method_names_filter(self):
-        assert "msgd" not in method_names(distributed_only=True)
-        assert "msgd" in method_names()
 
     def test_msgd_is_single_node(self):
         assert not get_method("msgd").distributed

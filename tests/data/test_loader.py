@@ -81,14 +81,3 @@ class TestDataLoader:
         a = loader.worker_iterator(0, 2).next_batch()[0]
         b = loader.worker_iterator(1, 2).next_batch()[0]
         assert not np.array_equal(a, b)
-
-    def test_full_iterator_uses_everything(self):
-        ds = make_blobs(n_samples=60, seed=0)
-        loader = DataLoader(ds, batch_size=10, seed=0)
-        assert len(loader.full_iterator().x) == ds.n_train
-
-    def test_val_batches_cover_split(self):
-        ds = make_blobs(n_samples=100, seed=0)
-        loader = DataLoader(ds, batch_size=8, seed=0)
-        total = sum(len(x) for x, _ in loader.val_batches(batch_size=7))
-        assert total == ds.n_val

@@ -7,7 +7,6 @@ from repro.data import (
     Dataset,
     make_blobs,
     make_image_classes,
-    make_spirals,
     synthetic_cifar10,
     synthetic_imagenet,
 )
@@ -80,17 +79,6 @@ class TestBlobs:
         centroids = np.stack([ds.x_train[ds.y_train == c].mean(axis=0) for c in range(3)])
         pred = np.linalg.norm(ds.x_val[:, None] - centroids[None], axis=2).argmin(axis=1)
         assert (pred == ds.y_val).mean() > 0.95
-
-
-class TestSpirals:
-    def test_2d(self):
-        ds = make_spirals(n_samples=100, seed=0)
-        assert ds.input_shape == (2,)
-
-    def test_radius_bounded(self):
-        ds = make_spirals(n_samples=500, noise=0.0, seed=0)
-        r = np.linalg.norm(ds.x_train, axis=1)
-        assert r.max() <= 1.01 and r.min() >= 0.15
 
 
 class TestImageClasses:

@@ -153,3 +153,21 @@ class TestRunDistributedBackendParam:
         )
         assert isinstance(result, TrainResult)
         assert result.backend == backend
+
+
+@pytest.mark.parametrize("backend", ["simulated", "sync"])
+def test_virtual_clock_engines_refuse_checkpoint_settings(
+    backend, tmp_path, tiny_dataset, tiny_model_factory
+):
+    """Neither virtual-clock engine writes or reads a checkpoint, so each
+    refuses the settings at construction instead of running without them."""
+    out = tmp_path / "out.ckpt"
+    settings = {
+        "checkpoint_every": {"checkpoint_every": 5, "checkpoint_path": str(out)},
+        "restore_from": {"restore_from": str(tmp_path / "in.ckpt")},
+    }
+    for field, fields in settings.items():
+        config = tiny_config(tiny_dataset, tiny_model_factory, **fields)
+        with pytest.raises(ValueError, match=rf"{field} .* {backend} backend.* threaded, process and socket"):
+            Trainer(config, backend=backend)
+    assert not out.exists()

@@ -14,7 +14,6 @@ from repro.exec import (
     SynchronousTrainer,
     ThreadedTrainer,
     Trainer,
-    default_backend,
     get_backend,
     list_backends,
     register_backend,
@@ -90,27 +89,25 @@ class TestRegistry:
 
 class TestAmbientDefault:
     def test_default_is_simulated(self):
-        assert default_backend() == "simulated"
         assert get_backend(None) is get_backend("simulated")
 
     def test_use_backend_swaps_and_restores(self):
         with use_backend("threaded") as name:
             assert name == "threaded"
-            assert default_backend() == "threaded"
             assert get_backend(None) is get_backend("threaded")
-        assert default_backend() == "simulated"
+        assert get_backend(None) is get_backend("simulated")
 
     def test_use_backend_restores_on_error(self):
         with pytest.raises(RuntimeError):
             with use_backend("sync"):
                 raise RuntimeError("boom")
-        assert default_backend() == "simulated"
+        assert get_backend(None) is get_backend("simulated")
 
     def test_use_backend_fails_fast_on_unknown(self):
         with pytest.raises(KeyError):
             with use_backend("quantum"):
                 pass  # pragma: no cover
-        assert default_backend() == "simulated"
+        assert get_backend(None) is get_backend("simulated")
 
 
 class TestMeasureDeclarations:

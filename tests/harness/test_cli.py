@@ -5,6 +5,7 @@ import types
 import pytest
 
 from repro.__main__ import EXPERIMENTS, main
+from repro.exec import RunConfig, train
 from repro.harness.report import ExperimentReport
 
 
@@ -57,6 +58,21 @@ class TestCLI:
         assert main(["run", "stub", *(["--fast"] if fast else [])]) == code
         verdict = "PASS" if holds else "FAIL"
         assert f"{verdict}  stub: the paper's shape" in capsys.readouterr().out
+
+    def test_checkpointing_on_a_virtual_clock_backend_is_an_error(
+        self, monkeypatch, tmp_path, capsys, tiny_dataset, tiny_model_factory
+    ):
+        """The default backend is the simulator, which writes no checkpoint:
+        the run stops with the engine's refusal instead of exiting 0."""
+        config = RunConfig("dgs", tiny_model_factory, tiny_dataset, num_workers=2,
+                           batch_size=16, total_iterations=8)
+        module = types.ModuleType("stub_training")
+        module.run = lambda fast=False: train(config)
+        monkeypatch.setitem(EXPERIMENTS, "stub", (module, "stub"))
+        path = tmp_path / "run.ckpt"
+        assert main(["run", "stub", "--checkpoint-every", "5", "--checkpoint", str(path)]) == 2
+        assert "checkpoint_every is not supported by the simulated backend" in capsys.readouterr().err
+        assert not path.exists()
 
     def test_unknown_experiment_rejected(self):
         with pytest.raises(SystemExit):

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.harness import get_workload, run_all_methods, run_distributed, run_msgd
+from repro.harness import get_workload, run_distributed, run_msgd
 from repro.harness.local import LocalResult
 from repro.exec import TrainResult
 
@@ -43,13 +43,3 @@ class TestRunMsgd:
         r = run_msgd(wl, fast=True, epochs=1)
         assert isinstance(r, LocalResult)
         assert r.final_accuracy > 0.0
-
-
-class TestRunAllMethods:
-    def test_runs_everything(self, wl):
-        res = run_all_methods(wl, 2, fast=True, epochs=1)
-        assert set(res) == {"msgd", "asgd", "gd_async", "dgc_async", "dgs"}
-
-    def test_methods_subset(self, wl):
-        res = run_all_methods(wl, 2, methods=("dgs",), include_msgd=False, fast=True, epochs=1)
-        assert set(res) == {"dgs"}

@@ -64,21 +64,3 @@ class TestCurve:
         c = Curve("x")
         c.add(1, 2.0)
         assert c.to_rows() == [(1.0, 2.0)]
-
-
-class TestCurveSet:
-    def test_default_curves(self):
-        from repro.metrics import CurveSet
-
-        cs = CurveSet()
-        assert cs.loss_vs_step.name == "loss_vs_step"
-        assert cs.acc_vs_epoch.name == "acc_vs_epoch"
-        cs.loss_vs_time.add(0.5, 3.0)
-        assert cs.loss_vs_time.final == 3.0
-
-    def test_independent_instances(self):
-        from repro.metrics import CurveSet
-
-        a, b = CurveSet(), CurveSet()
-        a.loss_vs_step.add(1, 1.0)
-        assert len(b.loss_vs_step) == 0

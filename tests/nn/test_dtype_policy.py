@@ -9,17 +9,14 @@ import pytest
 
 from repro.autograd import DEFAULT_DTYPE, Tensor, no_grad
 from repro.core.layerops import gradients_of
-from repro.data import make_blobs, make_image_classes, make_spirals, synthetic
+from repro.data import make_blobs, make_image_classes, synthetic
 from repro.nn import (
     MLP,
-    BatchNorm1d,
     BatchNorm2d,
     Conv2d,
-    Dropout,
     Linear,
     MicroResNet,
     SimpleCNN,
-    SmallVGG,
 )
 from repro.nn.loss import cross_entropy
 from repro.optim import SGD
@@ -31,7 +28,6 @@ MODELS = {
         lambda: MicroResNet(3, 10, widths=(4, 8), blocks_per_stage=1, seed=0),
         (8, 3, 8, 8),
     ),
-    "small_vgg": (lambda: SmallVGG(3, 10, widths=(4, 8), seed=0), (8, 3, 8, 8)),
 }
 
 
@@ -120,20 +116,10 @@ class TestMixedInput:
         assert {b.dtype for _, b in model.named_buffers()} == {np.dtype(np.float32)}
 
     def test_batchnorm_running_stats_keep_the_buffers_dtype(self, rng):
-        bn = BatchNorm1d(3)
-        bn(Tensor(rng.normal(size=(8, 3))))  # float64 batch statistics
+        bn = BatchNorm2d(3)
+        bn(Tensor(rng.normal(size=(8, 3, 2, 2))))  # float64 batch statistics
         assert bn.running_mean.dtype == bn.running_var.dtype == np.float32
         assert np.any(bn.running_mean != 0)
-
-    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_dropout_mask_has_the_activations_dtype(self, dtype):
-        drop = Dropout(0.5, rng=np.random.default_rng(0))
-        x = Tensor(np.ones((16, 16), dtype=dtype), requires_grad=True)
-        out = drop(x)
-        assert out.dtype == dtype
-        assert set(np.unique(out.data)) == {0.0, 2.0}
-        out.sum().backward()
-        assert x.grad.dtype == dtype
 
 
 class TestModuleAstype:
@@ -199,7 +185,6 @@ class TestDatasetsAreFloat32:
     def test_generators_hand_out_float32_inputs(self):
         for ds in (
             make_blobs(64, dim=5),
-            make_spirals(64),
             make_image_classes(64, size=4),
         ):
             assert ds.x_train.dtype == ds.x_val.dtype == np.float32, ds.name
@@ -252,7 +237,6 @@ def _fancy_index_split(x, y, val_fraction, rng):
 
 GENERATORS = {
     "blobs": lambda seed: make_blobs(300, num_classes=4, dim=6, seed=seed),
-    "spirals": lambda seed: make_spirals(250, seed=seed),
     "images": lambda seed: make_image_classes(120, size=4, seed=seed),
 }
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.autograd import Tensor
-from repro.nn import MLP, MicroResNet, SimpleCNN, SmallVGG, cross_entropy
+from repro.nn import MLP, MicroResNet, SimpleCNN, cross_entropy
 from repro.optim import SGD
 
 MODELS = [
@@ -15,7 +15,6 @@ MODELS = [
         (8, 3, 8, 8),
         id="resnet",
     ),
-    pytest.param(lambda: SmallVGG(3, 4, widths=(4, 8), seed=0), (8, 3, 8, 8), id="vgg"),
 ]
 
 

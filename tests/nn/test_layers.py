@@ -1,10 +1,10 @@
-"""Dense/activation/structural layers."""
+"""Dense and activation layers."""
 
 import numpy as np
 import pytest
 
 from repro.autograd import Tensor, gradcheck
-from repro.nn import Dropout, Flatten, Identity, Linear, ReLU, Sigmoid, Tanh
+from repro.nn import Identity, Linear, ReLU
 
 
 class TestLinear:
@@ -36,9 +36,7 @@ class TestLinear:
 
 
 class TestActivations:
-    @pytest.mark.parametrize("layer,fn", [(ReLU(), lambda x: np.maximum(x, 0)),
-                                          (Tanh(), np.tanh),
-                                          (Sigmoid(), lambda x: 1 / (1 + np.exp(-x)))])
+    @pytest.mark.parametrize("layer,fn", [(ReLU(), lambda x: np.maximum(x, 0))])
     def test_values(self, rng, layer, fn):
         x = rng.normal(size=(3, 3))
         np.testing.assert_allclose(layer(Tensor(x)).data, fn(x), atol=1e-12)
@@ -46,35 +44,3 @@ class TestActivations:
     def test_identity(self, rng):
         x = Tensor(rng.normal(size=(2, 2)))
         assert Identity()(x) is x
-
-
-class TestFlatten:
-    def test_flattens_trailing(self, rng):
-        x = Tensor(rng.normal(size=(4, 2, 3, 3)))
-        assert Flatten()(x).shape == (4, 18)
-
-
-class TestDropout:
-    def test_eval_is_identity(self, rng):
-        d = Dropout(0.5, rng=rng)
-        d.eval()
-        x = Tensor(rng.normal(size=(10, 10)))
-        np.testing.assert_array_equal(d(x).data, x.data)
-
-    def test_train_zeroes_and_rescales(self):
-        d = Dropout(0.5, rng=np.random.default_rng(0))
-        x = Tensor(np.ones((100, 100)))
-        out = d(x).data
-        zeros = (out == 0).mean()
-        assert 0.4 < zeros < 0.6
-        kept = out[out != 0]
-        np.testing.assert_allclose(kept, 2.0)
-
-    def test_p_zero_is_identity(self, rng):
-        d = Dropout(0.0)
-        x = Tensor(rng.normal(size=(5, 5)))
-        np.testing.assert_array_equal(d(x).data, x.data)
-
-    def test_invalid_p_raises(self):
-        with pytest.raises(ValueError):
-            Dropout(1.0)

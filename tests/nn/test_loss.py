@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.autograd import Tensor, gradcheck, numerical_gradient
-from repro.nn import CrossEntropyLoss, MSELoss, accuracy, cross_entropy
+from repro.nn import accuracy, cross_entropy
 
 
 class TestCrossEntropy:
@@ -38,29 +38,10 @@ class TestCrossEntropy:
         with pytest.raises(ValueError):
             cross_entropy(Tensor(rng.normal(size=(2, 3))), np.zeros((2, 3), dtype=int))
 
-    def test_module_wrapper(self, rng):
-        loss = CrossEntropyLoss()
-        logits = Tensor(rng.normal(size=(2, 3)), requires_grad=True)
-        out = loss(logits, np.array([0, 1]))
-        assert out.data.size == 1
-
     def test_no_grad_when_input_constant(self, rng):
         logits = Tensor(rng.normal(size=(2, 3)))
         out = cross_entropy(logits, np.array([0, 1]))
         assert not out.requires_grad
-
-
-class TestMSE:
-    def test_value(self, rng):
-        pred = Tensor(np.array([1.0, 2.0]), requires_grad=True)
-        target = np.array([0.0, 0.0])
-        out = MSELoss()(pred, target)
-        assert float(out.data) == pytest.approx(2.5)
-
-    def test_gradcheck(self, rng):
-        pred = Tensor(rng.normal(size=(3, 2)), requires_grad=True)
-        target = rng.normal(size=(3, 2))
-        assert gradcheck(lambda p: MSELoss()(p, target), [pred])
 
 
 class TestAccuracy:

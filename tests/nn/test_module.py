@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.autograd import Tensor
-from repro.nn import BatchNorm1d, Linear, MLP, Module, Parameter, ReLU, Sequential
+from repro.nn import BatchNorm2d, Linear, MLP, Module, Parameter, ReLU, Sequential
 
 
 class TestRegistration:
@@ -32,7 +32,7 @@ class TestRegistration:
         assert kinds == ["Sequential", "Linear", "ReLU"]
 
     def test_buffers_discovered(self):
-        bn = BatchNorm1d(4)
+        bn = BatchNorm2d(4)
         names = [n for n, _ in bn.named_buffers()]
         assert set(names) == {"running_mean", "running_var"}
 
@@ -62,8 +62,8 @@ class TestStateDict:
         assert not np.allclose(dict(m.named_parameters())[first].data, 123.0)
 
     def test_buffers_roundtrip(self):
-        bn1, bn2 = BatchNorm1d(3), BatchNorm1d(3)
-        bn1(Tensor(np.random.default_rng(0).normal(size=(16, 3))))
+        bn1, bn2 = BatchNorm2d(3), BatchNorm2d(3)
+        bn1(Tensor(np.random.default_rng(0).normal(size=(4, 3, 2, 2))))
         bn2.load_state_dict(bn1.state_dict())
         np.testing.assert_array_equal(bn1._buffers["running_mean"], bn2._buffers["running_mean"])
 

@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from repro.optim import ConstantLR, CosineDecay, StepDecay, WarmupWrapper
+from repro.optim import ConstantLR, StepDecay
 
 
 class TestConstant:
@@ -30,54 +30,6 @@ class TestStepDecay:
     def test_fractional_epochs(self):
         s = StepDecay(1.0, milestones=(1.5,), factor=0.1)
         assert s(1.4) == 1.0 and s(1.6) == pytest.approx(0.1)
-
-
-class TestCosine:
-    def test_endpoints(self):
-        s = CosineDecay(1.0, total_epochs=10, min_lr=0.01)
-        assert s(0) == pytest.approx(1.0)
-        assert s(10) == pytest.approx(0.01)
-
-    def test_midpoint(self):
-        s = CosineDecay(1.0, total_epochs=10, min_lr=0.0)
-        assert s(5) == pytest.approx(0.5)
-
-    def test_clamps_beyond_total(self):
-        s = CosineDecay(1.0, total_epochs=10, min_lr=0.01)
-        assert s(20) == pytest.approx(0.01)
-
-    def test_monotone_decreasing(self):
-        s = CosineDecay(1.0, total_epochs=10)
-        values = [s.lr_at(e) for e in range(11)]
-        assert all(a >= b for a, b in zip(values, values[1:]))
-
-
-class TestWarmup:
-    def test_starts_at_factor(self):
-        s = WarmupWrapper(ConstantLR(1.0), warmup_epochs=5, warmup_factor=0.1)
-        assert s(0) == pytest.approx(0.1)
-
-    def test_reaches_base_at_end(self):
-        s = WarmupWrapper(ConstantLR(1.0), warmup_epochs=5, warmup_factor=0.1)
-        assert s(5) == pytest.approx(1.0)
-        assert s(10) == pytest.approx(1.0)
-
-    def test_linear_in_between(self):
-        s = WarmupWrapper(ConstantLR(1.0), warmup_epochs=4, warmup_factor=0.0)
-        assert s(1) == pytest.approx(0.25)
-        assert s(2) == pytest.approx(0.5)
-
-    def test_zero_warmup(self):
-        s = WarmupWrapper(ConstantLR(0.5), warmup_epochs=0)
-        assert s(0) == 0.5
-
-    def test_negative_warmup_rejected(self):
-        with pytest.raises(ValueError):
-            WarmupWrapper(ConstantLR(1.0), warmup_epochs=-1)
-
-    def test_composes_with_step_decay(self):
-        s = WarmupWrapper(StepDecay(1.0, (10,), 0.1), warmup_epochs=2)
-        assert s(15) == pytest.approx(0.1)
 
 
 class TestValidation:

@@ -1,11 +1,10 @@
 """End-to-end optimizer behaviour on real objectives."""
 
 import numpy as np
-import pytest
 
 from repro.autograd import Tensor
 from repro.nn import MLP, cross_entropy
-from repro.optim import SGD, CosineDecay, StepDecay
+from repro.optim import SGD, StepDecay
 
 
 def quadratic_min(opt_factory, steps=120):
@@ -68,7 +67,3 @@ class TestScheduledTraining:
             loss.backward()
             opt.step()
         assert float(loss.data) < 0.5
-
-    def test_cosine_reaches_min_lr(self):
-        s = CosineDecay(1.0, total_epochs=5, min_lr=0.01)
-        assert s(5) == pytest.approx(0.01)

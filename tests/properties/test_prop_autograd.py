@@ -61,19 +61,3 @@ class TestLinearity:
         x = Tensor(a, requires_grad=True)
         x.relu().sum().backward()
         np.testing.assert_array_equal(x.grad, (a > 0).astype(float))
-
-
-class TestSoftmaxProperties:
-    @given(a=arrays(np.float64, (4, 6), elements=small_floats))
-    @settings(max_examples=60, deadline=None)
-    def test_softmax_is_distribution(self, a):
-        s = Tensor(a).softmax(axis=1).data
-        assert (s >= 0).all()
-        np.testing.assert_allclose(s.sum(axis=1), 1.0, atol=1e-10)
-
-    @given(a=arrays(np.float64, (2, 5), elements=small_floats), shift=small_floats)
-    @settings(max_examples=60, deadline=None)
-    def test_softmax_shift_invariance(self, a, shift):
-        s1 = Tensor(a).softmax(axis=1).data
-        s2 = Tensor(a + shift).softmax(axis=1).data
-        np.testing.assert_allclose(s1, s2, atol=1e-9)

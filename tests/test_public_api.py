@@ -1,6 +1,10 @@
 """Public API integrity: every __all__ name resolves; key surfaces import."""
 
 import importlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -34,6 +38,29 @@ def test_version():
     import repro
 
     assert repro.__version__ == "1.0.0"
+    assert repro.__all__ == ["__version__"]
+
+
+def _modules_loaded_by(statement):
+    import repro
+
+    src = str(Path(repro.__file__).resolve().parents[1])
+    code = f"import sys\n{statement}\nprint(' '.join(sorted(m for m in sys.modules if m.startswith('repro'))))"
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    return out.stdout.split()
+
+
+def test_import_repro_loads_no_subpackage():
+    assert _modules_loaded_by("import repro") == ["repro"]
+
+
+def test_import_exec_loads_neither_analysis_nor_harness():
+    """A run, and every parent of forked workers, imports ``repro.exec``;
+    the static analysis suite and the experiment harness stay unloaded."""
+    loaded = _modules_loaded_by("import repro.exec")
+    assert "repro.exec.trainer" in loaded
+    assert [m for m in loaded if m.startswith(("repro.analysis", "repro.harness"))] == []
 
 
 def test_star_import_surface():
