@@ -7,7 +7,7 @@ staleness, bytes), reloads the log with :func:`repro.obs.load_jsonl`, and
 renders loss + staleness charts to SVG — the offline equivalent of a
 TensorBoard scalar stream.
 
-Usage:  python examples/telemetry.py [--fast] [--out-dir /tmp]
+Usage:  python examples/telemetry.py [--fast] [--out-dir runs/telemetry]
 """
 
 import argparse
@@ -31,9 +31,12 @@ def curve(steps, y, x):
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--fast", action="store_true")
-    parser.add_argument("--out-dir", default=".", help="where to write run.jsonl and charts")
+    parser.add_argument(
+        "--out-dir", default="runs/telemetry", help="where to write run.jsonl and charts"
+    )
     args = parser.parse_args()
     out = pathlib.Path(args.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
 
     workload = get_workload("cifar10")
     dataset = workload.dataset(args.fast)

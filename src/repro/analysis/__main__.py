@@ -15,13 +15,11 @@ Subcommands::
 
     python -m repro.analysis graph [root]     # dump the lock-acquisition graph
     python -m repro.analysis arch [root]      # layering report; --update-baseline
-    python -m repro.analysis abba-smoke PATH  # static+dynamic deadlock detection
 """
 
 from __future__ import annotations
 
 import argparse
-import importlib.util
 import json
 import sys
 from pathlib import Path
@@ -131,41 +129,9 @@ def _cmd_arch(argv: "list[str]") -> int:
     return 1 if findings else 0
 
 
-def _cmd_abba_smoke(argv: "list[str]") -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.analysis abba-smoke",
-        description="Prove the suite catches a committed ABBA deadlock fixture "
-        "both statically (LCK004) and dynamically (lock-order inversion).",
-    )
-    parser.add_argument("path", help="fixture module with lock classes and a drive(registry) fn")
-    args = parser.parse_args(argv)
-    from .concurrency import LockRegistry, check_lock_graph
-
-    fixture = Path(args.path)
-    static = [f for f in check_lock_graph(fixture.parent, paths=[fixture]) if f.rule == "LCK004"]
-    print(f"static: {len(static)} LCK004 finding(s)")
-    for f in static:
-        print(f"  {f.format()}")
-
-    spec = importlib.util.spec_from_file_location(fixture.stem, fixture)
-    assert spec is not None and spec.loader is not None
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    registry = LockRegistry()
-    module.drive(registry)
-    inversions = registry.inversions()
-    print(f"dynamic: {len(inversions)} lock-order inversion(s)")
-    for inv in inversions:
-        print(f"  {inv.format()}")
-
-    ok = bool(static) and bool(inversions)
-    print(f"abba-smoke: {'OK — deadlock potential detected both ways' if ok else 'FAILED'}")
-    return 0 if ok else 1
-
-
 def main(argv: "list[str] | None" = None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
-    subcommands = {"graph": _cmd_graph, "arch": _cmd_arch, "abba-smoke": _cmd_abba_smoke}
+    subcommands = {"graph": _cmd_graph, "arch": _cmd_arch}
     if argv and argv[0] in subcommands:
         return subcommands[argv[0]](argv[1:])
 

@@ -211,10 +211,12 @@ def serve_channels(
       ``on_loss`` sees each frame's training loss after the reply ships.
     * **close** frames settle a worker's final accounting; a channel that
       dies *without* one (EOF / EPIPE), delivers bytes that do not
-      decode, or sends a frame that does not fit the server's layers
-      (:meth:`ServerService.check`) is a crash of *that* channel and
-      becomes an error on the report — a graceful partial result, never a hang, and never the end
-      of service for the other workers.
+      decode, sends a frame of a reply kind or one that does not fit the
+      server's layers (:meth:`ServerService.check`), or cannot take its
+      reply is a crash of *that* channel: it is counted, becomes an error
+      on the report, and the membership layer deregisters the worker — a
+      graceful partial result, never a hang, and never the end of service
+      for the other workers.
     * **telemetry** frames are absorbed onto the report (no reply).
     * **control** frames run the membership handshake via
       :meth:`ServerService.control`; a join's ModelFrame reply ships back
@@ -322,19 +324,14 @@ def serve_channels(
                     report.joins += 1
                     try:
                         channel.send(reply)
-                    except (BrokenPipeError, OSError):
-                        report.crashes += 1
-                        report.errors.append(
-                            f"worker {frame.worker_id}: channel broke during join (crash)"
-                        )
-                        _drop(obj, channel)
+                    except OSError:
+                        _crash(obj, channel, "channel broke during join (crash)")
                         terminated += 1
                 else:
                     report.leaves += 1
                 continue
             if not isinstance(frame, GradientFrame):
-                report.errors.append(f"unexpected {type(frame).__name__} from worker channel")
-                _drop(obj, channel)
+                _crash(obj, channel, f"sent an unexpected {type(frame).__name__} (crash)")
                 terminated += 1
                 continue
             worker_ids[obj] = frame.worker_id
@@ -361,12 +358,8 @@ def serve_channels(
             try:
                 for reply, _, _ in replies:
                     channel.send(reply)
-            except (BrokenPipeError, OSError):
-                report.crashes += 1
-                report.errors.append(
-                    f"worker {frame.worker_id}: channel broke while sending the reply (crash)"
-                )
-                _drop(obj, channel)
+            except OSError:
+                _crash(obj, channel, "channel broke while sending the reply (crash)")
                 terminated += 1
                 continue
             for _, reply_shard, loss in replies:

@@ -20,8 +20,8 @@ top of the server substrate in :mod:`repro.ps`, the channel layer in
 * :class:`TrainResult` — the one result schema every backend returns,
   with explicit ``None``/NaN semantics for unmeasured fields.
 
-``python -m repro.exec`` runs a tiny workload on every registered backend
-and validates the schema (the ``make backend-matrix`` smoke).  See
+``tests/exec/test_frontend.py`` runs a tiny workload on every built-in
+backend, validates the schema and holds each to a learning floor.  See
 ``docs/execution.md`` for the field-by-field contract.
 """
 

@@ -7,8 +7,7 @@ the engine.  The five built-ins ("threaded", "process", "socket",
 "simulated", "sync") register themselves on import of :mod:`repro.exec`;
 extensions register their own with :func:`register_backend` and
 immediately work everywhere a backend name is accepted — ``Trainer``,
-``run_distributed(backend=...)``, ``python -m repro run --backend``, and
-``make backend-matrix``.
+``run_distributed(backend=...)`` and ``python -m repro run --backend``.
 """
 
 from __future__ import annotations

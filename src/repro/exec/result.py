@@ -14,8 +14,8 @@ semantics:
 
 Field-by-field semantics are documented in ``docs/execution.md``; each
 backend declares the optional fields it guarantees to populate in its
-``measures`` set, and :func:`validate_result` enforces the contract (used
-by ``make backend-matrix`` and the schema tests).
+``measures`` set, and :func:`validate_result` enforces the contract (the
+schema oracle every backend's result is checked against in the tests).
 """
 
 from __future__ import annotations

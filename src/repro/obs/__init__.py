@@ -10,7 +10,8 @@ One schema, three producers, three exporters:
   ``metric`` / ``step``) with explicit clock domains.
 * **Exporters** — Chrome ``chrome://tracing`` JSON, a flamegraph-style
   text summary, and Prometheus text, behind ``python -m repro.obs``
-  (``convert`` / ``summary`` / ``top`` / ``smoke``) and
+  (``convert`` / ``summary`` / ``top``, and ``report`` / ``compare`` /
+  ``check`` over run directories) and
   ``python -m repro run --trace out.json``.
 
 See ``docs/observability.md`` for the full API and overhead numbers.

@@ -6,17 +6,14 @@ Usage::
     python -m repro.obs summary run.jsonl            # per-phase time + bytes
     python -m repro.obs summary run.jsonl --prometheus
     python -m repro.obs top run.jsonl -n 15          # self-time hot list
-    python -m repro.obs smoke --jsonl trace.jsonl    # tiny traced runs (CI)
     python -m repro.obs report runs/<id>             # one-run manifest summary
     python -m repro.obs compare runs/<a> runs/<b>    # field-by-field deltas
     python -m repro.obs check runs/<id> --max-staleness-p99 8
-    python -m repro.obs run-smoke --runs-dir runs    # process run + manifest (CI)
 
 ``convert`` validates both the input record stream and the produced
-Chrome JSON and exits non-zero on any schema violation — that is the
-gate the CI trace-smoke job relies on.  ``check`` evaluates a
-:class:`~repro.obs.runs.HealthSpec` against a run manifest and exits
-non-zero on any violated SLO — the run-health gate.
+Chrome JSON and exits non-zero on any schema violation.  ``check``
+evaluates a :class:`~repro.obs.runs.HealthSpec` against a run manifest
+and exits non-zero on any violated SLO — the run-health gate.
 """
 
 from __future__ import annotations
@@ -81,65 +78,6 @@ def _cmd_top(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_smoke(args: argparse.Namespace) -> int:
-    """Tiny traced threaded + simulated runs; writes one JSONL stream."""
-    from dataclasses import replace
-
-    from ..core.methods import Hyper
-    from ..data.synthetic import make_blobs
-    from ..exec import RunConfig, train
-    from ..nn.models.mlp import MLP
-    from ..sim.cluster import ClusterConfig
-    from .hooks import profile_hot_paths
-    from .metrics import MetricsRegistry
-    from .tracer import Tracer, use_tracer
-
-    dataset = make_blobs(n_samples=256, num_classes=4, dim=12, seed=1)
-    hyper = Hyper(ratio=0.1, min_sparse_size=0)
-    tracer = Tracer(meta={"kind": "trace-smoke", "workers": args.workers})
-    registry = MetricsRegistry()
-
-    # Same config through the unified front-end on both clock domains;
-    # config.tracer is None, so both runs emit into the ambient tracer.
-    config = RunConfig(
-        "dgs",
-        lambda: MLP(12, (24,), 4, seed=7),
-        dataset,
-        num_workers=args.workers,
-        batch_size=16,
-        total_iterations=args.workers * args.iterations,
-        hyper=hyper,
-        seed=0,
-    )
-    with use_tracer(tracer), profile_hot_paths():
-        t_res = train(config, backend="threaded")
-        s_res = train(
-            replace(config, cluster=ClusterConfig.with_bandwidth(args.workers, 10, compute_mean_s=0.01)),
-            backend="simulated",
-        )
-
-    for name, result in (("threaded", t_res), ("sim", s_res)):
-        registry.counter("upload_bytes", layer=name).inc(result.upload_bytes)
-        registry.counter("download_bytes", layer=name).inc(result.download_bytes)
-    n = tracer.dump_jsonl(
-        args.jsonl,
-        meta={
-            "threaded_upload_bytes": t_res.upload_bytes,
-            "threaded_download_bytes": t_res.download_bytes,
-            "sim_upload_bytes": s_res.upload_bytes,
-            "sim_download_bytes": s_res.download_bytes,
-        },
-        metrics=registry.snapshot(),
-    )
-    cats = sorted({r.get("cat") for r in tracer.records()})
-    print(f"wrote {args.jsonl}: {n} records, categories: {', '.join(cats)}", file=sys.stderr)
-    missing = {"autograd", "compression", "server", "worker"} - set(cats)
-    if missing:
-        print(f"smoke failed: missing span categories {sorted(missing)}", file=sys.stderr)
-        return 1
-    return 0
-
-
 def _cmd_report(args: argparse.Namespace) -> int:
     print(render_report(load_manifest(args.run_dir)))
     return 0
@@ -173,87 +111,6 @@ def _cmd_check(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_run_smoke(args: argparse.Namespace) -> int:
-    """Tiny traced run → run dir → health gate (CI).
-
-    With the default ``--backend process`` this exercises the whole
-    telemetry pipeline: worker processes ship spans back as
-    TelemetryFrames, the parent merges them, the manifest is written and
-    checked.  ``--backend socket`` runs the same gate over real TCP
-    loopback connections, adding the elastic join/leave handshake to the
-    smoke.  ``--shards N`` routes the same run through the sharded
-    parameter server, and the smoke then additionally demands one
-    ``shard-<i>`` trace lane per shard.  ``--run-id`` is fixed so a
-    Makefile can chain ``obs check`` on the resulting directory
-    deterministically.
-    """
-    from ..core.methods import Hyper
-    from ..data.synthetic import make_blobs
-    from ..exec import RunConfig, train
-    from ..nn.models.mlp import MLP
-    from .runs import load_manifest as _load, write_run_dir
-    from .tracer import Tracer, use_tracer
-
-    dataset = make_blobs(n_samples=256, num_classes=4, dim=12, seed=1)
-    tracer = Tracer(
-        meta={"kind": "run-smoke", "workers": args.workers, "shards": args.shards}
-    )
-    config = RunConfig(
-        "dgs",
-        lambda: MLP(12, (24,), 4, seed=7),
-        dataset,
-        num_workers=args.workers,
-        batch_size=16,
-        total_iterations=args.workers * args.iterations,
-        hyper=Hyper(ratio=0.1, min_sparse_size=0),
-        seed=0,
-        num_shards=args.shards,
-        tracer=tracer,
-    )
-    with use_tracer(tracer):
-        result = train(config, backend=args.backend)
-
-    run_dir = write_run_dir(
-        args.runs_dir,
-        result,
-        config=config.describe(),
-        run_id=args.run_id,
-        records=tracer.records(),
-    )
-    manifest = _load(run_dir)
-    num_shards = manifest["result"]["num_shards"]
-    spans = [rec for rec in tracer.records() if rec.get("type") == "span"]
-    procs = {rec.get("proc") for rec in spans if rec.get("proc")}
-    shard_lanes = {
-        rec["tid"] for rec in spans if str(rec.get("tid", "")).startswith("shard-")
-    }
-    print(
-        f"wrote {run_dir}: backend={manifest['backend']} "
-        f"shards={num_shards} worker lanes={sorted(procs)} "
-        f"shard lanes={sorted(shard_lanes)}",
-        file=sys.stderr,
-    )
-    if args.backend in ("process", "socket") and len(procs) < args.workers:
-        # threaded workers share the main process, so proc lanes only
-        # gate the backends that actually cross a process boundary
-        print(
-            f"run-smoke failed: expected {args.workers} worker span lanes, got {sorted(procs)}",
-            file=sys.stderr,
-        )
-        return 1
-    expected_lanes = (
-        {f"shard-{i}" for i in range(num_shards)} if args.shards > 1 else set()
-    )
-    if shard_lanes != expected_lanes:
-        print(
-            f"run-smoke failed: expected shard trace lanes {sorted(expected_lanes)}, "
-            f"got {sorted(shard_lanes)}",
-            file=sys.stderr,
-        )
-        return 1
-    return 0
-
-
 def main(argv: "list[str] | None" = None) -> int:
     parser = argparse.ArgumentParser(prog="python -m repro.obs", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -276,12 +133,6 @@ def main(argv: "list[str] | None" = None) -> int:
     p_top.add_argument("-n", type=int, default=20, help="number of rows (default 20)")
     p_top.set_defaults(fn=_cmd_top)
 
-    p_smoke = sub.add_parser("smoke", help="tiny traced threaded+sim runs (CI gate)")
-    p_smoke.add_argument("--jsonl", default=".trace-smoke.jsonl", help="output record stream")
-    p_smoke.add_argument("--workers", type=int, default=2)
-    p_smoke.add_argument("--iterations", type=int, default=4, help="iterations per worker")
-    p_smoke.set_defaults(fn=_cmd_smoke)
-
     p_report = sub.add_parser("report", help="summarise one run manifest")
     p_report.add_argument("run_dir")
     p_report.set_defaults(fn=_cmd_report)
@@ -298,24 +149,6 @@ def main(argv: "list[str] | None" = None) -> int:
     p_check.add_argument("--min-samples-per-sec", type=float, default=None)
     p_check.add_argument("--max-worker-skew-s", type=float, default=None)
     p_check.set_defaults(fn=_cmd_check)
-
-    p_run_smoke = sub.add_parser(
-        "run-smoke", help="tiny traced process run -> run dir + merged trace (CI gate)"
-    )
-    p_run_smoke.add_argument("--runs-dir", default="runs", help="parent directory for run dirs")
-    p_run_smoke.add_argument("--run-id", default="run-smoke", help="fixed id (deterministic path)")
-    p_run_smoke.add_argument("--workers", type=int, default=2)
-    p_run_smoke.add_argument("--iterations", type=int, default=4, help="iterations per worker")
-    p_run_smoke.add_argument(
-        "--shards", type=int, default=1, help="parameter-server shards (1 = single lock)"
-    )
-    p_run_smoke.add_argument(
-        "--backend",
-        default="process",
-        choices=("process", "threaded", "socket"),
-        help="execution backend to smoke (default: process)",
-    )
-    p_run_smoke.set_defaults(fn=_cmd_run_smoke)
 
     args = parser.parse_args(argv)
     return args.fn(args)

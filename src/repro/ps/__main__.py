@@ -126,59 +126,6 @@ def _cmd_worker(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_smoke(args: argparse.Namespace) -> int:
-    """checkpoint → restore → continue over each transport, asserted bitwise.
-
-    Dense ASGD (momentum 0: no worker-side strategy state, so the server
-    checkpoint is the *whole* training state) — on pipes and on TCP
-    loopback the restored run must reproduce the uninterrupted run's loss
-    curve exactly, float for float.
-    """
-    from ..core.methods import Hyper
-    from ..data.synthetic import make_blobs
-    from ..exec import RunConfig, train
-    from ..nn.models.mlp import MLP
-
-    dataset = make_blobs(n_samples=400, num_classes=4, dim=12, sep=2.5, noise=0.8, seed=1)
-
-    def run(backend: str, iterations: int, **fields):
-        config = RunConfig(
-            "asgd",
-            lambda: MLP(12, (24,), 4, seed=7),
-            dataset,
-            num_workers=1,
-            batch_size=16,
-            total_iterations=iterations,
-            hyper=Hyper(lr=0.1, momentum=0.0),
-            seed=args.seed,
-            **fields,
-        )
-        return train(config, backend)
-
-    half = max(1, args.iterations // 2)
-    failures = []
-    for backend in ("process", "socket"):
-        full = run(backend, args.iterations)
-        first = run(backend, half, checkpoint_every=half, checkpoint_path=args.checkpoint)
-        resumed = run(backend, args.iterations - half, restore_from=args.checkpoint)
-
-        full_ys = list(full.loss_vs_step.ys)
-        if list(first.loss_vs_step.ys) != full_ys[:half]:
-            failures.append(f"{backend}: pre-checkpoint losses diverge from the uninterrupted run")
-        if list(resumed.loss_vs_step.ys) != full_ys[half:]:
-            failures.append(f"{backend}: restored continuation diverges from the uninterrupted tail")
-        if resumed.final_loss != full.final_loss:
-            failures.append(f"{backend}: final loss differs after restore")
-    for failure in failures:
-        print(f"FAIL: {failure}", file=sys.stderr)
-    if not failures:
-        print(
-            f"checkpoint smoke ok on pipe and tcp: {half}+{args.iterations - half} "
-            f"iterations == {args.iterations} uninterrupted, bitwise"
-        )
-    return 1 if failures else 0
-
-
 def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="python -m repro.ps", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -233,20 +180,6 @@ def _parser() -> argparse.ArgumentParser:
         help="keep retrying the connect with backoff for this long (default 10)",
     )
     p_worker.set_defaults(fn=_cmd_worker)
-
-    p_smoke = sub.add_parser(
-        "smoke",
-        help="CI gate: checkpoint → restore → continue over pipes and TCP, bitwise",
-    )
-    p_smoke.add_argument("--iterations", type=int, default=20, help="uninterrupted run length")
-    p_smoke.add_argument("--seed", type=int, default=0)
-    p_smoke.add_argument(
-        "--checkpoint",
-        default=".socket-smoke.ckpt",
-        metavar="PATH",
-        help="where the mid-run checkpoint is written (default .socket-smoke.ckpt)",
-    )
-    p_smoke.set_defaults(fn=_cmd_smoke)
     return parser
 
 

@@ -119,15 +119,6 @@ class TestAbbaFixtureDynamic:
         assert {inv.first.outer, inv.first.inner} == {"auditor", "ledger"}
         assert registry.cycles() == [["auditor", "ledger"]]
 
-    def test_abba_smoke_cli_detects_both_ways(self, capsys):
-        from repro.analysis.__main__ import main
-
-        assert main(["abba-smoke", str(FIXTURES / "abba.py")]) == 0
-        out = capsys.readouterr().out
-        assert "1 LCK004 finding(s)" in out
-        assert "1 lock-order inversion(s)" in out
-        assert "OK — deadlock potential detected both ways" in out
-
 
 class TestInstrumentObject:
     def make_server(self):

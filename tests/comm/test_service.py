@@ -20,6 +20,7 @@ from repro.comm import (
     CONTROL_LEAVE,
     CloseFrame,
     ControlFrame,
+    DiffFrame,
     GradientFrame,
     ModelFrame,
     TelemetryFrame,
@@ -34,7 +35,7 @@ from repro.core.methods import Hyper, get_method
 from repro.exec.common import build_server
 from repro.nn import MLP
 from repro.ps.membership import WorkerDirectory
-from repro.ps.messages import GradientMessage
+from repro.ps.messages import DiffMessage, GradientMessage
 
 
 NUM_SHARDS = 4  # MLP(6, (8,), 3) has exactly 4 tensors -> 4 non-empty shards
@@ -346,6 +347,60 @@ class TestMalformedFrame:
         report = _run_driver(driver, lambda: serve_channels([PipeChannel(a)], service))
         assert report.crashes == 1 and report.updates == 0
         assert len(report.errors) == 1 and "malformed" in report.errors[0]
+
+
+class _RepliesFailAfter(PipeChannel):
+    """Server end of a pipe whose sends raise once ``ok`` replies went out."""
+
+    def __init__(self, connection, ok: int) -> None:
+        super().__init__(connection)
+        self.ok = ok
+
+    def send(self, frame) -> None:
+        if self.ok == 0:
+            raise BrokenPipeError("the peer stopped reading")
+        self.ok -= 1
+        super().send(frame)
+
+
+class TestEveryChannelFailureIsACrash:
+    """However a joined worker's channel fails, the loop counts one crash
+    and deregisters the worker, so the report and the directory agree."""
+
+    def _serve_one(self, service, frames, ok_replies):
+        a, b = mp.Pipe(duplex=True)
+        worker = PipeChannel(b)
+        for frame in frames:  # small frames: they wait in the pipe's buffer
+            worker.send(frame)
+        report = serve_channels([_RepliesFailAfter(a, ok_replies)], service)
+        worker.close()
+        return report
+
+    def _assert_one_crash(self, report, membership, what):
+        assert report.crashes == 1
+        assert membership.active() == []
+        assert membership.members == {0: "crash"}
+        assert len(report.errors) == 1 and what in report.errors[0]
+        assert report.errors[0].startswith("worker 0 ")
+
+    def test_frame_of_a_reply_kind(self):
+        service, _, membership = _make_service(num_workers=1)
+        diff = DiffFrame(DiffMessage(0, {}, server_timestamp=0, staleness=0))
+        report = self._serve_one(service, [ControlFrame(0, CONTROL_JOIN), diff], ok_replies=1)
+        self._assert_one_crash(report, membership, "unexpected DiffFrame")
+
+    def test_join_reply_that_cannot_be_sent(self):
+        service, _, membership = _make_service(num_workers=1)
+        report = self._serve_one(service, [ControlFrame(0, CONTROL_JOIN)], ok_replies=0)
+        assert report.joins == 1
+        self._assert_one_crash(report, membership, "during join")
+
+    def test_gradient_reply_that_cannot_be_sent(self):
+        service, server, membership = _make_service(num_workers=1)
+        frames = [ControlFrame(0, CONTROL_JOIN), _grad_for(server, 0)]
+        report = self._serve_one(service, frames, ok_replies=1)
+        assert report.updates == 0
+        self._assert_one_crash(report, membership, "sending the reply")
 
 
 class TestShardAddressedServe:

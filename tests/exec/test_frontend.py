@@ -1,4 +1,4 @@
-"""The unified Trainer front-end: one RunConfig, four backends."""
+"""The unified Trainer front-end: one RunConfig, five backends."""
 
 import pytest
 
@@ -15,7 +15,7 @@ from repro.exec import (
 from repro.sim import ClusterConfig
 
 HYPER = Hyper(lr=0.1, momentum=0.7, ratio=0.1, min_sparse_size=0)
-BACKENDS = ("threaded", "process", "simulated", "sync")
+BACKENDS = ("threaded", "process", "socket", "simulated", "sync")
 
 
 def tiny_config(tiny_dataset, tiny_model_factory, **overrides):
@@ -76,6 +76,7 @@ class TestTrainerFrontend:
         assert result.backend == backend
         assert result.clock == spec.clock
         assert result.num_workers == 2
+        assert result.final_accuracy >= 0.5  # it learned: chance is 0.25
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_budget_and_sample_accounting(self, backend, tiny_dataset, tiny_model_factory):

@@ -314,3 +314,49 @@ def test_backends_produce_lane_equivalent_traces():
     # lane per worker process in the merged trace.
     procs = {r.get("proc") for r in traces["process"] if r.get("type") == "span" and r.get("proc")}
     assert procs == {"worker-0", "worker-1"}
+
+
+# ----------------------------------------------------------------------
+# A real traced run -> run dir -> the report / check CLI
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize(
+    "backend, shards", [("process", 1), ("threaded", 2), ("process", 2), ("socket", 2)]
+)
+def test_traced_run_dir_passes_the_health_gate(tmp_path, capsys, backend, shards):
+    """A traced 2-worker DGS run writes a run dir whose trace has one lane
+    per worker process and one per shard; ``repro.obs report`` renders it,
+    and ``repro.obs check`` passes sane SLOs and fails an impossible one."""
+    from repro.obs.__main__ import main
+
+    tracer = Tracer()
+    config = RunConfig(
+        "dgs",
+        lambda: MLP(12, (24,), 4, seed=7),
+        make_blobs(n_samples=256, num_classes=4, dim=12, seed=1),
+        num_workers=2,
+        batch_size=16,
+        total_iterations=8,
+        hyper=Hyper(ratio=0.1, min_sparse_size=0),
+        seed=0,
+        num_shards=shards,
+        tracer=tracer,
+    )
+    with use_tracer(tracer):
+        result = train(config, backend=backend)
+    records = tracer.records()
+    run_dir = write_run_dir(
+        tmp_path, result, config=config.describe(), run_id="run", records=records
+    )
+    assert load_manifest(run_dir)["result"]["num_shards"] == shards
+
+    spans = [r for r in records if r.get("type") == "span"]
+    shard_lanes = {r["tid"] for r in spans if str(r.get("tid", "")).startswith("shard-")}
+    assert shard_lanes == ({f"shard-{i}" for i in range(shards)} if shards > 1 else set())
+    if backend != "threaded":  # threaded workers share this process
+        assert {r.get("proc") for r in spans if r.get("proc")} == {"worker-0", "worker-1"}
+
+    sane = ["--max-staleness-p99", "64", "--min-samples-per-sec", "1"]
+    assert main(["report", str(run_dir)]) == 0
+    assert main(["check", str(run_dir), *sane]) == 0
+    assert main(["check", str(run_dir), "--max-staleness-p99", "-1"]) == 1
+    assert "health violation" in capsys.readouterr().err
