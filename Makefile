@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: lint arch-check sanitize-smoke test bench-smoke bench-kernels bench-e2e bench-shards examples
+.PHONY: lint arch-check sanitize-smoke test bench-kernels bench-e2e bench-shards examples
 
 ## Static analysis: AST lint + lock discipline + lock graph + layering +
 ## sanitizer self-check.
@@ -24,19 +24,11 @@ sanitize-smoke:
 	$(PYTHON) -m repro run table3 --fast --sanitize > /dev/null
 	$(PYTHON) -m repro run ablation-combination --fast --sanitize > /dev/null
 
-## Tier-1 test suite.
+## Tier-1 test suite.  It includes the numerics tripwire: every paper
+## table/figure at --fast, each markdown report hashed against
+## benchmarks/results/FAST_DIGESTS.json (tests/harness/test_experiments.py).
 test:
 	$(PYTHON) -m pytest -x -q
-
-## Numerics tripwire (~90 s on 2 cores): every paper table/figure at
-## --fast, each markdown report byte-compared with the sha256 recorded in
-## benchmarks/results/FAST_DIGESTS.json.  Re-record an intended change with:
-##   python benchmarks/check_fast_digests.py .bench-smoke --update
-bench-smoke:
-	rm -rf .bench-smoke
-	$(PYTHON) -m repro run all --fast --out .bench-smoke > /dev/null
-	$(PYTHON) benchmarks/check_fast_digests.py .bench-smoke
-	rm -rf .bench-smoke
 
 ## Hot-path kernel regression gate: measured speedup ratios must stay
 ## within 1.3x of the committed benchmarks/BENCH_kernels.json baseline.

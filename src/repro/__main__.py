@@ -69,9 +69,9 @@ def main(argv: list[str] | None = None) -> int:
     run_p.add_argument(
         "--trace",
         metavar="PATH",
-        help="trace the run with repro.obs (hot-path profiling on): write "
-        "Chrome trace JSON, or raw records if PATH ends in .jsonl, and "
-        "print the per-phase summary to stderr",
+        help="trace the run with repro.obs (every exchange layer's spans): "
+        "write Chrome trace JSON, or raw records if PATH ends in .jsonl, "
+        "and print the per-phase summary to stderr",
     )
     run_p.add_argument(
         "--backend",
@@ -143,11 +143,10 @@ def main(argv: list[str] | None = None) -> int:
             overrides["restore_from"] = args.restore
         obs_scope.enter_context(use_config_overrides(**overrides))
     if args.trace:
-        from .obs import Tracer, profile_hot_paths, use_tracer
+        from .obs import Tracer, use_tracer
 
         tracer = Tracer(meta={"experiments": " ".join(names), "fast": bool(args.fast)})
         obs_scope.enter_context(use_tracer(tracer))
-        obs_scope.enter_context(profile_hot_paths())
     collected = []
     if args.run_dir:
         from .exec import collect_results

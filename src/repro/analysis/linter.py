@@ -38,9 +38,6 @@ TENSOR_MUTATION_ALLOWED = ("autograd/", "optim/")
 #: the only places allowed to do wire framing (struct, pipes, codec calls)
 FRAMING_ALLOWED = ("comm/", "ps/codec.py")
 
-#: the only place allowed to spell telemetry names as inline strings
-TELEMETRY_NAME_ALLOWED = ("obs/",)
-
 #: subpackages where per-layer Python loops over whole-model state are banned
 PERF_LOOP_PREFIXES = ("core/", "ps/", "exec/")
 
@@ -65,7 +62,6 @@ class LintConfig:
     hot_path_prefixes: "tuple[str, ...]" = HOT_PATH_PREFIXES
     tensor_mutation_allowed: "tuple[str, ...]" = TENSOR_MUTATION_ALLOWED
     framing_allowed: "tuple[str, ...]" = FRAMING_ALLOWED
-    telemetry_name_allowed: "tuple[str, ...]" = TELEMETRY_NAME_ALLOWED
     perf_loop_prefixes: "tuple[str, ...]" = PERF_LOOP_PREFIXES
     perf_loop_allowed: "tuple[str, ...]" = PERF_LOOP_ALLOWED
     decode_lock_prefixes: "tuple[str, ...]" = DECODE_LOCK_PREFIXES
@@ -92,9 +88,6 @@ class ModuleInfo:
 
     def may_do_wire_framing(self, config: LintConfig) -> bool:
         return self.relpath.startswith(config.framing_allowed)
-
-    def may_name_telemetry_inline(self, config: LintConfig) -> bool:
-        return self.relpath.startswith(config.telemetry_name_allowed)
 
     def in_perf_loop_scope(self, config: LintConfig) -> bool:
         return self.relpath.startswith(config.perf_loop_prefixes) and not self.relpath.startswith(

@@ -3,11 +3,11 @@
 Span and metric series names are the join keys of the whole observability
 pipeline: the Chrome exporter groups lanes by them, ``repro.obs report`` /
 ``compare`` align runs on them, and :class:`~repro.obs.runs.HealthSpec`
-gates on specific series.  A call site outside ``repro/obs`` that spells a
-name inline (``tracer.span("worker.step", ...)``) can drift from the
-registered vocabulary without anything failing at the emit site — the
-series just silently stops matching downstream tooling.  So outside
-``repro/obs``, the first argument of every telemetry emission call
+gates on specific series.  A call site that spells a name inline
+(``tracer.span("worker.step", ...)``) can drift from the registered
+vocabulary without anything failing at the emit site — the series just
+silently stops matching downstream tooling.  So everywhere, ``repro/obs``
+included, the first argument of every telemetry emission call
 (``span`` / ``add_span`` / ``span_record`` / ``counter`` / ``gauge`` /
 ``histogram``) must be a registered constant from :mod:`repro.obs.names`;
 an inline string literal is a finding, and a literal that is not even
@@ -37,11 +37,9 @@ _TELEMETRY_CALLS = {
 
 class TelemetryNameRule(Rule):
     id = "OBS001"
-    summary = "inline span/metric name literal outside repro.obs"
+    summary = "inline span/metric name literal"
 
     def check(self, module: ModuleInfo, config: LintConfig) -> Iterator[Finding]:
-        if module.may_name_telemetry_inline(config):
-            return
         # Imported lazily so the rule module stays importable standalone
         # (the linter runs over arbitrary trees in tests).
         from ...obs.names import is_valid_name, registered_names

@@ -44,13 +44,13 @@ The ops are the entire membership wire vocabulary — everything else
 channel, not a frame.
 
 :class:`TelemetryFrame` (kind 4) is the observability side channel: a
-worker process ships its tracer spans and metric snapshots back to the
-parent just before its close frame, so a process-backend ``--trace`` run
-yields one merged trace instead of a parent-only view.  The body is the
-JSON object ``{"spans": [...], "metrics": [...]}`` in the
-``repro.obs.span`` record schema.  Telemetry is diagnostic, not payload:
-``nbytes()`` is 0 so analytic byte accounting (what DGS compresses) is
-unchanged, while the raw wire counters still see every byte.
+worker process ships its tracer spans back to the parent just before its
+close frame, so a process-backend ``--trace`` run yields one merged trace
+instead of a parent-only view.  The body is the JSON object
+``{"spans": [...]}`` in the ``repro.obs.span`` record schema.  Telemetry
+is diagnostic, not payload: ``nbytes()`` is 0 so analytic byte accounting
+(what DGS compresses) is unchanged, while the raw wire counters still see
+every byte.
 
 Frames also carry the *analytic* byte accounting every backend reports
 (:meth:`nbytes` / :meth:`dense_nbytes`), so ``TrainResult`` byte fields
@@ -65,6 +65,8 @@ import struct
 from dataclasses import dataclass, field
 from typing import Any
 
+from ..obs import names as obs_names
+from ..obs.tracer import current_tracer
 from ..ps.codec import decode_message, encode_message
 from ..ps.messages import DiffMessage, GradientMessage, ModelMessage
 
@@ -202,17 +204,15 @@ class CloseFrame:
 
 @dataclass(frozen=True)
 class TelemetryFrame:
-    """One worker's spans + metric snapshots, shipped at loop close.
+    """One worker's spans, shipped at loop close.
 
     ``spans`` are ``repro.obs.span`` records (the worker's own tracer
     output, *not yet* relabeled — the receiver stamps them with their
-    origin lane); ``metrics`` are ``MetricsRegistry.snapshot()`` records.
-    Both must be JSON-serialisable.
+    origin lane); they must be JSON-serialisable.
     """
 
     worker_id: int = -1
     spans: "tuple[dict[str, Any], ...]" = field(default_factory=tuple)
-    metrics: "tuple[dict[str, Any], ...]" = field(default_factory=tuple)
 
     def nbytes(self) -> int:
         """Telemetry is diagnostic, not payload — analytic bytes are 0."""
@@ -293,24 +293,25 @@ def encode_frame(frame: Frame) -> "bytes | bytearray":
 
     A payload frame is one ``bytearray``: the codec writes its message
     behind a reserved prefix and the frame header is packed into that
-    prefix, so the payload is copied once, out of its arrays.
+    prefix, so the payload is copied once, out of its arrays.  Payload
+    frames are timed as ``wire.encode_up`` (gradient) or
+    ``wire.encode_down`` (diff / model).
     """
     if isinstance(frame, GradientFrame):
-        raw = encode_message(frame.message, reserve=_HEADER.size + _LOSS.size)
-        _HEADER.pack_into(raw, 0, FRAME_MAGIC, KIND_GRADIENT, frame.shard)
-        _LOSS.pack_into(raw, _HEADER.size, frame.loss)
+        with current_tracer().span(obs_names.WIRE_ENCODE_UP, cat="wire"):
+            raw = encode_message(frame.message, reserve=_HEADER.size + _LOSS.size)
+            _HEADER.pack_into(raw, 0, FRAME_MAGIC, KIND_GRADIENT, frame.shard)
+            _LOSS.pack_into(raw, _HEADER.size, frame.loss)
         return raw
     if isinstance(frame, (DiffFrame, ModelFrame)):
         kind = KIND_DIFF if isinstance(frame, DiffFrame) else KIND_MODEL
-        raw = encode_message(frame.message, reserve=_HEADER.size + _STALENESS.size)
-        _HEADER.pack_into(raw, 0, FRAME_MAGIC, kind, frame.shard)
-        _STALENESS.pack_into(raw, _HEADER.size, frame.message.staleness)
+        with current_tracer().span(obs_names.WIRE_ENCODE_DOWN, cat="wire"):
+            raw = encode_message(frame.message, reserve=_HEADER.size + _STALENESS.size)
+            _HEADER.pack_into(raw, 0, FRAME_MAGIC, kind, frame.shard)
+            _STALENESS.pack_into(raw, _HEADER.size, frame.message.staleness)
         return raw
     if isinstance(frame, TelemetryFrame):
-        body = json.dumps(
-            {"spans": list(frame.spans), "metrics": list(frame.metrics)},
-            ensure_ascii=False,
-        ).encode("utf-8")
+        body = json.dumps({"spans": list(frame.spans)}, ensure_ascii=False).encode("utf-8")
         return (
             _HEADER.pack(FRAME_MAGIC, KIND_TELEMETRY, -1)
             + _TELEMETRY.pack(frame.worker_id, len(body))
@@ -342,7 +343,8 @@ def decode_frame(raw: "bytes | bytearray | memoryview") -> Frame:
 
     Bytes that are not a well-formed frame raise ``ValueError`` — also
     when a fixed-size field is cut short — so a serve loop has one
-    exception to treat as "this peer sent garbage".
+    exception to treat as "this peer sent garbage".  Payload frames are
+    timed as ``wire.decode_up`` / ``wire.decode_down``.
     """
     try:
         return _decode_frame(memoryview(raw))
@@ -358,14 +360,16 @@ def _decode_frame(buf: memoryview) -> Frame:
         raise ValueError("bad magic: not a repro.comm frame")
     off = _HEADER.size
     if kind == KIND_GRADIENT:
-        (loss,) = _LOSS.unpack_from(buf, off)
-        msg = decode_message(buf[off + _LOSS.size :])
+        with current_tracer().span(obs_names.WIRE_DECODE_UP, cat="wire"):
+            (loss,) = _LOSS.unpack_from(buf, off)
+            msg = decode_message(buf[off + _LOSS.size :])
         if not isinstance(msg, GradientMessage):
             raise ValueError("gradient frame wraps a non-gradient message")
         return GradientFrame(msg, loss, shard=shard)
     if kind in (KIND_DIFF, KIND_MODEL):
-        (staleness,) = _STALENESS.unpack_from(buf, off)
-        msg = decode_message(buf[off + _STALENESS.size :])
+        with current_tracer().span(obs_names.WIRE_DECODE_DOWN, cat="wire"):
+            (staleness,) = _STALENESS.unpack_from(buf, off)
+            msg = decode_message(buf[off + _STALENESS.size :])
         expected = DiffMessage if kind == KIND_DIFF else ModelMessage
         if not isinstance(msg, expected):
             raise ValueError(f"frame kind {kind} wraps a {type(msg).__name__}")
@@ -389,11 +393,7 @@ def _decode_frame(buf: memoryview) -> Frame:
         if len(buf) < off + body_len:
             raise ValueError("truncated telemetry frame body")
         body = json.loads(bytes(buf[off : off + body_len]).decode("utf-8"))
-        return TelemetryFrame(
-            worker_id=worker,
-            spans=tuple(body.get("spans", [])),
-            metrics=tuple(body.get("metrics", [])),
-        )
+        return TelemetryFrame(worker_id=worker, spans=tuple(body.get("spans", [])))
     if kind == KIND_CONTROL:
         worker, op = _CONTROL.unpack_from(buf, off)
         if op >= len(_CONTROL_OPS):

@@ -29,7 +29,6 @@ from .frames import (
 )
 
 if TYPE_CHECKING:
-    from ..obs.metrics import MetricsRegistry
     from ..ps.worker import WorkerNode
     from .channel import Channel
 
@@ -44,7 +43,6 @@ def run_worker_loop(
     on_step: "Callable[[WorkerNode], None] | None" = None,
     on_iteration: "Callable[[int], None] | None" = None,
     ship_telemetry: bool = False,
-    metrics: "MetricsRegistry | None" = None,
     register: bool = False,
 ) -> None:
     """Drive ``node`` through ``iterations`` exchanges over ``channel``.
@@ -56,10 +54,9 @@ def run_worker_loop(
     still reports the samples it processed and the error that killed it.
 
     ``ship_telemetry`` makes the loop send a
-    :class:`~repro.comm.frames.TelemetryFrame` (the tracer's spans plus
-    ``metrics.snapshot()``) just before the close frame — the process
-    and socket backends set it so worker spans reach the server's merged
-    trace.
+    :class:`~repro.comm.frames.TelemetryFrame` (the tracer's spans) just
+    before the close frame — the process and socket backends set it so
+    worker spans reach the server's merged trace.
     In-process backends share the parent tracer and leave it off.
 
     ``register`` runs the elastic-membership handshake around the loop:
@@ -101,11 +98,7 @@ def run_worker_loop(
                 channel.send(ControlFrame(node.worker_id, CONTROL_LEAVE))
             if ship_telemetry and getattr(tracer, "enabled", False):
                 channel.send(
-                    TelemetryFrame(
-                        worker_id=node.worker_id,
-                        spans=tuple(tracer.records()),
-                        metrics=tuple(metrics.snapshot()) if metrics is not None else (),
-                    )
+                    TelemetryFrame(worker_id=node.worker_id, spans=tuple(tracer.records()))
                 )
             channel.send(
                 CloseFrame(

@@ -308,15 +308,11 @@ class ModelDifferenceTracker:
     def _make_buffers(self) -> LayerArena:
         return LayerArena(self.shapes, dtype=np.float32 if self.dtype is None else self.dtype)
 
-    def _loaded_buffer(self, layers: "Mapping[str, np.ndarray] | np.ndarray") -> LayerArena:
-        """A ``v_k`` copied from checkpoint state (flat or per layer); on the
-        journal path it is *held* until that worker's next reply."""
+    def _loaded_buffer(self, flat: np.ndarray) -> LayerArena:
+        """A ``v_k`` copied from flat checkpoint state; on the journal path
+        it is *held* until that worker's next reply."""
         vk = self._make_buffers()
-        if isinstance(layers, np.ndarray):
-            _load_flat(vk, layers)
-        else:
-            for name, arr in vk.items():
-                np.copyto(arr, layers[name])
+        _load_flat(vk, flat)
         return vk
 
     def bootstrap_worker(self, worker: int) -> None:
@@ -371,32 +367,6 @@ class ModelDifferenceTracker:
         if isinstance(theta0, LayerArena) and theta0.same_layout(self.M):
             return theta0.clone().add_(self.M)  # one fused θ0 + M
         return OrderedDict((name, theta0[name] + self.M[name]) for name in self.M)
-
-    def state_dict(self) -> "dict[str, np.ndarray]":
-        """Snapshot M, every v_k, t, and prev(k) for checkpointing."""
-        state: dict[str, np.ndarray] = {"t": np.array(self.t), "prev": np.array(self.prev)}
-        for name, arr in self.M.items():
-            state[f"M/{name}"] = arr.copy()
-        for k, vk in enumerate(self.v):
-            for name, arr in vk.items():
-                state[f"v{k}/{name}"] = arr.copy()
-        return state
-
-    def load_state_dict(self, state: "Mapping[str, np.ndarray]") -> None:
-        """Restore a snapshot produced by :meth:`state_dict`."""
-        self.t = int(state["t"])
-        prev = [int(x) for x in np.asarray(state["prev"]).reshape(-1)]
-        if len(prev) != self.num_workers:
-            raise ValueError(
-                f"checkpoint has {len(prev)} workers, tracker expects {self.num_workers}"
-            )
-        self.prev = prev
-        for name, arr in self.M.items():
-            np.copyto(arr, state[f"M/{name}"])
-        for k in range(len(self._buffers)):
-            layers = {name: state[f"v{k}/{name}"] for name in self.shapes}
-            self._buffers[k] = self._loaded_buffer(layers)
-        self._journal_reset()
 
     # ------------------------------------------------------------------
     def flat_state(self) -> "Iterator[np.ndarray]":

@@ -312,13 +312,10 @@ class RemoteTrainer:
         if config.checkpoint_every is not None:
             save_checkpoint(self.server, config.checkpoint_path)
 
-        # Merge each worker's shipped telemetry into this process's tracer:
-        # spans get a per-process lane (proc="worker-N"), metric snapshots
-        # join the result's metrics list alongside the server's series.
-        shipped_metrics: "list[dict]" = []
-        for wid, frame in sorted(report.telemetry.items()):
-            shipped_metrics.extend(dict(m) for m in frame.metrics)
-            if tracer.enabled:
+        # Merge each worker's shipped spans into this process's tracer, on
+        # a per-process lane (proc="worker-N").
+        if tracer.enabled:
+            for wid, frame in sorted(report.telemetry.items()):
                 tracer.absorb(relabel_records(frame.spans, f"worker-{wid}"))
 
         acc, loss = evaluate_global_scratch(self.eval_model, self.server, config.dataset)
@@ -339,7 +336,7 @@ class RemoteTrainer:
             staleness_p50=staleness["p50"],
             staleness_p99=staleness["p99"],
             worker_staleness=staleness["per_worker"],
-            metrics=self.server.metrics.snapshot() + shipped_metrics,
+            metrics=self.server.metrics.snapshot(),
             upload_bytes=stats.upload_bytes,
             download_bytes=stats.download_bytes,
             upload_dense_bytes=stats.upload_dense_bytes,

@@ -2,10 +2,13 @@
 
 One schema, three producers, three exporters:
 
-* **Producers** — the threaded trainer (real threads, wall clock), the
-  event-driven simulator (virtual clock), and the opt-in hot-path hooks
-  (autograd ops, top-k selection, wire codec) all emit *span* records;
-  the parameter server additionally meters lock wait/hold per worker.
+* **Producers** — the exchange path emits its own *span* records at its
+  call sites: the worker loop and ``WorkerNode.compute_step`` (batch,
+  forward/backward, strategy), the frame codec (``wire.*``), the
+  channels (``comm.*``) and the parameter server (``server.*`` with the
+  tracker's ``tracker.*`` inside), on the wall clock; the event-driven
+  simulator adds its modelled timeline on the virtual clock.  The
+  parameter server additionally meters lock wait/hold per worker.
 * **Schema** — ``repro.obs.span``: JSONL records (``meta`` / ``span`` /
   ``metric`` / ``step``) with explicit clock domains.
 * **Exporters** — Chrome ``chrome://tracing`` JSON, a flamegraph-style
@@ -29,7 +32,6 @@ from .export import (
     validate_chrome_trace,
     write_chrome_trace,
 )
-from .hooks import HOT_PATH_GROUPS, profile_hot_paths
 from .metrics import (
     DEFAULT_BUCKETS,
     Counter,
@@ -86,8 +88,6 @@ __all__ = [
     "MetricsRegistry",
     "ObsLogger",
     "DEFAULT_BUCKETS",
-    "HOT_PATH_GROUPS",
-    "profile_hot_paths",
     "check_stream",
     "load_jsonl",
     "summarize",

@@ -7,7 +7,7 @@ All exporters consume the JSONL record schema of ``repro.obs.span``:
   wall clock, pid 1 = virtual clock) so real profiling time and modelled
   simulator time never interleave on one timeline.
 * :func:`summarize` / :func:`render_summary` — per-phase (category)
-  totals: span count, total time, share, and bytes (summed from any
+  totals: span count, self time, share, and bytes (summed from any
   ``*bytes*`` span args — which is how the summary ties back to
   :class:`repro.compression.stats.CompressionStats`).
 * :func:`self_times` / :func:`render_top` — flamegraph-style hot list:
@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import json
 import pathlib
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Any, Iterable, Iterator, Mapping, Sequence
 
 from ..metrics.tables import format_table
 from .span import DOMAINS, validate_records
@@ -183,20 +183,25 @@ def validate_chrome_trace(trace: "Mapping[str, Any]") -> "list[str]":
 # Per-phase summary
 # ----------------------------------------------------------------------
 def summarize(records: "Sequence[Mapping[str, Any]]") -> "list[dict[str, Any]]":
-    """Aggregate spans per (domain, category): count, time, bytes."""
+    """Aggregate spans per (domain, category): count, self time, bytes.
+
+    Time is *self* time (see :func:`self_times`), so a parent and the
+    children it contains are not counted twice and the rows of one domain
+    partition its traced time.
+    """
     agg: dict[tuple[str, str], dict[str, Any]] = {}
-    for record in _spans(records):
+    for record, self_s in _with_self_time(records):
         key = (record.get("domain", "wall"), record.get("cat", "default"))
         row = agg.setdefault(
-            key, {"domain": key[0], "phase": key[1], "count": 0, "total_s": 0.0, "bytes": 0}
+            key, {"domain": key[0], "phase": key[1], "count": 0, "self_s": 0.0, "bytes": 0}
         )
         row["count"] += 1
-        row["total_s"] += float(record["dur"])
+        row["self_s"] += self_s
         row["bytes"] += _span_bytes(record)
-    rows = sorted(agg.values(), key=lambda r: (r["domain"], -r["total_s"]))
+    rows = sorted(agg.values(), key=lambda r: (r["domain"], -r["self_s"]))
     for row in rows:
-        domain_total = sum(r["total_s"] for r in rows if r["domain"] == row["domain"])
-        row["share"] = row["total_s"] / domain_total if domain_total > 0 else 0.0
+        domain_total = sum(r["self_s"] for r in rows if r["domain"] == row["domain"])
+        row["share"] = row["self_s"] / domain_total if domain_total > 0 else 0.0
     return rows
 
 
@@ -204,9 +209,9 @@ def render_summary(records: "Sequence[Mapping[str, Any]]") -> str:
     """Plain-text per-phase table (the ``repro.obs summary`` output)."""
     rows = summarize(records)
     table = format_table(
-        ["domain", "phase", "spans", "total_s", "share", "bytes"],
+        ["domain", "phase", "spans", "self_s", "share", "bytes"],
         [
-            [r["domain"], r["phase"], r["count"], r["total_s"], f"{100 * r['share']:.1f}%", r["bytes"]]
+            [r["domain"], r["phase"], r["count"], r["self_s"], f"{100 * r['share']:.1f}%", r["bytes"]]
             for r in rows
         ],
         title="per-phase span totals",
@@ -232,8 +237,10 @@ def render_summary(records: "Sequence[Mapping[str, Any]]") -> str:
 # ----------------------------------------------------------------------
 # Flamegraph-style self time
 # ----------------------------------------------------------------------
-def self_times(records: "Sequence[Mapping[str, Any]]") -> "list[dict[str, Any]]":
-    """Per span name: total and *self* time (children subtracted).
+def _with_self_time(
+    records: "Sequence[Mapping[str, Any]]",
+) -> "Iterator[tuple[Mapping[str, Any], float]]":
+    """Every span with its *self* time (its duration minus its children's).
 
     Spans are grouped per (domain, tid) lane, sorted by start time, and
     nested by interval containment — the same reconstruction a flamegraph
@@ -243,33 +250,35 @@ def self_times(records: "Sequence[Mapping[str, Any]]") -> "list[dict[str, Any]]"
     for record in _spans(records):
         lanes.setdefault((record.get("domain", "wall"), str(record["tid"])), []).append(record)
 
-    agg: dict[tuple[str, str], dict[str, Any]] = {}
-
-    def account(domain: str, name: str, self_s: float, total_s: float) -> None:
-        row = agg.setdefault(
-            (domain, name),
-            {"domain": domain, "name": name, "count": 0, "self_s": 0.0, "total_s": 0.0},
-        )
-        row["count"] += 1
-        row["self_s"] += self_s
-        row["total_s"] += total_s
-
     eps = 1e-12
-    for (domain, _tid), spans in lanes.items():
+    for spans in lanes.values():
         spans = sorted(spans, key=lambda r: (r["ts"], -r["dur"]))
         stack: list[dict[str, Any]] = []
         for record in spans:
             start, dur = float(record["ts"]), float(record["dur"])
             while stack and stack[-1]["end"] <= start + eps:
                 done = stack.pop()
-                account(domain, done["name"], done["self"], done["dur"])
+                yield done["record"], done["self"]
             if stack:
                 stack[-1]["self"] -= dur
-            stack.append({"name": record["name"], "end": start + dur, "self": dur, "dur": dur})
+            stack.append({"record": record, "end": start + dur, "self": dur})
         while stack:
             done = stack.pop()
-            account(domain, done["name"], done["self"], done["dur"])
+            yield done["record"], done["self"]
 
+
+def self_times(records: "Sequence[Mapping[str, Any]]") -> "list[dict[str, Any]]":
+    """Per span name: total and *self* time (children subtracted)."""
+    agg: dict[tuple[str, str], dict[str, Any]] = {}
+    for record, self_s in _with_self_time(records):
+        domain, name = record.get("domain", "wall"), record["name"]
+        row = agg.setdefault(
+            (domain, name),
+            {"domain": domain, "name": name, "count": 0, "self_s": 0.0, "total_s": 0.0},
+        )
+        row["count"] += 1
+        row["self_s"] += self_s
+        row["total_s"] += float(record["dur"])
     return sorted(agg.values(), key=lambda r: -r["self_s"])
 
 

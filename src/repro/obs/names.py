@@ -8,15 +8,16 @@ reliable:
 * **Format** — names are ``dot.separated`` lowercase ASCII
   (``worker.compute``, ``server.lock_wait_s``), so they group naturally
   in flamegraphs and survive the Prometheus name mangling predictably.
-* **Registration** — call sites outside ``repro/obs`` must reference
-  these constants instead of spelling the string inline (enforced by the
-  ``OBS001`` lint rule in :mod:`repro.analysis.rules.obs`).  A renamed
-  span then breaks at one definition site, not silently in a dashboard.
+* **Registration** — every call site, ``repro/obs`` included, must
+  reference these constants instead of spelling the string inline
+  (enforced by the ``OBS001`` lint rule in
+  :mod:`repro.analysis.rules.obs`).  A renamed span then breaks at one
+  definition site, not silently in a dashboard.
 
-Instrumentation internal to ``repro/obs`` (e.g. the hot-path hooks that
-derive ``autograd.<op>`` names from the functions they wrap) may build
-names dynamically; :func:`is_valid_name` is the format contract they
-must still satisfy.
+The exchange-layer names (``data.next_batch`` … ``tracker.global_model``)
+are the per-layer metric names of ``BENCHMARK.json`` without their
+``_ms`` suffix, so an in-program trace and the benchmark's layer budget
+share one vocabulary.
 """
 
 from __future__ import annotations
@@ -26,14 +27,24 @@ import re
 __all__ = [
     "COMM_RECV",
     "COMM_SEND",
+    "DATA_NEXT_BATCH",
     "METRIC_DOWNLOAD_BYTES",
     "METRIC_SERVER_LOCK_HOLD_S",
     "METRIC_SERVER_LOCK_WAIT_S",
     "METRIC_SERVER_STALENESS",
     "METRIC_UPLOAD_BYTES",
+    "NN_FORWARD_BACKWARD",
     "SERVER_FANOUT",
     "SERVER_HANDLE",
     "SERVER_LOCK_WAIT",
+    "STRATEGY_PREPARE",
+    "TRACKER_APPLY_UPDATE",
+    "TRACKER_GLOBAL_MODEL",
+    "TRACKER_MODEL_DIFFERENCE",
+    "WIRE_DECODE_DOWN",
+    "WIRE_DECODE_UP",
+    "WIRE_ENCODE_DOWN",
+    "WIRE_ENCODE_UP",
     "WORKER_APPLY",
     "WORKER_COMPUTE",
     "WORKER_STEP",
@@ -60,6 +71,28 @@ SERVER_LOCK_WAIT = "server.lock_wait"
 #: the replies (covers split + per-shard handles + merge; the per-shard
 #: work shows up as ``server.handle`` spans on ``shard-<n>`` lanes)
 SERVER_FANOUT = "server.fanout"
+
+# -- exchange layers (inside the spans above) ----------------------------
+#: worker.compute, part 1: drawing the next mini-batch
+DATA_NEXT_BATCH = "data.next_batch"
+#: worker.compute, part 2: forward pass, loss and backward sweep
+NN_FORWARD_BACKWARD = "nn.forward_backward"
+#: worker.compute, part 3: the strategy's momentum/residual update and
+#: top-k selection, producing the upload payload
+STRATEGY_PREPARE = "strategy.prepare"
+#: serialising / parsing a gradient frame (worker → server)
+WIRE_ENCODE_UP = "wire.encode_up"
+WIRE_DECODE_UP = "wire.decode_up"
+#: serialising / parsing a diff or model frame (server → worker)
+WIRE_ENCODE_DOWN = "wire.encode_down"
+WIRE_DECODE_DOWN = "wire.decode_down"
+#: server.handle, part 1: adding the worker's update into M
+TRACKER_APPLY_UPDATE = "tracker.apply_update"
+#: server.handle, part 2 (difference mode): G_k = M − v_k and its
+#: secondary compression
+TRACKER_MODEL_DIFFERENCE = "tracker.model_difference"
+#: server.handle, part 2 (model mode): θ_t = θ_0 + M for the ASGD reply
+TRACKER_GLOBAL_MODEL = "tracker.global_model"
 
 # -- metric series names ------------------------------------------------
 #: per-worker staleness distribution at the server (histogram)

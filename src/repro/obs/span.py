@@ -3,8 +3,9 @@
 One *span* is a named, timed interval — ``{name, cat, ts, dur, tid,
 domain, args}`` — the common currency of the observability subsystem:
 
-* the threaded trainer and the hot-path hooks emit spans on the
-  **wall** clock (``time.perf_counter``, seconds);
+* the exchange path — worker loop, ``compute_step``, frame codec,
+  channels, parameter server — emits spans on the **wall** clock
+  (``time.perf_counter``, seconds);
 * the event-driven simulator emits spans on its **virtual** clock
   (the modelled wire/compute time of ``repro.sim``);
 * exporters (Chrome trace, flame summary) consume both, keeping the two
@@ -12,8 +13,7 @@ domain, args}`` — the common currency of the observability subsystem:
 
 Records are plain dicts so they serialise to JSONL without conversion;
 :func:`validate_record` is the single source of truth for the schema and
-is what ``python -m repro.obs convert`` (and the CI trace-smoke job)
-enforces.
+is what ``python -m repro.obs convert`` enforces.
 """
 
 from __future__ import annotations

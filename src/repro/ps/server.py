@@ -174,15 +174,19 @@ class ParameterServer:
             payload = msg.payload
             if self.staleness_damping and staleness > 0:
                 payload = scale_payload(payload, 1.0 / (staleness + 1))
+            t_apply = time.perf_counter()
             t = self.tracker.apply_update(payload)
+            t_applied = time.perf_counter()
 
             if self.downstream == "difference":
                 diff = self.tracker.model_difference(msg.worker_id)
+                t_replied = time.perf_counter()
                 reply: DiffMessage | ModelMessage = DiffMessage(
                     msg.worker_id, diff, t, staleness
                 )
             else:
                 model = self.tracker.global_model(self.theta0)
+                t_replied = time.perf_counter()
                 # ASGD still advances prev(k): the worker now holds θ_t.
                 self.tracker.mark_synced(msg.worker_id)
                 reply = ModelMessage(msg.worker_id, model, t, staleness)
@@ -223,23 +227,16 @@ class ParameterServer:
 
         tracer = current_tracer()
         if tracer.enabled:
-            # Emitted outside the lock (no tracing cost added to hold time);
-            # wall-clock domain — the simulator stamps its own virtual-time
-            # server spans from the event timeline instead.  Shards emit on
-            # their own ``shard-<n>`` lane so the Chrome view shows the
-            # partitions working side by side.
+            # Emitted outside the lock (no tracing cost added to hold time),
+            # from stamps taken under it: server.handle and the tracker
+            # spans nested in it.  Wall-clock domain — the simulator stamps
+            # its own virtual-time server spans from the event timeline
+            # instead.  Shards emit on their own ``shard-<n>`` lane so the
+            # Chrome view shows the partitions working side by side.
             tid = "" if self.shard is None else f"shard-{self.shard}"
-            tracer.add_span(
-                obs_names.SERVER_LOCK_WAIT,
-                t_request,
-                t_acquired,
-                tid=tid,
-                cat="server",
-                domain="wall",
-                args={"worker": msg.worker_id, **(
-                    {"shard": self.shard} if self.shard is not None else {}
-                )},
-            )
+            args = {"worker": msg.worker_id}
+            if self.shard is not None:
+                args["shard"] = self.shard
             tracer.add_span(
                 obs_names.SERVER_HANDLE,
                 t_acquired,
@@ -248,13 +245,23 @@ class ParameterServer:
                 cat="server",
                 domain="wall",
                 args={
-                    "worker": msg.worker_id,
+                    **args,
                     "staleness": staleness,
                     "up_bytes": msg.nbytes(),
                     "down_bytes": reply.nbytes(),
-                    **({"shard": self.shard} if self.shard is not None else {}),
                 },
             )
+            reply_name = (
+                obs_names.TRACKER_MODEL_DIFFERENCE
+                if self.downstream == "difference"
+                else obs_names.TRACKER_GLOBAL_MODEL
+            )
+            for name, start, end, cat in (
+                (obs_names.SERVER_LOCK_WAIT, t_request, t_acquired, "server"),
+                (obs_names.TRACKER_APPLY_UPDATE, t_apply, t_applied, "tracker"),
+                (reply_name, t_applied, t_replied, "tracker"),
+            ):
+                tracer.add_span(name, start, end, tid=tid, cat=cat, domain="wall", args=args)
         return reply
 
     # ------------------------------------------------------------------

@@ -19,6 +19,8 @@ from ..core.strategies import WorkerStrategy
 from ..data.loader import BatchIterator
 from ..nn.loss import cross_entropy
 from ..nn.module import Module
+from ..obs import names as obs_names
+from ..obs.tracer import current_tracer
 from ..optim.schedules import ConstantLR, Schedule
 from .messages import DiffMessage, GradientMessage, ModelMessage
 
@@ -65,19 +67,27 @@ class WorkerNode:
         worker between steps holds its replica and its strategy state,
         nothing model-sized besides (every ``.grad`` is ``None`` on return,
         and when ``prepare`` raises).
+
+        The three parts are spans of their own (``data.next_batch``,
+        ``nn.forward_backward``, ``strategy.prepare``) on the caller's lane.
         """
-        x, y = self.batches.next_batch()
-        logits = self.model(Tensor(x))
-        loss = self.loss_fn(logits, y)
-        self.model.zero_grad()
-        loss.backward()
+        tracer = current_tracer()
+        wid = self.worker_id
+        with tracer.span(obs_names.DATA_NEXT_BATCH, cat="data", worker=wid):
+            x, y = self.batches.next_batch()
+        with tracer.span(obs_names.NN_FORWARD_BACKWARD, cat="nn", worker=wid):
+            logits = self.model(Tensor(x))
+            loss = self.loss_fn(logits, y)
+            self.model.zero_grad()
+            loss.backward()
         self.last_loss = float(loss.data)
         self.samples_processed += len(x)
 
         grads = gradients_of(self.model)
         lr = self.current_lr()
         try:
-            payload = self.strategy.prepare(grads, lr)
+            with tracer.span(obs_names.STRATEGY_PREPARE, cat="strategy", worker=wid):
+                payload = self.strategy.prepare(grads, lr)
         finally:
             self.model.zero_grad()
         self.strategy.on_iteration()

@@ -47,13 +47,16 @@ class TestBaseline:
         assert payload["package_edges"]
 
     def test_baseline_matches_current_tree(self):
-        # every current edge is either allowed or already grandfathered —
-        # regenerate with `python -m repro.analysis arch --update-baseline`
-        # after a *deliberate* architecture change
+        # the baseline records exactly the edges the tree makes: a new edge
+        # and an edge that went away both fail — regenerate with
+        # `python -m repro.analysis arch --update-baseline` after a
+        # *deliberate* architecture change
         edges, _ = build_import_graph(SRC)
         current = set(package_edges(edges))
         recorded = load_baseline()
-        assert current <= recorded, sorted(current - recorded)
+        assert current == recorded, (
+            f"new: {sorted(current - recorded)}, gone: {sorted(recorded - current)}"
+        )
 
     def test_grandfathered_debt_is_exactly_the_known_edges(self):
         payload = json.loads(baseline_path().read_text())

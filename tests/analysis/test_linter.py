@@ -109,16 +109,20 @@ class TestObsFixture:
                  (f.message for f in lint_fixture("bad_obs.py") if f.rule == "OBS001")]
         assert "worker.apply" not in names
 
-    def test_silent_inside_obs(self):
-        allowed = LintConfig(
-            hot_path_prefixes=("",),
-            tensor_mutation_allowed=(),
-            telemetry_name_allowed=("",),
+    def test_fires_inside_obs_too(self):
+        # no package is exempt: repro/obs references its own constants too
+        import ast
+
+        from repro.analysis.linter import ModuleInfo
+        from repro.analysis.rules.obs import TelemetryNameRule
+
+        src = "def f(tracer):\n    tracer.span('worker.step')\n"
+        module = ModuleInfo(
+            path="obs/export.py", relpath="obs/export.py", source=src,
+            tree=ast.parse(src), lines=src.splitlines(),
         )
-        findings = lint_file(
-            FIXTURES / "bad_obs.py", default_rules(), config=allowed, root=FIXTURES
-        )
-        assert not [f for f in findings if f.rule == "OBS001"]
+        findings = list(TelemetryNameRule().check(module, LintConfig()))
+        assert [f.rule for f in findings] == ["OBS001"]
 
     def test_relative_codec_reexport_not_flagged(self):
         # ps/__init__.py re-exports the codec names via `from .codec import …`;

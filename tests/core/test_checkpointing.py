@@ -27,6 +27,11 @@ def random_update(rng):
     return upd
 
 
+def snapshot(tracker):
+    """``(t, prev, buffers)``: the tracker half of a server checkpoint."""
+    return tracker.t, list(tracker.prev), [buf.copy() for buf in tracker.flat_state()]
+
+
 class TestTrackerCheckpoint:
     def test_roundtrip_restores_everything(self, rng):
         tr = ModelDifferenceTracker(SHAPES, 2)
@@ -34,14 +39,14 @@ class TestTrackerCheckpoint:
             tr.apply_update(random_update(rng))
             if i % 2:
                 tr.model_difference(i % 2)
-        state = tr.state_dict()
 
         fresh = ModelDifferenceTracker(SHAPES, 2)
-        fresh.load_state_dict(state)
+        fresh.restore(*snapshot(tr))
         assert fresh.t == tr.t and fresh.prev == tr.prev
         for n in SHAPES:
             np.testing.assert_array_equal(fresh.M[n], tr.M[n])
             np.testing.assert_array_equal(fresh.vk(0)[n], tr.vk(0)[n])
+            np.testing.assert_array_equal(fresh.vk(1)[n], tr.vk(1)[n])
 
     def test_restored_tracker_continues_identically(self, rng):
         """Same update stream after restore → identical G as uninterrupted."""
@@ -50,10 +55,9 @@ class TestTrackerCheckpoint:
         for upd in stream[:4]:
             tr_full.apply_update(upd)
         tr_full.model_difference(0)
-        snapshot = tr_full.state_dict()
 
         restored = ModelDifferenceTracker(SHAPES, 2)
-        restored.load_state_dict(snapshot)
+        restored.restore(*snapshot(tr_full))
         for upd in stream[4:]:
             tr_full.apply_update(upd)
             restored.apply_update(upd)
@@ -64,20 +68,9 @@ class TestTrackerCheckpoint:
 
     def test_worker_count_mismatch_rejected(self, rng):
         tr = ModelDifferenceTracker(SHAPES, 2)
-        state = tr.state_dict()
         other = ModelDifferenceTracker(SHAPES, 3)
         with pytest.raises(ValueError):
-            other.load_state_dict(state)
-
-    def test_npz_persistable(self, rng, tmp_path):
-        tr = ModelDifferenceTracker(SHAPES, 1)
-        tr.apply_update(random_update(rng))
-        path = tmp_path / "server.npz"
-        np.savez(path, **tr.state_dict())
-        with np.load(path) as data:
-            restored = ModelDifferenceTracker(SHAPES, 1)
-            restored.load_state_dict(dict(data))
-        np.testing.assert_array_equal(restored.M["w"], tr.M["w"])
+            other.restore(*snapshot(tr))
 
 
 class TestStrategyCheckpoint:

@@ -96,6 +96,17 @@ class TestSummaries:
         virt_share = sum(r["share"] for r in rows if r["domain"] == "virtual")
         assert abs(virt_share - 1.0) < 1e-9
 
+    def test_summarize_counts_nested_time_once(self):
+        # a (1.0 s) contains b (0.4 s) on one lane: the rows partition 1.0 s
+        records = [
+            span_record("a", 0.0, 1.0, "t0", cat="outer"),
+            span_record("b", 0.3, 0.4, "t0", cat="inner"),
+        ]
+        rows = {r["phase"]: r for r in summarize(records)}
+        assert abs(rows["outer"]["self_s"] - 0.6) < 1e-9
+        assert abs(rows["inner"]["self_s"] - 0.4) < 1e-9
+        assert abs(rows["outer"]["share"] - 0.6) < 1e-9
+
     def test_render_summary_includes_metrics_table(self):
         records = [*_sample_records(), {"type": "metric", "kind": "counter", "name": "n",
                                         "labels": {"w": "0"}, "value": 3.0}]

@@ -1,4 +1,4 @@
-"""End-to-end wiring: trainers + server + hooks emit one unified stream."""
+"""End-to-end wiring: trainers, codec and server emit one unified stream."""
 
 import json
 
@@ -10,7 +10,6 @@ from repro.nn.models.mlp import MLP
 from repro.obs import (
     Tracer,
     check_stream,
-    profile_hot_paths,
     summarize,
     to_chrome_trace,
     use_tracer,
@@ -50,7 +49,7 @@ def threaded_run(dataset):
         tracer=tracer,
     )
     trainer = ThreadedTrainer(config)
-    with use_tracer(tracer), profile_hot_paths():
+    with use_tracer(tracer):
         result = trainer.run()
     return tracer, trainer, result
 
@@ -71,7 +70,7 @@ def sim_run(dataset):
         cluster=ClusterConfig.with_bandwidth(2, 10, compute_mean_s=0.01),
     )
     trainer = SimulatedTrainer(config)
-    with use_tracer(tracer), profile_hot_paths():
+    with use_tracer(tracer):
         result = trainer.run()
     return tracer, trainer, result
 
@@ -80,8 +79,8 @@ class TestThreadedWiring:
     def test_all_three_layers_present(self, threaded_run):
         tracer, _, _ = threaded_run
         cats = {r["cat"] for r in tracer.records()}
-        # worker loop + server + hot-path hooks = all layers
-        assert {"worker", "server", "autograd", "compression"} <= cats
+        # worker loop + compute_step's layers + server + tracker = all layers
+        assert {"worker", "data", "nn", "strategy", "server", "tracker"} <= cats
 
     def test_spans_per_worker_thread(self, threaded_run):
         tracer, _, _ = threaded_run
@@ -159,8 +158,8 @@ class TestSimWiring:
 
     def test_hot_path_spans_are_wall_domain(self, sim_run):
         tracer, _, _ = sim_run
-        auto = [r for r in tracer.records() if r["cat"] == "autograd"]
-        assert auto and all(r["domain"] == "wall" for r in auto)
+        hot = [r for r in tracer.records() if r["cat"] in ("nn", "strategy")]
+        assert hot and all(r["domain"] == "wall" for r in hot)
 
     def test_combined_trace_valid_with_both_domains(self, sim_run):
         tracer, _, _ = sim_run
@@ -204,13 +203,3 @@ def test_run_cli_trace_flag(tmp_path, capsys):
     capsys.readouterr()
     trace = json.loads(out.read_text())
     assert validate_chrome_trace(trace) == []
-
-
-def test_disabled_tracing_leaves_hot_paths_unwrapped():
-    """Acceptance: tracing off ⇒ original functions on the hot path."""
-    from repro.autograd import ops
-    from repro.compression.topk import TopKSparsifier
-    from repro.ps import codec
-
-    for fn in (ops.conv2d, TopKSparsifier.mask, codec.encode_message):
-        assert not hasattr(fn, "__repro_obs_wrapped__")
