@@ -11,8 +11,9 @@ speak :mod:`repro.comm.frames` and account bytes identically:
   (``frame.nbytes()`` / ``frame.dense_nbytes()``) into one
   :class:`~repro.compression.stats.CompressionStats` sink — the numbers
   ``TrainResult`` reports on every backend;
-* channels emit ``comm.send`` / ``comm.recv`` obs spans (when a tracer is
-  live) so traces show the wire on every substrate.
+* channels emit ``comm.send`` / ``comm.recv`` spans to the ambient
+  :func:`repro.obs.current_tracer` so traces show the wire on every
+  substrate.
 
 :class:`InProcChannel` is the threaded backend's channel: ``send()``
 dispatches to the service synchronously on the calling thread, preserving
@@ -72,23 +73,17 @@ class InProcChannel:
         worker_id: int,
         stats: "CompressionStats | None" = None,
         wire_fidelity: bool = False,
-        tracer: "object | None" = None,
     ) -> None:
         self.service = service
         self.worker_id = worker_id
         self.stats = stats
         self.wire_fidelity = wire_fidelity
-        #: explicit tracer; None ⇒ the ambient repro.obs tracer at call time
-        self.tracer = tracer
         #: the worker's final close frame (accounting source for trainers)
         self.close_frame: "CloseFrame | None" = None
         self._pending: "Frame | None" = None
         self._closed = False
 
     # ------------------------------------------------------------------
-    def _tracer(self):
-        return self.tracer if self.tracer is not None else current_tracer()
-
     def send(self, frame: Frame) -> None:
         if self._closed:
             raise ChannelClosed(f"channel for worker {self.worker_id} is closed")
@@ -110,7 +105,7 @@ class InProcChannel:
             return
         if not isinstance(frame, GradientFrame):
             raise TypeError(f"worker endpoints send gradient/close frames, not {type(frame).__name__}")
-        tracer = self._tracer()
+        tracer = current_tracer()
         if tracer.enabled:
             with tracer.span(
                 obs_names.COMM_SEND,
@@ -138,7 +133,7 @@ class InProcChannel:
         if self._pending is None:
             raise ChannelClosed(f"no reply pending for worker {self.worker_id}")
         frame, self._pending = self._pending, None
-        tracer = self._tracer()
+        tracer = current_tracer()
         if tracer.enabled:
             with tracer.span(
                 obs_names.COMM_RECV,

@@ -8,7 +8,9 @@ the parent through the transport-agnostic
 :func:`repro.comm.service.serve_channels`.  A pipe that hits EOF/EPIPE
 *without* a close frame is a crashed worker: the loop records the loss of
 that worker and carries on, so a worker dying mid-run yields a graceful
-partial result instead of a hang.
+partial result instead of a hang.  ``send_raw`` / ``recv_raw`` emit
+``comm.send`` / ``comm.recv`` spans to the ambient
+:func:`repro.obs.current_tracer`.
 """
 
 from __future__ import annotations
@@ -24,19 +26,15 @@ __all__ = ["PipeChannel"]
 class PipeChannel:
     """One endpoint of a byte pipe speaking the comm frame format."""
 
-    def __init__(self, connection, tracer: "object | None" = None) -> None:
+    def __init__(self, connection) -> None:
         #: the underlying ``multiprocessing`` connection (read by ``wait``)
         self.connection = connection
-        self.tracer = tracer
         #: actual bytes through the pipe, frame headers included
         self.wire_bytes_sent = 0
         self.wire_bytes_received = 0
         self._closed = False
 
     # ------------------------------------------------------------------
-    def _tracer(self):
-        return self.tracer if self.tracer is not None else current_tracer()
-
     def send(self, frame: Frame) -> None:
         self.send_raw(encode_frame(frame))
 
@@ -44,11 +42,7 @@ class PipeChannel:
         """Ship an already-encoded frame."""
         if self._closed:
             raise ChannelClosed("pipe channel is closed")
-        tracer = self._tracer()
-        if tracer.enabled:
-            with tracer.span(obs_names.COMM_SEND, cat="comm", bytes=len(raw)):
-                self.connection.send_bytes(raw)
-        else:
+        with current_tracer().span(obs_names.COMM_SEND, cat="comm", bytes=len(raw)):
             self.connection.send_bytes(raw)
         self.wire_bytes_sent += len(raw)
 
@@ -57,13 +51,9 @@ class PipeChannel:
         id off these bytes before decoding)."""
         if self._closed:
             raise ChannelClosed("pipe channel is closed")
-        tracer = self._tracer()
-        if tracer.enabled:
-            with tracer.span(obs_names.COMM_RECV, cat="comm") as span:
-                raw = self.connection.recv_bytes()
-                span.set(bytes=len(raw))
-        else:
+        with current_tracer().span(obs_names.COMM_RECV, cat="comm") as span:
             raw = self.connection.recv_bytes()
+            span.set(bytes=len(raw))
         self.wire_bytes_received += len(raw)
         return raw
 

@@ -39,7 +39,6 @@ def run_worker_loop(
     node: "WorkerNode",
     channel: "Channel",
     iterations: int,
-    tracer: "object | None" = None,
     on_step: "Callable[[WorkerNode], None] | None" = None,
     on_iteration: "Callable[[int], None] | None" = None,
     ship_telemetry: bool = False,
@@ -54,7 +53,7 @@ def run_worker_loop(
     still reports the samples it processed and the error that killed it.
 
     ``ship_telemetry`` makes the loop send a
-    :class:`~repro.comm.frames.TelemetryFrame` (the tracer's spans) just
+    :class:`~repro.comm.frames.TelemetryFrame` (the ambient tracer's spans) just
     before the close frame — the process and socket backends set it so
     worker spans reach the server's merged trace.
     In-process backends share the parent tracer and leave it off.
@@ -67,7 +66,7 @@ def run_worker_loop(
     close frame (a crashed worker sends neither; the server's EOF
     handling deregisters it).
     """
-    tracer = tracer if tracer is not None else current_tracer()
+    tracer = current_tracer()
     error: "str | None" = None
     try:
         if register:
@@ -96,7 +95,7 @@ def run_worker_loop(
         try:
             if register and error is None:
                 channel.send(ControlFrame(node.worker_id, CONTROL_LEAVE))
-            if ship_telemetry and getattr(tracer, "enabled", False):
+            if ship_telemetry and tracer.enabled:
                 channel.send(
                     TelemetryFrame(worker_id=node.worker_id, spans=tuple(tracer.records()))
                 )

@@ -14,11 +14,11 @@ The accept/route/reply loop lives here once, for every transport:
   frames, close accounting, crash detection (EOF without a close frame),
   straggler eviction, and elastic accept from a listener.
 
-Routing: byte transports expose ``recv_raw()`` and the loop reads the
-target shard off the fixed 4-byte header with
-:func:`~repro.comm.frames.peek_shard` *before* decoding the payload —
-the peeked id, not the decoded frame attribute, is the routing authority,
-exactly what the frame header exists for.
+Routing: every served channel is a byte transport (pipe or socket); the
+loop takes ``recv_raw()`` and reads the target shard off the fixed 4-byte
+header with :func:`~repro.comm.frames.peek_shard` *before* decoding the
+payload — the peeked id, not the decoded frame attribute, is the routing
+authority, exactly what the frame header exists for.
 
 One thread does recv → decode → handle → encode → send for every channel;
 a sharded server is served by the same loop (whole frames fan out across
@@ -39,7 +39,6 @@ from ..compression.stats import CompressionStats
 from .frames import (
     CloseFrame,
     ControlFrame,
-    Frame,
     GradientFrame,
     TelemetryFrame,
     decode_frame,
@@ -173,22 +172,6 @@ class ServeReport:
     updates: int = 0
 
 
-def _recv_frame(channel) -> "tuple[Frame, int]":
-    """One frame off ``channel`` plus its routing shard.
-
-    Byte transports expose ``recv_raw()``: the shard id is peeked off the
-    fixed header *before* the payload is decoded (the header's whole
-    purpose); object transports fall back to ``recv()`` and the frame's
-    own shard slot.
-    """
-    recv_raw = getattr(channel, "recv_raw", None)
-    if recv_raw is not None:
-        raw = recv_raw()
-        return decode_frame(raw), peek_shard(raw)
-    frame = channel.recv()
-    return frame, getattr(frame, "shard", -1)
-
-
 def serve_channels(
     channels: "list",
     service: ServerService,
@@ -289,7 +272,8 @@ def serve_channels(
             channel = open_channels[obj]
             last_seen[obj] = now
             try:
-                frame, shard = _recv_frame(channel)
+                raw = channel.recv_raw()
+                frame, shard = decode_frame(raw), peek_shard(raw)
             except (EOFError, OSError):
                 _crash(obj, channel, "channel closed without a close frame (crash)")
                 terminated += 1

@@ -12,7 +12,8 @@ the event-driven engine owns the chronology, the channel exposes a single
 :meth:`~SimChannel.exchange` that performs the whole
 upload → server → download round-trip at a given virtual ready-time and
 returns the reply frame plus the :class:`SimTransfer` timing breakdown the
-engine needs for its event heap, spans and loggers.
+engine needs for its event heap.  Link and server spans go to the ambient
+:func:`repro.obs.current_tracer` in the ``virtual`` clock domain.
 """
 
 from __future__ import annotations
@@ -55,36 +56,30 @@ class SimTransport:
         wire_scale: float = 1.0,
         server_overhead_s: float = 0.0,
         stats: "CompressionStats | None" = None,
-        tracer: "object | None" = None,
     ) -> None:
         self.uplink = uplink
         self.downlink = downlink
         self.wire_scale = wire_scale
         self.server_overhead_s = server_overhead_s
         self.stats = stats if stats is not None else CompressionStats()
-        #: explicit tracer; None ⇒ the ambient repro.obs tracer at call time
-        self.tracer = tracer
         #: when the (serialised) server is next free to apply an update
         self.server_free = 0.0
 
     # ------------------------------------------------------------------
-    def _tracer(self):
-        return self.tracer if self.tracer is not None else current_tracer()
-
     def send_frame(
-        self, ready_t: float, frame: GradientFrame, worker: "int | None" = None
+        self, ready_t: float, frame: GradientFrame, worker: int
     ) -> "tuple[float, float]":
         """Reserve uplink time for ``frame``; returns (start, end)."""
         nbytes = frame.nbytes()
         start, end = self.uplink.reserve(ready_t, int(nbytes * self.wire_scale))
         self.stats.record_upload(nbytes, frame.dense_nbytes())
-        tracer = self._tracer()
+        tracer = current_tracer()
         if tracer.enabled:
             tracer.add_span(
                 obs_names.COMM_SEND,
                 start,
                 end,
-                tid=f"worker-{worker}" if worker is not None else "worker",
+                tid=f"worker-{worker}",
                 cat="comm",
                 domain="virtual",
                 args={"worker": worker, "bytes": nbytes},
@@ -92,19 +87,19 @@ class SimTransport:
         return start, end
 
     def recv_frame(
-        self, ready_t: float, frame: "DiffFrame | ModelFrame", worker: "int | None" = None
+        self, ready_t: float, frame: "DiffFrame | ModelFrame", worker: int
     ) -> "tuple[float, float]":
         """Reserve downlink time for ``frame``; returns (start, end)."""
         nbytes = frame.nbytes()
         start, end = self.downlink.reserve(ready_t, int(nbytes * self.wire_scale))
         self.stats.record_download(nbytes, frame.dense_nbytes())
-        tracer = self._tracer()
+        tracer = current_tracer()
         if tracer.enabled:
             tracer.add_span(
                 obs_names.COMM_RECV,
                 start,
                 end,
-                tid=f"worker-{worker}" if worker is not None else "worker",
+                tid=f"worker-{worker}",
                 cat="comm",
                 domain="virtual",
                 args={"worker": worker, "bytes": nbytes},
@@ -135,7 +130,7 @@ class SimChannel:
         server_end = server_start + transport.server_overhead_s
         transport.server_free = server_end
         reply = self.service(frame)
-        tracer = transport._tracer()
+        tracer = current_tracer()
         if tracer.enabled:
             tracer.add_span(
                 obs_names.SERVER_HANDLE,

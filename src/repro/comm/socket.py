@@ -94,11 +94,9 @@ class SocketChannel:
     def __init__(
         self,
         sock: "_socket.socket",
-        tracer: "object | None" = None,
         read_timeout_s: "float | None" = None,
     ) -> None:
         self._sock = sock
-        self.tracer = tracer
         #: per-read deadline; ``None`` blocks forever (worker side default)
         self.read_timeout_s = read_timeout_s
         #: actual frame bytes through the socket (length prefixes excluded)
@@ -116,7 +114,6 @@ class SocketChannel:
         cls,
         host: str,
         port: int,
-        tracer: "object | None" = None,
         read_timeout_s: "float | None" = None,
         retry_for_s: float = 10.0,
         backoff_base_s: float = DEFAULT_BACKOFF_BASE_S,
@@ -137,7 +134,7 @@ class SocketChannel:
             attempt += 1
             try:
                 sock = _socket.create_connection((host, port), timeout=retry_for_s)
-                return cls(sock, tracer=tracer, read_timeout_s=read_timeout_s)
+                return cls(sock, read_timeout_s=read_timeout_s)
             except OSError as exc:
                 if time.monotonic() + delay > deadline:
                     raise ConnectionError(
@@ -148,9 +145,6 @@ class SocketChannel:
                 delay = min(delay * 2.0, backoff_cap_s)
 
     # ------------------------------------------------------------------
-    def _tracer(self):
-        return self.tracer if self.tracer is not None else current_tracer()
-
     def _recv_exactly(self, n: int) -> bytearray:
         """``n`` bytes off the stream, honouring ``read_timeout_s``.
 
@@ -205,11 +199,7 @@ class SocketChannel:
         """Ship an already-encoded frame as one length-prefixed record."""
         if self._closed:
             raise ChannelClosed("socket channel is closed")
-        tracer = self._tracer()
-        if tracer.enabled:
-            with tracer.span(obs_names.COMM_SEND, cat="comm", bytes=len(raw)):
-                self._send_record(raw)
-        else:
+        with current_tracer().span(obs_names.COMM_SEND, cat="comm", bytes=len(raw)):
             self._send_record(raw)
         self.wire_bytes_sent += len(raw)
 
@@ -218,13 +208,9 @@ class SocketChannel:
         id off these bytes before decoding)."""
         if self._closed:
             raise ChannelClosed("socket channel is closed")
-        tracer = self._tracer()
-        if tracer.enabled:
-            with tracer.span(obs_names.COMM_RECV, cat="comm") as span:
-                raw = self._recv_record()
-                span.set(bytes=len(raw))
-        else:
+        with current_tracer().span(obs_names.COMM_RECV, cat="comm") as span:
             raw = self._recv_record()
+            span.set(bytes=len(raw))
         self.wire_bytes_received += len(raw)
         return raw
 
@@ -255,14 +241,12 @@ class SocketListener:
         host: str = "127.0.0.1",
         port: int = 0,
         backlog: int = 64,
-        tracer: "object | None" = None,
         read_timeout_s: "float | None" = None,
     ) -> None:
         self._sock = _socket.socket(_socket.AF_INET, _socket.SOCK_STREAM)
         self._sock.setsockopt(_socket.SOL_SOCKET, _socket.SO_REUSEADDR, 1)
         self._sock.bind((host, port))
         self._sock.listen(backlog)
-        self.tracer = tracer
         #: stamped onto every accepted channel (server-side read deadline)
         self.read_timeout_s = read_timeout_s
         self._closed = False
@@ -279,9 +263,7 @@ class SocketListener:
 
     def accept(self) -> SocketChannel:
         sock, _addr = self._sock.accept()
-        return SocketChannel(
-            sock, tracer=self.tracer, read_timeout_s=self.read_timeout_s
-        )
+        return SocketChannel(sock, read_timeout_s=self.read_timeout_s)
 
     def close(self) -> None:
         if not self._closed:

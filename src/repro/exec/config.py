@@ -74,10 +74,6 @@ class RunConfig:
     #: (float32 wire precision), matching what the process and socket
     #: backends ship — at thread speed
     wire_fidelity: bool = False
-    #: per-step telemetry sink, e.g. repro.obs.ObsLogger (simulated only)
-    logger: "object | None" = None
-    #: repro.obs tracer; None ⇒ the ambient tracer at run time
-    tracer: "object | None" = None
     #: run the elastic-membership join/leave handshake around each worker
     #: loop (threaded backend; the process and socket backends always
     #: register)
@@ -148,9 +144,10 @@ class RunConfig:
         """JSON-serialisable summary of the *resolved* configuration.
 
         This is what a run manifest records: scalar knobs verbatim, and
-        the non-serialisable members (model factory, dataset, hyper,
-        schedule, cluster, logger, tracer) reduced to descriptive strings
-        — enough to identify a run, not to re-execute it.
+        the non-serialisable members (dataset, hyper, schedule, cluster)
+        reduced to descriptive strings — enough to identify a run, not to
+        re-execute it.  Whether the run was traced is recorded by the
+        manifest's ``files.trace``.
         """
         method = self.method if isinstance(self.method, str) else self.method.name
         return {
@@ -180,5 +177,4 @@ class RunConfig:
             "schedule": type(self.schedule).__name__ if self.schedule is not None else None,
             "cluster": repr(self.cluster) if self.cluster is not None else None,
             "dataset": f"{type(self.dataset).__name__}(n={len(getattr(self.dataset, 'x_train', ()))})",
-            "traced": self.tracer is not None and bool(getattr(self.tracer, "enabled", False)),
         }

@@ -217,10 +217,6 @@ class RemoteTrainer:
             }
         self.membership = WorkerDirectory(self.server)
 
-    def _tracer(self):
-        tracer = self.config.tracer
-        return tracer if tracer is not None else current_tracer()
-
     # ------------------------------------------------------------------
     def listen(self) -> _RecordingListener:
         """Bind the TCP listener workers connect to (``config.bind``, or
@@ -228,9 +224,7 @@ class RemoteTrainer:
         bind = self.config.bind
         host, port = bind if bind is not None else ("127.0.0.1", 0)
         return _RecordingListener(
-            SocketListener(
-                host, port, tracer=self._tracer(), read_timeout_s=self.config.evict_after_s
-            )
+            SocketListener(host, port, read_timeout_s=self.config.evict_after_s)
         )
 
     def run(self) -> TrainResult:
@@ -238,8 +232,7 @@ class RemoteTrainer:
         config = self.config
         fail_at = config.fail_at or {}
         join_delay_s = config.join_delay_s or {}
-        tracer = self._tracer()
-        trace = bool(getattr(tracer, "enabled", False))
+        trace = current_tracer().enabled
         channels: "list[PipeChannel]" = []
         listener = self.listen() if self.transport == "tcp" else None
         ctx = mp.get_context("fork")
@@ -249,7 +242,7 @@ class RemoteTrainer:
                 endpoint = listener.address
             else:
                 parent, endpoint = ctx.Pipe()
-                channels.append(PipeChannel(parent, tracer=tracer))
+                channels.append(PipeChannel(parent))
             proc = ctx.Process(
                 target=_worker_main,
                 args=(
@@ -279,7 +272,6 @@ class RemoteTrainer:
         worker ``listener`` accepts until ``num_workers`` workers have
         terminated, then reap ``workers`` and build the result."""
         config = self.config
-        tracer = self._tracer()
         t_start = time.perf_counter()
         loss_curve = Curve("loss_vs_server_step")
 
@@ -314,6 +306,7 @@ class RemoteTrainer:
 
         # Merge each worker's shipped spans into this process's tracer, on
         # a per-process lane (proc="worker-N").
+        tracer = current_tracer()
         if tracer.enabled:
             for wid, frame in sorted(report.telemetry.items()):
                 tracer.absorb(relabel_records(frame.spans, f"worker-{wid}"))

@@ -114,8 +114,7 @@ class SimulatedTrainer:
         applied = 0
         # Spans are stamped with the *virtual* clock (same schema as the
         # threaded trainer's wall-clock spans).
-        tracer = config.tracer if config.tracer is not None else current_tracer()
-        emit_spans = tracer.enabled
+        tracer = current_tracer()
         # All exchanges route through the comm layer: the transport owns the
         # shared link pair, the wire scaling, the byte accounting and the
         # comm.send / server.handle / comm.recv virtual spans.
@@ -125,7 +124,6 @@ class SimulatedTrainer:
             wire_scale=cluster.wire_scale,
             server_overhead_s=cluster.server_overhead_s,
             stats=self.server.stats,
-            tracer=tracer,
         )
         service = ServerService(self.server)
         channels = {
@@ -145,9 +143,8 @@ class SimulatedTrainer:
             reply_frame, transfer = channels[wid].exchange(
                 ready_t, GradientFrame(msg, node.last_loss)
             )
-            reply = reply_frame.message
-            node.apply_reply(reply)
-            if emit_spans:
+            node.apply_reply(reply_frame.message)
+            if tracer.enabled:
                 tracer.add_span(
                     obs_names.WORKER_COMPUTE,
                     compute_start[wid],
@@ -164,16 +161,6 @@ class SimulatedTrainer:
             smoothed = loss_ema.update(node.last_loss)
             loss_vs_step.add(applied, smoothed)
             loss_vs_time.add(transfer.server_end, smoothed)
-            if config.logger is not None:
-                config.logger.log_step(
-                    applied,
-                    node.last_loss,
-                    time_s=transfer.server_end,
-                    worker=wid,
-                    staleness=reply.staleness,
-                    up_bytes=transfer.up_bytes,
-                    down_bytes=transfer.down_bytes,
-                )
             if config.eval_every is not None and applied % config.eval_every == 0:
                 acc, _ = self._evaluate_global()
                 acc_vs_step.add(applied, acc)

@@ -18,7 +18,6 @@ from ..comm.service import ServerService
 from ..core.layerops import assign_parameters, parameter_views
 from ..data.loader import DataLoader
 from ..metrics.curves import Curve
-from ..obs.tracer import current_tracer
 from ..ps.checkpoint import load_checkpoint, save_checkpoint
 from ..ps.worker import WorkerNode
 from .common import (
@@ -112,15 +111,11 @@ class ThreadedTrainer:
                     save_checkpoint(self.server, self.config.checkpoint_path)
 
     def _worker_loop(self, node: WorkerNode, channel) -> None:
-        # Each OS thread emits into its own Tracer buffer (lock-free);
-        # buffers are merged after join() via Tracer.records().
-        tracer = self.config.tracer if self.config.tracer is not None else current_tracer()
         try:
             run_worker_loop(
                 node,
                 channel,
                 self.config.iterations_per_worker(),
-                tracer=tracer,
                 on_step=self._record_loss,
                 register=self.config.register,
             )
@@ -136,7 +131,6 @@ class ThreadedTrainer:
                 node.worker_id,
                 stats=self.server.stats,
                 wire_fidelity=config.wire_fidelity,
-                tracer=config.tracer,
             )
             for node in self.workers
         ]

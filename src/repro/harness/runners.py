@@ -7,7 +7,6 @@ from dataclasses import replace
 from ..core.methods import Hyper
 from ..exec import Backend, RunConfig, TrainResult, Trainer, get_backend
 from ..harness.local import LocalResult, LocalTrainer
-from ..obs.tracer import NullTracer, Tracer
 from ..sim.cluster import ClusterConfig
 from .config import WorkloadSpec, paper_cluster
 
@@ -28,21 +27,18 @@ def run_distributed(
     eval_every: int | None = None,
     staleness_damping: bool = False,
     fast: bool = False,
-    tracer: "Tracer | NullTracer | None" = None,
     backend: "str | Backend | None" = None,
     seed: int = 0,
 ) -> TrainResult:
     """One distributed run of ``method`` on ``workload``, on any backend.
 
     ``backend`` names an execution backend from the :mod:`repro.exec`
-    registry (``"threaded"`` | ``"process"`` | ``"simulated"`` | ``"sync"``);
-    None uses the ambient default (``"simulated"`` unless changed with
-    ``repro.exec.use_backend``).  The paper-shaped cluster (``gbps``,
-    ResNet-18 wire scaling) only applies to the virtual-clock backends.
-
-    ``tracer``: a :class:`repro.obs.Tracer` to stamp with spans (defaults
-    to the ambient tracer, so ``use_tracer`` + the CLI's ``--trace``
-    capture experiment runs without plumbing).
+    registry (``"threaded"`` | ``"process"`` | ``"socket"`` | ``"simulated"``
+    | ``"sync"``); None uses the ambient default (``"simulated"`` unless
+    changed with ``repro.exec.use_backend``).  The paper-shaped cluster
+    (``gbps``, ResNet-18 wire scaling) only applies to the virtual-clock
+    backends.  Spans go to the ambient tracer (``repro.obs.use_tracer``,
+    or the CLI's ``--trace``).
     """
     dataset = workload.dataset(fast)
     model_factory = workload.model_factory(seed=seed)
@@ -72,7 +68,6 @@ def run_distributed(
         seed=seed,
         cluster=cluster,
         eval_every=eval_every,
-        tracer=tracer,
     )
     return Trainer(config, exec_backend).run()
 

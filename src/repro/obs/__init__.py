@@ -10,7 +10,7 @@ One schema, three producers, three exporters:
   simulator adds its modelled timeline on the virtual clock.  The
   parameter server additionally meters lock wait/hold per worker.
 * **Schema** — ``repro.obs.span``: JSONL records (``meta`` / ``span`` /
-  ``metric`` / ``step``) with explicit clock domains.
+  ``metric``) with explicit clock domains.
 * **Exporters** — Chrome ``chrome://tracing`` JSON, a flamegraph-style
   text summary, and Prometheus text, behind ``python -m repro.obs``
   (``convert`` / ``summary`` / ``top``, and ``report`` / ``compare`` /
@@ -38,7 +38,6 @@ from .metrics import (
     Gauge,
     Histogram,
     MetricsRegistry,
-    ObsLogger,
     quantile_from_counts,
 )
 from .names import is_valid_name, registered_names
@@ -86,7 +85,6 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "ObsLogger",
     "DEFAULT_BUCKETS",
     "check_stream",
     "load_jsonl",

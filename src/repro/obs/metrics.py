@@ -1,4 +1,4 @@
-"""Labeled metrics (counters / gauges / histograms) and the JSONL sink.
+"""Labeled metrics: counters, gauges and histograms.
 
 The registry is the numbers-side companion of the span tracer: spans say
 *when* and *how long*, metrics say *how much* (bytes shipped, messages
@@ -6,18 +6,12 @@ handled, staleness observed).  Every metric is a labeled series —
 ``registry.counter("upload_bytes", method="dgs")`` — and ``snapshot()``
 produces plain dicts that serialise straight into the same JSONL stream
 as spans (``type: "metric"`` records, see ``repro.obs.span``).
-
-:class:`ObsLogger` is the run-level JSONL sink: per-update step records
-through the ``log_step`` signature trainers call, plus span/metric
-records; it flushes on write and closes deterministically.
 """
 
 from __future__ import annotations
 
-import json
-import pathlib
 import threading
-from typing import IO, Any, Mapping
+from typing import Any, Mapping
 
 __all__ = [
     "Counter",
@@ -25,7 +19,6 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "ObsLogger",
     "quantile_from_counts",
 ]
 
@@ -212,83 +205,3 @@ class MetricsRegistry:
         with self._lock:
             metrics = list(self._metrics.values())
         return [m.snapshot() for m in metrics]
-
-
-class ObsLogger:
-    """Run-level JSONL sink: steps, spans, and metric snapshots in one file.
-
-    What trainers that accept a ``logger`` call ``log_step`` on, with
-    flush-on-write so a crashed run still leaves a readable file.
-    """
-
-    def __init__(
-        self,
-        path: "str | pathlib.Path | None" = None,
-        meta: "Mapping[str, Any] | None" = None,
-    ) -> None:
-        self.records: list[dict[str, Any]] = []
-        self.path = pathlib.Path(path) if path is not None else None
-        self._lock = threading.Lock()
-        self._fh: IO[str] | None = open(self.path, "w") if self.path is not None else None
-        if meta:
-            self.log(record_type="meta", **dict(meta))
-
-    # ------------------------------------------------------------------
-    def log(self, record_type: str = "step", **fields: Any) -> None:
-        self.log_record({"type": record_type, **fields})
-
-    def log_record(self, record: "dict[str, Any]") -> None:
-        with self._lock:
-            self.records.append(record)
-            if self._fh is not None:
-                self._fh.write(json.dumps(record) + "\n")
-                self._fh.flush()
-
-    def log_step(
-        self,
-        step: int,
-        loss: float,
-        time_s: float | None = None,
-        worker: int | None = None,
-        staleness: int | None = None,
-        **extra: Any,
-    ) -> None:
-        fields: dict[str, Any] = {"step": step, "loss": float(loss)}
-        if time_s is not None:
-            fields["time_s"] = float(time_s)
-        if worker is not None:
-            fields["worker"] = int(worker)
-        if staleness is not None:
-            fields["staleness"] = int(staleness)
-        fields.update(extra)
-        self.log(record_type="step", **fields)
-
-    def log_spans(self, records: "list[dict[str, Any]]") -> None:
-        for rec in records:
-            self.log_record(rec)
-
-    def log_metrics(self, registry: MetricsRegistry) -> None:
-        for rec in registry.snapshot():
-            self.log_record(rec)
-
-    # ------------------------------------------------------------------
-    def steps(self) -> "list[dict[str, Any]]":
-        with self._lock:
-            return [r for r in self.records if r.get("type") == "step"]
-
-    def flush(self) -> None:
-        with self._lock:
-            if self._fh is not None:
-                self._fh.flush()
-
-    def close(self) -> None:
-        with self._lock:
-            if self._fh is not None:
-                self._fh.close()
-                self._fh = None
-
-    def __enter__(self) -> "ObsLogger":
-        return self
-
-    def __exit__(self, *exc: object) -> None:
-        self.close()

@@ -14,9 +14,9 @@ Every traced/benchmarked run can leave a ``runs/<run_id>/`` directory:
 
 On top of the artifact sit three CLI verbs (``python -m repro.obs
 report | compare | check``) and :class:`HealthSpec` — a declarative SLO
-on *run health* (staleness p99, samples/sec, wall-clock skew between
-workers) that :func:`evaluate_health` turns into a pass/fail gate for
-benchmarks and CI.
+on *run health* (staleness p99, samples/sec, skew between workers in
+the run's clock) that :func:`evaluate_health` turns into a pass/fail
+gate for benchmarks and CI.
 
 This module deliberately knows nothing about the execution layer: the
 result arrives duck-typed (anything with ``to_dict()``, or a plain
@@ -93,19 +93,21 @@ def _result_dict(result: Any) -> "dict[str, Any]":
 
 
 # ----------------------------------------------------------------------
-# Worker wall-clock skew
+# Worker skew
 # ----------------------------------------------------------------------
-def worker_skew_s(records: "Iterable[Mapping[str, Any]]") -> "float | None":
-    """Max spread of per-worker last-span end times (same clock domain).
+def worker_skew_s(
+    records: "Iterable[Mapping[str, Any]]", domain: str = "wall"
+) -> "float | None":
+    """Max spread of per-worker last-span end times in one clock domain.
 
-    Groups wall-domain spans by the worker that emitted them (the
+    Groups ``domain`` spans by the worker that emitted them (the
     ``worker`` span arg) and measures how far apart the workers' final
     span ends are — a straggling worker shows up as a large skew.
     Returns None when fewer than two workers produced spans.
     """
     last_end: dict[int, float] = {}
     for rec in records:
-        if rec.get("type") != "span" or rec.get("domain", "wall") != "wall":
+        if rec.get("type") != "span" or rec.get("domain", "wall") != domain:
             continue
         worker = rec.get("args", {}).get("worker")
         if not isinstance(worker, int):
@@ -133,6 +135,8 @@ def write_run_dir(
 
     ``records`` are merged span records (``tracer.records()``); when
     absent no trace.json is written and the manifest marks tracing off.
+    The manifest's ``worker_skew_s`` is measured in the result's
+    ``clock`` domain (wall when it has none).
     Returns the run directory path.
     """
     rd = _result_dict(result)
@@ -152,7 +156,7 @@ def write_run_dir(
         with open(run_dir / TRACE_NAME, "w") as fh:
             json.dump(trace, fh)
             fh.write("\n")
-        skew = worker_skew_s(records)
+        skew = worker_skew_s(records, domain=rd.get("clock") or "wall")
 
     manifest: dict[str, Any] = {
         "manifest_version": MANIFEST_VERSION,
@@ -213,8 +217,9 @@ class HealthSpec:
       to the bucket-interpolated estimate from the server's histogram
       series when the result lacks the exact number) must not exceed it;
     * ``min_samples_per_sec`` — end-to-end throughput floor;
-    * ``max_worker_skew_s`` — wall-clock spread between the workers' last
-      spans (requires a traced run; an untraced manifest skips it).
+    * ``max_worker_skew_s`` — spread between the workers' last spans, in
+      the run's clock domain (virtual seconds on the simulator; requires
+      a traced run; an untraced manifest skips it).
     """
 
     max_staleness_p99: "float | None" = None

@@ -34,8 +34,7 @@ __all__ = [
 DOMAINS = ("wall", "virtual")
 
 #: record types a ``repro.obs`` JSONL stream may contain
-#: ("step" = per-update training telemetry, ``ObsLogger.log_step``)
-RECORD_TYPES = ("meta", "span", "metric", "step")
+RECORD_TYPES = ("meta", "span", "metric")
 
 #: required keys of a ``type == "span"`` record
 SPAN_KEYS = ("name", "cat", "ts", "dur", "tid", "domain")

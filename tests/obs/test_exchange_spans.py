@@ -44,7 +44,6 @@ def _traced(method, backend, hyper):
         total_iterations=STEPS,
         hyper=hyper,
         seed=0,
-        tracer=tracer,
     )
     with use_tracer(tracer):
         result = train(config, backend=backend)

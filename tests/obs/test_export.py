@@ -146,7 +146,7 @@ class TestAdapters:
 
 def test_load_jsonl_skips_blank_lines(tmp_path):
     path = tmp_path / "s.jsonl"
-    path.write_text('{"type": "meta"}\n\n{"type": "step", "step": 0, "loss": 1.0}\n')
+    path.write_text('{"type": "meta"}\n\n{"type": "metric", "name": "n", "kind": "counter", "value": 1}\n')
     records = load_jsonl(path)
     assert len(records) == 2
 

@@ -1,6 +1,5 @@
-"""Metrics registry, labeled series, and the ObsLogger JSONL sink."""
+"""Metrics registry and labeled series."""
 
-import json
 import threading
 
 import pytest
@@ -11,8 +10,6 @@ from repro.obs import (
     Gauge,
     Histogram,
     MetricsRegistry,
-    ObsLogger,
-    Tracer,
     to_prometheus,
     validate_records,
 )
@@ -130,78 +127,3 @@ class TestPrometheus:
         assert 'repro_lat_bucket{le="0.1"} 2' in text
         assert 'repro_lat_bucket{le="+Inf"} 3' in text
         assert "repro_lat_count 3" in text
-
-
-class TestObsLogger:
-    def test_log_step_matches_runlog_signature(self, tmp_path):
-        path = tmp_path / "run.jsonl"
-        with ObsLogger(path, meta={"method": "dgs"}) as log:
-            log.log_step(0, 1.25, time_s=0.5, worker=1, staleness=2, up_bytes=99)
-        lines = [json.loads(line) for line in path.read_text().splitlines()]
-        assert lines[0] == {"type": "meta", "method": "dgs"}
-        assert lines[1] == {
-            "type": "step",
-            "step": 0,
-            "loss": 1.25,
-            "time_s": 0.5,
-            "worker": 1,
-            "staleness": 2,
-            "up_bytes": 99,
-        }
-
-    def test_simulated_trainer_logs(self, tiny_dataset, tiny_model_factory, tmp_path):
-        """The simulator's ``logger=`` calls ``log_step`` once per applied
-        update; the stream reloads with ``load_jsonl``."""
-        from repro.core import Hyper
-        from repro.obs import load_jsonl
-        from repro.exec import RunConfig, SimulatedTrainer
-        from repro.sim import ClusterConfig
-
-        path = tmp_path / "train.jsonl"
-        with ObsLogger(path, meta={"method": "dgs"}) as logger:
-            config = RunConfig(
-                "dgs", tiny_model_factory, tiny_dataset, num_workers=2,
-                batch_size=16, total_iterations=30,
-                hyper=Hyper(ratio=0.1, min_sparse_size=0), logger=logger, seed=0,
-                cluster=ClusterConfig.with_bandwidth(2, 10, compute_mean_s=0.02),
-            )
-            SimulatedTrainer(config).run()
-        steps = [r for r in load_jsonl(path) if r["type"] == "step"]
-        assert len(steps) == 30
-        assert {"step", "loss", "time_s", "worker", "staleness", "up_bytes"} <= set(steps[0])
-        times = [s["time_s"] for s in steps]
-        assert times == sorted(times)
-
-    def test_flushes_on_every_write(self, tmp_path):
-        path = tmp_path / "run.jsonl"
-        log = ObsLogger(path)
-        log.log_step(0, 0.1)
-        # readable before close — flush-on-write
-        assert json.loads(path.read_text().splitlines()[0])["step"] == 0
-        log.close()
-
-    def test_close_idempotent(self, tmp_path):
-        log = ObsLogger(tmp_path / "run.jsonl")
-        log.close()
-        log.close()
-
-    def test_log_spans_and_metrics_single_stream(self, tmp_path):
-        path = tmp_path / "run.jsonl"
-        tracer = Tracer()
-        with tracer.span("a", cat="worker"):
-            pass
-        reg = MetricsRegistry()
-        reg.counter("n").inc()
-        with ObsLogger(path) as log:
-            log.log_step(0, 0.5)
-            log.log_spans(tracer.records())
-            log.log_metrics(reg)
-        records = [json.loads(line) for line in path.read_text().splitlines()]
-        assert [r["type"] for r in records] == ["step", "span", "metric"]
-        assert validate_records(records) == []
-        assert log.steps() == [records[0]]
-
-    def test_memory_only_mode(self):
-        log = ObsLogger()
-        log.log_step(1, 2.0)
-        assert log.steps()[0]["loss"] == 2.0

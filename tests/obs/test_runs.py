@@ -96,6 +96,36 @@ class TestWorkerSkew:
         virt = dict(_span(1, 100.0, 1.0), domain="virtual")
         assert worker_skew_s([_span(0, 0.0, 1.0), virt, {"type": "metric"}]) is None
 
+    def test_simulated_run_measures_virtual_skew(self, tmp_path):
+        """On the simulator the manifest's skew is the spread of the
+        workers' last *virtual* span ends, not of the wall-clock spans the
+        simulator process also emits while it computes."""
+        tracer = Tracer()
+        config = RunConfig(
+            "dgs",
+            lambda: MLP(8, (16,), 3, seed=5),
+            make_blobs(n_samples=128, num_classes=3, dim=8, seed=2),
+            num_workers=2,
+            batch_size=16,
+            total_iterations=8,
+            hyper=Hyper(ratio=0.1, min_sparse_size=0),
+            seed=0,
+        )
+        with use_tracer(tracer):
+            result = train(config, backend="simulated")
+        records = tracer.records()
+        last_end: "dict[int, float]" = {}
+        for r in records:
+            if r["type"] == "span" and r["domain"] == "virtual":
+                worker = r.get("args", {}).get("worker")
+                if isinstance(worker, int):
+                    last_end[worker] = max(last_end.get(worker, 0.0), r["ts"] + r["dur"])
+        assert set(last_end) == {0, 1}
+        run_dir = write_run_dir(tmp_path, result, run_id="sim", records=records)
+        assert load_manifest(run_dir)["worker_skew_s"] == pytest.approx(
+            max(last_end.values()) - min(last_end.values())
+        )
+
 
 RESULT = {
     "backend": "threaded",
@@ -269,7 +299,6 @@ def _traced_run(backend):
         total_iterations=8,
         hyper=Hyper(ratio=1.0),
         seed=0,
-        tracer=tracer,
     )
     with use_tracer(tracer):
         train(config, backend=backend)
@@ -339,7 +368,6 @@ def test_traced_run_dir_passes_the_health_gate(tmp_path, capsys, backend, shards
         hyper=Hyper(ratio=0.1, min_sparse_size=0),
         seed=0,
         num_shards=shards,
-        tracer=tracer,
     )
     with use_tracer(tracer):
         result = train(config, backend=backend)

@@ -46,7 +46,6 @@ def threaded_run(dataset):
         total_iterations=2 * 4,
         hyper=HYPER,
         seed=0,
-        tracer=tracer,
     )
     trainer = ThreadedTrainer(config)
     with use_tracer(tracer):
@@ -65,7 +64,6 @@ def sim_run(dataset):
         batch_size=16,
         total_iterations=8,
         hyper=HYPER,
-        tracer=tracer,
         seed=0,
         cluster=ClusterConfig.with_bandwidth(2, 10, compute_mean_s=0.01),
     )

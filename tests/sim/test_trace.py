@@ -6,7 +6,7 @@ import pytest
 
 from repro.core import Hyper
 from repro.exec import RunConfig, SimulatedTrainer
-from repro.obs import Tracer
+from repro.obs import Tracer, use_tracer
 from repro.sim import ClusterConfig
 
 
@@ -26,8 +26,9 @@ class Exchange(NamedTuple):
 
 
 class _EmissionOrder(Tracer):
-    """A tracer that also keeps virtual spans in the order they were
-    emitted (``records()`` sorts by start time)."""
+    """A tracer that also keeps explicitly stamped spans, with their
+    clock domain, in the order they were emitted (``records()`` sorts by
+    start time)."""
 
     def __init__(self):
         super().__init__()
@@ -35,7 +36,7 @@ class _EmissionOrder(Tracer):
 
     def add_span(self, name, start, end, tid="", cat="default", domain="virtual", args=None):
         super().add_span(name, start, end, tid=tid, cat=cat, domain=domain, args=args)
-        self.emitted.append((name, start, end, dict(args or {})))
+        self.emitted.append((name, start, end, dict(args or {}), domain))
 
 
 @pytest.fixture(scope="module")
@@ -49,14 +50,15 @@ def trace(tiny_dataset_mod, tiny_factory_mod):
         batch_size=16,
         total_iterations=80,
         hyper=Hyper(lr=0.1, momentum=0.7, ratio=0.1, min_sparse_size=0),
-        tracer=tracer,
         seed=0,
         cluster=ClusterConfig.with_bandwidth(4, 0.01, compute_mean_s=0.03),
     )
-    SimulatedTrainer(config).run()
+    with use_tracer(tracer):
+        SimulatedTrainer(config).run()
     # Each exchange emits send → handle → recv, then the compute span that
-    # produced its gradient, in server-apply order.
-    spans = tracer.emitted
+    # produced its gradient, in server-apply order.  The parameter server's
+    # own wall-clock spans interleave with these and are left out.
+    spans = [s for s in tracer.emitted if s[4] == "virtual"]
     assert len(spans) % 4 == 0
     exchanges = []
     for i in range(0, len(spans), 4):
