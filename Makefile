@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: lint arch-check sanitize-smoke test bench-kernels bench-e2e bench-shards examples
+.PHONY: lint arch-check sanitize-smoke test bench-kernels bench-e2e examples
 
 ## Static analysis: AST lint + lock discipline + lock graph + layering +
 ## sanitizer self-check.
@@ -54,12 +54,4 @@ examples:
 	$(PYTHON) examples/federated_scale.py --fast > /dev/null
 	$(PYTHON) examples/low_bandwidth_training.py --fast > /dev/null
 	$(PYTHON) examples/telemetry.py --fast > /dev/null
-	$(PYTHON) examples/threaded_async.py > /dev/null
-
-## Shard-contention sweep (record-only, always exits 0): lock-wait p99 and
-## throughput across 1/2/4/8 shards on the threaded backend, printed next
-## to benchmarks/BENCH_shards.json; expectations that do not hold come out
-## as "record-only:" lines.  Re-record with:
-##   python benchmarks/bench_shard_contention.py --update
-bench-shards:
-	$(PYTHON) benchmarks/bench_shard_contention.py
+	$(PYTHON) examples/process_async.py > /dev/null

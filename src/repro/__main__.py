@@ -75,8 +75,8 @@ def main(argv: list[str] | None = None) -> int:
     )
     run_p.add_argument(
         "--backend",
-        help="execution backend for the distributed runs (threaded | process "
-        "| socket | simulated | sync); default: the simulated virtual "
+        help="execution backend for the distributed runs (process | socket "
+        "| simulated | sync); default: the simulated virtual "
         "cluster.  Wall-clock backends ignore the experiments' bandwidth "
         "settings",
     )
@@ -84,8 +84,8 @@ def main(argv: list[str] | None = None) -> int:
         "--checkpoint-every",
         type=int,
         metavar="N",
-        help="write a server checkpoint every N applied updates (threaded, "
-        "process and socket backends; the others refuse it); requires "
+        help="write a server checkpoint every N applied updates (process "
+        "and socket backends; the others refuse it); requires "
         "--checkpoint",
     )
     run_p.add_argument(

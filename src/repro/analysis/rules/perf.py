@@ -13,8 +13,8 @@ model's parameters, which are separate arrays by nature.
 PERF002 — no payload decode inside a lock-held region.  Decoding a frame
 or message (``decode_frame`` / ``decode_message``) is O(payload) numpy
 work; doing it under a server or channel lock stretches the hold time and
-makes every other caller of that lock (the threaded backend's workers)
-wait behind a pure-compute step.  The serve loop decodes before it calls
+makes every other caller of that lock (any other thread driving the
+server) wait behind a pure-compute step.  The serve loop decodes before it calls
 ``handle``/``handle_shard``; this rule keeps ``ps/`` and ``comm/`` from
 regressing that.
 

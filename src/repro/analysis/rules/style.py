@@ -4,7 +4,7 @@
   across every call — with strategies and trainers instantiated per worker,
   a shared default silently couples replicas.
 * **EXC001**: bare ``except:`` swallows ``KeyboardInterrupt``/``SystemExit``
-  and hides worker crashes that the threaded trainer must surface.
+  and hides worker crashes that a trainer must surface.
 """
 
 from __future__ import annotations

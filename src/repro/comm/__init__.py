@@ -1,10 +1,8 @@
-"""repro.comm — one typed channel layer under all five backends.
+"""repro.comm — one typed channel layer under all four backends.
 
 Every worker↔server exchange in the repo crosses a :class:`Channel`
 speaking the typed frame vocabulary of :mod:`repro.comm.frames`:
 
-* **threaded** — :class:`InProcChannel` (synchronous dispatch; optional
-  wire-fidelity mode round-trips bytes through the real codec);
 * **process** — :class:`PipeChannel` (real bytes over OS pipes);
 * **socket** — :class:`SocketChannel` + :class:`SocketListener` (real
   bytes over TCP, loopback-ephemeral by default for CI);
@@ -25,7 +23,7 @@ channel contract.
 """
 
 from . import channel, frames, pipe, protocol, service, sim, socket
-from .channel import Channel, ChannelClosed, InProcChannel
+from .channel import Channel, ChannelClosed
 from .frames import (
     CONTROL_JOIN,
     CONTROL_LEAVE,
@@ -94,7 +92,6 @@ __all__ = [
     "ChannelProtocolError",
     "ChannelTimeout",
     "ServerService",
-    "InProcChannel",
     "PipeChannel",
     "ServeReport",
     "serve_channels",

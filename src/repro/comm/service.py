@@ -5,7 +5,7 @@ The accept/route/reply loop lives here once, for every transport:
 * :class:`ServerService` — apply one frame, build the reply.  Shared by
   every transport; also the home of the optional membership layer (join /
   leave control frames), so elastic workers behave identically whether
-  they arrive over a thread, a pipe, or a socket.
+  they arrive over a pipe or a socket.
 * :func:`serve_channels` — the multiplexing serve loop, written against
   the :class:`~repro.comm.channel.Channel` contract plus one transport
   hook (``waitable`` — the object ``multiprocessing.connection.wait``
@@ -47,6 +47,7 @@ from .frames import (
 )
 
 if TYPE_CHECKING:
+    from ..ps.messages import GradientMessage
     from ..ps.server import ParameterServer
 
 __all__ = ["ServerService", "ServeReport", "serve_channels"]
@@ -56,8 +57,7 @@ class ServerService:
     """The server side of every channel: apply one frame, build the reply.
 
     One instance per run, shared by all of that run's channels; thread
-    safety is the :class:`~repro.ps.server.ParameterServer` lock's job, so
-    concurrent callers (the threaded backend) contend exactly as before.
+    safety is the :class:`~repro.ps.server.ParameterServer` lock's job.
 
     ``membership`` is the optional elastic-worker directory (e.g.
     :class:`~repro.ps.membership.WorkerDirectory`): when present,
@@ -77,21 +77,26 @@ class ServerService:
         #: shard-addressed sub-frames that make one split step
         self.num_shards = max(1, len(self.shard_layers))
 
-    def check(self, payload: "Mapping[str, object]", shard: int = -1) -> None:
-        """Raise ``ValueError`` unless ``payload`` fits the server's layers.
+    def check(self, message: "GradientMessage", shard: int = -1) -> None:
+        """Raise ``ValueError`` unless ``message`` fits the server's state.
 
-        A decodable frame can still name a layer the server does not hold,
-        carry a layer of the wrong shape, or index past a layer's end; each
-        would fail half-way through an update.  Checked before any state
-        changes, so a bad frame costs only the channel that sent it.
+        A decodable frame can still name a worker the server holds no
+        state for (one that never joined, at or above its worker count),
+        name a layer the server does not hold, carry a layer of the wrong
+        shape, or index past a layer's end; each would fail half-way
+        through an update.  Checked before any state changes, so a bad
+        frame costs only the channel that sent it.
         """
+        workers = self.server.num_workers
+        if not 0 <= message.worker_id < workers:
+            raise ValueError(f"worker {message.worker_id} is unknown to a server of {workers} workers")
         if shard >= 0:
             if shard >= len(self.shard_layers):
                 raise ValueError(f"shard {shard} out of range for {len(self.shard_layers)} shards")
             layers = self.shard_layers[shard]
         else:
             layers = self.layers
-        for name, layer in payload.items():
+        for name, layer in message.payload.items():
             shape = layers.get(name)
             if shape is None:
                 raise ValueError(f"unknown layer {name!r}")
@@ -106,10 +111,10 @@ class ServerService:
     def __call__(self, frame: GradientFrame, shard: "int | None" = None):
         """Dispatch one gradient frame; ``shard`` overrides the frame's own
         shard slot when a byte transport already peeked it off the header.
-        A payload that does not fit the server's layers raises ``ValueError``
+        A frame that does not fit the server's state raises ``ValueError``
         (see :meth:`check`) and changes nothing."""
         shard = getattr(frame, "shard", -1) if shard is None else shard
-        self.check(frame.message.payload, shard)
+        self.check(frame.message, shard)
         if shard >= 0:
             # Shard-addressed frame (routed off the header by the
             # transport): dispatch straight to that shard and stamp the
@@ -125,6 +130,7 @@ class ServerService:
         ``join`` bootstraps the worker's ``v_k`` from ``M_t`` under the
         (per-shard) server lock and returns the :class:`ModelFrame` reply
         carrying θ_t; ``leave`` deregisters and returns ``None`` (one-way).
+        A join with a negative worker id raises ``ValueError``.
         """
         if frame.op == "join":
             if self.membership is not None:
@@ -184,9 +190,7 @@ def serve_channels(
 ) -> ServeReport:
     """Serve every channel until ``expected_closes`` workers terminate.
 
-    The one accept/route/reply loop under the process and socket backends
-    (and, via the synchronous :class:`~repro.comm.channel.InProcChannel`
-    dispatch, semantically under the threaded one too):
+    The one accept/route/reply loop under the process and socket backends:
 
     * **gradient** frames are routed by the shard id peeked off the raw
       header, dispatched through ``service``, and answered on the same
@@ -194,8 +198,9 @@ def serve_channels(
       ``on_loss`` sees each frame's training loss after the reply ships.
     * **close** frames settle a worker's final accounting; a channel that
       dies *without* one (EOF / EPIPE), delivers bytes that do not
-      decode, sends a frame of a reply kind or one that does not fit the
-      server's layers (:meth:`ServerService.check`), or cannot take its
+      decode, sends a frame of a reply kind, a gradient that does not fit
+      the server's state (:meth:`ServerService.check`) or a join it
+      cannot apply, or cannot take its
       reply is a crash of *that* channel: it is counted, becomes an error
       on the report, and the membership layer deregisters the worker — a
       graceful partial result, never a hang, and never the end of service
@@ -246,9 +251,14 @@ def serve_channels(
         except OSError:
             pass
 
-    def _crash(waitable, channel, what: str, reason: str = "crash") -> None:
+    def _crash(
+        waitable, channel, what: str, reason: str = "crash", claimed: "int | None" = None
+    ) -> None:
+        # The report names the id the channel used, else the one its last
+        # frame claimed; only an id it used is deregistered.
         who = worker_ids.get(waitable)
-        label = f"worker {who}" if who is not None else "worker"
+        named = who if who is not None else claimed
+        label = f"worker {named}" if named is not None else "worker"
         report.crashes += 1
         report.errors.append(f"{label} {what}")
         if who is not None and membership is not None:
@@ -301,9 +311,29 @@ def serve_channels(
             if isinstance(frame, TelemetryFrame):
                 report.telemetry[frame.worker_id] = frame
                 continue  # diagnostic side channel: no reply, channel stays open
+            if not isinstance(frame, (ControlFrame, GradientFrame)):
+                _crash(obj, channel, f"sent an unexpected {type(frame).__name__} (crash)")
+                terminated += 1
+                continue
+            try:
+                if isinstance(frame, ControlFrame):
+                    reply = service.control(frame)
+                else:
+                    reply = service(frame, shard=shard)
+            except ValueError as exc:
+                # A frame that does not fit the server's state is, like
+                # undecodable bytes, that peer's failure: nothing was applied,
+                # and the id it claimed is not recorded as the channel's.
+                _crash(
+                    obj,
+                    channel,
+                    f"sent a frame the server cannot apply: {exc} (crash)",
+                    claimed=frame.worker_id,
+                )
+                terminated += 1
+                continue
+            worker_ids[obj] = frame.worker_id
             if isinstance(frame, ControlFrame):
-                worker_ids[obj] = frame.worker_id
-                reply = service.control(frame)
                 if frame.op == "join":
                     report.joins += 1
                     try:
@@ -313,19 +343,6 @@ def serve_channels(
                         terminated += 1
                 else:
                     report.leaves += 1
-                continue
-            if not isinstance(frame, GradientFrame):
-                _crash(obj, channel, f"sent an unexpected {type(frame).__name__} (crash)")
-                terminated += 1
-                continue
-            worker_ids[obj] = frame.worker_id
-            try:
-                reply = service(frame, shard=shard)
-            except ValueError as exc:
-                # A frame that does not fit the server's layers is, like
-                # undecodable bytes, that peer's failure: nothing was applied.
-                _crash(obj, channel, f"sent a frame the server cannot apply: {exc} (crash)")
-                terminated += 1
                 continue
             if stats is not None:
                 stats.record_upload(frame.nbytes(), frame.dense_nbytes())

@@ -13,8 +13,8 @@ class CompressionStats:
     """Tracks actual vs dense-equivalent bytes for both directions.
 
     Recording is internally synchronised: the channel layer shares one
-    sink across all of a trainer's channels, and in the threaded backend
-    those channels record from concurrent worker threads.
+    sink across all of a trainer's channels, so any thread may record
+    into it.
     """
 
     upload_bytes: int = 0

@@ -18,8 +18,8 @@ Lifetime / ownership rules (see ``docs/performance.md``):
   hands each thread its own, and the strategies and the tracker look it up
   at call time rather than holding one each.  Everything that runs on
   one thread shares one pool — the simulator's K workers and its server
-  draw from a single scratch sized by the largest layer, and each worker
-  thread of the threaded backend keeps its own (the server's handling,
+  draw from a single scratch sized by the largest layer, and a thread
+  that drives a server directly keeps its own (the server's handling,
   done on that thread under the lock, uses it too).  Never hand one to
   another thread.
 * A buffer returned by :meth:`scratch` — and any kernel *output that

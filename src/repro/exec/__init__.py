@@ -1,19 +1,18 @@
 """Execution layer: the training engines and the one Trainer front-end.
 
-The worker↔server lifecycle of Algorithms 1–3 runs on five substrates —
-real threads, real processes with a binary wire codec, real TCP sockets
-with elastic membership and checkpoint/restore, an event-driven
+The worker↔server lifecycle of Algorithms 1–3 runs on four substrates —
+real processes with a binary wire codec over OS pipes, the same over TCP
+sockets with elastic membership and checkpoint/restore, an event-driven
 virtual-clock simulator, and a barrier-synchronised SSGD reference.  This
-package holds their four engines, each built from one :class:`RunConfig`
-(:class:`ThreadedTrainer`, :class:`RemoteTrainer` over ``"pipe"`` or
-``"tcp"``, :class:`SimulatedTrainer`, :class:`SynchronousTrainer`), on
+package holds their three engines, each built from one :class:`RunConfig`
+(:class:`RemoteTrainer` over ``"pipe"`` or ``"tcp"``,
+:class:`SimulatedTrainer`, :class:`SynchronousTrainer`), on
 top of the server substrate in :mod:`repro.ps`, the channel layer in
 :mod:`repro.comm` and the cost models in :mod:`repro.sim`:
 
 * :class:`RunConfig` — one description of a distributed run;
 * :func:`get_backend` / :func:`register_backend` — the backend registry
-  (``"threaded"`` | ``"process"`` | ``"socket"`` | ``"simulated"`` |
-  ``"sync"``): a name, a clock, the measured fields and an engine;
+  (``"process"`` | ``"socket"`` | ``"simulated"`` | ``"sync"``): a name, a clock, the measured fields and an engine;
 * :class:`Trainer` / :func:`train` — the one path that builds a
   backend's engine and runs it, under the CLI's override and result
   scopes;
@@ -36,13 +35,12 @@ from .backend import (
     use_backend,
     use_config_overrides,
 )
-from . import backends  # noqa: F401  (importing it registers the five built-ins)
+from . import backends  # noqa: F401  (importing it registers the four built-ins)
 from .config import RunConfig
 from .remote import RemoteTrainer
 from .result import TrainResult, validate_result
 from .simulated import SimulatedTrainer
 from .sync import SynchronousTrainer
-from .threaded import ThreadedTrainer
 from .trainer import Trainer, train
 
 __all__ = [
@@ -60,7 +58,6 @@ __all__ = [
     "collect_results",
     "notify_result",
     "validate_result",
-    "ThreadedTrainer",
     "RemoteTrainer",
     "SimulatedTrainer",
     "SynchronousTrainer",

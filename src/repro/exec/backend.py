@@ -3,8 +3,8 @@
 A backend is a name, a clock, the ``TrainResult`` fields it measures and
 an engine constructor taking one :class:`~repro.exec.config.RunConfig`;
 :class:`~repro.exec.trainer.Trainer` is the one path that builds and runs
-the engine.  The five built-ins ("threaded", "process", "socket",
-"simulated", "sync") register themselves on import of :mod:`repro.exec`;
+the engine.  The four built-ins ("process", "socket", "simulated",
+"sync") register themselves on import of :mod:`repro.exec`;
 extensions register their own with :func:`register_backend` and
 immediately work everywhere a backend name is accepted — ``Trainer``,
 ``run_distributed(backend=...)`` and ``python -m repro run --backend``.
@@ -36,7 +36,7 @@ __all__ = [
 class Backend:
     """One way of executing a distributed training run."""
 
-    #: registry name, e.g. "threaded"
+    #: registry name, e.g. "process"
     name: str
     #: clock domain of the results it produces: "wall" | "virtual"
     clock: str

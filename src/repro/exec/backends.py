@@ -1,4 +1,4 @@
-"""The five built-in execution backends.
+"""The four built-in execution backends.
 
 Each is a name, a clock, the optional ``TrainResult`` fields it
 guarantees to populate, and the engine it builds from a
@@ -15,7 +15,6 @@ from .backend import Backend, register_backend
 from .remote import RemoteTrainer
 from .simulated import SimulatedTrainer
 from .sync import SynchronousTrainer
-from .threaded import ThreadedTrainer
 
 #: optional fields every parameter-server backend measures
 _PS_MEASURES = frozenset(
@@ -32,7 +31,6 @@ _PS_MEASURES = frozenset(
 )
 _REMOTE_MEASURES = _PS_MEASURES | {"wire_bytes_up", "wire_bytes_down"}
 
-register_backend(Backend("threaded", "wall", _PS_MEASURES, ThreadedTrainer))
 register_backend(
     Backend("process", "wall", _REMOTE_MEASURES, partial(RemoteTrainer, transport="pipe"))
 )

@@ -18,10 +18,11 @@ import numpy as np
 from ..core.layerops import assign_parameters, layer_shapes
 from ..core.methods import Hyper, MethodSpec, get_method
 from ..core.reference import install_reference_server, reference_strategy
-from ..data.loader import DataLoader
+from ..data.loader import BatchIterator, DataLoader
 from ..data.synthetic import Dataset
 from ..metrics.evaluation import evaluate_model, evaluate_params
 from ..nn.module import Module
+from ..nn.norm import reestimate_batchnorm
 from ..optim.schedules import ConstantLR, Schedule
 from ..ps.server import ParameterServer
 from ..ps.sharded import ShardedParameterServer
@@ -42,6 +43,10 @@ __all__ = [
     "evaluate_global_scratch",
 ]
 
+#: training batches that re-estimate BatchNorm statistics before a
+#: scratch evaluation (at most one epoch's worth)
+BN_REESTIMATE_BATCHES = 32
+
 
 class UnsupportedSetting(ValueError):
     """A :class:`RunConfig` field the chosen backend does not honour."""
@@ -54,7 +59,7 @@ def refuse_checkpointing(config: RunConfig, backend: str) -> None:
         if getattr(config, field) is not None:
             raise UnsupportedSetting(
                 f"{field} is not supported by the {backend} backend; "
-                "only the threaded, process and socket backends honour it"
+                "only the process and socket backends honour it"
             )
 
 
@@ -168,8 +173,8 @@ def build_workers(
     """Stamp out ``num_workers`` replicas, all starting from θ0.
 
     ``first_model`` lets a caller donate an already-built model as worker
-    0's replica (the simulator and the threaded trainer donate the
-    reference model ``theta0`` was read from, so it is built once).
+    0's replica (the simulator donates the reference model ``theta0`` was
+    read from, so it is built once).
     """
     return [
         build_worker(
@@ -199,10 +204,19 @@ def evaluate_global(model: Module, server: ParameterServer, dataset: Dataset) ->
 
 
 def evaluate_global_scratch(
-    model: Module, server: ParameterServer, dataset: Dataset
+    model: Module, server: ParameterServer, dataset: Dataset, batch_size: int
 ) -> "tuple[float, float]":
-    """:func:`evaluate_global` on a model that is scratch: θ0 + M is
-    assigned into ``model`` and left there, so no copy of its parameters
-    is saved to restore them.  Bitwise the same numbers."""
+    """(accuracy, loss) of θ0 + M on the validation split, on a model that
+    is scratch: θ0 + M is assigned into ``model`` and left there.
+
+    For an engine whose workers' BatchNorm running statistics never reach
+    the evaluating process: the statistics are re-estimated on θ0 + M from
+    up to :data:`BN_REESTIMATE_BATCHES` training batches of ``batch_size``.
+    A BatchNorm-free model draws no batch and gives bitwise the numbers of
+    :func:`evaluate_global`.
+    """
     assign_parameters(model, server.global_model())
+    stream = BatchIterator(dataset.x_train, dataset.y_train, batch_size)
+    count = min(BN_REESTIMATE_BATCHES, stream.batches_per_epoch)
+    reestimate_batchnorm(model, (stream.next_batch()[0] for _ in range(count)))
     return evaluate_model(model, dataset.x_val, dataset.y_val)

@@ -1,9 +1,8 @@
 """Backend-independent run description.
 
 One :class:`RunConfig` describes a distributed training run, and every
-engine is built from one: ``ThreadedTrainer(config)``,
-``RemoteTrainer(config, transport)``, ``SimulatedTrainer(config)``,
-``SynchronousTrainer(config)``.  Fields an engine does not use are
+engine is built from one: ``RemoteTrainer(config, transport)``,
+``SimulatedTrainer(config)``, ``SynchronousTrainer(config)``.  Fields an engine does not use are
 ignored (and documented as such); the conversions between the one global
 iteration budget and each engine's native knob (per-worker iterations,
 barrier rounds) live here so every backend slices the same amount of
@@ -35,9 +34,9 @@ class RunConfig:
     dataset: Dataset
     num_workers: int
     batch_size: int
-    #: global gradient-computation budget, shared across workers.  Threaded,
-    #: process and socket backends run ``iterations_per_worker()`` each; the sync
-    #: backend runs ``rounds()`` barriers of ``num_workers`` gradients.
+    #: global gradient-computation budget, shared across workers.  The
+    #: process and socket backends run ``iterations_per_worker()`` each; the
+    #: sync backend runs ``rounds()`` barriers of ``num_workers`` gradients.
     total_iterations: int
     hyper: "Hyper | None" = None
     schedule: "Schedule | None" = None
@@ -70,17 +69,9 @@ class RunConfig:
     #: ``"float64"`` to make the run bitwise-identical to the parity
     #: oracle (used by the parity tests).
     arena_dtype: "str | None" = None
-    #: threaded backend only: round-trip every frame through the byte codec
-    #: (float32 wire precision), matching what the process and socket
-    #: backends ship — at thread speed
-    wire_fidelity: bool = False
-    #: run the elastic-membership join/leave handshake around each worker
-    #: loop (threaded backend; the process and socket backends always
-    #: register)
-    register: bool = False
     #: write a server checkpoint (repro.ps.checkpoint format) every N
-    #: applied updates; requires ``checkpoint_path``.  Threaded, process
-    #: and socket backends; the simulated and sync engines refuse it.
+    #: applied updates; requires ``checkpoint_path``.  Process and socket
+    #: backends; the simulated and sync engines refuse it.
     checkpoint_every: "int | None" = None
     checkpoint_path: "str | None" = None
     #: restore server state from this checkpoint before training and
@@ -112,7 +103,7 @@ class RunConfig:
 
     # ------------------------------------------------------------------
     def iterations_per_worker(self) -> int:
-        """Per-worker share of the global budget (threaded/process/socket backends)."""
+        """Per-worker share of the global budget (process and socket backends)."""
         return max(1, self.total_iterations // self.num_workers)
 
     def rounds(self) -> int:
@@ -163,10 +154,8 @@ class RunConfig:
             "num_shards": self.num_shards,
             "arena": self.arena,
             "arena_dtype": self.arena_dtype,
-            "wire_fidelity": self.wire_fidelity,
             "eval_every": self.eval_every,
             "fail_at": dict(self.fail_at) if self.fail_at else None,
-            "register": self.register,
             "checkpoint_every": self.checkpoint_every,
             "checkpoint_path": self.checkpoint_path,
             "restore_from": self.restore_from,

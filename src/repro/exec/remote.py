@@ -40,9 +40,10 @@ Notes
   closures is needed.
 * Values cross the wire as float32 (as on the paper's testbed), so worker
   replicas drift from the server model at float32 resolution.
-* BatchNorm running statistics stay local to each worker process; the
-  final evaluation uses a fresh replica's statistics (prefer BN-free
-  models for exact numbers here, e.g. MLP).
+* BatchNorm running statistics stay local to each worker process and are
+  not part of the exchange; the final evaluation re-estimates them on
+  θ0 + M from training batches
+  (:func:`~repro.exec.common.evaluate_global_scratch`).
 """
 
 from __future__ import annotations
@@ -50,6 +51,7 @@ from __future__ import annotations
 import multiprocessing as mp
 import os
 import time
+from contextlib import nullcontext
 
 from ..comm.pipe import PipeChannel
 from ..comm.protocol import run_worker_loop
@@ -118,7 +120,6 @@ def _worker_main(
     fail_at: "int | None",
     join_delay_s: float,
     fast_forward: int,
-    trace: bool,
 ) -> None:
     """One worker process: ``endpoint`` is its end of a pipe or the
     server's ``(host, port)``."""
@@ -136,22 +137,14 @@ def _worker_main(
         channel = SocketChannel.connect(*endpoint)
     else:
         channel = PipeChannel(endpoint)
-    iterations = config.iterations_per_worker()
-    if trace:
-        # The parent's tracer object is unreachable across the fork (its
-        # buffers land in this process's copy), so the child records into
-        # its own tracer and ships the spans back as a TelemetryFrame.
-        with use_tracer(Tracer()):
-            run_worker_loop(
-                node,
-                channel,
-                iterations,
-                on_iteration=crash_hook,
-                ship_telemetry=True,
-                register=True,
-            )
-    else:
-        run_worker_loop(node, channel, iterations, on_iteration=crash_hook, register=True)
+    # The parent's tracer object is unreachable across the fork (its
+    # buffers land in this process's copy), so a traced child records into
+    # its own tracer, whose spans the loop ships back as a TelemetryFrame.
+    traced = use_tracer(Tracer()) if current_tracer().enabled else nullcontext()
+    with traced:
+        run_worker_loop(
+            node, channel, config.iterations_per_worker(), on_iteration=crash_hook
+        )
 
 
 class _RecordingListener:
@@ -232,7 +225,6 @@ class RemoteTrainer:
         config = self.config
         fail_at = config.fail_at or {}
         join_delay_s = config.join_delay_s or {}
-        trace = current_tracer().enabled
         channels: "list[PipeChannel]" = []
         listener = self.listen() if self.transport == "tcp" else None
         ctx = mp.get_context("fork")
@@ -252,7 +244,6 @@ class RemoteTrainer:
                     fail_at.get(w),
                     join_delay_s.get(w, 0.0),
                     self.fast_forward.get(w, 0),
-                    trace,
                 ),
                 daemon=True,
             )
@@ -311,7 +302,9 @@ class RemoteTrainer:
             for wid, frame in sorted(report.telemetry.items()):
                 tracer.absorb(relabel_records(frame.spans, f"worker-{wid}"))
 
-        acc, loss = evaluate_global_scratch(self.eval_model, self.server, config.dataset)
+        acc, loss = evaluate_global_scratch(
+            self.eval_model, self.server, config.dataset, config.batch_size
+        )
         stats = self.server.stats
         staleness = self.server.staleness_summary()
         wired = list(channels) + (listener.accepted if listener is not None else [])

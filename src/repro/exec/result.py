@@ -35,8 +35,7 @@ class TrainResult:
 
     #: method registry name ("asgd", "dgs", ...)
     method: str = ""
-    #: backend registry name ("threaded", "process", "socket",
-    #: "simulated", "sync")
+    #: backend registry name ("process", "socket", "simulated", "sync")
     backend: str = ""
     num_workers: int = 0
     #: parameter-server shards the run actually used (1 = single-lock

@@ -113,7 +113,7 @@ class SimulatedTrainer:
         makespan = 0.0
         applied = 0
         # Spans are stamped with the *virtual* clock (same schema as the
-        # threaded trainer's wall-clock spans).
+        # remote engine's wall-clock spans).
         tracer = current_tracer()
         # All exchanges route through the comm layer: the transport owns the
         # shared link pair, the wire scaling, the byte accounting and the

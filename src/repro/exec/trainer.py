@@ -9,8 +9,8 @@ unified :class:`~repro.exec.result.TrainResult`::
 
     cfg = RunConfig("dgs", model_factory, dataset,
                     num_workers=4, batch_size=32, total_iterations=400)
-    result = Trainer(cfg, backend="threaded").run()   # or "process",
-    print(result.final_accuracy, result.throughput)   # "simulated", "sync"
+    result = Trainer(cfg, backend="process").run()   # or "socket",
+    print(result.final_accuracy, result.throughput)  # "simulated", "sync"
 
 The CLI scopes apply here, whatever the caller: the active
 :func:`~repro.exec.backend.use_config_overrides` fields are laid over

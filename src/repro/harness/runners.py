@@ -33,8 +33,8 @@ def run_distributed(
     """One distributed run of ``method`` on ``workload``, on any backend.
 
     ``backend`` names an execution backend from the :mod:`repro.exec`
-    registry (``"threaded"`` | ``"process"`` | ``"socket"`` | ``"simulated"``
-    | ``"sync"``); None uses the ambient default (``"simulated"`` unless
+    registry (``"process"`` | ``"socket"`` | ``"simulated"`` | ``"sync"``);
+    None uses the ambient default (``"simulated"`` unless
     changed with ``repro.exec.use_backend``).  The paper-shaped cluster
     (``gbps``, ResNet-18 wire scaling) only applies to the virtual-clock
     backends.  Spans go to the ambient tracer (``repro.obs.use_tracer``,

@@ -2,13 +2,15 @@
 
 from __future__ import annotations
 
+from typing import Iterable
+
 import numpy as np
 
-from ..autograd import Tensor
+from ..autograd import Tensor, no_grad
 from . import init
 from .module import Module, Parameter
 
-__all__ = ["BatchNorm2d"]
+__all__ = ["BatchNorm2d", "reestimate_batchnorm"]
 
 
 class BatchNorm2d(Module):
@@ -57,3 +59,31 @@ class BatchNorm2d(Module):
         w = self.weight.reshape(*stat_shape)
         b = self.bias.reshape(*stat_shape)
         return xhat * w + b
+
+
+def reestimate_batchnorm(model: Module, batches: "Iterable[np.ndarray]") -> None:
+    """Set every :class:`BatchNorm2d` running statistic in ``model`` to its
+    plain average over ``batches``, each forwarded in training mode.
+
+    For a model whose parameters were assigned from elsewhere (the server's
+    θ0 + M), so that its running statistics never saw a batch.  Batch ``i``
+    enters with momentum ``1 / (i + 1)``: the first replaces the old
+    statistics and each later one averages in.  A model without BatchNorm
+    is left as it is and draws no batch.
+    """
+    norms = [m for m in model.modules() if isinstance(m, BatchNorm2d)]
+    if not norms:
+        return
+    momenta = [m.momentum for m in norms]
+    was_training = model.training
+    model.train()
+    try:
+        with no_grad():
+            for i, x in enumerate(batches):
+                for m in norms:
+                    m.momentum = 1.0 / (i + 1)
+                model(Tensor(x))
+    finally:
+        for m, momentum in zip(norms, momenta):
+            m.momentum = momentum
+        model.train(was_training)

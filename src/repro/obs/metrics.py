@@ -151,12 +151,6 @@ class Histogram:
                     return
             self._counts[-1] += 1
 
-    def quantile(self, q: float) -> float:
-        """Bucket-interpolated quantile estimate (``nan`` when empty)."""
-        with self._lock:
-            counts = list(self._counts)
-        return quantile_from_counts(self.buckets, counts, q)
-
     def snapshot(self) -> "dict[str, Any]":
         with self._lock:
             counts = list(self._counts)

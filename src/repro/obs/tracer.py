@@ -6,8 +6,8 @@ Design:
   private list (``threading.local``), so the hot emit path takes no lock and
   threads never contend.  Buffers are registered once per thread under
   ``_merge_lock`` and merged (sorted by domain and start time) when
-  :meth:`Tracer.records` is called — for the threaded trainer that happens
-  after ``join()``, so the merge sees complete buffers.  ``_merge_lock`` is
+  :meth:`Tracer.records` is called — after the emitting threads are
+  joined, so the merge sees complete buffers.  ``_merge_lock`` is
   deliberately *not* named ``_lock``: it guards only the buffer registry,
   and per-thread buffers are lock-free by construction (the narrow-lock
   convention of ``repro.analysis.locks``).

@@ -118,7 +118,7 @@ def _cmd_worker(args: argparse.Namespace) -> int:
     host, port = args.connect
     channel = SocketChannel.connect(host, port, retry_for_s=args.retry_for)
     print(f"worker {args.id} connected to {host}:{port}", file=sys.stderr)
-    run_worker_loop(node, channel, args.iterations, register=True)
+    run_worker_loop(node, channel, args.iterations)
     print(
         f"worker {args.id} done: {node.iteration} iterations, "
         f"final loss {node.last_loss:.4f}"

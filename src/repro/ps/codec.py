@@ -1,7 +1,7 @@
 """Binary wire codec — the paper's ``encode()`` / ``decode()`` as real bytes.
 
 The simulator accounts bytes analytically; this codec *produces* them, so
-the threaded trainer (and any real transport) ships actual packed buffers:
+the remote engine's pipes and sockets ship actual packed buffers:
 
 * little-endian struct headers per message and per layer;
 * float32 values, uint32 flat indices (COO), 2-bit packed ternary signs;

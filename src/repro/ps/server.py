@@ -7,8 +7,8 @@ two downstream modes:
   difference ``G_k`` (Algorithm 2), optionally secondary-compressed;
 * ``model`` — vanilla ASGD: reply with the full dense global model.
 
-Thread-safe: :meth:`handle` takes an internal lock, so the threaded trainer
-exercises genuine HOGWILD-style contention while state stays consistent.
+Thread-safe: :meth:`handle` takes an internal lock, so concurrent callers
+contend HOGWILD-style while state stays consistent.
 """
 
 from __future__ import annotations
@@ -342,6 +342,13 @@ class ParameterServer:
     def timestamp(self) -> int:
         with self._lock:
             return self.tracker.t
+
+    @property
+    def num_workers(self) -> int:
+        """Worker ids the server holds state for are ``0 … num_workers − 1``
+        (a join naming a larger id grows it)."""
+        with self._lock:
+            return self.tracker.num_workers
 
     def server_state_bytes(self) -> int:
         """Server memory: the tracker's state (M, the v_k buffers it keeps,

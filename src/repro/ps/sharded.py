@@ -270,6 +270,13 @@ class ShardedParameterServer:
         in-flight reads are still monotone."""
         return max(shard.timestamp for shard in self.shards)
 
+    @property
+    def num_workers(self) -> int:
+        """Worker ids every shard holds state for (a join grows the shards
+        one at a time; report the min so an in-flight join is not yet
+        counted)."""
+        return min(shard.num_workers for shard in self.shards)
+
     def server_state_bytes(self) -> int:
         """Sum of the shards' disjoint states (M, θ0 and v_k buffers or
         journal, each over the shard's own layers)."""

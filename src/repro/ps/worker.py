@@ -2,8 +2,8 @@
 
 Implements the worker loops of Algorithms 1 and 3: download → apply →
 sample → backward → compress → upload.  The same class is driven by both
-the threaded trainer (real time) and the event-driven simulator (virtual
-time) — only the scheduling differs.
+the remote engine's worker processes (real time) and the event-driven
+simulator (virtual time) — only the scheduling differs.
 """
 
 from __future__ import annotations

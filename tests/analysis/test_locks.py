@@ -104,9 +104,9 @@ class TestDiscovery:
         assert "ParameterServer" in names
 
     def test_narrow_locks_do_not_enroll(self):
-        # ThreadedTrainer's _step_lock guards its per-step bookkeeping, not
-        # the object; the `_lock` naming convention keeps it out of the checker.
-        module = load_module(SRC / "exec" / "threaded.py", root=SRC)
+        # Tracer's _merge_lock guards only its buffer registry, not the
+        # object; the `_lock` naming convention keeps it out of the checker.
+        module = load_module(SRC / "obs" / "tracer.py", root=SRC)
         assert find_lock_classes(module.tree) == []
 
 

@@ -1,4 +1,5 @@
-"""Dynamic race harness: CheckedLock, GuardedProxy, instrumented trainers."""
+"""Dynamic race harness: CheckedLock, GuardedProxy, an instrumented server
+driven by concurrent worker threads."""
 
 from __future__ import annotations
 
@@ -14,7 +15,9 @@ from repro.analysis.race import (
     instrument_server,
 )
 from repro.core import Hyper
-from repro.exec import RunConfig, ThreadedTrainer
+from repro.core.layerops import parameters_of
+from repro.data.loader import DataLoader
+from repro.exec.common import build_server, build_workers, resolve_method, resolve_schedule
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -28,18 +31,47 @@ def load_racy_server_class():
     return mod.RacyParameterServer
 
 
-def make_trainer(dataset, model_factory, workers=4, iters=50):
-    config = RunConfig(
-        "dgs",
-        model_factory,
-        dataset,
-        num_workers=workers,
-        batch_size=16,
-        total_iterations=iters * workers,
-        hyper=HYPER,
-        seed=0,
-    )
-    return ThreadedTrainer(config)
+class _WorkerThreads:
+    """``workers`` plain threads sharing one server, each driving its own
+    worker node through ``iters`` compute → ``handle`` → apply steps."""
+
+    def __init__(self, dataset, model_factory, workers=4, iters=50):
+        method = resolve_method("dgs")
+        theta0 = parameters_of(model_factory())
+        self.server = build_server(method, theta0, workers, HYPER)
+        self.nodes = build_workers(
+            workers,
+            model_factory,
+            DataLoader(dataset, 16, seed=0),
+            method,
+            HYPER,
+            resolve_schedule(None, HYPER),
+            theta0,
+        )
+        self.iters = iters
+
+    def run(self) -> int:
+        """Run every worker to completion; returns the server timestamp."""
+        errors = []
+
+        def loop(node):
+            try:
+                for _ in range(self.iters):
+                    node.apply_reply(self.server.handle(node.compute_step()))
+            except BaseException as exc:  # surfaced on the main thread
+                errors.append(exc)
+
+        threads = [
+            threading.Thread(target=loop, args=(node,), name=f"worker-{node.worker_id}")
+            for node in self.nodes
+        ]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        if errors:
+            raise errors[0]
+        return self.server.timestamp
 
 
 class TestCheckedLock:
@@ -106,16 +138,16 @@ class TestGuardedProxy:
 
 class TestInstrumentedTrainer:
     def test_stock_server_has_zero_unguarded_accesses(self, tiny_dataset, tiny_model_factory):
-        trainer = make_trainer(tiny_dataset, tiny_model_factory, workers=4, iters=25)
+        trainer = _WorkerThreads(tiny_dataset, tiny_model_factory, workers=4, iters=25)
         monitor = instrument_server(trainer.server)
-        result = trainer.run()
+        steps = trainer.run()
         assert monitor.violations == [], monitor.report()
-        assert result.total_iterations == 4 * 25  # training itself still works
+        assert steps == 4 * 25  # training itself still works
         lock = trainer.server._lock
         assert isinstance(lock, CheckedLock) and lock.acquisitions > 0
 
     def test_racy_server_caught_within_200_steps(self, tiny_dataset, tiny_model_factory):
-        trainer = make_trainer(tiny_dataset, tiny_model_factory, workers=4, iters=50)
+        trainer = _WorkerThreads(tiny_dataset, tiny_model_factory, workers=4, iters=50)
         trainer.server.__class__ = load_racy_server_class()
         monitor = instrument_server(trainer.server)
         trainer.run()  # 4 × 50 = 200 server steps
@@ -127,7 +159,7 @@ class TestInstrumentedTrainer:
         # Regression: ParameterServer.timestamp / server_state_bytes used to
         # read tracker state without the lock; hammer them from a side
         # thread during training and require a clean report.
-        trainer = make_trainer(tiny_dataset, tiny_model_factory, workers=3, iters=20)
+        trainer = _WorkerThreads(tiny_dataset, tiny_model_factory, workers=3, iters=20)
         monitor = instrument_server(trainer.server)
         stop = threading.Event()
 
@@ -152,6 +184,6 @@ class TestInstrumentedTrainer:
 
 
 def test_default_guarded_attrs_exist_on_server(tiny_dataset, tiny_model_factory):
-    trainer = make_trainer(tiny_dataset, tiny_model_factory, workers=1, iters=1)
+    trainer = _WorkerThreads(tiny_dataset, tiny_model_factory, workers=1, iters=1)
     for attr in SERVER_GUARDED_ATTRS:
         assert hasattr(trainer.server, attr)

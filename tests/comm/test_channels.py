@@ -1,4 +1,4 @@
-"""Channel implementations: in-process dispatch, OS pipes, the serving loop."""
+"""Channel implementations: OS pipes, the serving loop, the worker loop."""
 
 from __future__ import annotations
 
@@ -8,19 +8,24 @@ import numpy as np
 import pytest
 
 from repro.comm import (
+    CONTROL_JOIN,
+    CONTROL_LEAVE,
     ChannelClosed,
     CloseFrame,
+    ControlFrame,
     DiffFrame,
     GradientFrame,
-    InProcChannel,
+    ModelFrame,
     PipeChannel,
     ServerService,
+    TelemetryFrame,
     run_worker_loop,
     serve_channels,
 )
 from repro.compression import SparseTensor
 from repro.compression.stats import CompressionStats
-from repro.ps.messages import DiffMessage, GradientMessage
+from repro.obs import Tracer, use_tracer
+from repro.ps.messages import DiffMessage, GradientMessage, ModelMessage
 from repro.ps.server import ParameterServer
 
 
@@ -34,59 +39,6 @@ def _echo_service(frame):
     return DiffFrame(
         DiffMessage(frame.worker_id, frame.message.payload, server_timestamp=1, staleness=0)
     )
-
-
-class TestInProcChannel:
-    def test_send_recv_roundtrip(self):
-        channel = InProcChannel(_echo_service, worker_id=0)
-        channel.send(_gradient())
-        reply = channel.recv()
-        assert isinstance(reply, DiffFrame)
-        np.testing.assert_array_equal(reply.message.payload["w"].values, [1.5])
-
-    def test_stats_recorded_both_directions(self):
-        stats = CompressionStats()
-        channel = InProcChannel(_echo_service, worker_id=0, stats=stats)
-        frame = _gradient()
-        channel.send(frame)
-        channel.recv()
-        assert stats.upload_messages == 1 and stats.download_messages == 1
-        assert stats.upload_bytes == frame.nbytes()
-        assert stats.upload_dense_bytes == frame.dense_nbytes()
-
-    def test_wire_fidelity_round_trips_through_the_codec(self):
-        seen = {}
-
-        def service(frame):
-            seen["value"] = frame.message.payload["w"].values[0]
-            return _echo_service(frame)
-
-        channel = InProcChannel(service, worker_id=0, wire_fidelity=True)
-        channel.send(_gradient(value=0.1))  # not float32-representable
-        reply = channel.recv()
-        wire_value = float(np.float32(0.1))
-        assert seen["value"] == wire_value != 0.1
-        assert reply.message.payload["w"].values[0] == wire_value
-
-    def test_close_frame_captured_not_dispatched(self):
-        def service(frame):  # pragma: no cover - must not be reached
-            raise AssertionError("close frames never reach the service")
-
-        channel = InProcChannel(service, worker_id=2)
-        close = CloseFrame(worker_id=2, samples_processed=64, worker_state_bytes=128)
-        channel.send(close)
-        assert channel.close_frame == close
-
-    def test_send_after_close_raises(self):
-        channel = InProcChannel(_echo_service, worker_id=0)
-        channel.close()
-        with pytest.raises(ChannelClosed):
-            channel.send(_gradient())
-
-    def test_worker_end_rejects_downstream_frames(self):
-        channel = InProcChannel(_echo_service, worker_id=0)
-        with pytest.raises(TypeError):
-            channel.send(DiffFrame(DiffMessage(0, {}, 0, 0)))
 
 
 class TestPipeChannel:
@@ -197,23 +149,84 @@ class _FakeNode:
         return 64
 
 
+class _LoopbackChannel:
+    """Worker end answered in place: a join with an empty model, a gradient
+    with ``_echo_service``'s diff.  Records every frame the loop sends."""
+
+    def __init__(self):
+        self.sent = []
+        self.closed = False
+        self._pending = None
+
+    def send(self, frame):
+        self.sent.append(frame)
+        if isinstance(frame, GradientFrame):
+            self._pending = _echo_service(frame)
+        elif isinstance(frame, ControlFrame) and frame.op == CONTROL_JOIN:
+            self._pending = ModelFrame(ModelMessage(frame.worker_id, {}, 0, 0))
+
+    def recv(self):
+        frame, self._pending = self._pending, None
+        return frame
+
+    def close(self):
+        self.closed = True
+
+    def kinds(self):
+        return [
+            frame.op if isinstance(frame, ControlFrame) else type(frame).__name__
+            for frame in self.sent
+        ]
+
+
 class TestWorkerProtocolLoop:
     def test_clean_run_sends_accounting_close(self):
         node = _FakeNode(worker_id=1)
-        channel = InProcChannel(_echo_service, worker_id=1)
+        channel = _LoopbackChannel()
         run_worker_loop(node, channel, iterations=3)
-        assert node.samples_processed == 3 and len(node.applied) == 3
-        close = channel.close_frame
-        assert close is not None and close.error is None
-        assert close.worker_id == 1
+        assert channel.kinds() == [
+            CONTROL_JOIN, "GradientFrame", "GradientFrame", "GradientFrame",
+            CONTROL_LEAVE, "CloseFrame",
+        ]
+        # the join reply is applied first, then one reply per step
+        assert node.samples_processed == 3 and len(node.applied) == 4
+        assert isinstance(node.applied[0], ModelMessage)
+        close = channel.sent[-1]
+        assert close.error is None and close.worker_id == 1
         assert close.samples_processed == 3 and close.worker_state_bytes == 64
+        assert channel.closed
 
     def test_worker_exception_reported_in_close_frame(self):
         node = _FakeNode(worker_id=2, fail_on=2)
-        channel = InProcChannel(_echo_service, worker_id=2)
+        channel = _LoopbackChannel()
         with pytest.raises(ZeroDivisionError):
             run_worker_loop(node, channel, iterations=5)
-        close = channel.close_frame
-        assert close is not None
+        assert CONTROL_LEAVE not in channel.kinds()  # a failed worker does not leave
+        close = channel.sent[-1]
+        assert isinstance(close, CloseFrame)
         assert "ZeroDivisionError" in close.error
         assert close.samples_processed == 2  # partial accounting still attached
+
+    def test_on_iteration_runs_before_each_step(self):
+        node = _FakeNode(worker_id=0)
+        seen = []
+        run_worker_loop(
+            node,
+            _LoopbackChannel(),
+            iterations=3,
+            on_iteration=lambda i: seen.append((i, node.samples_processed)),
+        )
+        assert seen == [(0, 0), (1, 1), (2, 2)]
+
+    def test_telemetry_ships_only_when_the_ambient_tracer_records(self):
+        untraced = _LoopbackChannel()
+        run_worker_loop(_FakeNode(), untraced, iterations=2)
+        assert "TelemetryFrame" not in untraced.kinds()
+
+        traced = _LoopbackChannel()
+        with use_tracer(Tracer()):
+            run_worker_loop(_FakeNode(), traced, iterations=2)
+        telemetry, close = traced.sent[-2:]
+        assert isinstance(telemetry, TelemetryFrame) and isinstance(close, CloseFrame)
+        spans = telemetry.spans
+        assert sum(r["name"] == "worker.step" for r in spans) == 2

@@ -333,6 +333,61 @@ class TestMalformedFrame:
         assert report.samples_processed == steps
         assert membership.members == {0: "left", 1: "crash"}
 
+    @pytest.mark.parametrize(
+        "bad_frame",
+        [
+            # the worker id is a u32 on the wire: 2 is past a 2-worker server
+            lambda server: _grad_for(server, 2),
+            # the join's worker id is an i32 on the wire
+            lambda server: ControlFrame(-1, CONTROL_JOIN),
+            # a rejected frame's id is not the channel's: worker 0 stays up
+            lambda server: GradientFrame(
+                GradientMessage(0, {"no.such.layer": np.zeros(3)}, 0), loss=0.5
+            ),
+        ],
+        ids=[
+            "gradient-from-unknown-worker",
+            "join-with-negative-id",
+            "bad-gradient-claiming-a-live-worker",
+        ],
+    )
+    def test_frame_the_server_cannot_apply_crashes_only_its_channel(self, bad_frame):
+        """A frame naming a worker the server holds no state for, or one
+        that does not fit its layers, is that peer's failure: its channel
+        crashes, the membership directory is untouched by the id it
+        claimed, and the other worker finishes its run."""
+        service, server, membership = _make_service(num_workers=2)
+        ends = [mp.Pipe(duplex=True) for _ in range(2)]
+        server_ends = [PipeChannel(a) for a, _ in ends]
+        good, bad = (PipeChannel(b) for _, b in ends)
+        steps = 3
+
+        def driver():
+            good.send(ControlFrame(0, CONTROL_JOIN))
+            assert isinstance(good.recv(), ModelFrame)
+            bad.send(bad_frame(server))
+            for r in range(steps):
+                _whole_step(good, server, 0, r)
+            good.send(ControlFrame(0, CONTROL_LEAVE))
+            good.send(CloseFrame(worker_id=0, samples_processed=steps))
+            good.close()
+            bad.close()
+
+        def serve():
+            try:
+                return serve_channels(server_ends, service, stats=server.stats)
+            finally:  # if the loop raised, unblock the driver
+                for channel in server_ends:
+                    channel.close()
+
+        report = _run_driver(driver, serve)
+        assert report.crashes == 1 and report.clean_closes == 1
+        assert report.updates == steps and report.samples_processed == steps
+        assert len(report.errors) == 1 and "cannot apply" in report.errors[0]
+        assert server.num_workers == 2 and server.timestamp == steps
+        assert membership.members == {0: "left"}
+        assert [event for _, event, _ in membership.events] == ["join", "left"]
+
     @pytest.mark.parametrize("cut", [2, 8, 40], ids=["header", "loss", "body"])
     def test_truncated_gradient_frame_is_a_channel_crash(self, cut):
         service, server, _ = _make_service(num_workers=1, with_membership=False)

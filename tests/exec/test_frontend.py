@@ -1,4 +1,4 @@
-"""The unified Trainer front-end: one RunConfig, five backends."""
+"""The unified Trainer front-end: one RunConfig, four backends."""
 
 import pytest
 
@@ -15,7 +15,7 @@ from repro.exec import (
 from repro.sim import ClusterConfig
 
 HYPER = Hyper(lr=0.1, momentum=0.7, ratio=0.1, min_sparse_size=0)
-BACKENDS = ("threaded", "process", "socket", "simulated", "sync")
+BACKENDS = ("process", "socket", "simulated", "sync")
 
 
 def tiny_config(tiny_dataset, tiny_model_factory, **overrides):
@@ -86,7 +86,7 @@ class TestTrainerFrontend:
         assert result.samples_processed == 40 * 16
 
     def test_trainer_exposes_engine_for_instrumentation(self, tiny_dataset, tiny_model_factory):
-        trainer = Trainer(tiny_config(tiny_dataset, tiny_model_factory), backend="threaded")
+        trainer = Trainer(tiny_config(tiny_dataset, tiny_model_factory), backend="process")
         assert trainer.engine.server.timestamp == 0  # pre-run state is reachable
         result = trainer.run()
         assert trainer.engine.server.timestamp == result.total_iterations
@@ -107,7 +107,7 @@ class TestTrainerFrontend:
     def test_single_node_method_rejected_on_ps_backends(self, tiny_dataset, tiny_model_factory):
         config = tiny_config(tiny_dataset, tiny_model_factory)
         config.method = "msgd"
-        for backend in ("threaded", "process", "simulated"):
+        for backend in ("process", "socket", "simulated"):
             with pytest.raises(ValueError, match="single-node"):
                 Trainer(config, backend=backend)
 
@@ -125,7 +125,7 @@ class TestCliScopes:
     def test_train_reports_to_collect_results(self, tiny_dataset, tiny_model_factory):
         config = tiny_config(tiny_dataset, tiny_model_factory)
         with collect_results() as runs:
-            result = train(config, backend="threaded")
+            result = train(config, backend="simulated")
         assert len(runs) == 1
         assert runs[0][1] is result
 
@@ -133,7 +133,7 @@ class TestCliScopes:
         path = tmp_path / "scoped.ckpt"
         config = tiny_config(tiny_dataset, tiny_model_factory)
         with use_config_overrides(checkpoint_every=2, checkpoint_path=str(path)):
-            train(config, backend="threaded")
+            train(config, backend="process")
         assert path.exists()
 
 
@@ -169,6 +169,6 @@ def test_virtual_clock_engines_refuse_checkpoint_settings(
     }
     for field, fields in settings.items():
         config = tiny_config(tiny_dataset, tiny_model_factory, **fields)
-        with pytest.raises(ValueError, match=rf"{field} .* {backend} backend.* threaded, process and socket"):
+        with pytest.raises(ValueError, match=rf"{field} .* {backend} backend.* process and socket"):
             Trainer(config, backend=backend)
     assert not out.exists()

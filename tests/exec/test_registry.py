@@ -12,7 +12,6 @@ from repro.exec import (
     RunConfig,
     SimulatedTrainer,
     SynchronousTrainer,
-    ThreadedTrainer,
     Trainer,
     get_backend,
     list_backends,
@@ -20,7 +19,7 @@ from repro.exec import (
     use_backend,
 )
 
-BUILTINS = ("threaded", "process", "simulated", "sync")
+BUILTINS = ("process", "socket", "simulated", "sync")
 
 
 def _config(tiny_dataset, tiny_model_factory):
@@ -32,12 +31,11 @@ def _config(tiny_dataset, tiny_model_factory):
 
 class TestRegistry:
     def test_builtins_registered(self):
-        assert set(BUILTINS) <= set(list_backends())
+        assert sorted(list_backends()) == sorted(BUILTINS)
 
     @pytest.mark.parametrize(
         "name,engine,clock",
         [
-            ("threaded", ThreadedTrainer, "wall"),
             ("process", RemoteTrainer, "wall"),
             ("socket", RemoteTrainer, "wall"),
             ("simulated", SimulatedTrainer, "virtual"),
@@ -65,24 +63,24 @@ class TestRegistry:
             get_backend("quantum")
 
     def test_instance_passes_through(self):
-        backend = get_backend("threaded")
+        backend = get_backend("process")
         assert get_backend(backend) is backend
 
     def test_duplicate_registration_rejected(self, monkeypatch):
         monkeypatch.setattr(backend_mod, "_REGISTRY", dict(backend_mod._REGISTRY))
         with pytest.raises(ValueError, match="already registered"):
-            register_backend(dataclasses.replace(get_backend("threaded")))
+            register_backend(dataclasses.replace(get_backend("process")))
 
     def test_replace_registration(self, monkeypatch):
         monkeypatch.setattr(backend_mod, "_REGISTRY", dict(backend_mod._REGISTRY))
-        replacement = dataclasses.replace(get_backend("threaded"))
+        replacement = dataclasses.replace(get_backend("process"))
         assert register_backend(replacement, replace=True) is replacement
-        assert get_backend("threaded") is replacement
+        assert get_backend("process") is replacement
 
     def test_custom_backend_immediately_resolvable(self, monkeypatch):
         monkeypatch.setattr(backend_mod, "_REGISTRY", dict(backend_mod._REGISTRY))
 
-        register_backend(dataclasses.replace(get_backend("threaded"), name="custom"))
+        register_backend(dataclasses.replace(get_backend("process"), name="custom"))
         assert "custom" in list_backends()
         assert get_backend("custom").clock == "wall"
 
@@ -92,9 +90,9 @@ class TestAmbientDefault:
         assert get_backend(None) is get_backend("simulated")
 
     def test_use_backend_swaps_and_restores(self):
-        with use_backend("threaded") as name:
-            assert name == "threaded"
-            assert get_backend(None) is get_backend("threaded")
+        with use_backend("process") as name:
+            assert name == "process"
+            assert get_backend(None) is get_backend("process")
         assert get_backend(None) is get_backend("simulated")
 
     def test_use_backend_restores_on_error(self):
@@ -122,7 +120,7 @@ class TestMeasureDeclarations:
             assert not unknown, f"{name} declares non-existent fields {unknown}"
 
     def test_wall_backends_do_not_claim_virtual_only_fields(self):
-        for name in ("threaded", "process"):
+        for name in ("process", "socket"):
             measures = get_backend(name).measures
             assert "uplink_utilisation" not in measures
             assert "loss_vs_time" not in measures

@@ -1,6 +1,6 @@
 """Cross-engine consistency: the same algorithm through different engines.
 
-The threaded, process, and simulated engines share WorkerNode /
+The remote (process and socket) and simulated engines share WorkerNode /
 ParameterServer / strategies; these tests pin down that the *algorithmic*
 state evolution is engine-independent where determinism allows.
 """
@@ -9,19 +9,18 @@ import numpy as np
 import pytest
 
 from repro.core import Hyper
-from repro.data import DataLoader, make_blobs
+from repro.data import DataLoader, make_blobs, synthetic_cifar10
 from repro.exec import (
     RemoteTrainer,
     RunConfig,
     SimulatedTrainer,
-    ThreadedTrainer,
     Trainer,
     get_backend,
     list_backends,
     train,
     validate_result,
 )
-from repro.nn import MLP
+from repro.nn import MLP, SimpleCNN
 from repro.sim import ClusterConfig
 
 HYPER = Hyper(lr=0.1, momentum=0.7, ratio=0.1, min_sparse_size=0)
@@ -89,18 +88,8 @@ class TestSingleWorkerDeterminism:
 
 
 class TestEngineAgreementStatistics:
-    def test_threaded_and_sim_reach_similar_accuracy(self, ds, factory):
-        """Different interleavings, same algorithm — final quality agrees."""
-        s = sim(ds, factory, 3, total_iterations=120).run()
-        t = ThreadedTrainer(
-            RunConfig(
-                "dgs", factory, ds, num_workers=3, batch_size=16,
-                total_iterations=3 * 40, hyper=HYPER, seed=0,
-            )
-        ).run()
-        assert abs(s.final_accuracy - t.final_accuracy) < 0.2
-
     def test_process_engine_agrees(self, ds, factory):
+        """Different interleavings, same algorithm — final quality agrees."""
         s = sim(ds, factory, 2, total_iterations=60).run()
         p = RemoteTrainer(
             RunConfig(
@@ -112,15 +101,37 @@ class TestEngineAgreementStatistics:
         assert abs(s.final_accuracy - p.final_accuracy) < 0.2
         assert p.total_iterations == s.total_iterations
 
+    def test_process_evaluates_a_batchnorm_model_like_simulated(self):
+        """The simulator evaluates θ0 + M with worker 0's BatchNorm running
+        statistics; those never leave a worker process, so the process
+        engine re-estimates them on θ0 + M.  One dense worker trains the
+        same θ on both, so only the statistics differ: fresh ones would
+        cost about a quarter of the accuracy and triple the loss."""
+        ds = synthetic_cifar10(n_samples=600, size=8, difficulty=4.0, seed=7)
+        config = RunConfig(
+            "asgd",
+            lambda: SimpleCNN(3, 10, width=8, seed=0),
+            ds,
+            num_workers=1,
+            batch_size=32,
+            total_iterations=60,
+            hyper=DENSE_HYPER,
+            seed=0,
+        )
+        s = train(config, backend="simulated")
+        p = train(config, backend="process")
+        assert abs(p.final_accuracy - s.final_accuracy) < 0.1
+        assert p.final_loss < 1.25 * s.final_loss
+
 
 class TestCrossBackendParity:
     """One RunConfig through the registry: the substrate must not change
     the math.  Dense ASGD with one worker has no scheduling freedom and no
     sparsification ties, so the final server model is substrate-independent
-    (exactly on in-process backends; float32-close through the wire codec).
+    — bitwise, since the float32 state is what the wire codec carries.
     """
 
-    def _run(self, backend, ds, factory):
+    def _run(self, backend, ds, factory, **fields):
         config = RunConfig(
             "asgd",
             factory,
@@ -130,25 +141,29 @@ class TestCrossBackendParity:
             total_iterations=30,
             hyper=DENSE_HYPER,
             seed=0,
+            **fields,
         )
         trainer = Trainer(config, backend=backend)
         result = trainer.run()
-        return trainer.engine.server.global_model(), result
+        return dict(trainer.engine.server.global_model()), result
 
-    def test_threaded_identical_to_simulated(self, ds, factory):
-        t_params, t_res = self._run("threaded", ds, factory)
+    def test_process_identical_to_simulated(self, ds, factory):
+        p_params, p_res = self._run("process", ds, factory)
         s_params, s_res = self._run("simulated", ds, factory)
-        assert t_params.keys() == s_params.keys()
-        for name in t_params:
-            np.testing.assert_array_equal(t_params[name], s_params[name])
-        assert t_res.total_iterations == s_res.total_iterations == 30
-        assert t_res.final_accuracy == s_res.final_accuracy
+        assert p_params.keys() == s_params.keys()
+        for name in p_params:
+            np.testing.assert_array_equal(p_params[name], s_params[name])
+        assert p_res.total_iterations == s_res.total_iterations == 30
+        assert p_res.final_accuracy == s_res.final_accuracy
+        assert p_res.final_loss == s_res.final_loss
 
     def test_process_float32_close_to_simulated(self, ds, factory):
-        """The process backend casts every exchange to float32 on the wire,
-        so replicas drift from the in-process runs at float32 resolution."""
-        p_params, p_res = self._run("process", ds, factory)
-        s_params, _ = self._run("simulated", ds, factory)
+        """With float64 server state the wire codec's float32 cast is lossy,
+        so the process replica drifts from the simulator at float32
+        resolution — and no further."""
+        p_params, p_res = self._run("process", ds, factory, arena_dtype="float64")
+        s_params, _ = self._run("simulated", ds, factory, arena_dtype="float64")
+        assert p_params.keys() == s_params.keys()
         for name in s_params:
             np.testing.assert_allclose(p_params[name], s_params[name], rtol=1e-4, atol=1e-5)
         assert p_res.total_iterations == 30
@@ -156,10 +171,10 @@ class TestCrossBackendParity:
     def test_byte_accounting_identical_across_backends(self, ds, factory):
         """The channel layer accounts analytic payload bytes on every
         substrate, so an identical dense-ASGD config must report identical
-        byte totals whether frames crossed a thread boundary, an OS pipe,
-        or a simulated link."""
+        byte totals whether frames crossed an OS pipe, a TCP socket or a
+        simulated link."""
         totals = {}
-        for backend in ("threaded", "process", "simulated"):
+        for backend in ("process", "socket", "simulated"):
             config = RunConfig(
                 "asgd",
                 factory,
@@ -177,44 +192,35 @@ class TestCrossBackendParity:
                 result.upload_dense_bytes,
                 result.download_dense_bytes,
             )
-        assert totals["threaded"] == totals["process"] == totals["simulated"]
-        assert all(v > 0 for v in totals["threaded"])
+        assert totals["process"] == totals["socket"] == totals["simulated"]
+        assert all(v > 0 for v in totals["process"])
 
     def test_sharding_bitwise_identical_dense_asgd_float64(self, ds, factory):
         """The tentpole invariant: partitioning the server across shards
-        must not change the math.  Dense ASGD with one worker at float64
-        has no scheduling freedom and no rounding headroom, so sharded
-        threaded ≡ unsharded threaded ≡ simulated — bitwise."""
-        runs = {}
-        for backend, shards in (
-            ("threaded", 4),
-            ("threaded", 1),
-            ("simulated", 1),
-            ("simulated", 4),
+        must not change the math.  Dense ASGD with one worker has no
+        scheduling freedom, so sharded process ≡ unsharded process ≡
+        simulated — bitwise; and at float64, which leaves no rounding
+        headroom, sharded ≡ unsharded on each engine (the process engine's
+        float32 wire cast keeps it off the simulator's float64 numbers)."""
+        for dtype, keys in (
+            (None, (("process", 4), ("process", 1), ("simulated", 1))),
+            ("float64", (("process", 4), ("process", 1))),
+            ("float64", (("simulated", 1), ("simulated", 4))),
         ):
-            config = RunConfig(
-                "asgd",
-                factory,
-                ds,
-                num_workers=1,
-                batch_size=16,
-                total_iterations=30,
-                hyper=DENSE_HYPER,
-                seed=0,
-                num_shards=shards,
-                arena_dtype="float64",
-            )
-            trainer = Trainer(config, backend=backend)
-            result = trainer.run()
-            assert result.num_shards == shards
-            runs[(backend, shards)] = dict(trainer.engine.server.global_model())
-        reference = runs[("threaded", 1)]
-        for key, params in runs.items():
-            assert list(params) == list(reference)
-            for name in reference:
-                np.testing.assert_array_equal(
-                    params[name], reference[name], err_msg=f"{key}/{name}"
+            runs = {}
+            for backend, shards in keys:
+                params, result = self._run(
+                    backend, ds, factory, num_shards=shards, arena_dtype=dtype
                 )
+                assert result.num_shards == shards
+                runs[(backend, shards)] = params
+            reference = runs[keys[-1]]
+            for key, params in runs.items():
+                assert list(params) == list(reference)
+                for name in reference:
+                    np.testing.assert_array_equal(
+                        params[name], reference[name], err_msg=f"{dtype}/{key}/{name}"
+                    )
 
     def test_sharding_preserves_dgs_loss_curve_on_simulator(self, ds, factory):
         """DGS with secondary compression, multiple workers: the simulated

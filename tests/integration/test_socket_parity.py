@@ -5,9 +5,9 @@ everywhere (no sparsification ties, no dtype rounding): any loss-curve
 divergence between transports is a transport bug, not noise.
 
 * 1 worker, free-running: no scheduling freedom, so RemoteTrainer over
-  pipes or TCP and ThreadedTrainer (with ``wire_fidelity=True,
-  register=True`` — the same codec round-trips and the same join
-  handshake) must agree bitwise.
+  pipes or TCP and an in-process dispatch through ``ServerService`` (with
+  the same codec round-trips and the same join handshake) must agree
+  bitwise.
 * 2 workers: free-running interleavings are nondeterministic, so the
   2-worker pin drives both workers' channels *lockstep round-robin* from
   the test over each transport — same frame order ⇒ the server state,
@@ -29,15 +29,16 @@ from repro.comm import (
     CloseFrame,
     ControlFrame,
     GradientFrame,
+    decode_frame,
+    encode_frame,
 )
-from repro.comm.channel import InProcChannel
 from repro.comm.service import ServerService, serve_channels
 from repro.comm.socket import SocketChannel, SocketListener
 from repro.core.layerops import parameters_of
 from repro.core.methods import Hyper, get_method
 from repro.data.loader import DataLoader
-from repro.exec import RemoteTrainer, RunConfig, ThreadedTrainer
-from repro.exec.common import build_server, build_worker
+from repro.exec import RemoteTrainer, RunConfig
+from repro.exec.common import build_server, build_worker, evaluate_global_scratch
 
 DENSE = Hyper(lr=0.1, momentum=0.0)
 
@@ -61,24 +62,32 @@ def _remote_run(tiny_dataset, tiny_model_factory, iterations, transport, **field
     return RemoteTrainer(config, transport).run()
 
 
-@pytest.mark.parametrize("transport", ["tcp", "pipe"])
-def test_one_worker_remote_bitwise_equal_to_threaded(
-    tiny_dataset, tiny_model_factory, transport
-):
-    s = _remote_run(tiny_dataset, tiny_model_factory, 25, transport=transport)
-    t = ThreadedTrainer(
-        _config(
-            tiny_dataset,
-            tiny_model_factory,
-            25,
-            wire_fidelity=True,  # same codec float32 round-trip as the wire
-            register=True,  # same join handshake installing wire-rounded θ0
-        )
-    ).run()
-    assert list(s.loss_vs_step.ys) == list(t.loss_vs_step.ys)
-    assert s.final_loss == t.final_loss
-    assert s.final_accuracy == t.final_accuracy
-    assert s.total_iterations == t.total_iterations == 25
+class _CodecChannel:
+    """In-process reference transport: each frame is dispatched in place
+    through ``service``, both directions round-tripped through the frame
+    codec — the bytes a pipe or socket would deliver, with no scheduling."""
+
+    def __init__(self, service):
+        self.service = service
+        self._pending = None
+
+    def send(self, frame):
+        frame = decode_frame(encode_frame(frame))
+        if isinstance(frame, ControlFrame):
+            reply = self.service.control(frame)
+        elif isinstance(frame, GradientFrame):
+            reply = self.service(frame)
+        else:
+            reply = None  # a close frame: nothing to dispatch
+        if reply is not None:
+            self._pending = decode_frame(encode_frame(reply))
+
+    def recv(self):
+        frame, self._pending = self._pending, None
+        return frame
+
+    def close(self):
+        pass
 
 
 class _Lockstep:
@@ -136,6 +145,22 @@ def _fresh_server(tiny_model_factory, num_workers):
     )
 
 
+@pytest.mark.parametrize("transport", ["tcp", "pipe"])
+def test_one_worker_remote_bitwise_equal_to_inproc(
+    tiny_dataset, tiny_model_factory, transport
+):
+    s = _remote_run(tiny_dataset, tiny_model_factory, 25, transport=transport)
+    server = _fresh_server(tiny_model_factory, 1)
+    losses = _Lockstep(tiny_dataset, tiny_model_factory, 1).drive(
+        [_CodecChannel(ServerService(server))], 25
+    )
+    accuracy, loss = evaluate_global_scratch(tiny_model_factory(), server, tiny_dataset, 16)
+    assert list(s.loss_vs_step.ys) == losses
+    assert s.final_loss == loss
+    assert s.final_accuracy == accuracy
+    assert s.total_iterations == server.timestamp == 25
+
+
 def test_two_worker_lockstep_socket_bitwise_equal_to_inproc(
     tiny_dataset, tiny_model_factory
 ):
@@ -174,10 +199,7 @@ def test_two_worker_lockstep_socket_bitwise_equal_to_inproc(
     # --- in-proc dispatch with the wire codec round-trip
     inproc_server = _fresh_server(tiny_model_factory, 2)
     service = ServerService(inproc_server)
-    inproc_channels = [
-        InProcChannel(service, w, stats=inproc_server.stats, wire_fidelity=True)
-        for w in range(2)
-    ]
+    inproc_channels = [_CodecChannel(service) for _ in range(2)]
     inproc_losses = _Lockstep(tiny_dataset, tiny_model_factory, 2).drive(
         inproc_channels, iterations
     )

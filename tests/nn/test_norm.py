@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from repro.autograd import Tensor, gradcheck
-from repro.nn import BatchNorm2d
+from repro.nn import MLP, BatchNorm2d, SimpleCNN
+from repro.nn.norm import reestimate_batchnorm
 
 
 class TestBatchNorm2d:
@@ -66,3 +67,32 @@ class TestBatchNorm2d:
         x = Tensor(rng.normal(size=(8, 3, 2, 2)))
         bn(x).sum().backward()
         assert bn.weight.grad is not None and bn.bias.grad is not None
+
+
+class TestReestimateBatchnorm:
+    def test_running_stats_are_the_plain_average_over_batches(self, rng):
+        bn = BatchNorm2d(2).astype(np.float64)
+        bn.eval()
+        batches = [rng.normal(float(i), 1.0 + i, size=(8, 2, 3, 3)) for i in range(3)]
+        reestimate_batchnorm(bn, batches)
+        n = 8 * 9
+        means = [b.mean(axis=(0, 2, 3)) for b in batches]
+        variances = [b.var(axis=(0, 2, 3)) * n / (n - 1) for b in batches]
+        np.testing.assert_allclose(bn.running_mean, np.mean(means, axis=0), rtol=1e-12)
+        np.testing.assert_allclose(bn.running_var, np.mean(variances, axis=0), rtol=1e-12)
+        assert bn.momentum == 0.1 and not bn.training
+
+    def test_every_norm_layer_of_a_model_is_reestimated(self, rng):
+        model = SimpleCNN(3, 4, width=4, seed=0)
+        before = {name: b.copy() for name, b in model.named_buffers()}
+        reestimate_batchnorm(model, [rng.normal(size=(4, 3, 8, 8)).astype(np.float32)])
+        assert model.training
+        for name, b in model.named_buffers():
+            assert not np.array_equal(b, before[name]), name
+
+    def test_model_without_batchnorm_draws_no_batch(self):
+        def batches():
+            raise AssertionError("drew a batch")
+            yield  # pragma: no cover
+
+        reestimate_batchnorm(MLP(4, (3,), 2, seed=0), batches())

@@ -53,7 +53,7 @@ def _traced(method, backend, hyper):
     return [r for r in records if r["type"] == "span"]
 
 
-@pytest.fixture(scope="module", params=["simulated", "threaded", *SERIALISING])
+@pytest.fixture(scope="module", params=["simulated", *SERIALISING])
 def dgs(request):
     return request.param, _traced("dgs", request.param, Hyper(ratio=0.1, min_sparse_size=0))
 
@@ -125,7 +125,7 @@ def test_tracker_spans_once_per_update_in_handle(dgs):
 def test_wire_spans_once_per_exchange(dgs):
     backend, spans = dgs
     if backend not in SERIALISING:
-        # in-process backends hand frames over without serialising them
+        # the simulator hands frames over without serialising them
         assert not [r for r in spans if r["name"] in WIRE_UP + WIRE_DOWN]
         return
     for name in WIRE_UP:

@@ -128,7 +128,7 @@ class TestWorkerSkew:
 
 
 RESULT = {
-    "backend": "threaded",
+    "backend": "process",
     "method": "dgs",
     "num_workers": 2,
     "final_loss": 0.5,
@@ -153,7 +153,7 @@ class TestWriteAndLoad:
         run_dir = write_run_dir(tmp_path, dict(RESULT), run_id="r1", config={"seed": 0})
         manifest = load_manifest(run_dir)
         assert manifest["run_id"] == "r1"
-        assert manifest["backend"] == "threaded"
+        assert manifest["backend"] == "process"
         assert manifest["config"] == {"seed": 0}
         assert manifest["result"]["final_loss"] == 0.5
         assert manifest["worker_skew_s"] is None
@@ -319,11 +319,11 @@ def _worker_lanes(records):
 
 @pytest.mark.slow
 def test_backends_produce_lane_equivalent_traces():
-    """The same dense ASGD job traced on threaded (one process), process
-    (spans shipped back as TelemetryFrames, one lane per worker process),
-    and simulated (virtual clock) must cover the same workers and agree on
-    the worker span vocabulary — shipping must not drop or invent kinds."""
-    traces = {b: _traced_run(b) for b in ("threaded", "process", "simulated")}
+    """The same dense ASGD job traced on process and socket (spans shipped
+    back as TelemetryFrames, one lane per worker process) and simulated
+    (virtual clock) must cover the same workers and agree on the worker
+    span vocabulary — shipping must not drop or invent kinds."""
+    traces = {b: _traced_run(b) for b in ("process", "socket", "simulated")}
     lanes = {b: _worker_lanes(records) for b, records in traces.items()}
 
     # Every backend traced both workers.
@@ -333,23 +333,24 @@ def test_backends_produce_lane_equivalent_traces():
     # Wall-clock backends emit the identical per-worker vocabulary; the
     # simulator's virtual lanes contain its compute spans for each worker.
     for worker in (0, 1):
-        assert lanes["threaded"][worker] & WORKER_SPAN_NAMES == (
+        assert lanes["socket"][worker] & WORKER_SPAN_NAMES == (
             lanes["process"][worker] & WORKER_SPAN_NAMES
         )
-        assert WORKER_SPAN_NAMES <= lanes["threaded"][worker]
+        assert WORKER_SPAN_NAMES <= lanes["process"][worker]
         assert obs_names.WORKER_COMPUTE in lanes["simulated"][worker]
 
-    # The process workers' spans arrived via TelemetryFrame with one proc
+    # The remote workers' spans arrived via TelemetryFrame with one proc
     # lane per worker process in the merged trace.
-    procs = {r.get("proc") for r in traces["process"] if r.get("type") == "span" and r.get("proc")}
-    assert procs == {"worker-0", "worker-1"}
+    for backend in ("process", "socket"):
+        spans = [r for r in traces[backend] if r.get("type") == "span"]
+        assert {r.get("proc") for r in spans if r.get("proc")} == {"worker-0", "worker-1"}
 
 
 # ----------------------------------------------------------------------
 # A real traced run -> run dir -> the report / check CLI
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize(
-    "backend, shards", [("process", 1), ("threaded", 2), ("process", 2), ("socket", 2)]
+    "backend, shards", [("process", 1), ("process", 2), ("socket", 2)]
 )
 def test_traced_run_dir_passes_the_health_gate(tmp_path, capsys, backend, shards):
     """A traced 2-worker DGS run writes a run dir whose trace has one lane
@@ -380,8 +381,7 @@ def test_traced_run_dir_passes_the_health_gate(tmp_path, capsys, backend, shards
     spans = [r for r in records if r.get("type") == "span"]
     shard_lanes = {r["tid"] for r in spans if str(r.get("tid", "")).startswith("shard-")}
     assert shard_lanes == ({f"shard-{i}" for i in range(shards)} if shards > 1 else set())
-    if backend != "threaded":  # threaded workers share this process
-        assert {r.get("proc") for r in spans if r.get("proc")} == {"worker-0", "worker-1"}
+    assert {r.get("proc") for r in spans if r.get("proc")} == {"worker-0", "worker-1"}
 
     sane = ["--max-staleness-p99", "64", "--min-samples-per-sec", "1"]
     assert main(["report", str(run_dir)]) == 0

@@ -16,8 +16,8 @@ from repro.obs import (
     validate_chrome_trace,
 )
 from repro.exec import RunConfig
+from repro.exec.remote import RemoteTrainer
 from repro.exec.simulated import SimulatedTrainer
-from repro.exec.threaded import ThreadedTrainer
 from repro.sim.cluster import ClusterConfig
 
 
@@ -34,8 +34,8 @@ def _model():
 
 
 @pytest.fixture(scope="module")
-def threaded_run(dataset):
-    """One traced 2-worker threaded run shared by the assertions below."""
+def process_run(dataset):
+    """One traced 2-worker process run shared by the assertions below."""
     tracer = Tracer()
     config = RunConfig(
         "dgs",
@@ -47,7 +47,7 @@ def threaded_run(dataset):
         hyper=HYPER,
         seed=0,
     )
-    trainer = ThreadedTrainer(config)
+    trainer = RemoteTrainer(config, "pipe")
     with use_tracer(tracer):
         result = trainer.run()
     return tracer, trainer, result
@@ -73,29 +73,29 @@ def sim_run(dataset):
     return tracer, trainer, result
 
 
-class TestThreadedWiring:
-    def test_all_three_layers_present(self, threaded_run):
-        tracer, _, _ = threaded_run
+class TestProcessWiring:
+    def test_all_three_layers_present(self, process_run):
+        tracer, _, _ = process_run
         cats = {r["cat"] for r in tracer.records()}
         # worker loop + compute_step's layers + server + tracker = all layers
         assert {"worker", "data", "nn", "strategy", "server", "tracker"} <= cats
 
-    def test_spans_per_worker_thread(self, threaded_run):
-        tracer, _, _ = threaded_run
+    def test_spans_per_worker_process(self, process_run):
+        tracer, _, _ = process_run
         steps = [r for r in tracer.records() if r["name"] == "worker.step"]
         assert len(steps) == 2 * 4
-        assert {r["tid"] for r in steps} == {"worker-0", "worker-1"}
+        assert {r["proc"] for r in steps} == {"worker-0", "worker-1"}
 
-    def test_stream_and_chrome_trace_valid(self, threaded_run):
-        tracer, _, _ = threaded_run
+    def test_stream_and_chrome_trace_valid(self, process_run):
+        tracer, _, _ = process_run
         records = tracer.records()
         assert check_stream(records) == []
         trace = to_chrome_trace(records)
         assert validate_chrome_trace(trace) == []
 
-    def test_server_span_bytes_match_compression_stats(self, threaded_run):
+    def test_server_span_bytes_match_compression_stats(self, process_run):
         """`summary` bytes tie back to CompressionStats totals."""
-        tracer, trainer, result = threaded_run
+        tracer, trainer, result = process_run
         handle = [r for r in tracer.records() if r["name"] == "server.handle"]
         up = sum(r["args"]["up_bytes"] for r in handle)
         down = sum(r["args"]["down_bytes"] for r in handle)
@@ -104,8 +104,8 @@ class TestThreadedWiring:
         rows = {(r["domain"], r["phase"]): r for r in summarize(tracer.records())}
         assert rows[("wall", "server")]["bytes"] == up + down
 
-    def test_lock_meters_populated(self, threaded_run):
-        tracer, trainer, _ = threaded_run
+    def test_lock_meters_populated(self, process_run):
+        tracer, trainer, _ = process_run
         server = trainer.server
         assert server.lock_wait_meter.count == 8
         assert server.lock_hold_meter.count == 8
@@ -115,8 +115,8 @@ class TestThreadedWiring:
         waits = [r for r in tracer.records() if r["name"] == "server.lock_wait"]
         assert len(waits) == 8
 
-    def test_handle_span_outside_lock_wait(self, threaded_run):
-        tracer, _, _ = threaded_run
+    def test_handle_span_outside_lock_wait(self, process_run):
+        tracer, _, _ = process_run
         spans = tracer.records()
         waits = sorted(
             (r for r in spans if r["name"] == "server.lock_wait"), key=lambda r: r["ts"]
@@ -169,10 +169,10 @@ class TestSimWiring:
 
 
 class TestCli:
-    def test_convert_and_summary_roundtrip(self, threaded_run, tmp_path, capsys):
+    def test_convert_and_summary_roundtrip(self, process_run, tmp_path, capsys):
         from repro.obs.__main__ import main
 
-        tracer, _, _ = threaded_run
+        tracer, _, _ = process_run
         jsonl = tmp_path / "run.jsonl"
         tracer.dump_jsonl(jsonl, meta={"kind": "test"})
         out = tmp_path / "trace.json"

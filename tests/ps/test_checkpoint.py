@@ -3,8 +3,8 @@
 The flat-buffer file (``b"DGSC"`` + JSON header + raw buffers) must
 round-trip the *exact* server state — M, every v_k, t, prev — so a run
 restored from a checkpoint and continued is bitwise-identical to the
-uninterrupted run. That end-to-end property is pinned here on the
-threaded engine (socket parity has its own integration module).
+uninterrupted run.  That end-to-end property is pinned on the remote
+engine, over pipes and TCP, in ``tests/integration/test_socket_parity.py``.
 """
 
 from __future__ import annotations
@@ -17,8 +17,6 @@ from repro.core.methods import Hyper, get_method
 from repro.exec.common import build_server
 from repro.nn import MLP
 from repro.ps.checkpoint import CHECKPOINT_MAGIC, load_checkpoint, save_checkpoint
-from repro.exec import RunConfig
-from repro.exec.threaded import ThreadedTrainer
 from repro.ps.messages import GradientMessage
 
 
@@ -158,66 +156,10 @@ class TestValidation:
         assert [p.name for p in tmp_path.iterdir()] == ["c.ckpt"]
 
 
-def _trainer(tiny_dataset, tiny_model_factory, iterations, num_workers=1, **fields):
-    config = RunConfig(
-        "asgd",  # momentum=0: worker optimiser state is not checkpointed
-        tiny_model_factory,
-        tiny_dataset,
-        num_workers=num_workers,
-        batch_size=16,
-        total_iterations=iterations * num_workers,
-        hyper=Hyper(lr=0.1, momentum=0.0),
-        seed=0,
-        **fields,
-    )
-    return ThreadedTrainer(config)
-
-
-def test_restore_continue_is_bitwise_equal_to_uninterrupted(
-    tmp_path, tiny_dataset, tiny_model_factory
-):
-    """checkpoint → restore → continue == one uninterrupted run, bitwise."""
-    full = _trainer(tiny_dataset, tiny_model_factory, 20).run()
-
-    path = tmp_path / "mid.ckpt"
-    first = _trainer(
-        tiny_dataset, tiny_model_factory, 10, checkpoint_every=10, checkpoint_path=path
-    ).run()
-    resumed = _trainer(tiny_dataset, tiny_model_factory, 10, restore_from=path).run()
-
-    # the continuation's losses are exactly the tail of the full run
-    assert list(first.loss_vs_step.ys) == list(full.loss_vs_step.ys)[:10]
-    assert list(resumed.loss_vs_step.ys) == list(full.loss_vs_step.ys)[10:]
-    assert resumed.final_loss == full.final_loss
-    assert resumed.final_accuracy == full.final_accuracy
-
-
-def test_concurrent_checkpoints_complete_and_restore_the_final_state(
-    tmp_path, tiny_dataset, tiny_model_factory
-):
-    """Four workers crossing a cadence boundary on every update: the
-    checkpoint writes must not overlap (they share one ``.tmp`` file), and
-    the file left on disk is the finished server's state."""
-    path = tmp_path / "every.ckpt"
-    trainer = _trainer(
-        tiny_dataset, tiny_model_factory, 10, num_workers=4, checkpoint_every=1, checkpoint_path=path
-    )
-    result = trainer.run()
-    assert result.total_iterations == 40
-    assert [p.name for p in tmp_path.iterdir()] == ["every.ckpt"]
-
-    restored = build_server(
-        get_method("asgd"), parameters_of(tiny_model_factory()), 4, Hyper(lr=0.1, momentum=0.0)
-    )
-    load_checkpoint(restored, path)
-    assert restored.timestamp == trainer.server.timestamp == 40
-    for got, want in zip(_flat_state(restored), _flat_state(trainer.server)):
-        np.testing.assert_array_equal(got, want)
-
-
 # -- restore with outstanding model differences ---------------------------
-# One worker and ASGD (above) keep v_k == M at every checkpoint, so they
-# cannot see a reply path that forgets what a stale worker is still owed.
+# One worker and ASGD (the end-to-end pin) keep v_k == M at every
+# checkpoint, so they cannot see a reply path that forgets what a stale
+# worker is still owed.
 _ORDER = (0, 1, 2, 0, 0, 1, 0, 2, 1, 0, 2, 2, 1, 0)
 
 

@@ -57,6 +57,64 @@ def test_process_training_learns(tiny_dataset, tiny_model_factory):
     assert r.wire_bytes_up > 0 and r.wire_bytes_down > 0
 
 
+@pytest.mark.parametrize("method", ["asgd", "gd_async", "dgc_async", "dgs"])
+def test_every_method_learns_over_pipes(method, tiny_dataset, tiny_model_factory):
+    r = _trainer(
+        tiny_dataset, tiny_model_factory, method, transport="pipe",
+        num_workers=3, iterations_per_worker=25,
+    ).run()
+    assert r.final_accuracy > 0.7  # blobs are easy; random is 0.25
+    assert r.total_iterations == 3 * 25
+    assert r.upload_bytes > 0 and r.download_bytes > 0
+    # one loss per applied update, indexed by arrival order
+    assert r.loss_vs_step.xs == list(range(1, 76))
+
+
+def test_loss_curve_x_is_monotone(tiny_dataset, tiny_model_factory):
+    r = _trainer(
+        tiny_dataset, tiny_model_factory, transport="pipe",
+        num_workers=3, iterations_per_worker=15,
+    ).run()
+    xs = r.loss_vs_step.xs
+    assert xs == sorted(xs)
+    assert len(xs) == 45
+
+
+def test_custom_schedule_reaches_the_workers(tiny_dataset, tiny_model_factory):
+    from repro.optim import ConstantLR
+
+    def run(**fields):
+        return _trainer(
+            tiny_dataset, tiny_model_factory, transport="pipe", iterations_per_worker=10,
+            **fields,
+        ).run()
+
+    assert run(schedule=ConstantLR(1e-9)).final_loss > run().final_loss
+
+
+def test_worker_exception_reaches_the_result_errors(
+    tiny_dataset, tiny_model_factory, monkeypatch
+):
+    """An exception in a worker process ends only that worker: its close
+    frame names the error, and the run returns a partial result."""
+    from repro.ps.worker import WorkerNode
+
+    compute_step = WorkerNode.compute_step
+
+    def fail_on_worker_1(node):
+        if node.worker_id == 1:
+            raise RuntimeError("injected failure")
+        return compute_step(node)
+
+    # patched before the fork, so the forked workers inherit it
+    monkeypatch.setattr(WorkerNode, "compute_step", fail_on_worker_1)
+    result = _trainer(
+        tiny_dataset, tiny_model_factory, transport="pipe", iterations_per_worker=5
+    ).run()
+    assert result.errors == ["worker 1: RuntimeError: injected failure"]
+    assert result.total_iterations == 5
+
+
 def test_process_asgd_model_download(tiny_dataset, tiny_model_factory):
     r = _trainer(
         tiny_dataset, tiny_model_factory, "asgd", transport="pipe", iterations_per_worker=15

@@ -6,7 +6,7 @@ from collections import OrderedDict
 import numpy as np
 import pytest
 
-from repro.comm import GradientFrame, InProcChannel, ServerService
+from repro.comm import GradientFrame, ServerService
 from repro.compression import encode_sparse
 from repro.ps import DiffMessage, GradientMessage, ModelMessage, ParameterServer
 
@@ -16,12 +16,14 @@ SHAPES = OrderedDict([("w", (30,)), ("b", (6,))])
 def exchange(srv, msg):
     """One worker↔server round-trip through the comm layer.
 
-    Byte accounting lives in the channel (not in ``handle``), so tests that
-    assert ``srv.stats`` must route messages the way trainers do.
+    Byte accounting lives in the serve loop (not in ``handle``), so tests
+    that assert ``srv.stats`` record each frame the way it does.
     """
-    channel = InProcChannel(ServerService(srv), msg.worker_id, stats=srv.stats)
-    channel.send(GradientFrame(msg, loss=0.0))
-    return channel.recv().message
+    frame = GradientFrame(msg, loss=0.0)
+    reply = ServerService(srv)(frame)
+    srv.stats.record_upload(frame.nbytes(), frame.dense_nbytes())
+    srv.stats.record_download(reply.nbytes(), reply.dense_nbytes())
+    return reply.message
 
 
 def theta0(rng):

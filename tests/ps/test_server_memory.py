@@ -45,7 +45,6 @@ from repro.nn import MLP
 from repro.exec.remote import RemoteTrainer
 from repro.exec.simulated import SimulatedTrainer
 from repro.exec.sync import SynchronousTrainer
-from repro.exec.threaded import ThreadedTrainer
 from repro.ps.server import summarize_staleness
 from repro.ps.worker import WorkerNode
 from repro.sim.cluster import ClusterConfig
@@ -147,18 +146,17 @@ def test_engines_receive_theta0_as_read_only_views(dataset, monkeypatch):
         seen.append(theta0)
         return real(method, theta0, *args, **kwargs)
 
-    for module in ("repro.exec.remote", "repro.exec.threaded", "repro.exec.simulated"):
+    for module in ("repro.exec.remote", "repro.exec.simulated"):
         monkeypatch.setattr(f"{module}.build_server", spy)
     RemoteTrainer(_config(dataset), "tcp")
     RemoteTrainer(_config(dataset), "pipe")
-    ThreadedTrainer(_config(dataset))
     SimulatedTrainer(
         RunConfig(
             "asgd", _factory, dataset, num_workers=2, batch_size=16, total_iterations=4,
             hyper=HYPER, cluster=ClusterConfig(num_workers=2),
         )
     )
-    assert len(seen) == 4
+    assert len(seen) == 3
     for theta0 in seen:
         for arr in theta0.values():
             assert not arr.flags.writeable and arr.base is not None
@@ -183,16 +181,17 @@ def _sequential_oracle(dataset, iterations):
     return losses, acc, loss
 
 
-def test_threaded_trainer_is_bitwise_the_sequential_oracle(dataset):
-    """With one worker the threaded engine is deterministic, and donating
-    the reference model as that worker's replica changes nothing."""
-    trainer = ThreadedTrainer(
+def test_remote_trainer_is_bitwise_the_sequential_oracle(dataset):
+    """With one worker the remote engine is deterministic: the join
+    handshake's θ_t, the float32 wire and the reference model doubling as
+    evaluation scratch change nothing."""
+    trainer = RemoteTrainer(
         RunConfig(
             "dgs", _factory, dataset, num_workers=1, batch_size=16, total_iterations=12,
             hyper=HYPER, seed=5,
-        )
+        ),
+        "pipe",
     )
-    assert not hasattr(trainer, "eval_model")
     result = trainer.run()
     losses, acc, loss = _sequential_oracle(dataset, 12)
     assert list(result.loss_vs_step.ys) == losses

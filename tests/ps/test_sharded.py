@@ -177,8 +177,8 @@ class TestShardRoutingAndLocks:
 
 
 class TestThreadIsolation:
-    """Kernel scratch is per thread (``KernelWorkspace.current``).  On the
-    threaded backend each worker thread runs its strategy's ``prepare`` and
+    """Kernel scratch is per thread (``KernelWorkspace.current``).  When
+    worker threads share a server, each runs its strategy's ``prepare`` and
     then, under the shard locks, the server's handling of its update; both
     draw from that thread's pool, never from another thread's."""
 
