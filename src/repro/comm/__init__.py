@@ -11,10 +11,14 @@ speaking the typed frame vocabulary of :mod:`repro.comm.frames`:
 
 The server side is one transport-agnostic loop —
 :func:`~repro.comm.service.serve_channels` driving a shared
-:class:`~repro.comm.service.ServerService` — with crash-to-partial-result
-semantics, telemetry absorption, elastic membership (join/leave control
-frames), and straggler eviction, identical under pipes and sockets —
-both are driven by one trainer, :class:`repro.exec.RemoteTrainer`.
+:class:`~repro.comm.service.ServerService`, identical under pipes and
+sockets, both driven by one trainer, :class:`repro.exec.RemoteTrainer`.
+A frame's kind picks its handler from one table (gradient, join/leave
+control, telemetry, close), and one function ends a channel however it
+ends — clean close, crash, or straggler eviction — counting it once on
+the :class:`~repro.comm.service.ServeReport`; who joined and left is
+recorded once, in the service's
+:class:`~repro.ps.membership.WorkerDirectory`.
 
 The channel layer owns byte accounting and ``comm.send`` / ``comm.recv``
 obs spans, so ``TrainResult`` byte fields and traces mean the same thing
@@ -44,7 +48,6 @@ from .frames import (
     decode_frame,
     encode_frame,
     peek_kind,
-    peek_shard,
     reply_frame,
 )
 from .pipe import PipeChannel
@@ -85,7 +88,6 @@ __all__ = [
     "encode_frame",
     "decode_frame",
     "peek_kind",
-    "peek_shard",
     "reply_frame",
     "Channel",
     "ChannelClosed",

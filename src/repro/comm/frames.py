@@ -30,10 +30,9 @@ error means "no error", so an empty error string normalises to ``None``.)
 
 ``shard`` is the routing slot for a sharded server: ``-1`` addresses the
 whole server (the default — a sharded front-end fans the payload out
-itself), ``>= 0`` addresses one shard, and :func:`peek_shard` reads it
-from the fixed-size header so transports can route a frame to the right
-shard queue *without decoding the payload*.  Control frames (close /
-telemetry / membership) always carry ``-1``.
+itself), ``>= 0`` addresses one shard; :func:`decode_frame` reads it off
+the fixed-size header into the payload frame's ``shard``.  Control frames
+(close / telemetry / membership) always carry ``-1``.
 
 :class:`ControlFrame` (kind 5) is the elastic-membership handshake: a
 worker *joins* before its first gradient (the server bootstraps its
@@ -90,7 +89,6 @@ __all__ = [
     "reply_frame",
     "encode_frame",
     "decode_frame",
-    "peek_shard",
     "peek_kind",
 ]
 
@@ -256,28 +254,11 @@ def reply_frame(
     raise TypeError(f"not a downstream message: {type(msg).__name__}")
 
 
-def peek_shard(raw: "bytes | memoryview") -> int:
-    """Read the shard id off a frame header without decoding the payload.
-
-    The header is fixed-size, so a routing transport inspects the first
-    four bytes and forwards the (still-encoded) frame to the right shard
-    queue.  Returns ``-1`` for whole-server frames.
-    """
-    buf = memoryview(raw)
-    if len(buf) < _HEADER.size:
-        raise ValueError("truncated frame (no header)")
-    magic, _kind, shard = _HEADER.unpack_from(buf, 0)
-    if magic != FRAME_MAGIC:
-        raise ValueError("bad magic: not a repro.comm frame")
-    return shard
-
-
 def peek_kind(raw: "bytes | memoryview") -> int:
     """Read the frame kind off the fixed header without decoding the payload.
 
-    Paired with :func:`peek_shard`: a transport can tell a gradient frame
-    from the control-plane kinds (close / control / telemetry) while the
-    frame is still encoded.
+    A transport can tell a gradient frame from the control-plane kinds
+    (close / control / telemetry) while the frame is still encoded.
     """
     buf = memoryview(raw)
     if len(buf) < _HEADER.size:

@@ -3,22 +3,23 @@
 The accept/route/reply loop lives here once, for every transport:
 
 * :class:`ServerService` — apply one frame, build the reply.  Shared by
-  every transport; also the home of the optional membership layer (join /
+  every transport; also the home of the membership directory (join /
   leave control frames), so elastic workers behave identically whether
   they arrive over a pipe or a socket.
 * :func:`serve_channels` — the multiplexing serve loop, written against
   the :class:`~repro.comm.channel.Channel` contract plus one transport
   hook (``waitable`` — the object ``multiprocessing.connection.wait``
-  blocks on, which accepts both pipe connections and sockets).  It
-  handles gradient dispatch, telemetry absorption, membership control
-  frames, close accounting, crash detection (EOF without a close frame),
-  straggler eviction, and elastic accept from a listener.
+  blocks on, which accepts both pipe connections and sockets).  A decoded
+  frame's kind picks its handler from one table (gradient, control,
+  telemetry, close); every way a channel ends — a close frame, EOF,
+  bytes that are not a frame, a frame the server cannot apply, a reply
+  that cannot be sent, straggler eviction — goes through one function,
+  :meth:`_ServeLoop.end`.
 
-Routing: every served channel is a byte transport (pipe or socket); the
-loop takes ``recv_raw()`` and reads the target shard off the fixed 4-byte
-header with :func:`~repro.comm.frames.peek_shard` *before* decoding the
-payload — the peeked id, not the decoded frame attribute, is the routing
-authority, exactly what the frame header exists for.
+Routing: a gradient frame's shard id is the one :func:`~repro.comm.
+frames.decode_frame` read off its 4-byte header (``frame.shard``); a
+shard-addressed frame goes to ``handle_shard``, a whole frame to
+``handle``.
 
 One thread does recv → decode → handle → encode → send for every channel;
 a sharded server is served by the same loop (whole frames fan out across
@@ -36,13 +37,13 @@ from multiprocessing.connection import wait
 from typing import TYPE_CHECKING, Callable, Mapping
 
 from ..compression.stats import CompressionStats
+from ..ps.membership import WorkerDirectory
 from .frames import (
     CloseFrame,
     ControlFrame,
     GradientFrame,
     TelemetryFrame,
     decode_frame,
-    peek_shard,
     reply_frame,
 )
 
@@ -59,16 +60,14 @@ class ServerService:
     One instance per run, shared by all of that run's channels; thread
     safety is the :class:`~repro.ps.server.ParameterServer` lock's job.
 
-    ``membership`` is the optional elastic-worker directory (e.g.
-    :class:`~repro.ps.membership.WorkerDirectory`): when present,
-    :meth:`control` routes join/leave frames through it; when absent,
-    joins bootstrap directly against the server (same state transition,
-    no bookkeeping).
+    ``membership`` is the elastic-worker directory join/leave frames go
+    through; a :class:`~repro.ps.membership.WorkerDirectory` over
+    ``server`` is built when none is passed.
     """
 
-    def __init__(self, server: "ParameterServer", membership: "object | None" = None) -> None:
+    def __init__(self, server: "ParameterServer", membership: "WorkerDirectory | None" = None) -> None:
         self.server = server
-        self.membership = membership
+        self.membership = membership if membership is not None else WorkerDirectory(server)
         nodes = getattr(server, "shards", None)
         #: layer name → shape a whole-server frame may carry, and the same
         #: per shard ([] unsharded); read off θ0, which needs no lock
@@ -108,20 +107,16 @@ class ServerService:
             ):
                 raise ValueError(f"layer {name!r} indexes outside its {math.prod(shape)} elements")
 
-    def __call__(self, frame: GradientFrame, shard: "int | None" = None):
-        """Dispatch one gradient frame; ``shard`` overrides the frame's own
-        shard slot when a byte transport already peeked it off the header.
-        A frame that does not fit the server's state raises ``ValueError``
-        (see :meth:`check`) and changes nothing."""
-        shard = getattr(frame, "shard", -1) if shard is None else shard
+    def __call__(self, frame: GradientFrame):
+        """Dispatch one gradient frame to the shard its header names (or
+        the whole server) and stamp the reply with the same shard id, so a
+        client that split its step reassembles by stamp.  A frame that
+        does not fit the server's state raises ``ValueError`` (see
+        :meth:`check`) and changes nothing."""
+        shard = frame.shard
         self.check(frame.message, shard)
         if shard >= 0:
-            # Shard-addressed frame (routed off the header by the
-            # transport): dispatch straight to that shard and stamp the
-            # reply with the same shard id so the worker can reassemble.
-            return reply_frame(
-                self.server.handle_shard(shard, frame.message), shard=shard
-            )
+            return reply_frame(self.server.handle_shard(shard, frame.message), shard=shard)
         return reply_frame(self.server.handle(frame.message))
 
     def control(self, frame: ControlFrame):
@@ -130,16 +125,19 @@ class ServerService:
         ``join`` bootstraps the worker's ``v_k`` from ``M_t`` under the
         (per-shard) server lock and returns the :class:`ModelFrame` reply
         carrying θ_t; ``leave`` deregisters and returns ``None`` (one-way).
-        A join with a negative worker id raises ``ValueError``.
+        A join is accepted for an id the server already holds or the next
+        one (``0 … num_workers``): any other id raises ``ValueError``
+        before the server grows one model-sized ``v_k`` per skipped id.
         """
         if frame.op == "join":
-            if self.membership is not None:
-                msg = self.membership.register(frame.worker_id)
-            else:
-                msg = self.server.bootstrap_worker(frame.worker_id)
-            return reply_frame(msg)
-        if self.membership is not None:
-            self.membership.deregister(frame.worker_id)
+            workers = self.server.num_workers
+            if not 0 <= frame.worker_id <= workers:
+                raise ValueError(
+                    f"join of worker {frame.worker_id}: a server of {workers} workers "
+                    f"admits ids 0..{workers}"
+                )
+            return reply_frame(self.membership.register(frame.worker_id))
+        self.membership.deregister(frame.worker_id)
         return None
 
     def register_locks(self, registry) -> None:
@@ -149,8 +147,7 @@ class ServerService:
         :meth:`~repro.ps.sharded.ShardedParameterServer.register_lock` —
         one entry per shard, plus the membership directory's lock)."""
         self.server.register_lock(registry)
-        if self.membership is not None and hasattr(self.membership, "register_lock"):
-            self.membership.register_lock(registry)
+        self.membership.register_lock(registry)
 
 
 def _shapes(theta0: "Mapping[str, object]") -> "dict[str, tuple]":
@@ -159,62 +156,226 @@ def _shapes(theta0: "Mapping[str, object]") -> "dict[str, tuple]":
 
 @dataclass
 class ServeReport:
-    """What the serving loop observed across all worker channels."""
+    """What the serving loop observed across all worker channels.
 
-    #: summed final accounting from clean close frames
+    Who joined and left, and why anyone departed, is the membership
+    directory's record (:class:`~repro.ps.membership.WorkerDirectory`);
+    every channel the loop ended counts once, as ``clean_closes`` or as
+    one entry of ``errors``.
+    """
+
+    #: summed final accounting from close frames
     samples_processed: int = 0
     worker_state_bytes: int = 0
-    #: human-readable crash/error descriptions, one per failed worker
+    #: one description per channel that ended without a clean close
     errors: "list[str]" = field(default_factory=list)
     clean_closes: int = 0
-    crashes: int = 0
     #: worker_id → TelemetryFrame shipped before that worker's close
     telemetry: "dict[int, TelemetryFrame]" = field(default_factory=dict)
-    #: membership traffic observed by the loop
-    joins: int = 0
-    leaves: int = 0
     evictions: int = 0
-    #: gradient frames applied (drives checkpoint cadence)
+    #: gradient steps applied (one per whole frame or split step)
     updates: int = 0
+    #: actual bytes through the channels the loop ended, frame headers
+    #: included: received from the workers (up) and sent to them (down)
+    wire_bytes_up: int = 0
+    wire_bytes_down: int = 0
+
+
+class _ServeLoop:
+    """The state of one :func:`serve_channels` call, keyed by waitable."""
+
+    def __init__(
+        self,
+        service: ServerService,
+        stats: "CompressionStats | None",
+        on_update: "Callable[[float], None] | None",
+    ) -> None:
+        self.service = service
+        self.stats = stats
+        self.on_update = on_update
+        self.report = ServeReport()
+        self.open: "dict[object, object]" = {}  # waitable → channel
+        self.last_seen: "dict[object, float]" = {}
+        #: waitable → the worker id the channel joined or sent a step as
+        self.worker_ids: "dict[object, int]" = {}
+        #: replies to a split step's sub-frames, waiting for the rest of the step
+        self.held: "dict[object, list]" = {}
+        #: channels ended so far, however they ended
+        self.ended = 0
+        #: frame kind → handler; any other kind (a reply) ends the channel
+        self.handlers = {
+            GradientFrame: self._gradient,
+            ControlFrame: self._control,
+            TelemetryFrame: self._telemetry,
+            CloseFrame: self._close,
+        }
+
+    def add(self, channel) -> None:
+        self.open[channel.waitable] = channel
+        self.last_seen[channel.waitable] = time.monotonic()
+
+    def end(
+        self, key, error: "str | None" = None, reason: str = "crash", claimed: "int | None" = None
+    ) -> None:
+        """End one channel, whichever way it ended.
+
+        ``error=None`` is a clean close.  Otherwise the report gets one
+        line: the worker's label — the id the channel used, else the one
+        its last frame ``claimed`` — then ``error``, which starts with its
+        own separator (``" sent …"`` for what the server saw, ``": …"``
+        for what the worker reported).  Only an id the channel used is
+        deregistered (with ``reason``), so a peer cannot end an honest
+        worker by naming it.
+        """
+        channel = self.open.pop(key)
+        self.last_seen.pop(key, None)
+        self.held.pop(key, None)
+        who = self.worker_ids.pop(key, None)
+        report = self.report
+        if error is None:
+            report.clean_closes += 1
+        else:
+            named = who if who is not None else claimed
+            report.errors.append(("worker" if named is None else f"worker {named}") + error)
+            if who is not None:
+                self.service.membership.deregister(who, reason=reason)
+        report.wire_bytes_up += channel.wire_bytes_received
+        report.wire_bytes_down += channel.wire_bytes_sent
+        try:
+            channel.close()
+        except OSError:
+            pass
+        self.ended += 1
+
+    def receive(self, key) -> None:
+        """Read one frame off a ready channel and hand it to its kind's handler."""
+        channel = self.open[key]
+        self.last_seen[key] = time.monotonic()
+        try:
+            frame = decode_frame(channel.recv_raw())
+        except (EOFError, OSError):
+            self.end(key, " channel closed without a close frame (crash)")
+            return
+        except ValueError as exc:
+            # Bytes that are not a frame are that peer's failure, not the
+            # server's: end the channel, keep serving the rest.
+            self.end(key, f" sent a malformed frame: {exc} (crash)")
+            return
+        handler = self.handlers.get(type(frame))
+        if handler is None:
+            self.end(key, f" sent an unexpected {type(frame).__name__} (crash)")
+            return
+        handler(key, channel, frame)
+
+    def evict_stragglers(self, timeout_s: float) -> None:
+        cutoff = time.monotonic() - timeout_s
+        for key in [k for k, seen in self.last_seen.items() if seen < cutoff]:
+            self.report.evictions += 1
+            self.end(key, f" evicted as straggler (silent > {timeout_s:g}s)", reason="evicted")
+
+    def _reject(self, key, frame, exc: ValueError) -> None:
+        # A frame that does not fit the server's state is, like undecodable
+        # bytes, that peer's failure: nothing was applied, and the id it
+        # claimed is not recorded as the channel's.
+        self.end(key, f" sent a frame the server cannot apply: {exc} (crash)", claimed=frame.worker_id)
+
+    # -- one handler per frame kind -------------------------------------
+    def _gradient(self, key, channel, frame: GradientFrame) -> None:
+        try:
+            reply = self.service(frame)
+        except ValueError as exc:
+            self._reject(key, frame, exc)
+            return
+        self.worker_ids[key] = frame.worker_id
+        if self.stats is not None:
+            self.stats.record_upload(frame.nbytes(), frame.dense_nbytes())
+            self.stats.record_download(reply.nbytes(), reply.dense_nbytes())
+        # A step split into sub-frames is answered once its last sub-frame
+        # is handled: both ends write blocking and a sub-frame outgrows the
+        # pipe buffer, so a reply begun while the peer is still writing the
+        # next sub-frame would never finish.
+        replies = self.held.pop(key, [])
+        replies.append((reply, frame.loss))
+        if frame.shard >= 0 and len(replies) < self.service.num_shards:
+            self.held[key] = replies
+            return
+        try:
+            for reply, _ in replies:
+                channel.send(reply)
+        except OSError:
+            self.end(key, " channel broke while sending the reply (crash)")
+            return
+        for reply, loss in replies:
+            if reply.shard > 0:
+                continue  # the step's shard-0 sub-frame is its one accounting token
+            self.report.updates += 1
+            if self.on_update is not None:
+                self.on_update(loss)
+
+    def _control(self, key, channel, frame: ControlFrame) -> None:
+        try:
+            reply = self.service.control(frame)
+        except ValueError as exc:
+            self._reject(key, frame, exc)
+            return
+        self.worker_ids[key] = frame.worker_id
+        if reply is None:
+            return  # a leave is one-way
+        try:
+            channel.send(reply)
+        except OSError:
+            self.end(key, " channel broke during join (crash)")
+
+    def _telemetry(self, key, channel, frame: TelemetryFrame) -> None:
+        # diagnostic side channel: no reply, the channel stays open
+        self.report.telemetry[frame.worker_id] = frame
+
+    def _close(self, key, channel, frame: CloseFrame) -> None:
+        report = self.report
+        if frame.samples_processed is not None:
+            report.samples_processed += frame.samples_processed
+        if frame.worker_state_bytes is not None:
+            report.worker_state_bytes += frame.worker_state_bytes
+        self.end(key, None if frame.error is None else f": {frame.error}", claimed=frame.worker_id)
 
 
 def serve_channels(
     channels: "list",
     service: ServerService,
     stats: "CompressionStats | None" = None,
-    on_loss: "Callable[[float], None] | None" = None,
-    on_update: "Callable[[int], None] | None" = None,
+    on_update: "Callable[[float], None] | None" = None,
     listener: "object | None" = None,
     expected_closes: "int | None" = None,
     straggler_timeout_s: "float | None" = None,
 ) -> ServeReport:
-    """Serve every channel until ``expected_closes`` workers terminate.
+    """Serve every channel until ``expected_closes`` channels have ended.
 
-    The one accept/route/reply loop under the process and socket backends:
+    The one accept/route/reply loop under the process and socket backends.
+    Each frame's kind picks its handler:
 
-    * **gradient** frames are routed by the shard id peeked off the raw
-      header, dispatched through ``service``, and answered on the same
-      channel; ``stats`` records the analytic byte accounting and
-      ``on_loss`` sees each frame's training loss after the reply ships.
-    * **close** frames settle a worker's final accounting; a channel that
-      dies *without* one (EOF / EPIPE), delivers bytes that do not
-      decode, sends a frame of a reply kind, a gradient that does not fit
-      the server's state (:meth:`ServerService.check`) or a join it
-      cannot apply, or cannot take its
-      reply is a crash of *that* channel: it is counted, becomes an error
-      on the report, and the membership layer deregisters the worker — a
-      graceful partial result, never a hang, and never the end of service
-      for the other workers.
-    * **telemetry** frames are absorbed onto the report (no reply).
+    * **gradient** frames are dispatched through ``service`` (to the shard
+      their header names, if any) and answered on the same channel;
+      ``stats`` records the analytic byte accounting and ``on_update``
+      sees each step's training loss after its reply ships.
     * **control** frames run the membership handshake via
       :meth:`ServerService.control`; a join's ModelFrame reply ships back
       on the worker's channel.
+    * **telemetry** frames are absorbed onto the report (no reply).
+    * **close** frames settle a worker's final accounting and end the
+      channel — cleanly, or as an error if the frame carries one.
+
+    Any other ending is that channel's crash: EOF / EPIPE without a close
+    frame, bytes that do not decode, a frame of a reply kind, a gradient
+    that does not fit the server's state (:meth:`ServerService.check`) or
+    a join it cannot apply, or a reply that cannot be sent.  It becomes
+    an error on the report and the membership directory deregisters the
+    worker — a graceful partial result, never a hang, and never the end
+    of service for the other workers.
+
     * ``listener`` (optional) is polled alongside the channels; accepted
       connections join the serve set — elastic workers connect mid-run.
     * ``straggler_timeout_s`` (optional) evicts a channel that has been
-      silent for that long: the channel is closed, the eviction recorded
-      as an error (partial-result semantics, same as a crash), and the
-      membership layer notified.
+      silent for that long, through the same ending (reason "evicted").
 
     ``expected_closes`` defaults to ``len(channels)``; pass the total
     worker count when a listener will deliver some of them later.
@@ -226,160 +387,27 @@ def serve_channels(
     the last one.  (A client that waits for a sub-frame's reply before
     sending the next sub-frame waits forever; send the step, then read.)
 
-    One update == one worker step: ``report.updates`` (and the ``on_loss``
-    / ``on_update`` cadence) counts whole-server frames and, of a split
+    One update == one worker step: ``report.updates`` (and the
+    ``on_update`` cadence) counts whole-server frames and, of a split
     step, only the shard-0 sub-frame (every step touches shard 0 exactly
     once).
     """
-    report = ServeReport()
-    membership = service.membership
-    open_channels = {ch.waitable: ch for ch in channels}
-    worker_ids: "dict[object, int]" = {}  # waitable → last known worker id
-    last_seen = {w: time.monotonic() for w in open_channels}
+    loop = _ServeLoop(service, stats, on_update)
+    for channel in channels:
+        loop.add(channel)
     expected = len(channels) if expected_closes is None else expected_closes
-    terminated = 0
-    #: replies to a split step's sub-frames, waiting for the rest of the step
-    held: "dict[object, list]" = {}
     poll = None if straggler_timeout_s is None else max(straggler_timeout_s / 4.0, 0.01)
-
-    def _drop(waitable, channel) -> None:
-        open_channels.pop(waitable, None)
-        last_seen.pop(waitable, None)
-        held.pop(waitable, None)
-        try:
-            channel.close()
-        except OSError:
-            pass
-
-    def _crash(
-        waitable, channel, what: str, reason: str = "crash", claimed: "int | None" = None
-    ) -> None:
-        # The report names the id the channel used, else the one its last
-        # frame claimed; only an id it used is deregistered.
-        who = worker_ids.get(waitable)
-        named = who if who is not None else claimed
-        label = f"worker {named}" if named is not None else "worker"
-        report.crashes += 1
-        report.errors.append(f"{label} {what}")
-        if who is not None and membership is not None:
-            membership.deregister(who, reason=reason)
-        _drop(waitable, channel)
-
-    while terminated < expected:
-        waitables = list(open_channels)
+    while loop.ended < expected:
+        waitables = list(loop.open)
         if listener is not None:
             waitables.append(listener.waitable)
         if not waitables:
             break  # nothing left to wait on; remaining workers never arrived
-        ready = wait(waitables, timeout=poll)
-        now = time.monotonic()
-        for obj in ready:
-            if listener is not None and obj is listener.waitable:
-                accepted = listener.accept()
-                open_channels[accepted.waitable] = accepted
-                last_seen[accepted.waitable] = now
-                continue
-            channel = open_channels[obj]
-            last_seen[obj] = now
-            try:
-                raw = channel.recv_raw()
-                frame, shard = decode_frame(raw), peek_shard(raw)
-            except (EOFError, OSError):
-                _crash(obj, channel, "channel closed without a close frame (crash)")
-                terminated += 1
-                continue
-            except ValueError as exc:
-                # Bytes that are not a frame are that peer's failure, not
-                # the server's: drop the channel, keep serving the rest.
-                _crash(obj, channel, f"sent a malformed frame: {exc} (crash)")
-                terminated += 1
-                continue
-            if isinstance(frame, CloseFrame):
-                worker_ids[obj] = frame.worker_id
-                if frame.samples_processed is not None:
-                    report.samples_processed += frame.samples_processed
-                if frame.worker_state_bytes is not None:
-                    report.worker_state_bytes += frame.worker_state_bytes
-                if frame.error is not None:
-                    report.crashes += 1
-                    report.errors.append(f"worker {frame.worker_id}: {frame.error}")
-                else:
-                    report.clean_closes += 1
-                _drop(obj, channel)
-                terminated += 1
-                continue
-            if isinstance(frame, TelemetryFrame):
-                report.telemetry[frame.worker_id] = frame
-                continue  # diagnostic side channel: no reply, channel stays open
-            if not isinstance(frame, (ControlFrame, GradientFrame)):
-                _crash(obj, channel, f"sent an unexpected {type(frame).__name__} (crash)")
-                terminated += 1
-                continue
-            try:
-                if isinstance(frame, ControlFrame):
-                    reply = service.control(frame)
-                else:
-                    reply = service(frame, shard=shard)
-            except ValueError as exc:
-                # A frame that does not fit the server's state is, like
-                # undecodable bytes, that peer's failure: nothing was applied,
-                # and the id it claimed is not recorded as the channel's.
-                _crash(
-                    obj,
-                    channel,
-                    f"sent a frame the server cannot apply: {exc} (crash)",
-                    claimed=frame.worker_id,
-                )
-                terminated += 1
-                continue
-            worker_ids[obj] = frame.worker_id
-            if isinstance(frame, ControlFrame):
-                if frame.op == "join":
-                    report.joins += 1
-                    try:
-                        channel.send(reply)
-                    except OSError:
-                        _crash(obj, channel, "channel broke during join (crash)")
-                        terminated += 1
-                else:
-                    report.leaves += 1
-                continue
-            if stats is not None:
-                stats.record_upload(frame.nbytes(), frame.dense_nbytes())
-                stats.record_download(reply.nbytes(), reply.dense_nbytes())
-            # A step split into sub-frames is answered once its last
-            # sub-frame is handled: both ends write blocking and a sub-frame
-            # outgrows the pipe buffer, so a reply begun while the peer is
-            # still writing the next sub-frame would never finish.
-            replies = held.pop(obj, [])
-            replies.append((reply, shard, frame.loss))
-            if shard >= 0 and len(replies) < service.num_shards:
-                held[obj] = replies
-                continue
-            try:
-                for reply, _, _ in replies:
-                    channel.send(reply)
-            except OSError:
-                _crash(obj, channel, "channel broke while sending the reply (crash)")
-                terminated += 1
-                continue
-            for _, reply_shard, loss in replies:
-                if reply_shard > 0:
-                    continue  # the step's shard-0 sub-frame is its one accounting token
-                report.updates += 1
-                if on_loss is not None:
-                    on_loss(loss)
-                if on_update is not None:
-                    on_update(report.updates)
+        for key in wait(waitables, timeout=poll):
+            if listener is not None and key is listener.waitable:
+                loop.add(listener.accept())
+            else:
+                loop.receive(key)
         if straggler_timeout_s is not None:
-            cutoff = time.monotonic() - straggler_timeout_s
-            for obj in [w for w, seen in last_seen.items() if seen < cutoff]:
-                report.evictions += 1
-                _crash(
-                    obj,
-                    open_channels[obj],
-                    f"evicted as straggler (silent > {straggler_timeout_s:g}s)",
-                    reason="evicted",
-                )
-                terminated += 1
-    return report
+            loop.evict_stragglers(straggler_timeout_s)
+    return loop.report

@@ -147,31 +147,6 @@ def _worker_main(
         )
 
 
-class _RecordingListener:
-    """Listener wrapper keeping every accepted channel reachable, so the
-    trainer can sum wire-byte counters after the serve loop drops them."""
-
-    def __init__(self, listener) -> None:
-        self.listener = listener
-        self.accepted: "list" = []
-
-    @property
-    def address(self) -> "tuple[str, int]":
-        return self.listener.address
-
-    @property
-    def waitable(self):
-        return self.listener.waitable
-
-    def accept(self):
-        channel = self.listener.accept()
-        self.accepted.append(channel)
-        return channel
-
-    def close(self) -> None:
-        self.listener.close()
-
-
 class RemoteTrainer:
     """PS training with forked worker processes exchanging frame bytes
     with this process over ``transport`` (``"pipe"`` or ``"tcp"``)."""
@@ -211,14 +186,12 @@ class RemoteTrainer:
         self.membership = WorkerDirectory(self.server)
 
     # ------------------------------------------------------------------
-    def listen(self) -> _RecordingListener:
+    def listen(self) -> SocketListener:
         """Bind the TCP listener workers connect to (``config.bind``, or
         loopback with an ephemeral port)."""
         bind = self.config.bind
         host, port = bind if bind is not None else ("127.0.0.1", 0)
-        return _RecordingListener(
-            SocketListener(host, port, read_timeout_s=self.config.evict_after_s)
-        )
+        return SocketListener(host, port, read_timeout_s=self.config.evict_after_s)
 
     def run(self) -> TrainResult:
         """Fork the workers, then :meth:`serve` them to completion."""
@@ -256,7 +229,7 @@ class RemoteTrainer:
     def serve(
         self,
         channels: "list",
-        listener: "_RecordingListener | None" = None,
+        listener: "SocketListener | None" = None,
         workers: "list[mp.Process] | tuple" = (),
     ) -> TrainResult:
         """The server half: serve ``channels`` (pre-wired pipes) and any
@@ -266,8 +239,10 @@ class RemoteTrainer:
         t_start = time.perf_counter()
         loss_curve = Curve("loss_vs_server_step")
 
-        def on_update(updates: int) -> None:
-            if updates % config.checkpoint_every == 0:
+        def on_update(loss: float) -> None:
+            updates = len(loss_curve) + 1
+            loss_curve.add(updates, loss)
+            if config.checkpoint_every is not None and updates % config.checkpoint_every == 0:
                 save_checkpoint(self.server, config.checkpoint_path)
 
         try:
@@ -275,8 +250,7 @@ class RemoteTrainer:
                 channels,
                 ServerService(self.server, membership=self.membership),
                 stats=self.server.stats,
-                on_loss=lambda loss: loss_curve.add(len(loss_curve) + 1, loss),
-                on_update=on_update if config.checkpoint_every is not None else None,
+                on_update=on_update,
                 listener=listener,
                 expected_closes=config.num_workers,
                 straggler_timeout_s=config.evict_after_s,
@@ -307,7 +281,6 @@ class RemoteTrainer:
         )
         stats = self.server.stats
         staleness = self.server.staleness_summary()
-        wired = list(channels) + (listener.accepted if listener is not None else [])
         return TrainResult(
             method=self.method.name,
             backend=_BACKENDS[self.transport],
@@ -327,8 +300,8 @@ class RemoteTrainer:
             download_bytes=stats.download_bytes,
             upload_dense_bytes=stats.upload_dense_bytes,
             download_dense_bytes=stats.download_dense_bytes,
-            wire_bytes_up=sum(ch.wire_bytes_received for ch in wired),
-            wire_bytes_down=sum(ch.wire_bytes_sent for ch in wired),
+            wire_bytes_up=report.wire_bytes_up,
+            wire_bytes_down=report.wire_bytes_down,
             makespan_s=elapsed,
             clock="wall",
             server_state_bytes=self.server.server_state_bytes(),

@@ -144,7 +144,6 @@ class ParameterServer:
         #: how long it held it — the HOGWILD bottleneck signal (seconds).
         self.lock_wait_meter = AverageMeter("lock_wait_s")
         self.lock_hold_meter = AverageMeter("lock_hold_s")
-        self.worker_lock_wait: "dict[int, AverageMeter]" = {}
         #: raw per-worker staleness observations (exact p50/p99 for
         #: TrainResult; the registry's bucketed series are the streamable
         #: approximation for metrics.jsonl / health checks)
@@ -194,11 +193,6 @@ class ParameterServer:
             wait = t_acquired - t_request
             self.lock_wait_meter.update(wait)
             self.lock_hold_meter.update(t_done - t_acquired)
-            per_worker = self.worker_lock_wait.get(msg.worker_id)
-            if per_worker is None:
-                per_worker = AverageMeter(f"lock_wait_s[w{msg.worker_id}]")
-                self.worker_lock_wait[msg.worker_id] = per_worker
-            per_worker.update(wait)
 
         # Bucketed series are observed outside the lock (their own fine-
         # grained locks must never nest inside the server lock), same as

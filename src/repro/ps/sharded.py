@@ -197,9 +197,9 @@ class ShardedParameterServer:
     def handle_shard(self, shard_id: int, msg: GradientMessage) -> "DiffMessage | ModelMessage":
         """Route a shard-addressed message straight to one shard.
 
-        Transports that read the shard id off the frame header
-        (:func:`repro.comm.frames.peek_shard`) dispatch here without
-        touching the payload or the other shards.
+        A shard-addressed frame (its header's shard id, see
+        :mod:`repro.comm.frames`) is dispatched here without touching the
+        other shards.
         """
         return self.shards[shard_id].handle(msg)
 

@@ -186,7 +186,8 @@ class TestRegistrationHooks:
         service = ServerService(self.make_server())
         registry = LockRegistry()
         service.register_locks(registry)
-        assert registry.names == ("ps",)
+        # the server's lock, then the directory the service built for it
+        assert registry.names == ("ps", "ps.membership")
 
 
 class TestGuardedAttrsConsistency:

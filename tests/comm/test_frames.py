@@ -2,18 +2,21 @@
 
 from __future__ import annotations
 
+import struct
+
 import numpy as np
 import pytest
 
 from repro.comm import (
     FRAME_MAGIC,
+    KIND_GRADIENT,
     CloseFrame,
     DiffFrame,
     GradientFrame,
     ModelFrame,
     decode_frame,
     encode_frame,
-    peek_shard,
+    peek_kind,
     reply_frame,
 )
 from repro.compression import SparseTensor
@@ -121,7 +124,7 @@ class TestShardRouting:
     def test_default_shard_is_whole_server(self):
         frame = GradientFrame(GradientMessage(0, {"w": _sparse()}, 0), 0.0)
         assert frame.shard == -1
-        assert peek_shard(encode_frame(frame)) == -1
+        assert decode_frame(encode_frame(frame)).shard == -1
 
     @pytest.mark.parametrize("shard", [0, 3, 1000])
     def test_shard_roundtrips_on_payload_frames(self, shard):
@@ -135,21 +138,22 @@ class TestShardRouting:
         )
         assert decode_frame(encode_frame(model)).shard == shard
 
-    def test_peek_shard_reads_header_without_decoding(self):
+    def test_peek_kind_reads_header_without_decoding(self):
         raw = encode_frame(
             GradientFrame(GradientMessage(0, {"w": _sparse()}, 0), 0.0, shard=7)
         )
         # the fixed-size header is enough: the payload may be truncated
-        assert peek_shard(raw[:4]) == 7
+        assert peek_kind(raw[:4]) == KIND_GRADIENT
         with pytest.raises(ValueError, match="truncated"):
-            peek_shard(raw[:3])
+            peek_kind(raw[:3])
         bad = bytearray(raw)
         bad[0] ^= 0xFF
         with pytest.raises(ValueError, match="magic"):
-            peek_shard(bytes(bad))
+            peek_kind(bytes(bad))
 
     def test_control_frames_are_never_shard_addressed(self):
-        assert peek_shard(encode_frame(CloseFrame(worker_id=2))) == -1
+        raw = encode_frame(CloseFrame(worker_id=2))
+        assert struct.unpack_from("<h", raw, 2) == (-1,)  # the header's shard slot
 
     def test_reply_frame_stamps_shard(self):
         reply = reply_frame(DiffMessage(0, {}, 0, 0), shard=5)

@@ -3,8 +3,9 @@
 The trainers exercise the happy path end-to-end; these tests drive the
 loop directly from a fake worker thread so each branch is pinned in
 isolation: elastic accept through the listener, the join/leave control
-handshake, crash-on-EOF, a malformed frame, straggler eviction, close
-accounting, and shard-addressed sub-frames against a sharded server.
+handshake, every way a channel ends (one parametrized test), a malformed
+frame, straggler eviction, close accounting, and shard-addressed
+sub-frames against a sharded server.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import pytest
 from repro.comm import (
     CONTROL_JOIN,
     CONTROL_LEAVE,
+    ChannelClosed,
     CloseFrame,
     ControlFrame,
     DiffFrame,
@@ -41,17 +43,17 @@ from repro.ps.messages import DiffMessage, GradientMessage
 NUM_SHARDS = 4  # MLP(6, (8,), 3) has exactly 4 tensors -> 4 non-empty shards
 
 
-def _make_service(num_workers: int = 2, with_membership: bool = True, num_shards: int = 1):
+def _make_service(num_workers: int = 2, num_shards: int = 1, method: str = "asgd"):
     model = MLP(6, (8,), 3, seed=2)
     server = build_server(
-        get_method("asgd"),
+        get_method(method),
         parameters_of(model),
         num_workers,
         Hyper(lr=0.1, momentum=0.0),
         num_shards=num_shards,
     )
-    membership = WorkerDirectory(server) if with_membership else None
-    return ServerService(server, membership=membership), server, membership
+    service = ServerService(server)
+    return service, server, service.membership
 
 
 def _grad_for(server, worker_id: int, scale: float = 0.01):
@@ -155,8 +157,8 @@ class TestElasticServe:
         finally:
             listener.close()
             t.join(timeout=10)
-        assert (report.joins, report.leaves) == (1, 1)
-        assert report.clean_closes == 1 and report.crashes == 0
+        assert (membership.snapshot()["joins"], membership.snapshot()["leaves"]) == (1, 1)
+        assert report.clean_closes == 1 and report.errors == []
         assert report.updates == 1
         assert report.samples_processed == 16
         assert report.worker_state_bytes == 64
@@ -164,7 +166,7 @@ class TestElasticServe:
 
     def test_join_bootstraps_vk_to_current_model(self):
         """Eq. 5's elastic extension: a joiner starts with v_k == M_t."""
-        service, server, _ = _make_service(num_workers=1)
+        service, server, membership = _make_service(num_workers=1)
         listener = SocketListener()
         host, port = listener.address
         done = threading.Event()
@@ -194,7 +196,9 @@ class TestElasticServe:
         finally:
             listener.close()
             t.join(timeout=10)
-        assert done.is_set() and report.joins == 2
+        assert done.is_set() and report.errors == []
+        assert server.num_workers == 2  # the join of the next id grew the server by one
+        assert membership.snapshot()["joins"] == 2
         # after bootstrap, the joiner's reference model equals θ_t exactly
         joined = server.worker_model(1)
         current = server.global_model()
@@ -219,7 +223,7 @@ class TestElasticServe:
         finally:
             listener.close()
             t.join(timeout=10)
-        assert report.crashes == 1 and report.clean_closes == 0
+        assert len(report.errors) == 1 and report.clean_closes == 0
         assert any("without a close frame" in e for e in report.errors)
         assert membership.members == {0: "crash"}
 
@@ -274,9 +278,11 @@ class TestElasticServe:
         assert list(report.telemetry[0].spans) == list(spans)
 
     def test_join_without_membership_still_bootstraps(self):
-        """membership=None: the control plane works, minus the bookkeeping."""
-        service, server, membership = _make_service(num_workers=1, with_membership=False)
-        assert membership is None
+        """A service built without a directory builds its own: the join
+        bootstraps the worker and is recorded there."""
+        model = MLP(6, (8,), 3, seed=2)
+        server = build_server(get_method("asgd"), parameters_of(model), 1, Hyper(lr=0.1))
+        service = ServerService(server)
         listener = SocketListener()
         host, port = listener.address
 
@@ -294,7 +300,9 @@ class TestElasticServe:
         finally:
             listener.close()
             t.join(timeout=10)
-        assert report.joins == 1
+        assert report.clean_closes == 1
+        assert isinstance(service.membership, WorkerDirectory)
+        assert service.membership.snapshot()["joins"] == 1
 
 
 class TestMalformedFrame:
@@ -327,7 +335,7 @@ class TestMalformedFrame:
         )
         assert len(report.errors) == 1
         assert "worker 1" in report.errors[0] and "malformed" in report.errors[0]
-        assert report.crashes == 1 and report.clean_closes == 1
+        assert report.clean_closes == 1
         assert completed == list(range(steps))
         assert report.updates == steps + 1
         assert report.samples_processed == steps
@@ -381,7 +389,7 @@ class TestMalformedFrame:
                     channel.close()
 
         report = _run_driver(driver, serve)
-        assert report.crashes == 1 and report.clean_closes == 1
+        assert report.clean_closes == 1
         assert report.updates == steps and report.samples_processed == steps
         assert len(report.errors) == 1 and "cannot apply" in report.errors[0]
         assert server.num_workers == 2 and server.timestamp == steps
@@ -390,7 +398,7 @@ class TestMalformedFrame:
 
     @pytest.mark.parametrize("cut", [2, 8, 40], ids=["header", "loss", "body"])
     def test_truncated_gradient_frame_is_a_channel_crash(self, cut):
-        service, server, _ = _make_service(num_workers=1, with_membership=False)
+        service, server, _ = _make_service(num_workers=1)
         a, b = mp.Pipe(duplex=True)
         raw = bytes(encode_frame(_grad_for(server, 0)))
 
@@ -400,8 +408,47 @@ class TestMalformedFrame:
             ch.close()
 
         report = _run_driver(driver, lambda: serve_channels([PipeChannel(a)], service))
-        assert report.crashes == 1 and report.updates == 0
+        assert report.clean_closes == 0 and report.updates == 0
         assert len(report.errors) == 1 and "malformed" in report.errors[0]
+
+    def test_join_far_past_the_worker_count_allocates_nothing(self):
+        """A join may name an id the server holds or the next one; a join
+        of id 50 would grow a 2-worker DGS server by 49 model-sized v_k.
+        It crashes only its own channel, and the server ends as large as
+        in a run the bad join never reached."""
+        steps = 3
+
+        def run(bad_join: bool):
+            service, server, membership = _make_service(num_workers=2, method="dgs")
+            ends = [mp.Pipe(duplex=True) for _ in range(2 if bad_join else 1)]
+            server_ends = [PipeChannel(a) for a, _ in ends]
+            good, *bad = (PipeChannel(b) for _, b in ends)
+
+            def driver():
+                for channel in bad:
+                    channel.send(ControlFrame(50, CONTROL_JOIN))
+                good.send(ControlFrame(0, CONTROL_JOIN))
+                assert isinstance(good.recv(), ModelFrame)
+                for r in range(steps):
+                    _whole_step(good, server, 0, r)
+                good.send(ControlFrame(0, CONTROL_LEAVE))
+                good.send(CloseFrame(worker_id=0, samples_processed=steps))
+                for channel in (good, *bad):
+                    channel.close()
+
+            report = _run_driver(
+                driver, lambda: serve_channels(server_ends, service, stats=server.stats)
+            )
+            assert report.clean_closes == 1 and report.updates == steps
+            assert membership.members == {0: "left"}
+            assert server.num_workers == 2
+            return report, server.server_state_bytes()
+
+        clean_report, clean_bytes = run(bad_join=False)
+        report, state_bytes = run(bad_join=True)
+        assert state_bytes == clean_bytes
+        assert clean_report.errors == []
+        assert len(report.errors) == 1 and "worker 50" in report.errors[0]
 
 
 class _RepliesFailAfter(PipeChannel):
@@ -418,49 +465,150 @@ class _RepliesFailAfter(PipeChannel):
         super().send(frame)
 
 
-class TestEveryChannelFailureIsACrash:
-    """However a joined worker's channel fails, the loop counts one crash
-    and deregisters the worker, so the report and the directory agree."""
+def _join(channel, worker_id: int = 1) -> None:
+    channel.send(ControlFrame(worker_id, CONTROL_JOIN))
+    assert isinstance(channel.recv(), ModelFrame)
 
-    def _serve_one(self, service, frames, ok_replies):
-        a, b = mp.Pipe(duplex=True)
-        worker = PipeChannel(b)
-        for frame in frames:  # small frames: they wait in the pipe's buffer
-            worker.send(frame)
-        report = serve_channels([_RepliesFailAfter(a, ok_replies)], service)
-        worker.close()
-        return report
 
-    def _assert_one_crash(self, report, membership, what):
-        assert report.crashes == 1
-        assert membership.active() == []
-        assert membership.members == {0: "crash"}
-        assert len(report.errors) == 1 and what in report.errors[0]
-        assert report.errors[0].startswith("worker 0 ")
+# What worker 1 does on its channel, one function per way a channel ends.
+def _end_clean_close(channel, server):
+    _join(channel)
+    channel.send(ControlFrame(1, CONTROL_LEAVE))
+    channel.send(CloseFrame(worker_id=1, samples_processed=4))
 
-    def test_frame_of_a_reply_kind(self):
-        service, _, membership = _make_service(num_workers=1)
-        diff = DiffFrame(DiffMessage(0, {}, server_timestamp=0, staleness=0))
-        report = self._serve_one(service, [ControlFrame(0, CONTROL_JOIN), diff], ok_replies=1)
-        self._assert_one_crash(report, membership, "unexpected DiffFrame")
 
-    def test_join_reply_that_cannot_be_sent(self):
-        service, _, membership = _make_service(num_workers=1)
-        report = self._serve_one(service, [ControlFrame(0, CONTROL_JOIN)], ok_replies=0)
-        assert report.joins == 1
-        self._assert_one_crash(report, membership, "during join")
+def _end_close_with_error(channel, server):
+    _join(channel)
+    channel.send(CloseFrame(worker_id=1, samples_processed=8, error="RuntimeError: boom"))
 
-    def test_gradient_reply_that_cannot_be_sent(self):
-        service, server, membership = _make_service(num_workers=1)
-        frames = [ControlFrame(0, CONTROL_JOIN), _grad_for(server, 0)]
-        report = self._serve_one(service, frames, ok_replies=1)
-        assert report.updates == 0
-        self._assert_one_crash(report, membership, "sending the reply")
+
+def _end_eof(channel, server):
+    _join(channel)
+    channel.close()  # hard death: no leave, no close frame
+
+
+def _end_not_a_frame(channel, server):
+    _join(channel)
+    channel.send_raw(b"not a repro.comm frame")
+
+
+def _end_reply_kind(channel, server):
+    _join(channel)
+    channel.send(DiffFrame(DiffMessage(1, {}, server_timestamp=0, staleness=0)))
+
+
+def _end_cannot_apply(channel, server):
+    _join(channel)
+    channel.send(GradientFrame(GradientMessage(1, {"no.such.layer": np.zeros(3)}, 0), loss=0.5))
+
+
+def _end_join_out_of_range(channel, server):
+    channel.send(ControlFrame(50, CONTROL_JOIN))
+
+
+def _end_join_send_fails(channel, server):
+    channel.send(ControlFrame(1, CONTROL_JOIN))  # its reply never goes out
+
+
+def _end_reply_send_fails(channel, server):
+    _join(channel)
+    channel.send(_grad_for(server, 1))  # its reply never goes out
+
+
+def _end_straggler(channel, server):
+    _join(channel)  # then silent until the server evicts it
+
+
+class _RepliesFailAfter(PipeChannel):
+    """Server end of a pipe whose sends raise once ``ok`` replies went out."""
+
+    def __init__(self, connection, ok: int) -> None:
+        super().__init__(connection)
+        self.ok = ok
+
+    def send(self, frame) -> None:
+        if self.ok == 0:
+            raise BrokenPipeError("the peer stopped reading")
+        self.ok -= 1
+        super().send(frame)
+
+
+#: id → (what worker 1 does, replies its server end can send, how the
+#: report's error line starts, worker 1's directory entry afterwards)
+CHANNEL_ENDS = {
+    "clean-close": (_end_clean_close, None, None, "left"),
+    "close-with-error": (_end_close_with_error, None, "worker 1: RuntimeError: boom", "crash"),
+    "eof": (_end_eof, None, "worker 1 channel closed without a close frame", "crash"),
+    "not-a-frame": (_end_not_a_frame, None, "worker 1 sent a malformed frame", "crash"),
+    "reply-kind": (_end_reply_kind, None, "worker 1 sent an unexpected DiffFrame", "crash"),
+    "cannot-apply": (_end_cannot_apply, None, "worker 1 sent a frame the server cannot apply", "crash"),
+    "join-out-of-range": (
+        _end_join_out_of_range, None, "worker 50 sent a frame the server cannot apply", None
+    ),
+    "join-send-fails": (_end_join_send_fails, 0, "worker 1 channel broke during join", "crash"),
+    "reply-send-fails": (
+        _end_reply_send_fails, 1, "worker 1 channel broke while sending the reply", "crash"
+    ),
+    "straggler": (_end_straggler, None, "worker 1 evicted as straggler", "evicted"),
+}
+
+
+class TestEveryChannelEnd:
+    """However a channel ends, the loop returns, counts it exactly once
+    (a clean close or one error), deregisters only the id it used, and
+    adds its wire bytes to the report.  Worker 0 runs a clean session on a
+    second channel alongside, so each case also shows that one ending
+    leaves the other channel alone."""
+
+    @pytest.mark.parametrize("case", list(CHANNEL_ENDS))
+    def test_each_end_is_counted_once(self, case):
+        act, ok_replies, error, reason = CHANNEL_ENDS[case]
+        service, server, membership = _make_service(num_workers=2)
+        pipes = [mp.Pipe(duplex=True) for _ in range(2)]
+        honest, named = (PipeChannel(b) for _, b in pipes)
+        (a0, _), (a1, _) = pipes
+        served = [
+            PipeChannel(a0),
+            PipeChannel(a1) if ok_replies is None else _RepliesFailAfter(a1, ok_replies),
+        ]
+
+        def driver():
+            act(named, server)
+            _join(honest, 0)
+            _whole_step(honest, server, 0, 0)
+            honest.send(ControlFrame(0, CONTROL_LEAVE))
+            honest.send(CloseFrame(worker_id=0, samples_processed=4))
+            for channel in (honest, named):
+                try:
+                    channel.recv()  # returns only when the server hangs up
+                except (EOFError, OSError, ChannelClosed):
+                    pass
+                channel.close()
+
+        timeout = 0.5 if case == "straggler" else None
+        report = _run_driver(
+            driver, lambda: serve_channels(served, service, straggler_timeout_s=timeout)
+        )
+        assert report.clean_closes + len(report.errors) == len(served)
+        assert report.updates == 1  # worker 0's step; worker 1 never completes one
+        if error is None:
+            assert report.errors == []
+        else:
+            assert len(report.errors) == 1 and report.errors[0].startswith(error)
+        # close-frame accounting survives a close that reports an error
+        closed = {"clean-close": 4, "close-with-error": 8}.get(case, 0)
+        assert report.samples_processed == 4 + closed
+        members = membership.members
+        assert members.get(0) == "left"
+        assert members.get(1) == reason
+        assert set(members) <= {0, 1}
+        assert report.wire_bytes_up == honest.wire_bytes_sent + named.wire_bytes_sent
+        assert report.wire_bytes_down == honest.wire_bytes_received + named.wire_bytes_received
 
 
 class TestShardAddressedServe:
     """Shard-addressed sub-frames on the one serve loop: the loop routes by
-    the peeked header to ``handle_shard`` and stamps the reply, so a client
+    the header's shard id to ``handle_shard`` and stamps the reply, so a client
     that splits a step along the partition gets the whole-frame result."""
 
     ROUNDS = 6
@@ -582,8 +730,7 @@ class TestShardAddressedServe:
         assert membership.members == {0: "left", 1: "left", 2: "crash", 3: "left", 4: "left"}
         snap = membership.snapshot()
         assert (snap["joins"], snap["leaves"], snap["crashes"], snap["evictions"]) == (5, 4, 1, 0)
-        assert (report.joins, report.leaves) == (5, 4)
-        assert report.clean_closes == 4 and report.crashes == 1
+        assert report.clean_closes == 4 and len(report.errors) == 1
         assert any("without a close frame" in e for e in report.errors)
         assert 0 in report.telemetry
         assert report.samples_processed == 4 * 10

@@ -173,11 +173,12 @@ def test_two_worker_lockstep_socket_bitwise_equal_to_inproc(
     listener = SocketListener()
     host, port = listener.address
     report = {}
+    service = ServerService(tcp_server)
 
     def serve():
         report["r"] = serve_channels(
             [],
-            ServerService(tcp_server),
+            service,
             stats=tcp_server.stats,
             listener=listener,
             expected_closes=2,
@@ -194,7 +195,7 @@ def test_two_worker_lockstep_socket_bitwise_equal_to_inproc(
         server_thread.join(timeout=30)
         listener.close()
     assert report["r"].errors == []
-    assert report["r"].joins == 2 and report["r"].leaves == 2
+    assert service.membership.members == {0: "left", 1: "left"}
 
     # --- in-proc dispatch with the wire codec round-trip
     inproc_server = _fresh_server(tiny_model_factory, 2)

@@ -15,6 +15,7 @@ from repro.obs import (
     use_tracer,
     validate_chrome_trace,
 )
+from repro.obs import names as obs_names
 from repro.exec import RunConfig
 from repro.exec.remote import RemoteTrainer
 from repro.exec.simulated import SimulatedTrainer
@@ -110,8 +111,16 @@ class TestProcessWiring:
         assert server.lock_wait_meter.count == 8
         assert server.lock_hold_meter.count == 8
         assert server.lock_hold_meter.avg > 0
-        assert set(server.worker_lock_wait) == {0, 1}
-        assert all(m.count == 4 for m in server.worker_lock_wait.values())
+        per_worker = {
+            r["labels"]["worker"]: r
+            for r in server.metrics.snapshot()
+            if r["name"] == obs_names.METRIC_SERVER_LOCK_WAIT_S
+        }
+        assert set(per_worker) == {"0", "1"}
+        assert all(r["count"] == 4 for r in per_worker.values())
+        assert sum(r["sum"] for r in per_worker.values()) == pytest.approx(
+            server.lock_wait_meter.total
+        )
         waits = [r for r in tracer.records() if r["name"] == "server.lock_wait"]
         assert len(waits) == 8
 

@@ -4,11 +4,12 @@ The frame codec itself is property-tested in ``test_prop_frames``; this
 module pins the *transport*: a loopback :class:`SocketChannel` pair must
 deliver any frame the codec can produce byte-identically — including the
 length-prefix reassembly of large frames that arrive in multiple TCP
-segments, and the shard id that ``peek_shard`` reads off the raw bytes
-before decode.
+segments, and the shard id in the raw bytes' header.
 """
 
 from __future__ import annotations
+
+import struct
 
 import numpy as np
 import pytest
@@ -25,7 +26,7 @@ from repro.comm import (
     ModelFrame,
     TelemetryFrame,
 )
-from repro.comm.frames import peek_shard
+from repro.comm.frames import decode_frame
 from repro.comm.socket import SocketChannel, SocketListener
 from repro.compression import SparseTensor
 from repro.ps.messages import DiffMessage, GradientMessage, ModelMessage
@@ -48,9 +49,7 @@ class _LoopbackPair:
         """Send client → server; return (decoded frame, raw shard id)."""
         self.client.send(frame)
         raw = self.server.recv_raw()
-        shard = peek_shard(raw)
-        from repro.comm.frames import decode_frame
-
+        (shard,) = struct.unpack_from("<h", raw, 2)  # the header's shard slot
         return decode_frame(raw), shard
 
     def close(self) -> None:
