@@ -150,14 +150,14 @@ def _concat_encode_dense(frame: GradientFrame) -> bytes:
 class _CopyingChannel(SocketChannel):
     """``SocketChannel`` moving bytes the way it used to: ``prefix + raw``
     into ``sendall``, ``recv()`` chunks joined.  Everything else (closed
-    check, tracer lookup, ``settimeout`` per read, counters) is the live
-    class's, so the pair differs in the copies alone."""
+    check, tracer lookup, counters) is the live class's, so the pair
+    differs in the copies alone."""
 
-    def _send_record(self, raw) -> None:
+    def _send_record(self, segments, nbytes: int) -> None:
+        raw = b"".join(bytes(seg) for seg in segments)
         self._sock.sendall(_LENGTH.pack(len(raw)) + raw)
 
     def _recv_exactly(self, n: int) -> bytes:
-        self._sock.settimeout(self.read_timeout_s)
         chunks = []
         while n:
             chunk = self._sock.recv(n)
@@ -166,6 +166,11 @@ class _CopyingChannel(SocketChannel):
             chunks.append(chunk)
             n -= len(chunk)
         return b"".join(chunks)
+
+    def _recv_record(self) -> bytes:
+        self._sock.settimeout(self.read_timeout_s)
+        (length,) = _LENGTH.unpack(self._recv_exactly(_LENGTH.size))
+        return self._recv_exactly(length)
 
 
 def _echo_round_trip(channel_cls):

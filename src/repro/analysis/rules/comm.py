@@ -4,7 +4,7 @@ The channel layer is the only place allowed to turn messages into bytes:
 ``repro.comm`` owns frame encode/decode and the pipe and TCP transports,
 and ``ps/codec.py`` owns the payload codec it delegates to.  Anywhere
 else, ``import struct``, ``import socket``, ``multiprocessing.connection``
-imports, or direct ``encode_message`` / ``decode_message`` calls mean a
+imports, or direct ``message_segments`` / ``decode_message`` calls mean a
 trainer is growing its own ad-hoc wire protocol — exactly the duplication
 the channel layer exists to prevent, and a path where byte accounting
 silently diverges between backends.
@@ -21,7 +21,7 @@ from ..linter import LintConfig, ModuleInfo, Rule
 __all__ = ["WireFramingRule"]
 
 #: codec entry points that only the channel layer may call
-_CODEC_CALLS = {"encode_message", "decode_message"}
+_CODEC_CALLS = {"message_segments", "decode_message"}
 
 
 class WireFramingRule(Rule):

@@ -19,16 +19,24 @@ server) wait behind a pure-compute step.  The serve loop decodes before it calls
 regressing that.
 
 PERF003 — no payload-sized copy on the wire path.  A frame crosses each
-hop of an exchange with one copy: the codec cast-copies every array once
-into one exactly-sized buffer, the socket gathers prefix and frame in one
-``sendmsg`` and receives into one preallocated buffer.  In the wire
-modules (``ps/codec.py``, ``comm/frames.py``, ``comm/socket.py``,
-``comm/pipe.py``) the three spellings that used to add six more copies
-per direction are flagged: ``arr.tobytes()``, ``b"".join(parts)``, and
-``header + raw`` where an operand is an encoded message or frame (a
-``raw`` name, or the result of ``encode_message`` / ``encode_frame``).
-Small fixed headers may still be concatenated — the rule looks at what is
-being added, not at ``+``.
+hop of an exchange with the copies its arithmetic needs and no more:
+
+* a send gathers segments — the codec hands the channel a frame as
+  packed headers plus ``memoryview`` s of the payload's own arrays, and
+  the channel writes prefix and segments with ``sendmsg``;
+* a cast is the only payload copy on a send — an array not already in
+  its wire dtype (float64 values, int64 indices) is cast-copied once;
+* a receive fills one fresh buffer — ``recv_into`` straight into it.
+
+In the wire modules (``ps/codec.py``, ``comm/frames.py``,
+``comm/socket.py``, ``comm/pipe.py``) the spellings that add copies are
+flagged: ``arr.tobytes()``, ``b"".join(parts)``, ``header + raw`` where an
+operand is an encoded frame (a ``raw`` name, or the result of
+``encode_frame`` / ``join_segments``), and ``encode_frame(...)`` (or
+``join_segments(...)``) inside a ``send*`` function — a channel's send
+path gathers ``frame_segments`` instead of copying the frame into one
+buffer first.  Small fixed headers may still be concatenated — the rule
+looks at what is being added, not at ``+``.
 """
 
 from __future__ import annotations
@@ -159,8 +167,8 @@ class DecodeUnderLockRule(Rule):
                         )
 
 
-#: calls whose result is an encoded message or frame
-_ENCODERS = {"encode_message", "encode_frame"}
+#: calls whose result is a whole encoded frame in one buffer
+_ENCODERS = {"encode_frame", "join_segments"}
 
 
 def _encoded_names(tree: ast.Module) -> "set[str]":
@@ -195,11 +203,30 @@ def _encoded_operand(operand: ast.AST, encoded: "set[str]") -> "str | None":
 
 class WireCopyRule(Rule):
     id = "PERF003"
-    summary = "payload-sized copy (.tobytes / b\"\".join / header + frame) on the wire path"
+    summary = (
+        "payload-sized copy (.tobytes / b\"\".join / header + frame / "
+        "a whole-frame encode on a send path) on the wire path"
+    )
 
     def check(self, module: ModuleInfo, config: LintConfig) -> Iterator[Finding]:
         if not module.in_wire_copy_scope(config):
             return
+        for func in ast.walk(module.tree):
+            if not (
+                isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
+                and func.name.lstrip("_").startswith("send")
+            ):
+                continue
+            for call in ast.walk(func):
+                name = _call_name(call)
+                if name in _ENCODERS:
+                    yield self.finding(
+                        module,
+                        call,
+                        f"'{name}(...)' on a send path copies the whole frame "
+                        "into one buffer before it is written; gather "
+                        "frame_segments(...) behind the prefix in one sendmsg",
+                    )
         encoded = _encoded_names(module.tree)
         inner: "set[int]" = set()  # '+' nodes below one already looked at
         for node in ast.walk(module.tree):  # breadth-first: outer '+' comes first
@@ -210,9 +237,9 @@ class WireCopyRule(Rule):
                         module,
                         node,
                         "'.tobytes()' copies the array into a bytes object that "
-                        "is then copied again into the message; cast-copy it "
-                        "once into the message buffer (np.copyto onto an "
-                        "np.frombuffer view, as encode_message does)",
+                        "is then copied again into the message; hand the array "
+                        "over as a segment, or cast-copy it once into its run "
+                        "(as message_segments does)",
                     )
                 elif (
                     node.func.attr == "join"
@@ -235,7 +262,6 @@ class WireCopyRule(Rule):
                         module,
                         node,
                         f"'+' copies the encoded frame '{what}' behind its "
-                        "header; reserve the header bytes in the frame's own "
-                        "buffer (encode_message(reserve=...)) or gather both "
-                        "in one sendmsg",
+                        "header; gather header and frame segments in one "
+                        "sendmsg",
                     )

@@ -3,7 +3,8 @@
 Every worker↔server exchange in the repo crosses a :class:`Channel`
 speaking the typed frame vocabulary of :mod:`repro.comm.frames`:
 
-* **process** — :class:`PipeChannel` (real bytes over OS pipes);
+* **process** — :class:`PipeChannel` (real bytes over the socketpair
+  of a ``multiprocessing.Pipe()``);
 * **socket** — :class:`SocketChannel` + :class:`SocketListener` (real
   bytes over TCP, loopback-ephemeral by default for CI);
 * **simulated / sync** — :class:`SimChannel` / :class:`SimTransport`
@@ -47,6 +48,7 @@ from .frames import (
     TelemetryFrame,
     decode_frame,
     encode_frame,
+    frame_segments,
     peek_kind,
     reply_frame,
 )
@@ -86,6 +88,7 @@ __all__ = [
     "KIND_TELEMETRY",
     "KIND_CONTROL",
     "encode_frame",
+    "frame_segments",
     "decode_frame",
     "peek_kind",
     "reply_frame",

@@ -66,7 +66,7 @@ from typing import Any
 
 from ..obs import names as obs_names
 from ..obs.tracer import current_tracer
-from ..ps.codec import decode_message, encode_message
+from ..ps.codec import decode_message, join_segments, message_segments
 from ..ps.messages import DiffMessage, GradientMessage, ModelMessage
 
 __all__ = [
@@ -88,6 +88,7 @@ __all__ = [
     "CONTROL_LEAVE",
     "reply_frame",
     "encode_frame",
+    "frame_segments",
     "decode_frame",
     "peek_kind",
 ]
@@ -269,50 +270,59 @@ def peek_kind(raw: "bytes | memoryview") -> int:
     return kind
 
 
-def encode_frame(frame: Frame) -> "bytes | bytearray":
-    """Serialise any frame to its wire representation.
+def frame_segments(frame: Frame) -> "list[bytes | memoryview]":
+    """Serialise any frame as the segments a channel gathers into one write.
 
-    A payload frame is one ``bytearray``: the codec writes its message
-    behind a reserved prefix and the frame header is packed into that
-    prefix, so the payload is copied once, out of its arrays.  Payload
-    frames are timed as ``wire.encode_up`` (gradient) or
-    ``wire.encode_down`` (diff / model).
+    A payload frame is its packed header followed by the codec's
+    :func:`~repro.ps.codec.message_segments`: float32 arrays travel as
+    views of their own memory, so the frame is valid only until the
+    payload's arrays are next written — send it first.  Payload frames are
+    timed as ``wire.encode_up`` (gradient) or ``wire.encode_down`` (diff /
+    model).
     """
     if isinstance(frame, GradientFrame):
         with current_tracer().span(obs_names.WIRE_ENCODE_UP, cat="wire"):
-            raw = encode_message(frame.message, reserve=_HEADER.size + _LOSS.size)
-            _HEADER.pack_into(raw, 0, FRAME_MAGIC, KIND_GRADIENT, frame.shard)
-            _LOSS.pack_into(raw, _HEADER.size, frame.loss)
-        return raw
+            head = _HEADER.pack(FRAME_MAGIC, KIND_GRADIENT, frame.shard) + _LOSS.pack(frame.loss)
+            return [head, *message_segments(frame.message)]
     if isinstance(frame, (DiffFrame, ModelFrame)):
         kind = KIND_DIFF if isinstance(frame, DiffFrame) else KIND_MODEL
         with current_tracer().span(obs_names.WIRE_ENCODE_DOWN, cat="wire"):
-            raw = encode_message(frame.message, reserve=_HEADER.size + _STALENESS.size)
-            _HEADER.pack_into(raw, 0, FRAME_MAGIC, kind, frame.shard)
-            _STALENESS.pack_into(raw, _HEADER.size, frame.message.staleness)
-        return raw
+            head = _HEADER.pack(FRAME_MAGIC, kind, frame.shard) + _STALENESS.pack(
+                frame.message.staleness
+            )
+            return [head, *message_segments(frame.message)]
     if isinstance(frame, TelemetryFrame):
         body = json.dumps({"spans": list(frame.spans)}, ensure_ascii=False).encode("utf-8")
-        return (
-            _HEADER.pack(FRAME_MAGIC, KIND_TELEMETRY, -1)
-            + _TELEMETRY.pack(frame.worker_id, len(body))
-            + body
+        head = _HEADER.pack(FRAME_MAGIC, KIND_TELEMETRY, -1) + _TELEMETRY.pack(
+            frame.worker_id, len(body)
         )
+        return [head, body]
     if isinstance(frame, ControlFrame):
-        return _HEADER.pack(FRAME_MAGIC, KIND_CONTROL, -1) + _CONTROL.pack(
-            frame.worker_id, _CONTROL_OPS.index(frame.op)
-        )
+        return [
+            _HEADER.pack(FRAME_MAGIC, KIND_CONTROL, -1)
+            + _CONTROL.pack(frame.worker_id, _CONTROL_OPS.index(frame.op))
+        ]
     if isinstance(frame, CloseFrame):
         err = frame.error.encode("utf-8") if frame.error is not None else b""
         samples = -1 if frame.samples_processed is None else frame.samples_processed
         state = -1 if frame.worker_state_bytes is None else frame.worker_state_bytes
-        return (
+        return [
             _HEADER.pack(FRAME_MAGIC, KIND_CLOSE, -1)
             + _CLOSE.pack(frame.worker_id, samples, state)
             + _ERR_LEN.pack(len(err))
             + err
-        )
+        ]
     raise TypeError(f"cannot encode {type(frame).__name__}")
+
+
+def encode_frame(frame: Frame) -> bytearray:
+    """Serialise any frame to its wire representation: the
+    :func:`frame_segments` joined into one exactly-sized ``bytearray``.
+
+    A channel never needs this — it gathers the segments itself; the
+    whole image is for callers that hold frames as bytes.
+    """
+    return join_segments(frame_segments(frame))
 
 
 def decode_frame(raw: "bytes | bytearray | memoryview") -> Frame:

@@ -1,18 +1,19 @@
-"""TCP socket channels: the repo's frames over a real network transport.
+"""Stream socket channels: the repo's frames over TCP (and, through
+:class:`~repro.comm.pipe.PipeChannel`, over a pipe's socketpair).
 
 :class:`SocketChannel` carries the exact byte format of
 :mod:`repro.comm.frames` over a stream socket, length-prefixed::
 
     record := length u32 (little-endian) | frame bytes
 
-The frame codec is untouched — a socket ships the same bytes a pipe does,
-so the float32 wire conversion, shard-routing header, and analytic byte
-accounting mean the same thing on both transports.  Wire counters track
-frame bytes (the length prefix is transport framing, not payload — the
-same convention as ``PipeChannel``, whose pipe header is also uncounted).
+A send gathers the prefix and the frame's segments
+(:func:`~repro.comm.frames.frame_segments`) into ``sendmsg`` calls, so a
+payload array already in its wire dtype goes from its own memory to the
+kernel; a receive reads the prefix, then lets the kernel fill one fresh,
+unzeroed buffer through ``recv_into``.  Wire counters track frame bytes
+(the length prefix is transport framing, not payload).
 
-Failure semantics match the pipe transport so the serve loop treats both
-identically:
+The failure semantics are the serve loop's, on every stream:
 
 * clean EOF mid-stream raises ``EOFError`` — a peer that vanished without
   a close frame is a crash, reported as a partial result;
@@ -38,14 +39,17 @@ loopback port, which is what CI uses; real deployments pass an explicit
 
 from __future__ import annotations
 
+import os
 import socket as _socket
 import struct
 import time
 
+import numpy as np
+
 from ..obs import names as obs_names
 from ..obs.tracer import current_tracer
 from .channel import ChannelClosed
-from .frames import Frame, decode_frame, encode_frame
+from .frames import Frame, decode_frame, frame_segments
 
 __all__ = [
     "ChannelProtocolError",
@@ -58,6 +62,8 @@ __all__ = [
 ]
 
 _LENGTH = struct.Struct("<I")
+#: most segments one ``sendmsg`` may carry
+_IOV_MAX = os.sysconf("SC_IOV_MAX")
 
 #: largest frame a peer may announce.  The receive buffer is allocated from
 #: the length prefix, so the prefix is bounded first: 1 GiB is ~290× the
@@ -89,7 +95,7 @@ class ChannelProtocolError(OSError):
 
 
 class SocketChannel:
-    """One endpoint of a TCP connection speaking the comm frame format."""
+    """One endpoint of a stream socket speaking the comm frame format."""
 
     def __init__(
         self,
@@ -103,6 +109,8 @@ class SocketChannel:
         self.wire_bytes_sent = 0
         self.wire_bytes_received = 0
         self._closed = False
+        #: the record's length prefix lands here (only the frame is handed out)
+        self._prefix = memoryview(bytearray(_LENGTH.size))
         try:
             sock.setsockopt(_socket.IPPROTO_TCP, _socket.TCP_NODELAY, 1)
         except OSError:
@@ -145,22 +153,15 @@ class SocketChannel:
                 delay = min(delay * 2.0, backoff_cap_s)
 
     # ------------------------------------------------------------------
-    def _recv_exactly(self, n: int) -> bytearray:
-        """``n`` bytes off the stream, honouring ``read_timeout_s``.
+    def _recv_into(self, view: memoryview) -> None:
+        """Fill ``view`` off the stream, honouring ``read_timeout_s``.
 
-        The kernel copies straight into one preallocated buffer, which is
-        *fresh per call and never reused*: decoded dense layers are views
-        of it.
-
-        EOF before ``n`` bytes raises ``EOFError`` (crash semantics — the
+        EOF before it is full raises ``EOFError`` (crash semantics — the
         peer vanished without a close frame); a deadline elapsing raises
         :class:`ChannelTimeout`.
         """
-        self._sock.settimeout(self.read_timeout_s)
-        buf = bytearray(n)
-        view = memoryview(buf)
         got = 0
-        while got < n:
+        while got < len(view):
             try:
                 count = self._sock.recv_into(view[got:])
             except _socket.timeout as exc:
@@ -170,40 +171,57 @@ class SocketChannel:
             if not count:
                 raise EOFError("socket closed mid-stream (no close frame)")
             got += count
-        return buf
 
-    def _recv_record(self) -> bytearray:
-        (length,) = _LENGTH.unpack(self._recv_exactly(_LENGTH.size))
+    def _recv_record(self) -> memoryview:
+        """One record's frame, in a buffer that is *fresh per call and
+        never reused* (decoded dense layers are views of it) but not
+        zero-filled: the kernel writes every byte of it."""
+        self._sock.settimeout(self.read_timeout_s)
+        self._recv_into(self._prefix)
+        (length,) = _LENGTH.unpack(self._prefix)
         if length > MAX_FRAME_BYTES:
             raise ChannelProtocolError(
                 f"peer announced a {length}-byte frame (limit {MAX_FRAME_BYTES})"
             )
-        return self._recv_exactly(length)
+        raw = memoryview(np.empty(length, dtype=np.uint8))
+        self._recv_into(raw)
+        return raw
 
-    def _send_record(self, raw: "bytes | bytearray") -> None:
-        """Length prefix and frame in one scatter-gather write, so the
-        frame is never copied behind its prefix; a short write (the frame
-        is larger than the socket buffer) is finished by ``sendall``."""
-        prefix = _LENGTH.pack(len(raw))
-        sent = self._sock.sendmsg([prefix, raw])
-        if sent < len(prefix):
-            self._sock.sendall(prefix[sent:])
-            sent = len(prefix)
-        if sent < len(prefix) + len(raw):
-            self._sock.sendall(memoryview(raw)[sent - len(prefix) :])
+    def _send_record(self, segments: "list[bytes | memoryview]", nbytes: int) -> None:
+        """Length prefix and segments in scatter-gather writes, so nothing
+        is copied to put them side by side.  A short write (the record is
+        larger than the socket buffer) resumes inside the segment it cut;
+        at most ``_IOV_MAX`` segments go to one ``sendmsg``."""
+        views = [_LENGTH.pack(nbytes), *(seg for seg in segments if len(seg))]
+        first = 0
+        while first < len(views):
+            sent = self._sock.sendmsg(views[first : first + _IOV_MAX])
+            while sent:
+                size = len(views[first])
+                if sent < size:
+                    views[first] = memoryview(views[first])[sent:]
+                    break
+                sent -= size
+                first += 1
 
-    def send(self, frame: Frame) -> None:
-        self.send_raw(encode_frame(frame))
-
-    def send_raw(self, raw: "bytes | bytearray") -> None:
-        """Ship an already-encoded frame as one length-prefixed record."""
+    def _send(self, segments: "list[bytes | memoryview]") -> None:
+        """Ship one record; ``segments`` are bytes-like, one byte per item
+        (``bytes``, ``bytearray``, 1-D ``memoryview`` s of format ``B``)."""
         if self._closed:
             raise ChannelClosed("socket channel is closed")
-        with current_tracer().span(obs_names.COMM_SEND, cat="comm", bytes=len(raw)):
-            self._send_record(raw)
-        self.wire_bytes_sent += len(raw)
+        nbytes = sum(map(len, segments))
+        with current_tracer().span(obs_names.COMM_SEND, cat="comm", bytes=nbytes):
+            self._send_record(segments, nbytes)
+        self.wire_bytes_sent += nbytes
 
-    def recv_raw(self) -> bytearray:
+    def send(self, frame: Frame) -> None:
+        self._send(frame_segments(frame))
+
+    def send_raw(self, raw: "bytes | bytearray | memoryview") -> None:
+        """Ship an already-encoded frame as one length-prefixed record."""
+        self._send([raw])
+
+    def recv_raw(self) -> memoryview:
         """One encoded frame off the stream (the serve loop peeks the shard
         id off these bytes before decoding)."""
         if self._closed:

@@ -365,7 +365,12 @@ class ModelDifferenceTracker:
     def global_model(self, theta0: Mapping[str, np.ndarray]) -> "Mapping[str, np.ndarray]":
         """Materialise θ_t = θ_0 + M_t (Eq. 2) — used for evaluation."""
         if isinstance(theta0, LayerArena) and theta0.same_layout(self.M):
-            return theta0.clone().add_(self.M)  # one fused θ0 + M
+            # One pass into a fresh arena: the same IEEE sum as
+            # ``theta0.clone().add_(M)`` without the clone's copy.  Fresh,
+            # not reused — a reply may still be in flight when the next
+            # one is built.
+            flat = np.add(theta0.flat, self.M.flat, out=np.empty_like(theta0.flat))
+            return LayerArena(theta0.shapes, dtype=flat.dtype, _flat=flat)
         return OrderedDict((name, theta0[name] + self.M[name]) for name in self.M)
 
     # ------------------------------------------------------------------

@@ -8,7 +8,9 @@ frame format of :mod:`repro.comm.frames` — the same ``encode()``/
 ``decode()`` path the paper's gloo transport performs.  ``transport``
 picks the link and nothing else:
 
-* ``"pipe"`` — each worker inherits its end of a pre-made OS pipe;
+* ``"pipe"`` — each worker inherits its end of a pre-made
+  ``multiprocessing.Pipe()`` (an ``AF_UNIX`` socketpair carrying the
+  same length-prefixed stream record as TCP);
 * ``"tcp"`` — the server binds a listener (``bind``, loopback-ephemeral
   by default) and each worker *connects* to it.  The protocol is
   host-agnostic: ``python -m repro.ps serve``/``worker`` runs the same
@@ -25,7 +27,8 @@ Everything else is one code path whatever the link:
 * **Crashes and stragglers** — a channel that dies without a close frame
   is a crash, reported as a partial result instead of a hang (``fail_at``
   hard-kills chosen workers to prove it); ``evict_after_s`` arms the serve
-  loop's silence timeout, and on TCP also the per-channel read deadline.
+  loop's silence timeout and, on either link, the per-channel read
+  deadline, so a peer that stalls mid-frame is evicted like a silent one.
 * **Checkpoint/restore** — ``checkpoint_every`` writes the server's flat
   state (:mod:`repro.ps.checkpoint`) every N applied updates and at the
   end; ``restore_from`` loads it at construction, and workers
@@ -207,7 +210,7 @@ class RemoteTrainer:
                 endpoint = listener.address
             else:
                 parent, endpoint = ctx.Pipe()
-                channels.append(PipeChannel(parent))
+                channels.append(PipeChannel(parent, read_timeout_s=config.evict_after_s))
             proc = ctx.Process(
                 target=_worker_main,
                 args=(

@@ -7,7 +7,7 @@ two-terminal deployment CLI over the socket backend's engine.
 """
 
 from .checkpoint import load_checkpoint, save_checkpoint
-from .codec import decode_message, encode_message
+from .codec import decode_message, message_segments
 from .membership import WorkerDirectory
 from .messages import DiffMessage, GradientMessage, ModelMessage, payload_dense_nbytes, payload_nbytes
 from .server import ParameterServer
@@ -15,7 +15,7 @@ from .sharded import ParameterShard, ShardedParameterServer
 from .worker import WorkerNode
 
 __all__ = [
-    "encode_message",
+    "message_segments",
     "decode_message",
     "GradientMessage",
     "DiffMessage",

@@ -26,8 +26,12 @@ The bitmap exists only here: a ``BitmapTensor`` holds flat indices in
 memory, packs them into presence bits when tag 3 is written and is rebuilt
 from them (one ``unpackbits``) when tag 3 is read.
 
-One copy per hop: :func:`encode_message` sizes the message, allocates one
-``bytearray`` and cast-copies every array straight into it;
+Copies only where a cast is needed: :func:`message_segments` hands a
+channel the message as segments — headers and small arrays packed into
+byte runs, every C-contiguous array already in its wire dtype as a
+``memoryview`` of its own memory, any other array cast-copied once — and
+the channel gathers them into one ``sendmsg``; :func:`join_segments`
+copies them into one buffer for a caller that needs the whole image.
 :func:`decode_message` hands a dense layer back as a read-only float32
 *view* of the buffer it was given, which the view keeps alive — so whoever
 owns that buffer must never rewrite it (the transports allocate a fresh
@@ -46,7 +50,7 @@ import numpy as np
 from ..compression.coding import BitmapTensor, DenseTensor, QuantizedSparseTensor, SparseTensor
 from .messages import DiffMessage, GradientMessage, ModelMessage
 
-__all__ = ["encode_message", "decode_message", "MAGIC"]
+__all__ = ["message_segments", "join_segments", "decode_message", "MAGIC"]
 
 MAGIC = 0xD65  # "DGS"
 _VERSION = 1
@@ -61,6 +65,10 @@ _NNZ_SCALE = struct.Struct("<If")
 _U1 = np.dtype("u1")
 _U4 = np.dtype("<u4")
 _F4 = np.dtype("<f4")
+
+#: arrays below this many bytes are packed beside their headers: a segment
+#: of its own would cost the sender more than copying it does
+_SMALL = 4096
 
 
 def _unpack_dims(buf: memoryview, off: int) -> tuple[tuple[int, ...], int]:
@@ -151,47 +159,77 @@ def _decode_layer(buf: memoryview, off: int):
     raise ValueError(f"unknown layer tag {tag}")
 
 
-def encode_message(
-    msg: "GradientMessage | DiffMessage | ModelMessage", reserve: int = 0
-) -> bytearray:
-    """Serialise a PS message to its wire representation.
+def message_segments(
+    msg: "GradientMessage | DiffMessage | ModelMessage",
+) -> "list[bytes | memoryview]":
+    """Serialise a PS message as a list of segments whose concatenation is
+    its wire representation.
 
-    The message is sized first and written into one exactly-sized buffer:
-    every array is cast-copied once (float64 → float32 and int64 → uint32
-    happen inside that copy), nothing is concatenated.  ``reserve`` leaves
-    that many zero bytes ahead of the message for the caller's own header
-    (:func:`repro.comm.frames.encode_frame` packs its header there).
+    Headers, and arrays under :data:`_SMALL` bytes, are packed together
+    into byte runs.  An array that is C-contiguous and already in its wire
+    dtype (float32 values, a float32 arena's layers) is not copied at all:
+    it becomes a ``memoryview`` segment over its own memory, valid until
+    the array is next written.  Any other array is cast-copied once into
+    its run (float64 → float32 and int64 → uint32 happen inside that copy).
     """
     kind = _KINDS.get(type(msg))
     if kind is None:
         raise TypeError(f"cannot encode {type(msg).__name__}")
     meta = msg.local_iteration if isinstance(msg, GradientMessage) else msg.server_timestamp
-    layers = []
-    size = reserve + _HEADER.size
+    segments: "list[bytes | memoryview]" = []
+    run: list = [_HEADER.pack(MAGIC, _VERSION, kind, msg.worker_id, meta, len(msg.payload))]
     for name, layer in msg.payload.items():
         name_b = name.encode("utf-8")
         tag, shape, fixed, arrays = _layer_parts(layer)
-        head = struct.pack(
-            f"<HB{len(name_b)}sB{len(shape)}I{len(fixed)}s",
-            len(name_b), tag, name_b, len(shape), *shape, fixed,
+        run.append(
+            struct.pack(
+                f"<HB{len(name_b)}sB{len(shape)}I{len(fixed)}s",
+                len(name_b), tag, name_b, len(shape), *shape, fixed,
+            )
         )
-        layers.append((head, arrays))
-        size += len(head) + sum(arr.size * dt.itemsize for arr, dt in arrays)
-    buf = bytearray(size)
-    _HEADER.pack_into(buf, reserve, MAGIC, _VERSION, kind, msg.worker_id, meta, len(layers))
-    off = reserve + _HEADER.size
-    for head, arrays in layers:
-        buf[off : off + len(head)] = head
-        off += len(head)
         for arr, dt in arrays:
-            dest = np.frombuffer(buf, dtype=dt, count=arr.size, offset=off)
-            np.copyto(dest.reshape(arr.shape), arr, casting="unsafe")
-            off += dest.nbytes
+            if arr.dtype == dt and arr.flags.c_contiguous and arr.nbytes >= _SMALL:
+                if run:
+                    segments.append(_packed(run))
+                    run = []
+                segments.append(memoryview(arr.reshape(-1).view(_U1)))
+            else:
+                run.append((arr, dt))
+    if run:
+        segments.append(_packed(run))
+    return segments
+
+
+def _packed(run: list) -> memoryview:
+    """One exactly-sized buffer holding ``run``'s headers (bytes) and
+    ``(array, wire dtype)`` pairs back to back; nothing zero-fills it."""
+    sizes = [len(p) if isinstance(p, bytes) else p[0].size * p[1].itemsize for p in run]
+    buf = np.empty(sum(sizes), dtype=_U1)
+    off = 0
+    for piece, size in zip(run, sizes):
+        if isinstance(piece, bytes):
+            buf[off : off + size] = np.frombuffer(piece, dtype=_U1)
+        else:
+            arr, dt = piece
+            np.copyto(buf[off : off + size].view(dt).reshape(arr.shape), arr, casting="unsafe")
+        off += size
+    return memoryview(buf)
+
+
+def join_segments(segments: "list[bytes | memoryview]") -> bytearray:
+    """The segments of a message or frame copied into one exactly-sized
+    ``bytearray`` (what a caller that needs the whole wire image holds)."""
+    buf = bytearray(sum(map(len, segments)))
+    dest = memoryview(buf)  # a bytearray slice assignment would copy twice
+    off = 0
+    for seg in segments:
+        dest[off : off + len(seg)] = seg
+        off += len(seg)
     return buf
 
 
 def decode_message(raw: "bytes | bytearray | memoryview"):
-    """Inverse of :func:`encode_message` (values come back as float32).
+    """Inverse of :func:`message_segments` (values come back as float32).
 
     Dense layers are read-only float32 views of ``raw`` and keep it alive;
     ``raw`` must not be rewritten while any of them is.  Sparse indices and

@@ -23,7 +23,7 @@ def dial(host, port):
 
 
 def send_raw(conn, codec, msg):
-    raw = codec.encode_message(msg)  # COM001
+    raw = codec.join_segments(codec.message_segments(msg))  # COM001
     conn.send_bytes(_HEADER.pack(len(raw)) + raw)
 
 

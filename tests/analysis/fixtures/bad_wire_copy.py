@@ -1,9 +1,9 @@
 """Deliberately bad module for PERF003: payload-sized copies on the wire.
 
 Never imported — parsed only.  These are the shapes the encoder and the
-socket channel had before the single-buffer codec: every flagged line
-copies a whole payload (or a whole encoded frame) one more time; the
-tests assert exact finding counts against this file.
+socket channel had before the segmented codec: every flagged line copies
+a whole payload (or a whole encoded frame) one more time; the tests
+assert exact finding counts against this file.
 """
 
 import struct
@@ -30,8 +30,8 @@ def encode(header, layers):
     return b"".join(parts)  # PERF003
 
 
-def frame_of(message, encode_message, shard):
-    return _HEADER.pack(0xDF, 0, shard) + encode_message(message)  # PERF003
+def frame_of(message, join_segments, message_segments, shard):
+    return _HEADER.pack(0xDF, 0, shard) + join_segments(message_segments(message))  # PERF003
 
 
 class Channel:
@@ -42,9 +42,17 @@ class Channel:
         self._sock.sendall(_LENGTH.pack(len(raw)) + raw)  # PERF003
 
     def send(self, frame, encode_frame):
-        payload = encode_frame(frame)
+        payload = encode_frame(frame)  # PERF003 — a whole-frame encode on a send path
         record = _LENGTH.pack(len(payload)) + payload  # PERF003 — assigned from an encoder
         self._sock.sendall(record)
+
+    def send_frame(self, frame, encode_frame):
+        self.send_raw(encode_frame(frame))  # PERF003 — the frame copied before the gather
+
+    def send_segments(self, frame, frame_segments):
+        # the right shape: the frame's own segments gathered behind the prefix
+        segments = frame_segments(frame)
+        self._sock.sendmsg([_LENGTH.pack(sum(map(len, segments))), *segments])
 
     def recv_exactly(self, n):
         chunks = []

@@ -76,7 +76,7 @@ class TestCommFixture:
         assert any("'struct'" in m for m in messages)
         assert any("'socket'" in m and "SocketChannel" in m for m in messages)
         assert any("'multiprocessing.connection'" in m for m in messages)
-        assert any("'encode_message'" in m and "Channel" in m for m in messages)
+        assert any("'message_segments'" in m and "Channel" in m for m in messages)
         assert any("'decode_message'" in m for m in messages)
 
     def test_silent_inside_the_channel_layer(self):
@@ -127,7 +127,7 @@ class TestObsFixture:
     def test_relative_codec_reexport_not_flagged(self):
         # ps/__init__.py re-exports the codec names via `from .codec import …`;
         # COM001 targets framing, not re-exports
-        src = "from .codec import encode_message\n__all__ = ['encode_message']\n"
+        src = "from .codec import message_segments\n__all__ = ['message_segments']\n"
         path = FIXTURES / "bad_comm.py"  # any path outside framing_allowed
         import ast
 
@@ -235,14 +235,15 @@ class TestWireCopyFixture:
         )
 
     def test_exact_finding_counts(self):
-        assert Counter(f.rule for f in self.lint()) == {"PERF003": 7}
+        assert Counter(f.rule for f in self.lint()) == {"PERF003": 9}
 
     def test_each_spelling_is_named(self):
         messages = [f.message for f in self.lint()]
         assert sum("'.tobytes()'" in m for m in messages) == 2
         assert sum("b\"\".join" in m for m in messages) == 2
-        for what in ("encode_message(...)", "raw", "payload"):
+        for what in ("join_segments(...)", "raw", "payload"):
             assert sum(f"encoded frame '{what}'" in m for m in messages) == 1
+        assert sum("'encode_frame(...)' on a send path" in m for m in messages) == 2
 
     def test_findings_sit_on_the_marked_lines(self):
         # small-header '+' chains, str.join and the sendmsg gather are clean

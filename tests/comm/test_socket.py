@@ -9,6 +9,8 @@ lets workers start before the server.
 
 from __future__ import annotations
 
+import multiprocessing as mp
+import os
 import socket as raw_socket
 import struct
 import threading
@@ -18,8 +20,17 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from repro.comm import ChannelClosed, CloseFrame, GradientFrame, decode_frame, encode_frame
+from repro.comm import (
+    ChannelClosed,
+    CloseFrame,
+    GradientFrame,
+    decode_frame,
+    encode_frame,
+    frame_segments,
+    serve_channels,
+)
 from repro.comm import socket as socket_module
+from repro.comm.pipe import PipeChannel
 from repro.comm.socket import (
     MAX_FRAME_BYTES,
     ChannelProtocolError,
@@ -161,13 +172,52 @@ def _raw_peer(listener):
     return peer, listener.accept()
 
 
-def _dense_frame_bytes():
+def _channel_and_peer(transport: str, read_timeout_s=None):
+    """A channel of ``transport`` and the bare socket at its other end: a
+    TCP connection, or the far end of a ``multiprocessing.Pipe()``."""
+    if transport == "tcp":
+        listener = SocketListener(read_timeout_s=read_timeout_s)
+        try:
+            peer, channel = _raw_peer(listener)
+        finally:
+            listener.close()
+        return channel, peer
+    ours, theirs = mp.Pipe()
+    peer = raw_socket.socket(fileno=os.dup(theirs.fileno()))
+    theirs.close()
+    return PipeChannel(ours, read_timeout_s=read_timeout_s), peer
+
+
+def _dense_frame(seed: int = 0):
     """The benchmark's dense exchange: MLP(768, (1024, 128), 10), 3.68 MB."""
     from repro.core.layerops import parameters_of
     from repro.nn import MLP
 
-    params = parameters_of(MLP(768, (1024, 128), 10, seed=0))
-    return encode_frame(GradientFrame(GradientMessage(0, params, 0), loss=0.25))
+    params = parameters_of(MLP(768, (1024, 128), 10, seed=seed))
+    return GradientFrame(GradientMessage(0, params, 0), loss=0.25)
+
+
+def _dense_frame_bytes(seed: int = 0):
+    return encode_frame(_dense_frame(seed))
+
+
+def _stall_mid_frame(peer) -> None:
+    peer.sendall(struct.pack("<I", 1000) + bytes(500))
+
+
+def _die_mid_frame(peer) -> None:
+    _stall_mid_frame(peer)
+    peer.close()
+
+
+#: what a hostile peer does to its own channel, by name
+HOSTILE = {
+    "oversized": lambda peer: peer.sendall(b"\xff\xff\xff\xff"),
+    "stalled": _stall_mid_frame,
+    "died": _die_mid_frame,
+}
+#: the server-side read deadline the hostile-peer runs arm
+HOSTILE_DEADLINE_S = 0.3
 
 
 class TestFrameBound:
@@ -213,41 +263,75 @@ class TestFrameBound:
             server.close()
             listener.close()
 
-    def test_hostile_peer_costs_only_its_own_channel(self):
-        """A peer announcing a 4 GiB frame is dropped as a crash; the server
-        survives and the honest worker's replies are bitwise those of a run
-        the bad peer never joined."""
-        from test_service import _grad_for, _make_service, _serve
+    @pytest.mark.parametrize("transport", ["tcp", "pipe"])
+    @pytest.mark.parametrize("case", sorted(HOSTILE))
+    def test_hostile_peer_costs_only_its_own_channel(self, case, transport):
+        """A peer that announces more than ``MAX_FRAME_BYTES``, stalls
+        mid-frame or dies mid-frame is dropped as a crash; the server
+        survives and the honest worker's replies are bitwise those of a
+        run the bad peer never joined.  Over pipes this needs the stream
+        record's bound and read deadline: ``Connection.recv_bytes`` had
+        neither, so a pipe peer that announced 1 GiB and stalled blocked
+        the serve loop for good."""
+        from test_service import _grad_for, _make_service
 
         def run(with_bad_peer: bool):
             service, server, _ = _make_service(num_workers=2)
-            listener = SocketListener()
-            host, port = listener.address
-            replies = []
+            replies, hostile = [], []
+            if transport == "tcp":
+                # workers dial in; the bad peer connects mid-run
+                listener = SocketListener(read_timeout_s=HOSTILE_DEADLINE_S)
+                address = listener.address
+                channels = []
+
+                def connect():
+                    return SocketChannel.connect(*address)
+
+                def bad_peer():
+                    return raw_socket.create_connection(address)
+            else:
+                # pipes are pre-wired, as the process backend wires them
+                listener = None
+                honest_end, worker_end = mp.Pipe()
+                channels = [PipeChannel(honest_end, read_timeout_s=HOSTILE_DEADLINE_S)]
+                if with_bad_peer:
+                    bad_channel, bad = _channel_and_peer("pipe", HOSTILE_DEADLINE_S)
+                    channels.append(bad_channel)
+
+                def connect():
+                    return PipeChannel(worker_end)
+
+                def bad_peer():
+                    return bad
 
             def honest():
                 from repro.comm import CONTROL_JOIN, ControlFrame
 
-                ch = SocketChannel.connect(host, port)
+                ch = connect()
                 ch.send(ControlFrame(0, CONTROL_JOIN))
                 ch.recv()
                 for step in range(4):
                     if with_bad_peer and step == 2:
-                        bad = raw_socket.create_connection((host, port))
-                        bad.sendall(b"\xff\xff\xff\xff")
-                        hostile.append(bad)
+                        hostile.append(bad_peer())
+                        HOSTILE[case](hostile[-1])
                     ch.send(_grad_for(server, 0, scale=0.01 * (step + 1)))
                     replies.append(ch.recv().message.payload)
                 ch.send(CloseFrame(worker_id=0))
                 ch.close()
 
-            hostile = []
             t = threading.Thread(target=honest)
             t.start()
             try:
-                report = _serve(service, server, listener, 2 if with_bad_peer else 1)
+                report = serve_channels(
+                    channels,
+                    service,
+                    stats=server.stats,
+                    listener=listener,
+                    expected_closes=2 if with_bad_peer else 1,
+                )
             finally:
-                listener.close()
+                if listener is not None:
+                    listener.close()
                 t.join(timeout=10)
                 for bad in hostile:
                     bad.close()
@@ -269,18 +353,20 @@ class TestFrameBound:
 
 class _SocketProxy:
     """A real socket whose ``sendmsg`` return values are recorded and can be
-    capped, to force the short writes a full socket buffer produces."""
+    capped (every call, or ``first_only``), to force the short writes a
+    full socket buffer produces."""
 
-    def __init__(self, sock, cap=None):
+    def __init__(self, sock, cap=None, first_only=False):
         self._sock = sock
         self.cap = cap
+        self.first_only = first_only
         self.sendmsg_returns = []
 
     def __getattr__(self, name):
         return getattr(self._sock, name)
 
     def sendmsg(self, buffers):
-        if self.cap is not None:
+        if self.cap is not None and not (self.first_only and self.sendmsg_returns):
             joined = b"".join(bytes(b) for b in buffers)
             sent = self._sock.send(joined[: self.cap])
         else:
@@ -363,6 +449,81 @@ class TestSendPath:
             reader.close()
             listener.close()
 
+    @staticmethod
+    def slow_drain(peer, nbytes: int, received: bytearray) -> threading.Thread:
+        """A reader that sleeps between its first 40 reads of 4 KiB."""
+
+        def read():
+            reads = 0
+            while len(received) < nbytes:
+                chunk = peer.recv(4096)
+                if not chunk:
+                    break
+                received.extend(chunk)
+                reads += 1
+                if reads < 40:
+                    time.sleep(0.002)
+
+        t = threading.Thread(target=read)
+        t.start()
+        return t
+
+    @pytest.mark.parametrize("cut_in", ["prefix", "header", "array"])
+    def test_short_writes_resume_inside_the_segment_they_cut(self, cut_in):
+        """The dense frame's segments over a socketpair with a 4 KiB send
+        buffer, a sender timeout and a slow reader: the first write is cut
+        inside the length prefix, inside the frame's header segment or
+        inside its first array segment, every later write is as short as
+        the kernel makes it, and the peer still reads ``encode_frame(f)``
+        behind its prefix, exactly."""
+        frame = _dense_frame()
+        sizes = [memoryview(seg).nbytes for seg in frame_segments(frame)]
+        first_array = next(i for i, size in enumerate(sizes) if size >= 4096)
+        cut = {"prefix": 2, "header": 4 + 5, "array": 4 + sum(sizes[:first_array]) + 1000}[cut_in]
+        expected = encode_frame(frame)
+        record = struct.pack("<I", len(expected)) + expected
+        ours, peer = raw_socket.socketpair()
+        ours.setsockopt(raw_socket.SOL_SOCKET, raw_socket.SO_SNDBUF, 4096)
+        ours.settimeout(30.0)
+        proxy = _SocketProxy(ours, cap=cut, first_only=True)
+        channel = SocketChannel(proxy)
+        received = bytearray()
+        t = self.slow_drain(peer, len(record), received)
+        try:
+            channel.send(frame)
+            t.join(timeout=30)
+            assert not t.is_alive()
+            assert proxy.sendmsg_returns[0] == cut
+            assert len(proxy.sendmsg_returns) > 2  # the kernel cut the rest short too
+            assert bytes(received) == record
+            assert channel.wire_bytes_sent == len(expected)
+        finally:
+            channel.close()
+            peer.close()
+
+    def test_more_segments_than_iov_max_arrive_whole(self):
+        """One ``sendmsg`` takes at most ``IOV_MAX`` segments; a frame of
+        more (every 4 KiB float32 layer is a header run plus a view) goes
+        out in chunks of them and arrives whole."""
+        layers = socket_module._IOV_MAX // 2 + 8
+        rng = np.random.default_rng(0)
+        payload = {f"l{i}": rng.normal(size=1024).astype(np.float32) for i in range(layers)}
+        frame = GradientFrame(GradientMessage(0, payload, 0), loss=0.5)
+        assert len(frame_segments(frame)) > socket_module._IOV_MAX
+        expected = encode_frame(frame)
+        ours, peer = raw_socket.socketpair()
+        channel = SocketChannel(ours)
+        received = bytearray()
+        t = self.slow_drain(peer, 4 + len(expected), received)
+        try:
+            channel.send(frame)
+            t.join(timeout=30)
+            assert not t.is_alive()
+            assert bytes(received) == struct.pack("<I", len(expected)) + expected
+        finally:
+            channel.close()
+            peer.close()
+
     def test_read_timeout_fires_mid_frame(self):
         """A peer that stalls after half a frame: ``recv_into`` times out
         with the frame partly filled, as ``recv`` did."""
@@ -394,32 +555,81 @@ class TestSendPath:
 
 
 class TestCopyCounts:
-    """One copy per hop, as counts: receiving the benchmark's dense frame
-    allocates the frame once, sending it allocates nothing payload-sized.
-    The peer in each test is a bare socket working from memory allocated
-    before tracing starts, so the trace sees one side only."""
+    """Copies per hop, as counts: receiving the benchmark's dense frame
+    allocates the frame once, into a buffer no other receive shares;
+    sending it — encoded bytes or the frame itself — allocates nothing
+    payload-sized.  The peer in each test is a bare socket working from
+    memory allocated before tracing starts, so the trace sees one side
+    only."""
 
-    def test_receive_allocates_the_frame_once(self):
-        frame = _dense_frame_bytes()
-        record = struct.pack("<I", len(frame)) + frame
-        listener = SocketListener()
-        peer, server = _raw_peer(listener)
-        t = threading.Thread(target=peer.sendall, args=(record,))
+    @staticmethod
+    def receive_twice(transport: str) -> float:
+        """Receive the dense frame under tracemalloc, then a second one off
+        the same channel; checks both, returns the first receive's peak
+        as a multiple of the frame."""
+        first, second = _dense_frame_bytes(seed=0), _dense_frame_bytes(seed=1)
+        records = b"".join(struct.pack("<I", len(f)) + bytes(f) for f in (first, second))
+        channel, peer = _channel_and_peer(transport)
+        t = threading.Thread(target=peer.sendall, args=(records,))
         try:
             tracemalloc.start()
             try:
                 t.start()
-                raw = server.recv_raw()
+                raw = channel.recv_raw()
                 _, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
+            layer = decode_frame(raw).message.payload["net.0.weight"]
+            kept = layer.copy()
+            raw2 = channel.recv_raw()
             t.join(timeout=10)
-            assert raw == frame and isinstance(raw, bytearray)
-            assert peak <= 1.02 * len(frame)  # was 2.00×: recv chunks + join
+            assert raw == first and raw2 == second
+            assert isinstance(raw, memoryview) and isinstance(raw2, memoryview)
+            # fresh per frame: the second receive wrote nothing the first
+            # frame's decoded views read
+            assert not np.shares_memory(np.asarray(raw), np.asarray(raw2))
+            assert layer.tobytes() == kept.tobytes()
+            return peak / len(first)
         finally:
             peer.close()
-            server.close()
-            listener.close()
+            channel.close()
+
+    def test_receive_allocates_the_frame_once(self):
+        assert self.receive_twice("tcp") <= 1.02  # was 2.00×: recv chunks + join
+
+    def test_pipe_receive_allocates_the_frame_once(self):
+        # was 2.00× through Connection.recv_bytes: 64 KiB reads into a
+        # BytesIO, then getvalue
+        assert self.receive_twice("pipe") <= 1.02
+
+    @pytest.mark.parametrize("transport", ["tcp", "pipe"])
+    def test_sending_the_dense_frame_allocates_no_payload(self, transport):
+        frame = _dense_frame()
+        expected = encode_frame(frame)
+        channel, peer = _channel_and_peer(transport)
+        sink = memoryview(bytearray(4 + len(expected)))
+
+        def drain():
+            got = 0
+            while got < len(sink):
+                got += peer.recv_into(sink[got:])
+
+        t = threading.Thread(target=drain)
+        try:
+            tracemalloc.start()
+            try:
+                t.start()
+                channel.send(frame)
+                t.join(timeout=10)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert not t.is_alive()
+            assert sink[:4] == struct.pack("<I", len(expected)) and sink[4:] == expected
+            assert peak <= 64 * 1024  # was 1.00× the frame: encode_frame's buffer
+        finally:
+            peer.close()
+            channel.close()
 
     def test_send_allocates_no_payload(self):
         frame = _dense_frame_bytes()

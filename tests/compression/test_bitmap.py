@@ -172,12 +172,12 @@ class TestCodecIntegration:
         from collections import OrderedDict
 
         from repro.ps import DiffMessage
-        from repro.ps.codec import decode_message, encode_message
+        from repro.ps.codec import decode_message, join_segments, message_segments
 
         arr = with_density(rng, 256, 0.3)
         bt = BitmapTensor.from_mask(arr, arr != 0)
         msg = DiffMessage(0, OrderedDict([("w", bt)]), 5, 0)
-        out = decode_message(encode_message(msg))
+        out = decode_message(join_segments(message_segments(msg)))
         got = out.payload["w"]
         assert isinstance(got, BitmapTensor)
         np.testing.assert_allclose(got.to_dense(), arr, rtol=1e-6)

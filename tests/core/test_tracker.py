@@ -130,3 +130,35 @@ class TestBookkeeping:
     def test_invalid_worker_count(self):
         with pytest.raises(ValueError):
             ModelDifferenceTracker(SHAPES, 0)
+
+
+class TestCopyCounts:
+    """θ0 + M for a reply, as counts: one fresh arena, written by one pass."""
+
+    @pytest.mark.parametrize("dtypes", [(np.float32, np.float32), (np.float64, np.float32)])
+    def test_global_model_allocates_the_model_once_and_sums_bitwise(self, rng, dtypes):
+        import tracemalloc
+
+        from repro.core.arena import LayerArena
+
+        theta_dtype, state_dtype = dtypes
+        shapes = OrderedDict([("w", (1024, 768)), ("b", (1024,)), ("v", (10,))])
+        theta0 = LayerArena(shapes, dtype=theta_dtype)
+        theta0.flat[:] = rng.normal(size=theta0.size)
+        tr = ModelDifferenceTracker(shapes, 1, track_differences=False, dtype=state_dtype)
+        tr.M.flat[:] = rng.normal(size=tr.M.size)
+        tracemalloc.start()
+        try:
+            model = tr.global_model(theta0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.02 * theta0.nbytes  # the fresh arena, no clone beside it
+        want = theta0.clone().add_(tr.M)
+        assert model.dtype == want.dtype and model.flat.tobytes() == want.flat.tobytes()
+        assert not np.shares_memory(model.flat, theta0.flat)
+        # fresh per call: a reply in flight keeps the model it was built from
+        tr.M.flat += 1.0
+        again = tr.global_model(theta0)
+        assert not np.shares_memory(again.flat, model.flat)
+        assert model.flat.tobytes() == want.flat.tobytes()

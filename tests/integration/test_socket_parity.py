@@ -235,3 +235,25 @@ def test_remote_checkpoint_restore_continue_bitwise(
     assert list(resumed.loss_vs_step.ys) == list(full.loss_vs_step.ys)[10:]
     assert resumed.final_loss == full.final_loss
     assert resumed.final_accuracy == full.final_accuracy
+
+
+def test_pipe_channels_carry_the_eviction_deadline(
+    tiny_dataset, tiny_model_factory, monkeypatch
+):
+    """The straggler budget is also every server-side pipe's read deadline,
+    as it is every TCP channel's: a pipe peer that stalls mid-frame is
+    evicted instead of blocking the serve loop (``TestFrameBound`` in
+    ``tests/comm/test_socket.py`` drives that peer)."""
+    from repro.exec import remote
+
+    deadlines = []
+
+    class Recording(remote.PipeChannel):
+        def __init__(self, connection, read_timeout_s=None):
+            super().__init__(connection, read_timeout_s=read_timeout_s)
+            deadlines.append(read_timeout_s)
+
+    monkeypatch.setattr(remote, "PipeChannel", Recording)
+    result = _remote_run(tiny_dataset, tiny_model_factory, 5, "pipe", evict_after_s=30.0)
+    assert result.errors == [] and result.total_iterations == 5
+    assert deadlines == [30.0]  # the worker's end, made in its own process, blocks

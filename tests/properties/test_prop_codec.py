@@ -9,7 +9,7 @@ from hypothesis.extra.numpy import arrays, array_shapes
 
 from repro.compression import BitmapTensor, SparseTensor
 from repro.ps import GradientMessage
-from repro.ps.codec import decode_message, encode_message
+from repro.ps.codec import decode_message, join_segments, message_segments
 
 f32_exact = st.floats(
     min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False, width=32
@@ -25,7 +25,7 @@ f32_exact = st.floats(
 def test_dense_roundtrip_exact_for_f32_values(arr, worker, iteration):
     """float32-representable values survive the wire bit-exactly."""
     msg = GradientMessage(worker, OrderedDict([("w", arr)]), iteration)
-    out = decode_message(encode_message(msg))
+    out = decode_message(join_segments(message_segments(msg)))
     assert out.worker_id == worker and out.local_iteration == iteration
     np.testing.assert_array_equal(out.payload["w"], arr.astype(np.float32).astype(np.float64))
 
@@ -50,7 +50,7 @@ def test_sparse_roundtrip(data, n):
     )
     st_tensor = SparseTensor(idx, vals, (n,))
     msg = GradientMessage(0, OrderedDict([("w", st_tensor)]), 0)
-    out = decode_message(encode_message(msg)).payload["w"]
+    out = decode_message(join_segments(message_segments(msg))).payload["w"]
     np.testing.assert_array_equal(out.indices, idx)
     np.testing.assert_array_equal(out.values, vals.astype(np.float32).astype(np.float64))
 
@@ -68,7 +68,7 @@ def test_bitmap_roundtrip(data, n):
     )
     bt = BitmapTensor.from_mask(arr, mask)
     msg = GradientMessage(0, OrderedDict([("w", bt)]), 0)
-    out = decode_message(encode_message(msg)).payload["w"]
+    out = decode_message(join_segments(message_segments(msg))).payload["w"]
     np.testing.assert_array_equal(
         out.to_dense(), arr.astype(np.float32).astype(np.float64)
     )

@@ -1,11 +1,15 @@
-"""The single-buffer codec and the float32 decode views change no bit.
+"""The segmented codec and the float32 decode views change no bit.
 
-Two written-down proofs of what the one-copy-per-hop wire path claims:
+Two written-down proofs of what the copy-only-to-cast wire path claims:
 
-* **bytes** — for random messages over every payload type, array layout
-  and name length, ``encode_frame`` emits exactly what the previous
-  encoder did.  That encoder (per-array ``astype().tobytes()``, ``+`` per
-  field, ``b"".join`` per message) lives on as the oracle in
+* **bytes** — for random messages over every payload type, array layout,
+  name length and both dtype paths (an array already in its wire dtype
+  travels as a view of itself, any other is cast-copied), the segments a
+  channel gathers concatenate to ``encode_frame``, ``encode_frame`` emits
+  exactly what the previous encoder did, and what a pipe or a TCP
+  channel actually writes is that frame behind its length prefix.  The
+  previous encoder (per-array ``astype().tobytes()``, ``+`` per field,
+  ``b"".join`` per message) lives on as the oracle in
   ``tests/ps/test_codec.py``;
 * **arithmetic** — a decoded dense layer used to be widened to float64
   before it was applied; now the float32 view is applied directly.  For
@@ -20,16 +24,31 @@ Two written-down proofs of what the one-copy-per-hop wire path claims:
 
 from __future__ import annotations
 
+import multiprocessing as mp
+import os
+import socket
+import struct
 import sys
+import threading
 from collections import OrderedDict
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
-from repro.comm.frames import DiffFrame, GradientFrame, ModelFrame, decode_frame, encode_frame
+from repro.comm.frames import (
+    DiffFrame,
+    GradientFrame,
+    ModelFrame,
+    decode_frame,
+    encode_frame,
+    frame_segments,
+)
+from repro.comm.pipe import PipeChannel
+from repro.comm.socket import SocketChannel
 from repro.compression import BitmapTensor, QuantizedSparseTensor, SparseTensor
 from repro.compression.coding import DenseTensor
 from repro.compression.terngrad import TernaryTensor
@@ -81,8 +100,34 @@ def sparse_parts(draw):
 
 
 @st.composite
+def big_layers(draw):
+    """Layers whose arrays reach the codec's segment size, so the wire-dtype
+    ones travel as views: float32 / float64 values, COO and bitmap layers
+    (int64 indices are always cast; bitmap bytes and packed signs are
+    already wire-typed), built from a drawn seed."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["array", "dense", "coo", "bitmap", "quant"]))
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    if kind in ("array", "dense"):
+        arr = rng.standard_normal((8 * draw(st.integers(128, 192)),)).astype(dtype)
+        if draw(st.booleans()):
+            arr = arr.reshape(-1, 8)
+        return arr if kind == "array" else DenseTensor(arr)
+    n = draw(st.integers(33_000, 70_000))  # a bitmap of 4 KiB and more
+    nnz = draw(st.integers(1024, 17_000))  # values / packed signs of 4 KiB and more
+    idx = np.sort(rng.choice(n, size=nnz, replace=False)).astype(np.int64)
+    if kind == "quant":
+        signs = rng.choice(np.array([-1, 1], dtype=np.int8), size=nnz)
+        return QuantizedSparseTensor(idx, signs, float(rng.random()), (n,))
+    vals = rng.standard_normal(nnz).astype(dtype)
+    return (SparseTensor if kind == "coo" else BitmapTensor)(idx, vals, (n,))
+
+
+@st.composite
 def layers(draw):
-    kind = draw(st.sampled_from(["array", "coo", "bitmap", "quant", "dense", "ternary"]))
+    kind = draw(st.sampled_from(["array", "coo", "bitmap", "quant", "dense", "ternary", "big"]))
+    if kind == "big":
+        return draw(big_layers())
     if kind == "array":
         return draw(dense_arrays())
     if kind == "dense":
@@ -136,10 +181,76 @@ def frames(draw):
 def test_frame_bytes_are_the_previous_encoders(frame):
     raw = encode_frame(frame)
     assert bytes(raw) == reference_encode_frame(frame)
+    # the segments a channel gathers are those bytes, in order
+    segments = frame_segments(frame)
+    assert b"".join(bytes(memoryview(seg).cast("B")) for seg in segments) == bytes(raw)
     # and they decode: same layer names, dense layers as float32 views
     back = decode_frame(raw)
     assert list(back.message.payload) == list(frame.message.payload)
     assert back.shard == frame.shard
+
+
+def test_wire_dtype_arrays_are_views_and_cast_arrays_are_copied():
+    """The two dtype paths the property above draws: a C-contiguous float32
+    array of 4 KiB or more is a segment over its own memory, a float64
+    one (and a COO layer's int64 indices) is cast-copied into a run."""
+    rng = np.random.default_rng(7)
+    f32 = rng.standard_normal((64, 32)).astype(np.float32)
+    f64 = rng.standard_normal((64, 32))
+    coo = SparseTensor(np.arange(0, 4096, 2), rng.standard_normal(2048).astype(np.float32), (4096,))
+    frame = ModelFrame(ModelMessage(0, {"a": f32, "b": f64, "c": coo}, 3, 1))
+    arrays = [np.asarray(memoryview(seg)) for seg in frame_segments(frame)]
+    assert sum(np.shares_memory(a, f32) for a in arrays) == 1
+    assert sum(np.shares_memory(a, coo.values) for a in arrays) == 1
+    assert not any(np.shares_memory(a, f64) or np.shares_memory(a, coo.indices) for a in arrays)
+    assert b"".join(a.tobytes() for a in arrays) == reference_encode_frame(frame)
+
+
+def _channel_and_peer(transport: str):
+    """A channel and the bare socket at its far end (TCP, or the other end
+    of a ``multiprocessing.Pipe()``)."""
+    if transport == "tcp":
+        with socket.create_server(("127.0.0.1", 0)) as server:
+            peer = socket.create_connection(server.getsockname())
+            return SocketChannel(server.accept()[0]), peer
+    ours, theirs = mp.Pipe()
+    peer = socket.socket(fileno=os.dup(theirs.fileno()))
+    theirs.close()
+    return PipeChannel(ours), peer
+
+
+@pytest.fixture(scope="module")
+def transports():
+    pairs = {name: _channel_and_peer(name) for name in ("pipe", "tcp")}
+    yield pairs
+    for channel, peer in pairs.values():
+        channel.close()
+        peer.close()
+
+
+def _read_record(peer, out: list) -> None:
+    """One length-prefixed record off ``peer``, prefix included."""
+    buf = bytearray()
+    while len(buf) < 4 or len(buf) < 4 + struct.unpack_from("<I", buf)[0]:
+        want = 4 - len(buf) if len(buf) < 4 else 4 + struct.unpack_from("<I", buf)[0] - len(buf)
+        chunk = peer.recv(want)
+        if not chunk:
+            break
+        buf.extend(chunk)
+    out.append(bytes(buf))
+
+
+@given(frame=frames())
+@settings(max_examples=60, deadline=None)
+def test_what_each_transport_writes_is_the_frame(transports, frame):
+    raw = bytes(encode_frame(frame))
+    for channel, peer in transports.values():
+        got: list = []
+        reader = threading.Thread(target=_read_record, args=(peer, got))
+        reader.start()
+        channel.send(frame)
+        reader.join(timeout=30)
+        assert got == [struct.pack("<I", len(raw)) + raw]
 
 
 def test_name_lengths_reach_every_alignment():

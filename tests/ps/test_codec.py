@@ -8,7 +8,19 @@ import pytest
 
 from repro.compression import BitmapTensor, QuantizedSparseTensor, SparseTensor, encode_sparse
 from repro.ps import DiffMessage, GradientMessage, ModelMessage
-from repro.ps.codec import MAGIC, decode_message, encode_message, _pack_signs, _unpack_signs
+from repro.ps.codec import (
+    MAGIC,
+    _pack_signs,
+    _unpack_signs,
+    decode_message,
+    join_segments,
+    message_segments,
+)
+
+
+def encode_message(msg) -> bytearray:
+    """A message's whole wire image: its segments joined into one buffer."""
+    return join_segments(message_segments(msg))
 
 
 # ----------------------------------------------------------------------
@@ -309,8 +321,9 @@ class TestDecodedViews:
         np.testing.assert_array_equal(indices, kept)
 
     def test_bytes_and_bytearray_inputs_decode_alike(self, rng):
-        """Pipe transport hands over ``bytes`` (``recv_bytes``), the socket a
-        ``bytearray``; a memoryview slice is what ``decode_frame`` passes."""
+        """Callers hold ``bytearray`` (``encode_frame``) or ``bytes``; both
+        transports hand over a ``memoryview``, and a memoryview slice is
+        what ``decode_frame`` passes."""
         raw = encode_message(DiffMessage(1, self.zoo(rng), 4, 0))
         outs = [decode_message(form).payload for form in (raw, bytes(raw), memoryview(raw))]
         for out in outs:
