@@ -10,16 +10,15 @@ speaking the typed frame vocabulary of :mod:`repro.comm.frames`:
 * **simulated / sync** — :class:`SimChannel` / :class:`SimTransport`
   (frames cost virtual link time on the paper's modelled testbed).
 
-The server side is one transport-agnostic loop —
-:func:`~repro.comm.service.serve_channels` driving a shared
-:class:`~repro.comm.service.ServerService`, identical under pipes and
-sockets, both driven by one trainer, :class:`repro.exec.RemoteTrainer`.
-A frame's kind picks its handler from one table (gradient, join/leave
-control, telemetry, close), and one function ends a channel however it
-ends — clean close, crash, or straggler eviction — counting it once on
-the :class:`~repro.comm.service.ServeReport`; who joined and left is
-recorded once, in the service's
-:class:`~repro.ps.membership.WorkerDirectory`.
+The server side is a sans-I/O core and its driver.
+:class:`~repro.comm.serve_core.ServeCore` is the serve loop's logic — a
+handler per frame kind, one method that ends a channel however it ends,
+the one place a channel's worker id is bound — fed frames, EOFs, failed
+sends and clock ticks, and answering with the frames to send and the
+channels to close.  :func:`~repro.comm.service.serve_channels` drives it
+over pipes and sockets alike for :class:`repro.exec.RemoteTrainer`; the
+shared :class:`~repro.comm.service.ServerService` applies frames, and its
+:class:`~repro.ps.membership.WorkerDirectory` records who joined and left.
 
 The channel layer owns byte accounting and ``comm.send`` / ``comm.recv``
 obs spans, so ``TrainResult`` byte fields and traces mean the same thing

@@ -119,8 +119,35 @@ CONTROL_LEAVE = "leave"
 _CONTROL_OPS = (CONTROL_JOIN, CONTROL_LEAVE)  # wire op byte = tuple index
 
 
+class _PayloadFrame:
+    """A frame around a codec message: its worker id and its analytic
+    payload bytes (the accounting every backend reports) are the
+    message's."""
+
+    @property
+    def worker_id(self) -> int:
+        return self.message.worker_id
+
+    def nbytes(self) -> int:
+        return self.message.nbytes()
+
+    def dense_nbytes(self) -> int:
+        return self.message.dense_nbytes()
+
+
+class _NoPayloadFrame:
+    """A control-plane frame: no payload, so 0 analytic bytes (the wire
+    counters still see its header)."""
+
+    def nbytes(self) -> int:
+        return 0
+
+    def dense_nbytes(self) -> int:
+        return 0
+
+
 @dataclass(frozen=True)
-class GradientFrame:
+class GradientFrame(_PayloadFrame):
     """Upstream: one compressed gradient plus the step's training loss."""
 
     message: GradientMessage
@@ -128,58 +155,27 @@ class GradientFrame:
     #: target shard for header-routed transports; -1 = whole server
     shard: int = -1
 
-    @property
-    def worker_id(self) -> int:
-        return self.message.worker_id
-
-    def nbytes(self) -> int:
-        """Analytic payload bytes (the accounting every backend reports)."""
-        return self.message.nbytes()
-
-    def dense_nbytes(self) -> int:
-        return self.message.dense_nbytes()
-
 
 @dataclass(frozen=True)
-class DiffFrame:
+class DiffFrame(_PayloadFrame):
     """Downstream: the server's sparse model difference ``G_k``."""
 
     message: DiffMessage
     #: originating shard for header-routed transports; -1 = whole server
     shard: int = -1
 
-    @property
-    def worker_id(self) -> int:
-        return self.message.worker_id
-
-    def nbytes(self) -> int:
-        return self.message.nbytes()
-
-    def dense_nbytes(self) -> int:
-        return self.message.dense_nbytes()
-
 
 @dataclass(frozen=True)
-class ModelFrame:
+class ModelFrame(_PayloadFrame):
     """Downstream for vanilla ASGD / sync broadcast: the dense model."""
 
     message: ModelMessage
     #: originating shard for header-routed transports; -1 = whole server
     shard: int = -1
 
-    @property
-    def worker_id(self) -> int:
-        return self.message.worker_id
-
-    def nbytes(self) -> int:
-        return self.message.nbytes()
-
-    def dense_nbytes(self) -> int:
-        return self.message.dense_nbytes()
-
 
 @dataclass(frozen=True)
-class CloseFrame:
+class CloseFrame(_NoPayloadFrame):
     """Explicit end-of-stream with the worker's final local accounting.
 
     ``samples_processed`` / ``worker_state_bytes`` are ``None`` when the
@@ -193,16 +189,9 @@ class CloseFrame:
     worker_state_bytes: "int | None" = None
     error: "str | None" = None
 
-    def nbytes(self) -> int:
-        """Close frames carry no payload; they cost only their header."""
-        return 0
-
-    def dense_nbytes(self) -> int:
-        return 0
-
 
 @dataclass(frozen=True)
-class TelemetryFrame:
+class TelemetryFrame(_NoPayloadFrame):
     """One worker's spans, shipped at loop close.
 
     ``spans`` are ``repro.obs.span`` records (the worker's own tracer
@@ -213,16 +202,9 @@ class TelemetryFrame:
     worker_id: int = -1
     spans: "tuple[dict[str, Any], ...]" = field(default_factory=tuple)
 
-    def nbytes(self) -> int:
-        """Telemetry is diagnostic, not payload — analytic bytes are 0."""
-        return 0
-
-    def dense_nbytes(self) -> int:
-        return 0
-
 
 @dataclass(frozen=True)
-class ControlFrame:
+class ControlFrame(_NoPayloadFrame):
     """Membership handshake: ``join`` (expects a ModelFrame reply carrying
     the bootstrapped global model) or ``leave`` (one-way, before close)."""
 
@@ -232,13 +214,6 @@ class ControlFrame:
     def __post_init__(self) -> None:
         if self.op not in _CONTROL_OPS:
             raise ValueError(f"unknown control op {self.op!r}; known: {_CONTROL_OPS}")
-
-    def nbytes(self) -> int:
-        """Membership is control plane, not payload — analytic bytes are 0."""
-        return 0
-
-    def dense_nbytes(self) -> int:
-        return 0
 
 
 Frame = "GradientFrame | DiffFrame | ModelFrame | CloseFrame | TelemetryFrame | ControlFrame"

@@ -6,11 +6,8 @@ socketpair, so :class:`PipeChannel` is the stream channel of
 record, the same :data:`~repro.comm.socket.MAX_FRAME_BYTES` bound and
 read deadline, the same scatter-gather send and fresh ``recv_into``
 buffer per frame.  The same class serves both ends: the child process
-drives it through the worker protocol loop, the parent through the
-transport-agnostic :func:`repro.comm.service.serve_channels`.  A pipe
-that hits EOF/EPIPE *without* a close frame is a crashed worker: the loop
-records the loss of that worker and carries on, so a worker dying mid-run
-yields a graceful partial result instead of a hang.
+drives it through the worker protocol loop, the parent through
+:func:`repro.comm.service.serve_channels`.
 """
 
 from __future__ import annotations

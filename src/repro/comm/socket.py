@@ -13,19 +13,19 @@ kernel; a receive reads the prefix, then lets the kernel fill one fresh,
 unzeroed buffer through ``recv_into``.  Wire counters track frame bytes
 (the length prefix is transport framing, not payload).
 
-The failure semantics are the serve loop's, on every stream:
+A read fails in one of three ways, each of which the serve loop's
+driver turns into that channel's crash (``ServeCore.eof``) and nothing
+more:
 
-* clean EOF mid-stream raises ``EOFError`` — a peer that vanished without
-  a close frame is a crash, reported as a partial result;
+* clean EOF mid-stream raises ``EOFError``: the peer vanished without a
+  close frame;
 * a length prefix above :data:`MAX_FRAME_BYTES` raises
   :class:`ChannelProtocolError` (an ``OSError``) *before* the receive
-  buffer is allocated, so a hostile or corrupt peer costs its own channel
-  and nothing else;
+  buffer is allocated;
 * :class:`ChannelTimeout` (an ``OSError``) fires when ``read_timeout_s``
-  elapses inside a read — the guard against a half-sent frame wedging the
-  server after ``wait()`` reported readability.  On the server side the
-  timeout is set from the straggler budget, so a stalled peer resolves to
-  the same eviction path as a silent one.
+  elapses inside a read, so a half-sent frame cannot wedge the server
+  after ``wait()`` reported readability; the server side sets it from
+  the straggler budget.
 
 :meth:`SocketChannel.connect` retries with capped exponential backoff —
 workers and server race to start in a real deployment (and in the
@@ -77,21 +77,11 @@ DEFAULT_BACKOFF_CAP_S = 1.0
 
 
 class ChannelTimeout(OSError):
-    """A read exceeded the channel's ``read_timeout_s``.
-
-    Subclasses ``OSError`` deliberately: the serve loop's crash handling
-    catches it, so a wedged peer resolves to the same partial-result /
-    eviction semantics as a dead one.
-    """
+    """A read exceeded the channel's ``read_timeout_s``."""
 
 
 class ChannelProtocolError(OSError):
-    """The peer broke the record framing (length prefix out of bounds).
-
-    An ``OSError`` for the same reason :class:`ChannelTimeout` is one: the
-    serve loop drops that channel with crash / partial-result semantics
-    and every other worker carries on.
-    """
+    """The peer broke the record framing (length prefix out of bounds)."""
 
 
 class SocketChannel:

@@ -1,15 +1,19 @@
-"""serve_channels semantics over real socket and pipe channels.
+"""The serve loop over real socket and pipe channels, and its core in memory.
 
 The trainers exercise the happy path end-to-end; these tests drive the
 loop directly from a fake worker thread so each branch is pinned in
 isolation: elastic accept through the listener, the join/leave control
 handshake, every way a channel ends (one parametrized test), a malformed
 frame, straggler eviction, close accounting, and shard-addressed
-sub-frames against a sharded server.
+sub-frames against a sharded server.  ``TestServeCore`` feeds the same
+endings straight to :class:`~repro.comm.serve_core.ServeCore`, with no
+fork, socket, thread or sleep.
 """
 
 from __future__ import annotations
 
+import ast
+import inspect
 import multiprocessing as mp
 import threading
 
@@ -30,6 +34,7 @@ from repro.comm import (
     serve_channels,
 )
 from repro.comm.pipe import PipeChannel
+from repro.comm.serve_core import ServeCore
 from repro.comm.service import ServerService
 from repro.comm.socket import SocketChannel, SocketListener
 from repro.core.layerops import parameters_of
@@ -451,20 +456,6 @@ class TestMalformedFrame:
         assert len(report.errors) == 1 and "worker 50" in report.errors[0]
 
 
-class _RepliesFailAfter(PipeChannel):
-    """Server end of a pipe whose sends raise once ``ok`` replies went out."""
-
-    def __init__(self, connection, ok: int) -> None:
-        super().__init__(connection)
-        self.ok = ok
-
-    def send(self, frame) -> None:
-        if self.ok == 0:
-            raise BrokenPipeError("the peer stopped reading")
-        self.ok -= 1
-        super().send(frame)
-
-
 def _join(channel, worker_id: int = 1) -> None:
     channel.send(ControlFrame(worker_id, CONTROL_JOIN))
     assert isinstance(channel.recv(), ModelFrame)
@@ -519,6 +510,11 @@ def _end_straggler(channel, server):
     _join(channel)  # then silent until the server evicts it
 
 
+def _end_id_mismatch(channel, server):
+    _join(channel)
+    channel.send(_grad_for(server, 0))  # a step in worker 0's name
+
+
 class _RepliesFailAfter(PipeChannel):
     """Server end of a pipe whose sends raise once ``ok`` replies went out."""
 
@@ -550,7 +546,34 @@ CHANNEL_ENDS = {
         _end_reply_send_fails, 1, "worker 1 channel broke while sending the reply", "crash"
     ),
     "straggler": (_end_straggler, None, "worker 1 evicted as straggler", "evicted"),
+    "id-mismatch": (_end_id_mismatch, None, "worker 1 sent a frame as worker 0", "crash"),
 }
+
+
+def _check_end(case, report, membership) -> None:
+    """What every ending leaves, through the driver or in memory."""
+    _, _, error, reason = CHANNEL_ENDS[case]
+    assert report.clean_closes + len(report.errors) == 2
+    assert report.updates == 1  # worker 0's step; worker 1 never completes one
+    if error is None:
+        assert report.errors == []
+    else:
+        assert len(report.errors) == 1 and report.errors[0].startswith(error)
+    # close-frame accounting survives a close that reports an error
+    closed = {"clean-close": 4, "close-with-error": 8}.get(case, 0)
+    assert report.samples_processed == 4 + closed
+    members = membership.members
+    assert members.get(0) == "left"
+    assert members.get(1) == reason
+    assert set(members) <= {0, 1}
+
+
+def _honest_session(channel, server) -> None:
+    """Worker 0's clean session beside every ending."""
+    _join(channel, 0)
+    _whole_step(channel, server, 0, 0)
+    channel.send(ControlFrame(0, CONTROL_LEAVE))
+    channel.send(CloseFrame(worker_id=0, samples_processed=4))
 
 
 class TestEveryChannelEnd:
@@ -562,7 +585,7 @@ class TestEveryChannelEnd:
 
     @pytest.mark.parametrize("case", list(CHANNEL_ENDS))
     def test_each_end_is_counted_once(self, case):
-        act, ok_replies, error, reason = CHANNEL_ENDS[case]
+        act, ok_replies, _, _ = CHANNEL_ENDS[case]
         service, server, membership = _make_service(num_workers=2)
         pipes = [mp.Pipe(duplex=True) for _ in range(2)]
         honest, named = (PipeChannel(b) for _, b in pipes)
@@ -574,10 +597,7 @@ class TestEveryChannelEnd:
 
         def driver():
             act(named, server)
-            _join(honest, 0)
-            _whole_step(honest, server, 0, 0)
-            honest.send(ControlFrame(0, CONTROL_LEAVE))
-            honest.send(CloseFrame(worker_id=0, samples_processed=4))
+            _honest_session(honest, server)
             for channel in (honest, named):
                 try:
                     channel.recv()  # returns only when the server hangs up
@@ -589,21 +609,140 @@ class TestEveryChannelEnd:
         report = _run_driver(
             driver, lambda: serve_channels(served, service, straggler_timeout_s=timeout)
         )
-        assert report.clean_closes + len(report.errors) == len(served)
-        assert report.updates == 1  # worker 0's step; worker 1 never completes one
-        if error is None:
-            assert report.errors == []
-        else:
-            assert len(report.errors) == 1 and report.errors[0].startswith(error)
-        # close-frame accounting survives a close that reports an error
-        closed = {"clean-close": 4, "close-with-error": 8}.get(case, 0)
-        assert report.samples_processed == 4 + closed
-        members = membership.members
-        assert members.get(0) == "left"
-        assert members.get(1) == reason
-        assert set(members) <= {0, 1}
+        _check_end(case, report, membership)
         assert report.wire_bytes_up == honest.wire_bytes_sent + named.wire_bytes_sent
         assert report.wire_bytes_down == honest.wire_bytes_received + named.wire_bytes_received
+
+
+class _InMemory:
+    """A :class:`ServeCore` driven with no transport, on the test's thread.
+
+    Each call a worker makes on its end is one core input, the core's
+    replies land in per-channel inboxes, and the clock moves only when the
+    test moves ``now``.  Channel keys are plain strings, so a core that
+    called a channel method would fail.
+    """
+
+    def __init__(self, core: ServeCore) -> None:
+        self.core = core
+        self.now = 0.0
+        self.inboxes: "dict[str, list]" = {}
+        #: key → replies its sends deliver before they fail (None: all)
+        self.ok: "dict[str, int | None]" = {}
+        #: keys the core closed, in order
+        self.closed: "list[str]" = []
+
+    def open(self, key: str, ok: "int | None" = None) -> "_MemoryEnd":
+        self.inboxes[key], self.ok[key] = [], ok
+        self.core.add(key, self.now)
+        return _MemoryEnd(self, key)
+
+    def carry_out(self, output) -> None:
+        sends, closes = output
+        for key, frame in sends:
+            if key in self.closed:
+                continue
+            if self.ok[key] == 0:
+                self.carry_out(self.core.broken(key))
+                continue
+            if self.ok[key] is not None:
+                self.ok[key] -= 1
+            self.inboxes[key].append(frame)
+        self.closed += closes
+
+
+class _MemoryEnd:
+    """A worker's end of an :class:`_InMemory` channel."""
+
+    def __init__(self, net: _InMemory, key: str) -> None:
+        self.net, self.key = net, key
+
+    def send(self, frame) -> None:
+        self.send_raw(bytes(encode_frame(frame)))
+
+    def send_raw(self, raw: bytes) -> None:
+        net = self.net
+        assert self.key not in net.closed, "a send on a channel the server closed"
+        net.carry_out(net.core.record(self.key, raw, net.now))
+
+    def recv(self):
+        return self.net.inboxes[self.key].pop(0)
+
+    def close(self) -> None:
+        self.net.carry_out(self.net.core.eof(self.key))
+
+
+class TestServeCore:
+    """The serve loop's logic with no fork, socket, thread or sleep."""
+
+    @pytest.mark.parametrize("case", list(CHANNEL_ENDS))
+    def test_each_end_is_counted_once(self, case):
+        act, ok_replies, _, _ = CHANNEL_ENDS[case]
+        service, server, membership = _make_service(num_workers=2)
+        core = ServeCore(service, straggler_timeout_s=0.5 if case == "straggler" else None)
+        net = _InMemory(core)
+        honest, named = net.open("honest"), net.open("named", ok_replies)
+        act(named, server)
+        _honest_session(honest, server)
+        net.now = 1.0  # past the straggler budget
+        net.carry_out(core.tick(net.now))
+        _check_end(case, core.report, membership)
+        assert core.ended == 2 and sorted(net.closed) == ["honest", "named"]
+
+    def test_a_step_in_another_workers_name_moves_nothing_of_it(self):
+        service, server, membership = _make_service(num_workers=2)
+        net = _InMemory(ServeCore(service))
+        w0, w1 = net.open("w0"), net.open("w1")
+        _join(w0, 0)
+        _whole_step(w0, server, 0, 0)
+        _join(w1, 1)
+        before = {name: np.array(v) for name, v in server.worker_model(0).items()}
+        w1.send(_grad_for(server, 0))
+        assert net.closed == ["w1"] and net.inboxes["w1"] == []
+        assert server.timestamp == 1
+        for name, value in server.worker_model(0).items():
+            np.testing.assert_array_equal(value, before[name])
+        assert membership.members == {0: "active", 1: "crash"}
+        _whole_step(w0, server, 0, 1)  # worker 0 steps on
+        assert server.timestamp == 2
+
+    def test_a_worker_that_never_joins_is_bound_by_its_first_step(self):
+        service, server, membership = _make_service(num_workers=2)
+        net = _InMemory(ServeCore(service))
+        w = net.open("w")
+        _whole_step(w, server, 1, 0)
+        w.send(_grad_for(server, 0))
+        assert net.closed == ["w"]
+        assert net.core.report.errors[0].startswith("worker 1 sent a frame as worker 0")
+        assert membership.members == {1: "crash"}
+
+    def test_a_step_counts_once_its_reply_is_known_sent(self):
+        service, server, _ = _make_service(num_workers=1)
+        losses = []
+        core = ServeCore(service, on_update=losses.append)
+        net = _InMemory(core)
+        w = net.open("w")
+        _whole_step(w, server, 0, 0)
+        assert core.report.updates == 0 and losses == []
+        net.carry_out(core.tick(net.now))
+        assert core.report.updates == 1 and losses == [0.5]
+
+    def test_core_imports_no_transport_and_calls_no_channel(self):
+        tree = ast.parse(inspect.getsource(inspect.getmodule(ServeCore)))
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported |= {alias.name.split(".")[0] for alias in node.names}
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module.split(".")[0])
+        assert not imported & {"socket", "select", "multiprocessing", "time"}
+        called = {
+            node.func.attr
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+        }
+        channel_methods = {"send", "send_raw", "recv", "recv_raw", "close", "accept", "waitable"}
+        assert not called & channel_methods
 
 
 class TestShardAddressedServe:
