@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: lint arch-check sanitize-smoke test bench-kernels bench-e2e examples
+.PHONY: lint arch-check sanitize-smoke test bench-kernels bench-e2e examples ps-smoke
 
 ## Static analysis: AST lint + lock discipline + lock graph + layering +
 ## sanitizer self-check.
@@ -55,3 +55,16 @@ examples:
 	$(PYTHON) examples/low_bandwidth_training.py --fast > /dev/null
 	$(PYTHON) examples/telemetry.py --fast > /dev/null
 	$(PYTHON) examples/process_async.py > /dev/null
+
+## The two-terminal deployment demo as one smoke (~5 s): `repro.ps serve`
+## on a fixed loopback port and two `repro.ps worker` processes, each
+## bounded by `timeout`.  Fails unless all three exit 0 and the server
+## prints crashes=0.
+PS_SMOKE_ADDR := 127.0.0.1:5555
+ps-smoke:
+	@out=$$(mktemp); status=0; \
+	timeout 120 $(PYTHON) -m repro.ps serve --bind $(PS_SMOKE_ADDR) --workers 2 --iterations 10 > $$out & server=$$!; \
+	timeout 120 $(PYTHON) -m repro.ps worker --connect $(PS_SMOKE_ADDR) --id 0 --iterations 10 & w0=$$!; \
+	timeout 120 $(PYTHON) -m repro.ps worker --connect $(PS_SMOKE_ADDR) --id 1 --iterations 10 & w1=$$!; \
+	wait $$w0 || status=1; wait $$w1 || status=1; wait $$server || status=1; \
+	cat $$out; grep -q "crashes=0" $$out || status=1; rm -f $$out; exit $$status

@@ -1,4 +1,4 @@
-"""ThreadSanitizer-lite for the HOGWILD trainer.
+"""ThreadSanitizer-lite for lock-owning objects such as the parameter server.
 
 The static checker (:mod:`repro.analysis.locks`) proves lexical lock
 discipline; this module verifies it *dynamically* under real thread
@@ -9,7 +9,8 @@ server's mutable state in access-recording proxies.  Any attribute access
 that happens (a) without the current thread holding the lock and (b) while
 more than one thread is alive is recorded as a :class:`RaceViolation` —
 accesses during single-threaded setup/teardown are exempt, because a race
-needs a second runner.
+needs a second runner.  Nothing in ``src/`` starts a thread: the race
+tests drive a server from plain worker threads.
 
 Violations are *recorded*, not raised: the monitored run completes and the
 test asserts on :attr:`RaceMonitor.violations` afterwards, so one racy
@@ -29,15 +30,7 @@ __all__ = [
     "GuardedProxy",
     "instrument_object",
     "instrument_server",
-    "SERVER_GUARDED_ATTRS",
 ]
-
-#: Legacy alias for :attr:`repro.ps.server.ParameterServer.__guarded_attrs__`
-#: — the per-class declaration is the source of truth now (``stats`` is
-#: deliberately absent there: byte accounting moved into the channel layer,
-#: which records into a self-synchronising ``CompressionStats`` outside the
-#: server lock by design).
-SERVER_GUARDED_ATTRS = ("tracker", "staleness_meter", "worker_staleness")
 
 
 class CheckedLock:
@@ -206,12 +199,6 @@ def instrument_server(
     attrs: "Sequence[str] | None" = None,
     monitor: "RaceMonitor | None" = None,
 ) -> RaceMonitor:
-    """Instrument a live parameter server, in place.
-
-    Thin wrapper over :func:`instrument_object` kept for the existing race
-    harness; falls back to :data:`SERVER_GUARDED_ATTRS` when the server's
-    class carries no ``__guarded_attrs__`` declaration.
-    """
-    if attrs is None and getattr(type(server), "__guarded_attrs__", None) is None:
-        attrs = [a for a in SERVER_GUARDED_ATTRS if hasattr(server, a)]
+    """Instrument a live parameter server, in place: :func:`instrument_object`
+    over the attributes its class declares in ``__guarded_attrs__``."""
     return instrument_object(server, attrs=attrs, monitor=monitor)

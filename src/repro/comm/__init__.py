@@ -7,18 +7,21 @@ speaking the typed frame vocabulary of :mod:`repro.comm.frames`:
   of a ``multiprocessing.Pipe()``);
 * **socket** — :class:`SocketChannel` + :class:`SocketListener` (real
   bytes over TCP, loopback-ephemeral by default for CI);
-* **simulated / sync** — :class:`SimChannel` / :class:`SimTransport`
-  (frames cost virtual link time on the paper's modelled testbed).
+* **simulated / sync** — :class:`SimTransport` (frames cost virtual link
+  time on the paper's modelled testbed).
 
-The server side is a sans-I/O core and its driver.
-:class:`~repro.comm.serve_core.ServeCore` is the serve loop's logic — a
-handler per frame kind, one method that ends a channel however it ends,
-the one place a channel's worker id is bound — fed frames, EOFs, failed
-sends and clock ticks, and answering with the frames to send and the
-channels to close.  :func:`~repro.comm.service.serve_channels` drives it
-over pipes and sockets alike for :class:`repro.exec.RemoteTrainer`; the
-shared :class:`~repro.comm.service.ServerService` applies frames, and its
-:class:`~repro.ps.membership.WorkerDirectory` records who joined and left.
+Each side of the protocol is a sans-I/O core and its driver.  The
+worker's, :class:`~repro.comm.session.WorkerSession`, builds the join,
+upload and closing frames and checks each reply; ``run_worker_loop``
+drives it over pipes and sockets, the simulated and sync engines over
+:class:`SimTransport`.  The server's, :class:`~repro.comm.serve_core.ServeCore`,
+holds a handler per frame kind, the one ending of a channel and the one
+binding of a channel to a worker id (one open channel per id); it is fed
+frames, EOFs, failed sends and clock ticks, and answers with the frames
+to send and the channels to close.  ``serve_channels`` drives it for
+:class:`repro.exec.RemoteTrainer`; the shared ``ServerService`` applies
+frames, and its :class:`~repro.ps.membership.WorkerDirectory` records who
+joined and left.
 
 The channel layer owns byte accounting and ``comm.send`` / ``comm.recv``
 obs spans, so ``TrainResult`` byte fields and traces mean the same thing
@@ -26,7 +29,7 @@ on every substrate.  See ``docs/comm.md`` for the frame schema and the
 channel contract.
 """
 
-from . import channel, frames, pipe, protocol, service, sim, socket
+from . import channel, frames, pipe, protocol, service, session, sim, socket
 from .channel import Channel, ChannelClosed
 from .frames import (
     CONTROL_JOIN,
@@ -54,7 +57,8 @@ from .frames import (
 from .pipe import PipeChannel
 from .protocol import run_worker_loop
 from .service import ServeReport, ServerService, serve_channels
-from .sim import SimChannel, SimTransfer, SimTransport
+from .session import WorkerSession
+from .sim import SimTransfer, SimTransport
 from .socket import (
     ChannelProtocolError,
     ChannelTimeout,
@@ -68,6 +72,7 @@ __all__ = [
     "pipe",
     "protocol",
     "service",
+    "session",
     "sim",
     "socket",
     "FRAME_MAGIC",
@@ -101,8 +106,8 @@ __all__ = [
     "serve_channels",
     "SocketChannel",
     "SocketListener",
-    "SimChannel",
     "SimTransfer",
     "SimTransport",
+    "WorkerSession",
     "run_worker_loop",
 ]

@@ -4,8 +4,9 @@ A channel is one worker's duplex connection to the parameter server.  The
 worker side is three calls — :meth:`~Channel.send`, :meth:`~Channel.recv`,
 :meth:`~Channel.close` — and the server side is a *service*: a callable
 ``GradientFrame -> DiffFrame | ModelFrame``.  Every backend supplies its
-own transport (OS pipes, TCP sockets, virtual links) but they all speak
-:mod:`repro.comm.frames` and account bytes identically:
+own transport (OS pipes, TCP sockets, :class:`~repro.comm.sim.SimTransport`'s
+virtual links) but they all speak :mod:`repro.comm.frames` and account
+bytes identically:
 
 * the **server-side** endpoint of a channel records analytic payload bytes
   (``frame.nbytes()`` / ``frame.dense_nbytes()``) into one

@@ -71,8 +71,11 @@ class ServeCore:
     server cannot apply (:meth:`~repro.comm.service.ServerService.check`),
     a failed send, silence longer than ``straggler_timeout_s`` at a
     :meth:`tick`, or a frame claiming another worker id than the one the
-    channel is bound to — by the first join or gradient the server
-    applied on it (a worker may step without joining).
+    channel is bound to — by the first join, gradient or telemetry the
+    server applied on it (a worker may step without joining) — or, on a
+    channel not yet bound, an id another open channel is bound to: one
+    open channel per worker id, so a worker that reconnects is refused
+    until its old channel ends.
 
     A step split into ``num_shards`` shard-addressed sub-frames is
     answered once its last sub-frame is in, its replies together and in
@@ -99,7 +102,7 @@ class ServeCore:
         self.report = ServeReport()
         #: open channel → when its last frame (or the channel) arrived
         self.last_seen: "dict[object, float]" = {}
-        #: channel → the worker id it joined or first stepped as
+        #: open channel → the worker id bound to it (one open channel per id)
         self.worker_ids: "dict[object, int]" = {}
         #: replies to a split step's sub-frames, waiting for the rest of the step
         self.held: "dict[object, list]" = {}
@@ -134,10 +137,11 @@ class ServeCore:
             return self._output()
         handler = self.handlers.get(type(frame))
         claimed = frame.worker_id
+        bound = self.worker_ids.get(key)
         if handler is None:
             self.end(key, f" sent an unexpected {type(frame).__name__} (crash)")
-        elif self.worker_ids.get(key, claimed) != claimed:
-            self.end(key, f" sent a frame as worker {claimed} (crash)", claimed=claimed)
+        elif bound != claimed and (bound is not None or claimed in self.worker_ids.values()):
+            self.end(key, f" sent a frame as worker {claimed} (crash)")
         else:
             try:
                 handler(key, frame)
@@ -238,7 +242,7 @@ class ServeCore:
 
     def _telemetry(self, key, frame: TelemetryFrame) -> None:
         # diagnostic side channel: no reply, the channel stays open
-        self.report.telemetry[frame.worker_id] = frame
+        self.report.telemetry[self.worker_ids.setdefault(key, frame.worker_id)] = frame
 
     def _close(self, key, frame: CloseFrame) -> None:
         report = self.report

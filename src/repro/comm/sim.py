@@ -1,18 +1,17 @@
-"""Virtual-clock channels: frames cost link time instead of wall time.
+"""Virtual-clock transport: frames cost link time instead of wall time.
 
 :class:`SimTransport` binds the comm layer to the simulator's network
 model: one shared uplink/downlink pair (``repro.sim.network.SharedLink``),
-the testbed's ``wire_scale`` factor, and the run's byte-accounting sink.
-Frame sizes are the same analytic ``frame.nbytes()`` every other backend
-accounts, so a message occupies the modelled server NIC for exactly the
-bytes the codec would produce.
+the testbed's ``wire_scale`` factor, the serialised server and the run's
+byte-accounting sink.  Frame sizes are the same analytic ``frame.nbytes()``
+every other backend accounts, so a message occupies the modelled server
+NIC for exactly the bytes the codec would produce.
 
-:class:`SimChannel` is one worker's channel on that transport.  Because
-the event-driven engine owns the chronology, the channel exposes a single
-:meth:`~SimChannel.exchange` that performs the whole
-upload → server → download round-trip at a given virtual ready-time and
-returns the reply frame plus the :class:`SimTransfer` timing breakdown the
-engine needs for its event heap.  Link and server spans go to the ambient
+Because the event-driven engine owns the chronology, a worker's whole
+upload → server → download round-trip is one
+:meth:`~SimTransport.exchange` at a given virtual ready-time, returning the
+reply frame plus the :class:`SimTransfer` timing breakdown the engine
+needs for its event heap.  Link and server spans go to the ambient
 :func:`repro.obs.current_tracer` in the ``virtual`` clock domain.
 """
 
@@ -24,30 +23,27 @@ from typing import TYPE_CHECKING
 from ..compression.stats import CompressionStats
 from ..obs import names as obs_names
 from ..obs.tracer import current_tracer
-from .frames import DiffFrame, GradientFrame, ModelFrame
-from .service import ServerService
 
 if TYPE_CHECKING:
     from ..sim.network import SharedLink
+    from .frames import DiffFrame, GradientFrame, ModelFrame
+    from .service import ServerService
 
-__all__ = ["SimTransfer", "SimTransport", "SimChannel"]
+__all__ = ["SimTransfer", "SimTransport"]
 
 
 @dataclass(frozen=True)
 class SimTransfer:
-    """Virtual-clock timing of one worker↔server exchange."""
+    """Virtual-clock timing of one worker↔server exchange: when the server
+    finished applying it, and when its reply reached the worker."""
 
-    up_start: float
-    up_end: float
-    server_start: float
     server_end: float
     down_end: float
-    up_bytes: int
-    down_bytes: int
 
 
 class SimTransport:
-    """Shared server link pair + byte accounting on the virtual clock."""
+    """Shared server link pair, serial server and byte accounting on the
+    virtual clock."""
 
     def __init__(
         self,
@@ -67,36 +63,26 @@ class SimTransport:
 
     # ------------------------------------------------------------------
     def send_frame(
-        self, ready_t: float, frame: GradientFrame, worker: int
+        self, ready_t: float, frame: "GradientFrame", worker: int
     ) -> "tuple[float, float]":
         """Reserve uplink time for ``frame``; returns (start, end)."""
-        nbytes = frame.nbytes()
-        start, end = self.uplink.reserve(ready_t, int(nbytes * self.wire_scale))
-        self.stats.record_upload(nbytes, frame.dense_nbytes())
-        tracer = current_tracer()
-        if tracer.enabled:
-            tracer.add_span(
-                obs_names.COMM_SEND,
-                start,
-                end,
-                tid=f"worker-{worker}",
-                cat="comm",
-                domain="virtual",
-                args={"worker": worker, "bytes": nbytes},
-            )
-        return start, end
+        self.stats.record_upload(frame.nbytes(), frame.dense_nbytes())
+        return self._carry(self.uplink, obs_names.COMM_SEND, ready_t, frame, worker)
 
     def recv_frame(
         self, ready_t: float, frame: "DiffFrame | ModelFrame", worker: int
     ) -> "tuple[float, float]":
         """Reserve downlink time for ``frame``; returns (start, end)."""
+        self.stats.record_download(frame.nbytes(), frame.dense_nbytes())
+        return self._carry(self.downlink, obs_names.COMM_RECV, ready_t, frame, worker)
+
+    def _carry(self, link: SharedLink, name: str, ready_t: float, frame, worker: int):
         nbytes = frame.nbytes()
-        start, end = self.downlink.reserve(ready_t, int(nbytes * self.wire_scale))
-        self.stats.record_download(nbytes, frame.dense_nbytes())
+        start, end = link.reserve(ready_t, int(nbytes * self.wire_scale))
         tracer = current_tracer()
         if tracer.enabled:
             tracer.add_span(
-                obs_names.COMM_RECV,
+                name,
                 start,
                 end,
                 tid=f"worker-{worker}",
@@ -106,30 +92,20 @@ class SimTransport:
             )
         return start, end
 
-
-class SimChannel:
-    """Worker ``k``'s channel through the shared virtual server link."""
-
-    def __init__(self, transport: SimTransport, service: ServerService, worker_id: int) -> None:
-        self.transport = transport
-        self.service = service
-        self.worker_id = worker_id
-
     def exchange(
-        self, ready_t: float, frame: GradientFrame
+        self, ready_t: float, frame: "GradientFrame", service: "ServerService"
     ) -> "tuple[DiffFrame | ModelFrame, SimTransfer]":
-        """One full upload → server apply → download round-trip.
+        """One full upload → ``service`` apply → download round-trip.
 
         The uplink is FIFO and the engine pops ready-events in time order,
         so updates are applied in wire-arrival order — the chronology that
         makes simulated staleness match the paper's testbed.
         """
-        transport = self.transport
-        up_start, up_end = transport.send_frame(ready_t, frame, worker=self.worker_id)
-        server_start = max(up_end, transport.server_free)
-        server_end = server_start + transport.server_overhead_s
-        transport.server_free = server_end
-        reply = self.service(frame)
+        worker = frame.worker_id
+        _, up_end = self.send_frame(ready_t, frame, worker)
+        server_start = max(up_end, self.server_free)
+        server_end = self.server_free = server_start + self.server_overhead_s
+        reply = service(frame)
         tracer = current_tracer()
         if tracer.enabled:
             tracer.add_span(
@@ -140,19 +116,11 @@ class SimChannel:
                 cat="server",
                 domain="virtual",
                 args={
-                    "worker": self.worker_id,
+                    "worker": worker,
                     "staleness": reply.message.staleness,
                     "up_bytes": frame.nbytes(),
                     "down_bytes": reply.nbytes(),
                 },
             )
-        _, down_end = transport.recv_frame(server_end, reply, worker=self.worker_id)
-        return reply, SimTransfer(
-            up_start=up_start,
-            up_end=up_end,
-            server_start=server_start,
-            server_end=server_end,
-            down_end=down_end,
-            up_bytes=frame.nbytes(),
-            down_bytes=reply.nbytes(),
-        )
+        _, down_end = self.recv_frame(server_end, reply, worker)
+        return reply, SimTransfer(server_end, down_end)

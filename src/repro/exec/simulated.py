@@ -18,9 +18,9 @@ import heapq
 
 import numpy as np
 
-from ..comm.frames import GradientFrame
 from ..comm.service import ServerService
-from ..comm.sim import SimChannel, SimTransport
+from ..comm.session import WorkerSession
+from ..comm.sim import SimTransport
 from ..core.layerops import parameter_views
 from ..data.loader import DataLoader
 from ..metrics.curves import Curve
@@ -115,9 +115,9 @@ class SimulatedTrainer:
         # Spans are stamped with the *virtual* clock (same schema as the
         # remote engine's wall-clock spans).
         tracer = current_tracer()
-        # All exchanges route through the comm layer: the transport owns the
-        # shared link pair, the wire scaling, the byte accounting and the
-        # comm.send / server.handle / comm.recv virtual spans.
+        # All exchanges route through the comm layer: a worker's session
+        # builds its upload and applies its reply; the transport owns the
+        # link pair, the serial server, the byte accounting and the spans.
         transport = SimTransport(
             self.uplink,
             self.downlink,
@@ -126,10 +126,6 @@ class SimulatedTrainer:
             stats=self.server.stats,
         )
         service = ServerService(self.server)
-        channels = {
-            node.worker_id: SimChannel(transport, service, node.worker_id)
-            for node in self.workers
-        }
         compute_start = {node.worker_id: 0.0 for node in self.workers}
         while heap and applied < config.total_iterations:
             ready_t, _, wid = heapq.heappop(heap)
@@ -139,11 +135,9 @@ class SimulatedTrainer:
                 # worker's server-side state persists.
                 continue
 
-            msg = node.compute_step()
-            reply_frame, transfer = channels[wid].exchange(
-                ready_t, GradientFrame(msg, node.last_loss)
-            )
-            node.apply_reply(reply_frame.message)
+            session = WorkerSession(node)
+            reply, transfer = transport.exchange(ready_t, session.upload(), service)
+            session.apply(reply)
             if tracer.enabled:
                 tracer.add_span(
                     obs_names.WORKER_COMPUTE,

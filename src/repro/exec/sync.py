@@ -20,7 +20,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..comm.frames import GradientFrame, ModelFrame
+from ..comm.frames import ModelFrame
+from ..comm.session import WorkerSession
 from ..comm.sim import SimTransport
 from ..compression.stats import CompressionStats
 from ..core.arena import LayerArena
@@ -116,15 +117,13 @@ class SynchronousTrainer:
             straggler_lost += max(times) - sum(times) / n
 
             # 2) Every worker computes on the same model version.
-            msgs = [node.compute_step() for node in self.workers]
+            uploads = [WorkerSession(node).upload() for node in self.workers]
             samples = sum(node.samples_processed for node in self.workers)
 
             # 3) Serialised uploads through the shared link.
             t = compute_end
-            for node, msg in zip(self.workers, msgs):
-                _, t = transport.send_frame(
-                    t, GradientFrame(msg, node.last_loss), worker=msg.worker_id
-                )
+            for frame in uploads:
+                _, t = transport.send_frame(t, frame, worker=frame.worker_id)
             t += cluster.server_overhead_s
 
             # 4) Aggregate and apply to the global model.  Eq. (7) SUMS the
@@ -133,8 +132,8 @@ class SynchronousTrainer:
             # makes the barrier comparison against N async updates fair.
             mean_loss = float(np.mean([node.last_loss for node in self.workers]))
             agg = self._agg.zero_()
-            for msg in msgs:
-                agg.add_payload(msg.payload)
+            for frame in uploads:
+                agg.add_payload(frame.message.payload)
             add_payload(self._params, agg, scale=-1.0)
 
             # 5) Broadcast the dense aggregated update, one transfer/worker.

@@ -1,9 +1,10 @@
 """Worker node: local model replica + gradient computation + strategy.
 
 Implements the worker loops of Algorithms 1 and 3: download → apply →
-sample → backward → compress → upload.  The same class is driven by both
-the remote engine's worker processes (real time) and the event-driven
-simulator (virtual time) — only the scheduling differs.
+sample → backward → compress → upload.  The same class is driven through
+one :class:`~repro.comm.session.WorkerSession` by both the remote engine's
+worker processes (real time) and the event-driven simulator (virtual
+time) — only the scheduling differs.
 """
 
 from __future__ import annotations

@@ -7,8 +7,8 @@ import importlib.util
 import threading
 from pathlib import Path
 
+from repro.analysis.concurrency import guarded_attrs_of
 from repro.analysis.race import (
-    SERVER_GUARDED_ATTRS,
     CheckedLock,
     GuardedProxy,
     RaceMonitor,
@@ -185,5 +185,5 @@ class TestInstrumentedTrainer:
 
 def test_default_guarded_attrs_exist_on_server(tiny_dataset, tiny_model_factory):
     trainer = _WorkerThreads(tiny_dataset, tiny_model_factory, workers=1, iters=1)
-    for attr in SERVER_GUARDED_ATTRS:
+    for attr in guarded_attrs_of(type(trainer.server)):
         assert hasattr(trainer.server, attr)

@@ -218,9 +218,3 @@ class TestGuardedAttrsConsistency:
 
     def test_undeclared_classes_return_none(self):
         assert guarded_attrs_of(object) is None
-
-    def test_legacy_alias_matches_declaration(self):
-        from repro.analysis.race import SERVER_GUARDED_ATTRS
-        from repro.ps.server import ParameterServer
-
-        assert tuple(SERVER_GUARDED_ATTRS) == guarded_attrs_of(ParameterServer)

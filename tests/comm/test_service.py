@@ -347,15 +347,19 @@ class TestMalformedFrame:
         assert membership.members == {0: "left", 1: "crash"}
 
     @pytest.mark.parametrize(
-        "bad_frame",
+        "bad_frame, error",
         [
             # the worker id is a u32 on the wire: 2 is past a 2-worker server
-            lambda server: _grad_for(server, 2),
+            (lambda server: _grad_for(server, 2), "cannot apply"),
             # the join's worker id is an i32 on the wire
-            lambda server: ControlFrame(-1, CONTROL_JOIN),
+            (lambda server: ControlFrame(-1, CONTROL_JOIN), "cannot apply"),
             # a rejected frame's id is not the channel's: worker 0 stays up
-            lambda server: GradientFrame(
-                GradientMessage(0, {"no.such.layer": np.zeros(3)}, 0), loss=0.5
+            # (worker 0's open channel holds the id, so it is refused first)
+            (
+                lambda server: GradientFrame(
+                    GradientMessage(0, {"no.such.layer": np.zeros(3)}, 0), loss=0.5
+                ),
+                "sent a frame as worker 0",
             ),
         ],
         ids=[
@@ -364,7 +368,7 @@ class TestMalformedFrame:
             "bad-gradient-claiming-a-live-worker",
         ],
     )
-    def test_frame_the_server_cannot_apply_crashes_only_its_channel(self, bad_frame):
+    def test_frame_the_server_cannot_apply_crashes_only_its_channel(self, bad_frame, error):
         """A frame naming a worker the server holds no state for, or one
         that does not fit its layers, is that peer's failure: its channel
         crashes, the membership directory is untouched by the id it
@@ -396,7 +400,7 @@ class TestMalformedFrame:
         report = _run_driver(driver, serve)
         assert report.clean_closes == 1
         assert report.updates == steps and report.samples_processed == steps
-        assert len(report.errors) == 1 and "cannot apply" in report.errors[0]
+        assert len(report.errors) == 1 and error in report.errors[0]
         assert server.num_workers == 2 and server.timestamp == steps
         assert membership.members == {0: "left"}
         assert [event for _, event, _ in membership.events] == ["join", "left"]
@@ -515,6 +519,15 @@ def _end_id_mismatch(channel, server):
     channel.send(_grad_for(server, 0))  # a step in worker 0's name
 
 
+def _end_step_as_live_worker(channel, server):
+    channel.send(_grad_for(server, 0))  # never joined; worker 0's channel is open
+
+
+def _end_telemetry_as_live_worker(channel, server):
+    channel.send(TelemetryFrame(worker_id=0, spans=({"name": "forged"},)))
+    channel.close()
+
+
 class _RepliesFailAfter(PipeChannel):
     """Server end of a pipe whose sends raise once ``ok`` replies went out."""
 
@@ -547,6 +560,10 @@ CHANNEL_ENDS = {
     ),
     "straggler": (_end_straggler, None, "worker 1 evicted as straggler", "evicted"),
     "id-mismatch": (_end_id_mismatch, None, "worker 1 sent a frame as worker 0", "crash"),
+    "step-as-live-worker": (_end_step_as_live_worker, None, "worker sent a frame as worker 0", None),
+    "telemetry-as-live-worker": (
+        _end_telemetry_as_live_worker, None, "worker sent a frame as worker 0", None
+    ),
 }
 
 
@@ -566,11 +583,11 @@ def _check_end(case, report, membership) -> None:
     assert members.get(0) == "left"
     assert members.get(1) == reason
     assert set(members) <= {0, 1}
+    assert report.telemetry == {}  # no channel shipped spans under its own id
 
 
 def _honest_session(channel, server) -> None:
-    """Worker 0's clean session beside every ending."""
-    _join(channel, 0)
+    """Worker 0's clean session beside every ending, after its join."""
     _whole_step(channel, server, 0, 0)
     channel.send(ControlFrame(0, CONTROL_LEAVE))
     channel.send(CloseFrame(worker_id=0, samples_processed=4))
@@ -581,7 +598,8 @@ class TestEveryChannelEnd:
     (a clean close or one error), deregisters only the id it used, and
     adds its wire bytes to the report.  Worker 0 runs a clean session on a
     second channel alongside, so each case also shows that one ending
-    leaves the other channel alone."""
+    leaves the other channel alone.  Worker 0 joins before worker 1's
+    channel acts, so an ending can be a claim on a live worker's id."""
 
     @pytest.mark.parametrize("case", list(CHANNEL_ENDS))
     def test_each_end_is_counted_once(self, case):
@@ -596,6 +614,7 @@ class TestEveryChannelEnd:
         ]
 
         def driver():
+            _join(honest, 0)
             act(named, server)
             _honest_session(honest, server)
             for channel in (honest, named):
@@ -669,7 +688,8 @@ class _MemoryEnd:
         return self.net.inboxes[self.key].pop(0)
 
     def close(self) -> None:
-        self.net.carry_out(self.net.core.eof(self.key))
+        if self.key not in self.net.closed:  # else the server hung up first
+            self.net.carry_out(self.net.core.eof(self.key))
 
 
 class TestServeCore:
@@ -682,6 +702,7 @@ class TestServeCore:
         core = ServeCore(service, straggler_timeout_s=0.5 if case == "straggler" else None)
         net = _InMemory(core)
         honest, named = net.open("honest"), net.open("named", ok_replies)
+        _join(honest, 0)
         act(named, server)
         _honest_session(honest, server)
         net.now = 1.0  # past the straggler budget
@@ -705,6 +726,47 @@ class TestServeCore:
         assert membership.members == {0: "active", 1: "crash"}
         _whole_step(w0, server, 0, 1)  # worker 0 steps on
         assert server.timestamp == 2
+
+    def test_a_channel_that_never_joined_cannot_step_as_a_live_worker(self):
+        service, server, membership = _make_service(num_workers=2)
+        net = _InMemory(ServeCore(service))
+        w0, fresh = net.open("w0"), net.open("fresh")
+        _join(w0, 0)
+        _whole_step(w0, server, 0, 0)
+        before = {name: np.array(v) for name, v in server.worker_model(0).items()}
+        fresh.send(_grad_for(server, 0))
+        assert net.closed == ["fresh"] and net.inboxes["fresh"] == []
+        assert net.core.report.errors == ["worker sent a frame as worker 0 (crash)"]
+        assert server.timestamp == 1
+        for name, value in server.worker_model(0).items():
+            np.testing.assert_array_equal(value, before[name])
+        assert membership.members == {0: "active"}
+        _whole_step(w0, server, 0, 1)
+        assert server.timestamp == 2
+
+    def test_telemetry_is_kept_under_the_channels_bound_id(self):
+        service, server, _ = _make_service(num_workers=2)
+        net = _InMemory(ServeCore(service))
+        w0, fresh = net.open("w0"), net.open("fresh")
+        _join(w0, 0)
+        shipped = TelemetryFrame(worker_id=0, spans=({"name": "worker.step"},))
+        w0.send(shipped)
+        fresh.send(TelemetryFrame(worker_id=0, spans=({"name": "forged"},)))
+        assert net.closed == ["fresh"]
+        assert net.core.report.telemetry == {0: shipped}
+
+    def test_a_worker_rejoins_once_its_old_channel_has_ended(self):
+        service, server, membership = _make_service(num_workers=2)
+        net = _InMemory(ServeCore(service))
+        old, early = net.open("old"), net.open("early")
+        _join(old, 1)
+        early.send(ControlFrame(1, CONTROL_JOIN))  # the old channel is still open
+        assert net.closed == ["early"] and net.inboxes["early"] == []
+        assert membership.members == {1: "active"}
+        old.close()  # EOF: the old channel ends, and the id is free
+        _join(net.open("new"), 1)
+        assert membership.members == {1: "active"}
+        assert [event for _, event, _ in membership.events] == ["join", "crash", "join"]
 
     def test_a_worker_that_never_joins_is_bound_by_its_first_step(self):
         service, server, membership = _make_service(num_workers=2)
