@@ -59,10 +59,12 @@ examples:
 ## The two-terminal deployment demo as one smoke (~5 s): `repro.ps serve`
 ## on a fixed loopback port and two `repro.ps worker` processes, each
 ## bounded by `timeout`.  Fails unless all three exit 0 and the server
-## prints crashes=0.
+## prints crashes=0, and unless a worker id outside [0, --workers) is a
+## usage error (exit 2) before it connects.
 PS_SMOKE_ADDR := 127.0.0.1:5555
 ps-smoke:
 	@out=$$(mktemp); status=0; \
+	timeout 20 $(PYTHON) -m repro.ps worker --id 2 --workers 2 2>/dev/null; test $$? -eq 2 || status=1; \
 	timeout 120 $(PYTHON) -m repro.ps serve --bind $(PS_SMOKE_ADDR) --workers 2 --iterations 10 > $$out & server=$$!; \
 	timeout 120 $(PYTHON) -m repro.ps worker --connect $(PS_SMOKE_ADDR) --id 0 --iterations 10 & w0=$$!; \
 	timeout 120 $(PYTHON) -m repro.ps worker --connect $(PS_SMOKE_ADDR) --id 1 --iterations 10 & w1=$$!; \

@@ -4,8 +4,8 @@ Four pillars (run together by ``python -m repro.analysis``):
 
 * :mod:`repro.analysis.linter` — repo-specific AST lint rules over
   ``src/repro/**`` (RNG plumbing, mutable defaults, bare except, ``__all__``
-  consistency, hot-path dtype hygiene, ``Tensor.data`` ownership, noqa
-  pragma hygiene);
+  completeness, hot-path dtype hygiene, ``Tensor.data`` ownership, wire
+  framing and copies, telemetry names, per-layer loops);
 * :mod:`repro.analysis.locks` — static lock discipline per class
   (LCK001–003, bare-acquire LCK006), plus
   :mod:`repro.analysis.concurrency.lockgraph`, the whole-program
@@ -20,7 +20,9 @@ Four pillars (run together by ``python -m repro.analysis``):
   over autograd ops, optimizer steps and compression codecs
   (``python -m repro run <exp> --sanitize``).
 
-See ``docs/analysis.md`` for rule descriptions and suppression syntax.
+See ``docs/analysis.md`` for the rules, their fixtures, and how a finding
+is settled (fixed, or the rule's scope names the owner — there is no
+suppression comment).
 """
 
 from __future__ import annotations

@@ -26,21 +26,7 @@ from pathlib import Path
 
 from . import run_analysis
 from .findings import Finding
-from .rules import known_rule_ids, rule_index
-
-#: one-line semantics for rules reported by the non-lint pillars
-_PILLAR_RULES = (
-    ("LCK001", "guarded state touched without holding the class lock"),
-    ("LCK002", "private method touching guarded state has no in-class caller"),
-    ("LCK003", "lock re-acquired while held (non-reentrant deadlock)"),
-    ("LCK004", "cycle in the whole-program lock-acquisition graph (ABBA)"),
-    ("LCK005", "channel send/recv reachable while a lock is held"),
-    ("LCK006", "bare .acquire()/.release() without a finally"),
-    ("ARC001", "import edge outside the layering matrix and baseline"),
-    ("ARC002", "module-level import cycle"),
-    ("SAN001", "sanitizer self-check failure"),
-    ("PAR001", "file does not parse"),
-)
+from .rules import known_rule_ids, rule_summaries
 
 
 def _default_root() -> str:
@@ -106,7 +92,7 @@ def _cmd_arch(argv: "list[str]") -> int:
         write_baseline,
     )
 
-    edges, _ = build_import_graph(args.root)
+    edges = build_import_graph(args.root)
     pkg = package_edges(edges)
     if args.update_baseline:
         path = write_baseline(pkg)
@@ -164,9 +150,7 @@ def main(argv: "list[str] | None" = None) -> int:
     args = parser.parse_args(argv)
 
     if args.list_rules:
-        for rule_id, cls in sorted(rule_index().items()):
-            print(f"{rule_id}  {cls.summary}")
-        for rule_id, summary in _PILLAR_RULES:
+        for rule_id, summary in sorted(rule_summaries().items()):
             print(f"{rule_id}  {summary}")
         return 0
 

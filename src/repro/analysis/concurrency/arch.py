@@ -18,7 +18,7 @@ cycles — aggregates it to top-level packages, and verifies:
 The baseline records the current package edge set; edges in the baseline
 but no longer allowed by the matrix are "grandfathered" debt, listed by
 ``python -m repro.analysis arch`` so it can be burned down deliberately.
-Findings honour ``# repro: noqa ARC001`` on the import line.
+The matrix and the baseline are the only ways an edge is allowed.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterator, Mapping, Sequence
 
-from ..findings import Finding, filter_suppressed
+from ..findings import Finding
 from ..linter import ModuleInfo, iter_python_files, load_module
 
 __all__ = [
@@ -216,11 +216,10 @@ def _runtime_imports(tree: ast.Module) -> "Iterator[ast.stmt]":
 
 def build_import_graph(
     root: "str | Path", paths: "Sequence[str | Path] | None" = None
-) -> "tuple[list[ImportEdge], dict[str, ModuleInfo]]":
+) -> "list[ImportEdge]":
     """Runtime import edges between modules inside the tree."""
     rootp = Path(root)
     root_pkg = rootp.name
-    modules: dict[str, ModuleInfo] = {}
     parsed: list[tuple[str, ModuleInfo]] = []
     pkg_of: dict[str, str] = {}
     targets = [Path(p) for p in paths] if paths is not None else list(iter_python_files(root))
@@ -230,11 +229,10 @@ def build_import_graph(
         except SyntaxError:
             continue  # PAR001 is the lint pillar's job
         mod = _module_name(module.relpath)
-        modules[mod] = module
         parsed.append((mod, module))
         parts = Path(module.relpath).parts
         pkg_of[mod] = parts[0] if len(parts) > 1 else "."
-    names = set(modules)
+    names = {mod for mod, _ in parsed}
 
     def resolve_target(mod: str, node: ast.stmt) -> "Iterator[str]":
         is_pkg = (rootp / Path(*mod.split("."))).is_dir() if mod else True
@@ -290,7 +288,7 @@ def build_import_graph(
                     )
                 )
     edges.sort(key=lambda e: (e.path, e.line, e.dst))
-    return edges, modules
+    return edges
 
 
 def package_edges(
@@ -387,7 +385,7 @@ def check_architecture(
     """Run the layering pillar (ARC001 + ARC002) over a source tree."""
     config = config if config is not None else ArchConfig()
     baseline = config.baseline if config.baseline is not None else load_baseline()
-    edges, modules = build_import_graph(root, paths=paths)
+    edges = build_import_graph(root, paths=paths)
     findings: list[Finding] = []
 
     for (src, dst), witnesses in sorted(package_edges(edges).items()):
@@ -422,15 +420,5 @@ def check_architecture(
             )
         )
 
-    by_path: dict[str, list[Finding]] = {}
-    for f in findings:
-        by_path.setdefault(f.path, []).append(f)
-    kept: list[Finding] = []
-    for path, group in by_path.items():
-        module = next((m for m in modules.values() if m.path == path), None)
-        if module is None:
-            kept.extend(group)
-        else:
-            kept.extend(filter_suppressed(group, module.lines))
-    kept.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
-    return kept
+    findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
+    return findings

@@ -23,8 +23,6 @@ Findings:
 * **LCK005** — a channel operation (``send``/``recv``/``send_bytes``/
   ``recv_bytes``) reachable while a lock is held: a blocking wire call
   under a lock stalls every other thread contending for it.
-
-Both rules honour ``# repro: noqa`` on the line of the offending call.
 """
 
 from __future__ import annotations
@@ -34,7 +32,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from ..findings import Finding, filter_suppressed
+from ..findings import Finding
 from ..linter import ModuleInfo, iter_python_files, load_module
 from ..locks import find_lock_classes
 from .registry import LOCK_CLASS_REGISTRY
@@ -147,7 +145,7 @@ class LockGraph:
 
     nodes: "dict[str, tuple[str, str]]"  #: qualname → (path, lock attr)
     edges: "list[LockEdge]"
-    blocking: "list[Finding]"  #: raw LCK005 findings (pre-suppression)
+    blocking: "list[Finding]"  #: LCK005 findings
 
     def cycles(self) -> "list[list[str]]":
         """Strongly connected components with ≥ 2 nodes, sorted."""
@@ -758,17 +756,4 @@ def check_lock_graph(
     program_graph = build_lock_graph(root, paths=paths)
     findings = list(_cycle_findings(program_graph)) + list(program_graph.blocking)
     findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
-    # apply per-line noqa suppression using the offending module's source
-    by_path: dict[str, list[Finding]] = {}
-    for f in findings:
-        by_path.setdefault(f.path, []).append(f)
-    kept: list[Finding] = []
-    for path, group in by_path.items():
-        try:
-            lines = Path(path).read_text().splitlines()
-        except OSError:
-            kept.extend(group)
-            continue
-        kept.extend(filter_suppressed(group, lines))
-    kept.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
-    return kept
+    return findings

@@ -1,28 +1,18 @@
-"""Finding records and ``# repro: noqa`` suppression handling.
+"""Finding records.
 
 Every pillar of the analysis suite (lint rules, the lock-discipline
-checker, the sanitizer self-check) reports :class:`Finding` objects so the
-CLI can merge, sort and format them uniformly.  A finding is suppressed by
-placing ``# repro: noqa RULE1,RULE2`` (or a bare ``# repro: noqa``) on the
-offending source line.
+checker, the layering checker, the sanitizer self-check) reports
+:class:`Finding` objects so the CLI can merge, sort and format them
+uniformly.  A finding is settled in one of two ways: the code is fixed,
+or the rule's scope names the file as an owner of what the rule guards
+(``LintConfig``'s prefixes, the layering matrix and ``ARCH_baseline.json``).
 """
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 
-__all__ = ["Finding", "UNSUPPRESSABLE_RULES", "suppressed_rules", "filter_suppressed"]
-
-#: rules exempt from noqa suppression — pragma-hygiene findings report on
-#: the pragma itself, which cannot be trusted to silence its own report
-UNSUPPRESSABLE_RULES = frozenset({"NOQ001"})
-
-#: matches ``# repro: noqa`` optionally followed by a rule list
-#: (ids are 3–4 capitals + three digits, e.g. ``DTY001``, ``PERF001``)
-_NOQA_RE = re.compile(
-    r"#\s*repro:\s*noqa(?:\s+(?P<rules>[A-Z]{3,4}\d{3}(?:\s*,\s*[A-Z]{3,4}\d{3})*))?"
-)
+__all__ = ["Finding"]
 
 
 @dataclass(frozen=True)
@@ -37,29 +27,3 @@ class Finding:
 
     def format(self) -> str:
         return f"{self.path}:{self.line}:{self.col}: {self.rule} {self.message}"
-
-
-def suppressed_rules(source_line: str) -> "set[str] | None":
-    """Rules suppressed on this line, or ``None`` when there is no pragma.
-
-    An empty set means a bare ``# repro: noqa`` — suppress every rule.
-    """
-    m = _NOQA_RE.search(source_line)
-    if m is None:
-        return None
-    rules = m.group("rules")
-    if rules is None:
-        return set()
-    return {r.strip() for r in rules.split(",")}
-
-
-def filter_suppressed(findings: "list[Finding]", lines: "list[str]") -> "list[Finding]":
-    """Drop findings whose source line carries a matching noqa pragma."""
-    kept: list[Finding] = []
-    for f in findings:
-        if f.rule not in UNSUPPRESSABLE_RULES and 1 <= f.line <= len(lines):
-            rules = suppressed_rules(lines[f.line - 1])
-            if rules is not None and (not rules or f.rule in rules):
-                continue
-        kept.append(f)
-    return kept

@@ -27,8 +27,7 @@ class the checker verifies, per method:
 
 The analysis is lexical: it sees ``with self._lock:`` blocks and
 statement-level ``.acquire()``/``.release()`` calls — which is exactly the
-discipline the repo enforces.  Suppress a finding with
-``# repro: noqa LCK001`` on the line.  Cross-*object* lock nesting (ABBA
+discipline the repo enforces.  Cross-*object* lock nesting (ABBA
 deadlocks, lock-held channel blocking) is the whole-program
 :mod:`repro.analysis.concurrency.lockgraph` checker's job (LCK004/LCK005).
 """
@@ -40,7 +39,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterator, Sequence
 
-from .findings import Finding, filter_suppressed
+from .findings import Finding
 from .linter import ModuleInfo, iter_python_files, load_module
 
 __all__ = [
@@ -393,7 +392,7 @@ def check_lock_discipline_module(module: ModuleInfo) -> "list[Finding]":
     for cls, lock_attr in find_lock_classes(module.tree):
         findings.extend(_ClassAnalysis(cls, lock_attr).findings(module.path))
     findings.sort(key=lambda f: (f.line, f.col, f.rule))
-    return filter_suppressed(findings, module.lines)
+    return findings
 
 
 def check_lock_discipline(

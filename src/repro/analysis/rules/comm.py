@@ -8,6 +8,11 @@ imports, or direct ``message_segments`` / ``decode_message`` calls mean a
 trainer is growing its own ad-hoc wire protocol — exactly the duplication
 the channel layer exists to prevent, and a path where byte accounting
 silently diverges between backends.
+
+Defect in this tree: the byte counts every experiment and the end-to-end
+byte oracle compare are taken where ``repro.comm`` frames a message; a
+second framing path ships bytes that nothing counts.  Fixture:
+``bad_comm.py``.
 """
 
 from __future__ import annotations

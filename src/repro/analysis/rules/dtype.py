@@ -8,6 +8,12 @@ and datasets are float32 — ``nn/`` and ``data/``, where one
 ``np.zeros(num_features)`` re-widens every graph the layer joins) every
 ``np.zeros/ones/empty/full/array`` call must pin its dtype.  ``*_like``
 constructors inherit their dtype and are exempt.
+
+Defect in this tree: the float32 wire behind the paper's byte accounting.
+Its finds: ``coding.to_dense`` allocating float64 when the rule was
+written, and ``nn/serialization.py``'s ``np.array(keys)`` and
+``nn/module.py``'s ``np.array(b, copy=True)`` when ``nn/`` joined the hot
+paths.  Fixture: ``bad_lint.py``'s ``helper``.
 """
 
 from __future__ import annotations

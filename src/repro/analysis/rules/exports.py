@@ -1,14 +1,19 @@
-"""EXP001/EXP002/EXP003 — ``__all__`` ↔ public-name consistency.
+"""EXP002/EXP003 — every public definition is declared in ``__all__``.
 
-The public API test (``tests/test_public_api.py``) and the harness import
-surface both trust ``__all__``; drift between it and the actual module
-bindings produces imports that silently stop resolving.
+``__all__`` decides what ``from repro.<pkg> import *`` and the harness's
+experiment list see, and ``tests/test_public_api.py`` checks that every
+name it lists resolves in every module.  A public definition left out of
+it is invisible to all three.
 
-* **EXP001**: a name listed in ``__all__`` is not bound at module top level.
 * **EXP002**: a public top-level ``def``/``class`` is missing from
   ``__all__`` (only when the module declares one).
 * **EXP003**: a module that defines public functions/classes has no
   ``__all__`` at all.
+
+Defect in this tree: when the rules were written they found incomplete
+``__all__`` lists across ``harness``, ``compression`` and ``core``.
+Fixtures: ``bad_lint.py``'s ``helper`` and ``poke`` (EXP002),
+``no_all.py`` (EXP003).
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ from typing import Iterator
 from ..findings import Finding
 from ..linter import LintConfig, ModuleInfo, Rule
 
-__all__ = ["AllConsistencyRule", "MissingAllRule", "UndefinedExportRule"]
+__all__ = ["AllConsistencyRule", "MissingAllRule"]
 
 
 def _top_level_statements(tree: ast.Module) -> "Iterator[ast.stmt]":
@@ -37,24 +42,6 @@ def _top_level_statements(tree: ast.Module) -> "Iterator[ast.stmt]":
             stack.extend(node.finalbody)
             for h in node.handlers:
                 stack.extend(h.body)
-
-
-def _bound_names(tree: ast.Module) -> "set[str]":
-    names: set[str] = set()
-    for node in _top_level_statements(tree):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            names.add(node.name)
-        elif isinstance(node, ast.Assign):
-            for tgt in node.targets:
-                for leaf in ast.walk(tgt):
-                    if isinstance(leaf, ast.Name):
-                        names.add(leaf.id)
-        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
-            names.add(node.target.id)
-        elif isinstance(node, (ast.Import, ast.ImportFrom)):
-            for a in node.names:
-                names.add((a.asname or a.name).split(".")[0])
-    return names
 
 
 def _find_all(tree: ast.Module) -> "tuple[ast.stmt | None, list[str] | None]":
@@ -76,22 +63,6 @@ def _find_all(tree: ast.Module) -> "tuple[ast.stmt | None, list[str] | None]":
             return node, [e.value for e in target.elts]
         return node, None  # dynamic __all__: present but not checkable
     return None, None
-
-
-class UndefinedExportRule(Rule):
-    id = "EXP001"
-    summary = "__all__ entries must be bound at module top level"
-
-    def check(self, module: ModuleInfo, config: LintConfig) -> Iterator[Finding]:
-        node, exported = _find_all(module.tree)
-        if node is None or exported is None:
-            return
-        bound = _bound_names(module.tree)
-        for name in exported:
-            if name not in bound and name != "__version__":
-                yield self.finding(
-                    module, node, f"__all__ lists {name!r} but the module never binds it"
-                )
 
 
 class AllConsistencyRule(Rule):

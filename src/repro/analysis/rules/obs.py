@@ -12,6 +12,11 @@ included, the first argument of every telemetry emission call
 ``histogram``) must be a registered constant from :mod:`repro.obs.names`;
 an inline string literal is a finding, and a literal that is not even
 ``dot.separated`` lowercase is called out as such.
+
+Defect in this tree: the end-to-end benchmark reads its per-layer
+metrics from spans by their registered names, so a renamed inline
+literal drops a layer from the budget without an error.  Fixture:
+``bad_obs.py``.
 """
 
 from __future__ import annotations

@@ -8,15 +8,9 @@ over ``parameters_of(...)`` / ``gradients_of(...)`` in ``core/``, ``ps/``
 or ``exec/`` re-introduces the per-layer interpreter overhead the arena
 was built to remove (and stretches the server's lock hold).  The
 per-layer helpers in ``core/layerops.py`` are exempt: they act on a
-model's parameters, which are separate arrays by nature.
-
-PERF002 — no payload decode inside a lock-held region.  Decoding a frame
-or message (``decode_frame`` / ``decode_message``) is O(payload) numpy
-work; doing it under a server or channel lock stretches the hold time and
-makes every other caller of that lock (any other thread driving the
-server) wait behind a pure-compute step.  The serve loop decodes before it calls
-``handle``/``handle_shard``; this rule keeps ``ps/`` and ``comm/`` from
-regressing that.
+model's parameters, which are separate arrays by nature.  Defect in this
+tree: a per-layer loop in ``ps/`` runs under the server's lock on every
+step.  Fixture: ``bad_perf.py``.
 
 PERF003 — no payload-sized copy on the wire path.  A frame crosses each
 hop of an exchange with the copies its arithmetic needs and no more:
@@ -36,7 +30,10 @@ operand is an encoded frame (a ``raw`` name, or the result of
 ``join_segments(...)``) inside a ``send*`` function — a channel's send
 path gathers ``frame_segments`` instead of copying the frame into one
 buffer first.  Small fixed headers may still be concatenated — the rule
-looks at what is being added, not at ``+``.
+looks at what is being added, not at ``+``.  Defect in this tree: the
+payload copies the dense exchange used to make (``docs/performance.md``,
+"Copies only where a cast is needed").  Fixture: ``bad_wire_copy.py``,
+the shapes the wire path had before.
 """
 
 from __future__ import annotations
@@ -47,7 +44,7 @@ from typing import Iterator
 from ..findings import Finding
 from ..linter import LintConfig, ModuleInfo, Rule
 
-__all__ = ["DecodeUnderLockRule", "PerLayerLoopRule", "WireCopyRule"]
+__all__ = ["PerLayerLoopRule", "WireCopyRule"]
 
 #: whole-model collectors whose results must not be iterated layer-by-layer
 _COLLECTORS = {"parameters_of", "gradients_of"}
@@ -56,19 +53,24 @@ _COLLECTORS = {"parameters_of", "gradients_of"}
 _VIEWS = {"items", "keys", "values"}
 
 
-def _collector_call(node: ast.AST) -> "str | None":
-    """The collector name if ``node`` is ``parameters_of(...)`` /
-    ``gradients_of(...)`` or an ``.items()``-style view of one."""
+def _call_name(node: ast.AST) -> "str | None":
+    """``f`` for a call ``f(...)`` or ``x.f(...)``, else ``None``."""
     if not isinstance(node, ast.Call):
         return None
     func = node.func
-    if isinstance(func, ast.Attribute) and func.attr in _VIEWS and not node.args:
-        return _collector_call(func.value)
-    name = None
     if isinstance(func, ast.Name):
-        name = func.id
-    elif isinstance(func, ast.Attribute):
-        name = func.attr
+        return func.id
+    if isinstance(func, ast.Attribute):
+        return func.attr
+    return None
+
+
+def _collector_call(node: ast.AST) -> "str | None":
+    """The collector name if ``node`` is ``parameters_of(...)`` /
+    ``gradients_of(...)`` or an ``.items()``-style view of one."""
+    name = _call_name(node)
+    if name in _VIEWS and isinstance(node.func, ast.Attribute) and not node.args:
+        return _collector_call(node.func.value)
     return name if name in _COLLECTORS else None
 
 
@@ -96,75 +98,6 @@ class PerLayerLoopRule(Rule):
                         "(repro.core.arena), or move the loop to the "
                         "layerops reference path",
                     )
-
-
-#: payload decoders whose cost must stay outside lock-held regions
-_DECODERS = {"decode_frame", "decode_message"}
-
-
-def _lock_like(expr: ast.AST) -> bool:
-    """True iff ``expr`` reads as a mutex by naming convention: ``_lock``,
-    ``*_lock``, ``_mu``/``*_mu``, or a bare ``lock``/``mu`` — the spellings
-    this repo's lock registry and LCK rules already key on."""
-    if isinstance(expr, ast.Attribute):
-        name = expr.attr
-    elif isinstance(expr, ast.Name):
-        name = expr.id
-    elif isinstance(expr, ast.Subscript):  # e.g. self._locks[shard]
-        return _lock_like(expr.value)
-    else:
-        return False
-    stripped = name.lstrip("_")
-    return (
-        stripped in ("lock", "mu", "locks")
-        or stripped.endswith("_lock")
-        or stripped.endswith("_locks")
-        or stripped.endswith("_mu")
-    )
-
-
-def _call_name(node: ast.AST) -> "str | None":
-    """``f`` for a call ``f(...)`` or ``x.f(...)``, else ``None``."""
-    if not isinstance(node, ast.Call):
-        return None
-    func = node.func
-    if isinstance(func, ast.Name):
-        return func.id
-    if isinstance(func, ast.Attribute):
-        return func.attr
-    return None
-
-
-def _decoder_call(node: ast.AST) -> "str | None":
-    name = _call_name(node)
-    return name if name in _DECODERS else None
-
-
-class DecodeUnderLockRule(Rule):
-    id = "PERF002"
-    summary = "frame/message payload decode inside a lock-held region"
-
-    def check(self, module: ModuleInfo, config: LintConfig) -> Iterator[Finding]:
-        if not module.in_decode_lock_scope(config):
-            return
-        for node in ast.walk(module.tree):
-            if not isinstance(node, (ast.With, ast.AsyncWith)):
-                continue
-            if not any(_lock_like(item.context_expr) for item in node.items):
-                continue
-            for inner in node.body:
-                for call in ast.walk(inner):
-                    name = _decoder_call(call)
-                    if name is not None:
-                        yield self.finding(
-                            module,
-                            call,
-                            f"payload decode '{name}(...)' inside a "
-                            "lock-held region; decode before acquiring "
-                            "the lock (the serve loop decodes before it "
-                            "calls handle — see docs/comm.md) and hand "
-                            "the decoded message in",
-                        )
 
 
 #: calls whose result is a whole encoded frame in one buffer

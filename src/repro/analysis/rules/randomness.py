@@ -6,6 +6,11 @@ through the legacy module-level singleton (``np.random.rand``,
 ``np.random.seed``, …) share hidden global state across workers and make
 HOGWILD interleavings unreplayable.  Constructing generators
 (``np.random.default_rng``) is allowed.
+
+Defect in this tree: per-seed determinism is what makes a one-worker
+process run bitwise the simulator's and the ``--fast`` digests stable; a
+draw from the global singleton depends on what else drew before it in the
+process.  No find is recorded.  Fixture: ``bad_lint.py``'s ``leak``.
 """
 
 from __future__ import annotations

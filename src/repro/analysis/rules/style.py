@@ -5,6 +5,17 @@
   a shared default silently couples replicas.
 * **EXC001**: bare ``except:`` swallows ``KeyboardInterrupt``/``SystemExit``
   and hides worker crashes that a trainer must surface.
+
+Defect in this tree: one simulator process builds every worker's node, so
+a default list or dict on a strategy or node constructor is one object
+shared by all of them, and a worker's state leaks into its neighbours'
+without any parity test seeing a difference in a one-worker run.
+``comm.protocol.run_worker_loop`` catches ``BaseException`` only to put
+the error in its close frame, and re-raises; a bare ``except:`` that does
+not re-raise turns a Ctrl-C into a worker that closes as if it finished.
+Neither rule has a recorded find; both are generic hygiene that no
+installed linter provides.  Fixture: ``bad_lint.py``'s ``leak`` and
+``helper``.
 """
 
 from __future__ import annotations

@@ -1,10 +1,16 @@
-"""TEN001 — ``Tensor.data`` is only mutated inside ``autograd/`` and ``optim/``.
+"""TEN001 — ``Tensor.data`` is only mutated by its owners.
 
-Everything else must go through the blessed ``core.layerops`` helpers
-(``assign_parameters``, ``add_payload``, ``copy_payload``).  Ad-hoc writes
-to ``.data`` bypass the tape, the sanitizer hooks and any future
-device/layout abstraction; concentrating them in two subpackages keeps the
-mutation surface auditable.
+The owners are ``autograd/`` and ``optim/``, the per-layer helpers in
+``core/layerops.py`` (``assign_parameters``, ``add_payload``,
+``copy_payload``) and ``nn/module.py`` (``Module.load_state_dict``'s
+restore and ``Module.astype``).  Everything else calls a
+``core.layerops`` helper.
+
+Defect in this tree: a write to ``.data`` outside those files bypasses the
+tape and the dtype the helpers keep (``np.copyto`` casts into the float32
+buffer), so a float64 payload can re-widen a parameter unseen.  When the
+rule was written, the ad-hoc payload writes it found moved into
+``core.layerops``.  Fixture: ``bad_lint.py``'s ``poke``.
 
 Detected shapes::
 
@@ -35,7 +41,7 @@ def _is_data_attr(node: ast.expr) -> bool:
 
 class TensorDataMutationRule(Rule):
     id = "TEN001"
-    summary = "Tensor.data mutation only in autograd/ and optim/ (use core.layerops)"
+    summary = "Tensor.data mutation outside its owners (use core.layerops)"
 
     def check(self, module: ModuleInfo, config: LintConfig) -> Iterator[Finding]:
         if module.may_mutate_tensor_data(config):
@@ -57,7 +63,7 @@ class TensorDataMutationRule(Rule):
                         module,
                         node,
                         f"{fn.attr}(...) writes into a .data buffer outside "
-                        "autograd/optim; use core.layerops helpers",
+                        "its owners; use core.layerops helpers",
                     )
                 continue
             else:
@@ -67,6 +73,6 @@ class TensorDataMutationRule(Rule):
                     yield self.finding(
                         module,
                         tgt,
-                        "in-place mutation of Tensor.data outside autograd/optim; "
+                        "in-place mutation of Tensor.data outside its owners; "
                         "use core.layerops helpers",
                     )

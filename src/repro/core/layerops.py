@@ -74,7 +74,7 @@ def parameter_views(model: Module) -> "OrderedDict[str, np.ndarray]":
 def assign_parameters(model: Module, values: Mapping[str, np.ndarray]) -> None:
     """Copy ``values`` into the model's parameters in place."""
     for name, p in model.named_parameters():
-        np.copyto(p.data, values[name])  # repro: noqa TEN001 — blessed mutation site
+        np.copyto(p.data, values[name])
 
 
 def add_payload(params: Mapping[str, object], payload: Mapping[str, object], scale: float = 1.0) -> None:
@@ -102,7 +102,7 @@ def add_payload(params: Mapping[str, object], payload: Mapping[str, object], sca
 def copy_payload(params: Mapping[str, object], values: Mapping[str, np.ndarray]) -> None:
     """Overwrite parameters with ``values`` layerwise (dense replacement)."""
     for name, arr in values.items():
-        np.copyto(params[name].data, arr)  # repro: noqa TEN001 — blessed mutation site
+        np.copyto(params[name].data, arr)
 
 
 def scale_payload(payload: Mapping[str, object], factor: float) -> "OrderedDict[str, object]":

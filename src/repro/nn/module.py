@@ -111,7 +111,7 @@ class Module:
             else:
                 if name not in params:
                     raise KeyError(f"unknown parameter {name!r}")
-                np.copyto(params[name].data, value)  # repro: noqa TEN001 — checkpoint restore
+                np.copyto(params[name].data, value)
 
     def _load_buffer(self, dotted: str, value: np.ndarray) -> None:
         parts = dotted.split(".")
@@ -142,7 +142,7 @@ class Module:
         """
         for module in self.modules():
             for p in module._parameters.values():
-                p.data = p.data.astype(dtype)  # repro: noqa TEN001 — dtype conversion
+                p.data = p.data.astype(dtype)
                 p.grad = None
             for name, b in list(module._buffers.items()):
                 module.set_buffer(name, b.astype(dtype))

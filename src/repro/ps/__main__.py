@@ -58,6 +58,13 @@ def _parse_endpoint(text: str) -> "tuple[str, int]":
     return host or "127.0.0.1", int(port)
 
 
+def _count(text: str) -> int:
+    """A count flag: an integer of at least 1."""
+    if not text.isdigit() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+    return int(text)
+
+
 def _serve_trainer(args: argparse.Namespace):
     """The socket backend's engine for the ``serve`` flags; its workers
     are whoever connects."""
@@ -132,9 +139,9 @@ def _parser() -> argparse.ArgumentParser:
 
     def shared(p: argparse.ArgumentParser) -> None:
         p.add_argument("--method", default="dgs", help="method registry name (default dgs)")
-        p.add_argument("--workers", type=int, default=2, help="expected worker count")
-        p.add_argument("--iterations", type=int, default=50, help="iterations per worker")
-        p.add_argument("--batch-size", type=int, default=16)
+        p.add_argument("--workers", type=_count, default=2, help="expected worker count")
+        p.add_argument("--iterations", type=_count, default=50, help="iterations per worker")
+        p.add_argument("--batch-size", type=_count, default=16)
         p.add_argument("--seed", type=int, default=0)
 
     p_serve = sub.add_parser("serve", help="bind the parameter server and wait for workers")
@@ -146,7 +153,7 @@ def _parser() -> argparse.ArgumentParser:
         metavar="HOST:PORT",
         help="listener endpoint (default 127.0.0.1:5555; port 0 = ephemeral)",
     )
-    p_serve.add_argument("--shards", type=int, default=1, help="parameter-server shards")
+    p_serve.add_argument("--shards", type=_count, default=1, help="parameter-server shards")
     p_serve.add_argument(
         "--evict-after",
         type=float,
@@ -186,6 +193,8 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv: "list[str] | None" = None) -> int:
     parser = _parser()
     args = parser.parse_args(argv)
+    if args.command == "worker" and not 0 <= args.id < args.workers:
+        parser.error(f"--id must be in [0, --workers) = [0, {args.workers}), got {args.id}")
     if getattr(args, "checkpoint_every", None) and not args.checkpoint:
         parser.error("--checkpoint-every requires --checkpoint")
     return args.fn(args)

@@ -7,7 +7,7 @@ so edits here must be mirrored in ``tests/analysis/test_linter.py``.
 
 import numpy as np
 
-__all__ = ["leak", "missing_name"]
+__all__ = ["leak"]
 
 
 def leak(values=[]):  # MUT001

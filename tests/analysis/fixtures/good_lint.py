@@ -1,11 +1,13 @@
 """Clean twin of ``bad_lint.py`` — zero findings expected.
 
 Demonstrates the compliant idioms: passed-in Generator, None default,
-typed allocation, explicit exception, complete ``__all__``, and one
-deliberate ``# repro: noqa`` suppression.
+typed allocation, explicit exception, complete ``__all__``, and a
+``Tensor.data`` write left to its owner in ``core.layerops``.
 """
 
 import numpy as np
+
+from repro.core.layerops import add_payload
 
 __all__ = ["draw", "touch"]
 
@@ -18,6 +20,6 @@ def draw(rng: np.random.Generator, n=None):
         return None
 
 
-def touch(t):
-    t.data += 1.0  # repro: noqa TEN001 — fixture-blessed mutation
-    return t
+def touch(params, payload):
+    add_payload(params, payload)
+    return params

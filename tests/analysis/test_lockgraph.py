@@ -102,19 +102,6 @@ class TestBlockingUnderLock:
         assert not any("safe_push" in f.message for f in fixture_findings("blocking_locks.py"))
 
 
-class TestSuppression:
-    def test_noqa_on_offending_line_suppresses(self, tmp_path):
-        source = (FIXTURES / "blocking_locks.py").read_text()
-        patched = source.replace(
-            "self.channel.send(item)  # blocks while holding the lock",
-            "self.channel.send(item)  # repro: noqa LCK005",
-        )
-        target = tmp_path / "blocking_locks.py"
-        target.write_text(patched)
-        counts = Counter(f.rule for f in check_lock_graph(tmp_path, paths=[target]))
-        assert counts == {"LCK005": 2}
-
-
 def test_src_tree_has_no_cycles_or_blocking_calls():
     findings = check_lock_graph(SRC)
     assert findings == [], [f.format() for f in findings]

@@ -80,7 +80,7 @@ def test_cli_human_format_is_default(capsys):
 def test_cli_list_rules(capsys):
     assert main(["--list-rules"]) == 0
     out = capsys.readouterr().out
-    for rule in ("RNG001", "DTY001", "TEN001", "LCK001", "LCK004", "LCK006", "ARC001", "NOQ001", "SAN001"):
+    for rule in ("RNG001", "DTY001", "TEN001", "LCK001", "LCK004", "LCK006", "ARC001", "SAN001"):
         assert rule in out
 
 

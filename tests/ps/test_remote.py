@@ -279,3 +279,29 @@ def test_deployment_cli_builds_the_socket_backends_state():
     assert node.worker_id == 1
     assert not isinstance(node.strategy, ReferenceSAMomentumStrategy)
     assert isinstance(node.strategy.u, LayerArena)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["worker", "--id", "2", "--workers", "2"],
+        ["worker", "--id", "-1"],
+        ["worker", "--id", "0", "--workers", "0"],
+        ["worker", "--id", "0", "--iterations", "0"],
+        ["worker", "--id", "0", "--batch-size", "0"],
+        ["serve", "--workers", "0"],
+        ["serve", "--shards", "0"],
+        ["serve", "--iterations", "0"],
+        ["serve", "--batch-size", "0"],
+    ],
+    ids=" ".join,
+)
+def test_deployment_cli_rejects_out_of_range_integers(argv, capsys):
+    """A worker id outside ``[0, --workers)`` or a count below 1 is a
+    usage error (exit 2) at parse time, before any workload is built."""
+    from repro.ps.__main__ import main
+
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "error:" in capsys.readouterr().err

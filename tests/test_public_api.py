@@ -2,36 +2,29 @@
 
 import importlib
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-PACKAGES = [
-    "repro",
-    "repro.autograd",
-    "repro.nn",
-    "repro.data",
-    "repro.optim",
-    "repro.compression",
-    "repro.core",
-    "repro.exec",
-    "repro.comm",
-    "repro.ps",
-    "repro.sim",
-    "repro.metrics",
-    "repro.harness",
-    "repro.harness.experiments",
-    "repro.obs",
-]
+
+def _modules():
+    import repro
+
+    return ["repro"] + sorted(
+        info.name for info in pkgutil.walk_packages(repro.__path__, prefix="repro.")
+    )
 
 
-@pytest.mark.parametrize("pkg", PACKAGES)
-def test_all_names_resolve(pkg):
-    mod = importlib.import_module(pkg)
-    missing = [name for name in getattr(mod, "__all__", []) if not hasattr(mod, name)]
-    assert not missing, f"{pkg}.__all__ has unresolvable names: {missing}"
+@pytest.mark.parametrize("name", _modules())
+def test_all_names_resolve(name):
+    """Every module under ``src/repro`` imports, and every name its
+    ``__all__`` lists is bound on it."""
+    mod = importlib.import_module(name)
+    missing = [n for n in getattr(mod, "__all__", []) if not hasattr(mod, n)]
+    assert not missing, f"{name}.__all__ has unresolvable names: {missing}"
 
 
 def test_version():
