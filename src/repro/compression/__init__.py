@@ -24,7 +24,6 @@ from .randomk import RandomKSparsifier
 from .stats import CompressionStats
 from .terngrad import TernaryTensor, TernGradQuantizer
 from .topk import TopKSparsifier, topk_mask, topk_select, topk_threshold
-from .workspace import KernelWorkspace
 
 __all__ = [
     "Sparsifier",
@@ -34,7 +33,6 @@ __all__ = [
     "topk_mask",
     "topk_select",
     "topk_threshold",
-    "KernelWorkspace",
     "AdaptiveThresholdSparsifier",
     "RandomKSparsifier",
     "TernGradQuantizer",

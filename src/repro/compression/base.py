@@ -21,12 +21,12 @@ class Sparsifier(ABC):
     def mask(self, arr: np.ndarray) -> np.ndarray:
         """Return a boolean array marking the entries to transmit."""
 
-    def select(self, arr: np.ndarray, workspace=None):
+    def select(self, arr: np.ndarray):
         """Fused mask+encode: the selected entries as a ``SparseTensor``.
 
-        Optional fast path for the allocation-free kernels: sparsifiers
-        that can produce the wire tensor directly (without materialising
-        the boolean mask) override this.  The default returns ``None``,
+        Optional fast path: sparsifiers that can produce the wire tensor
+        directly (without materialising the boolean mask) override this.
+        The default returns ``None``,
         telling callers to fall back to ``encode_mask(arr, self.mask(arr))``
         — both routes must select the identical entry set.
         """

@@ -14,8 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .workspace import KernelWorkspace
-
 __all__ = [
     "VALUE_BYTES",
     "VALUE_DTYPE",
@@ -33,6 +31,8 @@ __all__ = [
     "dense_nbytes",
     "sparse_nbytes",
     "bitmap_nbytes",
+    "CHUNK",
+    "indices_above",
 ]
 
 VALUE_BYTES = 4  # float32 on the wire
@@ -229,22 +229,46 @@ class QuantizedSparseTensor:
         dest.reshape(-1)[self.indices] += self.signs * self.scale
 
 
-def _gather_values(
-    flat: np.ndarray, idx: np.ndarray, workspace: "KernelWorkspace | None"
-) -> np.ndarray:
-    """``flat[idx]`` as a fresh float32 wire-value array.
+#: elements per pass of every streamed kernel (:func:`indices_above`,
+#: ``add_scaled``): 128 KiB of float32 scratch, small enough to stay in L2
+#: between the passes over one chunk (measured on the 786 432-element layer:
+#: ``add_scaled`` 0.72 ms at 32 Ki, 0.90 at 8 Ki, 0.94 at 256 Ki)
+CHUNK = 32768
 
-    With a workspace, the pre-cast gather lands in reusable scratch so
-    only the returned float32 array is allocated.
+
+def indices_above(flat: np.ndarray, lo) -> np.ndarray:
+    """Ascending indices where ``|flat| > lo`` or ``flat`` is NaN (NaN sorts
+    largest); ``lo = 0`` is the nonzero scan.
+
+    Streamed: ``|x|``, the compare and ``flatnonzero`` run per chunk of
+    :data:`CHUNK` elements through chunk buffers allocated per call, so
+    nothing of the layer's size is allocated beside the result.
     """
-    if workspace is None or flat.dtype == VALUE_DTYPE:
-        return flat[idx].astype(VALUE_DTYPE)
-    staged = workspace.scratch("enc.gather", idx.size, flat.dtype)
-    np.take(flat, idx, out=staged)
-    return staged.astype(VALUE_DTYPE)
+    n = flat.size
+    keep = np.empty(min(n, CHUNK), dtype=bool)
+    mag = None if lo == 0 else np.empty(keep.size, dtype=flat.dtype)
+    found = []
+    for start in range(0, n, CHUNK):
+        chunk = flat[start : start + CHUNK]
+        above = keep[: chunk.size]
+        if mag is None:  # |x| > 0 or NaN is x != 0: no |x| pass
+            np.not_equal(chunk, 0, out=above)
+        else:
+            np.less_equal(np.abs(chunk, out=mag[: chunk.size]), lo, out=above)
+            np.logical_not(above, out=above)
+        idx = np.flatnonzero(above)
+        if idx.size:
+            idx += start
+            found.append(idx)
+    return np.concatenate(found) if found else np.empty(0, dtype=np.intp)
 
 
-def encode_sparse(arr: np.ndarray, workspace: "KernelWorkspace | None" = None) -> SparseTensor:
+def _gather_values(flat: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """``flat[idx]`` as a fresh float32 wire-value array."""
+    return flat[idx].astype(VALUE_DTYPE, copy=False)
+
+
+def encode_sparse(arr: np.ndarray) -> SparseTensor:
     """COO-encode the nonzeros of ``arr`` (the paper's ``encode()``).
 
     Values are cast to float32 — the wire dtype the byte accounting
@@ -252,25 +276,20 @@ def encode_sparse(arr: np.ndarray, workspace: "KernelWorkspace | None" = None) -
     """
     flat = arr.reshape(-1)
     idx = np.flatnonzero(flat)
-    return SparseTensor(idx, _gather_values(flat, idx, workspace), arr.shape)
+    return SparseTensor(idx, _gather_values(flat, idx), arr.shape)
 
 
-def encode_mask(
-    arr: np.ndarray, mask: np.ndarray, workspace: "KernelWorkspace | None" = None
-) -> SparseTensor:
+def encode_mask(arr: np.ndarray, mask: np.ndarray) -> SparseTensor:
     """COO-encode ``arr`` at the positions selected by boolean ``mask``."""
     if mask.shape != arr.shape:
         raise ValueError("mask shape must match array shape")
     flat = arr.reshape(-1)
     idx = np.flatnonzero(mask.reshape(-1))
-    return SparseTensor(idx, _gather_values(flat, idx, workspace), arr.shape)
+    return SparseTensor(idx, _gather_values(flat, idx), arr.shape)
 
 
 def encode_indices(
-    arr: np.ndarray,
-    indices: np.ndarray,
-    workspace: "KernelWorkspace | None" = None,
-    assume_sorted: bool = False,
+    arr: np.ndarray, indices: np.ndarray, assume_sorted: bool = False
 ) -> SparseTensor:
     """COO-encode ``arr`` at the given flat ``indices`` (fused-select extract).
 
@@ -285,7 +304,7 @@ def encode_indices(
     idx = np.asarray(indices)
     if not assume_sorted:
         idx = np.sort(idx)
-    return SparseTensor(idx, _gather_values(flat, idx, workspace), arr.shape)
+    return SparseTensor(idx, _gather_values(flat, idx), arr.shape)
 
 
 def cheapest_format(n: int, nnz: int) -> type:
@@ -307,25 +326,19 @@ def cheapest_format(n: int, nnz: int) -> type:
     return DenseTensor
 
 
-def encode_best(
-    arr: np.ndarray, workspace: "KernelWorkspace | None" = None
-) -> "SparseTensor | BitmapTensor | DenseTensor":
+def encode_best(arr: np.ndarray) -> "SparseTensor | BitmapTensor | DenseTensor":
     """Encode with the cheapest of COO / bitmap / dense for this density.
 
     Used for the downstream model difference, whose density grows with
-    staleness; the format is :func:`cheapest_format`'s choice.
+    staleness; the format is :func:`cheapest_format`'s choice.  The
+    nonzero scan is :func:`indices_above` at 0.
     """
     flat = arr.reshape(-1)
-    n = flat.size
-    if workspace is None:
-        mask = flat != 0
-    else:
-        mask = np.not_equal(flat, 0, out=workspace.scratch("enc.nzmask", n, bool))
-    fmt = cheapest_format(n, int(np.count_nonzero(mask)))
+    idx = indices_above(flat, 0)
+    fmt = cheapest_format(flat.size, idx.size)
     if fmt is DenseTensor:
         return DenseTensor(arr.astype(VALUE_DTYPE))
-    idx = np.flatnonzero(mask)
-    return fmt(idx, _gather_values(flat, idx, workspace), arr.shape)
+    return fmt(idx, _gather_values(flat, idx), arr.shape)
 
 
 def dense_nbytes(shape_or_size) -> int:

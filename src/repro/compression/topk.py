@@ -15,15 +15,11 @@ would); a layer with fewer than k nonzeros is padded with its lowest-index
 zeros; ``topk_select`` indices are strictly increasing, so
 ``flatnonzero(topk_mask(x, r)) == topk_select(x, r).indices``.
 
-Two call styles:
-
-* the reference kernels (``topk_mask`` / ``topk_threshold`` with
-  ``workspace=None``) allocate per call — simple, and the baseline the
-  parity tests compare against;
-* the hot path passes a :class:`~repro.compression.workspace.KernelWorkspace`
-  to reuse the ``|u|`` magnitude and mask scratch across iterations, and
-  uses :func:`topk_select` to produce the wire ``SparseTensor`` directly
-  from the selected indices — no full-layer boolean mask.
+Every kernel streams: ``|x|``, the compare against the sample's bound and
+``flatnonzero`` run per chunk (:func:`~repro.compression.coding.indices_above`),
+so no call allocates an array of the layer's size except ``topk_mask``'s
+own result.  :func:`topk_select` produces the wire ``SparseTensor``
+directly from the selected indices — no full-layer boolean mask.
 """
 
 from __future__ import annotations
@@ -33,8 +29,7 @@ import math
 import numpy as np
 
 from .base import Sparsifier
-from .coding import SparseTensor, encode_indices
-from .workspace import KernelWorkspace
+from .coding import SparseTensor, encode_indices, indices_above
 
 __all__ = ["TopKSparsifier", "topk_mask", "topk_select", "topk_threshold"]
 
@@ -44,94 +39,70 @@ def _k_for_ratio(n: int, ratio: float) -> int:
     return max(1, min(n, math.ceil(n * ratio)))
 
 
-def _magnitudes(flat: np.ndarray, workspace: "KernelWorkspace | None") -> np.ndarray:
-    """``|flat|``, into reusable scratch when a workspace is supplied."""
-    if workspace is None:
-        return np.abs(flat)
-    return np.abs(flat, out=workspace.scratch("topk.abs", flat.size, flat.dtype))
-
-
 _SAMPLE_STRIDE = 64  # every 64th magnitude forms the sample that bounds the k-th
+_OVERSHOOT_STEP = 2  # an over-shooting sample's rank grows by this factor per rescan
 
 
-def _above(mag: np.ndarray, lo) -> np.ndarray:
-    """Indices where ``mag > lo`` or ``mag`` is NaN (NaN sorts largest)."""
-    keep = mag <= lo
-    return np.flatnonzero(np.logical_not(keep, out=keep))
-
-
-def _topk_indices(mag: np.ndarray, k: int) -> np.ndarray:
-    """Exactly ``k`` indices, unordered, of the largest of the 1-D magnitudes
-    ``mag`` (``0 < k < mag.size``), per the module docstring's contract.
+def _topk_indices(flat: np.ndarray, k: int) -> np.ndarray:
+    """Exactly ``k`` indices, unordered, of the largest magnitudes of the
+    1-D ``flat`` (``0 < k < flat.size``), per the module docstring's contract.
 
     ``lo``, the top ~2k/n quantile of a strided sample, almost surely lies
     below the k-th magnitude, so ``argpartition`` sees only the ~2k entries
-    above it; a sample that over-shoots costs one more compare pass.
+    above it.  A sample that over-shoots (fewer than k entries above ``lo``)
+    has its rank ``ks`` doubled and the layer scanned again, one compare
+    pass per doubling; ``lo`` falls back to 0 only once the rank runs off
+    the sample, so the candidates stay O(k) rather than every nonzero.
     """
-    sample = mag[::_SAMPLE_STRIDE]
-    ks = math.ceil(2 * k * sample.size / mag.size)
-    lo = np.partition(sample, sample.size - ks)[sample.size - ks] if ks < sample.size else 0
-    if lo != lo:  # a NaN bound admits every index; only NaN lies above inf
-        lo = np.inf
-    cand = _above(mag, lo)
-    if cand.size < k and lo != 0:
-        cand = _above(mag, 0)
+    sample = np.abs(flat[::_SAMPLE_STRIDE])
+    ks = math.ceil(2 * k * sample.size / flat.size)
+    while True:
+        lo = np.partition(sample, sample.size - ks)[sample.size - ks] if ks < sample.size else 0
+        if lo != lo:  # a NaN bound admits every index; only NaN lies above inf
+            lo = np.inf
+        cand = indices_above(flat, lo)
+        if cand.size >= k or lo == 0:
+            break
+        ks *= _OVERSHOOT_STEP
     if cand.size < k:
         # Pad with the lowest-index zeros; they all sit in the first k entries.
-        cand = np.concatenate([cand, np.flatnonzero(mag[:k] == 0)[: k - cand.size]])
-    return cand[np.argpartition(mag[cand], cand.size - k)[cand.size - k :]]
+        cand = np.concatenate([cand, np.flatnonzero(flat[:k] == 0)[: k - cand.size]])
+    mag = np.abs(flat[cand])
+    return cand[np.argpartition(mag, cand.size - k)[cand.size - k :]]
 
 
-def topk_mask(
-    arr: np.ndarray, ratio: float, workspace: "KernelWorkspace | None" = None
-) -> np.ndarray:
-    """Boolean mask of the ⌈ratio·n⌉ largest-|value| entries of ``arr``.
-
-    With a workspace, the returned mask aliases workspace memory: it is
-    valid until the next kernel call on that workspace (consume it before
-    selecting the next layer).
-    """
+def topk_mask(arr: np.ndarray, ratio: float) -> np.ndarray:
+    """Boolean mask of the ⌈ratio·n⌉ largest-|value| entries of ``arr``."""
     flat = arr.reshape(-1)
     n = flat.size
     k = _k_for_ratio(n, ratio)
     if k >= n:
         return np.ones(arr.shape, dtype=bool)
-    mag = _magnitudes(flat, workspace)
-    if workspace is None:
-        mask = np.zeros(n, dtype=bool)
-    else:
-        mask = workspace.scratch("topk.mask", n, bool)
-        mask[:] = False
-    mask[_topk_indices(mag, k)] = True
+    mask = np.zeros(n, dtype=bool)
+    mask[_topk_indices(flat, k)] = True
     return mask.reshape(arr.shape)
 
 
-def topk_select(
-    arr: np.ndarray, ratio: float, workspace: "KernelWorkspace | None" = None
-) -> SparseTensor:
+def topk_select(arr: np.ndarray, ratio: float) -> SparseTensor:
     """Fused select-and-extract: the top-⌈ratio·n⌉ entries as a ``SparseTensor``.
 
     Equivalent to ``encode_mask(arr, topk_mask(arr, ratio))`` — same
-    selected set (one ``_topk_indices`` call on the same magnitudes), same
+    selected set (one ``_topk_indices`` call on the same layer), same
     ascending index order, same float32 wire values — without the
     full-layer mask.  The returned tensor owns freshly allocated
-    indices/values (never workspace aliases), so it may outlive the workspace.
+    indices/values.
     """
     flat = arr.reshape(-1)
     n = flat.size
     k = _k_for_ratio(n, ratio)
     if k >= n:
-        return encode_indices(
-            arr, np.arange(n, dtype=np.intp), workspace=workspace, assume_sorted=True
-        )
-    sel = _topk_indices(_magnitudes(flat, workspace), k)
+        return encode_indices(arr, np.arange(n, dtype=np.intp), assume_sorted=True)
+    sel = _topk_indices(flat, k)
     sel.sort()  # flatnonzero yields ascending indices; match it exactly
-    return encode_indices(arr, sel, workspace=workspace, assume_sorted=True)
+    return encode_indices(arr, sel, assume_sorted=True)
 
 
-def topk_threshold(
-    arr: np.ndarray, ratio: float, workspace: "KernelWorkspace | None" = None
-) -> float:
+def topk_threshold(arr: np.ndarray, ratio: float) -> float:
     """The magnitude threshold ``thr`` such that |arr| > thr keeps ≈ top R%.
 
     This is the ``thr ← R% of |u[j]|`` of Algorithms 1–3.  Exposed for tests
@@ -142,9 +113,8 @@ def topk_threshold(
     k = _k_for_ratio(flat.size, ratio)
     if k >= flat.size:
         return -np.inf
-    mag = _magnitudes(flat, workspace)
     # The k-th largest with NaN sorting largest: fmin skips NaN unless all are.
-    return float(np.fmin.reduce(mag[_topk_indices(mag, k)]))
+    return float(np.fmin.reduce(np.abs(flat[_topk_indices(flat, k)])))
 
 
 class TopKSparsifier(Sparsifier):
@@ -173,13 +143,11 @@ class TopKSparsifier(Sparsifier):
             return np.ones(arr.shape, dtype=bool)
         return topk_mask(arr, self.ratio)
 
-    def select(
-        self, arr: np.ndarray, workspace: "KernelWorkspace | None" = None
-    ) -> SparseTensor:
+    def select(self, arr: np.ndarray) -> SparseTensor:
         """Fused mask+encode (see :meth:`Sparsifier.select`): tiny layers
         come back fully selected, exactly like the all-ones mask path."""
         ratio = 1.0 if arr.size < self.min_sparse_size else self.ratio
-        return topk_select(arr, ratio, workspace=workspace)
+        return topk_select(arr, ratio)
 
     def __repr__(self) -> str:
         return f"TopKSparsifier(ratio={self.ratio}, min_sparse_size={self.min_sparse_size})"

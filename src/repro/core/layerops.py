@@ -10,11 +10,12 @@ preserved end-to-end.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Mapping
+from contextlib import contextmanager
+from typing import Iterator, Mapping
 
 import numpy as np
 
-from ..compression.workspace import KernelWorkspace
+from ..compression.coding import CHUNK
 from ..nn.module import Module
 
 __all__ = [
@@ -25,6 +26,7 @@ __all__ = [
     "parameters_of",
     "parameter_views",
     "assign_parameters",
+    "bound_parameters",
     "add_payload",
     "copy_payload",
     "scale_payload",
@@ -75,6 +77,27 @@ def assign_parameters(model: Module, values: Mapping[str, np.ndarray]) -> None:
     """Copy ``values`` into the model's parameters in place."""
     for name, p in model.named_parameters():
         np.copyto(p.data, values[name])
+
+
+@contextmanager
+def bound_parameters(model: Module, values: Mapping[str, np.ndarray]) -> Iterator[Module]:
+    """Bind ``values``' arrays as the model's parameters for the block, then
+    rebind the model's own arrays — no copy either way.
+
+    A layer whose dtype differs from the parameter's is cast, as
+    :func:`assign_parameters` would cast it, so the block computes what it
+    would on a copy.  Nothing may write the bound parameters: they are
+    ``values``' memory.
+    """
+    params = [(p, values[name]) for name, p in model.named_parameters()]
+    own = [p.data for p, _ in params]
+    try:
+        for p, value in params:
+            p.data = value.astype(p.data.dtype, copy=False).reshape(p.data.shape)
+        yield model
+    finally:
+        for (p, _), data in zip(params, own):
+            p.data = data
 
 
 def add_payload(params: Mapping[str, object], payload: Mapping[str, object], scale: float = 1.0) -> None:
@@ -143,29 +166,22 @@ def scale_payload(payload: Mapping[str, object], factor: float) -> "OrderedDict[
     return out
 
 
-#: elements per pass of :func:`add_scaled`: 128 KiB of float32 scratch, small
-#: enough to stay in L2 between the multiply and the add (measured on the
-#: 786 432-element layer: 0.72 ms at 32 Ki, 0.90 at 8 Ki, 0.94 at 256 Ki)
-_AXPY_CHUNK = 32768
-
-
-def add_scaled(
-    dest: np.ndarray, src: np.ndarray, scale: float, workspace: KernelWorkspace
-) -> None:
+def add_scaled(dest: np.ndarray, src: np.ndarray, scale: float) -> None:
     """``dest += scale * src`` in place, without a ``src``-sized temporary.
 
     One chunked pass: ``scale * src`` is rounded into a ``dest``-dtype
-    scratch drawn from ``workspace`` and added from there, so a float64
-    gradient folds into float32 state through 128 KiB of scratch instead
-    of a full-layer float64 product.  At equal dtype the result is bitwise
+    chunk buffer (:data:`~repro.compression.coding.CHUNK` elements,
+    allocated per call) and added from there, so a float64 gradient folds
+    into float32 state through 128 KiB of scratch instead of a full-layer
+    float64 product.  At equal dtype the result is bitwise
     ``dest += scale * src``.
     """
     if not dest.flags.c_contiguous:  # reshape(-1) would write to a copy
         raise ValueError("add_scaled needs a C-contiguous dest")
     d, s = dest.reshape(-1), src.reshape(-1)
-    scratch = workspace.scratch("axpy", min(d.size, _AXPY_CHUNK), d.dtype)
-    for start in range(0, d.size, _AXPY_CHUNK):
-        d_chunk = d[start : start + _AXPY_CHUNK]
+    scratch = np.empty(min(d.size, CHUNK), dtype=d.dtype)
+    for start in range(0, d.size, CHUNK):
+        d_chunk = d[start : start + CHUNK]
         prod = scratch[: d_chunk.size]
-        np.multiply(s[start : start + _AXPY_CHUNK], scale, out=prod, casting="same_kind")
+        np.multiply(s[start : start + CHUNK], scale, out=prod, casting="same_kind")
         np.add(d_chunk, prod, out=d_chunk)

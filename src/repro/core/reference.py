@@ -1,7 +1,7 @@
 """The parity oracle: the paper's arithmetic on dict-of-float64 state.
 
 Production holds all distributed state in :class:`~repro.core.arena.LayerArena`
-buffers, applies updates with fused flat ops, selects with workspace-backed
+buffers, applies updates with fused flat ops, selects with the fused
 kernels and answers the Eq. 5 reply from a journal.  This module is the
 same arithmetic written literally, per layer, on a dict of independently
 allocated arrays (float64 unless a ``dtype`` is given): ``M`` plus K

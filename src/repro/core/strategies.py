@@ -18,8 +18,8 @@ Implemented strategies map onto the paper's Table 5 rows:
 ``samomentum`` The paper's SAMomentum (Algorithm 3, Eq. 14–15).
 =============  ============================================================
 
-State lives in :class:`~repro.core.arena.LayerArena` s and selection draws
-scratch from the calling thread's :class:`KernelWorkspace`.  The paper's
+State lives in :class:`~repro.core.arena.LayerArena` s; the selection and
+accumulate kernels stream through per-call chunk buffers.  The paper's
 per-layer arithmetic on dict-of-float64 state is
 :mod:`repro.core.reference`, the parity oracle these strategies are
 bitwise equal to at equal dtype.
@@ -36,7 +36,6 @@ import numpy as np
 from ..compression.base import Sparsifier
 from ..compression.coding import SparseTensor, encode_mask
 from ..compression.topk import TopKSparsifier
-from ..compression.workspace import KernelWorkspace
 from ..optim.clip import clip_by_global_norm
 from .arena import LayerArena
 from .layerops import add_scaled
@@ -55,9 +54,7 @@ class WorkerStrategy(ABC):
     """Transforms local gradients into the update message sent upstream.
 
     State buffers are :class:`~repro.core.arena.LayerArena` s of ``dtype``
-    (float32 unless overridden); the selection/encode kernels draw scratch
-    from the calling thread's :class:`KernelWorkspace`, looked up per
-    :meth:`prepare`.
+    (float32 unless overridden).
     """
 
     #: whether :meth:`prepare` returns sparse (COO) or dense layers
@@ -76,16 +73,15 @@ class WorkerStrategy(ABC):
         return LayerArena(self.shapes, dtype=np.float32 if self.dtype is None else self.dtype)
 
     @staticmethod
-    def _select(sparsifier: Sparsifier, arr: np.ndarray, ws: KernelWorkspace) -> SparseTensor:
-        """Select: fused where the sparsifier has one, mask+encode
-        otherwise, scratch from ``ws`` either way.
+    def _select(sparsifier: Sparsifier, arr: np.ndarray) -> SparseTensor:
+        """Select: fused where the sparsifier has one, mask+encode otherwise.
 
         Both routes pick the identical entry set (one ``_topk_indices``
         helper, see ``compression.topk``) — only the allocations differ.
         """
-        st = sparsifier.select(arr, ws)
+        st = sparsifier.select(arr)
         if st is None:
-            st = encode_mask(arr, sparsifier.mask(arr), ws)
+            st = encode_mask(arr, sparsifier.mask(arr))
         return st
 
     @abstractmethod
@@ -162,11 +158,10 @@ class GradientDroppingStrategy(WorkerStrategy):
 
     def prepare(self, grads: Mapping[str, np.ndarray], lr: float) -> "OrderedDict[str, SparseTensor]":
         out: OrderedDict[str, SparseTensor] = OrderedDict()
-        ws = KernelWorkspace.current()
         for name, g in grads.items():
             r = self.residual[name]
-            add_scaled(r, g, lr, ws)
-            st = self._select(self.sparsifier, r, ws)
+            add_scaled(r, g, lr)
+            st = self._select(self.sparsifier, r)
             out[name] = st
             # Zero the sent coordinates through the fused tensor's
             # indices — the same set r[mask] = 0.0 would clear.
@@ -259,13 +254,12 @@ class DGCStrategy(WorkerStrategy):
         # Fused decay across all layers (layers are independent, so one
         # whole-buffer multiply matches the per-layer u *= m exactly).
         self.u.flat *= self.momentum
-        ws = KernelWorkspace.current()
         for name, g in grads.items():
             u, v = self.u[name], self.v[name]
             # momentum correction: velocity, not raw gradient
-            add_scaled(u, g, lr, ws)
+            add_scaled(u, g, lr)
             v += u
-            st = self._select(sparsifier, v, ws)
+            st = self._select(sparsifier, v)
             out[name] = st
             idx = st.indices
             v.reshape(-1)[idx] = 0.0
@@ -324,11 +318,10 @@ class SAMomentumStrategy(WorkerStrategy):
     def prepare(self, grads: Mapping[str, np.ndarray], lr: float) -> "OrderedDict[str, SparseTensor]":
         m = self.momentum
         out: OrderedDict[str, SparseTensor] = OrderedDict()
-        ws = KernelWorkspace.current()
         for name, g in grads.items():
             u = self.u[name]
-            add_scaled(u, g, lr, ws)
-            st = self._select(self.sparsifier, u, ws)
+            add_scaled(u, g, lr)
+            st = self._select(self.sparsifier, u)
             out[name] = st
             u.reshape(-1)[st.indices] *= m
         return out

@@ -47,7 +47,6 @@ from ..compression.coding import (
     encode_best,
     encode_mask,
 )
-from ..compression.workspace import KernelWorkspace
 from .arena import LayerArena
 
 __all__ = ["ModelDifferenceTracker"]
@@ -73,10 +72,9 @@ class ModelDifferenceTracker:
     ``M`` and every buffer the tracker keeps are
     :class:`~repro.core.arena.LayerArena` s of ``dtype`` (float32 unless
     overridden): applying an update is one fused op over the flat buffer
-    — shortening the server's lock hold — and the model-difference encode
-    draws scratch from the calling thread's :class:`KernelWorkspace`.
-    Without secondary compression the journal stands in for the K ``v_k``
-    buffers (module docstring).
+    — shortening the server's lock hold.  Without secondary compression
+    the journal stands in for the K ``v_k`` buffers (module docstring)
+    and the tracker holds no model-sized scratch.
     """
 
     def __init__(
@@ -121,11 +119,12 @@ class ModelDifferenceTracker:
                 None if self._journal is not None else self._make_buffers()
                 for _ in range(num_workers)
             ]
-        # Reused scratch arena for M − v_k and for rewinding M (difference
-        # tracking only — vanilla ASGD never reads it; overwritten by dense
-        # scans, never escapes).
+        # Reused scratch arena for M − v_k under secondary compression,
+        # where v_k is live and must survive the scan (overwritten by every
+        # reply, never escapes).  The journal path scans into buffers it
+        # frees right after, and vanilla ASGD never scans.
         self._diff: "LayerArena | None" = (
-            self._make_buffers() if track_differences else None
+            self._make_buffers() if track_differences and self._journal is None else None
         )
         #: server timestamp t — incremented once per applied update (Table 1)
         self.t = 0
@@ -184,20 +183,20 @@ class ModelDifferenceTracker:
             self.prev[worker] = self.t
             return out
         # One fused subtraction for the whole difference, then per-layer
-        # encode out of the scratch arena's views.
-        diff = self._diff
+        # encode out of the scratch arena's views.  A held v_k is dropped
+        # after this reply, so its own buffer takes the difference.
+        diff = vk if self._journal is not None else self._diff
         np.subtract(self.M.flat, vk.flat, out=diff.flat)
-        ws = KernelWorkspace.current()
         for name in self.M:
             d = diff[name]
             if self.secondary is not None:
-                sent = self.secondary.select(d, ws)
+                sent = self.secondary.select(d)
                 if sent is None:
-                    sent = encode_mask(d, self.secondary.mask(d), ws)
+                    sent = encode_mask(d, self.secondary.mask(d))
                 # v_k advances only by what was actually sent (Eq. 6b)
                 sent.add_into(vk[name])
             else:
-                sent = encode_best(d, ws)
+                sent = encode_best(d)
             out[name] = sent
         if self._journal is not None:
             self._buffers[worker] = None  # v_k == M (Eq. 3): the journal covers it from t
@@ -293,16 +292,16 @@ class ModelDifferenceTracker:
         return cheapest_format(n, idx.size)(idx, d, m_layer.shape)
 
     def _rewound(self, name: str, parts: "list[_Written]") -> np.ndarray:
-        """``v_k`` of one layer, in the scratch: ``M`` rewound through ``parts``."""
-        v_layer = self._diff[name]
-        np.copyto(v_layer, self.M[name])
+        """``v_k`` of one layer, in a fresh per-layer temporary: ``M``
+        rewound through ``parts``."""
+        v_layer = self.M[name].copy()
         _rewind(v_layer.reshape(-1), parts)
         return v_layer
 
     def _layer_scan(self, name: str, v_layer: np.ndarray) -> "SparseTensor | BitmapTensor | DenseTensor":
-        """The dense scan of one layer (the journal path's fallback)."""
-        d = np.subtract(self.M[name], v_layer, out=self._diff[name])
-        return encode_best(d, KernelWorkspace.current())
+        """The dense scan of one layer (the journal path's fallback); the
+        difference overwrites ``v_layer``, a temporary of :meth:`_rewound`."""
+        return encode_best(np.subtract(self.M[name], v_layer, out=v_layer))
 
     # ------------------------------------------------------------------
     def _make_buffers(self) -> LayerArena:

@@ -98,6 +98,8 @@ class RunConfig:
             raise ValueError("total_iterations must be >= 1")
         if self.num_shards < 1:
             raise ValueError("num_shards must be >= 1")
+        if self.checkpoint_every is not None and self.checkpoint_every < 1:
+            raise ValueError(f"checkpoint_every must be >= 1, got {self.checkpoint_every}")
         if self.checkpoint_every is not None and self.checkpoint_path is None:
             raise ValueError("checkpoint_every requires checkpoint_path")
 

@@ -7,7 +7,7 @@ from typing import Mapping
 import numpy as np
 
 from ..autograd import Tensor, no_grad
-from ..core.layerops import assign_parameters
+from ..core.layerops import bound_parameters
 from ..nn.loss import accuracy, cross_entropy
 from ..nn.module import Module
 
@@ -40,14 +40,11 @@ def evaluate_params(
     y: np.ndarray,
     batch_size: int = 512,
 ) -> tuple[float, float]:
-    """Evaluate a parameter snapshot using ``model`` as scratch space.
+    """Evaluate a parameter snapshot in ``model``'s architecture.
 
-    The model's current parameters are restored afterwards, so the caller's
-    replica is untouched.
+    ``params``' arrays are bound as the model's parameters for the
+    evaluation and the model's own are bound back afterwards, so the
+    caller's replica is untouched and nothing is copied.
     """
-    saved = {name: p.data.copy() for name, p in model.named_parameters()}
-    try:
-        assign_parameters(model, params)
+    with bound_parameters(model, params):
         return evaluate_model(model, x, y, batch_size=batch_size)
-    finally:
-        assign_parameters(model, saved)

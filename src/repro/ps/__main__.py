@@ -65,6 +65,13 @@ def _count(text: str) -> int:
     return int(text)
 
 
+def _cadence(text: str) -> int:
+    """A cadence flag: an integer of at least 0, where 0 means off."""
+    if not text.isdigit():
+        raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}")
+    return int(text)
+
+
 def _serve_trainer(args: argparse.Namespace):
     """The socket backend's engine for the ``serve`` flags; its workers
     are whoever connects."""
@@ -162,8 +169,8 @@ def _parser() -> argparse.ArgumentParser:
         help="evict a worker silent for this long (default: wait forever)",
     )
     p_serve.add_argument(
-        "--checkpoint-every", type=int, default=None, metavar="N",
-        help="write a checkpoint every N applied updates (requires --checkpoint)",
+        "--checkpoint-every", type=_cadence, default=None, metavar="N",
+        help="write a checkpoint every N applied updates (requires --checkpoint; 0 = off)",
     )
     p_serve.add_argument("--checkpoint", metavar="PATH", help="checkpoint file to write")
     p_serve.add_argument("--restore", metavar="PATH", help="restore server state before serving")

@@ -43,6 +43,23 @@ class TestTensorEdges:
         out = a.relu()
         np.testing.assert_array_equal(out.data, [1e308, 0.0])
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_relu_is_bitwise_the_where_form(self, dtype):
+        """``relu`` is bitwise ``np.where(x > 0, x, 0.0)`` on every special
+        value: NaN of either sign and -inf give +0, -0.0 gives +0.0,
+        denormals keep their sign's rule, and the dtype is kept."""
+        fi = np.finfo(dtype)
+        x = np.array(
+            [np.nan, -np.nan, np.inf, -np.inf, 0.0, -0.0, 1.0, -1.0,
+             fi.smallest_subnormal, -fi.smallest_subnormal, fi.tiny, -fi.tiny, fi.max, -fi.max],
+            dtype=dtype,
+        )
+        assert np.signbit(x[:2]).tolist() == [False, True]  # NaN of both signs
+        want = np.where(x > 0, x, 0.0)
+        out = Tensor(x).relu().data
+        assert out.dtype == want.dtype == dtype
+        assert out.tobytes() == want.tobytes()
+
     def test_division_by_small(self):
         a = Tensor(np.array([1.0]), requires_grad=True)
         out = a / 1e-300

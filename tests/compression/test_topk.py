@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from repro.compression import (
-    KernelWorkspace,
     TopKSparsifier,
     topk_mask,
     topk_select,
@@ -53,24 +52,23 @@ class TestSelectOnServerTraffic:
     def test_sparse_input_never_allocates_a_full_length_index_array(self, rng):
         """The server's ``M − v_k`` is mostly exact zeros.  Selecting from it
         must not run a full-array ``argpartition`` (an 8·n-byte ``intp``
-        result, and 15–30x slower on a majority-tied array): one n-byte
-        compare mask plus O(k) arrays is all a call may allocate.  A byte
-        count repeats exactly where a timing would not.
+        result, and 15–30x slower on a majority-tied array), nor hold an
+        n-byte compare mask: the streamed scan's chunk buffers plus O(k)
+        arrays stay under n bytes.  A byte count repeats exactly where a
+        timing would not.
         """
         n = 786_432  # the benchmark MLP's 768 x 1024 layer
         x = np.zeros(n, dtype=np.float32)
         live = rng.choice(n, size=n // 50, replace=False)  # 2 % nonzero
         x[live] = rng.normal(size=live.size)
-        ws = KernelWorkspace()
-        topk_select(x, 0.01, ws)  # size the workspace scratch
         tracemalloc.start()
         try:
-            st = topk_select(x, 0.01, ws)
+            st = topk_select(x, 0.01)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert st.nnz == 7865
-        assert peak < 2 * n, f"peak {peak} B >= 2n = {2 * n} B"
+        assert peak < n, f"peak {peak} B >= n = {n} B"
 
 
 class TestThreshold:

@@ -1,9 +1,16 @@
-"""KernelWorkspace: buffer reuse, growth, and kernel-result invariance."""
+"""Kernel workspace: each streamed kernel takes its chunk buffers per call.
+
+The selection and encode kernels run ``|x|``, the compare and
+``flatnonzero`` one :data:`~repro.compression.coding.CHUNK` at a time
+through buffers they allocate per call.  Chunking must never change a
+kernel's result — it equals the whole-array reference at every chunk
+boundary — and no output aliases a chunk buffer.
+"""
 
 import numpy as np
 
 from repro.compression import (
-    KernelWorkspace,
+    encode_best,
     encode_indices,
     encode_mask,
     encode_sparse,
@@ -11,87 +18,74 @@ from repro.compression import (
     topk_select,
     topk_threshold,
 )
+from repro.compression.coding import CHUNK, indices_above
+
+#: sizes around the chunk boundaries, and a few below one chunk
+SIZES = (1, 7, 1000, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 5)
 
 
-class TestScratch:
-    def test_reuses_backing_buffer(self):
-        ws = KernelWorkspace()
-        a = ws.scratch("t", 100, np.float64)
-        b = ws.scratch("t", 80, np.float64)
-        assert b.base is a.base or b.base is a  # same allocation, shorter view
-
-    def test_grows_geometrically(self):
-        ws = KernelWorkspace()
-        ws.scratch("t", 100, np.float64)
-        ws.scratch("t", 101, np.float64)  # forces growth: 2*100 > 101
-        assert ws.scratch("t", 180, np.float64).base.size == 200
-
-    def test_keyed_by_tag_and_dtype(self):
-        ws = KernelWorkspace()
-        f = ws.scratch("t", 10, np.float64)
-        b = ws.scratch("t", 10, np.bool_)
-        assert f.dtype == np.float64 and b.dtype == np.bool_
-        assert ws.nbytes() == 10 * 8 + 10 * 1
-
-    def test_clear(self):
-        ws = KernelWorkspace()
-        ws.scratch("t", 10, np.float64)
-        ws.clear()
-        assert ws.nbytes() == 0
+def _reference_top(arr, ratio):
+    """Whole-array top-k set (continuous draws: the k-th magnitude is unique)."""
+    mag = np.abs(arr.reshape(-1))
+    k = max(1, min(mag.size, int(np.ceil(mag.size * ratio))))
+    return np.sort(np.argsort(mag, kind="stable")[mag.size - k :]), mag
 
 
 class TestKernelInvariance:
-    """workspace= must never change a kernel's result, only its allocations."""
+    """Chunking must never change a kernel's result, only its allocations."""
 
     def test_topk_mask(self, rng):
-        arr = rng.normal(size=1000)
-        ws = KernelWorkspace()
-        for ratio in (0.01, 0.1, 0.5, 1.0):
-            np.testing.assert_array_equal(topk_mask(arr, ratio, ws), topk_mask(arr, ratio))
+        for n in SIZES:
+            arr = rng.normal(size=n)
+            for ratio in (0.01, 0.1, 0.5, 1.0):
+                want, _ = _reference_top(arr, ratio)
+                np.testing.assert_array_equal(np.flatnonzero(topk_mask(arr, ratio)), want)
 
     def test_topk_threshold(self, rng):
-        arr = rng.normal(size=1000)
-        ws = KernelWorkspace()
-        for ratio in (0.01, 0.1, 0.5):
-            assert topk_threshold(arr, ratio, ws) == topk_threshold(arr, ratio)
+        for n in SIZES:
+            arr = rng.normal(size=n)
+            for ratio in (0.01, 0.1, 0.5):
+                want, mag = _reference_top(arr, ratio)
+                if want.size < n:
+                    assert topk_threshold(arr, ratio) == mag[want].min()
 
     def test_topk_select_equals_mask_then_encode(self, rng):
-        ws = KernelWorkspace()
-        for n in (1, 7, 100, 1000):
+        for n in SIZES:
             arr = rng.normal(size=n)
             for ratio in (0.05, 0.3, 1.0):
-                fused = topk_select(arr, ratio, ws)
+                fused = topk_select(arr, ratio)
                 ref = encode_mask(arr, topk_mask(arr, ratio))
                 np.testing.assert_array_equal(fused.indices, ref.indices)
                 np.testing.assert_array_equal(fused.values, ref.values)
 
     def test_encode_kernels(self, rng):
-        arr = rng.normal(size=500)
-        arr[np.abs(arr) < 1.0] = 0.0
-        ws = KernelWorkspace()
-        a, b = encode_sparse(arr, ws), encode_sparse(arr)
-        np.testing.assert_array_equal(a.indices, b.indices)
-        np.testing.assert_array_equal(a.values, b.values)
-        idx = np.flatnonzero(arr)
-        c = encode_indices(arr, idx, ws, assume_sorted=True)
-        np.testing.assert_array_equal(c.values, b.values)
+        for n in SIZES:
+            arr = rng.normal(size=n)
+            arr[np.abs(arr) < 1.0] = 0.0
+            arr[::97] = np.nan  # NaN is nonzero to every scan
+            want = np.flatnonzero(arr != 0)
+            np.testing.assert_array_equal(indices_above(arr, 0), want)
+            b = encode_sparse(arr)
+            np.testing.assert_array_equal(b.indices, want)
+            np.testing.assert_array_equal(encode_best(arr).to_dense(np.float32), b.to_dense(np.float32))
+            c = encode_indices(arr, want, assume_sorted=True)
+            np.testing.assert_array_equal(c.values, b.values)
 
     def test_outputs_do_not_alias_workspace(self, rng):
         """SparseTensor values/indices must survive the next kernel call."""
-        ws = KernelWorkspace()
         arr = rng.normal(size=200)
-        st = topk_select(arr, 0.1, ws)
+        st = topk_select(arr, 0.1)
         vals, idx = st.values.copy(), st.indices.copy()
-        topk_select(rng.normal(size=200), 0.5, ws)  # stomp the scratch
+        topk_select(rng.normal(size=200), 0.5)
         np.testing.assert_array_equal(st.values, vals)
         np.testing.assert_array_equal(st.indices, idx)
+        assert not np.shares_memory(indices_above(arr, 0), indices_above(arr, 0))
 
     def test_varying_sizes_through_one_workspace(self, rng):
-        """Per-layer usage: different layer sizes share one workspace."""
-        ws = KernelWorkspace()
-        for n in (1000, 10, 500, 3, 999):
+        """Per-layer usage: calls of different sizes, back to back."""
+        for n in (1000, 10, CHUNK + 3, 500, 3, 999):
             arr = rng.normal(size=n)
-            fused = topk_select(arr, 0.3, ws)
+            fused = topk_select(arr, 0.3)
             ref = encode_mask(arr, topk_mask(arr, 0.3))
             np.testing.assert_array_equal(fused.indices, ref.indices)
             np.testing.assert_array_equal(fused.values, ref.values)

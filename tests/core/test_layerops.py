@@ -1,5 +1,7 @@
 """Per-layer vector helpers."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,6 @@ from repro.core.layerops import (
     parameters_of,
     zeros_like_layers,
 )
-from repro.compression.workspace import KernelWorkspace
 from repro.nn import MLP, cross_entropy
 from repro.autograd import Tensor
 
@@ -54,32 +55,41 @@ class TestLayerOps:
         assert all((g == 0).all() for g in grads.values())
 
     def test_add_scaled(self):
-        """Chunked through workspace scratch, bitwise the plain expression
-        at equal dtype, at every chunk boundary."""
+        """Chunked through one per-call chunk buffer, bitwise the plain
+        expression at equal dtype, at every chunk boundary."""
         for size in (0, 3, 32768, 32769, 100_000):
             rng = np.random.default_rng(size)
             src = rng.normal(size=size)
             dest = rng.normal(size=size)
             want = dest + 0.3 * src
-            ws = KernelWorkspace()
-            add_scaled(dest, src, 0.3, ws)
+            tracemalloc.start()
+            try:
+                add_scaled(dest, src, 0.3)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
             np.testing.assert_array_equal(dest, want)
-            assert ws.nbytes() <= 32768 * 8
+            assert peak <= 32768 * 8 + 4096  # one chunk buffer and its views
 
     def test_add_scaled_rejects_strided_dest(self):
         """A non-contiguous dest cannot be flattened in place: refuse
         rather than update a copy."""
         with pytest.raises(ValueError, match="C-contiguous"):
-            add_scaled(np.zeros((4, 3)).T, np.ones((3, 4)), 0.5, KernelWorkspace())
+            add_scaled(np.zeros((4, 3)).T, np.ones((3, 4)), 0.5)
 
     def test_add_scaled_float64_into_float32(self):
         """A float64 gradient folds into float32 state through dest-dtype
-        scratch: one rounding of the product, one of the sum."""
+        scratch: one rounding of the product, one of the sum, and no
+        ``src``-sized temporary (one float32 chunk plus NumPy's cast buffer)."""
         rng = np.random.default_rng(0)
-        src = rng.normal(size=(40, 50))
-        dest = rng.normal(size=(40, 50)).astype(np.float32)
+        src = rng.normal(size=(400, 250))
+        dest = rng.normal(size=(400, 250)).astype(np.float32)
         want = dest + (0.3 * src).astype(np.float32)
-        ws = KernelWorkspace()
-        add_scaled(dest, src, 0.3, ws)
+        tracemalloc.start()
+        try:
+            add_scaled(dest, src, 0.3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
         np.testing.assert_array_equal(dest, want)
-        assert dest.dtype == np.float32 and ws.nbytes() == 2000 * 4
+        assert dest.dtype == np.float32 and peak < src.nbytes // 4

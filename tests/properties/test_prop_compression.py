@@ -1,5 +1,6 @@
 """Property-based tests for sparsifiers and wire coding."""
 
+from contextlib import contextmanager
 from unittest import mock
 
 import numpy as np
@@ -9,7 +10,6 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays, array_shapes
 
 from repro.compression import (
-    KernelWorkspace,
     TopKSparsifier,
     encode_mask,
     encode_sparse,
@@ -65,6 +65,24 @@ class TestTopKProperties:
 STRIDE = topk_module._SAMPLE_STRIDE
 
 
+@contextmanager
+def _scan_spy():
+    """Record every streamed compare pass the top-k kernels make: the
+    bound each pass used (``call_args_list``) and what it returned
+    (``spy_returns``)."""
+    real = topk_module.indices_above
+    returns = []
+
+    def scan(flat, lo):
+        out = real(flat, lo)
+        returns.append(out)
+        return out
+
+    with mock.patch.object(topk_module, "indices_above", side_effect=scan) as spy:
+        spy.spy_returns = returns
+        yield spy
+
+
 def _k(n, ratio):
     return max(1, min(n, int(np.ceil(n * ratio))))
 
@@ -98,21 +116,21 @@ def server_traffic(draw):
     return x, ratio
 
 
-def _assert_selection_contract(x, ratio, workspace=None):
+def _assert_selection_contract(x, ratio):
     n, k = x.size, _k(x.size, ratio)
     mag = np.abs(x)
     ranked = np.sort(mag)  # NaN last, i.e. largest
-    sel = topk_select(x, ratio, workspace)
+    sel = topk_select(x, ratio)
     idx = sel.indices.astype(np.intp)
     assert idx.size == k
     assert (np.diff(idx) > 0).all()
     np.testing.assert_array_equal(sel.values, x[idx].astype(np.float32))
     # assert_array_equal treats NaN == NaN
     np.testing.assert_array_equal(np.sort(mag[idx]), ranked[n - k :])
-    np.testing.assert_array_equal(np.flatnonzero(topk_mask(x, ratio, workspace)), idx)
+    np.testing.assert_array_equal(np.flatnonzero(topk_mask(x, ratio)), idx)
     if k == n:
         return
-    np.testing.assert_array_equal(topk_threshold(x, ratio, workspace), ranked[n - k])
+    np.testing.assert_array_equal(topk_threshold(x, ratio), ranked[n - k])
     # np.nonzero also counts NaN, like the kernel does
     nonzero = np.flatnonzero(mag)
     if nonzero.size < k:
@@ -135,12 +153,12 @@ def _nan_on_the_sample_grid():
 
 
 class TestTopKSelectionContract:
-    @given(traffic=server_traffic(), use_workspace=st.booleans())
-    @example(traffic=_nan_on_the_sample_grid(), use_workspace=False)
+    @given(traffic=server_traffic())
+    @example(traffic=_nan_on_the_sample_grid())
     @settings(max_examples=300, deadline=None)
-    def test_contract_on_server_traffic(self, traffic, use_workspace):
+    def test_contract_on_server_traffic(self, traffic):
         x, ratio = traffic
-        _assert_selection_contract(x, ratio, KernelWorkspace() if use_workspace else None)
+        _assert_selection_contract(x, ratio)
 
     @given(traffic=server_traffic())
     @settings(max_examples=100, deadline=None)
@@ -156,10 +174,26 @@ class TestTopKSelectionContract:
         x = rng.normal(size=(768, 1024)).astype(dtype)
         x[:, ::STRIDE] = 0.0
         assert not x.reshape(-1)[::STRIDE].any()
-        with mock.patch.object(topk_module, "_above", wraps=topk_module._above) as above:
+        with _scan_spy() as above:
             _assert_selection_contract(x.reshape(-1), 0.01)
         # topk_select, topk_mask, topk_threshold: one compare pass each, at lo = 0
         assert [call.args[1] for call in above.call_args_list] == [0, 0, 0]
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_overshooting_sample_keeps_candidates_o_of_k(self, dtype, rng):
+        """Every sampled entry outranks the k-th magnitude, so the sample's
+        quantile over-shoots: the bound is lowered step by step, and no
+        pass falls back to taking every nonzero as a candidate."""
+        n = 65536
+        x = rng.uniform(0.5, 1.0, size=n).astype(dtype)  # every entry nonzero
+        x[::STRIDE] = rng.uniform(10.0, 20.0, size=n // STRIDE)  # 1 024 large
+        ratio = 0.01  # k = 656 < 1 024: the k-th magnitude is a sampled one
+        with _scan_spy() as above:
+            _assert_selection_contract(x, ratio)
+        found = [call.args[1] for call in above.call_args_list]
+        counts = [ret.size for ret in above.spy_returns]
+        assert len(found) > 3 and all(lo > 0 for lo in found), found
+        assert max(counts) < n // 2, counts
 
 
 class TestCodingProperties:

@@ -222,6 +222,17 @@ def test_checkpoint_every_requires_path(tiny_dataset, tiny_model_factory):
         _trainer(tiny_dataset, tiny_model_factory, checkpoint_every=5)
 
 
+@pytest.mark.parametrize("every", [0, -1])
+def test_checkpoint_every_below_one_is_refused(every, tmp_path, tiny_dataset, tiny_model_factory):
+    """A cadence of 0 divided by zero at the first applied update, and a
+    negative one checkpointed on every update: both are refused up front."""
+    with pytest.raises(ValueError, match="checkpoint_every must be >= 1"):
+        _trainer(
+            tiny_dataset, tiny_model_factory,
+            checkpoint_every=every, checkpoint_path=tmp_path / "run.ckpt",
+        )
+
+
 def test_transport_is_pipe_or_tcp_and_bind_is_tcp_only(tiny_dataset, tiny_model_factory):
     with pytest.raises(ValueError, match="transport"):
         _trainer(tiny_dataset, tiny_model_factory, transport="udp")
@@ -293,6 +304,7 @@ def test_deployment_cli_builds_the_socket_backends_state():
         ["serve", "--shards", "0"],
         ["serve", "--iterations", "0"],
         ["serve", "--batch-size", "0"],
+        ["serve", "--checkpoint-every", "-1", "--checkpoint", "run.ckpt"],
     ],
     ids=" ".join,
 )
@@ -305,3 +317,11 @@ def test_deployment_cli_rejects_out_of_range_integers(argv, capsys):
         main(argv)
     assert exc.value.code == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_deployment_cli_checkpoint_every_zero_is_off():
+    """``--checkpoint-every 0`` keeps meaning "no checkpoint"."""
+    from repro.ps.__main__ import _parser, _serve_trainer
+
+    args = _parser().parse_args(["serve", "--bind", "127.0.0.1:0", "--checkpoint-every", "0"])
+    assert _serve_trainer(args).config.checkpoint_every is None

@@ -27,9 +27,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro
+from repro.compression import TopKSparsifier
 from repro.core.arena import LayerArena
 from repro.core.layerops import add_payload, layer_shapes, parameters_of
 from repro.core.methods import Hyper
+from repro.core.strategies import SAMomentumStrategy
 from repro.core.tracker import ModelDifferenceTracker
 from repro.data import make_blobs
 from repro.data.loader import DataLoader
@@ -72,10 +74,44 @@ class TestDifferenceScratch:
         assert tracker._diff is None
         assert tracker.server_state_bytes() == tracker.M.flat.nbytes
 
-    def test_dgs_tracker_keeps_its_scratch(self):
-        tracker = ModelDifferenceTracker(self.shapes, 2)
-        assert isinstance(tracker._diff, LayerArena)
-        assert tracker._diff.same_layout(tracker.M)
+    def test_dgs_tracker_keeps_scratch_only_under_secondary_compression(self):
+        """The journal path scans into per-layer temporaries; only Eq. 6,
+        whose live ``v_k`` must survive the scan, keeps a difference arena."""
+        journal = ModelDifferenceTracker(self.shapes, 2)
+        assert journal._diff is None
+        assert journal.server_state_bytes() == journal.M.flat.nbytes
+        dual = ModelDifferenceTracker(self.shapes, 2, secondary=TopKSparsifier(0.1))
+        assert isinstance(dual._diff, LayerArena)
+        assert dual._diff.same_layout(dual.M)
+
+    def test_exchange_allocates_nothing_of_a_layers_size(self):
+        """SAMomentum's ``prepare`` and a journal-path reply on the
+        benchmark MLP's 786 432-element layer: every transient is a chunk
+        buffer or O(k), none as large as the layer (3 MiB)."""
+        shapes = OrderedDict([("w", (768, 1024))])
+        layer_bytes = 768 * 1024 * 4
+        rng = np.random.default_rng(0)
+        strategy = SAMomentumStrategy(shapes, TopKSparsifier(0.01, min_sparse_size=0), 0.7)
+        tracker = ModelDifferenceTracker(shapes, 2)
+        grads = [OrderedDict(w=rng.normal(size=(768, 1024)).astype(np.float32)) for _ in range(3)]
+        peaks = []
+        tracemalloc.start()
+        try:
+            for step, g in enumerate(grads):
+                tracemalloc.reset_peak()
+                base = tracemalloc.get_traced_memory()[0]
+                update = strategy.prepare(g, 0.1)
+                peaks.append(tracemalloc.get_traced_memory()[1] - base)
+                tracker.apply_update(update)
+                tracemalloc.reset_peak()
+                base = tracemalloc.get_traced_memory()[0]
+                reply = tracker.model_difference(step % 2)
+                peaks.append(tracemalloc.get_traced_memory()[1] - base)
+        finally:
+            tracemalloc.stop()
+        assert tracker._buffers == [None, None]  # the journal answered every reply
+        assert 7865 < reply["w"].nnz <= 2 * 7865  # worker 1 was owed two updates
+        assert max(peaks) < layer_bytes // 2, [p / layer_bytes for p in peaks]
 
 
 # -- the trainers' server side ---------------------------------------------
@@ -122,8 +158,9 @@ class TestServerProcessHolds:
         assert run_peak <= 4.5, f"run() peaked {run_peak:.2f} models over construction"
 
     def test_final_loss_is_bitwise_evaluate_params(self, transport, dataset):
-        """Evaluating in the scratch model is what ``evaluate_params`` does
-        minus the save-and-restore: the same numbers, to the bit."""
+        """Evaluating θ0 + M assigned into the scratch model gives what
+        ``evaluate_params`` gives with θ0 + M's arrays bound as the
+        parameters: the same numbers, to the bit."""
         trainer = RemoteTrainer(_config(dataset), transport)
         result = trainer.run()
         acc, loss = evaluate_params(
@@ -247,6 +284,7 @@ def test_staleness_percentiles_are_bitwise_numpys(values):
 _NO_MA_SCRIPT = """
 import sys
 from repro.core.methods import Hyper
+from repro.core.strategies import SAMomentumStrategy
 from repro.data import make_blobs
 from repro.exec import RunConfig, Trainer
 from repro.nn import MLP

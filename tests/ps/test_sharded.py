@@ -17,7 +17,7 @@ import pytest
 from repro.analysis.concurrency import LockRegistry
 from repro.comm.service import ServerService
 from repro.comm.frames import GradientFrame
-from repro.compression import KernelWorkspace, TopKSparsifier
+from repro.compression import TopKSparsifier
 from repro.core.strategies import SAMomentumStrategy
 from repro.obs import names as obs_names
 from repro.obs.tracer import Tracer, use_tracer
@@ -177,10 +177,11 @@ class TestShardRoutingAndLocks:
 
 
 class TestThreadIsolation:
-    """Kernel scratch is per thread (``KernelWorkspace.current``).  When
-    worker threads share a server, each runs its strategy's ``prepare`` and
-    then, under the shard locks, the server's handling of its update; both
-    draw from that thread's pool, never from another thread's."""
+    """When worker threads share a server, each runs its strategy's
+    ``prepare`` and then, under the shard locks, the server's handling of
+    its update.  The kernels hold no scratch between calls (each takes its
+    chunk buffers per call), so nothing is shared between the threads but
+    the server's own state."""
 
     STEPS = 8
 
@@ -232,30 +233,6 @@ class TestThreadIsolation:
         if errors:
             raise errors[0]
         return replies, server
-
-    def test_the_same_thread_always_gets_the_same_workspace(self):
-        ws = KernelWorkspace.current()
-        self._serial()
-        assert KernelWorkspace.current() is ws
-        assert ws.nbytes() > 0  # the exchange drew its scratch from it
-
-    def test_worker_threads_never_share_a_workspace(self, monkeypatch):
-        drawn = []  # (thread, workspace) per scratch request
-        scratch = KernelWorkspace.scratch
-
-        def spy(ws, *args):
-            drawn.append((threading.get_ident(), ws))
-            return scratch(ws, *args)
-
-        monkeypatch.setattr(KernelWorkspace, "scratch", spy)
-        self._threaded()
-        by_thread = {}
-        for thread, ws in drawn:
-            by_thread.setdefault(thread, set()).add(id(ws))
-        assert len(by_thread) == 2 and threading.get_ident() not in by_thread
-        pools = list(by_thread.values())
-        assert all(len(pool) == 1 for pool in pools)
-        assert pools[0] != pools[1]
 
     def test_threaded_replies_are_bitwise_the_serial_run(self):
         (serial, s_server), (threaded, t_server) = self._serial(), self._threaded()

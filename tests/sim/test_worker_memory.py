@@ -3,8 +3,8 @@
 The paper's §5.6.2 accounting counts a DGS worker as one model replica
 plus one buffer (SAMomentum's ``u``).  Between steps a worker holds no
 gradients (``compute_step`` drops them once ``prepare`` has used them),
-no scratch of its own (kernel scratch is per thread, so the simulator's
-workers share one pool) and no copy of its data shard (shards are views).
+no scratch (the kernels take their chunk buffers per call) and no copy
+of its data shard (shards are views).
 Counted with ``tracemalloc`` over a whole simulated run at several worker
 counts: the traced memory still held after the last step may grow, per
 added worker, by no more than the replica and the strategy state.
@@ -14,7 +14,6 @@ import tracemalloc
 
 import pytest
 
-from repro.compression import KernelWorkspace
 from repro.core import Hyper
 from repro.core.layerops import layer_shapes
 from repro.core.methods import get_method
@@ -42,7 +41,6 @@ def dataset():
 
 def _held(dataset, num_workers):
     """Traced bytes still held after a run of three steps per worker."""
-    KernelWorkspace.current().clear()  # the thread's scratch is counted afresh
     tracemalloc.start()
     try:
         config = RunConfig(
