@@ -23,9 +23,16 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import pathlib
 import sys
 import time
+
+# BLAS on one thread, as the end-to-end benchmark pins it, set before NumPy
+# is imported: a threaded float64 dgemm swings from run to run with whatever
+# else the machine is doing (the record-only ``mlp_forward_backward`` pair
+# read 1.6x one run and 43x the next unpinned).  The gated pairs use no BLAS.
+os.environ.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent))

@@ -2,11 +2,11 @@
 """Extending the library: write your own compression strategy.
 
 Implements a *sign-SGD with error feedback* worker strategy from scratch —
-not one of the paper's methods — plugs it into the method registry, and
-trains it through the unmodified simulator against DGS.  This is the
-extension path a downstream researcher would use to prototype a new
-compressor on the DGS substrate (dual-way model-difference tracking comes
-for free from the server side).
+not one of the paper's methods — adds it to the method catalogue as one
+``MethodSpec`` naming its factory, and trains it through the unmodified
+simulator against DGS.  This is the extension path a downstream
+researcher would use to prototype a new compressor on the DGS substrate
+(dual-way model-difference tracking comes for free from the server side).
 
 Usage:  python examples/custom_strategy.py [--fast]
 """
@@ -50,34 +50,24 @@ class SignSGDStrategy(WorkerStrategy):
         return sum(e.nbytes for e in self.error.values())
 
 
-def register() -> None:
-    """Add signsgd to the registry so every trainer/bench can run it."""
-    METHODS["signsgd"] = MethodSpec(
-        name="signsgd",
-        label="signSGD-EF",
-        strategy="signsgd",
-        downstream="difference",
-        sparsification="1-bit signs + error feedback",
-        momentum="N",
-    )
-    # Teach the strategy factory about the new kind.
-    from repro.core import extensions
-
-    original = extensions.build_extension_strategy
-
-    def patched(kind, shapes, hyper, dtype=None):
-        if kind == "signsgd":
-            return SignSGDStrategy(shapes)
-        return original(kind, shapes, hyper, dtype=dtype)
-
-    extensions.build_extension_strategy = patched
+def sign_sgd(shapes, hyper, dtype=None, seed=0):
+    """The strategy factory a ``MethodSpec`` names (signSGD draws nothing)."""
+    return SignSGDStrategy(shapes)
 
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--fast", action="store_true")
     args = parser.parse_args()
-    register()
+    # One catalogue entry, and every trainer and bench can run signsgd.
+    METHODS["signsgd"] = MethodSpec(
+        name="signsgd",
+        label="signSGD-EF",
+        strategy=sign_sgd,
+        downstream="difference",
+        sparsification="1-bit signs + error feedback",
+        momentum="N",
+    )
 
     workload = get_workload("cifar10")
     rows = []

@@ -47,6 +47,13 @@ EXPERIMENTS = {
 }
 
 
+def _count(text: str) -> int:
+    """A count flag: an integer of at least 1."""
+    if not text.isdigit() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+    return int(text)
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(prog="python -m repro", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -82,7 +89,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     run_p.add_argument(
         "--checkpoint-every",
-        type=int,
+        type=_count,
         metavar="N",
         help="write a server checkpoint every N applied updates (process "
         "and socket backends; the others refuse it); requires "

@@ -75,17 +75,11 @@ class Sanitizer:
     def __init__(
         self,
         expected_dtype: "np.dtype | type | None" = None,
-        check_autograd: bool = True,
-        check_optim: bool = True,
-        check_compression: bool = True,
         on_fault: str = "raise",
     ) -> None:
         if on_fault not in ("raise", "record"):
             raise ValueError(f"on_fault must be 'raise' or 'record', got {on_fault!r}")
         self.expected_dtype = np.dtype(expected_dtype) if expected_dtype is not None else None
-        self.check_autograd = check_autograd
-        self.check_optim = check_optim
-        self.check_compression = check_compression
         self.on_fault = on_fault
         self.faults: "list[NumericFault]" = []
         self._patches: "list[tuple[object, str, object]]" = []
@@ -165,7 +159,7 @@ class Sanitizer:
     def _install_compression(self) -> None:
         from ..compression import coding
         from ..compression.base import Sparsifier
-        from ..core import WorkerStrategy  # the package import registers the extensions
+        from ..core import WorkerStrategy  # the package import loads every strategy class
 
         sanitizer = self
 
@@ -280,13 +274,10 @@ class Sanitizer:
     def __enter__(self) -> "Sanitizer":
         if self._patches:
             raise RuntimeError("Sanitizer context is not reentrant; create a new one")
-        if self.check_autograd:
-            self._install_autograd()
-        if self.check_optim:
-            self._install_optim()
-        if self.check_compression:
-            self._install_compression()
-            self._install_tracker()
+        self._install_autograd()
+        self._install_optim()
+        self._install_compression()
+        self._install_tracker()
         return self
 
     def __exit__(self, *exc: object) -> None:
@@ -297,19 +288,10 @@ class Sanitizer:
 
 def sanitize(
     expected_dtype: "np.dtype | type | None" = None,
-    check_autograd: bool = True,
-    check_optim: bool = True,
-    check_compression: bool = True,
     on_fault: str = "raise",
 ) -> Sanitizer:
     """Build a :class:`Sanitizer` context (``with sanitize() as s: ...``)."""
-    return Sanitizer(
-        expected_dtype=expected_dtype,
-        check_autograd=check_autograd,
-        check_optim=check_optim,
-        check_compression=check_compression,
-        on_fault=on_fault,
-    )
+    return Sanitizer(expected_dtype=expected_dtype, on_fault=on_fault)
 
 
 def sanitizer_selfcheck() -> "list[str]":

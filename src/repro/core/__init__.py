@@ -1,6 +1,7 @@
 """The paper's contribution: DGS worker strategies + model-difference server."""
 
 from .arena import LayerArena
+from .extensions import DGSTernGradStrategy, RandomDroppingStrategy, TernGradStrategy
 from .layerops import (
     add_scaled,
     assign_parameters,
@@ -10,7 +11,7 @@ from .layerops import (
     parameters_of,
     zeros_like_layers,
 )
-from .methods import METHODS, Hyper, MethodSpec, build_strategy, get_method
+from .methods import METHODS, Hyper, MethodSpec, get_method
 from .partition import PartitionMap
 from .strategies import (
     DenseStrategy,
@@ -21,12 +22,6 @@ from .strategies import (
     WorkerStrategy,
 )
 from .tracker import ModelDifferenceTracker
-from .extensions import (
-    DGSTernGradStrategy,
-    RandomDroppingStrategy,
-    TernGradStrategy,
-    register_extensions,
-)
 
 __all__ = [
     "LayerArena",
@@ -48,10 +43,8 @@ __all__ = [
     "TernGradStrategy",
     "RandomDroppingStrategy",
     "DGSTernGradStrategy",
-    "register_extensions",
     "MethodSpec",
     "Hyper",
     "METHODS",
-    "build_strategy",
     "get_method",
 ]

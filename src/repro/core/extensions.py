@@ -6,15 +6,16 @@ approaches — TernGrad [Wen et al.] and random coordinate dropping
 
 * :class:`TernGradStrategy` — pure ternary-quantised upload (a quantisation
   baseline for the combination ablation);
+* :class:`QSGDStrategy` — unbiased s-level quantised upload (paper ref. [3]);
 * :class:`RandomDroppingStrategy` — unbiased random-k upload;
 * :class:`DGSTernGradStrategy` — the proposed combination: SAMomentum
   selects the top-R% coordinates (Algorithm 3), and the *values* sent are
   ternary-quantised with error feedback into ``u``, cutting per-element
   value cost from 32 bits to 2.
 
-All three are registered in the method registry under ``terngrad``,
-``random_dropping`` and ``dgs_terngrad`` via :func:`register_extensions`
-(called on import), so they run through every trainer and bench unchanged.
+The method catalogue, :data:`repro.core.methods.METHODS`, lists them as
+``terngrad``, ``qsgd``, ``random_dropping`` and ``dgs_terngrad``, so they
+run through every trainer and bench unchanged.
 """
 
 from __future__ import annotations
@@ -24,11 +25,10 @@ from typing import Mapping
 
 import numpy as np
 
-from ..compression.coding import QuantizedSparseTensor
+from ..compression.coding import QuantizedSparseTensor, encode_mask
+from ..compression.qsgd import QSGDQuantizer
 from ..compression.randomk import RandomKSparsifier
 from ..compression.terngrad import TernaryTensor, TernGradQuantizer
-from ..compression.topk import TopKSparsifier
-from .methods import METHODS, Hyper, MethodSpec
 from .strategies import SAMomentumStrategy, WorkerStrategy
 
 __all__ = [
@@ -36,8 +36,6 @@ __all__ = [
     "RandomDroppingStrategy",
     "DGSTernGradStrategy",
     "QSGDStrategy",
-    "build_extension_strategy",
-    "register_extensions",
 ]
 
 
@@ -57,8 +55,6 @@ class QSGDStrategy(WorkerStrategy):
 
     def __init__(self, shapes: Mapping[str, tuple[int, ...]], s: int = 4, seed: int = 0) -> None:
         super().__init__(shapes)
-        from ..compression.qsgd import QSGDQuantizer
-
         self.quantizer = QSGDQuantizer(s=s, seed=seed)
 
     def prepare(self, grads: Mapping[str, np.ndarray], lr: float):
@@ -73,8 +69,6 @@ class RandomDroppingStrategy(WorkerStrategy):
         self.sparsifier = RandomKSparsifier(ratio, seed=seed, rescale=True)
 
     def prepare(self, grads: Mapping[str, np.ndarray], lr: float):
-        from ..compression.coding import encode_mask
-
         out = OrderedDict()
         for name, g in grads.items():
             mask, sent, _ = self.sparsifier.split(lr * g)
@@ -116,85 +110,3 @@ class DGSTernGradStrategy(SAMomentumStrategy):
             # error, decayed like any sent value (u holds m·u_paper).
             u.reshape(-1)[flat_idx] = m * (values - quantized)
         return out
-
-
-def register_extensions() -> None:
-    """Add the §6 extension methods to the global registry (idempotent)."""
-    extras = {
-        "dgs_adaptive": MethodSpec(
-            name="dgs_adaptive",
-            label="DGS (adaptive thr)",
-            strategy="dgs_adaptive",
-            downstream="difference",
-            sparsification="Dual-way, sampled adaptive threshold (§4.1 note)",
-            momentum="SAMomentum",
-        ),
-        "terngrad": MethodSpec(
-            name="terngrad",
-            label="TernGrad-async",
-            strategy="terngrad",
-            downstream="model",
-            sparsification="ternary quantisation",
-            momentum="N",
-        ),
-        "qsgd": MethodSpec(
-            name="qsgd",
-            label="QSGD-async",
-            strategy="qsgd",
-            downstream="model",
-            sparsification="s-level stochastic quantisation",
-            momentum="N",
-        ),
-        "random_dropping": MethodSpec(
-            name="random_dropping",
-            label="RandDrop-async",
-            strategy="random_dropping",
-            downstream="difference",
-            sparsification="random coordinate dropping (unbiased)",
-            momentum="N",
-        ),
-        "dgs_terngrad": MethodSpec(
-            name="dgs_terngrad",
-            label="DGS+TernGrad",
-            strategy="dgs_terngrad",
-            downstream="difference",
-            sparsification="Dual-way Top-k + ternary values",
-            momentum="SAMomentum",
-        ),
-    }
-    METHODS.update({k: v for k, v in extras.items() if k not in METHODS})
-
-
-def build_extension_strategy(
-    kind: str,
-    shapes: Mapping[str, tuple[int, ...]],
-    hyper: Hyper,
-    dtype: "object | None" = None,
-) -> WorkerStrategy | None:
-    """Factory hook consulted by :func:`repro.core.methods.build_strategy`."""
-    if kind == "terngrad":
-        return TernGradStrategy(shapes)
-    if kind == "qsgd":
-        return QSGDStrategy(shapes)
-    if kind == "random_dropping":
-        return RandomDroppingStrategy(shapes, hyper.ratio)
-    if kind == "dgs_terngrad":
-        return DGSTernGradStrategy(
-            shapes,
-            TopKSparsifier(hyper.ratio, min_sparse_size=hyper.min_sparse_size),
-            hyper.momentum,
-            dtype=dtype,
-        )
-    if kind == "dgs_adaptive":
-        from ..compression.adaptive import AdaptiveThresholdSparsifier
-
-        return SAMomentumStrategy(
-            shapes,
-            AdaptiveThresholdSparsifier(hyper.ratio, min_sparse_size=hyper.min_sparse_size),
-            hyper.momentum,
-            dtype=dtype,
-        )
-    return None
-
-
-register_extensions()

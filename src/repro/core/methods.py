@@ -1,18 +1,24 @@
-"""Training-method registry.
+"""Training-method catalogue.
 
-Bundles each approach the paper evaluates (§5, Table 5) into a declarative
-spec: how the worker compresses upstream, how the server compresses
-downstream, and which technique flags it carries.  The registry is the
-single source of truth for the harness, the Table 5 bench, and the memory
-accounting.
+Bundles each approach the trainers run into a declarative spec: the
+factory of the worker's upstream strategy, how the server compresses
+downstream, and which technique flags it carries.  :data:`METHODS` is one
+literal table — the paper's four asynchronous methods (§5, Table 5) and
+the §6 combinations with other compressors — and the single source of
+truth for the harness, the Table 5 bench, and the memory accounting.
+Adding a method is one assignment, ``METHODS[name] = MethodSpec(...)``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Mapping
+from dataclasses import dataclass
+from typing import Callable, Mapping
 
+import numpy as np
+
+from ..compression.adaptive import AdaptiveThresholdSparsifier
 from ..compression.topk import TopKSparsifier
+from .extensions import DGSTernGradStrategy, QSGDStrategy, RandomDroppingStrategy, TernGradStrategy
 from .strategies import (
     DenseStrategy,
     DGCStrategy,
@@ -22,7 +28,7 @@ from .strategies import (
     WorkerStrategy,
 )
 
-__all__ = ["MethodSpec", "Hyper", "build_strategy", "METHODS", "get_method"]
+__all__ = ["MethodSpec", "Hyper", "METHODS", "get_method"]
 
 
 @dataclass(frozen=True)
@@ -46,10 +52,13 @@ class MethodSpec:
 
     name: str
     label: str
-    strategy: str  # 'dense' | 'dropping' | 'dgc' | 'samomentum'
+    #: the worker-side strategy factory,
+    #: ``strategy(shapes, hyper, dtype=..., seed=...) -> WorkerStrategy``:
+    #: state arenas of ``dtype`` (float32 when None), and ``seed`` for a
+    #: stochastic compressor's random stream (anything ``np.random.default_rng``
+    #: takes)
+    strategy: "Callable[..., WorkerStrategy]"
     downstream: str  # 'model' (dense download) | 'difference'
-    secondary_default: bool = False  # secondary compression on by default?
-    distributed: bool = True
     # Table 5 columns:
     sparsification: str = "N"
     momentum: str = "N"
@@ -61,73 +70,74 @@ class MethodSpec:
         shapes: Mapping[str, tuple[int, ...]],
         hyper: Hyper,
         dtype: "object | None" = None,
+        seed: "int | np.random.SeedSequence" = 0,
     ) -> WorkerStrategy:
-        return build_strategy(self.strategy, shapes, hyper, dtype=dtype)
+        return self.strategy(shapes, hyper, dtype=dtype, seed=seed)
 
 
-def build_strategy(
-    kind: str,
-    shapes: Mapping[str, tuple[int, ...]],
-    hyper: Hyper,
-    dtype: "object | None" = None,
-) -> WorkerStrategy:
-    """Instantiate the worker-side strategy named ``kind``, its state a
-    :class:`~repro.core.arena.LayerArena` of ``dtype`` (float32 by default)."""
-    if kind == "dense":
-        return DenseStrategy(shapes, dtype=dtype)
-    if kind == "dropping":
-        return GradientDroppingStrategy(
-            shapes,
-            TopKSparsifier(hyper.ratio, min_sparse_size=hyper.min_sparse_size),
-            dtype=dtype,
-        )
-    if kind == "dgc":
-        ramp = SparsityRamp(
-            hyper.ratio,
-            warmup_epochs=hyper.warmup_epochs,
-            iterations_per_epoch=hyper.iterations_per_epoch,
-        )
-        return DGCStrategy(
-            shapes,
-            ratio=hyper.ratio,
-            momentum=hyper.momentum,
-            ramp=ramp,
-            clip_norm=hyper.clip_norm,
-            min_sparse_size=hyper.min_sparse_size,
-            dtype=dtype,
-        )
-    if kind == "samomentum":
-        return SAMomentumStrategy(
-            shapes,
-            TopKSparsifier(hyper.ratio, min_sparse_size=hyper.min_sparse_size),
-            hyper.momentum,
-            dtype=dtype,
-        )
-    # Extension strategies (§6 future-work combinations) register here.
-    from .extensions import build_extension_strategy  # late import: avoids cycle
+def _topk(hyper: Hyper) -> TopKSparsifier:
+    return TopKSparsifier(hyper.ratio, min_sparse_size=hyper.min_sparse_size)
 
-    strategy = build_extension_strategy(kind, shapes, hyper, dtype=dtype)
-    if strategy is not None:
-        return strategy
-    raise ValueError(f"unknown strategy kind {kind!r}")
+
+def _dense(shapes, hyper: Hyper, dtype=None, seed=0) -> WorkerStrategy:
+    return DenseStrategy(shapes, dtype=dtype)
+
+
+def _dropping(shapes, hyper: Hyper, dtype=None, seed=0) -> WorkerStrategy:
+    return GradientDroppingStrategy(shapes, _topk(hyper), dtype=dtype)
+
+
+def _dgc(shapes, hyper: Hyper, dtype=None, seed=0) -> WorkerStrategy:
+    ramp = SparsityRamp(
+        hyper.ratio,
+        warmup_epochs=hyper.warmup_epochs,
+        iterations_per_epoch=hyper.iterations_per_epoch,
+    )
+    return DGCStrategy(
+        shapes,
+        ratio=hyper.ratio,
+        momentum=hyper.momentum,
+        ramp=ramp,
+        clip_norm=hyper.clip_norm,
+        min_sparse_size=hyper.min_sparse_size,
+        dtype=dtype,
+    )
+
+
+def _samomentum(shapes, hyper: Hyper, dtype=None, seed=0) -> WorkerStrategy:
+    return SAMomentumStrategy(shapes, _topk(hyper), hyper.momentum, dtype=dtype)
+
+
+def _samomentum_adaptive(shapes, hyper: Hyper, dtype=None, seed=0) -> WorkerStrategy:
+    sparsifier = AdaptiveThresholdSparsifier(
+        hyper.ratio, min_sparse_size=hyper.min_sparse_size, seed=seed
+    )
+    return SAMomentumStrategy(shapes, sparsifier, hyper.momentum, dtype=dtype)
+
+
+def _dgs_terngrad(shapes, hyper: Hyper, dtype=None, seed=0) -> WorkerStrategy:
+    return DGSTernGradStrategy(shapes, _topk(hyper), hyper.momentum, dtype=dtype)
+
+
+def _terngrad(shapes, hyper: Hyper, dtype=None, seed=0) -> WorkerStrategy:
+    return TernGradStrategy(shapes, seed=seed)
+
+
+def _qsgd(shapes, hyper: Hyper, dtype=None, seed=0) -> WorkerStrategy:
+    return QSGDStrategy(shapes, seed=seed)
+
+
+def _random_dropping(shapes, hyper: Hyper, dtype=None, seed=0) -> WorkerStrategy:
+    return RandomDroppingStrategy(shapes, hyper.ratio, seed=seed)
 
 
 _DUAL = "Model Difference Tracking based Dual-way Gradient Sparsification"
 
 METHODS: dict[str, MethodSpec] = {
-    "msgd": MethodSpec(
-        name="msgd",
-        label="MSGD",
-        strategy="dense",
-        downstream="model",
-        distributed=False,
-        sparsification="N",
-        momentum="vanilla momentum",
-    ),
     "asgd": MethodSpec(
         name="asgd",
         label="ASGD",
-        strategy="dense",
+        strategy=_dense,
         downstream="model",
         sparsification="N",
         momentum="N",
@@ -135,7 +145,7 @@ METHODS: dict[str, MethodSpec] = {
     "gd_async": MethodSpec(
         name="gd_async",
         label="GD-async",
-        strategy="dropping",
+        strategy=_dropping,
         downstream="difference",
         sparsification=_DUAL,
         momentum="N",
@@ -144,7 +154,7 @@ METHODS: dict[str, MethodSpec] = {
     "dgc_async": MethodSpec(
         name="dgc_async",
         label="DGC-async",
-        strategy="dgc",
+        strategy=_dgc,
         downstream="difference",
         sparsification=_DUAL,
         momentum="vanilla momentum",
@@ -154,12 +164,53 @@ METHODS: dict[str, MethodSpec] = {
     "dgs": MethodSpec(
         name="dgs",
         label="DGS",
-        strategy="samomentum",
+        strategy=_samomentum,
         downstream="difference",
         sparsification=_DUAL,
         momentum="SAMomentum",
         momentum_correction=False,
         residual_accumulation=False,
+    ),
+    # §6 combinations with other compressors (repro.core.extensions)
+    "dgs_adaptive": MethodSpec(
+        name="dgs_adaptive",
+        label="DGS (adaptive thr)",
+        strategy=_samomentum_adaptive,
+        downstream="difference",
+        sparsification="Dual-way, sampled adaptive threshold (§4.1 note)",
+        momentum="SAMomentum",
+    ),
+    "terngrad": MethodSpec(
+        name="terngrad",
+        label="TernGrad-async",
+        strategy=_terngrad,
+        downstream="model",
+        sparsification="ternary quantisation",
+        momentum="N",
+    ),
+    "qsgd": MethodSpec(
+        name="qsgd",
+        label="QSGD-async",
+        strategy=_qsgd,
+        downstream="model",
+        sparsification="s-level stochastic quantisation",
+        momentum="N",
+    ),
+    "random_dropping": MethodSpec(
+        name="random_dropping",
+        label="RandDrop-async",
+        strategy=_random_dropping,
+        downstream="difference",
+        sparsification="random coordinate dropping (unbiased)",
+        momentum="N",
+    ),
+    "dgs_terngrad": MethodSpec(
+        name="dgs_terngrad",
+        label="DGS+TernGrad",
+        strategy=_dgs_terngrad,
+        downstream="difference",
+        sparsification="Dual-way Top-k + ternary values",
+        momentum="SAMomentum",
     ),
 }
 

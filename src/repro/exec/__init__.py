@@ -11,7 +11,7 @@ top of the server substrate in :mod:`repro.ps`, the channel layer in
 :mod:`repro.comm` and the cost models in :mod:`repro.sim`:
 
 * :class:`RunConfig` — one description of a distributed run;
-* :func:`get_backend` / :func:`register_backend` — the backend registry
+* :data:`BACKENDS` / :func:`get_backend` — the backend table
   (``"process"`` | ``"socket"`` | ``"simulated"`` | ``"sync"``): a name, a clock, the measured fields and an engine;
 * :class:`Trainer` / :func:`train` — the one path that builds a
   backend's engine and runs it, under the CLI's override and result
@@ -25,17 +25,15 @@ backend, validates the schema and holds each to a learning floor.  See
 """
 
 from .backend import (
+    BACKENDS,
     Backend,
     apply_config_overrides,
     collect_results,
     get_backend,
-    list_backends,
     notify_result,
-    register_backend,
     use_backend,
     use_config_overrides,
 )
-from . import backends  # noqa: F401  (importing it registers the four built-ins)
 from .config import RunConfig
 from .remote import RemoteTrainer
 from .result import TrainResult, validate_result
@@ -45,13 +43,12 @@ from .trainer import Trainer, train
 
 __all__ = [
     "Backend",
+    "BACKENDS",
     "RunConfig",
     "TrainResult",
     "Trainer",
     "train",
     "get_backend",
-    "register_backend",
-    "list_backends",
     "use_backend",
     "use_config_overrides",
     "apply_config_overrides",

@@ -1,29 +1,34 @@
-"""Backend registry, the ambient default backend, and the CLI scopes.
+"""Backend table, the ambient default backend, and the CLI scopes.
 
 A backend is a name, a clock, the ``TrainResult`` fields it measures and
 an engine constructor taking one :class:`~repro.exec.config.RunConfig`;
 :class:`~repro.exec.trainer.Trainer` is the one path that builds and runs
-the engine.  The four built-ins ("process", "socket", "simulated",
-"sync") register themselves on import of :mod:`repro.exec`;
-extensions register their own with :func:`register_backend` and
-immediately work everywhere a backend name is accepted — ``Trainer``,
-``run_distributed(backend=...)`` and ``python -m repro run --backend``.
+the engine.  :data:`BACKENDS` is one literal table of the four
+("process", "socket", "simulated", "sync"); ``"process"`` and
+``"socket"`` are one engine, :class:`~repro.exec.remote.RemoteTrainer`,
+over OS pipes and over TCP.  Adding a backend is one assignment,
+``BACKENDS[name] = Backend(name, ...)``, and it then works everywhere a
+backend name is accepted — ``Trainer``, ``run_distributed(backend=...)``
+and ``python -m repro run --backend``.
 """
 
 from __future__ import annotations
 
 import contextlib
 import dataclasses
+from functools import partial
 from typing import Callable, Iterator
 
 from .config import RunConfig
+from .remote import RemoteTrainer
 from .result import TrainResult
+from .simulated import SimulatedTrainer
+from .sync import SynchronousTrainer
 
 __all__ = [
     "Backend",
-    "register_backend",
+    "BACKENDS",
     "get_backend",
-    "list_backends",
     "use_backend",
     "use_config_overrides",
     "apply_config_overrides",
@@ -36,7 +41,7 @@ __all__ = [
 class Backend:
     """One way of executing a distributed training run."""
 
-    #: registry name, e.g. "process"
+    #: table name, e.g. "process"
     name: str
     #: clock domain of the results it produces: "wall" | "virtual"
     clock: str
@@ -48,37 +53,70 @@ class Backend:
     engine: "Callable[[RunConfig], object]"
 
 
-_REGISTRY: "dict[str, Backend]" = {}
+#: optional fields every parameter-server backend measures
+_PS_MEASURES = frozenset(
+    {
+        "makespan_s",
+        "clock",
+        "upload_dense_bytes",
+        "download_dense_bytes",
+        "server_state_bytes",
+        "worker_state_bytes",
+        "worker_staleness",
+        "metrics",
+    }
+)
+_REMOTE_MEASURES = _PS_MEASURES | {"wire_bytes_up", "wire_bytes_down"}
+
+BACKENDS: "dict[str, Backend]" = {
+    "process": Backend(
+        "process", "wall", _REMOTE_MEASURES, partial(RemoteTrainer, transport="pipe")
+    ),
+    "socket": Backend(
+        "socket", "wall", _REMOTE_MEASURES, partial(RemoteTrainer, transport="tcp")
+    ),
+    "simulated": Backend(
+        "simulated",
+        "virtual",
+        _PS_MEASURES | {"loss_vs_time", "uplink_utilisation", "downlink_utilisation"},
+        SimulatedTrainer,
+    ),
+    "sync": Backend(
+        "sync",
+        "virtual",
+        frozenset(
+            {
+                "makespan_s",
+                "clock",
+                "loss_vs_time",
+                "upload_dense_bytes",
+                "download_dense_bytes",
+                "uplink_utilisation",
+                "downlink_utilisation",
+                "worker_state_bytes",
+                "rounds",
+                "straggler_time_s",
+            }
+        ),
+        SynchronousTrainer,
+    ),
+}
 
 #: name resolved when a caller passes ``backend=None``; the simulator is
 #: the default because it is cheap, deterministic, and fully instrumented.
 _DEFAULT = "simulated"
 
 
-def register_backend(backend: Backend, replace: bool = False) -> Backend:
-    """Add ``backend`` to the registry under ``backend.name``."""
-    name = backend.name
-    if not replace and name in _REGISTRY:
-        raise ValueError(f"backend {name!r} already registered")
-    _REGISTRY[name] = backend
-    return backend
-
-
 def get_backend(name: "str | Backend | None" = None) -> Backend:
-    """Resolve a backend by registry name (None ⇒ the ambient default)."""
+    """Resolve a backend by table name (None ⇒ the ambient default)."""
     if name is None:
         name = _DEFAULT
     if not isinstance(name, str):
         return name  # already a Backend instance
     try:
-        return _REGISTRY[name]
+        return BACKENDS[name]
     except KeyError:
-        raise KeyError(f"unknown backend {name!r}; known: {list_backends()}") from None
-
-
-def list_backends() -> "tuple[str, ...]":
-    """Registered backend names, in registration order."""
-    return tuple(_REGISTRY)
+        raise KeyError(f"unknown backend {name!r}; known: {list(BACKENDS)}") from None
 
 
 #: active result sinks — every completed backend run is appended to each

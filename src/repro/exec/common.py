@@ -63,12 +63,9 @@ def refuse_checkpointing(config: RunConfig, backend: str) -> None:
             )
 
 
-def resolve_method(method: "MethodSpec | str", require_distributed: bool = True) -> MethodSpec:
-    """Look up ``method`` in the registry and reject single-node specs."""
-    spec = get_method(method) if isinstance(method, str) else method
-    if require_distributed and not spec.distributed:
-        raise ValueError(f"method {spec.name!r} is single-node; use LocalTrainer")
-    return spec
+def resolve_method(method: "MethodSpec | str") -> MethodSpec:
+    """``method``'s spec: a catalogue name is looked up in ``METHODS``."""
+    return get_method(method) if isinstance(method, str) else method
 
 
 def resolve_hyper(hyper: "Hyper | None") -> Hyper:
@@ -80,18 +77,14 @@ def resolve_schedule(schedule: "Schedule | None", hyper: Hyper) -> Schedule:
 
 
 def secondary_ratio_for(
-    method: MethodSpec, hyper: Hyper, secondary_compression: "bool | None"
+    method: MethodSpec, hyper: Hyper, secondary_compression: bool
 ) -> "float | None":
     """Server-side secondary compression ratio, or None when disabled.
 
     Secondary compression only exists in the ``difference`` downstream mode
-    (Algorithm 2 / Eq. 6); ``secondary_compression=None`` defers to the
-    method's default flag.
+    (Algorithm 2 / Eq. 6).
     """
-    use_secondary = (
-        method.secondary_default if secondary_compression is None else secondary_compression
-    )
-    if method.downstream == "difference" and use_secondary:
+    if method.downstream == "difference" and secondary_compression:
         return hyper.secondary_ratio
     return None
 
@@ -101,7 +94,7 @@ def build_server(
     theta0: "Mapping[str, np.ndarray]",
     num_workers: int,
     hyper: Hyper,
-    secondary_compression: "bool | None" = None,
+    secondary_compression: bool = False,
     staleness_damping: bool = False,
     arena: bool = True,
     arena_dtype: "object | None" = None,
@@ -141,14 +134,21 @@ def build_worker(
     theta0: "Mapping[str, np.ndarray] | None" = None,
     arena: bool = True,
     arena_dtype: "object | None" = None,
+    seed: int = 0,
 ) -> WorkerNode:
     """One worker node on ``model``, optionally re-seeded to θ0; its
     strategy holds arenas of ``arena_dtype``, or is the parity oracle's
-    twin when ``arena=False``."""
+    twin when ``arena=False``.  A stochastic compressor draws from its own
+    stream, seeded by the run's ``seed`` and ``worker_id``."""
     if theta0 is not None:
         # All replicas start from the same θ0.
         assign_parameters(model, theta0)
-    strategy = method.make_strategy(layer_shapes(model), hyper, dtype=arena_dtype)
+    strategy = method.make_strategy(
+        layer_shapes(model),
+        hyper,
+        dtype=arena_dtype,
+        seed=np.random.SeedSequence([seed, worker_id]),
+    )
     return WorkerNode(
         worker_id,
         model,
@@ -169,6 +169,7 @@ def build_workers(
     first_model: "Module | None" = None,
     arena: bool = True,
     arena_dtype: "object | None" = None,
+    seed: int = 0,
 ) -> "list[WorkerNode]":
     """Stamp out ``num_workers`` replicas, all starting from θ0.
 
@@ -188,6 +189,7 @@ def build_workers(
             theta0=theta0,
             arena=arena,
             arena_dtype=arena_dtype,
+            seed=seed,
         )
         for w in range(num_workers)
     ]

@@ -27,7 +27,7 @@ __all__ = ["RunConfig"]
 class RunConfig:
     """Everything needed to run one distributed training job anywhere."""
 
-    #: method registry name or spec ("asgd", "gd_async", "dgc_async", "dgs")
+    #: a ``METHODS`` name ("asgd", "gd_async", "dgc_async", "dgs", …) or spec
     method: "MethodSpec | str"
     #: zero-arg factory for a fresh model replica (same seed ⇒ same θ0)
     model_factory: Callable[[], Module]
@@ -40,8 +40,9 @@ class RunConfig:
     total_iterations: int
     hyper: "Hyper | None" = None
     schedule: "Schedule | None" = None
-    #: None ⇒ the method's default (``MethodSpec.secondary_default``)
-    secondary_compression: "bool | None" = None
+    #: server-side secondary compression of the model difference (Eq. 6);
+    #: ignored by ``downstream="model"`` methods
+    secondary_compression: bool = False
     #: gap-aware damping (paper ref. [4]); no-op under the sync barrier
     staleness_damping: bool = False
     #: partition the parameter server across N independently locked shards

@@ -109,6 +109,7 @@ def build_remote_worker(config: RunConfig, worker_id: int, fast_forward: int = 0
         theta0=None,
         arena=config.arena,
         arena_dtype=config.arena_dtype,
+        seed=config.seed,
     )
     for _ in range(fast_forward):
         node.batches.next_batch()

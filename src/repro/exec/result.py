@@ -33,9 +33,9 @@ __all__ = ["TrainResult", "validate_result"]
 class TrainResult:
     """Outcome of one distributed training run, on any backend."""
 
-    #: method registry name ("asgd", "dgs", ...)
+    #: method name in ``METHODS`` ("asgd", "dgs", ...)
     method: str = ""
-    #: backend registry name ("process", "socket", "simulated", "sync")
+    #: backend name in ``BACKENDS`` ("process", "socket", "simulated", "sync")
     backend: str = ""
     num_workers: int = 0
     #: parameter-server shards the run actually used (1 = single-lock

@@ -84,6 +84,7 @@ class SimulatedTrainer:
             first_model=ref_model,
             arena=config.arena,
             arena_dtype=config.arena_dtype,
+            seed=config.seed,
         )
 
         self.uplink = SharedLink(cluster.uplink)

@@ -51,8 +51,7 @@ class SynchronousTrainer:
     def __init__(self, config: RunConfig) -> None:
         refuse_checkpointing(config, "sync")
         self.config = config
-        # SSGD has no server, so single-node methods (e.g. msgd) are allowed.
-        self.method = resolve_method(config.method, require_distributed=False)
+        self.method = resolve_method(config.method)
         self.hyper = resolve_hyper(config.hyper)
         self.schedule = resolve_schedule(config.schedule, self.hyper)
         self.cluster = cluster = config.resolved_cluster()
@@ -77,6 +76,7 @@ class SynchronousTrainer:
                 self.schedule,
                 arena=config.arena,
                 arena_dtype=config.arena_dtype,
+                seed=config.seed,
             )
             for w in range(n)
         ]

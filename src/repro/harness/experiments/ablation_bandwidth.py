@@ -41,7 +41,7 @@ def run(fast: bool = False, seeds: tuple[int, ...] = (0,)) -> ExperimentReport:
             r = run_distributed(
                 method, wl, num_workers,
                 hyper=hyper,
-                secondary_compression=True if method == "dgs" else None,
+                secondary_compression=method == "dgs",
                 total_iterations=iters,
                 cluster=paper_cluster(num_workers, gbps, wl.model_factory(seed)(), seed=seed),
                 fast=fast, seed=seed,

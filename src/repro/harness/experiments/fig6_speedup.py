@@ -54,7 +54,7 @@ def run(fast: bool = False, seeds: tuple[int, ...] = (0,)) -> ExperimentReport:
                     n,
                     gbps=gbps,
                     hyper=hyper,
-                    secondary_compression=True if method == "dgs" else None,
+                    secondary_compression=method == "dgs",
                     fast=fast,
                     seed=seed,
                     # fixed per-worker iteration budget — speedup needs

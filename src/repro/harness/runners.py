@@ -22,7 +22,7 @@ def run_distributed(
     batch_size: int | None = None,
     total_iterations: int | None = None,
     hyper: Hyper | None = None,
-    secondary_compression: bool | None = None,
+    secondary_compression: bool = False,
     cluster: ClusterConfig | None = None,
     eval_every: int | None = None,
     staleness_damping: bool = False,
@@ -32,8 +32,8 @@ def run_distributed(
 ) -> TrainResult:
     """One distributed run of ``method`` on ``workload``, on any backend.
 
-    ``backend`` names an execution backend from the :mod:`repro.exec`
-    registry (``"process"`` | ``"socket"`` | ``"simulated"`` | ``"sync"``);
+    ``backend`` names an execution backend of ``repro.exec.BACKENDS``
+    (``"process"`` | ``"socket"`` | ``"simulated"`` | ``"sync"``);
     None uses the ambient default (``"simulated"`` unless
     changed with ``repro.exec.use_backend``).  The paper-shaped cluster
     (``gbps``, ResNet-18 wire scaling) only applies to the virtual-clock

@@ -145,7 +145,7 @@ def _parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def shared(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--method", default="dgs", help="method registry name (default dgs)")
+        p.add_argument("--method", default="dgs", help="a repro.core.METHODS name (default dgs)")
         p.add_argument("--workers", type=_count, default=2, help="expected worker count")
         p.add_argument("--iterations", type=_count, default=50, help="iterations per worker")
         p.add_argument("--batch-size", type=_count, default=16)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.compression import QuantizedSparseTensor, TernaryTensor, TopKSparsifier
-from repro.core import METHODS, Hyper, build_strategy, get_method
+from repro.core import METHODS, Hyper, get_method
 from repro.core.extensions import (
     DGSTernGradStrategy,
     RandomDroppingStrategy,
@@ -26,9 +26,11 @@ class TestRegistry:
 
     def test_build_via_registry(self):
         h = Hyper(ratio=0.1, momentum=0.7)
-        assert isinstance(build_strategy("terngrad", SHAPES, h), TernGradStrategy)
-        assert isinstance(build_strategy("random_dropping", SHAPES, h), RandomDroppingStrategy)
-        assert isinstance(build_strategy("dgs_terngrad", SHAPES, h), DGSTernGradStrategy)
+        assert isinstance(get_method("terngrad").make_strategy(SHAPES, h), TernGradStrategy)
+        assert isinstance(
+            get_method("random_dropping").make_strategy(SHAPES, h), RandomDroppingStrategy
+        )
+        assert isinstance(get_method("dgs_terngrad").make_strategy(SHAPES, h), DGSTernGradStrategy)
 
     def test_spec_fields(self):
         spec = get_method("dgs_terngrad")
@@ -140,3 +142,31 @@ class TestQSGDStrategy:
     def test_registered(self):
         assert "qsgd" in METHODS
         assert get_method("qsgd").downstream == "model"
+
+
+class TestWorkerStreams:
+    """Each worker of a stochastic method draws its own random stream,
+    seeded by the run's seed and the worker id."""
+
+    @pytest.mark.parametrize("method", ["random_dropping", "terngrad", "qsgd"])
+    def test_workers_draw_independent_streams(self, method, tiny_dataset, tiny_model_factory):
+        from repro.core import layer_shapes
+        from repro.data import DataLoader
+        from repro.exec.common import build_worker
+        from repro.optim import ConstantLR
+
+        shapes = layer_shapes(tiny_model_factory())
+        rng = np.random.default_rng(3)
+        g = OrderedDict((n, rng.normal(size=s).astype(np.float32)) for n, s in shapes.items())
+
+        def payload(worker_id, seed):
+            node = build_worker(
+                worker_id, 2, tiny_model_factory(), DataLoader(tiny_dataset, 16),
+                get_method(method), Hyper(ratio=0.25), ConstantLR(0.1), seed=seed,
+            )
+            return np.concatenate([p.to_dense().ravel() for p in node.strategy.prepare(g, 0.1).values()])
+
+        first = payload(0, seed=5)
+        np.testing.assert_array_equal(first, payload(0, seed=5))
+        assert not np.array_equal(first, payload(1, seed=5))
+        assert not np.array_equal(first, payload(0, seed=6))

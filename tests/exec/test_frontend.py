@@ -105,18 +105,12 @@ class TestTrainerFrontend:
         assert result.rounds == 20
 
     def test_single_node_method_rejected_on_ps_backends(self, tiny_dataset, tiny_model_factory):
+        # MSGD runs on LocalTrainer (run_msgd); it is no entry of METHODS.
         config = tiny_config(tiny_dataset, tiny_model_factory)
         config.method = "msgd"
-        for backend in ("process", "socket", "simulated"):
-            with pytest.raises(ValueError, match="single-node"):
+        for backend in ("process", "socket", "simulated", "sync"):
+            with pytest.raises(KeyError, match="unknown method 'msgd'"):
                 Trainer(config, backend=backend)
-
-    def test_sync_accepts_single_node_method(self, tiny_dataset, tiny_model_factory):
-        # SSGD has no parameter server, so the local baseline spec is legal.
-        config = tiny_config(tiny_dataset, tiny_model_factory)
-        config.method = "msgd"
-        result = train(config, backend="sync")
-        assert result.method == "msgd"
 
 
 class TestCliScopes:

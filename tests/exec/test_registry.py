@@ -1,12 +1,12 @@
-"""Backend shape, registry lookup, and the ambient default."""
+"""Backend shape, table lookup, and the ambient default."""
 
 import dataclasses
 
 import pytest
 
-import repro.exec.backend as backend_mod
 from repro.core import Hyper
 from repro.exec import (
+    BACKENDS,
     Backend,
     RemoteTrainer,
     RunConfig,
@@ -14,8 +14,6 @@ from repro.exec import (
     SynchronousTrainer,
     Trainer,
     get_backend,
-    list_backends,
-    register_backend,
     use_backend,
 )
 
@@ -31,7 +29,7 @@ def _config(tiny_dataset, tiny_model_factory):
 
 class TestRegistry:
     def test_builtins_registered(self):
-        assert sorted(list_backends()) == sorted(BUILTINS)
+        assert sorted(BACKENDS) == sorted(BUILTINS)
 
     @pytest.mark.parametrize(
         "name,engine,clock",
@@ -66,23 +64,12 @@ class TestRegistry:
         backend = get_backend("process")
         assert get_backend(backend) is backend
 
-    def test_duplicate_registration_rejected(self, monkeypatch):
-        monkeypatch.setattr(backend_mod, "_REGISTRY", dict(backend_mod._REGISTRY))
-        with pytest.raises(ValueError, match="already registered"):
-            register_backend(dataclasses.replace(get_backend("process")))
-
-    def test_replace_registration(self, monkeypatch):
-        monkeypatch.setattr(backend_mod, "_REGISTRY", dict(backend_mod._REGISTRY))
-        replacement = dataclasses.replace(get_backend("process"))
-        assert register_backend(replacement, replace=True) is replacement
-        assert get_backend("process") is replacement
-
     def test_custom_backend_immediately_resolvable(self, monkeypatch):
-        monkeypatch.setattr(backend_mod, "_REGISTRY", dict(backend_mod._REGISTRY))
-
-        register_backend(dataclasses.replace(get_backend("process"), name="custom"))
-        assert "custom" in list_backends()
-        assert get_backend("custom").clock == "wall"
+        custom = dataclasses.replace(BACKENDS["process"], name="custom")
+        monkeypatch.setitem(BACKENDS, "custom", custom)
+        assert get_backend("custom") is custom
+        with use_backend("custom"):
+            assert get_backend(None) is custom
 
 
 class TestAmbientDefault:

@@ -74,6 +74,21 @@ class TestCLI:
         assert "checkpoint_every is not supported by the simulated backend" in capsys.readouterr().err
         assert not path.exists()
 
+    @pytest.mark.parametrize("every", ["0", "-3", "x"])
+    def test_bad_checkpoint_cadence_is_a_usage_error(self, monkeypatch, tmp_path, capsys, every):
+        """A cadence below 1 exits 2 at parse time, before any experiment
+        runs, rather than as a failed run's exit 1."""
+        ran = []
+        module = types.ModuleType("stub_never_runs")
+        module.run = lambda fast=False: ran.append(fast)
+        monkeypatch.setitem(EXPERIMENTS, "stub", (module, "stub"))
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "stub", "--checkpoint-every", every,
+                  "--checkpoint", str(tmp_path / "run.ckpt")])
+        assert exc.value.code == 2
+        assert "expected an integer >= 1" in capsys.readouterr().err
+        assert not ran
+
     def test_unknown_experiment_rejected(self):
         with pytest.raises(SystemExit):
             main(["run", "nope"])

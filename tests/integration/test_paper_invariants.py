@@ -35,7 +35,7 @@ def factory():
     return lambda: MLP(16, (32,), 5, seed=2)
 
 
-def run(ds, factory, method, gbps=10.0, n=4, secondary=None, iters=160):
+def run(ds, factory, method, gbps=10.0, n=4, secondary=False, iters=160):
     return simulated(
         method, factory, ds,
         ClusterConfig.with_bandwidth(n, gbps, compute_mean_s=0.05),
@@ -110,7 +110,7 @@ class TestSection5Claims:
         cluster1 = ClusterConfig.with_bandwidth(4, 1.0, compute_mean_s=0.05)
         cluster1.wire_scale = 3000
 
-        def time_of(method, cl, secondary=None):
+        def time_of(method, cl, secondary=False):
             return simulated(
                 method, factory, ds, cl, batch_size=16, total_iterations=80,
                 hyper=HYPER, secondary_compression=secondary, seed=0,

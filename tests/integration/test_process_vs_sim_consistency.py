@@ -11,12 +11,11 @@ import pytest
 from repro.core import Hyper
 from repro.data import DataLoader, make_blobs, synthetic_cifar10
 from repro.exec import (
+    BACKENDS,
     RemoteTrainer,
     RunConfig,
     SimulatedTrainer,
     Trainer,
-    get_backend,
-    list_backends,
     train,
     validate_result,
 )
@@ -261,8 +260,7 @@ class TestCrossBackendParity:
             hyper=HYPER,
             seed=0,
         )
-        for name in list_backends():
-            backend = get_backend(name)
+        for name, backend in BACKENDS.items():
             result = train(config, backend=backend)
             problems = validate_result(result, measures=backend.measures)
             assert not problems, f"{name}: {problems}"

@@ -141,7 +141,7 @@ def test_sparse_method_ships_fewer_bytes(tiny_dataset, tiny_model_factory):
 
 
 def test_msgd_rejected(tiny_dataset, tiny_model_factory):
-    with pytest.raises(ValueError):
+    with pytest.raises(KeyError, match="msgd"):
         RemoteTrainer(RunConfig("msgd", tiny_model_factory, tiny_dataset, 2, 16, 10), "pipe")
 
 

@@ -246,7 +246,7 @@ def test_sync_trainer_is_bitwise_the_barrier_oracle(dataset):
         )
     ).run()
 
-    method = resolve_method("dgs", require_distributed=False)
+    method = resolve_method("dgs")
     model = _factory()
     shapes = layer_shapes(model)
     loader = DataLoader(dataset, 16, seed=5)

@@ -56,7 +56,7 @@ class TestRunBasics:
         assert r.mean_staleness == 0
 
     def test_msgd_rejected(self, tiny_dataset, tiny_model_factory):
-        with pytest.raises(ValueError):
+        with pytest.raises(KeyError, match="msgd"):
             make_trainer(tiny_dataset, tiny_model_factory, method="msgd")
 
     def test_invalid_iterations(self, tiny_dataset, tiny_model_factory):
